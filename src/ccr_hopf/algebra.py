@@ -14,8 +14,16 @@ Words are reduced against a fixed generator order
 by adjacent transpositions.  The only order-violating pairs that pick up
 a correction term are pi(j)phi(k) and am(j)ap(k); every swap either
 preserves degree and lowers the inversion count or strictly lowers the
-degree, so reduction terminates, and confluence is exercised by reducing
-under two independent schedules.
+degree, so reduction terminates.
+
+Two engines apply these rules.  The default ``leftmost`` schedule is the
+memoized insertion engine: it inserts a word's letters right to left
+into a suffix kept in normal form, and the normal form of each letter
+inserted into a normal word is computed once per presentation, so equal
+intermediate words are merged.  The ``rightmost`` schedule is the
+reference stack walker: it rewrites the rightmost redex of every word
+and walks every rewrite path.  Confluence is exercised by comparing the
+two.
 """
 
 from __future__ import annotations
@@ -53,7 +61,6 @@ __all__ = [
     "evaluate_numeric",
     "gen_text",
     "word_text",
-    "word_degree",
     "random_word",
     "random_expr",
 ]
@@ -106,10 +113,6 @@ def word_text(word) -> str:
         parts.append(gen_text(word[i]) if j - i == 1 else f"{gen_text(word[i])}^{j - i}")
         i = j
     return "*".join(parts)
-
-
-def word_degree(word) -> int:
-    return len(word)
 
 
 def _coerce_scalar(x):
@@ -483,12 +486,13 @@ class Presentation:
 
 
 # ---------------------------------------------------------------------------
-# Rewrite engine
+# Rewrite engines (see the module docstring); both take every rewrite
+# step through _apply_redex, the single rule table.
 
 
-def _find_redex(word, p: Presentation, schedule: str):
-    n = len(word) - 1
-    positions = range(n) if schedule == "leftmost" else range(n - 1, -1, -1)
+def _find_redex(word, p: Presentation, positions):
+    """First position i in ``positions`` at which the pair word[i],
+    word[i+1] has a rewrite rule, or None."""
     strict = p.variant == DEFORMED_STRICT
     idem = p.idempotent_identity
     for i in positions:
@@ -541,34 +545,107 @@ def _acc(table: dict, word, coeff: Scalar) -> None:
         table[word] = cur
 
 
-def _reduce_word(word, p: Presentation, schedule: str) -> dict:
-    if schedule == "leftmost":
-        hit = p._nf_cache.get(word)
-        if hit is not None:
-            return hit
+def _mul(a: Scalar, b: Scalar) -> Scalar:
+    if b.is_one():
+        return a
+    if a.is_one():
+        return b
+    return a * b
+
+
+def _fold(prefix, partial: dict, p: Presentation):
+    """Insert the letters of prefix, right to left, into each normal word
+    of partial (word -> coefficient); returns the resulting normal form.
+
+    A coroutine: for every insertion ``(h,) + v`` that needs a rule step
+    and is not memoized yet it yields that word and is sent its normal
+    form (see _drive).
+    """
+    cache = p._nf_cache
+    for h in reversed(prefix):
+        nxt = {}
+        for v, c in partial.items():
+            hv = (h,) + v
+            if not v or _find_redex(hv, p, (0,)) is None:
+                _acc(nxt, hv, c)
+                continue
+            sub = cache.get(hv)
+            if sub is None:
+                sub = yield hv
+            for v2, c2 in sub.items():
+                _acc(nxt, v2, _mul(c, c2))
+        partial = nxt
+    return partial
+
+
+def _insertion(word, p: Presentation):
+    """Coroutine for the normal form of ``word = (g,) + u``, where u is
+    normal and g, u[0] is a redex.  One rule step at that pair leaves
+    prefix + u[1:] with a prefix of at most two letters, which is folded
+    back onto the normal tail u[1:]."""
+    tail = len(word) - 2
+    out = {}
+    for w2, m in _apply_redex(word, 0, p):
+        cut = len(w2) - tail
+        part = yield from _fold(w2[:cut], {w2[cut:]: m}, p)
+        for v, c in part.items():
+            _acc(out, v, c)
+    return out
+
+
+def _drive(word, frame, p: Presentation) -> dict:
+    """Run the coroutine ``frame`` computing the normal form of word.
+    Each word it yields gets an _insertion frame of its own on an explicit
+    stack, so no word is too long for the recursion limit; every finished
+    frame is memoized in ``p._nf_cache``."""
+    stack = [(word, frame)]
+    value = None
+    while stack:
+        word, frame = stack[-1]
+        try:
+            need = frame.send(value)
+        except StopIteration as done:
+            value = p._nf_cache[word] = done.value
+            stack.pop()
+        else:
+            stack.append((need, _insertion(need, p)))
+            value = None
+    return value
+
+
+def _reduce_word(word, p: Presentation) -> dict:
+    """Normal form of a word, memoized in ``p._nf_cache``: its letters
+    are inserted right to left into a suffix kept in normal form."""
+    hit = p._nf_cache.get(word)
+    if hit is not None:
+        return hit
+    # everything right of the rightmost redex is normal already
+    i = _find_redex(word, p, range(len(word) - 2, -1, -1))
+    cut = 0 if i is None else i + 1
+    return _drive(word, _fold(word[:cut], {word[cut:]: ONE}, p), p)
+
+
+def _walk_rightmost(word, p: Presentation) -> dict:
+    """Reference engine: rewrite the rightmost redex of each word on a
+    work stack until none is left.  Nothing is memoized, so every rewrite
+    path is walked and the cost grows exponentially with the degree."""
     out = {}
     work = [(word, ONE)]
     while work:
         w, m = work.pop()
-        i = _find_redex(w, p, schedule)
+        i = _find_redex(w, p, range(len(w) - 2, -1, -1))
         if i is None:
             _acc(out, w, m)
             continue
         for w2, m2 in _apply_redex(w, i, p):
-            if m2.is_one():
-                work.append((w2, m))
-            elif m.is_one():
-                work.append((w2, m2))
-            else:
-                work.append((w2, m * m2))
-    if schedule == "leftmost":
-        p._nf_cache[word] = out
+            work.append((w2, _mul(m, m2)))
     return out
 
 
 def _letter_substitution(p: Presentation):
-    """Per-letter replacement map handling K-collapse and basis mixing.
-    Returns None when nothing needs substituting for this presentation."""
+    """Returns (sub, half_r2): the per-letter K-collapse replacements,
+    empty outside the deformed-collapsed variant, and the factor 1/r2
+    of the basis change."""
     half_r2 = ONE / R2  # folds to r2/2 exactly
     sub = {}
     if p.variant == DEFORMED_COLLAPSED:
@@ -638,10 +715,11 @@ def normal_form(e: Expr, p: Presentation, schedule: str = "leftmost") -> Expr:
         for w, c in terms.items():
             expanded = expanded + _expand_word(w, p) * c
         terms = expanded.terms
+    reduce = _reduce_word if schedule == "leftmost" else _walk_rightmost
     out = {}
     for word, coeff in terms.items():
-        for w, m in _reduce_word(word, p, schedule).items():
-            _acc(out, w, coeff if m.is_one() else coeff * m)
+        for w, m in reduce(word, p).items():
+            _acc(out, w, _mul(coeff, m))
     r = Expr.__new__(Expr)
     r.terms = out
     return r

@@ -115,7 +115,10 @@ def _effective_seed(args) -> int:
 
 def _load_gram_rows(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        rows = json.load(fh)
+        try:
+            rows = json.load(fh)
+        except ValueError as exc:
+            raise CliError(f"gram file {path} is not valid JSON: {exc}")
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise CliError(f"gram file {path} must hold a JSON list of rows")
     return rows
@@ -176,6 +179,8 @@ def _vector(text: str, d: int | None = None) -> np.ndarray:
         v = np.array([float(x) for x in text.split(",")])
     except ValueError:
         raise CliError(f"cannot read vector {text!r}; use comma-separated floats")
+    if not np.all(np.isfinite(v)):
+        raise CliError(f"vector {text!r} has a non-finite entry")
     if d is not None and len(v) != d:
         raise CliError(f"vector {text!r} has {len(v)} entries, expected {d}")
     return v
@@ -455,7 +460,10 @@ def _cmd_fock_transfer(args) -> int:
 
 
 def _cmd_fock_trend(args) -> int:
-    d_values = tuple(int(x) for x in args.dvalues.split(","))
+    try:
+        d_values = tuple(int(x) for x in args.dvalues.split(","))
+    except ValueError:
+        raise CliError(f"cannot read --dvalues {args.dvalues!r}; use comma-separated integers")
     trend = boundedness_trend(d_values=d_values, nmax=args.nmax)
     converged = all(r.converged for r in trend.uniform + trend.summable)
     passed = trend.slope_ratio >= 5.0 and converged

@@ -42,6 +42,10 @@ ROOT2 = math.sqrt(2.0)
 # dense eigensolvers are preferred below this dimension
 DENSE_EIG_LIMIT = 2000
 
+# largest squeezing |r| whose gamma = exp(-2r) and c^2 = exp(2r)/2 are
+# finite floats
+R_MAX = 354
+
 
 def occupation_states(d: int, nmax: int) -> list:
     """All occupation tuples (n_0, ..., n_{d-1}) with sum <= nmax, in
@@ -198,6 +202,8 @@ class BogoliubovSpec:
             raise FockError("need at least one mode")
         if any(not math.isfinite(r) for r in rs):
             raise FockError("squeezing parameters must be finite")
+        if any(abs(r) > R_MAX for r in rs):
+            raise FockError(f"squeezing parameters must lie in [-{R_MAX}, {R_MAX}]")
         object.__setattr__(self, "rs", rs)
 
     @classmethod
@@ -423,6 +429,8 @@ def boundedness_trend(
     tanh(r)^n), so they are computed only on request via k_eigs; the
     trend lives in the vacuum cost, not in the minimum of the spectrum.
     """
+    if len(set(d_values)) < 2:
+        raise FockError("a growth trend needs at least two distinct mode counts")
     families = (
         ("uniform", lambda d: BogoliubovSpec.uniform(d, r)),
         ("summable", lambda d: BogoliubovSpec.summable(d, r)),

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from ccr_hopf.algebra import (
+    GEN_K,
+    GEN_KINV,
     AlgebraError,
     Expr,
     Gram,
@@ -234,15 +237,68 @@ def test_kappa_one_matches_undeformed():
         assert deformed == normal_form(e, P_UND)
 
 
+def _agreement_presentations():
+    gram = Gram([[2, (1, 1), 0], [(1, -1), 1, "1/3"], [0, "1/3", 1]])
+    for variant in ("undeformed", "deformed-strict", "deformed-collapsed"):
+        deformations = [{}] if variant == "undeformed" else [{}, {"q": 1.5, "c": 0.8}]
+        for basis in ("phi-pi", "ladder"):
+            for g in (None, gram):
+                for qc in deformations:
+                    yield Presentation(variant=variant, basis=basis, gram=g, **qc)
+            if variant != "deformed-collapsed":
+                yield Presentation(variant=variant, basis=basis, idempotent_identity=False)
+
+
 def test_schedules_agree_smoke():
+    # leftmost is the insertion engine, rightmost the reference stack walker
     rng = random.Random(11235)
-    for p in (P_UND, P_DEF, P_COL, P_LAD, P_DEF_LAD):
-        for _ in range(30):
-            w = random_word(rng, p, 8, 4)
-            e = Expr.from_word(w)
+    k_letters = {GEN_K, GEN_KINV}
+    k_seen = set()
+    for p in _agreement_presentations():
+        other = p.with_basis("ladder" if p.basis == "phi-pi" else "phi-pi")
+        exprs = [random_expr(rng, p, 7, 3) for _ in range(16)]
+        # words in the other basis, alone and mixed with this one, are
+        # rewritten letter by letter before reduction
+        exprs += [random_expr(rng, other, 4, 3) for _ in range(4)]
+        exprs += [random_expr(rng, p, 3, 3) * random_expr(rng, other, 3, 3) for _ in range(4)]
+        for e in exprs:
+            if any(g in k_letters for w in e.terms for g in w):
+                k_seen.add(p.variant)
             assert normal_form(e, p, "leftmost") == normal_form(e, p, "rightmost")
+    assert k_seen == {"deformed-strict", "deformed-collapsed"}
     with pytest.raises(AlgebraError):
         normal_form(phi(0), P_UND, "innermost")
+
+
+def _rook_normal_form(n, kappa, field):
+    """phi^n pi^n + I sum_k k! C(n,k)^2 (-i kappa)^k phi^(n-k) pi^(n-k), the
+    normal form of pi^n phi^n from the boson rook numbers; the ladder
+    form am^n ap^n has ap, am in place of phi, pi and kappa^k."""
+    create, annihilate = (phi(0), pi(0)) if field else (ap(0), am(0))
+    step = -IMAG * kappa if field else kappa
+    out = create ** n * annihilate ** n
+    for k in range(1, n + 1):
+        c = Scalar.rational(math.factorial(k) * math.comb(n, k) ** 2) * step ** k
+        out = out + c * gen_I() * create ** (n - k) * annihilate ** (n - k)
+    return out
+
+
+@pytest.mark.parametrize("variant, kappa", [("undeformed", ONE), ("deformed-strict", KAPPA)])
+def test_normal_order_rook_closed_form(variant, kappa):
+    for basis in ("phi-pi", "ladder"):
+        p = Presentation(variant=variant, basis=basis)
+        field = basis == "phi-pi"
+        for n in range(1, 11):
+            word = pi(0) ** n * phi(0) ** n if field else am(0) ** n * ap(0) ** n
+            got = normal_form(word, p)
+            assert len(got.terms) == n + 1
+            assert got == _rook_normal_form(n, kappa, field)
+
+
+def test_long_words_reduce_without_recursion():
+    got = normal_form(pi(0) * phi(0) ** 600, P_UND)
+    assert got == phi(0) ** 600 * pi(0) - Scalar.rational(600) * IMAG * gen_I() * phi(0) ** 599
+    assert normal_form(pi(0) * phi(1) ** 800, P_UND) == phi(1) ** 800 * pi(0)
 
 
 def test_evaluate_numeric():

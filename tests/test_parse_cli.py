@@ -187,6 +187,41 @@ def test_cli_exit_codes(capsys):
     assert code == 2
 
 
+
+def test_cli_malformed_gram_json_exits_2(tmp_path, capsys):
+    gram = tmp_path / "gram.json"
+    gram.write_text("[[1, 0], [0, 1")
+    code, doc, err = run_cli(capsys, ["normalize", "phi(0)", "--gram", str(gram)])
+    assert code == 2 and doc is None
+    assert "not valid JSON" in err
+
+
+def test_cli_non_finite_vector_exits_2(capsys):
+    code, doc, err = run_cli(capsys, ["fock", "genfun", "--v", "nan"])
+    assert code == 2 and doc is None
+    assert "non-finite" in err
+
+
+def test_cli_overflowing_squeezing_exits_2(capsys):
+    argv = ["fock", "spectrum", "--family", "uniform", "--r", "1e308"]
+    code, doc, err = run_cli(capsys, argv)
+    assert code == 2 and doc is None
+    assert "squeezing" in err
+
+
+def test_cli_trend_needs_two_mode_counts(capsys):
+    code, doc, err = run_cli(capsys, ["fock", "trend", "--dvalues", "1", "--nmax", "12"])
+    assert code == 2 and doc is None
+    assert "two distinct mode counts" in err
+    code, _, err = run_cli(capsys, ["fock", "trend", "--dvalues", "1,x"])
+    assert code == 2 and "--dvalues" in err
+
+
+def test_cli_normalize_long_word(capsys):
+    code, doc, _ = run_cli(capsys, ["normalize", "pi(0)*phi(0)^600"])
+    assert code == 0
+    assert doc["results"]["normal_form"]["text"] == "-600*i*I*phi(0)^599 + phi(0)^600*pi(0)"
+
 def test_cli_fock_genfun_check(capsys):
     code, doc, _ = run_cli(
         capsys, ["fock", "genfun", "--d", "1", "--nmax", "20", "--v", "1.0"]
