@@ -32,9 +32,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .scalars import IMAG, KAPPA, ONE, R2, S_PARAM, ZERO, Scalar
+from .scalars import IMAG, KAPPA, ONE, R2, S_PARAM, ZERO, Scalar, signed_join
 
 __all__ = [
     "AlgebraError",
@@ -125,7 +125,129 @@ def _coerce_scalar(x):
     return None
 
 
-class Expr:
+def _acc(table: dict, key, coeff: Scalar) -> None:
+    """Add coeff * key into table, dropping the key when it cancels."""
+    acc = table.get(key)
+    acc = coeff if acc is None else acc + coeff
+    if acc.is_zero():
+        table.pop(key, None)
+    else:
+        table[key] = acc
+
+
+class _SparseSum:
+    """Finitely supported linear combination of keys with exact scalar
+    coefficients; zero coefficients are never stored.
+
+    A subclass says how two keys concatenate (``_cat``, extended
+    bilinearly by ``*``), what the unit key is and how a sum prints.  Sums
+    of different subclasses never mix: their operators decline each other,
+    so Python raises TypeError.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping | None = None):
+        self.terms = {k: c for k, c in terms.items() if not c.is_zero()} if terms else {}
+
+    def _like(self, terms: dict):
+        """A sum of this shape holding terms, which has no zero coefficient."""
+        out = object.__new__(type(self))
+        out.terms = terms
+        return out
+
+    def _operand(self, other):
+        """other as a sum of this shape, a scalar as a multiple of the unit
+        key, or NotImplemented."""
+        if isinstance(other, _SparseSum):
+            return other if type(other) is type(self) else NotImplemented
+        s = _coerce_scalar(other)
+        if s is None:
+            return NotImplemented
+        return self._like({} if s.is_zero() else {self._unit_key(): s})
+
+    def _linear(self, image, shape: "_SparseSum | None" = None):
+        """The linear extension of image applied to self: the sum of
+        c * image(k) over the terms, where image maps a key to a key ->
+        coefficient mapping.  The result has the shape of ``shape``
+        (default self)."""
+        out = {}
+        for k, c in self.terms.items():
+            for k2, c2 in image(k).items():
+                _acc(out, k2, c * c2)
+        return (self if shape is None else shape)._like(out)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return other
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            _acc(out, k, c)
+        return self._like(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return other
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, _SparseSum):
+            other = self._operand(other)
+            if other is NotImplemented:
+                return other
+            cat = self._cat
+            out = {}
+            for k1, c1 in self.terms.items():
+                for k2, c2 in other.terms.items():
+                    _acc(out, cat(k1, k2), c1 * c2)
+            return self._like(out)
+        s = _coerce_scalar(other)
+        if s is None:
+            return NotImplemented
+        if s.is_zero():
+            return self._like({})
+        return self._like({k: c * s for k, c in self.terms.items()})
+
+    def __rmul__(self, other):
+        # scalars commute with everything, so left action equals right action
+        if isinstance(other, _SparseSum):
+            return NotImplemented
+        return self * other
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            return NotImplemented
+        out = self._like({self._unit_key(): ONE})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return other
+        return self.terms == other.terms
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class Expr(_SparseSum):
     """Finitely supported linear combination of generator words.
 
     Multiplication concatenates words bilinearly; no relations are
@@ -133,15 +255,7 @@ class Expr:
     stored.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping | None = None):
-        clean = {}
-        if terms:
-            for w, c in terms.items():
-                if not c.is_zero():
-                    clean[w] = c
-        self.terms = clean
+    __slots__ = ()
 
     @classmethod
     def from_word(cls, word, coeff=ONE) -> "Expr":
@@ -155,14 +269,13 @@ class Expr:
         e.terms = {}
         return e
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @staticmethod
+    def _unit_key():
+        return ()
 
-    def degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
-    def words(self):
-        return sorted(self.terms)
+    @staticmethod
+    def _cat(w1, w2):
+        return w1 + w2
 
     def coefficient(self, word) -> Scalar:
         return self.terms.get(tuple(word), ZERO)
@@ -170,97 +283,7 @@ class Expr:
     def map_coefficients(self, f) -> "Expr":
         return Expr({w: f(c) for w, c in self.terms.items()})
 
-    # -- linear structure -----------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, Expr):
-            s = _coerce_scalar(other)
-            if s is None:
-                return NotImplemented
-            other = Expr.from_word((), s)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = out.get(w)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = acc
-        e = Expr.__new__(Expr)
-        e.terms = out
-        return e
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        e = Expr.__new__(Expr)
-        e.terms = {w: -c for w, c in self.terms.items()}
-        return e
-
-    def __sub__(self, other):
-        if not isinstance(other, Expr):
-            s = _coerce_scalar(other)
-            if s is None:
-                return NotImplemented
-            other = Expr.from_word((), s)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Expr):
-            out = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    w = w1 + w2
-                    c = c1 * c2
-                    acc = out.get(w)
-                    acc = c if acc is None else acc + c
-                    if acc.is_zero():
-                        out.pop(w, None)
-                    else:
-                        out[w] = acc
-            e = Expr.__new__(Expr)
-            e.terms = out
-            return e
-        s = _coerce_scalar(other)
-        if s is None:
-            return NotImplemented
-        if s.is_zero():
-            return Expr.zero()
-        return Expr({w: c * s for w, c in self.terms.items()})
-
-    def __rmul__(self, other):
-        # scalars commute with everything, so left action equals right action
-        s = _coerce_scalar(other)
-        if s is None:
-            return NotImplemented
-        return self * s
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = Expr.from_word(())
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, Expr):
-            s = _coerce_scalar(other)
-            if s is None:
-                return NotImplemented
-            other = Expr.from_word((), s)
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[w] == other.terms[w] for w in self.terms)
-
-    __hash__ = None
-
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
         for w in sorted(self.terms, key=lambda w: (len(w), w)):
             c = self.terms[w]
@@ -278,13 +301,7 @@ class Expr:
                 t = cs if ("+" not in cs[1:] and "-" not in cs[1:]) else f"({cs})"
                 t = f"{t}*one"
             parts.append(t)
-        out = parts[0]
-        for t in parts[1:]:
-            out += " - " + t[1:] if t.startswith("-") else " + " + t
-        return out
-
-    def __repr__(self):
-        return f"Expr({self})"
+        return signed_join(parts)
 
 
 def phi(j: int) -> Expr:
@@ -346,15 +363,10 @@ class Gram:
 
     @staticmethod
     def _coerce(x) -> Scalar:
-        if isinstance(x, Scalar):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Scalar.rational(x)
-        if isinstance(x, str):
-            return Scalar.rational(Fraction(x))
-        if isinstance(x, complex):
-            return Scalar.from_complex(x)
-        if isinstance(x, float):
+        s = _coerce_scalar(x)
+        if s is not None:
+            return s
+        if isinstance(x, (str, float)):
             return Scalar.rational(Fraction(x))
         if isinstance(x, (tuple, list)) and len(x) == 2:
             return Scalar.rational(Fraction(x[0]), Fraction(x[1]))
@@ -476,6 +488,7 @@ class Presentation:
 
     def validate_expr(self, e: Expr) -> None:
         legal = self.legal_families()
+        size = self.gram.size
         for w in e.terms:
             for g in w:
                 if g[0] not in legal:
@@ -483,6 +496,8 @@ class Presentation:
                         f"generator {gen_text(g)} is not legal in the "
                         f"{self.variant} variant"
                     )
+                if size is not None and g[0] not in _CENTRAL and g[1] >= size:
+                    raise AlgebraError(f"mode index {g[1]} outside the {size}-mode gram")
 
 
 # ---------------------------------------------------------------------------
@@ -536,23 +551,6 @@ def _apply_redex(word, i: int, p: Presentation):
     raise AlgebraError(f"no rewrite for adjacent pair {gen_text(g1)},{gen_text(g2)}")
 
 
-def _acc(table: dict, word, coeff: Scalar) -> None:
-    cur = table.get(word)
-    cur = coeff if cur is None else cur + coeff
-    if cur.is_zero():
-        table.pop(word, None)
-    else:
-        table[word] = cur
-
-
-def _mul(a: Scalar, b: Scalar) -> Scalar:
-    if b.is_one():
-        return a
-    if a.is_one():
-        return b
-    return a * b
-
-
 def _fold(prefix, partial: dict, p: Presentation):
     """Insert the letters of prefix, right to left, into each normal word
     of partial (word -> coefficient); returns the resulting normal form.
@@ -573,7 +571,7 @@ def _fold(prefix, partial: dict, p: Presentation):
             if sub is None:
                 sub = yield hv
             for v2, c2 in sub.items():
-                _acc(nxt, v2, _mul(c, c2))
+                _acc(nxt, v2, c * c2)
         partial = nxt
     return partial
 
@@ -638,7 +636,7 @@ def _walk_rightmost(word, p: Presentation) -> dict:
             _acc(out, w, m)
             continue
         for w2, m2 in _apply_redex(w, i, p):
-            work.append((w2, _mul(m, m2)))
+            work.append((w2, m * m2))
     return out
 
 
@@ -705,24 +703,10 @@ def normal_form(e: Expr, p: Presentation, schedule: str = "leftmost") -> Expr:
     if schedule not in ("leftmost", "rightmost"):
         raise AlgebraError(f"unknown schedule {schedule!r}")
     p.validate_expr(e)
-    terms = e.terms
-    expanded = None
-    for w in terms:
-        if _needs_expansion(w, p):
-            expanded = Expr.zero()
-            break
-    if expanded is not None:
-        for w, c in terms.items():
-            expanded = expanded + _expand_word(w, p) * c
-        terms = expanded.terms
+    if any(_needs_expansion(w, p) for w in e.terms):
+        e = e._linear(lambda w: _expand_word(w, p).terms)
     reduce = _reduce_word if schedule == "leftmost" else _walk_rightmost
-    out = {}
-    for word, coeff in terms.items():
-        for w, m in reduce(word, p).items():
-            _acc(out, w, _mul(coeff, m))
-    r = Expr.__new__(Expr)
-    r.terms = out
-    return r
+    return e._linear(lambda w: reduce(w, p))
 
 
 def commutator(x: Expr, y: Expr, p: Presentation) -> Expr:
@@ -741,9 +725,7 @@ def adjoint(e: Expr, p: Presentation | None = None) -> Expr:
     for w, c in e.terms.items():
         w2 = tuple((_ADJ_SWAP.get(f, f), m) for f, m in reversed(w))
         _acc(out, w2, c.conjugate())
-    r = Expr.__new__(Expr)
-    r.terms = out
-    return r
+    return e._like(out)
 
 
 def basis_convert(e: Expr, target: str, p: Presentation) -> Expr:

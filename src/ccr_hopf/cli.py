@@ -86,17 +86,21 @@ from .selftest import run_selftest
 
 _VARIANT_CHOICES = ("undeformed", "deformed", "deformed-strict", "deformed-collapsed")
 
-_HOPF_CHECKS = (
-    "coassociativity",
-    "counit",
-    "antipode",
-    "cocommutativity",
-    "multiplicativity",
-    "respects-relations",
-)
+# hopf-check name -> check(h, p, args, seed), in report order
+_HOPF_CHECK_TABLE = {
+    "coassociativity": lambda h, p, a, seed: check_coassociativity(h, p, a.degree, a.modes),
+    "counit": lambda h, p, a, seed: check_counit(h, p, a.degree, a.modes),
+    "antipode": lambda h, p, a, seed: check_antipode(h, p, a.degree, a.modes),
+    "cocommutativity": lambda h, p, a, seed: cocommutativity_probe(h, p, a.degree, a.modes),
+    "multiplicativity": lambda h, p, a, seed: check_multiplicativity(
+        h, p, a.degree, a.modes, seed=seed
+    ),
+    "respects-relations": lambda h, p, a, seed: check_respects_relations(h, p, a.modes),
+}
+_HOPF_CHECKS = tuple(_HOPF_CHECK_TABLE)
 # respects-relations is opt-in: with the idempotent identity in force it
 # reports the structural 2*I(x)I finding, which is not a usage failure
-_DEFAULT_CHECKS = _HOPF_CHECKS[:5]
+_DEFAULT_CHECKS = tuple(n for n in _HOPF_CHECKS if n != "respects-relations")
 
 
 class CliError(ValueError):
@@ -328,22 +332,7 @@ def _cmd_hopf_check(args) -> int:
     for name in wanted:
         if name not in _HOPF_CHECKS:
             raise CliError(f"unknown check {name!r}; choose from {', '.join(_HOPF_CHECKS)}")
-    reports = []
-    for name in wanted:
-        if name == "coassociativity":
-            reports.append(check_coassociativity(h, p, degree=args.degree, modes=args.modes))
-        elif name == "counit":
-            reports.append(check_counit(h, p, degree=args.degree, modes=args.modes))
-        elif name == "antipode":
-            reports.append(check_antipode(h, p, degree=args.degree, modes=args.modes))
-        elif name == "cocommutativity":
-            reports.append(cocommutativity_probe(h, p, degree=args.degree, modes=args.modes))
-        elif name == "multiplicativity":
-            reports.append(
-                check_multiplicativity(h, p, degree=args.degree, modes=args.modes, seed=seed)
-            )
-        else:
-            reports.append(check_respects_relations(h, p, modes=args.modes))
+    reports = [_HOPF_CHECK_TABLE[name](h, p, args, seed) for name in wanted]
     passed = all(r.passed for r in reports)
     doc = {
         "command": "hopf-check",

@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 
 from .algebra import Expr, am, ap, gen_I, gen_K, gen_Kinv, phi, pi, unit, word_text
-from .scalars import IMAG, KAPPA, ONE, R2, S_PARAM, Scalar
+from .scalars import IMAG, KAPPA, R2, S_PARAM, Scalar, signed_join
 
 
 class ParseError(ValueError):
@@ -203,8 +203,6 @@ def _is_sum(text: str) -> bool:
 
 def expr_to_text(e: Expr) -> str:
     """Deterministic text form; parse_expr(expr_to_text(e)) == e."""
-    if not e.terms:
-        return "0"
     pieces = []
     for word in sorted(e.terms, key=lambda w: (len(w), w)):
         coeff = e.terms[word]
@@ -226,10 +224,4 @@ def expr_to_text(e: Expr) -> str:
         else:
             piece = f"{ctext}*{wtext}"
         pieces.append(piece)
-    out = pieces[0]
-    for piece in pieces[1:]:
-        if piece.startswith("-"):
-            out += " - " + piece[1:]
-        else:
-            out += " + " + piece
-    return out
+    return signed_join(pieces)

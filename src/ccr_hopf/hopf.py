@@ -39,12 +39,13 @@ from .algebra import (
     UNDEFORMED,
     Expr,
     Presentation,
+    _SparseSum,
     gen_text,
     legal_letters,
     normal_form,
     word_text,
 )
-from .scalars import IMAG, ONE, ZERO, Scalar
+from .scalars import IMAG, ONE, ZERO, Scalar, signed_join
 
 __all__ = [
     "HopfError",
@@ -73,22 +74,17 @@ class HopfError(ValueError):
     pass
 
 
-class TensorExpr:
+class TensorExpr(_SparseSum):
     """Element of the 2- or 3-fold tensor power; keys are word tuples,
     multiplication is slotwise concatenation extended bilinearly."""
 
-    __slots__ = ("order", "terms")
+    __slots__ = ("order",)
 
     def __init__(self, order: int, terms=None):
         if order not in (2, 3):
             raise HopfError("tensor order must be 2 or 3")
         self.order = order
-        clean = {}
-        if terms:
-            for k, c in terms.items():
-                if not c.is_zero():
-                    clean[k] = c
-        self.terms = clean
+        super().__init__(terms)
 
     @classmethod
     def zero(cls, order: int) -> "TensorExpr":
@@ -98,74 +94,24 @@ class TensorExpr:
     def unit(cls, order: int) -> "TensorExpr":
         return cls(order, {((),) * order: ONE})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _like(self, terms: dict) -> "TensorExpr":
+        t = object.__new__(type(self))
+        t.order, t.terms = self.order, terms
+        return t
 
-    def _check(self, other):
-        if self.order != other.order:
+    def _operand(self, other):
+        if isinstance(other, TensorExpr) and other.order != self.order:
             raise HopfError("tensor order mismatch")
+        return super()._operand(other)
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = out.get(k)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = acc
-        t = TensorExpr.__new__(TensorExpr)
-        t.order, t.terms = self.order, out
-        return t
+    def _unit_key(self):
+        return ((),) * self.order
 
-    def __neg__(self):
-        t = TensorExpr.__new__(TensorExpr)
-        t.order = self.order
-        t.terms = {k: -c for k, c in self.terms.items()}
-        return t
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, TensorExpr):
-            self._check(other)
-            out = {}
-            for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
-                    k = tuple(a + b for a, b in zip(k1, k2))
-                    c = c1 * c2
-                    acc = out.get(k)
-                    acc = c if acc is None else acc + c
-                    if acc.is_zero():
-                        out.pop(k, None)
-                    else:
-                        out[k] = acc
-            t = TensorExpr.__new__(TensorExpr)
-            t.order, t.terms = self.order, out
-            return t
-        if isinstance(other, Scalar):
-            return TensorExpr(self.order, {k: c * other for k, c in self.terms.items()})
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, Scalar):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorExpr) or self.order != other.order:
-            return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
-
-    __hash__ = None
+    @staticmethod
+    def _cat(k1, k2):
+        return tuple(map(tuple.__add__, k1, k2))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
         for k in sorted(self.terms, key=lambda k: (sum(map(len, k)), k)):
             c = self.terms[k]
@@ -176,35 +122,20 @@ class TensorExpr:
                 parts.append(f"-{body}")
             else:
                 parts.append(f"({c})*{body}")
-        out = parts[0]
-        for t in parts[1:]:
-            out += " - " + t[1:] if t.startswith("-") else " + " + t
-        return out
+        return signed_join(parts)
 
     def __repr__(self):
         return f"TensorExpr({self.order}, {self})"
 
 
 def tensor_of(*exprs: Expr) -> TensorExpr:
-    """Outer product of 2 or 3 Exprs."""
-    order = len(exprs)
-    out = TensorExpr.unit(order)
-    terms = {((),) * order: ONE}
-    for slot, e in enumerate(exprs):
-        new = {}
-        for k, c in terms.items():
-            for w, cw in e.terms.items():
-                k2 = k[:slot] + (k[slot] + w,) + k[slot + 1 :]
-                acc = new.get(k2)
-                v = c * cw
-                acc = v if acc is None else acc + v
-                if not acc.is_zero():
-                    new[k2] = acc
-                else:
-                    new.pop(k2, None)
-        terms = new
-    out.terms = terms
-    return out
+    """Outer product of 2 or 3 Exprs.  Distinct word pairs give distinct
+    keys and products of nonzero scalars are nonzero, so no term
+    accumulates or cancels."""
+    terms = {(): ONE}
+    for e in exprs:
+        terms = {k + (w,): c * cw for k, c in terms.items() for w, cw in e.terms.items()}
+    return TensorExpr(len(exprs))._like(terms)
 
 
 def swap_slots(t: TensorExpr) -> TensorExpr:
@@ -215,26 +146,9 @@ def swap_slots(t: TensorExpr) -> TensorExpr:
 
 def tensor_normal_form(t: TensorExpr, p: Presentation) -> TensorExpr:
     """Per-slot reduction with bilinear recombination."""
-    out = {}
-    for words, coeff in t.terms.items():
-        combos = [((), coeff)]
-        for w in words:
-            reduced = normal_form(Expr.from_word(w), p)
-            new = []
-            for ws, c in combos:
-                for w2, c2 in reduced.terms.items():
-                    new.append((ws + (w2,), c if c2.is_one() else c * c2))
-            combos = new
-        for ws, c in combos:
-            acc = out.get(ws)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(ws, None)
-            else:
-                out[ws] = acc
-    r = TensorExpr.__new__(TensorExpr)
-    r.order, r.terms = t.order, out
-    return r
+    return t._linear(
+        lambda words: tensor_of(*(normal_form(Expr.from_word(w), p) for w in words)).terms
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +235,7 @@ def coproduct(e: Expr, h: HopfSpec, p: Presentation) -> TensorExpr:
     """Multiplicative extension of the generator coproduct, reduced to
     tensor normal form."""
     _check_flavor_variant(h, p)
-    out = TensorExpr.zero(2)
-    for w, c in e.terms.items():
-        out = out + _co_word(w, h) * c
-    return tensor_normal_form(out, p)
+    return tensor_normal_form(e._linear(lambda w: _co_word(w, h).terms, TensorExpr.zero(2)), p)
 
 
 def counit(e: Expr, h: HopfSpec) -> Scalar:
@@ -339,30 +250,25 @@ def counit(e: Expr, h: HopfSpec) -> Scalar:
     return total
 
 
+def _s_word(word, h: HopfSpec) -> Expr:
+    """S on one word: the product of S(g) over its letters in reverse."""
+    out = Expr.from_word(())
+    for g in reversed(word):
+        out = out * h.s_gen(g)
+    return out
+
+
 def antipode(e: Expr, h: HopfSpec, p: Presentation) -> Expr:
     """Anti-multiplicative extension of the generator antipode, then
     normal form."""
-    out = Expr.zero()
-    for w, c in e.terms.items():
-        piece = Expr.from_word((), c)
-        for g in reversed(w):
-            piece = piece * h.s_gen(g)
-        out = out + piece
-    return normal_form(out, p)
+    return normal_form(e._linear(lambda w: _s_word(w, h).terms), p)
 
 
 def antipode_tensor(t: TensorExpr, h: HopfSpec, p: Presentation) -> TensorExpr:
     """S applied in every slot (no slot reversal), tensor-reduced."""
-    out = TensorExpr.zero(t.order)
-    for words, c in t.terms.items():
-        pieces = []
-        for w in words:
-            piece = Expr.from_word(())
-            for g in reversed(w):
-                piece = piece * h.s_gen(g)
-            pieces.append(piece)
-        out = out + tensor_of(*pieces) * c
-    return tensor_normal_form(out, p)
+    return tensor_normal_form(
+        t._linear(lambda words: tensor_of(*(_s_word(w, h) for w in words)).terms), p
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +406,14 @@ def check_respects_relations(h: HopfSpec, p: Presentation, modes: int = 2) -> Ax
     return _report("respects-relations", None, failures, notes)
 
 
+def _co_slot(t: TensorExpr, slot: int, h: HopfSpec) -> TensorExpr:
+    """(Delta (x) id) t for slot 0 and (id (x) Delta) t for slot 1."""
+    return t._linear(
+        lambda k: {k[:slot] + u + k[slot + 1 :]: c for u, c in _co_word(k[slot], h).terms.items()},
+        TensorExpr.zero(3),
+    )
+
+
 def check_coassociativity(
     h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2
 ) -> AxiomReport:
@@ -507,20 +421,7 @@ def check_coassociativity(
     failures = []
     for w in sorted_basis_words(p, degree, _covered_letters(h, p, modes)):
         t = coproduct(Expr.from_word(w), h, p)
-        left = {}
-        right = {}
-        for (w1, w2), c in t.terms.items():
-            for (u1, u2), c1 in _co_word(w1, h).terms.items():
-                k = (u1, u2, w2)
-                v = c * c1
-                left[k] = left.get(k, ZERO) + v
-            for (u1, u2), c2 in _co_word(w2, h).terms.items():
-                k = (w1, u1, u2)
-                v = c * c2
-                right[k] = right.get(k, ZERO) + v
-        res = tensor_normal_form(
-            TensorExpr(3, left) - TensorExpr(3, right), p
-        )
+        res = tensor_normal_form(_co_slot(t, 0, h) - _co_slot(t, 1, h), p)
         if not res.is_zero():
             failures.append(Failure(word_text(w), str(res), res))
     return _report("coassociativity", degree, failures)

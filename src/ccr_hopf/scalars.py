@@ -187,6 +187,17 @@ def _mono_content(terms: Iterable[Mono]) -> Mono:
     return tuple(sorted((n, e) for n, e in content.items() if e))
 
 
+def signed_join(parts) -> str:
+    """The sum of signed term texts: a part "-t" joins as " - t", any other
+    as " + " it; no parts at all is "0"."""
+    if not parts:
+        return "0"
+    out = parts[0]
+    for t in parts[1:]:
+        out += " - " + t[1:] if t.startswith("-") else " + " + t
+    return out
+
+
 class Scalar:
     """An element of the exact coefficient field."""
 
@@ -352,6 +363,12 @@ class Scalar:
         if other is None:
             return NotImplemented
         if self._den == _P_ONE and other._den == _P_ONE:
+            # scalars are never mutated in place, so a unit factor can
+            # hand back the other operand itself
+            if other._num == _P_ONE:
+                return self
+            if self._num == _P_ONE:
+                return other
             s = Scalar.__new__(Scalar)
             s._num, s._den = _p_mul(self._num, other._num), dict(_P_ONE)
             return s
@@ -492,8 +509,6 @@ class Scalar:
 
     @classmethod
     def _poly_str(cls, p: Poly) -> str:
-        if not p:
-            return "0"
         pieces = []
         for m in sorted(p):
             c = p[m]
@@ -508,13 +523,7 @@ class Scalar:
             else:
                 term = f"{ctext}*{mtext}"
             pieces.append(term)
-        out = pieces[0]
-        for t in pieces[1:]:
-            if t.startswith("-"):
-                out += " - " + t[1:]
-            else:
-                out += " + " + t
-        return out
+        return signed_join(pieces)
 
     def __str__(self) -> str:
         if self._den == _P_ONE:

@@ -322,6 +322,18 @@ def test_gram_validation():
         normal_form(pi(1) * phi(1), p)
 
 
+def test_mode_index_checked_against_gram():
+    p = Presentation(gram=Gram([[1, 0], [0, 1]]))
+    for e in (phi(5), phi(5) * pi(5), pi(5) * phi(5), ap(2) + phi(0)):
+        with pytest.raises(AlgebraError, match="outside the 2-mode gram"):
+            normal_form(e, p)
+    with pytest.raises(AlgebraError, match="outside the 2-mode gram"):
+        adjoint(am(3), p)
+    # central letters carry no mode, and the delta gram has no window
+    assert normal_form(gen_I() * phi(1), p) == gen_I() * phi(1)
+    assert normal_form(phi(5), P_UND) == phi(5)
+
+
 def test_expr_printing_stable():
     e = pi(0) * phi(0) - phi(0) * pi(0) + Scalar.rational(3) * unit()
     assert str(e) == str(e)

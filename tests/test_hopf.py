@@ -240,6 +240,21 @@ def test_tensor_expr_basics():
     assert swap_slots(swap_slots(a)) == a
     with pytest.raises(HopfError):
         a + tensor_of(phi(0), phi(0), phi(0))
+    # slotwise product and linearity in each slot, over seeded pairs
+    rng = random.Random(11)
+    for _ in range(20):
+        w, x, y, z = (random_expr(rng, P_DEF, 2, 2) for _ in range(4))
+        assert tensor_of(w, x) * tensor_of(y, z) == tensor_of(w * y, x * z)
+        assert tensor_of(w + x, y) == tensor_of(w, y) + tensor_of(x, y)
+    assert (a - a).terms == {}
+    assert (a + tensor_of(-phi(0), pi(0))).terms == {}
+    with pytest.raises(TypeError):
+        phi(0) + a
+    with pytest.raises(TypeError):
+        a * phi(0)
+    assert not isinstance(a, Expr)
+    assert a * 3 == 3 * a == a + a + a
+    assert (a * 0).terms == {}
 
 
 def test_sorted_basis_words_strict():

@@ -196,6 +196,15 @@ def test_cli_malformed_gram_json_exits_2(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+def test_cli_mode_outside_gram_exits_2(tmp_path, capsys):
+    gram = tmp_path / "gram.json"
+    gram.write_text("[[1, 0], [0, 1]]")
+    for expr in ("phi(5)", "phi(5)*pi(5)", "pi(5)*phi(5)"):
+        code, doc, err = run_cli(capsys, ["normalize", expr, "--gram", str(gram)])
+        assert code == 2 and doc is None
+        assert "mode index 5 outside the 2-mode gram" in err
+
+
 def test_cli_non_finite_vector_exits_2(capsys):
     code, doc, err = run_cli(capsys, ["fock", "genfun", "--v", "nan"])
     assert code == 2 and doc is None

@@ -63,6 +63,15 @@ def test_multi_term_denominator_survives_and_cancels():
     assert (q - (x - ONE)).is_zero() or q == x - ONE
 
 
+def test_unit_factor_keeps_the_other_operand():
+    x = Scalar.param("x")
+    q = (x * x - ONE) / (x + ONE)  # keeps a two-term denominator
+    assert q.denominator_terms() is not None
+    assert ONE * q == q == q * 1
+    assert str(ONE * q) == str(q) == str(q * 1)
+    assert KAPPA * ONE == ONE * KAPPA == KAPPA
+
+
 def test_zero_divisor_rejected():
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO
