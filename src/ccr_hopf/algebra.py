@@ -151,7 +151,8 @@ class _SparseSum:
         self.terms = {k: c for k, c in terms.items() if not c.is_zero()} if terms else {}
 
     def _like(self, terms: dict):
-        """A sum of this shape holding terms, which has no zero coefficient."""
+        """A sum of this shape holding terms, which must hold no zero
+        coefficient."""
         out = object.__new__(type(self))
         out.terms = terms
         return out

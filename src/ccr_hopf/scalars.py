@@ -359,9 +359,10 @@ class Scalar:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if not isinstance(other, Scalar):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         if self._den == _P_ONE and other._den == _P_ONE:
             # scalars are never mutated in place, so a unit factor can
             # hand back the other operand itself
