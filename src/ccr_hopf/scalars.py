@@ -188,8 +188,8 @@ def _mono_content(terms: Iterable[Mono]) -> Mono:
 
 
 def signed_join(parts) -> str:
-    """The sum of signed term texts: a part "-t" joins as " - t", any other
-    as " + " it; no parts at all is "0"."""
+    """Join signed term texts into a sum: a part "-t" joins as " - t" and
+    any other part t as " + t"; no parts give "0"."""
     if not parts:
         return "0"
     out = parts[0]
