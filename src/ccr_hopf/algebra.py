@@ -774,10 +774,17 @@ def evaluate_numeric(e: Expr, assignment: Mapping[str, float] | None = None) -> 
 # Seeded random data for property loops
 
 
+def _central_letters(p: Presentation) -> list:
+    return [GEN_I] if p.variant == UNDEFORMED else [GEN_I, GEN_K, GEN_KINV]
+
+
+def legal_letter_count(p: Presentation, modes: int) -> int:
+    """len(legal_letters(p, modes)), without building the list."""
+    return len(_central_letters(p)) + 2 * max(modes, 0)
+
+
 def legal_letters(p: Presentation, modes: int) -> list:
-    letters = [GEN_I]
-    if p.variant != UNDEFORMED:
-        letters += [GEN_K, GEN_KINV]
+    letters = _central_letters(p)
     fams = (FAM_PHI, FAM_PI) if p.basis == BASIS_FIELD else (FAM_AP, FAM_AM)
     for f in fams:
         letters += [(f, j) for j in range(modes)]

@@ -32,6 +32,7 @@ from .algebra import (
     commutator,
     deformation_constant,
     evaluate_numeric,
+    legal_letter_count,
     normal_form,
 )
 from .exprparse import ParseError, expr_to_text, parse_expr
@@ -41,6 +42,7 @@ from .fock import (
     ModeSpace,
     boundedness_trend,
     commutator_matrix,
+    invariant_blocks,
     number_operator,
     phi_pi_matrices,
     restricted_norm,
@@ -101,6 +103,9 @@ _HOPF_CHECKS = tuple(_HOPF_CHECK_TABLE)
 # respects-relations is opt-in: with the idempotent identity in force it
 # reports the structural 2*I(x)I finding, which is not a usage failure
 _DEFAULT_CHECKS = tuple(n for n in _HOPF_CHECKS if n != "respects-relations")
+# most candidate words one hopf-check may enumerate; degree 5 over the 7
+# letters of a deformed presentation with 2 modes needs comb(12, 5) = 792
+MAX_CHECK_WORDS = 1000
 
 
 class CliError(ValueError):
@@ -332,6 +337,19 @@ def _cmd_hopf_check(args) -> int:
     for name in wanted:
         if name not in _HOPF_CHECKS:
             raise CliError(f"unknown check {name!r}; choose from {', '.join(_HOPF_CHECKS)}")
+    if args.degree < 0:
+        raise CliError("--degree must be non-negative")
+    # the exhaustive checks normal-order every non-decreasing word of degree
+    # <= --degree; each check builds at least its letter list (the degree-1
+    # words), and respects-relations builds degree-2 relation words instead
+    depth = max(2 if name == "respects-relations" else max(args.degree, 1) for name in wanted)
+    letters = legal_letter_count(p, args.modes)
+    words = math.comb(letters + depth, depth)
+    if words > MAX_CHECK_WORDS:
+        raise CliError(
+            f"{words} candidate words up to degree {depth} over {letters} letters "
+            f"exceed the budget of {MAX_CHECK_WORDS}; lower --degree or --modes"
+        )
     reports = [_HOPF_CHECK_TABLE[name](h, p, args, seed) for name in wanted]
     passed = all(r.passed for r in reports)
     doc = {
@@ -382,6 +400,7 @@ def _cmd_fock_spectrum(args) -> int:
     vac = m.vacuum()
     occupancy = float(np.real(np.vdot(vac, n @ vac)))
     eigs = smallest_eigenvalues(n, args.k)
+    sizes = invariant_blocks(n)[1]
     passed = not eigs or eigs[0] > -1e-8
     doc = {
         "command": "fock spectrum",
@@ -391,6 +410,11 @@ def _cmd_fock_spectrum(args) -> int:
             "eigenvalues": list(eigs),
             "nonnegative_tolerance": 1e-8,
             "rs": list(spec.rs),
+            "solver": {
+                "blocks": len(sizes),
+                "largest_block": int(sizes.max()),
+                "method": "dense-blocks",
+            },
             "vacuum_occupancy": occupancy,
         },
     }

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix, identity as sparse_identity
-from scipy.sparse.linalg import eigsh, expm_multiply
+from scipy.sparse.linalg import expm_multiply
 from scipy.sparse.linalg import norm as sparse_norm
 
 from .algebra import (
@@ -39,7 +39,7 @@ class FockError(ValueError):
 
 ROOT2 = math.sqrt(2.0)
 
-# dense eigensolvers are preferred below this dimension
+# largest invariant block smallest_eigenvalues solves with a dense eigvalsh
 DENSE_EIG_LIMIT = 2000
 
 # largest squeezing |r| whose gamma = exp(-2r) and c^2 = exp(2r)/2 are
@@ -367,17 +367,46 @@ def restricted_norm(m: ModeSpace, a, degree: int) -> float:
     return float(np.linalg.norm(np.asarray(a)[:, cols]))
 
 
+def invariant_blocks(a):
+    """Connected components of the sparsity graph of a Hermitian matrix,
+    as (labels, sizes): state i lies in block labels[i], which holds
+    sizes[labels[i]] states.  No nonzero couples two blocks, so each one
+    is an invariant subspace and the spectrum is the union of theirs.
+    For the squeezed number operator these are the per-mode parity
+    sectors; for the plain Fock operator every state is its own block."""
+    from scipy.sparse.csgraph import connected_components
+
+    _, labels = connected_components(a != 0, directed=False)
+    return labels, np.bincount(labels)
+
+
 def smallest_eigenvalues(a, k: int) -> tuple:
-    """Lowest k eigenvalues of a Hermitian sparse matrix, ascending; dense
-    below DENSE_EIG_LIMIT, Lanczos with a fixed start vector above it."""
-    dim = a.shape[0]
-    if dim <= DENSE_EIG_LIMIT:
-        vals = np.linalg.eigvalsh(a.toarray())
-        return tuple(float(x) for x in vals[: min(k, dim)])
-    k = min(k, dim - 1)
-    v0 = np.ones(dim) / math.sqrt(dim)
-    vals = eigsh(a, k=k, which="SA", v0=v0, return_eigenvectors=False)
-    return tuple(float(x) for x in np.sort(vals))
+    """Lowest k eigenvalues of a Hermitian sparse matrix, ascending.
+
+    The matrix is split into its invariant blocks; one-state blocks are
+    read off the diagonal and every larger one is solved with a dense
+    eigvalsh.  A block above DENSE_EIG_LIMIT states raises FockError."""
+    if k < 0:
+        raise FockError("k must be non-negative")
+    if k == 0:
+        return ()
+    a = a.tocsr()
+    labels, sizes = invariant_blocks(a)
+    if sizes.max() > DENSE_EIG_LIMIT:
+        raise FockError(
+            f"an invariant block of {sizes.max()} states exceeds the dense "
+            f"eigen-solver budget of {DENSE_EIG_LIMIT}; a smaller nmax shrinks it"
+        )
+    parts = [a.diagonal()[sizes[labels] == 1].real]
+    # order the states block by block, so each block is a diagonal slice
+    order = np.argsort(labels, kind="stable")
+    a = a[order][:, order]
+    ends = np.cumsum(sizes)
+    for b in np.flatnonzero(sizes > 1):
+        lo, hi = ends[b] - sizes[b], ends[b]
+        parts.append(np.linalg.eigvalsh(a[lo:hi, lo:hi].toarray())[:k])
+    vals = np.sort(np.concatenate(parts))[:k]
+    return tuple(float(x) for x in vals)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Truncated Fock numerics against independent oracles: the tridiagonal
-oscillator matrix, Gauss-Hermite quadrature, counting degeneracies, and
-the exact squeezed-vacuum cost."""
+oscillator matrix, Gauss-Hermite quadrature, counting degeneracies, the
+exact squeezed-vacuum cost, and dense solves of the unsplit matrix."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from ccr_hopf.algebra import Presentation, adjoint, normal_form, random_expr
 from ccr_hopf.fock import (
@@ -22,6 +23,7 @@ from ccr_hopf.fock import (
     commutator_matrix,
     expr_matrix,
     field_pair,
+    invariant_blocks,
     ladder_matrices,
     ladder_of,
     number_operator,
@@ -178,6 +180,91 @@ def test_squeezed_number_cost_and_true_minimum():
     assert abs(occ - 0.125) < 1e-12
     low = smallest_eigenvalues(n, 1)
     assert -1e-10 < low[0] < 1e-8
+
+
+
+def _spec(family, d, r):
+    if family == "fock":
+        return BogoliubovSpec.fock(d)
+    if family == "uniform":
+        return BogoliubovSpec.uniform(d, r)
+    return BogoliubovSpec.summable(d, r)
+
+
+@pytest.mark.parametrize("family", ["fock", "uniform", "summable"])
+def test_smallest_eigenvalues_match_unsplit_dense(family):
+    rng = random.Random(f"blocks:{family}")
+    for d, nmax in ((1, 9), (2, 6), (3, 4), (4, 3)):
+        n = number_operator(ModeSpace(d, nmax), _spec(family, d, rng.uniform(0.1, 0.6)))
+        full = np.linalg.eigvalsh(n.toarray())
+        for k in (5, n.shape[0], n.shape[0] + 3):
+            got = smallest_eigenvalues(n, k)
+            assert len(got) == min(k, n.shape[0])
+            assert np.allclose(got, full[:k], rtol=0, atol=1e-10)
+
+
+def test_smallest_eigenvalues_any_hermitian_matrix():
+    # blocks of a generic complex Hermitian matrix, states shuffled so
+    # that no block is contiguous, plus isolated diagonal states
+    rng = np.random.default_rng(7)
+    dim, sizes = 40, (7, 5, 5, 3, 2)
+    perm = rng.permutation(dim)
+    a = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for size in sizes:
+        x = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        idx = perm[start : start + size]
+        a[np.ix_(idx, idx)] = x + x.conj().T
+        start += size
+    for i in perm[start:]:
+        a[i, i] = rng.normal()
+    m = csr_matrix(a)
+    labels, block_sizes = invariant_blocks(m)
+    assert sorted(block_sizes) == sorted(sizes + (1,) * (dim - start))
+    full = np.linalg.eigvalsh(a)
+    for k in (1, 6, dim):
+        assert np.allclose(smallest_eigenvalues(m, k), full[:k], rtol=0, atol=1e-10)
+
+
+def test_invariant_blocks_are_parity_sectors():
+    for d, nmax in ((1, 7), (2, 6), (4, 5)):
+        m = ModeSpace(d, nmax)
+        labels, sizes = invariant_blocks(number_operator(m, BogoliubovSpec.uniform(d, 0.3)))
+        assert len(sizes) == 2**d and sizes.sum() == m.dim
+        parity = [tuple(x % 2 for x in s) for s in m.states]
+        assert len(set(zip(labels, parity))) == 2**d
+        _, sizes = invariant_blocks(number_operator(m))
+        assert len(sizes) == m.dim
+
+
+def test_fock_family_above_the_old_dense_limit():
+    # dim 2016, where a fixed-start Lanczos used to return [1, 2, 2, 3, 3]
+    m = ModeSpace(2, 62)
+    assert m.dim == 2016
+    got = smallest_eigenvalues(number_operator(m), 5)
+    assert np.allclose(got, [0, 1, 1, 2, 2], rtol=0, atol=1e-12)
+
+
+def test_pinned_four_fold_cluster():
+    # mode-permutation symmetry makes the first excited level exactly
+    # 4-fold at d=4; a Lanczos solve used to split it
+    n = number_operator(ModeSpace(4, 13), BogoliubovSpec.uniform(4, 0.175))
+    vals = smallest_eigenvalues(n, 5)
+    # the truncated ground state sits just above zero
+    assert abs(vals[0]) < 1e-6
+    assert max(vals[1:]) - min(vals[1:]) < 1e-9
+    assert abs(vals[1] - 1.0) < 1e-6
+
+
+def test_smallest_eigenvalues_budget_and_k():
+    n = number_operator(ModeSpace(1, 4), BogoliubovSpec.uniform(1, 0.3))
+    assert smallest_eigenvalues(n, 0) == ()
+    with pytest.raises(FockError, match="non-negative"):
+        smallest_eigenvalues(n, -1)
+    # one mode splits into two parity blocks of 2051 states each
+    big = number_operator(ModeSpace(1, 4100), BogoliubovSpec.uniform(1, 0.3))
+    with pytest.raises(FockError, match="budget"):
+        smallest_eigenvalues(big, 5)
 
 
 def test_generating_function_fock():

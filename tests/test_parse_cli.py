@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import subprocess
 import sys
@@ -8,10 +9,12 @@ import pytest
 from ccr_hopf.algebra import (
     Presentation,
     adjoint,
+    legal_letter_count,
+    legal_letters,
     normal_form,
     random_expr,
 )
-from ccr_hopf.cli import main
+from ccr_hopf.cli import MAX_CHECK_WORDS, main
 from ccr_hopf.exprparse import ParseError, expr_to_text, parse_expr, scalar_text
 from ccr_hopf.scalars import IMAG, KAPPA, S_PARAM, Scalar
 
@@ -216,6 +219,44 @@ def test_cli_overflowing_squeezing_exits_2(capsys):
     code, doc, err = run_cli(capsys, argv)
     assert code == 2 and doc is None
     assert "squeezing" in err
+
+
+
+def test_cli_spectrum_reports_solver(capsys):
+    argv = ["fock", "spectrum", "--d", "2", "--nmax", "6", "--family", "uniform", "--k", "3"]
+    code, doc, _ = run_cli(capsys, argv)
+    assert code == 0
+    # four parity sectors; (even, even) holds 10 of the 28 states
+    assert doc["results"]["solver"] == {"blocks": 4, "largest_block": 10, "method": "dense-blocks"}
+    assert len(doc["results"]["eigenvalues"]) == 3
+    code, doc, _ = run_cli(capsys, ["fock", "spectrum", "--d", "2", "--nmax", "3"])
+    assert code == 0
+    assert doc["results"]["solver"] == {"blocks": 10, "largest_block": 1, "method": "dense-blocks"}
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["fock", "spectrum", "--d", "1", "--nmax", "4", "--k", "-1"], "non-negative"),
+        (["fock", "spectrum", "--d", "1", "--nmax", "4100", "--family", "uniform"], "budget"),
+        (["hopf-check", "--degree", "-1"], "--degree"),
+        (["hopf-check", "--checks", "counit", "--degree", "-1"], "--degree"),
+        (["hopf-check", "--modes", "100000000"], "budget"),
+        (["hopf-check", "--modes", "100000000", "--checks", "counit", "--degree", "0"], "budget"),
+    ],
+)
+def test_cli_unbounded_arguments_exit_2(capsys, argv, needle):
+    code, doc, err = run_cli(capsys, argv)
+    assert code == 2 and doc is None
+    assert needle in err and "Traceback" not in err
+
+
+def test_hopf_check_budget_admits_degree_5_over_2_modes():
+    for variant in ("undeformed", "deformed-strict", "deformed-collapsed"):
+        p = Presentation(variant=variant)
+        for modes in (-1, 0, 1, 3):
+            assert legal_letter_count(p, modes) == len(legal_letters(p, modes))
+        assert math.comb(legal_letter_count(p, 2) + 5, 5) <= MAX_CHECK_WORDS
 
 
 def test_cli_trend_needs_two_mode_counts(capsys):
