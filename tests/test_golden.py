@@ -5,8 +5,10 @@ each invocation.  Each one is replayed through ``ccr_hopf.cli.main``
 in-process from inside ``tests/golden/`` (the config block echoes the
 ``--gram`` path) and must reproduce every byte.  Argparse usage text is
 part of the record, so the terminal width is pinned to 80 columns; the
-corpus was recorded with Python 3.11.  Commands whose floats depend on
-the BLAS build (``fock``, ``measure``) are not in the corpus.
+corpus was recorded with Python 3.11.  It also holds the ``--help`` text
+of every subcommand and command group.  Runs of the commands whose floats
+depend on the BLAS build (``fock``, ``measure``) are not in the corpus;
+``tests/test_cli_reports.py`` pins their report shape instead.
 """
 
 from __future__ import annotations
