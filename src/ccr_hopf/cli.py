@@ -5,7 +5,15 @@ and a short human-readable status line to stderr, so scripts can pipe
 the data while a person watches the progress.  Exit codes: 0 when every
 check in the invocation passed, 1 when a check failed, 2 for usage or
 configuration errors.  CCR_HOPF_SEED in the environment overrides the
---seed flag; all randomness flows from that one seed.
+--seed flag of the seeded commands; all randomness flows from that one
+seed.
+
+The parser is built from one table, ``COMMANDS``, with one row per
+subcommand: its path, help text, function, whether it is seeded, and
+its argument adders in --help order.  A command function takes the
+parsed arguments and returns ``(results, passed, summary)``; ``_run``
+builds the report document around it, writes it and prints the status
+line.  Adding a command means one function plus one table row.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,13 +33,13 @@ from .algebra import (
     AlgebraError,
     BASIS_FIELD,
     BASIS_LADDER,
+    DEFORMED_COLLAPSED,
     DEFORMED_STRICT,
     Presentation,
     UNDEFORMED,
     adjoint,
     basis_convert,
     commutator,
-    deformation_constant,
     evaluate_numeric,
     legal_letter_count,
     normal_form,
@@ -41,13 +50,12 @@ from .fock import (
     FockError,
     ModeSpace,
     boundedness_trend,
-    commutator_matrix,
     invariant_blocks,
     number_operator,
     phi_pi_matrices,
-    restricted_norm,
     smallest_eigenvalues,
     transfer_rep,
+    transfer_residual,
     vacuum_generating_function,
 )
 from .hopf import (
@@ -67,12 +75,11 @@ from .measure import (
     GaussianModel,
     MeasureError,
     bochner_mc,
-    cocycle_check,
-    density_ratio_check,
-    eta,
+    cocycle_sweep,
+    eta_error,
+    gauss_vector,
     positive_definiteness_check,
-    random_test_function,
-    weyl_relation_check,
+    weyl_sweep,
 )
 from .reports import (
     axiom_report_json,
@@ -86,18 +93,16 @@ from .reports import (
 from .scalars import ScalarError
 from .selftest import run_selftest
 
-_VARIANT_CHOICES = ("undeformed", "deformed", "deformed-strict", "deformed-collapsed")
-
-# hopf-check name -> check(h, p, args, seed), in report order
+# hopf-check name -> check(h, p, args), in report order
 _HOPF_CHECK_TABLE = {
-    "coassociativity": lambda h, p, a, seed: check_coassociativity(h, p, a.degree, a.modes),
-    "counit": lambda h, p, a, seed: check_counit(h, p, a.degree, a.modes),
-    "antipode": lambda h, p, a, seed: check_antipode(h, p, a.degree, a.modes),
-    "cocommutativity": lambda h, p, a, seed: cocommutativity_probe(h, p, a.degree, a.modes),
-    "multiplicativity": lambda h, p, a, seed: check_multiplicativity(
-        h, p, a.degree, a.modes, seed=seed
+    "coassociativity": lambda h, p, a: check_coassociativity(h, p, a.degree, a.modes),
+    "counit": lambda h, p, a: check_counit(h, p, a.degree, a.modes),
+    "antipode": lambda h, p, a: check_antipode(h, p, a.degree, a.modes),
+    "cocommutativity": lambda h, p, a: cocommutativity_probe(h, p, a.degree, a.modes),
+    "multiplicativity": lambda h, p, a: check_multiplicativity(
+        h, p, a.degree, a.modes, seed=a.seed
     ),
-    "respects-relations": lambda h, p, a, seed: check_respects_relations(h, p, a.modes),
+    "respects-relations": lambda h, p, a: check_respects_relations(h, p, a.modes),
 }
 _HOPF_CHECKS = tuple(_HOPF_CHECK_TABLE)
 # respects-relations is opt-in: with the idempotent identity in force it
@@ -110,16 +115,6 @@ MAX_CHECK_WORDS = 1000
 
 class CliError(ValueError):
     """Configuration problem surfaced with exit code 2."""
-
-
-def _effective_seed(args) -> int:
-    env = os.environ.get("CCR_HOPF_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliError(f"CCR_HOPF_SEED must be an integer, got {env!r}")
-    return args.seed
 
 
 def _load_gram_rows(path: str):
@@ -152,7 +147,7 @@ def _presentation(args) -> Presentation:
         variant = DEFORMED_STRICT
     if (args.q is None) != (args.c is None):
         raise CliError("numeric deformation needs both --q and --c")
-    gram = _load_gram_rows(args.gram) if getattr(args, "gram", None) else None
+    gram = _load_gram_rows(args.gram) if args.gram else None
     return Presentation(
         variant=variant,
         basis=args.basis,
@@ -163,20 +158,20 @@ def _presentation(args) -> Presentation:
 
 
 def _mode_space(args) -> ModeSpace:
-    gram = None
-    if getattr(args, "gram", None):
-        gram = _gram_array(_load_gram_rows(args.gram))
+    gram = _gram_array(_load_gram_rows(args.gram)) if args.gram else None
     return ModeSpace(args.d, args.nmax, gram=gram)
 
 
 def _model(args) -> GaussianModel:
-    gram = None
-    if getattr(args, "gram", None):
-        gram = _gram_array(_load_gram_rows(args.gram)).astype(float)
-    if getattr(args, "kmat", None):
-        k = _gram_array(_load_gram_rows(args.kmat)).astype(float)
-        return GaussianModel(k, gram=gram)
-    if getattr(args, "scale", None) is not None:
+    if args.d < 1:
+        raise CliError("--d must be positive")
+    gram = _gram_array(_load_gram_rows(args.gram)).astype(float) if args.gram else None
+    if args.kmat:
+        model = GaussianModel(_gram_array(_load_gram_rows(args.kmat)).astype(float), gram=gram)
+        if model.d != args.d:
+            raise CliError(f"--kmat holds a {model.d} x {model.d} matrix but --d is {args.d}")
+        return model
+    if args.scale is not None:
         if args.scale <= 0:
             raise CliError("--scale must be positive")
         return GaussianModel(np.eye(args.d) / args.scale, gram=gram)
@@ -195,144 +190,68 @@ def _vector(text: str, d: int | None = None) -> np.ndarray:
     return v
 
 
-def _config_echo(args, seed=None) -> dict:
-    skip = {"func", "command", "output"}
-    cfg = {}
-    for k, v in sorted(vars(args).items()):
-        if k in skip or callable(v):
-            continue
-        cfg[k.replace("_", "-")] = v
-    if seed is not None:
-        cfg["seed"] = seed
-    cfg["format"] = "json"
-    cfg["output"] = getattr(args, "output", None)
-    return cfg
-
-
 def _matrix_json(a) -> dict:
     a = np.asarray(a.toarray() if hasattr(a, "toarray") else a, dtype=complex)
     return {"im": a.imag.tolist(), "re": a.real.tolist()}
 
 
-def _emit(doc: dict, args, passed: bool, summary: str) -> int:
-    text = dump_json(doc)
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
-    tag = "ok" if passed else "FAIL"
-    print(f"{tag}: {summary}", file=sys.stderr)
-    return 0 if passed else 1
-
-
 # ---------------------------------------------------------------------------
-# Algebra commands
+# Algebra commands: each returns (results, passed, summary)
 
-def _cmd_normalize(args) -> int:
+def _cmd_normalize(args):
     p = _presentation(args)
-    e = parse_expr(args.expr)
-    nf = normal_form(e, p, args.schedule)
+    nf = normal_form(parse_expr(args.expr), p, args.schedule)
     results = {"input": args.expr, "normal_form": expr_json(nf)}
     if args.numeric:
         results["normal_form_numeric"] = expr_numeric_json(evaluate_numeric(nf))
-    doc = {
-        "command": "normalize",
-        "config": _config_echo(args),
-        "passed": True,
-        "results": results,
-    }
-    return _emit(doc, args, True, f"normalize -> {expr_to_text(nf)}")
+    return results, True, f"normalize -> {expr_to_text(nf)}"
 
 
-def _cmd_commutator(args) -> int:
+def _cmd_commutator(args):
     p = _presentation(args)
-    x = parse_expr(args.left)
-    y = parse_expr(args.right)
-    nf = commutator(x, y, p)
-    doc = {
-        "command": "commutator",
-        "config": _config_echo(args),
-        "passed": True,
-        "results": {"commutator": expr_json(nf), "left": args.left, "right": args.right},
-    }
-    return _emit(doc, args, True, f"commutator -> {expr_to_text(nf)}")
+    nf = commutator(parse_expr(args.left), parse_expr(args.right), p)
+    results = {"commutator": expr_json(nf), "left": args.left, "right": args.right}
+    return results, True, f"commutator -> {expr_to_text(nf)}"
 
 
-def _cmd_adjoint(args) -> int:
+def _cmd_adjoint(args):
     p = _presentation(args)
-    e = parse_expr(args.expr)
-    nf = adjoint(e, p)
-    doc = {
-        "command": "adjoint",
-        "config": _config_echo(args),
-        "passed": True,
-        "results": {"adjoint": expr_json(nf), "input": args.expr},
-    }
-    return _emit(doc, args, True, f"adjoint -> {expr_to_text(nf)}")
+    nf = adjoint(parse_expr(args.expr), p)
+    return {"adjoint": expr_json(nf), "input": args.expr}, True, f"adjoint -> {expr_to_text(nf)}"
 
 
-def _cmd_convert(args) -> int:
+def _cmd_convert(args):
     p = _presentation(args)
-    e = parse_expr(args.expr)
-    nf = basis_convert(e, args.to, p)
-    doc = {
-        "command": "convert",
-        "config": _config_echo(args),
-        "passed": True,
-        "results": {"converted": expr_json(nf), "input": args.expr, "target": args.to},
-    }
-    return _emit(doc, args, True, f"convert -> {expr_to_text(nf)}")
+    nf = basis_convert(parse_expr(args.expr), args.to, p)
+    results = {"converted": expr_json(nf), "input": args.expr, "target": args.to}
+    return results, True, f"convert -> {expr_to_text(nf)}"
 
 
 def _flavor(args) -> HopfSpec:
     return HopfSpec.classical() if args.flavor == "classical" else HopfSpec.deformed()
 
 
-def _cmd_coproduct(args) -> int:
+def _cmd_coproduct(args):
     p = _presentation(args)
-    h = _flavor(args)
-    t = coproduct(parse_expr(args.expr), h, p)
-    doc = {
-        "command": "coproduct",
-        "config": _config_echo(args),
-        "passed": True,
-        "results": {"coproduct": tensor_json(t), "input": args.expr},
-    }
-    return _emit(doc, args, True, f"coproduct of {args.expr}")
+    t = coproduct(parse_expr(args.expr), _flavor(args), p)
+    return {"coproduct": tensor_json(t), "input": args.expr}, True, f"coproduct of {args.expr}"
 
 
-def _cmd_counit(args) -> int:
+def _cmd_counit(args):
     _presentation(args)  # the counit needs no reduction; this validates flags
-    h = _flavor(args)
-    s = counit(parse_expr(args.expr), h)
-    doc = {
-        "command": "counit",
-        "config": _config_echo(args),
-        "passed": True,
-        "results": {"counit": scalar_json(s), "input": args.expr},
-    }
-    return _emit(doc, args, True, f"counit of {args.expr}")
+    s = counit(parse_expr(args.expr), _flavor(args))
+    return {"counit": scalar_json(s), "input": args.expr}, True, f"counit of {args.expr}"
 
 
-def _cmd_antipode(args) -> int:
+def _cmd_antipode(args):
+    p = _presentation(args)
+    nf = antipode(parse_expr(args.expr), _flavor(args), p)
+    return {"antipode": expr_json(nf), "input": args.expr}, True, f"antipode -> {expr_to_text(nf)}"
+
+
+def _cmd_hopf_check(args):
     p = _presentation(args)
     h = _flavor(args)
-    nf = antipode(parse_expr(args.expr), h, p)
-    doc = {
-        "command": "antipode",
-        "config": _config_echo(args),
-        "passed": True,
-        "results": {"antipode": expr_json(nf), "input": args.expr},
-    }
-    return _emit(doc, args, True, f"antipode -> {expr_to_text(nf)}")
-
-
-def _cmd_hopf_check(args) -> int:
-    p = _presentation(args)
-    h = _flavor(args)
-    seed = _effective_seed(args)
     wanted = args.checks.split(",") if args.checks else list(_DEFAULT_CHECKS)
     for name in wanted:
         if name not in _HOPF_CHECKS:
@@ -350,17 +269,11 @@ def _cmd_hopf_check(args) -> int:
             f"{words} candidate words up to degree {depth} over {letters} letters "
             f"exceed the budget of {MAX_CHECK_WORDS}; lower --degree or --modes"
         )
-    reports = [_HOPF_CHECK_TABLE[name](h, p, args, seed) for name in wanted]
+    reports = [_HOPF_CHECK_TABLE[name](h, p, args) for name in wanted]
     passed = all(r.passed for r in reports)
-    doc = {
-        "command": "hopf-check",
-        "config": _config_echo(args, seed=seed),
-        "passed": passed,
-        "results": {"reports": [axiom_report_json(r) for r in reports]},
-    }
     failing = [r.axiom for r in reports if not r.passed]
     summary = "hopf-check all passed" if passed else f"hopf-check failed: {', '.join(failing)}"
-    return _emit(doc, args, passed, summary)
+    return {"reports": [axiom_report_json(r) for r in reports]}, passed, summary
 
 
 # ---------------------------------------------------------------------------
@@ -374,26 +287,21 @@ def _bogoliubov(args) -> BogoliubovSpec:
     return BogoliubovSpec.summable(args.d, args.r)
 
 
-def _cmd_fock_matrices(args) -> int:
+def _cmd_fock_matrices(args):
     m = _mode_space(args)
     phis, pis = phi_pi_matrices(m)
-    doc = {
-        "command": "fock matrices",
-        "config": _config_echo(args),
-        "passed": True,
-        "results": {
-            "dim": m.dim,
-            "modes": [
-                {"mode": j, "phi": _matrix_json(phis[j]), "pi": _matrix_json(pis[j])}
-                for j in range(m.d)
-            ],
-            "states": [list(s) for s in m.states],
-        },
+    results = {
+        "dim": m.dim,
+        "modes": [
+            {"mode": j, "phi": _matrix_json(phis[j]), "pi": _matrix_json(pis[j])}
+            for j in range(m.d)
+        ],
+        "states": [list(s) for s in m.states],
     }
-    return _emit(doc, args, True, f"fock matrices d={m.d} nmax={m.nmax} dim={m.dim}")
+    return results, True, f"fock matrices d={m.d} nmax={m.nmax} dim={m.dim}"
 
 
-def _cmd_fock_spectrum(args) -> int:
+def _cmd_fock_spectrum(args):
     m = _mode_space(args)
     spec = _bogoliubov(args)
     n = number_operator(m, spec)
@@ -402,77 +310,54 @@ def _cmd_fock_spectrum(args) -> int:
     eigs = smallest_eigenvalues(n, args.k)
     sizes = invariant_blocks(n)[1]
     passed = not eigs or eigs[0] > -1e-8
-    doc = {
-        "command": "fock spectrum",
-        "config": _config_echo(args),
-        "passed": passed,
-        "results": {
-            "eigenvalues": list(eigs),
-            "nonnegative_tolerance": 1e-8,
-            "rs": list(spec.rs),
-            "solver": {
-                "blocks": len(sizes),
-                "largest_block": int(sizes.max()),
-                "method": "dense-blocks",
-            },
-            "vacuum_occupancy": occupancy,
+    results = {
+        "eigenvalues": list(eigs),
+        "nonnegative_tolerance": 1e-8,
+        "rs": list(spec.rs),
+        "solver": {
+            "blocks": len(sizes),
+            "largest_block": int(sizes.max()),
+            "method": "dense-blocks",
         },
+        "vacuum_occupancy": occupancy,
     }
-    return _emit(doc, args, passed, f"fock spectrum min={eigs[0] if eigs else None}")
+    return results, passed, f"fock spectrum min={eigs[0] if eigs else None}"
 
 
-def _cmd_fock_genfun(args) -> int:
+def _cmd_fock_genfun(args):
     m = _mode_space(args)
     spec = _bogoliubov(args)
     v = _vector(args.v, args.d)
     z = vacuum_generating_function(m, v, spec)
     results = {"value_im": z.imag, "value_re": z.real}
     passed = True
-    if args.family == "fock" and not getattr(args, "gram", None):
+    if args.family == "fock" and not args.gram:
         expected = math.exp(-float(v @ v) / 4.0)
         gap = abs(z - expected)
         passed = gap <= 1e-8
         results.update({"expected": expected, "error": gap, "tolerance": 1e-8})
-    doc = {
-        "command": "fock genfun",
-        "config": _config_echo(args),
-        "passed": passed,
-        "results": results,
-    }
-    return _emit(doc, args, passed, f"fock genfun value={z.real:.12f}")
+    return results, passed, f"fock genfun value={z.real:.12f}"
 
 
-def _cmd_fock_transfer(args) -> int:
-    seed = _effective_seed(args)
+def _cmd_fock_transfer(args):
     m = _mode_space(args)
-    rng = random.Random(f"{seed}:transfer-cli")
-    v = _vector(args.v, args.d) if args.v else np.array([rng.gauss(0, 1) for _ in range(args.d)])
-    w = _vector(args.w, args.d) if args.w else np.array([rng.gauss(0, 1) for _ in range(args.d)])
-    q = args.q if args.q is not None else 1.5
-    c = args.c if args.c is not None else 0.8
-    rep = transfer_rep(m, q, c)
-    comm = commutator_matrix(rep.pi(v), rep.phi(w))
-    constant = deformation_constant(q, c)
-    target = -1j * constant * float(v @ w) * np.eye(m.dim)
-    residual = restricted_norm(m, comm - target, 2)
-    passed = residual < 1e-12
-    doc = {
-        "command": "fock transfer",
-        "config": _config_echo(args, seed=seed),
-        "passed": passed,
-        "results": {
-            "c_qc": constant,
-            "residual": residual,
-            "scale": rep.scale,
-            "tolerance": 1e-12,
-            "v": list(map(float, v)),
-            "w": list(map(float, w)),
-        },
+    rng = random.Random(f"{args.seed}:transfer-cli")
+    v = _vector(args.v, args.d) if args.v else gauss_vector(rng, args.d)
+    w = _vector(args.w, args.d) if args.w else gauss_vector(rng, args.d)
+    rep = transfer_rep(m, 1.5 if args.q is None else args.q, 0.8 if args.c is None else args.c)
+    residual = transfer_residual(m, rep, v, w)
+    results = {
+        "c_qc": rep.constant,
+        "residual": residual,
+        "scale": rep.scale,
+        "tolerance": 1e-12,
+        "v": list(map(float, v)),
+        "w": list(map(float, w)),
     }
-    return _emit(doc, args, passed, f"fock transfer residual={residual:.3e}")
+    return results, residual < 1e-12, f"fock transfer residual={residual:.3e}"
 
 
-def _cmd_fock_trend(args) -> int:
+def _cmd_fock_trend(args):
     try:
         d_values = tuple(int(x) for x in args.dvalues.split(","))
     except ValueError:
@@ -480,186 +365,209 @@ def _cmd_fock_trend(args) -> int:
     trend = boundedness_trend(d_values=d_values, nmax=args.nmax)
     converged = all(r.converged for r in trend.uniform + trend.summable)
     passed = trend.slope_ratio >= 5.0 and converged
-    doc = {
-        "command": "fock trend",
-        "config": _config_echo(args),
-        "passed": passed,
-        "results": {
-            "converged": converged,
-            "slope_ratio_floor": 5.0,
-            "trend": report_json(trend),
-        },
-    }
-    return _emit(doc, args, passed, f"fock trend slope_ratio={trend.slope_ratio:.2f}")
+    results = {"converged": converged, "slope_ratio_floor": 5.0, "trend": report_json(trend)}
+    return results, passed, f"fock trend slope_ratio={trend.slope_ratio:.2f}"
 
 
 # ---------------------------------------------------------------------------
 # Measure commands
 
-def _cmd_measure_cocycle(args) -> int:
-    seed = _effective_seed(args)
+def _cmd_measure_cocycle(args):
     model = _model(args)
-    rng = random.Random(f"{seed}:cocycle-cli")
-    worst_c = worst_r = 0.0
-    for _ in range(args.samples):
-        v = np.array([rng.gauss(0, 1) for _ in range(args.d)])
-        vp = np.array([rng.gauss(0, 1) for _ in range(args.d)])
-        u = np.array([rng.gauss(0, 1) for _ in range(args.d)])
-        worst_c = max(worst_c, cocycle_check(model, v, vp, u))
-        worst_r = max(worst_r, density_ratio_check(model, v, u))
-    passed = worst_c < 1e-10 and worst_r < 1e-10
-    doc = {
-        "command": "measure cocycle",
-        "config": _config_echo(args, seed=seed),
-        "passed": passed,
-        "results": {
-            "cocycle_max_residual": worst_c,
-            "density_ratio_max_residual": worst_r,
-            "samples": args.samples,
-            "tolerance": 1e-10,
-        },
+    rng = random.Random(f"{args.seed}:cocycle-cli")
+    worst_c, worst_r = cocycle_sweep(model, rng, args.samples)
+    results = {
+        "cocycle_max_residual": worst_c,
+        "density_ratio_max_residual": worst_r,
+        "samples": args.samples,
+        "tolerance": 1e-10,
     }
-    return _emit(doc, args, passed, f"measure cocycle max={max(worst_c, worst_r):.3e}")
+    passed = worst_c < 1e-10 and worst_r < 1e-10
+    return results, passed, f"measure cocycle max={max(worst_c, worst_r):.3e}"
 
 
-def _cmd_measure_eta(args) -> int:
-    seed = _effective_seed(args)
+def _cmd_measure_eta(args):
     model = _model(args)
-    rng = random.Random(f"{seed}:eta-cli")
-    pairs = []
-    if args.v and args.u:
-        pairs.append((_vector(args.v, args.d), _vector(args.u, args.d)))
+    if bool(args.v) != bool(args.u):
+        raise CliError("an explicit eta point needs both --v and --u")
+    if args.v:
+        pairs = [(_vector(args.v, args.d), _vector(args.u, args.d))]
     else:
-        for _ in range(3):
-            pairs.append(
-                (
-                    np.array([rng.gauss(0, 1) for _ in range(args.d)]),
-                    np.array([rng.gauss(0, 1) for _ in range(args.d)]),
-                )
-            )
+        rng = random.Random(f"{args.seed}:eta-cli")
+        pairs = [(gauss_vector(rng, args.d), gauss_vector(rng, args.d)) for _ in range(3)]
     worst = 0.0
     rows = []
     for v, u in pairs:
-        want = -0.5 * float((model.C @ v) @ u)
-        got = eta(model, v, u)
-        err = abs(got - want)
+        err, got, want = eta_error(model, v, u)
         worst = max(worst, err)
         rows.append({"error": err, "estimate": got, "exact": want})
-    passed = worst < 1e-8
-    doc = {
-        "command": "measure eta",
-        "config": _config_echo(args, seed=seed),
-        "passed": passed,
-        "results": {"max_error": worst, "points": rows, "tolerance": 1e-8},
-    }
-    return _emit(doc, args, passed, f"measure eta max error={worst:.3e}")
+    results = {"max_error": worst, "points": rows, "tolerance": 1e-8}
+    return results, worst < 1e-8, f"measure eta max error={worst:.3e}"
 
 
-def _cmd_measure_bochner(args) -> int:
-    seed = _effective_seed(args)
+def _cmd_measure_bochner(args):
     model = _model(args)
     if args.v:
         v = _vector(args.v, args.d)
     else:
-        rng = random.Random(f"{seed}:bochner-cli")
-        v = np.array([rng.gauss(0, 1) for _ in range(args.d)])
-    est = bochner_mc(model, v, samples=args.samples, seed=seed)
+        v = gauss_vector(random.Random(f"{args.seed}:bochner-cli"), args.d)
+    est = bochner_mc(model, v, samples=args.samples, seed=args.seed)
     exact = model.Z(v)
     gap = abs(est.estimate - exact)
-    passed = gap <= 3.0 * est.stderr
-    doc = {
-        "command": "measure bochner",
-        "config": _config_echo(args, seed=seed),
-        "passed": passed,
-        "results": {
-            "estimate_im": est.estimate.imag,
-            "estimate_re": est.estimate.real,
-            "exact": exact,
-            "gap": gap,
-            "samples": est.samples,
-            "stderr": est.stderr,
-            "tolerance": "3 standard errors",
-            "v": list(map(float, v)),
-        },
+    results = {
+        "estimate_im": est.estimate.imag,
+        "estimate_re": est.estimate.real,
+        "exact": exact,
+        "gap": gap,
+        "samples": est.samples,
+        "stderr": est.stderr,
+        "tolerance": "3 standard errors",
+        "v": list(map(float, v)),
     }
-    return _emit(doc, args, passed, f"measure bochner gap={gap:.3e} (3se={3*est.stderr:.3e})")
+    summary = f"measure bochner gap={gap:.3e} (3se={3*est.stderr:.3e})"
+    return results, gap <= 3.0 * est.stderr, summary
 
 
-def _cmd_measure_weyl(args) -> int:
-    seed = _effective_seed(args)
+def _cmd_measure_weyl(args):
     model = _model(args)
-    rng = random.Random(f"{seed}:weyl-cli")
-    worst = 0.0
-    for _ in range(args.count):
-        v = np.array([rng.gauss(0, 1) for _ in range(args.d)])
-        vp = np.array([rng.gauss(0, 1) for _ in range(args.d)])
-        u = np.array([rng.gauss(0, 1) for _ in range(args.d)])
-        f = random_test_function(rng, args.d)
-        worst = max(worst, abs(weyl_relation_check(model, v, vp, f, u)))
-    passed = worst < 1e-10
-    doc = {
-        "command": "measure weyl",
-        "config": _config_echo(args, seed=seed),
-        "passed": passed,
-        "results": {"max_residual": worst, "points": args.count, "tolerance": 1e-10},
-    }
-    return _emit(doc, args, passed, f"measure weyl max residual={worst:.3e}")
+    worst = weyl_sweep(model, random.Random(f"{args.seed}:weyl-cli"), args.count)
+    results = {"max_residual": worst, "points": args.count, "tolerance": 1e-10}
+    return results, worst < 1e-10, f"measure weyl max residual={worst:.3e}"
 
 
-def _cmd_measure_pd(args) -> int:
-    seed = _effective_seed(args)
+def _cmd_measure_pd(args):
     model = _model(args)
-    rng = random.Random(f"{seed}:pd-cli")
-    vectors = [np.array([rng.gauss(0, 1) for _ in range(args.d)]) for _ in range(args.count)]
+    rng = random.Random(f"{args.seed}:pd-cli")
+    vectors = [gauss_vector(rng, args.d) for _ in range(args.count)]
     min_eig = positive_definiteness_check(model.Z, vectors)
-    passed = min_eig >= -1e-10
-    doc = {
-        "command": "measure pd-check",
-        "config": _config_echo(args, seed=seed),
-        "passed": passed,
-        "results": {"min_eigenvalue": min_eig, "tolerance": -1e-10, "vectors": args.count},
-    }
-    return _emit(doc, args, passed, f"measure pd-check min eigenvalue={min_eig:.3e}")
+    results = {"min_eigenvalue": min_eig, "tolerance": -1e-10, "vectors": args.count}
+    return results, min_eig >= -1e-10, f"measure pd-check min eigenvalue={min_eig:.3e}"
 
 
 # ---------------------------------------------------------------------------
 # Selftest
 
-def _cmd_selftest(args) -> int:
-    seed = _effective_seed(args)
-    doc = run_selftest(seed)
-    doc = {
-        "command": "selftest",
-        "config": _config_echo(args, seed=seed),
-        "passed": doc["passed"],
-        "results": doc,
-    }
-    for c in doc["results"]["criteria"]:
+def _cmd_selftest(args):
+    doc = run_selftest(args.seed)
+    for c in doc["criteria"]:
         tag = "pass" if c["passed"] else "FAIL"
         print(f"criterion {c['criterion']:2d} [{tag}] {c['name']}", file=sys.stderr)
-    return _emit(doc, args, doc["passed"], "selftest")
+    return doc, doc["passed"], "selftest"
 
 
 # ---------------------------------------------------------------------------
-# Parser assembly
+# Command table and parser
 
-def _add_algebra_flags(sp, schedule=False):
-    sp.add_argument("--variant", choices=_VARIANT_CHOICES, default=UNDEFORMED)
-    sp.add_argument("--basis", choices=(BASIS_FIELD, BASIS_LADDER), default=BASIS_FIELD)
-    sp.add_argument("--q", type=float, default=None, help="numeric deformation base")
-    sp.add_argument("--c", type=float, default=None, help="numeric deformation exponent")
-    sp.add_argument("--gram", default=None, help="JSON file with the gram matrix")
-    if schedule:
-        sp.add_argument("--schedule", choices=("leftmost", "rightmost"), default="leftmost")
+def _arg(*names, **kw) -> Callable:
+    return lambda parser: parser.add_argument(*names, **kw)
 
 
-def _add_common(sp):
-    sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--output", default=None, help="write the JSON report here instead of stdout")
+_EXPR = (_arg("expr"),)
+_ALGEBRA = (
+    _arg("--variant", choices=(UNDEFORMED, "deformed", DEFORMED_STRICT, DEFORMED_COLLAPSED),
+         default=UNDEFORMED),
+    _arg("--basis", choices=(BASIS_FIELD, BASIS_LADDER), default=BASIS_FIELD),
+    _arg("--q", type=float, default=None, help="numeric deformation base"),
+    _arg("--c", type=float, default=None, help="numeric deformation exponent"),
+    _arg("--gram", default=None, help="JSON file with the gram matrix"),
+)
+_FLAVOR = (_arg("--flavor", choices=("classical", "deformed"), default="classical"),)
+_COMMON = (
+    _arg("--seed", type=int, default=42),
+    _arg("--output", default=None, help="write the JSON report here instead of stdout"),
+)
 
 
-def _add_flavor(sp):
-    sp.add_argument("--flavor", choices=("classical", "deformed"), default="classical")
+def _mode_space_flags(d: int, nmax: int = 10) -> tuple:
+    return (
+        _arg("--d", type=int, default=d),
+        _arg("--nmax", type=int, default=nmax),
+        _arg("--gram", default=None),
+    )
+
+
+def _squeezing(**r_help) -> tuple:
+    return (
+        _arg("--family", choices=("fock", "uniform", "summable"), default="fock"),
+        _arg("--r", type=float, default=0.5 * math.log(2.0), **r_help),
+    )
+
+
+_MODEL = (
+    _arg("--d", type=int, default=2),
+    _arg("--kmat", default=None, help="JSON file with the covariance factor K"),
+    _arg("--scale", type=float, default=None, help="use K = I/c for this c"),
+    _arg("--gram", default=None),
+)
+
+
+class Command(NamedTuple):
+    path: str  # "normalize", or "<group> <name>" for a fock/measure command
+    help: str
+    run: Callable  # args -> (results, passed, summary)
+    seeded: bool  # CCR_HOPF_SEED overrides --seed
+    flags: tuple  # argument adders, in --help order
+
+
+_GROUPS = {"fock": "truncated occupation-number numerics", "measure": "Gaussian measure checks"}
+
+COMMANDS = (
+    Command("normalize", "reduce an expression to normal form", _cmd_normalize, False,
+            _EXPR + (_arg("--numeric", action="store_true", help="also evaluate coefficients"),)
+            + _ALGEBRA
+            + (_arg("--schedule", choices=("leftmost", "rightmost"), default="leftmost"),)
+            + _COMMON),
+    Command("commutator", "normal form of [left, right]", _cmd_commutator, False,
+            (_arg("left"), _arg("right")) + _ALGEBRA + _COMMON),
+    Command("adjoint", "star of an expression, reduced", _cmd_adjoint, False,
+            _EXPR + _ALGEBRA + _COMMON),
+    Command("convert", "rewrite over the other generator basis", _cmd_convert, False,
+            _EXPR + (_arg("--to", choices=(BASIS_FIELD, BASIS_LADDER), required=True),)
+            + _ALGEBRA + _COMMON),
+    Command("coproduct", "apply the coproduct", _cmd_coproduct, False,
+            _EXPR + _FLAVOR + _ALGEBRA + _COMMON),
+    Command("counit", "apply the counit", _cmd_counit, False,
+            _EXPR + _FLAVOR + _ALGEBRA + _COMMON),
+    Command("antipode", "apply the antipode", _cmd_antipode, False,
+            _EXPR + _FLAVOR + _ALGEBRA + _COMMON),
+    Command("hopf-check", "run coalgebra axiom checks", _cmd_hopf_check, True,
+            _FLAVOR + (
+                _arg("--degree", type=int, default=3, help="maximal word degree"),
+                _arg("--modes", type=int, default=2),
+                _arg("--checks", default=None, help="comma list from: " + ", ".join(_HOPF_CHECKS)
+                     + " (default: all but respects-relations)"),
+            ) + _ALGEBRA + _COMMON),
+    Command("fock matrices", "per-mode field and momentum matrices", _cmd_fock_matrices, False,
+            _mode_space_flags(2) + _COMMON),
+    Command("fock spectrum", "lowest number-operator eigenvalues", _cmd_fock_spectrum, False,
+            _mode_space_flags(2) + _squeezing(help="squeezing parameter")
+            + (_arg("--k", type=int, default=5, help="how many eigenvalues"),) + _COMMON),
+    Command("fock genfun", "vacuum generating function at v", _cmd_fock_genfun, False,
+            _mode_space_flags(1)
+            + (_arg("--v", required=True, help="comma-separated coefficient vector"),)
+            + _squeezing() + _COMMON),
+    Command("fock transfer", "deformed commutator residual", _cmd_fock_transfer, True,
+            _mode_space_flags(2) + (
+                _arg("--q", type=float, default=None),
+                _arg("--c", type=float, default=None),
+                _arg("--v", default=None),
+                _arg("--w", default=None),
+            ) + _COMMON),
+    Command("fock trend", "number-operator growth comparison", _cmd_fock_trend, False,
+            (_arg("--nmax", type=int, default=30), _arg("--dvalues", default="1,2,3")) + _COMMON),
+    Command("measure cocycle", "cocycle identity and density ratio", _cmd_measure_cocycle, True,
+            _MODEL + (_arg("--samples", type=int, default=100),) + _COMMON),
+    Command("measure eta", "extrapolated shift derivative", _cmd_measure_eta, True,
+            _MODEL + (_arg("--v", default=None), _arg("--u", default=None)) + _COMMON),
+    Command("measure bochner", "Monte-Carlo Fourier transform", _cmd_measure_bochner, True,
+            _MODEL + (_arg("--v", default=None), _arg("--samples", type=int, default=100000))
+            + _COMMON),
+    Command("measure weyl", "pointwise Weyl relation residual", _cmd_measure_weyl, True,
+            _MODEL + (_arg("--count", type=int, default=100),) + _COMMON),
+    Command("measure pd-check", "positive definiteness of the transform", _cmd_measure_pd, True,
+            _MODEL + (_arg("--count", type=int, default=8),) + _COMMON),
+    Command("selftest", "run the full acceptance suite", _cmd_selftest, True, _COMMON),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -669,175 +577,49 @@ def build_parser() -> argparse.ArgumentParser:
         "numerics for a deformed oscillator algebra.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("normalize", help="reduce an expression to normal form")
-    p.add_argument("expr")
-    p.add_argument("--numeric", action="store_true", help="also evaluate coefficients")
-    _add_algebra_flags(p, schedule=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_normalize)
-
-    p = sub.add_parser("commutator", help="normal form of [left, right]")
-    p.add_argument("left")
-    p.add_argument("right")
-    _add_algebra_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_commutator)
-
-    p = sub.add_parser("adjoint", help="star of an expression, reduced")
-    p.add_argument("expr")
-    _add_algebra_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_adjoint)
-
-    p = sub.add_parser("convert", help="rewrite over the other generator basis")
-    p.add_argument("expr")
-    p.add_argument("--to", choices=(BASIS_FIELD, BASIS_LADDER), required=True)
-    _add_algebra_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_convert)
-
-    p = sub.add_parser("coproduct", help="apply the coproduct")
-    p.add_argument("expr")
-    _add_flavor(p)
-    _add_algebra_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_coproduct)
-
-    p = sub.add_parser("counit", help="apply the counit")
-    p.add_argument("expr")
-    _add_flavor(p)
-    _add_algebra_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_counit)
-
-    p = sub.add_parser("antipode", help="apply the antipode")
-    p.add_argument("expr")
-    _add_flavor(p)
-    _add_algebra_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_antipode)
-
-    p = sub.add_parser("hopf-check", help="run coalgebra axiom checks")
-    _add_flavor(p)
-    p.add_argument("--degree", type=int, default=3, help="maximal word degree")
-    p.add_argument("--modes", type=int, default=2)
-    p.add_argument(
-        "--checks",
-        default=None,
-        help="comma list from: " + ", ".join(_HOPF_CHECKS) + " (default: all but respects-relations)",
-    )
-    _add_algebra_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_hopf_check)
-
-    pf = sub.add_parser("fock", help="truncated occupation-number numerics")
-    fsub = pf.add_subparsers(dest="fock_command", required=True)
-
-    p = fsub.add_parser("matrices", help="per-mode field and momentum matrices")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--nmax", type=int, default=10)
-    p.add_argument("--gram", default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_fock_matrices)
-
-    p = fsub.add_parser("spectrum", help="lowest number-operator eigenvalues")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--nmax", type=int, default=10)
-    p.add_argument("--gram", default=None)
-    p.add_argument("--family", choices=("fock", "uniform", "summable"), default="fock")
-    p.add_argument("--r", type=float, default=0.5 * math.log(2.0), help="squeezing parameter")
-    p.add_argument("--k", type=int, default=5, help="how many eigenvalues")
-    _add_common(p)
-    p.set_defaults(func=_cmd_fock_spectrum)
-
-    p = fsub.add_parser("genfun", help="vacuum generating function at v")
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--nmax", type=int, default=10)
-    p.add_argument("--gram", default=None)
-    p.add_argument("--v", required=True, help="comma-separated coefficient vector")
-    p.add_argument("--family", choices=("fock", "uniform", "summable"), default="fock")
-    p.add_argument("--r", type=float, default=0.5 * math.log(2.0))
-    _add_common(p)
-    p.set_defaults(func=_cmd_fock_genfun)
-
-    p = fsub.add_parser("transfer", help="deformed commutator residual")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--nmax", type=int, default=10)
-    p.add_argument("--gram", default=None)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--v", default=None)
-    p.add_argument("--w", default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_fock_transfer)
-
-    p = fsub.add_parser("trend", help="number-operator growth comparison")
-    p.add_argument("--nmax", type=int, default=30)
-    p.add_argument("--dvalues", default="1,2,3")
-    _add_common(p)
-    p.set_defaults(func=_cmd_fock_trend)
-
-    pm = sub.add_parser("measure", help="Gaussian measure checks")
-    msub = pm.add_subparsers(dest="measure_command", required=True)
-
-    def add_model_flags(q):
-        q.add_argument("--d", type=int, default=2)
-        q.add_argument("--kmat", default=None, help="JSON file with the covariance factor K")
-        q.add_argument("--scale", type=float, default=None, help="use K = I/c for this c")
-        q.add_argument("--gram", default=None)
-
-    p = msub.add_parser("cocycle", help="cocycle identity and density ratio")
-    add_model_flags(p)
-    p.add_argument("--samples", type=int, default=100)
-    _add_common(p)
-    p.set_defaults(func=_cmd_measure_cocycle)
-
-    p = msub.add_parser("eta", help="extrapolated shift derivative")
-    add_model_flags(p)
-    p.add_argument("--v", default=None)
-    p.add_argument("--u", default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_measure_eta)
-
-    p = msub.add_parser("bochner", help="Monte-Carlo Fourier transform")
-    add_model_flags(p)
-    p.add_argument("--v", default=None)
-    p.add_argument("--samples", type=int, default=100000)
-    _add_common(p)
-    p.set_defaults(func=_cmd_measure_bochner)
-
-    p = msub.add_parser("weyl", help="pointwise Weyl relation residual")
-    add_model_flags(p)
-    p.add_argument("--count", type=int, default=100)
-    _add_common(p)
-    p.set_defaults(func=_cmd_measure_weyl)
-
-    p = msub.add_parser("pd-check", help="positive definiteness of the transform")
-    add_model_flags(p)
-    p.add_argument("--count", type=int, default=8)
-    _add_common(p)
-    p.set_defaults(func=_cmd_measure_pd)
-
-    p = sub.add_parser("selftest", help="run the full acceptance suite")
-    _add_common(p)
-    p.set_defaults(func=_cmd_selftest)
-
+    groups = {}
+    for cmd in COMMANDS:
+        group, _, name = cmd.path.rpartition(" ")
+        if group and group not in groups:
+            gp = sub.add_parser(group, help=_GROUPS[group])
+            groups[group] = gp.add_subparsers(dest=f"{group}_command", required=True)
+        p = (groups[group] if group else sub).add_parser(name, help=cmd.help)
+        for add in cmd.flags:
+            add(p)
+        p.set_defaults(func=cmd)
     return ap
 
 
+def _run(cmd: Command, args) -> int:
+    """Run one command and write its report; the exit code is 0 or 1."""
+    env = os.environ.get("CCR_HOPF_SEED")
+    if cmd.seeded and env is not None:
+        try:
+            args.seed = int(env)
+        except ValueError:
+            raise CliError(f"CCR_HOPF_SEED must be an integer, got {env!r}")
+    results, passed, summary = cmd.run(args)
+    config = {k.replace("_", "-"): v for k, v in vars(args).items() if k not in ("command", "func")}
+    config["format"] = "json"
+    doc = {"command": cmd.path, "config": config, "passed": passed, "results": results}
+    text = dump_json(doc) + "\n"
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    print(f"{'ok' if passed else 'FAIL'}: {summary}", file=sys.stderr)
+    return 0 if passed else 1
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args.func, args)
     except ParseError as exc:
         print(f"ccr-hopf: parse error: {exc}", file=sys.stderr)
         return 2
-    except (CliError, AlgebraError, HopfError, FockError, MeasureError, ScalarError) as exc:
-        print(f"ccr-hopf: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CliError, AlgebraError, HopfError, FockError, MeasureError, ScalarError, OSError) as exc:
         print(f"ccr-hopf: {exc}", file=sys.stderr)
         return 2
 

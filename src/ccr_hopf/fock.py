@@ -63,11 +63,6 @@ def occupation_states(d: int, nmax: int) -> list:
     return out
 
 
-def mode_degree(word) -> int:
-    """Number of letters that change occupation (central letters do not)."""
-    return sum(1 for fam, _ in word if fam >= FAM_PHI)
-
-
 class ModeSpace:
     """d truncated modes with total occupation at most nmax.
 
@@ -356,6 +351,14 @@ def expr_matrix(e: Expr, m: ModeSpace, p: Presentation, q=None, c=None):
 
 def commutator_matrix(a, b):
     return (a @ b - b @ a).tocsr()
+
+
+def transfer_residual(m: ModeSpace, rep: TransferRep, v, w) -> float:
+    """Deformed CCR residual of the transfer representation: the norm of
+    [pi(v), phi(w)] + i c(q,c) <v,w> on the degree-2 safe subspace."""
+    comm = commutator_matrix(rep.pi(v), rep.phi(w))
+    target = -1j * rep.constant * float(v @ w) * np.eye(m.dim)
+    return restricted_norm(m, comm - target, 2)
 
 
 def restricted_norm(m: ModeSpace, a, degree: int) -> float:

@@ -44,6 +44,8 @@ class GaussianModel:
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise MeasureError("K must be a square real matrix")
         self.d = K.shape[0]
+        if self.d == 0:
+            raise MeasureError("K must be at least 1 x 1")
         det = np.linalg.det(K)
         if abs(det) < 1e-12:
             raise MeasureError("K must be invertible")
@@ -95,6 +97,11 @@ class GaussianModel:
         return z @ self.Kinv
 
 
+def gauss_vector(rng, d: int) -> np.ndarray:
+    """d standard normal draws from a random.Random, as one vector."""
+    return np.array([rng.gauss(0, 1) for _ in range(d)])
+
+
 # ---------------------------------------------------------------------------
 # Cocycle, eta limit, Bochner
 
@@ -120,6 +127,19 @@ def density_ratio_check(model: GaussianModel, v, u) -> float:
     return abs(ratio - cocycle(model, v, u) ** 2)
 
 
+def cocycle_sweep(model: GaussianModel, rng, count: int) -> tuple:
+    """Worst cocycle and density-ratio residuals over count random
+    (v, v', u) triples drawn from rng."""
+    if count < 1:
+        raise MeasureError(f"need at least one sample point, got {count}")
+    worst_c = worst_r = 0.0
+    for _ in range(count):
+        v, vp, u = (gauss_vector(rng, model.d) for _ in range(3))
+        worst_c = max(worst_c, cocycle_check(model, v, vp, u))
+        worst_r = max(worst_r, density_ratio_check(model, v, u))
+    return worst_c, worst_r
+
+
 def eta(model: GaussianModel, v, u, alpha0: float = 1e-2, levels: int = 6) -> float:
     """Richardson-extrapolated limit of (a(alpha v, u) - 1)/alpha as
     alpha -> 0; converges to -<Cv,u>/2."""
@@ -135,6 +155,13 @@ def eta(model: GaussianModel, v, u, alpha0: float = 1e-2, levels: int = 6) -> fl
             row.append((w * row[j - 1] - table[i - 1][j - 1]) / (w - 1.0))
         table.append(row)
     return float(table[-1][-1])
+
+
+def eta_error(model: GaussianModel, v, u) -> tuple:
+    """(error, estimate, exact) of eta against its limit -<Cv,u>/2."""
+    exact = -0.5 * float((model.C @ v) @ u)
+    estimate = eta(model, v, u)
+    return abs(estimate - exact), estimate, exact
 
 
 @dataclass(frozen=True)
@@ -346,6 +373,19 @@ def weyl_relation_check(model: GaussianModel, v, vp, f: TestFunction, u) -> comp
     lhs = p_op(model, v, t_op(model, vp, f)).evaluate(u)
     rhs = cmath.exp(1j * model.inner(v, vp)) * t_op(model, vp, p_op(model, v, f)).evaluate(u)
     return lhs - rhs
+
+
+def weyl_sweep(model: GaussianModel, rng, count: int) -> float:
+    """Worst Weyl-relation residual over count random (v, v', u) triples
+    and test functions drawn from rng."""
+    if count < 1:
+        raise MeasureError(f"need at least one sample point, got {count}")
+    worst = 0.0
+    for _ in range(count):
+        v, vp, u = (gauss_vector(rng, model.d) for _ in range(3))
+        f = random_test_function(rng, model.d)
+        worst = max(worst, abs(weyl_relation_check(model, v, vp, f, u)))
+    return worst
 
 
 def apply_phi(model: GaussianModel, v, f: TestFunction) -> TestFunction:

@@ -39,11 +39,11 @@ from .exprparse import expr_to_text
 from .fock import (
     ModeSpace,
     boundedness_trend,
-    commutator_matrix,
     expr_matrix,
     ladder_of,
     restricted_norm,
     transfer_rep,
+    transfer_residual,
     vacuum_generating_function,
 )
 from .hopf import (
@@ -59,11 +59,10 @@ from .hopf import (
 from .measure import (
     GaussianModel,
     bochner_mc,
-    cocycle_check,
-    density_ratio_check,
-    eta,
-    random_test_function,
-    weyl_relation_check,
+    cocycle_sweep,
+    eta_error,
+    gauss_vector,
+    weyl_sweep,
 )
 from .reports import axiom_report_json, dump_json, report_json
 from .scalars import IMAG, KAPPA, S_PARAM, Scalar
@@ -347,17 +346,13 @@ def criterion_10(seed: int) -> dict:
     """Transfer representation: deformed momentum against the field."""
     rng = _rng(seed, "transfer")
     m = ModeSpace(2, 10)
-    eye = np.eye(m.dim)
     worst = 0.0
     for _ in range(20):
         q = rng.uniform(0.3, 2.5)
         c = rng.uniform(0.3, 2.5)
-        v = np.array([rng.gauss(0, 1) for _ in range(2)])
-        w = np.array([rng.gauss(0, 1) for _ in range(2)])
-        rep = transfer_rep(m, q, c)
-        comm = commutator_matrix(rep.pi(v), rep.phi(w))
-        target = -1j * deformation_constant(q, c) * float(v @ w) * eye
-        worst = max(worst, restricted_norm(m, comm - target, 2))
+        v = gauss_vector(rng, 2)
+        w = gauss_vector(rng, 2)
+        worst = max(worst, transfer_residual(m, transfer_rep(m, q, c), v, w))
     return {
         "criterion": 10,
         "name": "transfer-representation-ccr",
@@ -419,23 +414,14 @@ def criterion_12(seed: int) -> dict:
     bochner = {}
     bochner_ok = True
     for idx, (label, model) in enumerate(models):
-        for _ in range(100):
-            v = np.array([rng.gauss(0, 1) for _ in range(2)])
-            vp = np.array([rng.gauss(0, 1) for _ in range(2)])
-            u = np.array([rng.gauss(0, 1) for _ in range(2)])
-            worst_cocycle = max(worst_cocycle, cocycle_check(model, v, vp, u))
-            worst_ratio = max(worst_ratio, density_ratio_check(model, v, u))
+        cocycle, ratio = cocycle_sweep(model, rng, 100)
+        worst_cocycle = max(worst_cocycle, cocycle)
+        worst_ratio = max(worst_ratio, ratio)
         for _ in range(10):
-            v = np.array([rng.gauss(0, 1) for _ in range(2)])
-            u = np.array([rng.gauss(0, 1) for _ in range(2)])
-            want = -0.5 * float((model.C @ v) @ u)
-            worst_eta = max(worst_eta, abs(eta(model, v, u) - want))
-        for _ in range(50):
-            v = np.array([rng.gauss(0, 1) for _ in range(2)])
-            vp = np.array([rng.gauss(0, 1) for _ in range(2)])
-            u = np.array([rng.gauss(0, 1) for _ in range(2)])
-            f = random_test_function(rng, 2)
-            worst_weyl = max(worst_weyl, abs(weyl_relation_check(model, v, vp, f, u)))
+            v = gauss_vector(rng, 2)
+            u = gauss_vector(rng, 2)
+            worst_eta = max(worst_eta, eta_error(model, v, u)[0])
+        worst_weyl = max(worst_weyl, weyl_sweep(model, rng, 50))
         v = np.array([1.0, 0.5]) if idx == 0 else np.array([0.3, -1.0])
         est = bochner_mc(model, v, samples=100000, seed=seed + idx)
         gap = abs(est.estimate - model.Z(v))

@@ -32,6 +32,7 @@ from ccr_hopf.fock import (
     restricted_norm,
     smallest_eigenvalues,
     transfer_rep,
+    transfer_residual,
     vacuum_generating_function,
 )
 
@@ -309,6 +310,7 @@ def test_transfer_commutator_and_identity_points():
             v @ w
         ) * eye
         assert restricted_norm(m, comm, 2) < 1e-12
+        assert transfer_residual(m, rep, v, w) < 1e-12
     v = np.array([0.3, 0.4])
     plain = field_pair(m, v)
     for q, c in ((1.0, 2.5), (1.7, 1.0)):

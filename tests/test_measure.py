@@ -21,9 +21,12 @@ from ccr_hopf.measure import (
     bochner_mc,
     cocycle,
     cocycle_check,
+    cocycle_sweep,
     density_ratio_check,
     eta,
+    eta_error,
     functional_operator_check,
+    gauss_vector,
     hermite_matrix_check,
     lowering,
     p_op,
@@ -34,6 +37,7 @@ from ccr_hopf.measure import (
     weyl_compose,
     weyl_identity,
     weyl_relation_check,
+    weyl_sweep,
 )
 
 
@@ -53,6 +57,8 @@ def test_model_basics():
         GaussianModel(np.array([[1.0, 0.0], [2.0, 0.0]]))
     with pytest.raises(MeasureError):
         GaussianModel.scalar_c(2, 0.0)
+    with pytest.raises(MeasureError):
+        GaussianModel(np.eye(0))
     rng = np.random.default_rng(4)
     u = m.sample(40000, rng)
     cov = np.cov(u.T)
@@ -71,6 +77,35 @@ def test_cocycle_identities():
             u = pts[i]
             assert cocycle_check(model, v, vp, u) < 1e-10
             assert density_ratio_check(model, v, u) < 1e-10
+
+
+def test_shared_sweeps_follow_the_explicit_loops():
+    model = GaussianModel(np.array([[1.0, 0.3], [0.0, 2.0]]))
+    rng, ref = random.Random("sweep"), random.Random("sweep")
+    worst_c, worst_r = cocycle_sweep(model, rng, 20)
+    want_c = want_r = 0.0
+    for _ in range(20):
+        v, vp, u = (np.array([ref.gauss(0, 1) for _ in range(2)]) for _ in range(3))
+        want_c = max(want_c, cocycle_check(model, v, vp, u))
+        want_r = max(want_r, density_ratio_check(model, v, u))
+    assert (worst_c, worst_r) == (want_c, want_r) and max(want_c, want_r) < 1e-10
+    worst = weyl_sweep(model, rng, 5)
+    want = 0.0
+    for _ in range(5):
+        v, vp, u = (np.array([ref.gauss(0, 1) for _ in range(2)]) for _ in range(3))
+        f = random_test_function(ref, 2)
+        want = max(want, abs(weyl_relation_check(model, v, vp, f, u)))
+    assert worst == want < 1e-10
+    assert rng.random() == ref.random()  # both streams consumed alike
+    v, u = gauss_vector(rng, 2), gauss_vector(rng, 2)
+    err, estimate, exact = eta_error(model, v, u)
+    assert exact == -0.5 * float((model.C @ v) @ u)
+    assert estimate == eta(model, v, u) and err == abs(estimate - exact) < 1e-8
+    for count in (0, -1):
+        with pytest.raises(MeasureError):
+            cocycle_sweep(model, rng, count)
+        with pytest.raises(MeasureError):
+            weyl_sweep(model, rng, count)
 
 
 def test_eta_extrapolation():

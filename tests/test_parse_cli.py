@@ -304,6 +304,43 @@ def test_cli_reports_reproducible(capsys):
     assert doc1 == doc2
 
 
+@pytest.mark.parametrize("d", ["-1", "0"])
+@pytest.mark.parametrize("sub", ["cocycle", "eta", "bochner", "weyl", "pd-check"])
+def test_cli_measure_needs_a_positive_dimension(capsys, sub, d):
+    code, doc, err = run_cli(capsys, ["measure", sub, "--d", d])
+    assert code == 2 and doc is None
+    assert "--d must be positive" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "cocycle", "--samples", "0"],
+        ["measure", "cocycle", "--samples", "-1"],
+        ["measure", "weyl", "--count", "0"],
+        ["measure", "weyl", "--count", "-3"],
+    ],
+)
+def test_cli_measure_sweeps_need_a_point(capsys, argv):
+    code, doc, err = run_cli(capsys, argv)
+    assert code == 2 and doc is None
+    assert "at least one sample point" in err
+
+
+def test_cli_measure_eta_needs_both_vectors(capsys, tmp_path):
+    for flags in (["--v", "1,2"], ["--u", "1,2"], ["--d", "3", "--v", "1,2"]):
+        code, doc, err = run_cli(capsys, ["measure", "eta"] + flags)
+        assert code == 2 and doc is None
+        assert "both --v and --u" in err
+    kmat = tmp_path / "k.json"
+    kmat.write_text("[[1, 0, 0], [0, 2, 0], [0, 0, 1]]")
+    code, doc, err = run_cli(capsys, ["measure", "eta", "--kmat", str(kmat)])
+    assert code == 2 and doc is None
+    assert "--kmat holds a 3 x 3 matrix but --d is 2" in err
+    code, doc, _ = run_cli(capsys, ["measure", "eta", "--kmat", str(kmat), "--d", "3"])
+    assert code == 0 and len(doc["results"]["points"]) == 3
+
+
 def test_cli_measure_pd_and_scale(capsys):
     code, doc, _ = run_cli(capsys, ["measure", "pd-check", "--d", "2", "--scale", "1.3"])
     assert code == 0
