@@ -478,10 +478,10 @@ _COMMON = (
 )
 
 
-def _mode_space_flags(d: int, nmax: int = 10) -> tuple:
+def _mode_space_flags(d: int) -> tuple:
     return (
         _arg("--d", type=int, default=d),
-        _arg("--nmax", type=int, default=nmax),
+        _arg("--nmax", type=int, default=10),
         _arg("--gram", default=None),
     )
 
@@ -619,7 +619,8 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"ccr-hopf: parse error: {exc}", file=sys.stderr)
         return 2
-    except (CliError, AlgebraError, HopfError, FockError, MeasureError, ScalarError, OSError) as exc:
+    except (CliError, AlgebraError, HopfError, FockError, MeasureError, ScalarError,
+            OSError) as exc:
         print(f"ccr-hopf: {exc}", file=sys.stderr)
         return 2
 

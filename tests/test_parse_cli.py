@@ -327,11 +327,14 @@ def test_cli_measure_sweeps_need_a_point(capsys, argv):
     assert "at least one sample point" in err
 
 
-def test_cli_measure_eta_needs_both_vectors(capsys, tmp_path):
+def test_cli_measure_eta_needs_both_vectors(capsys):
     for flags in (["--v", "1,2"], ["--u", "1,2"], ["--d", "3", "--v", "1,2"]):
         code, doc, err = run_cli(capsys, ["measure", "eta"] + flags)
         assert code == 2 and doc is None
         assert "both --v and --u" in err
+
+
+def test_cli_measure_kmat_must_match_d(capsys, tmp_path):
     kmat = tmp_path / "k.json"
     kmat.write_text("[[1, 0, 0], [0, 2, 0], [0, 0, 1]]")
     code, doc, err = run_cli(capsys, ["measure", "eta", "--kmat", str(kmat)])
