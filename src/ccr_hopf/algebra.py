@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .scalars import IMAG, KAPPA, ONE, R2, S_PARAM, ZERO, Scalar, signed_join
+from .scalars import IMAG, KAPPA, ONE, R2, S_PARAM, ZERO, CcrHopfError, Scalar, signed_join
 
 __all__ = [
     "AlgebraError",
@@ -88,7 +88,7 @@ _BASES = (BASIS_FIELD, BASIS_LADDER)
 _FAM_NAMES = ("I", "K", "Kinv", "phi", "pi", "ap", "am")
 
 
-class AlgebraError(ValueError):
+class AlgebraError(CcrHopfError):
     pass
 
 

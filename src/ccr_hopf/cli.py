@@ -14,11 +14,17 @@ its argument adders in --help order.  A command function takes the
 parsed arguments and returns ``(results, passed, summary)``; ``_run``
 builds the report document around it, writes it and prints the status
 line.  Adding a command means one function plus one table row.
+
+Each invocation pays only for what its command uses: the parser is built
+once per process, and numpy, scipy and the ``fock``, ``measure`` and
+``selftest`` modules are imported inside the commands that need them, so
+the exact algebra commands never load them.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -27,10 +33,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .algebra import (
-    AlgebraError,
     BASIS_FIELD,
     BASIS_LADDER,
     DEFORMED_COLLAPSED,
@@ -45,21 +48,7 @@ from .algebra import (
     normal_form,
 )
 from .exprparse import ParseError, expr_to_text, parse_expr
-from .fock import (
-    BogoliubovSpec,
-    FockError,
-    ModeSpace,
-    boundedness_trend,
-    invariant_blocks,
-    number_operator,
-    phi_pi_matrices,
-    smallest_eigenvalues,
-    transfer_rep,
-    transfer_residual,
-    vacuum_generating_function,
-)
 from .hopf import (
-    HopfError,
     HopfSpec,
     antipode,
     check_antipode,
@@ -71,16 +60,6 @@ from .hopf import (
     coproduct,
     counit,
 )
-from .measure import (
-    GaussianModel,
-    MeasureError,
-    bochner_mc,
-    cocycle_sweep,
-    eta_error,
-    gauss_vector,
-    positive_definiteness_check,
-    weyl_sweep,
-)
 from .reports import (
     axiom_report_json,
     dump_json,
@@ -90,8 +69,7 @@ from .reports import (
     scalar_json,
     tensor_json,
 )
-from .scalars import ScalarError
-from .selftest import run_selftest
+from .scalars import CcrHopfError
 
 # hopf-check name -> check(h, p, args), in report order
 _HOPF_CHECK_TABLE = {
@@ -113,7 +91,7 @@ _DEFAULT_CHECKS = tuple(n for n in _HOPF_CHECKS if n != "respects-relations")
 MAX_CHECK_WORDS = 1000
 
 
-class CliError(ValueError):
+class CliError(CcrHopfError):
     """Configuration problem surfaced with exit code 2."""
 
 
@@ -128,7 +106,9 @@ def _load_gram_rows(path: str):
     return rows
 
 
-def _gram_array(rows) -> np.ndarray:
+def _gram_array(rows):
+    import numpy as np
+
     def entry(x):
         if isinstance(x, str):
             return float(Fraction(x))
@@ -157,12 +137,18 @@ def _presentation(args) -> Presentation:
     )
 
 
-def _mode_space(args) -> ModeSpace:
+def _mode_space(args):
+    from .fock import ModeSpace
+
     gram = _gram_array(_load_gram_rows(args.gram)) if args.gram else None
     return ModeSpace(args.d, args.nmax, gram=gram)
 
 
-def _model(args) -> GaussianModel:
+def _model(args):
+    import numpy as np
+
+    from .measure import GaussianModel
+
     if args.d < 1:
         raise CliError("--d must be positive")
     gram = _gram_array(_load_gram_rows(args.gram)).astype(float) if args.gram else None
@@ -178,7 +164,9 @@ def _model(args) -> GaussianModel:
     return GaussianModel(math.sqrt(2.0) * np.eye(args.d), gram=gram)
 
 
-def _vector(text: str, d: int | None = None) -> np.ndarray:
+def _vector(text: str, d: int | None = None):
+    import numpy as np
+
     try:
         v = np.array([float(x) for x in text.split(",")])
     except ValueError:
@@ -191,6 +179,8 @@ def _vector(text: str, d: int | None = None) -> np.ndarray:
 
 
 def _matrix_json(a) -> dict:
+    import numpy as np
+
     a = np.asarray(a.toarray() if hasattr(a, "toarray") else a, dtype=complex)
     return {"im": a.imag.tolist(), "re": a.real.tolist()}
 
@@ -277,9 +267,12 @@ def _cmd_hopf_check(args):
 
 
 # ---------------------------------------------------------------------------
-# Fock commands
+# Fock commands: these, the measure commands and selftest import the
+# numeric modules when they run
 
-def _bogoliubov(args) -> BogoliubovSpec:
+def _bogoliubov(args):
+    from .fock import BogoliubovSpec
+
     if args.family == "fock":
         return BogoliubovSpec.fock(args.d)
     if args.family == "uniform":
@@ -288,6 +281,8 @@ def _bogoliubov(args) -> BogoliubovSpec:
 
 
 def _cmd_fock_matrices(args):
+    from .fock import phi_pi_matrices
+
     m = _mode_space(args)
     phis, pis = phi_pi_matrices(m)
     results = {
@@ -302,6 +297,10 @@ def _cmd_fock_matrices(args):
 
 
 def _cmd_fock_spectrum(args):
+    import numpy as np
+
+    from .fock import invariant_blocks, number_operator, smallest_eigenvalues
+
     m = _mode_space(args)
     spec = _bogoliubov(args)
     n = number_operator(m, spec)
@@ -325,6 +324,8 @@ def _cmd_fock_spectrum(args):
 
 
 def _cmd_fock_genfun(args):
+    from .fock import vacuum_generating_function
+
     m = _mode_space(args)
     spec = _bogoliubov(args)
     v = _vector(args.v, args.d)
@@ -340,6 +341,9 @@ def _cmd_fock_genfun(args):
 
 
 def _cmd_fock_transfer(args):
+    from .fock import transfer_rep, transfer_residual
+    from .measure import gauss_vector
+
     m = _mode_space(args)
     rng = random.Random(f"{args.seed}:transfer-cli")
     v = _vector(args.v, args.d) if args.v else gauss_vector(rng, args.d)
@@ -358,6 +362,8 @@ def _cmd_fock_transfer(args):
 
 
 def _cmd_fock_trend(args):
+    from .fock import boundedness_trend
+
     try:
         d_values = tuple(int(x) for x in args.dvalues.split(","))
     except ValueError:
@@ -373,6 +379,8 @@ def _cmd_fock_trend(args):
 # Measure commands
 
 def _cmd_measure_cocycle(args):
+    from .measure import cocycle_sweep
+
     model = _model(args)
     rng = random.Random(f"{args.seed}:cocycle-cli")
     worst_c, worst_r = cocycle_sweep(model, rng, args.samples)
@@ -387,6 +395,8 @@ def _cmd_measure_cocycle(args):
 
 
 def _cmd_measure_eta(args):
+    from .measure import eta_error, gauss_vector
+
     model = _model(args)
     if bool(args.v) != bool(args.u):
         raise CliError("an explicit eta point needs both --v and --u")
@@ -406,6 +416,8 @@ def _cmd_measure_eta(args):
 
 
 def _cmd_measure_bochner(args):
+    from .measure import bochner_mc, gauss_vector
+
     model = _model(args)
     if args.v:
         v = _vector(args.v, args.d)
@@ -429,6 +441,8 @@ def _cmd_measure_bochner(args):
 
 
 def _cmd_measure_weyl(args):
+    from .measure import weyl_sweep
+
     model = _model(args)
     worst = weyl_sweep(model, random.Random(f"{args.seed}:weyl-cli"), args.count)
     results = {"max_residual": worst, "points": args.count, "tolerance": 1e-10}
@@ -436,6 +450,8 @@ def _cmd_measure_weyl(args):
 
 
 def _cmd_measure_pd(args):
+    from .measure import gauss_vector, positive_definiteness_check
+
     model = _model(args)
     rng = random.Random(f"{args.seed}:pd-cli")
     vectors = [gauss_vector(rng, args.d) for _ in range(args.count)]
@@ -448,6 +464,8 @@ def _cmd_measure_pd(args):
 # Selftest
 
 def _cmd_selftest(args):
+    from .selftest import run_selftest
+
     doc = run_selftest(args.seed)
     for c in doc["criteria"]:
         tag = "pass" if c["passed"] else "FAIL"
@@ -570,7 +588,11 @@ COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args fills a fresh
+    namespace on every call, and help is formatted when printed, so
+    COLUMNS still applies."""
     ap = argparse.ArgumentParser(
         prog="ccr-hopf",
         description="Normal forms, Hopf-structure checks, and representation "
@@ -619,8 +641,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"ccr-hopf: parse error: {exc}", file=sys.stderr)
         return 2
-    except (CliError, AlgebraError, HopfError, FockError, MeasureError, ScalarError,
-            OSError) as exc:
+    except (CcrHopfError, OSError) as exc:
         print(f"ccr-hopf: {exc}", file=sys.stderr)
         return 2
 

@@ -21,10 +21,10 @@ import re
 from fractions import Fraction
 
 from .algebra import Expr, am, ap, gen_I, gen_K, gen_Kinv, phi, pi, unit, word_text
-from .scalars import IMAG, KAPPA, R2, S_PARAM, Scalar, signed_join
+from .scalars import IMAG, KAPPA, R2, S_PARAM, CcrHopfError, Scalar, signed_join
 
 
-class ParseError(ValueError):
+class ParseError(CcrHopfError):
     def __init__(self, message: str, position: int, expected=None):
         self.position = position
         self.expected = tuple(expected or ())

@@ -31,9 +31,10 @@ from .algebra import (
     deformation_constant,
     evaluate_numeric,
 )
+from .scalars import CcrHopfError
 
 
-class FockError(ValueError):
+class FockError(CcrHopfError):
     pass
 
 
@@ -70,6 +71,9 @@ class ModeSpace:
     per-mode matrices act in orthonormal coordinates and coefficient
     vectors enter through L^H, so that [a-(v), a+(w)] = <v|w> with the
     inner product induced by the gram.
+
+    The transfer-representation letter matrices are built once per
+    (constant, scale) and kept on the instance; see _letter_matrices.
     """
 
     def __init__(self, d: int, nmax: int, gram=None):
@@ -95,6 +99,7 @@ class ModeSpace:
         self._index = {s: i for i, s in enumerate(self.states)}
         self.occupancy = np.array([sum(s) for s in self.states])
         self._am = [self._lowering(j) for j in range(self.d)]
+        self._letters = {}  # (constant, scale) -> letter -> matrix
 
     @property
     def dim(self) -> int:
@@ -305,6 +310,15 @@ def transfer_rep(m: ModeSpace, q: float, c: float) -> TransferRep:
 
 
 def _letter_matrices(m: ModeSpace, constant: float, scale: float) -> dict:
+    """Letter -> matrix under the transfer representation, cached on m.
+    Callers must not change the matrices in place."""
+    key = (constant, scale)
+    if key not in m._letters:
+        m._letters[key] = _build_letter_matrices(m, constant, scale)
+    return m._letters[key]
+
+
+def _build_letter_matrices(m: ModeSpace, constant: float, scale: float) -> dict:
     eye = sparse_identity(m.dim, dtype=complex, format="csr")
     phis, pis = phi_pi_matrices(m)
     mats = {
@@ -355,9 +369,13 @@ def commutator_matrix(a, b):
 
 def transfer_residual(m: ModeSpace, rep: TransferRep, v, w) -> float:
     """Deformed CCR residual of the transfer representation: the norm of
-    [pi(v), phi(w)] + i c(q,c) <v,w> on the degree-2 safe subspace."""
+    [pi(v), phi(w)] + i c(q,c) Re<v|w> on the degree-2 safe subspace, where
+    <v|w> = v^H G w is the inner product of the space's gram G (the plain
+    dot product when there is none)."""
     comm = commutator_matrix(rep.pi(v), rep.phi(w))
-    target = -1j * rep.constant * float(v @ w) * np.eye(m.dim)
+    g = rep.space.gram
+    inner = float(v @ w) if g is None else float(np.real(np.conj(v) @ g @ w))
+    target = -1j * rep.constant * inner * np.eye(m.dim)
     return restricted_norm(m, comm - target, 2)
 
 

@@ -45,7 +45,7 @@ from .algebra import (
     normal_form,
     word_text,
 )
-from .scalars import IMAG, ONE, ZERO, Scalar, signed_join
+from .scalars import IMAG, ONE, ZERO, CcrHopfError, Scalar, signed_join
 
 __all__ = [
     "HopfError",
@@ -70,7 +70,7 @@ __all__ = [
 ]
 
 
-class HopfError(ValueError):
+class HopfError(CcrHopfError):
     pass
 
 

@@ -18,9 +18,10 @@ from itertools import product as cartesian
 import numpy as np
 
 from .fock import ModeSpace, phi_pi_matrices
+from .scalars import CcrHopfError
 
 
-class MeasureError(ValueError):
+class MeasureError(CcrHopfError):
     pass
 
 

@@ -10,9 +10,8 @@ sorted keys so identical runs produce identical bytes.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, is_dataclass
-
-import numpy as np
 
 from .algebra import Expr, word_text
 from .exprparse import expr_to_text, scalar_text
@@ -79,11 +78,15 @@ def axiom_report_json(r: AxiomReport):
 
 
 def _plain(value):
-    """Recursively coerce numpy scalars and arrays to JSON-native types."""
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+    """Recursively coerce numpy scalars and arrays to JSON-native types.
+    numpy values can only exist once numpy is imported, so it is looked up
+    rather than imported here."""
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(value, np.ndarray):
+            return [_plain(v) for v in value.tolist()]
+        if isinstance(value, (np.floating, np.integer)):
+            return value.item()
     if isinstance(value, complex):
         return complex_json(value)
     if is_dataclass(value) and not isinstance(value, type):

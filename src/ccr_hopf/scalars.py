@@ -49,7 +49,12 @@ _UNIT: Mono = ()
 ROOT2_NAME = "r2"
 
 
-class ScalarError(ValueError):
+class CcrHopfError(ValueError):
+    """Common base of the package's error classes: bad input or a
+    configuration the requested computation cannot take."""
+
+
+class ScalarError(CcrHopfError):
     pass
 
 

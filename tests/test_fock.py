@@ -373,6 +373,69 @@ def test_expr_matrix_requirements():
         expr_matrix(phi(1), m, p, q=1.5, c=0.5)  # mode out of range
 
 
+@pytest.mark.parametrize(
+    "gram", [[[1.0, 0.5], [0.5, 2.0]], [[2.0, 0.5 + 0.3j], [0.5 - 0.3j, 1.5]]]
+)
+def test_transfer_residual_with_gram(gram):
+    # [pi(v), phi(w)] = -i c(q,c) Re(v^H G w) on the safe subspace; the
+    # oracle reads the scalar off the vacuum entry of the commutator
+    g = np.array(gram)
+    m = ModeSpace(2, 6, gram=g)
+    rng = random.Random(42)
+    for _ in range(4):
+        rep = transfer_rep(m, rng.uniform(0.3, 2.5), rng.uniform(0.3, 2.5))
+        v = np.array([rng.gauss(0.0, 1.0) for _ in range(2)])
+        w = np.array([rng.gauss(0.0, 1.0) for _ in range(2)])
+        inner = sum(v[j] * g[j, k] * w[k] for j in range(2) for k in range(2)).real
+        comm = commutator_matrix(rep.pi(v), rep.phi(w))
+        assert abs(comm[0, 0] + 1j * rep.constant * inner) < 1e-12
+        assert transfer_residual(m, rep, v, w) < 1e-12
+        # the Euclidean v.w is the wrong target whenever it differs
+        euclid = comm + 1j * rep.constant * float(v @ w) * np.eye(m.dim)
+        assert restricted_norm(m, euclid, 2) > 1e-3
+
+
+def test_letter_matrix_cache_matches_fresh_spaces():
+    # one shared space while (q, c) alternates: each matrix equals, entry by
+    # entry, the one built on a fresh space, although every earlier result
+    # was changed in place by its caller
+    shared = ModeSpace(2, 6)
+    cases = [
+        (Presentation(variant="deformed-strict"), 1.3, 0.7),
+        (Presentation(), None, None),
+        (Presentation(variant="deformed-strict", basis="ladder"), 1.7, 1.1),
+        (Presentation(variant="deformed-collapsed"), 0.8, 1.9),
+    ]
+    from ccr_hopf.algebra import phi, unit
+
+    rng = random.Random(44)
+    for k in range(24):
+        p, q, c = cases[k % len(cases)]
+        e = (unit(), phi(0), random_expr(rng, p, 3, 2))[k % 3]
+        got = expr_matrix(e, shared, p, q=q, c=c)
+        want = expr_matrix(e, ModeSpace(2, 6), p, q=q, c=c)
+        assert np.array_equal(got.toarray(), want.toarray())
+        got.data[:] = 7.0
+
+
+def test_criterion_9_builds_each_letter_set_once(monkeypatch):
+    from ccr_hopf import fock, selftest
+
+    builds = []
+    build = fock._build_letter_matrices
+
+    def counted(m, constant, scale):
+        builds.append((constant, scale))
+        return build(m, constant, scale)
+
+    monkeypatch.setattr(fock, "_build_letter_matrices", counted)
+    cached = selftest.criterion_09(42)
+    assert len(builds) == 4
+    # the same criterion with a fresh build for every expression
+    monkeypatch.setattr(fock, "_letter_matrices", build)
+    assert selftest.criterion_09(42) == cached
+
+
 def test_boundedness_trend():
     rep = boundedness_trend()
     occs = [r.vacuum_occupancy for r in rep.uniform]

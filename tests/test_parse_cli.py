@@ -135,6 +135,19 @@ def test_cli_commutator_with_gram(tmp_path, capsys):
     assert term["coeff"] == {"im": "-1/2", "re": "0"}
 
 
+def test_cli_fock_transfer_with_gram(tmp_path, capsys):
+    # the residual is judged against the gram inner product; against the
+    # Euclidean v.w these matrices leave 3.486
+    gram = tmp_path / "gram.json"
+    gram.write_text(json.dumps([[1, "1/2"], ["1/2", 2]]))
+    code, doc, err = run_cli(
+        capsys, ["fock", "transfer", "--nmax", "6", "--seed", "42", "--gram", str(gram)]
+    )
+    assert code == 0, err
+    assert doc["passed"] is True
+    assert doc["results"]["residual"] < 1e-12
+
+
 def test_cli_convert_round_trip(capsys):
     code, doc, _ = run_cli(capsys, ["convert", "ap(0)", "--to", "phi-pi"])
     assert code == 0
