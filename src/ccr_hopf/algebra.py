@@ -341,6 +341,22 @@ def unit() -> Expr:
 # Gram form
 
 
+def gram_entry(x) -> Scalar:
+    """One gram or covariance matrix entry: a number, a rational string
+    such as "1/2", or a [re, im] pair of those."""
+    s = _coerce_scalar(x)
+    if s is not None:
+        return s
+    try:
+        if isinstance(x, (str, float)):
+            return Scalar.rational(Fraction(x))
+        if isinstance(x, (tuple, list)) and len(x) == 2:
+            return Scalar.rational(Fraction(x[0]), Fraction(x[1]))
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise AlgebraError(f"cannot read matrix entry {x!r}")
+
+
 class Gram:
     """Hermitian form on mode indices.  ``None`` entries mean the
     Kronecker delta on all of N; an explicit matrix bounds the usable
@@ -352,7 +368,7 @@ class Gram:
             return
         rows = []
         for row in entries:
-            rows.append([self._coerce(x) for x in row])
+            rows.append([gram_entry(x) for x in row])
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise AlgebraError("gram matrix must be square")
@@ -361,17 +377,6 @@ class Gram:
                 if not (rows[j][k].conjugate() == rows[k][j]):
                     raise AlgebraError("gram matrix must be Hermitian")
         self._rows = rows
-
-    @staticmethod
-    def _coerce(x) -> Scalar:
-        s = _coerce_scalar(x)
-        if s is not None:
-            return s
-        if isinstance(x, (str, float)):
-            return Scalar.rational(Fraction(x))
-        if isinstance(x, (tuple, list)) and len(x) == 2:
-            return Scalar.rational(Fraction(x[0]), Fraction(x[1]))
-        raise AlgebraError(f"cannot coerce gram entry {x!r}")
 
     @property
     def is_delta(self) -> bool:

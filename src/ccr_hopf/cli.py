@@ -30,7 +30,6 @@ import math
 import os
 import random
 import sys
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .algebra import (
@@ -44,6 +43,7 @@ from .algebra import (
     basis_convert,
     commutator,
     evaluate_numeric,
+    gram_entry,
     legal_letter_count,
     normal_form,
 )
@@ -106,19 +106,20 @@ def _load_gram_rows(path: str):
     return rows
 
 
-def _gram_array(rows):
+def _gram_array(path: str, real: bool = False):
+    """The matrix in a --gram/--kmat file, read entry by entry as a Gram
+    reads its entries; real=True refuses a nonzero imaginary part."""
     import numpy as np
 
-    def entry(x):
-        if isinstance(x, str):
-            return float(Fraction(x))
-        if isinstance(x, (int, float)):
-            return float(x)
-        if isinstance(x, list) and len(x) == 2:
-            return complex(float(x[0]), float(x[1]))
-        raise CliError(f"cannot read gram entry {x!r}")
-
-    return np.array([[entry(x) for x in row] for row in rows])
+    rows = _load_gram_rows(path)
+    if any(len(row) != len(rows) for row in rows):
+        raise CliError(f"matrix file {path} must hold a square matrix")
+    a = np.array([[gram_entry(x).to_complex() for x in row] for row in rows])
+    if not real:
+        return a
+    if np.any(a.imag != 0):
+        raise CliError(f"matrix file {path} has an entry with a nonzero imaginary part")
+    return np.ascontiguousarray(a.real)
 
 
 def _presentation(args) -> Presentation:
@@ -140,7 +141,7 @@ def _presentation(args) -> Presentation:
 def _mode_space(args):
     from .fock import ModeSpace
 
-    gram = _gram_array(_load_gram_rows(args.gram)) if args.gram else None
+    gram = _gram_array(args.gram) if args.gram else None
     return ModeSpace(args.d, args.nmax, gram=gram)
 
 
@@ -151,9 +152,9 @@ def _model(args):
 
     if args.d < 1:
         raise CliError("--d must be positive")
-    gram = _gram_array(_load_gram_rows(args.gram)).astype(float) if args.gram else None
+    gram = _gram_array(args.gram, real=True) if args.gram else None
     if args.kmat:
-        model = GaussianModel(_gram_array(_load_gram_rows(args.kmat)).astype(float), gram=gram)
+        model = GaussianModel(_gram_array(args.kmat, real=True), gram=gram)
         if model.d != args.d:
             raise CliError(f"--kmat holds a {model.d} x {model.d} matrix but --d is {args.d}")
         return model

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix, identity as sparse_identity
-from scipy.sparse.linalg import expm_multiply
-from scipy.sparse.linalg import norm as sparse_norm
 
 from .algebra import (
     FAM_AM,
@@ -43,6 +41,10 @@ ROOT2 = math.sqrt(2.0)
 # largest invariant block smallest_eigenvalues solves with a dense eigvalsh
 DENSE_EIG_LIMIT = 2000
 
+# most occupation states, comb(d + nmax, d), a ModeSpace may hold; the
+# tests, selftest and perfbench build at most 5456 (d=3, nmax=30)
+MAX_STATES = 20000
+
 # largest squeezing |r| whose gamma = exp(-2r) and c^2 = exp(2r)/2 are
 # finite floats
 R_MAX = 354
@@ -50,18 +52,26 @@ R_MAX = 354
 
 def occupation_states(d: int, nmax: int) -> list:
     """All occupation tuples (n_0, ..., n_{d-1}) with sum <= nmax, in
-    lexicographic order.  The all-zero tuple comes first."""
-    out = []
-
-    def grow(prefix, left):
-        if len(prefix) == d:
-            out.append(prefix)
-            return
-        for n in range(left + 1):
-            grow(prefix + (n,), left - n)
-
-    grow((), nmax)
-    return out
+    lexicographic order.  The all-zero tuple comes first.  More than
+    MAX_STATES of them raise FockError before any is built."""
+    if math.comb(d + nmax, d) > MAX_STATES:
+        raise FockError(f"the occupation basis for d={d}, nmax={nmax} exceeds the "
+                        f"budget of {MAX_STATES} states; lower d or nmax")
+    state, total, out = [0] * d, 0, []
+    while True:
+        out.append(tuple(state))
+        if total < nmax:  # successor: raise the last occupation
+            state[-1] += 1
+            total += 1
+            continue
+        i = d - 1  # at the cutoff: clear the rightmost nonzero, carry left
+        while i > 0 and not state[i]:
+            i -= 1
+        if i <= 0:
+            return out
+        total -= state[i] - 1
+        state[i] = 0
+        state[i - 1] += 1
 
 
 class ModeSpace:
@@ -144,30 +154,22 @@ class ModeSpace:
         return self._chol.conj().T @ v
 
 
-def ladder_matrices(m: ModeSpace):
-    """Per-mode (a+_j, a-_j) in orthonormalized coordinates."""
-    am = list(m._am)
-    ap = [a.conj().T.tocsr() for a in am]
-    return ap, am
-
-
-def ladder_of(m: ModeSpace, v):
+def ladder_of(m: ModeSpace, v, spec=None):
     """(a+(v), a-(v)) for a coefficient vector v, linear through the gram;
-    a-(v) is antilinear in v so that [a-(v), a+(w)] = <v|w>."""
+    a-(v) is antilinear in v so that [a-(v), a+(w)] = <v|w>.  With a
+    spec, the Bogoliubov (b+(v), b-(v)) by the same (anti)linearity."""
     w = m.coords(v)
+    lowering = _lowering_ladder(m, spec)
     am = csr_matrix((m.dim, m.dim), dtype=complex)
     for j in range(m.d):
         if w[j] != 0:
-            am = am + np.conj(w[j]) * m._am[j]
+            am = am + np.conj(w[j]) * lowering[j]
     return am.conj().T.tocsr(), am.tocsr()
 
 
 def field_pair(m: ModeSpace, v, spec=None):
     """(phi(v), pi(v)); built on the Bogoliubov ladder when spec is given."""
-    if spec is None:
-        ap, am = ladder_of(m, v)
-    else:
-        ap, am = bogoliubov_of(m, spec, v)
+    ap, am = ladder_of(m, v, spec)
     phi = ((ap + am) / ROOT2).tocsr()
     pi = ((1j * (ap - am)) / ROOT2).tocsr()
     return phi, pi
@@ -175,14 +177,8 @@ def field_pair(m: ModeSpace, v, spec=None):
 
 def phi_pi_matrices(m: ModeSpace):
     """Per-mode field and momentum matrices phi(e_j), pi(e_j)."""
-    phis, pis = [], []
-    for j in range(m.d):
-        e = np.zeros(m.d)
-        e[j] = 1.0
-        ph, pj = field_pair(m, e)
-        phis.append(ph)
-        pis.append(pj)
-    return phis, pis
+    phis, pis = zip(*(field_pair(m, e) for e in np.eye(m.d)))
+    return list(phis), list(pis)
 
 
 @dataclass(frozen=True)
@@ -241,35 +237,29 @@ class BogoliubovSpec:
         return tuple(math.sqrt(math.exp(2.0 * r) / 2.0) for r in self.rs)
 
 
-def bogoliubov_ladder(m: ModeSpace, spec: BogoliubovSpec):
-    """Per-mode (b+_j, b-_j) with b-_j = cosh(r_j) a-_j + sinh(r_j) a+_j."""
+def _lowering_ladder(m: ModeSpace, spec: BogoliubovSpec | None) -> list:
+    """Per-mode b-_j = cosh(r_j) a-_j + sinh(r_j) a+_j; a-_j when spec is
+    None."""
+    if spec is None:
+        return list(m._am)
     if len(spec.rs) != m.d:
         raise FockError("spec and mode space disagree on the mode count")
-    ap, am = ladder_matrices(m)
-    bm = [
-        (math.cosh(r) * am[j] + math.sinh(r) * ap[j]).tocsr()
-        for j, r in enumerate(spec.rs)
+    return [
+        (math.cosh(r) * a + math.sinh(r) * a.conj().T.tocsr()).tocsr()
+        for a, r in zip(m._am, spec.rs)
     ]
-    bp = [b.conj().T.tocsr() for b in bm]
-    return bp, bm
 
 
-def bogoliubov_of(m: ModeSpace, spec: BogoliubovSpec, v):
-    """(b+(v), b-(v)) by the same (anti)linearity as the Fock ladder."""
-    bp, bm = bogoliubov_ladder(m, spec)
-    w = m.coords(v)
-    acc = csr_matrix((m.dim, m.dim), dtype=complex)
-    for j in range(m.d):
-        if w[j] != 0:
-            acc = acc + np.conj(w[j]) * bm[j]
-    return acc.conj().T.tocsr(), acc.tocsr()
+def bogoliubov_ladder(m: ModeSpace, spec: BogoliubovSpec | None = None):
+    """Per-mode (b+_j, b-_j); the Fock ladder (a+_j, a-_j) in
+    orthonormalized coordinates when spec is None."""
+    bm = _lowering_ladder(m, spec)
+    return [b.conj().T.tocsr() for b in bm], bm
 
 
 def number_operator(m: ModeSpace, spec: BogoliubovSpec | None = None):
     """N = sum_j b+_j b-_j; the plain Fock number operator when spec is
     None (then N is diagonal with the total occupation as eigenvalue)."""
-    if spec is None:
-        spec = BogoliubovSpec.fock(m.d)
     bp, bm = bogoliubov_ladder(m, spec)
     n = csr_matrix((m.dim, m.dim), dtype=complex)
     for j in range(m.d):
@@ -280,6 +270,8 @@ def number_operator(m: ModeSpace, spec: BogoliubovSpec | None = None):
 def vacuum_generating_function(m: ModeSpace, v, spec=None) -> complex:
     """<vac| exp(i phi(v)) |vac>, computed by applying the exponential to
     the vacuum vector rather than forming a dense exponential."""
+    from scipy.sparse.linalg import expm_multiply
+
     phi, _ = field_pair(m, v, spec)
     image = expm_multiply(1j * phi, m.vacuum())
     return complex(np.vdot(m.vacuum(), image))
@@ -382,6 +374,8 @@ def transfer_residual(m: ModeSpace, rep: TransferRep, v, w) -> float:
 def restricted_norm(m: ModeSpace, a, degree: int) -> float:
     """Frobenius norm of the columns of a indexed by the safe subspace for
     operators of the given degree."""
+    from scipy.sparse.linalg import norm as sparse_norm
+
     cols = np.where(m.safe_mask(degree))[0]
     if hasattr(a, "tocsc"):
         return float(sparse_norm(a.tocsc()[:, cols]))

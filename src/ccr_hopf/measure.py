@@ -17,7 +17,6 @@ from itertools import product as cartesian
 
 import numpy as np
 
-from .fock import ModeSpace, phi_pi_matrices
 from .scalars import CcrHopfError
 
 
@@ -484,6 +483,8 @@ def hermite_matrix_check(nmax: int = 10, nodes: int = 64) -> dict:
     """Matrix elements of phi and pi in the orthonormal Hermite basis of
     the d=1 Fock-point measure, computed by Gauss-Hermite quadrature, versus
     the ladder-matrix construction.  Returns the max absolute deviations."""
+    from .fock import ModeSpace, phi_pi_matrices
+
     x, w = np.polynomial.hermite.hermgauss(nodes)
     w = w / math.sqrt(math.pi)
     # orthonormal for weight exp(-x^2)/sqrt(pi): h_{n+1} = (sqrt2 x h_n - sqrt(n) h_{n-1})/sqrt(n+1)

@@ -15,16 +15,15 @@ from scipy.sparse import csr_matrix
 from ccr_hopf.algebra import Presentation, adjoint, normal_form, random_expr
 from ccr_hopf.fock import (
     BogoliubovSpec,
+    MAX_STATES,
     FockError,
     ModeSpace,
     bogoliubov_ladder,
-    bogoliubov_of,
     boundedness_trend,
     commutator_matrix,
     expr_matrix,
     field_pair,
     invariant_blocks,
-    ladder_matrices,
     ladder_of,
     number_operator,
     occupation_states,
@@ -49,9 +48,35 @@ def test_basis_enumeration():
         m.index((6, 0, 0))
 
 
+def _recursive_states(d, nmax):
+    # the recursive enumeration occupation_states replaced, kept as the oracle
+    out = []
+
+    def grow(prefix, left):
+        if len(prefix) == d:
+            out.append(prefix)
+            return
+        for n in range(left + 1):
+            grow(prefix + (n,), left - n)
+
+    grow((), nmax)
+    return out
+
+
+def test_occupation_states_match_recursion():
+    for d in range(1, 6):
+        for nmax in range(0, 7):
+            assert occupation_states(d, nmax) == _recursive_states(d, nmax), (d, nmax)
+    states = occupation_states(1100, 1)
+    assert len(states) == 1101 and states[-1] == (1,) + (0,) * 1099
+    with pytest.raises(FockError, match="budget"):
+        occupation_states(1000, 30)
+    assert len(occupation_states(3, 30)) == comb(33, 3) <= MAX_STATES
+
+
 def test_single_mode_ladder_entries():
     m = ModeSpace(1, 2)
-    ap, am = ladder_matrices(m)
+    ap, am = bogoliubov_ladder(m)
     want = np.array([[0, 1, 0], [0, 0, math.sqrt(2)], [0, 0, 0]], dtype=complex)
     assert np.allclose(am[0].toarray(), want, atol=0)
     assert np.allclose(ap[0].toarray(), want.T, atol=0)
@@ -136,7 +161,7 @@ def test_number_operator_spectrum_and_shift():
 def test_bogoliubov_fock_point_and_ccr():
     m = ModeSpace(2, 8)
     bp, bm = bogoliubov_ladder(m, BogoliubovSpec.fock(2))
-    ap, am = ladder_matrices(m)
+    ap, am = bogoliubov_ladder(m)
     for j in range(2):
         assert abs(bm[j] - am[j]).max() == 0.0
         assert abs(bp[j] - ap[j]).max() == 0.0
@@ -146,8 +171,8 @@ def test_bogoliubov_fock_point_and_ccr():
         spec = BogoliubovSpec(tuple(rng.uniform(-1, 1) for _ in range(2)))
         v = np.array([rng.uniform(-1, 1) for _ in range(2)])
         w = np.array([rng.uniform(-1, 1) for _ in range(2)])
-        bpv, bmv = bogoliubov_of(m, spec, v)
-        bpw, _ = bogoliubov_of(m, spec, w)
+        bpv, bmv = ladder_of(m, v, spec)
+        bpw, _ = ladder_of(m, w, spec)
         comm = commutator_matrix(bmv, bpw) - float(v @ w) * eye
         assert restricted_norm(m, comm, 2) < 1e-10
 

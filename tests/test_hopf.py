@@ -19,9 +19,11 @@ from ccr_hopf.algebra import (
     pi,
     random_expr,
     unit,
+    word_text,
 )
 from ccr_hopf.hopf import (
     AxiomReport,
+    Failure,
     HopfError,
     HopfSpec,
     TensorExpr,
@@ -39,6 +41,9 @@ from ccr_hopf.hopf import (
     swap_slots,
     tensor_normal_form,
     tensor_of,
+    _co_slot,
+    _covered_letters,
+    _relations,
 )
 from ccr_hopf.scalars import IMAG, KAPPA, ONE, S_PARAM, Scalar, ZERO
 
@@ -267,3 +272,80 @@ def test_sorted_basis_words_strict():
     assert "I^2" not in texts  # idempotent
     assert "phi(0)*pi(0)" in texts
     assert "pi(0)*phi(0)" not in texts  # not sorted
+
+
+# ---------------------------------------------------------------------------
+# The shared sweep against the term-by-term loops it replaced
+
+
+def _reference_checks(h, p, degree, modes=2):
+    """The per-check loops the shared sweep replaced, kept as the oracle:
+    each recomputes Delta(w) and builds the counit and antipode sides
+    term by term from Delta(w)'s terms."""
+    fails = {"coassociativity": [], "counit": [], "antipode": [], "cocommutativity": []}
+    one = Expr.from_word(())
+
+    def record(axiom, witness, res):
+        if not res.is_zero():
+            fails[axiom].append(Failure(witness, str(res), res))
+
+    for w in sorted_basis_words(p, degree, _covered_letters(h, p, modes)):
+        e = Expr.from_word(w)
+        t = coproduct(e, h, p)
+        record("coassociativity", word_text(w),
+               tensor_normal_form(_co_slot(t, 0, h) - _co_slot(t, 1, h), p))
+        eps_l, eps_r, s_l, s_r = Expr.zero(), Expr.zero(), Expr.zero(), Expr.zero()
+        for (w1, w2), c in t.terms.items():
+            eps_l = eps_l + Expr.from_word(w2, c * counit(Expr.from_word(w1), h))
+            eps_r = eps_r + Expr.from_word(w1, c * counit(Expr.from_word(w2), h))
+            s_l = s_l + antipode(Expr.from_word(w1), h, p) * Expr.from_word(w2, c)
+            s_r = s_r + Expr.from_word(w1, c) * antipode(Expr.from_word(w2), h, p)
+        target = normal_form(e, p)
+        for side, val in (("(eps x id)", eps_l), ("(id x eps)", eps_r)):
+            record("counit", f"{side} on {word_text(w)}", normal_form(val - target, p))
+        target = counit(e, h) * one
+        for side, val in (("m(S x id)Delta", s_l), ("m(id x S)Delta", s_r)):
+            record("antipode", f"{side} on {word_text(w)}", normal_form(val - target, p))
+        record("cocommutativity", word_text(w), tensor_normal_form(t - swap_slots(t), p))
+    relations = []
+    for label, L, R in _relations(p, h, modes):
+        dres = tensor_normal_form(coproduct(L, h, p) - coproduct(R, h, p), p)
+        eres = counit(L, h) - counit(R, h)
+        sres = normal_form(antipode(L, h, p) - antipode(R, h, p), p)
+        for name, res in (("Delta", dres), ("eps", eres), ("S", sres)):
+            if not res.is_zero():
+                relations.append(Failure(f"{name} on {label}", str(res), res))
+    return fails, relations
+
+
+_COMPLEX_GRAM = [[1, [0, "1/2"]], [[0, "-1/2"], 2]]
+_SWEEP_CASES = [
+    (h, variant, gram, idempotent)
+    for h, variant in ((CL, "undeformed"), (CL, "deformed-strict"), (DF, "deformed-strict"),
+                       (CL, "deformed-collapsed"), (DF, "deformed-collapsed"))
+    for gram in (None, _COMPLEX_GRAM)
+    # the collapsed variant relies on I*I = I
+    for idempotent in ((True,) if variant == "deformed-collapsed" else (True, False))
+]
+
+
+@pytest.mark.parametrize("h, variant, gram, idempotent", _SWEEP_CASES)
+def test_sweeps_match_term_by_term_loops(h, variant, gram, idempotent):
+    p = Presentation(variant=variant, gram=gram, idempotent_identity=idempotent)
+    checks = {
+        "coassociativity": check_coassociativity,
+        "counit": check_counit,
+        "antipode": check_antipode,
+        "cocommutativity": cocommutativity_probe,
+    }
+    # degree 3 sweeps every normal word of degree 0 to 3
+    want, want_relations = _reference_checks(h, p, 3)
+    for axiom, check in checks.items():
+        got = check(h, p, 3, 2)
+        assert got.axiom == axiom and got.degree == 3
+        assert got.failures == tuple(want[axiom])
+        assert [f.residual for f in got.failures] == [f.residual for f in want[axiom]]
+        assert got.status == ("fail" if want[axiom] else "pass")
+    got = check_respects_relations(h, p, 2)
+    assert got.failures == tuple(want_relations)
+    assert [f.residual for f in got.failures] == [f.residual for f in want_relations]

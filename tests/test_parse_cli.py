@@ -264,6 +264,72 @@ def test_cli_unbounded_arguments_exit_2(capsys, argv, needle):
     assert needle in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("modes", ["0", "-3"])
+def test_cli_respects_relations_without_modes_exits_2(capsys, modes):
+    argv = ["hopf-check", "--checks", "respects-relations", "--modes", modes]
+    code, doc, err = run_cli(capsys, argv)
+    assert code == 2 and doc is None
+    assert "no covered field generators" in err
+
+
+# one command of each family that reads a --gram or --kmat file
+_MATRIX_FILE_COMMANDS = [
+    ["normalize", "phi(0)", "--gram"],
+    ["hopf-check", "--degree", "1", "--gram"],
+    ["fock", "matrices", "--nmax", "1", "--gram"],
+    ["measure", "eta", "--gram"],
+    ["measure", "eta", "--kmat"],
+]
+
+
+@pytest.mark.parametrize("argv", _MATRIX_FILE_COMMANDS)
+@pytest.mark.parametrize("bad", ['"x"', '"1/0"', "[1]", "[0, [1, 2]]"])
+def test_cli_unreadable_matrix_entry_exits_2(tmp_path, capsys, argv, bad):
+    path = tmp_path / "m.json"
+    path.write_text(f"[[1, 0], [0, {bad}]]")
+    code, doc, err = run_cli(capsys, argv + [str(path)])
+    assert code == 2 and doc is None
+    assert "cannot read matrix entry" in err
+
+
+@pytest.mark.parametrize("argv", _MATRIX_FILE_COMMANDS)
+def test_cli_matrix_entries_read_like_a_gram(tmp_path, capsys, argv):
+    # rational strings inside [re, im] pairs, read as Gram reads them
+    path = tmp_path / "m.json"
+    path.write_text('[[1, ["1/2", 0]], [["1/2", "0"], 2]]')
+    code, doc, _ = run_cli(capsys, argv + [str(path)])
+    assert code == 0 and doc["passed"] is True
+
+
+@pytest.mark.parametrize("argv", _MATRIX_FILE_COMMANDS[2:])
+def test_cli_ragged_matrix_file_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "m.json"
+    path.write_text("[[1, 0], [0]]")
+    code, doc, err = run_cli(capsys, argv + [str(path)])
+    assert code == 2 and doc is None
+    assert "must hold a square matrix" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["measure", "pd-check", "--gram"], ["measure", "eta", "--kmat"],
+             ["measure", "cocycle", "--samples", "5", "--kmat"]]
+)
+def test_cli_measure_refuses_complex_matrix(tmp_path, capsys, argv):
+    path = tmp_path / "m.json"
+    path.write_text("[[1, [0, 1]], [[0, -1], 2]]")
+    code, doc, err = run_cli(capsys, argv + [str(path)])
+    assert code == 2 and doc is None
+    assert "nonzero imaginary part" in err
+
+
+def test_cli_many_modes_enumerate_without_recursion(capsys):
+    code, doc, _ = run_cli(capsys, ["fock", "spectrum", "--d", "1100", "--nmax", "1", "--k", "2"])
+    assert code == 0 and doc["results"]["eigenvalues"] == [0.0, 1.0]
+    code, doc, err = run_cli(capsys, ["fock", "trend", "--dvalues", "1,1000"])
+    assert code == 2 and doc is None
+    assert "budget of" in err and "states" in err
+
+
 def test_hopf_check_budget_admits_degree_5_over_2_modes():
     for variant in ("undeformed", "deformed-strict", "deformed-collapsed"):
         p = Presentation(variant=variant)

@@ -109,6 +109,24 @@ def test_fresh_star_import():
     assert json.loads(proc.stdout) == []
 
 
+def test_fresh_measure_import_skips_fock_and_scipy():
+    proc = _python(
+        "import json, sys\n"
+        "import ccr_hopf.measure\n"
+        "print(json.dumps(sorted({'ccr_hopf.fock', 'scipy'} & set(sys.modules))))\n"
+    )
+    assert json.loads(proc.stdout) == []
+
+
+def test_fresh_fock_import_skips_sparse_linalg():
+    proc = _python(
+        "import json, sys\n"
+        "import ccr_hopf.fock\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.sparse.linalg'))))\n"
+    )
+    assert json.loads(proc.stdout) == []
+
+
 @pytest.mark.parametrize(
     "argv", [["fock", "spectrum", "--d", "1", "--nmax", "4"], ["measure", "eta"]]
 )
