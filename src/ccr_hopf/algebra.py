@@ -58,6 +58,7 @@ __all__ = [
     "basis_convert",
     "expand_k",
     "deformation_constant",
+    "deformation_pair",
     "evaluate_numeric",
     "gen_text",
     "word_text",
@@ -116,13 +117,9 @@ def word_text(word) -> str:
 
 
 def _coerce_scalar(x):
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Scalar.rational(x)
     if isinstance(x, complex):
         return Scalar.from_complex(x)
-    return None
+    return Scalar._coerce(x)
 
 
 def _acc(table: dict, key, coeff: Scalar) -> None:
@@ -443,10 +440,9 @@ class Presentation:
             kappa = ONE
             s = s_inv = None
         elif self.q is not None:
-            if self.q <= 0 or self.c <= 0:
-                raise AlgebraError("q and c must be positive")
-            kappa = Scalar.rational(Fraction(deformation_constant(self.q, self.c)))
-            s_frac = Fraction(float(self.q ** (self.c / 2)))
+            constant, scale = deformation_pair(self.q, self.c)
+            kappa = Scalar.rational(Fraction(constant))
+            s_frac = Fraction(scale)
             s = Scalar.rational(s_frac)
             s_inv = Scalar.rational(1 / s_frac)
         else:
@@ -646,23 +642,25 @@ def _walk_rightmost(word, p: Presentation) -> dict:
     return out
 
 
-def _letter_substitution(p: Presentation):
-    """Returns (sub, half_r2): the per-letter K-collapse replacements,
-    empty outside the deformed-collapsed variant, and the factor 1/r2
-    of the basis change."""
-    half_r2 = ONE / R2  # folds to r2/2 exactly
+# the factor 1/r2 of the basis change; it folds to r2/2 exactly
+_HALF_R2 = ONE / R2
+
+
+def _letter_substitution(p: Presentation) -> dict:
+    """The per-letter K-collapse replacements, empty outside the
+    deformed-collapsed variant."""
     sub = {}
     if p.variant == DEFORMED_COLLAPSED:
         one_e = unit()
         sub[GEN_K] = one_e + (p.s_scalar - ONE) * gen_I()
         sub[GEN_KINV] = one_e + (p.s_inv_scalar - ONE) * gen_I()
-    return sub, half_r2
+    return sub
 
 
 def _expand_word(word, p: Presentation) -> Expr:
     """Substitute collapsed K letters and out-of-basis letters, leaving
     a word expression over the presentation's own basis."""
-    sub, half_r2 = _letter_substitution(p)
+    sub = _letter_substitution(p)
     target_field = p.basis == BASIS_FIELD
     out = Expr.from_word(())
     for g in word:
@@ -672,15 +670,15 @@ def _expand_word(word, p: Presentation) -> Expr:
         elif target_field and fam in _LADDER:
             j = g[1]
             if fam == FAM_AP:
-                piece = (phi(j) - IMAG * pi(j)) * half_r2
+                piece = (phi(j) - IMAG * pi(j)) * _HALF_R2
             else:
-                piece = (phi(j) + IMAG * pi(j)) * half_r2
+                piece = (phi(j) + IMAG * pi(j)) * _HALF_R2
         elif not target_field and fam in _FIELD:
             j = g[1]
             if fam == FAM_PHI:
-                piece = (ap(j) + am(j)) * half_r2
+                piece = (ap(j) + am(j)) * _HALF_R2
             else:
-                piece = IMAG * (ap(j) - am(j)) * half_r2
+                piece = IMAG * (ap(j) - am(j)) * _HALF_R2
         else:
             piece = Expr.from_word((g,))
         out = out * piece
@@ -755,14 +753,27 @@ def deformation_constant(q: float, c: float, limit_threshold: float = 1e-8) -> f
     singularity at q = 1 handled by a series branch."""
     q = float(q)
     c = float(c)
-    if q <= 0 or c <= 0:
-        raise AlgebraError("q and c must be positive")
+    if not (0 < q < math.inf and 0 < c < math.inf):
+        raise AlgebraError("q and c must be positive and finite")
     if c == 1.0:
         return 1.0
     t = math.log(q)
     if abs(q - 1.0) <= limit_threshold:
         return 1.0 + t * t * (c * c - 1.0) / 6.0
     return math.sinh(c * t) / (c * math.sinh(t))
+
+
+def deformation_pair(q: float, c: float) -> tuple[float, float]:
+    """(C_{q,c}, q^(c/2)), the numeric values of kappa and s.  Non-positive
+    or non-finite q and c, and a value outside the float range, raise
+    AlgebraError."""
+    try:
+        pair = deformation_constant(q, c), float(q) ** (float(c) / 2.0)
+    except OverflowError:
+        pair = (math.inf, math.inf)
+    if not all(0 < x < math.inf for x in pair):
+        raise AlgebraError(f"C_(q,c) or q^(c/2) leaves the float range at q={q}, c={c}")
+    return pair
 
 
 def evaluate_numeric(e: Expr, assignment: Mapping[str, float] | None = None) -> dict:

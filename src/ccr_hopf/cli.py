@@ -6,7 +6,7 @@ the data while a person watches the progress.  Exit codes: 0 when every
 check in the invocation passed, 1 when a check failed, 2 for usage or
 configuration errors.  CCR_HOPF_SEED in the environment overrides the
 --seed flag of the seeded commands; all randomness flows from that one
-seed.
+seed, which must be a non-negative integer.
 
 The parser is built from one table, ``COMMANDS``, with one row per
 subcommand: its path, help text, function, whether it is seeded, and
@@ -229,8 +229,7 @@ def _cmd_coproduct(args):
 
 
 def _cmd_counit(args):
-    _presentation(args)  # the counit needs no reduction; this validates flags
-    s = counit(parse_expr(args.expr), _flavor(args))
+    s = counit(parse_expr(args.expr), _flavor(args), _presentation(args))
     return {"counit": scalar_json(s), "input": args.expr}, True, f"counit of {args.expr}"
 
 
@@ -621,6 +620,8 @@ def _run(cmd: Command, args) -> int:
             args.seed = int(env)
         except ValueError:
             raise CliError(f"CCR_HOPF_SEED must be an integer, got {env!r}")
+    if cmd.seeded and args.seed < 0:
+        raise CliError(f"the seed must be a non-negative integer, got {args.seed}")
     results, passed, summary = cmd.run(args)
     config = {k.replace("_", "-"): v for k, v in vars(args).items() if k not in ("command", "func")}
     config["format"] = "json"

@@ -26,7 +26,7 @@ from .algebra import (
     UNDEFORMED,
     Expr,
     Presentation,
-    deformation_constant,
+    deformation_pair,
     evaluate_numeric,
 )
 from .scalars import CcrHopfError
@@ -296,9 +296,7 @@ class TransferRep:
 
 
 def transfer_rep(m: ModeSpace, q: float, c: float) -> TransferRep:
-    q = float(q)
-    c = float(c)
-    return TransferRep(m, q, c, deformation_constant(q, c), q ** (c / 2.0))
+    return TransferRep(m, float(q), float(c), *deformation_pair(q, c))
 
 
 def _letter_matrices(m: ModeSpace, constant: float, scale: float) -> dict:
@@ -340,8 +338,7 @@ def expr_matrix(e: Expr, m: ModeSpace, p: Presentation, q=None, c=None):
     elif q is None or c is None:
         raise FockError("numeric q and c are required for a symbolic presentation")
     else:
-        constant = deformation_constant(q, c)
-        scale = float(q) ** (float(c) / 2.0)
+        constant, scale = deformation_pair(q, c)
     mats = _letter_matrices(m, constant, scale)
     eye = mats[(FAM_I, 0)]
     total = csr_matrix((m.dim, m.dim), dtype=complex)

@@ -228,6 +228,16 @@ def _check_flavor_variant(h: HopfSpec, p: Presentation):
         raise HopfError("Hopf structure maps are defined over the phi-pi basis")
 
 
+def _check_input(e: Expr, h: HopfSpec, p: Presentation):
+    """The structure maps' one guard: flavor, variant and basis agree, h
+    covers every letter of e, and e is legal in p."""
+    _check_flavor_variant(h, p)
+    for w in e.terms:
+        for g in w:
+            h._require(g)
+    p.validate_expr(e)
+
+
 def _co_word(word, h: HopfSpec) -> TensorExpr:
     t = TensorExpr.unit(2)
     for g in word:
@@ -243,7 +253,7 @@ def _co_free(e: Expr, h: HopfSpec) -> TensorExpr:
 def coproduct(e: Expr, h: HopfSpec, p: Presentation) -> TensorExpr:
     """Multiplicative extension of the generator coproduct, reduced to
     tensor normal form."""
-    _check_flavor_variant(h, p)
+    _check_input(e, h, p)
     return tensor_normal_form(_co_free(e, h), p)
 
 
@@ -257,8 +267,14 @@ def _eps_word(word, h: HopfSpec) -> Scalar:
     return v
 
 
-def counit(e: Expr, h: HopfSpec) -> Scalar:
+def _eps_free(e: Expr, h: HopfSpec) -> Scalar:
+    """eps on the free algebra: _eps_word extended linearly."""
     return sum((c * _eps_word(w, h) for w, c in e.terms.items()), ZERO)
+
+
+def counit(e: Expr, h: HopfSpec, p: Presentation) -> Scalar:
+    _check_input(e, h, p)
+    return _eps_free(e, h)
 
 
 def _s_word(word, h: HopfSpec) -> Expr:
@@ -272,6 +288,7 @@ def _s_word(word, h: HopfSpec) -> Expr:
 def antipode(e: Expr, h: HopfSpec, p: Presentation) -> Expr:
     """Anti-multiplicative extension of the generator antipode, then
     normal form."""
+    _check_input(e, h, p)
     return normal_form(_s_free(e, h), p)
 
 
@@ -418,7 +435,7 @@ def check_respects_relations(h: HopfSpec, p: Presentation, modes: int = 2) -> Ax
     _check_flavor_variant(h, p)
     failures = []
     for label, L, R in _relations(p, h, modes):
-        for name, free_map in (("Delta", _co_free), ("eps", counit), ("S", _s_free)):
+        for name, free_map in (("Delta", _co_free), ("eps", _eps_free), ("S", _s_free)):
             _record(failures, f"{name} on {label}", free_map(L - R, h), p)
     notes = []
     if any("I*I = I" in f.witness for f in failures):

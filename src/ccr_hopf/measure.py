@@ -46,12 +46,15 @@ class GaussianModel:
         self.d = K.shape[0]
         if self.d == 0:
             raise MeasureError("K must be at least 1 x 1")
-        det = np.linalg.det(K)
-        if abs(det) < 1e-12:
-            raise MeasureError("K must be invertible")
-        self.K = K
-        self.Kinv = np.linalg.inv(K)
-        self.C = K @ K.T
+        if not np.all(np.isfinite(K)):
+            raise MeasureError("K must have finite entries")
+        with np.errstate(over="ignore"):
+            if abs(np.linalg.det(K)) < 1e-12:
+                raise MeasureError("K must be invertible")
+            Kinv, C = np.linalg.inv(K), K @ K.T
+        if not (np.all(np.isfinite(Kinv)) and np.all(np.isfinite(C))):
+            raise MeasureError("K^-1 and the covariance C = K K^T must be finite")
+        self.K, self.Kinv, self.C = K, Kinv, C
         if gram is None:
             self.gram = np.eye(self.d)
         else:

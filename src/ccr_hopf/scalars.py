@@ -150,17 +150,9 @@ def _p_mul(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def _p_scale(a: Poly, c: Coeff, f: Fraction = _F1) -> Poly:
-    if not (c[0] or c[1]):
-        return {}
-    out = {}
-    for m, cc in a.items():
-        v = _c_mul(cc, c)
-        if f is not _F1:
-            v = _c_scale(v, f)
-        if v[0] or v[1]:
-            out[m] = v
-    return out
+def _p_scale(a: Poly, c: Coeff) -> Poly:
+    """a times a nonzero coefficient c."""
+    return {m: _c_mul(cc, c) for m, cc in a.items()}
 
 
 def _p_conj(a: Poly) -> Poly:
@@ -214,48 +206,22 @@ class Scalar:
         if not den:
             raise ZeroDivisionError("scalar with zero denominator")
         if not num:
-            self._num, self._den = {}, dict(_P_ONE)
-            return
-        if len(den) == 1:
-            ((dm, dc),) = den.items()
-            if dm == _UNIT and dc == _C_ONE:
-                self._num, self._den = num, den
-                return
-            inv_m, f = _mono_inv(dm)
-            ci = _c_scale(_c_inv(dc), f)
-            out: Poly = {}
-            for m, c in num.items():
-                mm, f2 = _mono_mul(m, inv_m)
-                v = _c_mul(c, ci)
-                if f2 is not _F1:
-                    v = _c_scale(v, f2)
-                acc = _c_add(out.get(mm, _C_ZERO), v)
-                if acc[0] or acc[1]:
-                    out[mm] = acc
-                else:
-                    out.pop(mm, None)
-            self._num, self._den = out, dict(_P_ONE)
-            return
-        # multi-term denominator: strip common monomial content, then scale
-        # so the denominator's largest monomial has coefficient one.
-        content = _mono_content(list(num) + list(den))
-        if content:
-            inv_m, f = _mono_inv(content)
-
-            def shift(p: Poly) -> Poly:
-                out: Poly = {}
-                for m, c in p.items():
-                    mm, f2 = _mono_mul(m, inv_m)
-                    out[mm] = _c_scale(c, f * f2) if (f is not _F1 or f2 is not _F1) else c
-                return out
-
-            num, den = shift(num), shift(den)
-        lead = max(den)
-        lc = den[lead]
-        if lc != _C_ONE:
-            ci = _c_inv(lc)
-            num = _p_scale(num, ci)
-            den = _p_scale(den, ci)
+            num, den = {}, dict(_P_ONE)
+        elif den != _P_ONE:
+            # one rule for every other denominator: divide both parts by a
+            # unit of the Laurent ring (the denominator itself when it is a
+            # single term, else the common monomial content), then scale so
+            # the denominator's largest monomial has coefficient one.  A
+            # single-term denominator comes out as 1.
+            unit = next(iter(den)) if len(den) == 1 else _mono_content(list(num) + list(den))
+            if unit:
+                inv_m, f = _mono_inv(unit)
+                shift = {inv_m: (f, _F0)}
+                num, den = _p_mul(num, shift), _p_mul(den, shift)
+            lc = den[max(den)]
+            if lc != _C_ONE:
+                ci = _c_inv(lc)
+                num, den = _p_scale(num, ci), _p_scale(den, ci)
         self._num, self._den = num, den
 
     # -- constructors -------------------------------------------------------
@@ -317,14 +283,6 @@ class Scalar:
         if not self.is_constant():
             raise ScalarError("scalar is not constant")
         return self._num.get(_UNIT, _C_ZERO)
-
-    def parameters(self) -> frozenset:
-        names = set()
-        for p in (self._num, self._den):
-            for m in p:
-                for n, _ in m:
-                    names.add(n)
-        return frozenset(names)
 
     # -- ring / field operations ---------------------------------------------
 
@@ -452,11 +410,7 @@ class Scalar:
                     else:
                         kept[name] = e
                 mono, f2 = _exps_normalize(kept)
-                acc = _c_add(out.get(mono, _C_ZERO), _c_scale(c, factor * f2))
-                if acc[0] or acc[1]:
-                    out[mono] = acc
-                else:
-                    out.pop(mono, None)
+                _p_add_into(out, {mono: _c_scale(c, factor * f2)})
             return out
 
         return Scalar(sub(self._num), sub(self._den))
@@ -487,24 +441,19 @@ class Scalar:
     # -- rendering -----------------------------------------------------------
 
     @staticmethod
-    def _frac_str(q: Fraction) -> str:
-        return str(q)
-
-    @classmethod
-    def _coeff_str(cls, c: Coeff) -> tuple[str, bool]:
-        """Return (text, needs_parens_when_multiplied)."""
+    def _coeff_str(c: Coeff) -> str:
         re, im = c
         if not im:
-            return cls._frac_str(re), False
+            return str(re)
         if not re:
             if im == 1:
-                return "i", False
+                return "i"
             if im == -1:
-                return "-i", False
-            return f"{cls._frac_str(im)}*i", False
-        mag = "i" if abs(im) == 1 else f"{cls._frac_str(abs(im))}*i"
+                return "-i"
+            return f"{im}*i"
+        mag = "i" if abs(im) == 1 else f"{abs(im)}*i"
         sign = " + " if im > 0 else " - "
-        return f"({cls._frac_str(re)}{sign}{mag})", False
+        return f"({re}{sign}{mag})"
 
     @staticmethod
     def _mono_str(m: Mono) -> str:
@@ -518,7 +467,7 @@ class Scalar:
         pieces = []
         for m in sorted(p):
             c = p[m]
-            ctext, _ = cls._coeff_str(c)
+            ctext = cls._coeff_str(c)
             mtext = cls._mono_str(m)
             if not mtext:
                 term = ctext
@@ -540,9 +489,6 @@ class Scalar:
         return f"Scalar({self})"
 
     # -- structured form (used by the report layer) ---------------------------
-
-    def terms(self) -> list[tuple[Mono, Coeff]]:
-        return sorted(self._num.items())
 
     def denominator_terms(self) -> list[tuple[Mono, Coeff]] | None:
         if self._den == _P_ONE:

@@ -21,6 +21,7 @@ from ccr_hopf.algebra import (
     basis_convert,
     commutator,
     deformation_constant,
+    deformation_pair,
     evaluate_numeric,
     expand_k,
     gen_I,
@@ -186,6 +187,23 @@ def test_deformation_constant_values():
         deformation_constant(-1.0, 2.0)
     with pytest.raises(AlgebraError):
         deformation_constant(2.0, 0.0)
+
+
+def test_deformation_pair_values():
+    for q, c in ((1.7, 2.3), (0.4, 1.0), (3.0, 0.25)):
+        assert deformation_pair(q, c) == (deformation_constant(q, c), q ** (c / 2))
+
+
+@pytest.mark.parametrize(
+    "q, c",
+    [(math.nan, 1.0), (2.0, math.nan), (math.inf, 1.0), (2.0, math.inf), (1e300, 2.0),
+     (1e-300, 3.0), (0.0, 1.0), (2.0, -1.0)],
+)
+def test_deformation_pair_refuses_unusable_values(q, c):
+    with pytest.raises(AlgebraError):
+        deformation_pair(q, c)
+    with pytest.raises(AlgebraError):
+        Presentation(variant="deformed-strict", q=q, c=c)
 
 
 def test_deformation_constant_special_cases():

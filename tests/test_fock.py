@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from ccr_hopf.algebra import Presentation, adjoint, normal_form, random_expr
+from ccr_hopf.algebra import AlgebraError, Presentation, adjoint, normal_form, phi, random_expr
 from ccr_hopf.fock import (
     BogoliubovSpec,
     MAX_STATES,
@@ -489,3 +489,12 @@ def test_gram_validation():
         ModeSpace(2, 3, gram=np.eye(3))
     with pytest.raises(FockError):
         ModeSpace(0, 3)
+
+
+@pytest.mark.parametrize("q, c", [(math.nan, 1.0), (1.5, math.nan), (math.inf, 0.8), (1e300, 2.0)])
+def test_transfer_refuses_unusable_deformation(q, c):
+    m = ModeSpace(1, 2)
+    with pytest.raises(AlgebraError):
+        transfer_rep(m, q, c)
+    with pytest.raises(AlgebraError):
+        expr_matrix(phi(0), m, Presentation(variant="deformed-strict"), q=q, c=c)

@@ -74,11 +74,11 @@ def test_coproduct_product_word():
 
 
 def test_counit_values():
-    assert counit(phi(0), CL).is_zero()
-    assert counit(unit(), CL).is_one()
-    assert counit(phi(0) * pi(1) + Scalar.rational(3) * unit(), CL) == Scalar.rational(3)
-    assert counit(gen_K(), DF).is_one()
-    assert counit(gen_K() * phi(0), DF).is_zero()
+    assert counit(phi(0), CL, P_UND).is_zero()
+    assert counit(unit(), CL, P_UND).is_one()
+    assert counit(phi(0) * pi(1) + Scalar.rational(3) * unit(), CL, P_UND) == Scalar.rational(3)
+    assert counit(gen_K(), DF, P_DEF).is_one()
+    assert counit(gen_K() * phi(0), DF, P_DEF).is_zero()
 
 
 def test_antipode_values():
@@ -211,7 +211,7 @@ def test_antipode_coalgebra_compatibility():
     # eps(S(w)) = eps(w) and Delta(S(w)) = (S x S)(tau(Delta(w)))
     for w in sorted_basis_words(P_FREE, 3, [(0, 0), (3, 0), (3, 1), (4, 0), (4, 1)]):
         e = Expr.from_word(w)
-        assert counit(antipode(e, CL, P_FREE), CL) == counit(e, CL)
+        assert counit(antipode(e, CL, P_FREE), CL, P_FREE) == counit(e, CL, P_FREE)
         lhs = coproduct(antipode(e, CL, P_FREE), CL, P_FREE)
         rhs = antipode_tensor(swap_slots(coproduct(e, CL, P_FREE)), CL, P_FREE)
         assert tensor_normal_form(lhs - rhs, P_FREE).is_zero()
@@ -296,21 +296,21 @@ def _reference_checks(h, p, degree, modes=2):
                tensor_normal_form(_co_slot(t, 0, h) - _co_slot(t, 1, h), p))
         eps_l, eps_r, s_l, s_r = Expr.zero(), Expr.zero(), Expr.zero(), Expr.zero()
         for (w1, w2), c in t.terms.items():
-            eps_l = eps_l + Expr.from_word(w2, c * counit(Expr.from_word(w1), h))
-            eps_r = eps_r + Expr.from_word(w1, c * counit(Expr.from_word(w2), h))
+            eps_l = eps_l + Expr.from_word(w2, c * counit(Expr.from_word(w1), h, p))
+            eps_r = eps_r + Expr.from_word(w1, c * counit(Expr.from_word(w2), h, p))
             s_l = s_l + antipode(Expr.from_word(w1), h, p) * Expr.from_word(w2, c)
             s_r = s_r + Expr.from_word(w1, c) * antipode(Expr.from_word(w2), h, p)
         target = normal_form(e, p)
         for side, val in (("(eps x id)", eps_l), ("(id x eps)", eps_r)):
             record("counit", f"{side} on {word_text(w)}", normal_form(val - target, p))
-        target = counit(e, h) * one
+        target = counit(e, h, p) * one
         for side, val in (("m(S x id)Delta", s_l), ("m(id x S)Delta", s_r)):
             record("antipode", f"{side} on {word_text(w)}", normal_form(val - target, p))
         record("cocommutativity", word_text(w), tensor_normal_form(t - swap_slots(t), p))
     relations = []
     for label, L, R in _relations(p, h, modes):
         dres = tensor_normal_form(coproduct(L, h, p) - coproduct(R, h, p), p)
-        eres = counit(L, h) - counit(R, h)
+        eres = counit(L, h, p) - counit(R, h, p)
         sres = normal_form(antipode(L, h, p) - antipode(R, h, p), p)
         for name, res in (("Delta", dres), ("eps", eres), ("S", sres)):
             if not res.is_zero():

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -267,3 +268,12 @@ def test_hermite_cross_check():
     diffs = hermite_matrix_check(nmax=10)
     assert diffs["phi"] < 1e-10
     assert diffs["pi"] < 1e-10
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, 1e200])
+def test_model_refuses_non_finite_matrices(k):
+    # a NaN or infinite K, and a K whose covariance K K^T overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeasureError):
+            GaussianModel(np.diag([k, 1.0]))

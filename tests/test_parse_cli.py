@@ -3,6 +3,8 @@ import math
 import random
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -359,6 +361,78 @@ def test_cli_fock_genfun_check(capsys):
     r = doc["results"]
     assert abs(r["value_re"] - r["expected"]) <= r["tolerance"]
     assert r["error"] < 1e-8
+
+
+def _one_refusal(code, doc, err) -> bool:
+    """Exit 2, no report, and stderr holding one "ccr-hopf:" line."""
+    lines = err.splitlines()
+    return code == 2 and doc is None and len(lines) == 1 and lines[0].startswith("ccr-hopf: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normalize", "phi(0)", "--variant", "deformed"],
+        ["commutator", "phi(0)", "pi(0)", "--variant", "deformed"],
+        ["hopf-check", "--degree", "1", "--flavor", "deformed", "--variant", "deformed"],
+        ["fock", "transfer", "--nmax", "2"],
+    ],
+)
+@pytest.mark.parametrize(
+    "qc", [["--q", "nan", "--c", "1"], ["--q", "2", "--c", "nan"], ["--q", "inf", "--c", "1"],
+           ["--q", "1e300", "--c", "2"]],
+)
+def test_cli_unusable_deformation_exits_2(capsys, argv, qc):
+    assert _one_refusal(*run_cli(capsys, argv + qc))
+
+
+@pytest.mark.parametrize("scale", ["nan", "1e-200"])
+@pytest.mark.parametrize("sub", ["cocycle", "eta", "bochner", "weyl", "pd-check"])
+def test_cli_measure_refuses_non_finite_model(capsys, sub, scale):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would reach stderr
+        code, doc, err = run_cli(capsys, ["measure", sub, "--scale", scale])
+    assert _one_refusal(code, doc, err) and "finite" in err
+
+
+_SEEDED = [
+    ["hopf-check", "--degree", "1"],
+    ["fock", "transfer", "--nmax", "2"],
+    ["measure", "cocycle", "--samples", "5"],
+    ["measure", "eta"],
+    ["measure", "bochner", "--samples", "100"],
+    ["measure", "weyl", "--count", "5"],
+    ["measure", "pd-check", "--count", "2"],
+    ["selftest"],
+]
+
+
+@pytest.mark.parametrize("argv", _SEEDED)
+def test_cli_negative_seed_exits_2(capsys, monkeypatch, argv):
+    code, doc, err = run_cli(capsys, argv + ["--seed", "-1"])
+    assert _one_refusal(code, doc, err) and "non-negative" in err
+    monkeypatch.setenv("CCR_HOPF_SEED", "-5")
+    code, doc, err = run_cli(capsys, argv)
+    assert _one_refusal(code, doc, err) and "non-negative" in err
+
+
+_GRAM2 = str(Path(__file__).resolve().parent / "golden" / "gram2.json")
+
+
+@pytest.mark.parametrize("hopf_map", ["coproduct", "counit", "antipode"])
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["phi(0)", "--basis", "ladder"], "phi-pi basis"),
+        (["K*phi(0)", "--flavor", "deformed", "--variant", "undeformed"], "use a deformed variant"),
+        (["phi(0)", "--flavor", "deformed", "--variant", "undeformed"], "use a deformed variant"),
+        (["phi(5)", "--gram", _GRAM2], "mode index 5 outside the 2-mode gram"),
+        (["K*phi(0)"], "generator K is not covered by the classical structure maps"),
+    ],
+)
+def test_cli_structure_maps_share_one_guard(capsys, hopf_map, argv, needle):
+    code, doc, err = run_cli(capsys, [hopf_map] + argv)
+    assert _one_refusal(code, doc, err) and needle in err
 
 
 def test_cli_env_seed_override(capsys, monkeypatch):

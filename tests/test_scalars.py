@@ -8,6 +8,11 @@ from fractions import Fraction
 import pytest
 
 from ccr_hopf.scalars import (
+    _C_ONE,
+    _C_ZERO,
+    _F1,
+    _P_ONE,
+    _UNIT,
     IMAG,
     KAPPA,
     ONE,
@@ -16,6 +21,13 @@ from ccr_hopf.scalars import (
     ZERO,
     Scalar,
     ScalarError,
+    _c_add,
+    _c_inv,
+    _c_mul,
+    _c_scale,
+    _mono_content,
+    _mono_inv,
+    _mono_mul,
 )
 
 
@@ -176,3 +188,117 @@ def test_str_deterministic():
     assert str(-ONE) == "-1"
     assert str(IMAG) == "i"
     assert "kappa" in str(KAPPA)
+
+
+def _reference_init(self, num, den=None):
+    """The three-branch constructor that preceded the one normalisation
+    rule, kept as the oracle for it: a unit denominator is stored as
+    given, a one-term denominator is folded into the numerator by its own
+    loop, and a multi-term one is shifted by the common monomial content
+    and scaled to a monic largest monomial."""
+    if den is None:
+        den = _P_ONE
+    if not den:
+        raise ZeroDivisionError("scalar with zero denominator")
+    if not num:
+        self._num, self._den = {}, dict(_P_ONE)
+        return
+    if len(den) == 1:
+        ((dm, dc),) = den.items()
+        if dm == _UNIT and dc == _C_ONE:
+            self._num, self._den = num, den
+            return
+        inv_m, f = _mono_inv(dm)
+        ci = _c_scale(_c_inv(dc), f)
+        out = {}
+        for m, c in num.items():
+            mm, f2 = _mono_mul(m, inv_m)
+            v = _c_mul(c, ci)
+            if f2 is not _F1:
+                v = _c_scale(v, f2)
+            acc = _c_add(out.get(mm, _C_ZERO), v)
+            if acc[0] or acc[1]:
+                out[mm] = acc
+            else:
+                out.pop(mm, None)
+        self._num, self._den = out, dict(_P_ONE)
+        return
+    content = _mono_content(list(num) + list(den))
+    if content:
+        inv_m, f = _mono_inv(content)
+
+        def shift(p):
+            out = {}
+            for m, c in p.items():
+                mm, f2 = _mono_mul(m, inv_m)
+                out[mm] = _c_scale(c, f * f2) if (f is not _F1 or f2 is not _F1) else c
+            return out
+
+        num, den = shift(num), shift(den)
+    lc = den[max(den)]
+    if lc != _C_ONE:
+        ci = _c_inv(lc)
+        num = {m: v for m, v in ((m, _c_mul(c, ci)) for m, c in num.items()) if v[0] or v[1]}
+        den = {m: v for m, v in ((m, _c_mul(c, ci)) for m, c in den.items()) if v[0] or v[1]}
+    self._num, self._den = num, den
+
+
+def _quotient_chain(seed: int) -> list:
+    """Every intermediate of a seeded chain of + - * / over parameters,
+    r2, i and Gaussian rationals; divisors are often two- or three-term
+    sums, so multi-term denominators with Gaussian lead coefficients
+    arise as well as one-term ones."""
+    rng = random.Random(seed)
+    fixed = [IMAG, R2, KAPPA, S_PARAM, S_PARAM ** -1, Scalar.param("x"), R2 * IMAG * KAPPA]
+
+    def atom():
+        if rng.random() < 0.25:
+            return Scalar.rational(Fraction(rng.randint(-4, 4), rng.randint(1, 5)),
+                                   Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+        return rng.choice(fixed)
+
+    def operand():
+        b = atom()
+        for _ in range(rng.choice((0, 0, 1))):
+            b = b + atom() * atom()
+        return b
+
+    acc, out = operand(), []
+    for _ in range(rng.randint(1, 3)):
+        b = operand()
+        op = rng.randrange(4)
+        if op == 0:
+            acc = acc + b
+        elif op == 1:
+            acc = acc - b
+        elif op == 2:
+            acc = acc * b
+        elif not b.is_zero():
+            acc = acc / b
+        out.append(acc)
+    return out
+
+
+def test_constructor_matches_three_branch_reference(monkeypatch):
+    seen = {"one-term r2 or i": 0, "multi-term": 0, "gaussian lead": 0}
+    init = Scalar.__init__
+
+    def tally(self, num, den=None):
+        if den is not None and den != _P_ONE and num:
+            if len(den) > 1:
+                seen["multi-term"] += 1
+            elif any(n == "r2" for n, _ in next(iter(den))) or next(iter(den.values()))[1]:
+                seen["one-term r2 or i"] += 1
+            if den[max(den)][1]:
+                seen["gaussian lead"] += 1
+        init(self, num, den)
+
+    seeds = range(2000)
+    monkeypatch.setattr(Scalar, "__init__", _reference_init)
+    want = [[(x._num, x._den, list(x._num), list(x._den), str(x)) for x in _quotient_chain(n)]
+            for n in seeds]
+    monkeypatch.setattr(Scalar, "__init__", tally)
+    got = [[(x._num, x._den, list(x._num), list(x._den), str(x)) for x in _quotient_chain(n)]
+           for n in seeds]
+    assert got == want
+    assert min(seen.values()) >= 200, seen
