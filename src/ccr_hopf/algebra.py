@@ -11,10 +11,15 @@ Words are reduced against a fixed generator order
     I < K < Kinv < phi(0) < phi(1) < ... < pi(0) < pi(1) < ...
     I < K < Kinv < ap(0)  < ap(1)  < ... < am(0) < am(1) < ...
 
-by adjacent transpositions.  The only order-violating pairs that pick up
-a correction term are pi(j)phi(k) and am(j)ap(k); every swap either
+as a reduction system in Bergman's sense: one rule per adjacent pair
+that is out of order, plus the contractions I*I -> I and K*Kinv -> 1
+where the presentation has them.  The only swaps that pick up a
+correction term are pi(j)phi(k) and am(j)ap(k); every rule either
 preserves degree and lowers the inversion count or strictly lowers the
-degree, so reduction terminates.
+degree, so reduction terminates.  Letters outside the presentation (the
+collapsed K, Kinv and the other basis's pair) are first replaced by
+their expansion over its own letters.  Each presentation memoizes both
+tables: _pair_rule decides every pair and _letter_piece every letter.
 
 Two engines apply these rules.  The default ``leftmost`` schedule is the
 memoized insertion engine: it inserts a word's letters right to left
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .scalars import IMAG, KAPPA, ONE, R2, S_PARAM, ZERO, CcrHopfError, Scalar, signed_join
+from .scalars import IMAG, KAPPA, ONE, R2, S_PARAM, ZERO, CcrHopfError, Scalar
 
 __all__ = [
     "AlgebraError",
@@ -282,24 +287,9 @@ class Expr(_SparseSum):
         return Expr({w: f(c) for w, c in self.terms.items()})
 
     def __str__(self):
-        parts = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            c = self.terms[w]
-            wt = word_text(w)
-            if c.is_one():
-                t = wt
-            elif (-c).is_one():
-                t = f"-{wt}"
-            elif c.is_constant() and not c.constant_value()[1] and w:
-                t = f"{c}*{wt}"
-            elif w:
-                t = f"({c})*{wt}"
-            else:
-                cs = str(c)
-                t = cs if ("+" not in cs[1:] and "-" not in cs[1:]) else f"({cs})"
-                t = f"{t}*one"
-            parts.append(t)
-        return signed_join(parts)
+        from .exprparse import expr_to_text
+
+        return expr_to_text(self)
 
 
 def phi(j: int) -> Expr:
@@ -376,10 +366,6 @@ class Gram:
         self._rows = rows
 
     @property
-    def is_delta(self) -> bool:
-        return self._rows is None
-
-    @property
     def size(self):
         return None if self._rows is None else len(self._rows)
 
@@ -391,9 +377,6 @@ class Gram:
                 f"mode index {max(j, k)} outside the {len(self._rows)}-mode gram"
             )
         return self._rows[j][k]
-
-    def to_complex(self, j: int, k: int) -> complex:
-        return self.scalar(j, k).to_complex()
 
 
 # ---------------------------------------------------------------------------
@@ -450,23 +433,15 @@ class Presentation:
         object.__setattr__(self, "_kappa", kappa)
         object.__setattr__(self, "_s", s)
         object.__setattr__(self, "_s_inv", s_inv)
+        # the rewrite tables (see _pair_rule and _letter_piece) and the
+        # memoized normal forms of words
+        object.__setattr__(self, "_rules", {})
+        object.__setattr__(self, "_pieces", {})
         object.__setattr__(self, "_nf_cache", {})
 
     @property
     def kappa_scalar(self) -> Scalar:
         return self._kappa
-
-    @property
-    def s_scalar(self) -> Scalar:
-        if self._s is None:
-            raise AlgebraError("undeformed presentation has no s")
-        return self._s
-
-    @property
-    def s_inv_scalar(self) -> Scalar:
-        if self._s_inv is None:
-            raise AlgebraError("undeformed presentation has no s")
-        return self._s_inv
 
     def gram_scalar(self, j: int, k: int) -> Scalar:
         return self.gram.scalar(j, k)
@@ -503,54 +478,56 @@ class Presentation:
 
 
 # ---------------------------------------------------------------------------
-# Rewrite engines (see the module docstring); both take every rewrite
-# step through _apply_redex, the single rule table.
+# Rewrite engines (see the module docstring).  Both read the rule table
+# of _pair_rule and take every rewrite step through _apply_redex.
+
+
+def _pair_rule(g1, g2, p: Presentation) -> tuple:
+    """The rule for the adjacent pair g1, g2 over p, memoized in
+    ``p._rules``: () when the pair is normal, otherwise the
+    (letters, multiplier) pairs whose sum replaces it."""
+    rule = p._rules.get((g1, g2))
+    if rule is not None:
+        return rule
+    f1, f2 = g1[0], g2[0]
+    if f1 == FAM_I and f2 == FAM_I:
+        rule = (((GEN_I,), ONE),) if p.idempotent_identity else ()
+    elif p.variant == DEFORMED_STRICT and {f1, f2} == {FAM_K, FAM_KINV}:
+        rule = (((), ONE),)
+    elif not g1 > g2:
+        rule = ()
+    elif f1 in _CENTRAL or f2 in _CENTRAL or f1 == f2:
+        rule = (((g2, g1), ONE),)
+    elif (f1, f2) in ((FAM_PI, FAM_PHI), (FAM_AM, FAM_AP)):
+        g = p.gram_scalar(g1[1], g2[1])
+        rule = (((g2, g1), ONE),)
+        if not g.is_zero():
+            m = -IMAG * g * p.kappa_scalar if f1 == FAM_PI else g * p.kappa_scalar
+            rule += (((GEN_I,), m),)
+    else:
+        raise AlgebraError(f"no rewrite for adjacent pair {gen_text(g1)},{gen_text(g2)}")
+    p._rules[g1, g2] = rule
+    return rule
 
 
 def _find_redex(word, p: Presentation, positions):
     """First position i in ``positions`` at which the pair word[i],
     word[i+1] has a rewrite rule, or None."""
-    strict = p.variant == DEFORMED_STRICT
-    idem = p.idempotent_identity
+    rules = p._rules
     for i in positions:
-        g1, g2 = word[i], word[i + 1]
-        f1, f2 = g1[0], g2[0]
-        if f1 == FAM_I and f2 == FAM_I:
-            if idem:
-                return i
-            continue
-        if strict and ((f1 == FAM_K and f2 == FAM_KINV) or (f1 == FAM_KINV and f2 == FAM_K)):
-            return i
-        if g1 > g2:
+        pair = word[i : i + 2]
+        rule = rules.get(pair)
+        if rule is None:
+            rule = _pair_rule(*pair, p)
+        if rule:
             return i
     return None
 
 
 def _apply_redex(word, i: int, p: Presentation):
     """One rewrite step at position i; returns [(word, multiplier)]."""
-    g1, g2 = word[i], word[i + 1]
-    f1, f2 = g1[0], g2[0]
     head, tail = word[:i], word[i + 2 :]
-    if f1 == FAM_I and f2 == FAM_I:
-        return [(head + (GEN_I,) + tail, ONE)]
-    if (f1 == FAM_K and f2 == FAM_KINV) or (f1 == FAM_KINV and f2 == FAM_K):
-        return [(head + tail, ONE)]
-    swapped = head + (g2, g1) + tail
-    if f1 in _CENTRAL or f2 in _CENTRAL or f1 == f2:
-        return [(swapped, ONE)]
-    if f1 == FAM_PI and f2 == FAM_PHI:
-        g = p.gram_scalar(g1[1], g2[1])
-        out = [(swapped, ONE)]
-        if not g.is_zero():
-            out.append((head + (GEN_I,) + tail, -IMAG * g * p.kappa_scalar))
-        return out
-    if f1 == FAM_AM and f2 == FAM_AP:
-        g = p.gram_scalar(g1[1], g2[1])
-        out = [(swapped, ONE)]
-        if not g.is_zero():
-            out.append((head + (GEN_I,) + tail, g * p.kappa_scalar))
-        return out
-    raise AlgebraError(f"no rewrite for adjacent pair {gen_text(g1)},{gen_text(g2)}")
+    return [(head + letters + tail, m) for letters, m in _pair_rule(word[i], word[i + 1], p)]
 
 
 def _fold(prefix, partial: dict, p: Presentation):
@@ -566,7 +543,7 @@ def _fold(prefix, partial: dict, p: Presentation):
         nxt = {}
         for v, c in partial.items():
             hv = (h,) + v
-            if not v or _find_redex(hv, p, (0,)) is None:
+            if not v or not _pair_rule(h, v[0], p):
                 _acc(nxt, hv, c)
                 continue
             sub = cache.get(hv)
@@ -646,54 +623,38 @@ def _walk_rightmost(word, p: Presentation) -> dict:
 _HALF_R2 = ONE / R2
 
 
-def _letter_substitution(p: Presentation) -> dict:
-    """The per-letter K-collapse replacements, empty outside the
-    deformed-collapsed variant."""
-    sub = {}
-    if p.variant == DEFORMED_COLLAPSED:
-        one_e = unit()
-        sub[GEN_K] = one_e + (p.s_scalar - ONE) * gen_I()
-        sub[GEN_KINV] = one_e + (p.s_inv_scalar - ONE) * gen_I()
-    return sub
+def _letter_piece(g, p: Presentation):
+    """What the letter g stands for over p's own letters, memoized in
+    ``p._pieces``: K = 1 + (s-1) I and Kinv = 1 + (1/s-1) I in the
+    deformed-collapsed variant, the basis change for a letter of the other
+    basis, and None for a letter of p itself."""
+    pieces = p._pieces
+    if g in pieces:
+        return pieces[g]
+    fam, j = g
+    piece = None
+    if p.variant == DEFORMED_COLLAPSED and fam in (FAM_K, FAM_KINV):
+        s = p._s if fam == FAM_K else p._s_inv
+        piece = unit() + (s - ONE) * gen_I()
+    elif p.basis == BASIS_FIELD and fam in _LADDER:
+        sign = -IMAG if fam == FAM_AP else IMAG
+        piece = (phi(j) + sign * pi(j)) * _HALF_R2
+    elif p.basis == BASIS_LADDER and fam == FAM_PHI:
+        piece = (ap(j) + am(j)) * _HALF_R2
+    elif p.basis == BASIS_LADDER and fam == FAM_PI:
+        piece = IMAG * (ap(j) - am(j)) * _HALF_R2
+    pieces[g] = piece
+    return piece
 
 
 def _expand_word(word, p: Presentation) -> Expr:
-    """Substitute collapsed K letters and out-of-basis letters, leaving
-    a word expression over the presentation's own basis."""
-    sub = _letter_substitution(p)
-    target_field = p.basis == BASIS_FIELD
-    out = Expr.from_word(())
+    """The product of the letters' pieces: a word expression over the
+    presentation's own letters."""
+    out = unit()
     for g in word:
-        fam = g[0]
-        if g in sub:
-            piece = sub[g]
-        elif target_field and fam in _LADDER:
-            j = g[1]
-            if fam == FAM_AP:
-                piece = (phi(j) - IMAG * pi(j)) * _HALF_R2
-            else:
-                piece = (phi(j) + IMAG * pi(j)) * _HALF_R2
-        elif not target_field and fam in _FIELD:
-            j = g[1]
-            if fam == FAM_PHI:
-                piece = (ap(j) + am(j)) * _HALF_R2
-            else:
-                piece = IMAG * (ap(j) - am(j)) * _HALF_R2
-        else:
-            piece = Expr.from_word((g,))
-        out = out * piece
+        piece = _letter_piece(g, p)
+        out = out * (Expr.from_word((g,)) if piece is None else piece)
     return out
-
-
-def _needs_expansion(word, p: Presentation) -> bool:
-    collapse = p.variant == DEFORMED_COLLAPSED
-    alien = _LADDER if p.basis == BASIS_FIELD else _FIELD
-    for g in word:
-        if g[0] in alien:
-            return True
-        if collapse and g[0] in (FAM_K, FAM_KINV):
-            return True
-    return False
 
 
 def normal_form(e: Expr, p: Presentation, schedule: str = "leftmost") -> Expr:
@@ -707,7 +668,7 @@ def normal_form(e: Expr, p: Presentation, schedule: str = "leftmost") -> Expr:
     if schedule not in ("leftmost", "rightmost"):
         raise AlgebraError(f"unknown schedule {schedule!r}")
     p.validate_expr(e)
-    if any(_needs_expansion(w, p) for w in e.terms):
+    if any(_letter_piece(g, p) is not None for w in e.terms for g in w):
         e = e._linear(lambda w: _expand_word(w, p).terms)
     reduce = _reduce_word if schedule == "leftmost" else _walk_rightmost
     return e._linear(lambda w: reduce(w, p))
@@ -748,7 +709,7 @@ def expand_k(e: Expr, p: Presentation) -> Expr:
     return normal_form(e, p)
 
 
-def deformation_constant(q: float, c: float, limit_threshold: float = 1e-8) -> float:
+def deformation_constant(q: float, c: float) -> float:
     """C_{q,c} = (q^c - q^-c) / (c (q - 1/q)), with the removable
     singularity at q = 1 handled by a series branch."""
     q = float(q)
@@ -758,7 +719,7 @@ def deformation_constant(q: float, c: float, limit_threshold: float = 1e-8) -> f
     if c == 1.0:
         return 1.0
     t = math.log(q)
-    if abs(q - 1.0) <= limit_threshold:
+    if abs(q - 1.0) <= 1e-8:
         return 1.0 + t * t * (c * c - 1.0) / 6.0
     return math.sinh(c * t) / (c * math.sinh(t))
 
@@ -813,27 +774,14 @@ def random_word(rng: random.Random, p: Presentation, max_degree: int, modes: int
     return tuple(rng.choice(letters) for _ in range(n))
 
 
-def random_expr(
-    rng: random.Random,
-    p: Presentation,
-    max_degree: int,
-    modes: int,
-    nterms: int = 3,
-    coeff_pool=None,
-) -> Expr:
-    if coeff_pool is None:
-        coeff_pool = [
-            ONE,
-            -ONE,
-            IMAG,
-            -IMAG,
-            Scalar.rational(Fraction(1, 2)),
-            Scalar.rational(2),
-            R2,
-            ONE + IMAG,
-        ]
+_COEFF_POOL = (ONE, -ONE, IMAG, -IMAG, Scalar.rational(Fraction(1, 2)), Scalar.rational(2), R2,
+               ONE + IMAG)
+
+
+def random_expr(rng: random.Random, p: Presentation, max_degree: int, modes: int,
+                nterms: int = 3) -> Expr:
     e = Expr.zero()
     for _ in range(rng.randint(1, nterms)):
         w = random_word(rng, p, max_degree, modes)
-        e = e + Expr.from_word(w, rng.choice(coeff_pool))
+        e = e + Expr.from_word(w, rng.choice(_COEFF_POOL))
     return e

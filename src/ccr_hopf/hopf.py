@@ -43,6 +43,8 @@ from .algebra import (
     UNDEFORMED,
     Expr,
     Presentation,
+    _letter_piece,
+    _pair_rule,
     _SparseSum,
     gen_text,
     legal_letters,
@@ -370,21 +372,24 @@ def _covered_letters(h: HopfSpec, p: Presentation, modes: int) -> list:
 
 def sorted_basis_words(p: Presentation, max_degree: int, letters) -> list:
     """All normal-form words of degree <= max_degree over the letters,
-    in a stable order (the empty word first)."""
+    in a stable order (the empty word first).  A letter that p expands
+    (a collapsed K, a letter of the other basis) is in no normal word.  A
+    normal word w extended by a letter g >= w[-1] stays normal unless the
+    pair w[-1], g has a rule, so no candidate is normal-ordered."""
     letters = sorted(letters)
+    if max_degree > 0:
+        p.validate_expr(Expr.from_word(letters))
+    letters = [g for g in letters if _letter_piece(g, p) is None]
     words = [()]
     level = [()]
     for _ in range(max_degree):
-        nxt = []
-        for w in level:
-            start = letters.index(w[-1]) if w else 0
-            for g in letters[start:]:
-                w2 = w + (g,)
-                nf = normal_form(Expr.from_word(w2), p)
-                if list(nf.terms) == [w2] and nf.terms[w2].is_one():
-                    nxt.append(w2)
-        words.extend(nxt)
-        level = nxt
+        level = [
+            w + (g,)
+            for w in level
+            for g in letters[letters.index(w[-1]) if w else 0 :]
+            if not (w and _pair_rule(w[-1], g, p))
+        ]
+        words.extend(level)
     return words
 
 

@@ -143,15 +143,14 @@ def cocycle_sweep(model: GaussianModel, rng, count: int) -> tuple:
     return worst_c, worst_r
 
 
-def eta(model: GaussianModel, v, u, alpha0: float = 1e-2, levels: int = 6) -> float:
+def eta(model: GaussianModel, v, u) -> float:
     """Richardson-extrapolated limit of (a(alpha v, u) - 1)/alpha as
-    alpha -> 0; converges to -<Cv,u>/2."""
-    if levels < 1:
-        raise MeasureError("need at least one extrapolation level")
+    alpha -> 0 over six halvings from alpha = 1e-2; converges to
+    -<Cv,u>/2."""
     v = np.asarray(v, dtype=float)
     table = []
-    for i in range(levels):
-        a = alpha0 * 2.0 ** (-i)
+    for i in range(6):
+        a = 1e-2 * 2.0 ** (-i)
         row = [(cocycle(model, a * v, u) - 1.0) / a]
         for j in range(1, i + 1):
             w = 2.0 ** j
@@ -482,16 +481,16 @@ def weyl_compose(g: WeylElement, h: WeylElement, gram=None) -> WeylElement:
 # ---------------------------------------------------------------------------
 # Hermite cross-check against the matrix picture
 
-def hermite_matrix_check(nmax: int = 10, nodes: int = 64) -> dict:
+def hermite_matrix_check(nmax: int = 10) -> dict:
     """Matrix elements of phi and pi in the orthonormal Hermite basis of
     the d=1 Fock-point measure, computed by Gauss-Hermite quadrature, versus
     the ladder-matrix construction.  Returns the max absolute deviations."""
     from .fock import ModeSpace, phi_pi_matrices
 
-    x, w = np.polynomial.hermite.hermgauss(nodes)
+    x, w = np.polynomial.hermite.hermgauss(64)
     w = w / math.sqrt(math.pi)
     # orthonormal for weight exp(-x^2)/sqrt(pi): h_{n+1} = (sqrt2 x h_n - sqrt(n) h_{n-1})/sqrt(n+1)
-    h = np.zeros((nmax + 1, nodes))
+    h = np.zeros((nmax + 1, len(x)))
     h[0] = 1.0
     if nmax >= 1:
         h[1] = ROOT2 * x

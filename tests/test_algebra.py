@@ -9,6 +9,11 @@ from fractions import Fraction
 import pytest
 
 from ccr_hopf.algebra import (
+    FAM_AM,
+    FAM_AP,
+    FAM_PHI,
+    FAM_PI,
+    GEN_I,
     GEN_K,
     GEN_KINV,
     AlgebraError,
@@ -27,13 +32,17 @@ from ccr_hopf.algebra import (
     gen_I,
     gen_K,
     gen_Kinv,
+    legal_letter_count,
     normal_form,
     phi,
     pi,
     random_expr,
     random_word,
     unit,
+    _letter_piece,
+    _pair_rule,
 )
+from ccr_hopf.hopf import HopfSpec, check_antipode, check_coassociativity
 from ccr_hopf.scalars import IMAG, KAPPA, ONE, R2, S_PARAM, Scalar
 
 P_UND = Presentation()
@@ -359,3 +368,69 @@ def test_expr_printing_stable():
     assert str(unit()) == "one"
     assert "phi(0)" in str(phi(0))
     assert str(ap(1) * ap(1)) == "ap(1)^2"
+
+
+# ---------------------------------------------------------------------------
+# The per-presentation rule tables
+
+
+def test_pair_rules():
+    p = Presentation(variant="deformed-strict")
+    ph0, pi0, ph1 = (FAM_PHI, 0), (FAM_PI, 0), (FAM_PHI, 1)
+    assert _pair_rule(ph0, pi0, p) == ()
+    assert _pair_rule(ph1, ph0, p) == (((ph0, ph1), ONE),)
+    assert _pair_rule(pi0, ph1, p) == (((ph1, pi0), ONE),)
+    assert _pair_rule(pi0, ph0, p) == (((ph0, pi0), ONE), ((GEN_I,), -IMAG * KAPPA))
+    assert _pair_rule((FAM_AM, 0), (FAM_AP, 0), P_DEF_LAD)[1] == ((GEN_I,), KAPPA)
+    assert _pair_rule(GEN_I, GEN_I, p) == (((GEN_I,), ONE),)
+    assert _pair_rule(GEN_I, GEN_I, Presentation(idempotent_identity=False)) == ()
+    assert _pair_rule(GEN_KINV, GEN_K, p) == _pair_rule(GEN_K, GEN_KINV, p) == (((), ONE),)
+    with pytest.raises(AlgebraError, match="no rewrite"):
+        _pair_rule((FAM_AP, 0), ph0, p)
+
+
+def test_letter_pieces():
+    assert _letter_piece((FAM_PHI, 0), P_UND) is None
+    assert _letter_piece(GEN_K, P_DEF) is None
+    assert _letter_piece(GEN_K, P_COL) == unit() + (S_PARAM - ONE) * gen_I()
+    assert _letter_piece(GEN_KINV, P_COL) == unit() + (S_PARAM ** -1 - ONE) * gen_I()
+    assert _letter_piece((FAM_AP, 1), P_UND) == (phi(1) - IMAG * pi(1)) * (ONE / R2)
+    assert _letter_piece((FAM_PI, 1), P_LAD) == IMAG * (ap(1) - am(1)) * (ONE / R2)
+    assert _letter_piece((FAM_AM, 1), P_LAD) is None
+
+
+@pytest.mark.parametrize("variant", ["undeformed", "deformed-strict", "deformed-collapsed"])
+def test_rule_tables_stay_within_the_letters(variant):
+    # the tables are keyed by letter pairs and letters, so a sweep over
+    # n letters leaves at most n^2 rules and n pieces however many words
+    # it reduces
+    p = Presentation(variant=variant, gram=[[1, ["1/2", "1/3"]], [["1/2", "-1/3"], 2]])
+    h = HopfSpec.classical() if variant == "undeformed" else HopfSpec.deformed()
+    check_coassociativity(h, p, degree=3, modes=2)
+    check_antipode(h, p, degree=3, modes=2)
+    n = legal_letter_count(p, 2)
+    assert len(p._nf_cache) > n * n
+    assert 0 < len(p._rules) <= n * n
+    assert 0 < len(p._pieces) <= n
+
+
+def test_rule_tables_are_per_presentation():
+    # presentations that differ only in the gram or in (q, c) must not
+    # share a CCR multiplier
+    g1 = [[1, ["1/2", "1/3"]], [["1/2", "-1/3"], 2]]
+    g2 = [[1, "1/4"], ["1/4", 3]]
+    pair = ((FAM_PI, 0), (FAM_PHI, 1))
+    ps = [
+        Presentation(variant="deformed-strict", gram=g1),
+        Presentation(variant="deformed-strict", gram=g2),
+        Presentation(variant="deformed-strict", gram=g1, q=1.5, c=2.0),
+        Presentation(variant="deformed-strict", gram=g1, q=0.5, c=3.0),
+    ]
+    mults = []
+    for p in ps:
+        swap, (letters, m) = _pair_rule(*pair, p)
+        assert letters == (GEN_I,)
+        assert m == -IMAG * p.gram_scalar(0, 1) * p.kappa_scalar
+        mults.append(m)
+        assert normal_form(pi(0) * phi(1), p) == phi(1) * pi(0) + m * gen_I()
+    assert len({str(m) for m in mults}) == len(ps)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -308,6 +309,12 @@ def test_generating_function_fock():
         assert b < a or b < 1e-12
 
 
+def test_generating_function_overflow_is_a_fock_error():
+    # scipy's step-count estimate overflows at this |v|
+    with pytest.raises(FockError, match="too large"):
+        vacuum_generating_function(ModeSpace(1, 10), np.array([1e300]))
+
+
 def test_generating_function_bogoliubov_quadrature():
     # oracle: the ground-state distribution is exp(-u^2)/sqrt(pi) in these
     # units, and squeezing scales the field by exp(r), so Z is a direct
@@ -342,6 +349,23 @@ def test_transfer_commutator_and_identity_points():
         rep = transfer_rep(m, q, c)
         assert abs(rep.pi(v) - plain[1]).max() < 1e-15
         assert abs(rep.phi(v) - plain[0]).max() == 0.0
+
+
+def test_transfer_residual_stays_sparse():
+    # one dense dim x dim complex matrix at dim 2556 takes 105 MB
+    m = ModeSpace(2, 70)
+    assert m.dim >= 2500
+    rep = transfer_rep(m, 1.5, 2.0)
+    v, w = np.array([0.3, -0.7]), np.array([0.5, 0.2])
+    transfer_residual(m, rep, v, w)  # first-use imports stay out of the peak
+    tracemalloc.start()
+    try:
+        res = transfer_residual(m, rep, v, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res < 1e-12
+    assert peak < 32e6
 
 
 def test_expr_matrix_functor_property():

@@ -8,12 +8,14 @@ import random
 import pytest
 
 from ccr_hopf.algebra import (
+    AlgebraError,
     Expr,
     Presentation,
     am,
     gen_I,
     gen_K,
     gen_Kinv,
+    legal_letters,
     normal_form,
     phi,
     pi,
@@ -272,6 +274,56 @@ def test_sorted_basis_words_strict():
     assert "I^2" not in texts  # idempotent
     assert "phi(0)*pi(0)" in texts
     assert "pi(0)*phi(0)" not in texts  # not sorted
+
+
+def _normal_words_reference(p, max_degree, letters):
+    """The filter sorted_basis_words replaced, kept as the oracle: every
+    sorted candidate word is normal-ordered and kept when it is its own
+    normal form."""
+    letters = sorted(letters)
+    words = [()]
+    level = [()]
+    for _ in range(max_degree):
+        nxt = []
+        for w in level:
+            start = letters.index(w[-1]) if w else 0
+            for g in letters[start:]:
+                w2 = w + (g,)
+                nf = normal_form(Expr.from_word(w2), p)
+                if list(nf.terms) == [w2] and nf.terms[w2].is_one():
+                    nxt.append(w2)
+        words.extend(nxt)
+        level = nxt
+    return words
+
+
+# the collapsed variant requires I*I = I, so it has no non-idempotent case
+@pytest.mark.parametrize(
+    "variant, idempotent",
+    [("undeformed", True), ("undeformed", False), ("deformed-strict", True),
+     ("deformed-strict", False), ("deformed-collapsed", True)],
+)
+@pytest.mark.parametrize("gram", [None, [[1, ["1/2", "1/3"]], [["1/2", "-1/3"], 2]]])
+def test_sorted_basis_words_match_normal_form_filter(variant, idempotent, gram):
+    p = Presentation(variant=variant, idempotent_identity=idempotent, gram=gram)
+    for h in (CL, DF):
+        for modes in (1, 2):
+            # every legal letter the flavor covers, the collapsed K and Kinv
+            # (never normal there) included
+            letters = [g for g in legal_letters(p, modes) if h.covers(g)]
+            for degree in range(5):
+                want = _normal_words_reference(p, degree, letters)
+                assert sorted_basis_words(p, degree, letters) == want
+
+
+def test_sorted_basis_words_check_their_letters():
+    with pytest.raises(AlgebraError, match="not legal"):
+        sorted_basis_words(P_UND, 1, [(0, 0), (1, 0), (3, 0)])
+    p = Presentation(gram=[[1]])
+    with pytest.raises(AlgebraError, match="outside the 1-mode gram"):
+        sorted_basis_words(p, 2, [(3, 0), (3, 1)])
+    # ladder letters over the phi-pi basis are never normal words
+    assert sorted_basis_words(P_UND, 2, [(3, 0), (5, 0)]) == [(), ((3, 0),), ((3, 0), (3, 0))]
 
 
 # ---------------------------------------------------------------------------

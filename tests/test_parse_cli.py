@@ -14,7 +14,9 @@ from ccr_hopf.algebra import (
     legal_letter_count,
     legal_letters,
     normal_form,
+    phi,
     random_expr,
+    unit,
 )
 from ccr_hopf.cli import MAX_CHECK_WORDS, main
 from ccr_hopf.exprparse import ParseError, expr_to_text, parse_expr, scalar_text
@@ -85,6 +87,24 @@ def test_round_trip_random():
         e = random_expr(rng, p, max_degree=4, modes=3)
         for cand in (e, normal_form(e, p), adjoint(e)):
             assert parse_expr(expr_to_text(cand)) == cand
+
+
+def test_expr_str_round_trips():
+    # str(e) is the grammar's text form, denominators included
+    rng = random.Random(4242)
+    p = Presentation(variant="deformed-strict")
+    scalars = [
+        IMAG,
+        KAPPA,
+        Scalar.rational(3, 4),
+        (Scalar.one() + S_PARAM).inverse(),
+        KAPPA * (S_PARAM ** 2 - IMAG).inverse(),
+    ]
+    for _ in range(120):
+        e = random_expr(rng, p, max_degree=3, modes=2)
+        e = e * rng.choice(scalars) + random_expr(rng, p, max_degree=2, modes=2)
+        assert parse_expr(str(e)) == e
+    assert str(IMAG * phi(0) + 2 * unit()) == "2 + i*phi(0)"
 
 
 def test_scalar_text_rational_function():
@@ -227,6 +247,12 @@ def test_cli_non_finite_vector_exits_2(capsys):
     code, doc, err = run_cli(capsys, ["fock", "genfun", "--v", "nan"])
     assert code == 2 and doc is None
     assert "non-finite" in err
+
+
+def test_cli_overflowing_generating_function_exits_2(capsys):
+    code, doc, err = run_cli(capsys, ["fock", "genfun", "--v", "1e300"])
+    assert code == 2 and doc is None
+    assert err.startswith("ccr-hopf: ") and err.count("\n") == 1
 
 
 def test_cli_overflowing_squeezing_exits_2(capsys):
