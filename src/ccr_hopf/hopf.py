@@ -19,12 +19,26 @@ cocommutativity probe share one sweep, _sweep: it computes Delta(w) for
 every normal word w and reduces and records the residuals that each
 check's own map derives from it.  The relation check records its
 Delta/eps/S residuals through the same reduce-and-record step.
+
+Reduced coproducts are built from prefixes.  Slot-wise normal form is
+the quotient map from the free tensor square onto A (x) A, an algebra
+homomorphism, so nf(Delta(u v)) = nf(nf(Delta(u)) nf(Delta(v))) for any
+Delta on free words, whether or not Delta respects the relations.
+_co_nf cuts a word where an adjacent pair has a rule: a redex-free run
+grows letter by letter from its reduced prefix, and the head and the
+last run are joined and reduced once.  Each result is memoized in a
+dict owned by one top-level call (coproduct, one _sweep or one
+check_multiplicativity) and dropped when it returns; the presentation
+never holds it, so a caller that keeps a presentation alive keeps no
+coproducts.  A sweep takes each word's Delta, and the Delta of every
+slot word for coassociativity, from its memo.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import product
 
 from .algebra import (
     BASIS_FIELD,
@@ -43,8 +57,10 @@ from .algebra import (
     UNDEFORMED,
     Expr,
     Presentation,
+    _acc,
     _letter_piece,
     _pair_rule,
+    _reduce_word,
     _SparseSum,
     gen_text,
     legal_letters,
@@ -151,10 +167,36 @@ def swap_slots(t: TensorExpr) -> TensorExpr:
 
 
 def tensor_normal_form(t: TensorExpr, p: Presentation) -> TensorExpr:
-    """Per-slot reduction with bilinear recombination."""
-    return t._linear(
-        lambda words: tensor_of(*(normal_form(Expr.from_word(w), p) for w in words)).terms
-    )
+    """Per-slot reduction with bilinear recombination.  The distinct
+    letters are validated once; a slot word holding a letter that p
+    expands (see algebra._letter_piece) goes through normal_form, any
+    other through the memoized word reducer."""
+    letters = tuple(dict.fromkeys(g for k in t.terms for w in k for g in w))
+    p.validate_expr(Expr.from_word(letters))
+    pieces = frozenset(g for g in letters if _letter_piece(g, p) is not None)
+    return t._like(_reduce_slots(t.terms, p, pieces))
+
+
+def _reduce_slots(terms: dict, p: Presentation, pieces=frozenset()) -> dict:
+    """tensor_normal_form on a key -> coefficient mapping whose letters are
+    legal in p; pieces holds the letters among them that p expands."""
+    out = {}
+    for k, c in terms.items():
+        forms = [
+            normal_form(Expr.from_word(w), p).terms
+            if pieces and not pieces.isdisjoint(w) else _reduce_word(w, p)
+            for w in k
+        ]
+        if all(map(dict.__contains__, forms, k)):
+            # every slot is normal already: a normal word is its own form
+            _acc(out, k, c)
+            continue
+        for combo in product(*(f.items() for f in forms)):
+            m = ONE
+            for _, cw in combo:
+                m = m * cw
+            _acc(out, tuple(w for w, _ in combo), c * m)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +294,46 @@ def _co_free(e: Expr, h: HopfSpec) -> TensorExpr:
     return e._linear(lambda w: _co_word(w, h).terms, TensorExpr.zero(2))
 
 
+def _co_nf(word, h: HopfSpec, p: Presentation, memo: dict) -> TensorExpr:
+    """The tensor normal form of Delta(word), memoized in memo, a dict that
+    one top-level call owns (see the module docstring).  A word is cut at
+    its last pair that has a rule, and a redex-free word before its last
+    letter; the two parts' forms are multiplied and reduced once, so a run
+    grows letter by letter, nf(Delta(u g)) = nf(nf(Delta(u)) nf(Delta(g))),
+    and runs join once.  The words still to build wait on an explicit
+    stack, so no word is too long for the recursion limit."""
+    stack = [word]
+    while stack:
+        w = stack[-1]
+        if w in memo:
+            stack.pop()
+        elif len(w) <= 1:
+            memo[w] = (tensor_normal_form(h.delta_gen(w[0]), p) if w
+                       else TensorExpr.unit(2))
+            stack.pop()
+        else:
+            cut = next((i for i in range(len(w) - 1, 0, -1) if _pair_rule(w[i - 1], w[i], p)),
+                       len(w) - 1)
+            head, run = w[:cut], w[cut:]
+            missing = [u for u in (head, run) if u not in memo]
+            if missing:
+                stack += missing
+            else:
+                memo[w] = TensorExpr(2)._like(_reduce_slots((memo[head] * memo[run]).terms, p))
+                stack.pop()
+    return memo[word]
+
+
+def _co_expr(e: Expr, h: HopfSpec, p: Presentation, memo: dict) -> TensorExpr:
+    """_co_nf extended linearly; e must have passed _check_input."""
+    return e._linear(lambda w: _co_nf(w, h, p, memo).terms, TensorExpr.zero(2))
+
+
 def coproduct(e: Expr, h: HopfSpec, p: Presentation) -> TensorExpr:
     """Multiplicative extension of the generator coproduct, reduced to
     tensor normal form."""
     _check_input(e, h, p)
-    return tensor_normal_form(_co_free(e, h), p)
+    return _co_expr(e, h, p, {})
 
 
 def _eps_word(word, h: HopfSpec) -> Scalar:
@@ -348,12 +425,14 @@ def _record(failures: list, witness: str, residual, p: Presentation):
 
 def _sweep(axiom: str, h: HopfSpec, p: Presentation, degree: int, modes: int, residuals):
     """The bounded-degree check shared by the axioms: for every normal word
-    w of degree <= degree over the covered letters, residuals(w, Delta(w))
-    yields (witness, residual) pairs, each reduced and recorded in turn."""
+    w of degree <= degree over the covered letters, residuals(w, Delta(w),
+    memo) yields (witness, residual) pairs, each reduced and recorded in
+    turn.  memo is the sweep's own _co_nf memo."""
     _check_flavor_variant(h, p)
     failures = []
+    memo = {}
     for w in sorted_basis_words(p, degree, _covered_letters(h, p, modes)):
-        for witness, residual in residuals(w, coproduct(Expr.from_word(w), h, p)):
+        for witness, residual in residuals(w, _co_nf(w, h, p, memo), memo):
             _record(failures, witness, residual, p)
     return _report(axiom, degree, failures)
 
@@ -451,10 +530,12 @@ def check_respects_relations(h: HopfSpec, p: Presentation, modes: int = 2) -> Ax
     return _report("respects-relations", None, failures, notes)
 
 
-def _co_slot(t: TensorExpr, slot: int, h: HopfSpec) -> TensorExpr:
-    """(Delta (x) id) t for slot 0 and (id (x) Delta) t for slot 1."""
+def _co_slot(t: TensorExpr, slot: int, h: HopfSpec, p: Presentation, memo: dict) -> TensorExpr:
+    """(Delta (x) id) t for slot 0 and (id (x) Delta) t for slot 1, with
+    Delta reduced through _co_nf."""
     return t._linear(
-        lambda k: {k[:slot] + u + k[slot + 1 :]: c for u, c in _co_word(k[slot], h).terms.items()},
+        lambda k: {k[:slot] + u + k[slot + 1 :]: c
+                   for u, c in _co_nf(k[slot], h, p, memo).terms.items()},
         TensorExpr.zero(3),
     )
 
@@ -462,12 +543,14 @@ def _co_slot(t: TensorExpr, slot: int, h: HopfSpec) -> TensorExpr:
 def check_coassociativity(
     h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2
 ) -> AxiomReport:
-    return _sweep("coassociativity", h, p, degree, modes,
-                  lambda w, t: [(word_text(w), _co_slot(t, 0, h) - _co_slot(t, 1, h))])
+    def residuals(w, t, memo):
+        yield word_text(w), _co_slot(t, 0, h, p, memo) - _co_slot(t, 1, h, p, memo)
+
+    return _sweep("coassociativity", h, p, degree, modes, residuals)
 
 
 def check_counit(h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2) -> AxiomReport:
-    def residuals(w, t):
+    def residuals(w, t, _memo):
         e = Expr.from_word(w)
         left = t._linear(lambda k: {k[1]: _eps_word(k[0], h)}, Expr.zero())
         right = t._linear(lambda k: {k[0]: _eps_word(k[1], h)}, Expr.zero())
@@ -478,7 +561,7 @@ def check_counit(h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2) 
 
 
 def check_antipode(h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2) -> AxiomReport:
-    def residuals(w, t):
+    def residuals(w, t, _memo):
         one = Expr.from_word(())
         left = t._linear(lambda k: (_s_word(k[0], h) * Expr.from_word(k[1])).terms, one)
         right = t._linear(lambda k: (Expr.from_word(k[0]) * _s_word(k[1], h)).terms, one)
@@ -493,7 +576,7 @@ def cocommutativity_probe(
     h: HopfSpec, p: Presentation, degree: int = 2, modes: int = 2
 ) -> AxiomReport:
     return _sweep("cocommutativity", h, p, degree, modes,
-                  lambda w, t: [(word_text(w), t - swap_slots(t))])
+                  lambda w, t, _memo: [(word_text(w), t - swap_slots(t))])
 
 
 def check_multiplicativity(
@@ -513,6 +596,12 @@ def check_multiplicativity(
     rng = random.Random(seed)
     pool = [ONE, -ONE, IMAG, Scalar.rational(2), Scalar.rational(1, 1)]
     failures = []
+    memo = {}  # shared by the trials' coproducts
+
+    def co(e):
+        _check_input(e, h, p)
+        return _co_expr(e, h, p, memo)
+
     for trial in range(trials):
         def rand_expr():
             e = Expr.zero()
@@ -523,9 +612,7 @@ def check_multiplicativity(
             return e
 
         x, y = rand_expr(), rand_expr()
-        res = tensor_normal_form(
-            coproduct(x * y, h, p) - coproduct(x, h, p) * coproduct(y, h, p), p
-        )
+        res = tensor_normal_form(co(x * y) - co(x) * co(y), p)
         if not res.is_zero():
             failures.append(Failure(f"trial {trial}: x={x}; y={y}", str(res), res))
     return _report("multiplicativity", degree, failures)
