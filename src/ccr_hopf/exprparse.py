@@ -59,9 +59,11 @@ def _tokenize(text: str):
     return tokens
 
 
-def _number(text: str) -> Fraction:
+def _number(text: str, pos: int) -> Fraction:
     if "/" in text:
         p, q = text.split("/")
+        if not int(q):
+            raise ParseError(f"zero denominator in {text!r}", pos)
         return Fraction(int(p), int(q))
     return Fraction(text)
 
@@ -141,7 +143,7 @@ class _Parser:
     def atom(self) -> Expr:
         kind, text, pos = self.next()
         if kind == "number":
-            return unit() * Scalar.rational(_number(text))
+            return unit() * Scalar.rational(_number(text, pos))
         if kind == "name":
             if text in _SCALAR_NAMES:
                 return unit() * _SCALAR_NAMES[text]

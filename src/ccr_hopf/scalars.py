@@ -17,13 +17,23 @@ other than 1 only appear when a caller divides by a genuinely multi-term
 scalar.  Zero-testing is emptiness of the numerator and equality is decided
 by cross multiplication; both are exact.  No floating point enters unless
 :meth:`Scalar.to_complex` is called.
+
+A Gaussian rational is a pair ``(re, im)`` whose parts are each an ``int``
+when integral and a ``Fraction`` only when the denominator exceeds 1 (never
+a ``bool`` or a ``float``).  Nearly every coefficient the algebra meets is
+an integer, and ``int`` arithmetic skips the gcd that every ``Fraction``
+operation pays.  The invariant holds because parts enter only through
+:func:`_part` and every helper below that can turn a ``Fraction`` integral
+(a sum, a product, an inverse) passes its result through :func:`_q`.  Both
+kinds print, compare and hash alike (``str(3) == str(Fraction(3))``), so
+output does not depend on which one a part is.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Tuple
+from typing import Iterable, Mapping, Tuple, Union
 
 __all__ = [
     "Scalar",
@@ -37,13 +47,12 @@ __all__ = [
     "ROOT2_NAME",
 ]
 
-Coeff = Tuple[Fraction, Fraction]  # re + im*i
+Part = Union[int, Fraction]  # an int unless a true fraction
+Coeff = Tuple[Part, Part]  # re + im*i
 Mono = Tuple[Tuple[str, int], ...]  # sorted by parameter name, exponents != 0
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-_C_ZERO: Coeff = (_F0, _F0)
-_C_ONE: Coeff = (_F1, _F0)
+_C_ZERO: Coeff = (0, 0)
+_C_ONE: Coeff = (1, 0)
 _UNIT: Mono = ()
 
 ROOT2_NAME = "r2"
@@ -62,8 +71,19 @@ class ScalarError(CcrHopfError):
 # Gaussian-rational helpers
 
 
+def _q(x: Part) -> Part:
+    """x with an integral Fraction demoted to its int."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def _part(x) -> Part:
+    """x as a part; x is anything ``Fraction()`` takes (an int or bool, a
+    Fraction, decimal text, a float by its exact binary value)."""
+    return x if type(x) is int else _q(Fraction(x))
+
+
 def _c_add(a: Coeff, b: Coeff) -> Coeff:
-    return (a[0] + b[0], a[1] + b[1])
+    return _q(a[0] + b[0]), _q(a[1] + b[1])
 
 
 def _c_neg(a: Coeff) -> Coeff:
@@ -71,11 +91,13 @@ def _c_neg(a: Coeff) -> Coeff:
 
 
 def _c_mul(a: Coeff, b: Coeff) -> Coeff:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+    a0, a1 = a
+    b0, b1 = b
+    return _q(a0 * b0 - a1 * b1), _q(a0 * b1 + a1 * b0)
 
 
-def _c_scale(a: Coeff, q: Fraction) -> Coeff:
-    return (a[0] * q, a[1] * q)
+def _c_scale(a: Coeff, q: Part) -> Coeff:
+    return _q(a[0] * q), _q(a[1] * q)
 
 
 def _c_conj(a: Coeff) -> Coeff:
@@ -86,7 +108,8 @@ def _c_inv(a: Coeff) -> Coeff:
     n = a[0] * a[0] + a[1] * a[1]
     if not n:
         raise ZeroDivisionError("inverse of zero coefficient")
-    return (a[0] / n, -a[1] / n)
+    # through Fraction: int / int would be a float
+    return _q(Fraction(a[0], n)), _q(Fraction(-a[1], n))
 
 
 # ---------------------------------------------------------------------------
@@ -94,27 +117,29 @@ def _c_inv(a: Coeff) -> Coeff:
 # can emit a rational side factor.
 
 
-def _exps_normalize(exps: dict) -> tuple[Mono, Fraction]:
-    factor = _F1
+def _exps_normalize(exps: dict) -> tuple[Mono, Part]:
+    factor = 1
     e = exps.get(ROOT2_NAME)
     if e is not None:
         exps[ROOT2_NAME] = e % 2
-        factor = Fraction(2) ** (e // 2)
+        k = e // 2
+        if k:
+            factor = 2 ** k if k > 0 else Fraction(1, 2 ** -k)
     return tuple(sorted((n, x) for n, x in exps.items() if x)), factor
 
 
-def _mono_mul(m1: Mono, m2: Mono) -> tuple[Mono, Fraction]:
+def _mono_mul(m1: Mono, m2: Mono) -> tuple[Mono, Part]:
     if not m1:
-        return m2, _F1
+        return m2, 1
     if not m2:
-        return m1, _F1
+        return m1, 1
     exps = dict(m1)
     for name, e in m2:
         exps[name] = exps.get(name, 0) + e
     return _exps_normalize(exps)
 
 
-def _mono_inv(m: Mono) -> tuple[Mono, Fraction]:
+def _mono_inv(m: Mono) -> tuple[Mono, Part]:
     return _exps_normalize({n: -e for n, e in m})
 
 
@@ -140,7 +165,7 @@ def _p_mul(a: Poly, b: Poly) -> Poly:
         for m2, c2 in b.items():
             m, f = _mono_mul(m1, m2)
             c = _c_mul(c1, c2)
-            if f is not _F1:
+            if f != 1:
                 c = _c_scale(c, f)
             acc = _c_add(out.get(m, _C_ZERO), c)
             if acc[0] or acc[1]:
@@ -216,7 +241,7 @@ class Scalar:
             unit = next(iter(den)) if len(den) == 1 else _mono_content(list(num) + list(den))
             if unit:
                 inv_m, f = _mono_inv(unit)
-                shift = {inv_m: (f, _F0)}
+                shift = {inv_m: (f, 0)}
                 num, den = _p_mul(num, shift), _p_mul(den, shift)
             lc = den[max(den)]
             if lc != _C_ONE:
@@ -236,11 +261,11 @@ class Scalar:
 
     @classmethod
     def i(cls) -> "Scalar":
-        return cls({_UNIT: (_F0, _F1)})
+        return cls({_UNIT: (0, 1)})
 
     @classmethod
     def rational(cls, re, im=0) -> "Scalar":
-        re, im = Fraction(re), Fraction(im)
+        re, im = _part(re), _part(im)
         if not (re or im):
             return cls({})
         return cls({_UNIT: (re, im)})
@@ -250,13 +275,13 @@ class Scalar:
         if not name.isidentifier():
             raise ScalarError(f"bad parameter name {name!r}")
         mono, f = _exps_normalize({name: exp})
-        return cls({mono: (f, _F0)})
+        return cls({mono: (f, 0)})
 
     @classmethod
     def from_complex(cls, z: complex) -> "Scalar":
         """Exact embedding of a complex float (binary rationals)."""
         z = complex(z)
-        return cls.rational(Fraction(z.real), Fraction(z.imag))
+        return cls.rational(z.real, z.imag)
 
     # -- coercion ------------------------------------------------------------
 
@@ -279,7 +304,7 @@ class Scalar:
     def is_constant(self) -> bool:
         return (not self._num or set(self._num) == {_UNIT}) and self._den == _P_ONE
 
-    def constant_value(self) -> tuple[Fraction, Fraction]:
+    def constant_value(self) -> Coeff:
         if not self.is_constant():
             raise ScalarError("scalar is not constant")
         return self._num.get(_UNIT, _C_ZERO)
@@ -402,7 +427,7 @@ class Scalar:
         def sub(p: Poly) -> Poly:
             out: Poly = {}
             for m, c in p.items():
-                factor = _F1
+                factor = 1
                 kept = {}
                 for name, e in m:
                     if name in assignment:

@@ -412,6 +412,13 @@ def test_cli_unusable_deformation_exits_2(capsys, argv, qc):
     assert _one_refusal(*run_cli(capsys, argv + qc))
 
 
+@pytest.mark.parametrize("text", ["1/0*phi(0)", "0/0*phi(0)", "phi(0) + 3/0"])
+def test_cli_zero_denominator_literal_exits_2(capsys, text):
+    code, doc, err = run_cli(capsys, ["normalize", text])
+    assert _one_refusal(code, doc, err) and "zero denominator" in err
+    assert f"position {text.index('/') - 1}" in err
+
+
 @pytest.mark.parametrize("scale", ["nan", "1e-200"])
 @pytest.mark.parametrize("sub", ["cocycle", "eta", "bochner", "weyl", "pd-check"])
 def test_cli_measure_refuses_non_finite_model(capsys, sub, scale):

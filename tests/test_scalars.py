@@ -6,11 +6,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ccr_hopf import scalars
+from ccr_hopf.reports import scalar_json
 from ccr_hopf.scalars import (
     _C_ONE,
     _C_ZERO,
-    _F1,
     _P_ONE,
     _UNIT,
     IMAG,
@@ -214,7 +217,7 @@ def _reference_init(self, num, den=None):
         for m, c in num.items():
             mm, f2 = _mono_mul(m, inv_m)
             v = _c_mul(c, ci)
-            if f2 is not _F1:
+            if f2 != 1:
                 v = _c_scale(v, f2)
             acc = _c_add(out.get(mm, _C_ZERO), v)
             if acc[0] or acc[1]:
@@ -231,7 +234,7 @@ def _reference_init(self, num, den=None):
             out = {}
             for m, c in p.items():
                 mm, f2 = _mono_mul(m, inv_m)
-                out[mm] = _c_scale(c, f * f2) if (f is not _F1 or f2 is not _F1) else c
+                out[mm] = _c_scale(c, f * f2) if (f != 1 or f2 != 1) else c
             return out
 
         num, den = shift(num), shift(den)
@@ -302,3 +305,127 @@ def test_constructor_matches_three_branch_reference(monkeypatch):
            for n in seeds]
     assert got == want
     assert min(seen.values()) >= 200, seen
+
+
+def _is_part(x) -> bool:
+    """The part invariant: an int, or a Fraction that is a true fraction;
+    never a bool or a float."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def _parts_ok(x: Scalar) -> bool:
+    return all(_is_part(v) for p in (x._num, x._den) for c in p.values() for v in c)
+
+
+# The Fraction-pair helpers that preceded integer-first parts, kept as the
+# oracle for them: every part they return is a Fraction, integral or not,
+# whatever kind of part they are given.
+
+def _ref_c_add(a, b):
+    return (Fraction(a[0]) + b[0], Fraction(a[1]) + b[1])
+
+
+def _ref_c_neg(a):
+    return (-Fraction(a[0]), -Fraction(a[1]))
+
+
+def _ref_c_mul(a, b):
+    a0, a1, b0, b1 = (Fraction(x) for x in (*a, *b))
+    return (a0 * b0 - a1 * b1, a0 * b1 + a1 * b0)
+
+
+def _ref_c_scale(a, q):
+    return (Fraction(a[0]) * q, Fraction(a[1]) * q)
+
+
+def _ref_c_conj(a):
+    return (Fraction(a[0]), -Fraction(a[1]))
+
+
+def _ref_c_inv(a):
+    re, im = Fraction(a[0]), Fraction(a[1])
+    n = re * re + im * im
+    if not n:
+        raise ZeroDivisionError("inverse of zero coefficient")
+    return (re / n, -im / n)
+
+
+def _ref_exps_normalize(exps):
+    factor = Fraction(1)
+    e = exps.get("r2")
+    if e is not None:
+        exps["r2"] = e % 2
+        factor = Fraction(2) ** (e // 2)
+    return tuple(sorted((n, x) for n, x in exps.items() if x)), factor
+
+
+def _ref_rational(cls, re, im=0):
+    re, im = Fraction(re), Fraction(im)
+    if not (re or im):
+        return cls({})
+    return cls({_UNIT: (re, im)})
+
+
+def test_integer_first_parts_match_fraction_pair_reference(monkeypatch):
+    seeds = range(2000)
+    with monkeypatch.context() as m:
+        for name in ("c_add", "c_neg", "c_mul", "c_scale", "c_conj", "c_inv", "exps_normalize"):
+            m.setattr(scalars, f"_{name}", globals()[f"_ref_{name}"])
+        m.setattr(Scalar, "rational", classmethod(_ref_rational))
+        want = [[(str(x), scalar_json(x)) for x in _quotient_chain(n)] for n in seeds]
+    got, fractions = [], 0
+    for n in seeds:
+        chain = _quotient_chain(n)
+        assert all(_parts_ok(x) for x in chain), n
+        fractions += sum(type(v) is Fraction for x in chain for c in x._num.values() for v in c)
+        got.append([(str(x), scalar_json(x)) for x in chain])
+    assert got == want
+    assert fractions >= 1000  # true fractions are kept, not only integers
+
+
+def test_entry_points_keep_part_invariant():
+    made = [
+        Scalar.rational(True, False),
+        Scalar.rational(Fraction(4, 2), "3/1"),
+        Scalar.rational(0.5, "1.25"),
+        Scalar.from_complex(2.0 - 0.5j),
+        Scalar.param("r2", -3),
+        Scalar.param("r2", 4),
+        (KAPPA ** 2 * R2 + S_PARAM).substitute({"kappa": Fraction(4, 2), "s": 0.5}),
+        (ONE + IMAG).inverse(),
+        Scalar.rational(Fraction(2, 3), 1) * Scalar.rational(3, Fraction(-3, 2)),
+    ]
+    assert all(_parts_ok(x) for x in made)
+    assert [type(v) for v in made[0].constant_value()] == [int, int]
+    assert str(made[1]) == "(2 + 3*i)" and str(made[4]) == "1/4*r2"
+
+
+_PARAMS = ("kappa", "s", "r2", "x")
+_part_values = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+)
+_monomials = st.dictionaries(st.sampled_from(_PARAMS), st.integers(-3, 3), max_size=3)
+
+
+@st.composite
+def _scalars(draw):
+    out = ZERO
+    for _ in range(draw(st.integers(1, 3))):
+        term = Scalar.rational(draw(_part_values), draw(_part_values))
+        for name, e in draw(_monomials).items():
+            term = term * Scalar.param(name, e)
+        out = out + term
+    return out
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_scalars(), _scalars())
+def test_field_laws_and_part_invariant_property(a, b):
+    assert (a - a).is_zero()
+    results = [a, b, a + b, a - b, a * b, a.conjugate()]
+    if not b.is_zero():
+        q = (a * b) / b
+        assert q == a
+        results += [q, a / b, b.inverse()]
+    assert all(_parts_ok(x) for x in results)
