@@ -89,6 +89,10 @@ _DEFAULT_CHECKS = tuple(n for n in _HOPF_CHECKS if n != "respects-relations")
 # most candidate words one hopf-check may enumerate; degree 5 over the 7
 # letters of a deformed presentation with 2 modes needs comb(12, 5) = 792
 MAX_CHECK_WORDS = 1000
+# most Poisson weight exp(i phi(v))|0> may hold above the cutoff before fock
+# genfun refuses to truncate it; runs inside the budget measured off by less
+# than 1e-11 on one to three modes, far inside the 1e-8 check
+GENFUN_TAIL_BUDGET = 1e-8
 
 
 class CliError(CcrHopfError):
@@ -323,17 +327,77 @@ def _cmd_fock_spectrum(args):
     return results, passed, f"fock spectrum min={eigs[0] if eigs else None}"
 
 
+def _poisson_tail(mu: float, n: int) -> float:
+    """P(N > n) for N ~ Poisson(mu), summed on whichever side of n the
+    terms fall off geometrically; math only, so scipy is not imported."""
+    if mu == 0.0:
+        return 0.0
+    if math.isinf(mu):
+        return 1.0
+    k = n + 1 if n + 1 >= mu else n
+    term = math.exp(k * math.log(mu) - mu - math.lgamma(k + 1))
+    total = 0.0
+    if k > n:  # above n the terms shrink by mu / k
+        while term > total * 1e-17:
+            total += term
+            k += 1
+            term *= mu / k
+        return total
+    while k >= 0 and term > total * 1e-17:  # up to n they shrink going down
+        total += term
+        term *= k / mu
+        k -= 1
+    return 1.0 - total
+
+
+def _genfun_mean(m, v, spec) -> float:
+    """Mean total occupation of exp(i phi(v))|0>, a coherent state for
+    every family.  With w = m.coords(v), phi(v) = sum_j (alpha_j a+_j +
+    conj(alpha_j) a-_j) / sqrt2 where alpha_j = Re(w_j) e^{r_j} +
+    i Im(w_j) e^{-r_j}, since b+_j + b-_j = e^{r_j} (a+_j + a-_j).  So the
+    mean is 1/2 sum_j |alpha_j|^2 and <0|exp(i phi(v))|0> = exp(-mean / 2)."""
+    import numpy as np
+
+    w, rs = m.coords(v), np.array(spec.rs)
+    with np.errstate(over="ignore"):
+        x, y = w.real * np.exp(rs), w.imag * np.exp(-rs)
+        return 0.5 * float(x @ x + y @ y)
+
+
+def _genfun_refusal(m, mu: float, weight: float) -> str:
+    """Why the cutoff is too small, with the nmax the budget would need."""
+    from .fock import MAX_STATES
+
+    top = m.nmax  # the largest cutoff the state budget admits at this d
+    while math.comb(m.d + top + 1, m.d) <= MAX_STATES:
+        top += 1
+    if _poisson_tail(mu, top) > GENFUN_TAIL_BUDGET:
+        need = f"no --nmax within the {MAX_STATES}-state budget (at most {top} for d={m.d}) suffices"
+    else:
+        lo, hi = m.nmax, top  # the tail is over the budget at lo, within it at hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if _poisson_tail(mu, mid) > GENFUN_TAIL_BUDGET else (lo, mid)
+        need = f"it needs --nmax {hi}"
+    return (f"exp(i phi(v))|0> holds weight {weight:.3g} above nmax={m.nmax} (mean occupation "
+            f"{mu:.4g}), over the budget of {GENFUN_TAIL_BUDGET:g}; {need}")
+
+
 def _cmd_fock_genfun(args):
     from .fock import vacuum_generating_function
 
     m = _mode_space(args)
     spec = _bogoliubov(args)
     v = _vector(args.v, args.d)
+    mu = _genfun_mean(m, v, spec)
+    weight = _poisson_tail(mu, m.nmax)
+    if weight > GENFUN_TAIL_BUDGET:
+        raise CliError(_genfun_refusal(m, mu, weight))
     z = vacuum_generating_function(m, v, spec)
     results = {"value_im": z.imag, "value_re": z.real}
     passed = True
-    if args.family == "fock" and not args.gram:
-        expected = math.exp(-float(v @ v) / 4.0)
+    if not args.gram:
+        expected = math.exp(-mu / 2.0)
         gap = abs(z - expected)
         passed = gap <= 1e-8
         results.update({"expected": expected, "error": gap, "tolerance": 1e-8})

@@ -9,11 +9,12 @@ quadrature by the deformation constant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity as sparse_identity
+from scipy.sparse import csr_matrix, identity as sparse_identity, vstack as sparse_vstack
 
 from .algebra import (
     FAM_AM,
@@ -50,28 +51,75 @@ MAX_STATES = 20000
 R_MAX = 354
 
 
+def _tail_counts(d: int, nmax: int) -> np.ndarray:
+    """tail[i, p] = comb(nmax - p + d - i, d - i), the number of occupations
+    of modes i, ..., d-1 with total at most nmax - p, for 0 <= i < d and
+    0 <= p <= nmax.  Each row falls strictly with p, and no entry exceeds
+    tail[0, 0] = comb(nmax + d, d), the size of the basis.
+
+    In lexicographic order the states below s that first differ from it at
+    mode i number tail[i, P_i] - tail[i, P_{i+1}], where P_i = s_0 + ... +
+    s_{i-1}; summed over i this is the rank of s."""
+    return np.array(
+        [[math.comb(nmax - p + d - i, d - i) for p in range(nmax + 1)] for i in range(d)],
+        dtype=np.int64,
+    )
+
+
+def occupation_array(d: int, nmax: int) -> np.ndarray:
+    """The (dim, d) int64 array whose rows are the occupations of
+    occupation_states, unranked mode by mode from their row numbers.  More
+    than MAX_STATES rows raise FockError before any is built."""
+    if math.comb(d + nmax, d) > MAX_STATES:
+        raise FockError(f"the occupation basis for d={d}, nmax={nmax} exceeds the "
+                        f"budget of {MAX_STATES} states; lower d or nmax")
+    tail = _tail_counts(d, nmax)
+    left = np.arange(tail[0, 0])  # rank not yet placed
+    total = np.zeros_like(left)  # P_i
+    occ = np.empty((left.size, d), dtype=np.int64)
+    for i in range(d):
+        # the largest total p with tail[i, P_i] - tail[i, p] <= left
+        p = np.searchsorted(-tail[i], left - tail[i, total], side="right") - 1
+        occ[:, i] = p - total
+        left -= tail[i, total] - tail[i, p]
+        total = p
+    return occ
+
+
 def occupation_states(d: int, nmax: int) -> list:
     """All occupation tuples (n_0, ..., n_{d-1}) with sum <= nmax, in
     lexicographic order.  The all-zero tuple comes first.  More than
     MAX_STATES of them raise FockError before any is built."""
-    if math.comb(d + nmax, d) > MAX_STATES:
-        raise FockError(f"the occupation basis for d={d}, nmax={nmax} exceeds the "
-                        f"budget of {MAX_STATES} states; lower d or nmax")
-    state, total, out = [0] * d, 0, []
-    while True:
-        out.append(tuple(state))
-        if total < nmax:  # successor: raise the last occupation
-            state[-1] += 1
-            total += 1
-            continue
-        i = d - 1  # at the cutoff: clear the rightmost nonzero, carry left
-        while i > 0 and not state[i]:
-            i -= 1
-        if i <= 0:
-            return out
-        total -= state[i] - 1
-        state[i] = 0
-        state[i - 1] += 1
+    return list(map(tuple, occupation_array(d, nmax).tolist()))
+
+
+def _ranks(prefix: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Lexicographic ranks of the states whose prefix sums P_0, ..., P_d
+    are the rows of prefix; see _tail_counts."""
+    modes = np.arange(tail.shape[0])
+    return (tail[modes, prefix[:, :-1]] - tail[modes, prefix[:, 1:]]).sum(axis=1)
+
+
+def _lowering_matrices(occ: np.ndarray, tail: np.ndarray) -> list:
+    """Per-mode a-_j, <n - e_j| a-_j |n> = sqrt(n_j), as float64 CSR
+    matrices over the basis whose occupation array is occ and whose
+    _tail_counts table is tail.
+
+    The row of n - e_j is its rank; ranks are at most dim, so they fit
+    int64 at any d.  Lowering keeps lexicographic order, so the rows rise
+    with the columns and each row holds at most one entry: the CSR arrays
+    are written directly."""
+    dim, d = occ.shape
+    prefix = np.zeros((dim, d + 1), dtype=np.int64)
+    np.cumsum(occ, axis=1, out=prefix[:, 1:])
+    out = []
+    for j in range(d):
+        cols = np.flatnonzero(occ[:, j])
+        rows = _ranks(prefix[cols] - (np.arange(d + 1) > j), tail)  # ranks of n - e_j
+        indptr = np.searchsorted(rows, np.arange(dim + 1))
+        vals = np.sqrt(occ[cols, j].astype(float))
+        out.append(csr_matrix((vals, cols, indptr), shape=(dim, dim)))
+    return out
 
 
 class ModeSpace:
@@ -81,6 +129,12 @@ class ModeSpace:
     per-mode matrices act in orthonormal coordinates and coefficient
     vectors enter through L^H, so that [a-(v), a+(w)] = <v|w> with the
     inner product induced by the gram.
+
+    The per-mode ladders a-_j are real float64 matrices, and so are the
+    squeezed b-_j and the number operator built from them.  Complex
+    arithmetic enters with a complex coefficient: the gram coordinates and
+    conj(w) in ladder_of, the i of pi in field_pair, the vacuum vector and
+    exp(i phi(v)), and the transfer letter matrices.
 
     The transfer-representation letter matrices are built once per
     (constant, scale) and kept on the instance; see _letter_matrices.
@@ -105,35 +159,27 @@ class ModeSpace:
             except np.linalg.LinAlgError:
                 raise FockError("gram must be positive definite") from None
             self.gram = g
-        self.states = occupation_states(self.d, self.nmax)
-        self._index = {s: i for i, s in enumerate(self.states)}
-        self.occupancy = np.array([sum(s) for s in self.states])
-        self._am = [self._lowering(j) for j in range(self.d)]
+        self._occ = occupation_array(self.d, self.nmax)
+        self._tail = _tail_counts(self.d, self.nmax)
+        self.occupancy = self._occ.sum(axis=1)
+        self._am = _lowering_matrices(self._occ, self._tail)
         self._letters = {}  # (constant, scale) -> letter -> matrix
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return len(self._occ)
+
+    @functools.cached_property
+    def states(self) -> list:
+        """The occupation tuples, in basis order; built on first use."""
+        return list(map(tuple, self._occ.tolist()))
 
     def index(self, occ) -> int:
         occ = tuple(int(n) for n in occ)
-        if occ not in self._index:
+        if len(occ) != self.d or min(occ) < 0 or sum(occ) > self.nmax:
             raise FockError(f"occupation {occ} outside the cutoff")
-        return self._index[occ]
-
-    def _lowering(self, j):
-        # <n - e_j| a-_j |n> = sqrt(n_j)
-        rows, cols, vals = [], [], []
-        for i, s in enumerate(self.states):
-            n = s[j]
-            if n:
-                t = s[:j] + (n - 1,) + s[j + 1 :]
-                rows.append(self._index[t])
-                cols.append(i)
-                vals.append(math.sqrt(n))
-        return csr_matrix(
-            (vals, (rows, cols)), shape=(self.dim, self.dim), dtype=complex
-        )
+        prefix = np.cumsum((0,) + occ)[None, :]
+        return int(_ranks(prefix, self._tail)[0])
 
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
@@ -259,12 +305,15 @@ def bogoliubov_ladder(m: ModeSpace, spec: BogoliubovSpec | None = None):
 
 def number_operator(m: ModeSpace, spec: BogoliubovSpec | None = None):
     """N = sum_j b+_j b-_j; the plain Fock number operator when spec is
-    None (then N is diagonal with the total occupation as eigenvalue)."""
-    bp, bm = bogoliubov_ladder(m, spec)
-    n = csr_matrix((m.dim, m.dim), dtype=complex)
-    for j in range(m.d):
-        n = n + bp[j] @ bm[j]
-    return n.tocsr()
+    None (then N is diagonal with the total occupation as eigenvalue).
+
+    N is a real symmetric float64 matrix for every family and gram: the
+    entries of b-_j are sqrt(n) times cosh r_j or sinh r_j, and a gram
+    enters only the coefficient vectors, never the per-mode ladders.  So
+    smallest_eigenvalues solves its blocks with the real eigen-solver.  The
+    sum is one product B^T B, where B stacks the b-_j."""
+    stacked = sparse_vstack(_lowering_ladder(m, spec), format="csr")
+    return (stacked.T @ stacked).tocsr()
 
 
 def vacuum_generating_function(m: ModeSpace, v, spec=None) -> complex:

@@ -53,7 +53,7 @@ CASES = [
         ["fock", "genfun", "--d", "2", "--v", "0.5,-1", "--family", "summable"], None, 0,
         {"d": 2, "family": "summable", "fock-command": "genfun", "format": "json", "gram": None,
          "nmax": 10, "output": None, "r": 0.34657359027997264, "seed": 42, "v": "0.5,-1"},
-        ["value_im", "value_re"],
+        ["error", "expected", "tolerance", "value_im", "value_re"],
     ),
     (
         ["fock", "transfer", "--nmax", "6"], None, 0,

@@ -75,6 +75,55 @@ def test_occupation_states_match_recursion():
     assert len(occupation_states(3, 30)) == comb(33, 3) <= MAX_STATES
 
 
+def _per_state_lowering(m, index, j):
+    # the per-state dict loop the numpy ladders replaced, kept as the
+    # oracle; index maps each state to its row
+    rows, cols, vals = [], [], []
+    for i, s in enumerate(m.states):
+        n = s[j]
+        if n:
+            t = s[:j] + (n - 1,) + s[j + 1 :]
+            rows.append(index[t])
+            cols.append(i)
+            vals.append(math.sqrt(n))
+    return csr_matrix((vals, (rows, cols)), shape=(m.dim, m.dim))
+
+
+def _tridiagonal_gram(d):
+    return np.eye(d) * 2.0 + np.eye(d, k=1) * 0.4 + np.eye(d, k=-1) * 0.4
+
+
+@pytest.mark.parametrize(
+    "d, nmax",
+    [(d, nmax) for d in range(1, 6) for nmax in range(0, 7)] + [(198, 2), (1100, 1), (1, 19999)],
+)
+def test_numpy_ladders_match_per_state_loop(d, nmax):
+    # a gram enters only the coefficient vectors; the grid checks that the
+    # ladders ignore it, the extremes (up to 19900 states, or 1100 modes)
+    # run without one
+    for gram in (None, _tridiagonal_gram(d)) if d < 6 else (None,):
+        m = ModeSpace(d, nmax, gram=gram)
+        assert m.states == occupation_states(d, nmax)
+        assert np.array_equal(m.occupancy, [sum(s) for s in m.states])
+        index = {s: i for i, s in enumerate(m.states)}
+        for j in range(d):
+            got, want = m._am[j], _per_state_lowering(m, index, j)
+            assert got.dtype == np.float64 and got.has_canonical_format
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
+
+
+def test_index_is_the_lexicographic_rank():
+    for d, nmax, step in ((1, 7, 1), (3, 4, 1), (5, 3, 1), (198, 2, 41)):
+        m = ModeSpace(d, nmax)
+        assert all(m.index(m.states[i]) == i for i in range(0, m.dim, step))
+    m = ModeSpace(2, 3)
+    for bad in ((4, 0), (2, 2), (-1, 1), (0, 0, 0), (1,)):
+        with pytest.raises(FockError, match="outside the cutoff"):
+            m.index(bad)
+
+
 def test_single_mode_ladder_entries():
     m = ModeSpace(1, 2)
     ap, am = bogoliubov_ladder(m)
@@ -251,6 +300,33 @@ def test_smallest_eigenvalues_any_hermitian_matrix():
     full = np.linalg.eigvalsh(a)
     for k in (1, 6, dim):
         assert np.allclose(smallest_eigenvalues(m, k), full[:k], rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("family", ["fock", "uniform", "summable"])
+def test_number_operator_is_real(family):
+    for gram in (None, _tridiagonal_gram(3)):
+        m = ModeSpace(3, 5, gram=gram)
+        spec = _spec(family, 3, 0.4)
+        n = number_operator(m, spec)
+        assert n.dtype == np.float64
+        assert abs(n - n.T).max() == 0.0
+        # one stacked product against the per-mode sum it replaced: the
+        # order of the additions differs, the vacuum entry does not
+        bp, bm = bogoliubov_ladder(m, spec)
+        ref = sum(p @ q for p, q in zip(bp, bm))
+        assert abs(n - ref).max() <= 1e-13
+        assert n[0, 0] == ref[0, 0]
+    assert number_operator(ModeSpace(2, 4)).dtype == np.float64
+
+
+@pytest.mark.parametrize("d, nmax", [(2, 62), (3, 21), (4, 13)])
+def test_real_block_solve_matches_complex(d, nmax):
+    # the float64 blocks take the real symmetric eigen-solver; the same
+    # matrix as complex takes the Hermitian one
+    n = number_operator(ModeSpace(d, nmax), BogoliubovSpec.summable(d, 0.45))
+    real = smallest_eigenvalues(n, 7)
+    cplx = smallest_eigenvalues(n.astype(complex), 7)
+    assert np.allclose(real, cplx, rtol=0, atol=1e-12)
 
 
 def test_invariant_blocks_are_parity_sectors():

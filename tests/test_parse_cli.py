@@ -18,7 +18,13 @@ from ccr_hopf.algebra import (
     random_expr,
     unit,
 )
-from ccr_hopf.cli import MAX_CHECK_WORDS, main
+from ccr_hopf.cli import (
+    GENFUN_TAIL_BUDGET,
+    MAX_CHECK_WORDS,
+    _genfun_mean,
+    _poisson_tail,
+    main,
+)
 from ccr_hopf.exprparse import ParseError, expr_to_text, parse_expr, scalar_text
 from ccr_hopf.scalars import IMAG, KAPPA, S_PARAM, Scalar
 
@@ -387,6 +393,90 @@ def test_cli_fock_genfun_check(capsys):
     r = doc["results"]
     assert abs(r["value_re"] - r["expected"]) <= r["tolerance"]
     assert r["error"] < 1e-8
+
+
+def _poisson_tail_oracle(mu, n):
+    # every term of the upper tail, far past the mode, added exactly
+    top = int(mu + 40 * math.sqrt(mu) + n + 200)
+    return math.fsum(math.exp(k * math.log(mu) - mu - math.lgamma(k + 1))
+                     for k in range(n + 1, top))
+
+
+def test_poisson_tail_matches_direct_sum():
+    for mu in (1e-3, 0.5, 0.9571, 3.7, 40.0, 201.7, 900.0):
+        for n in (0, 1, 5, 10, 20, 60, 286, 1200):
+            want = _poisson_tail_oracle(mu, n)
+            got = _poisson_tail(mu, n)
+            assert abs(got - want) <= 1e-12 + 1e-9 * want, (mu, n, got, want)
+    assert _poisson_tail(0.0, 3) == 0.0
+    assert _poisson_tail(math.inf, 3) == 1.0
+    assert _poisson_tail(5e9, 19999) == 1.0
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["--v", "1e5"], "no --nmax within the 20000-state budget"),
+        (["--v", "1e3", "--nmax", "20"], "no --nmax within the 20000-state budget"),
+        (["--family", "uniform", "--r", "3", "--v", "1", "--nmax", "20"], "it needs --nmax 286"),
+        (["--family", "uniform", "--r", "10", "--v", "1"], "no --nmax"),
+        (["--d", "2", "--nmax", "30", "--v", "1.5,-2", "--family", "summable", "--r", "1"],
+         "it needs --nmax 39"),
+    ],
+)
+def test_cli_genfun_over_budget_exits_2_before_expm(capsys, monkeypatch, argv, needle):
+    import ccr_hopf.fock
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the budget must refuse before expm_multiply runs")
+
+    monkeypatch.setattr(ccr_hopf.fock, "vacuum_generating_function", unreachable)
+    code, doc, err = run_cli(capsys, ["fock", "genfun"] + argv)
+    assert _one_refusal(code, doc, err)
+    assert f"budget of {GENFUN_TAIL_BUDGET:g}" in err and needle in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--v", "1.0"],
+        ["--d", "2", "--v", "0.5,-1", "--family", "summable"],  # tail weight 6.5e-9
+        ["--family", "uniform", "--r", "3", "--v", "1", "--nmax", "286"],
+        ["--d", "2", "--nmax", "39", "--v", "1.5,-2", "--family", "summable", "--r", "1"],
+        ["--d", "3", "--nmax", "14", "--v", "0.4,-0.3,0.8", "--family", "uniform", "--r", "-0.5"],
+    ],
+)
+def test_cli_genfun_checks_every_family(capsys, argv):
+    code, doc, _ = run_cli(capsys, ["fock", "genfun"] + argv)
+    assert code == 0
+    r = doc["results"]
+    assert r["tolerance"] == 1e-8 and r["error"] <= 1e-10
+    assert abs(r["value_re"] - r["expected"]) == r["error"]
+
+
+def test_genfun_closed_form_holds_with_a_gram():
+    # the budget's mean occupation uses the gram's coordinates, which are
+    # complex for a complex gram; the truncated value confirms it
+    import numpy as np
+
+    from ccr_hopf.fock import BogoliubovSpec, ModeSpace, vacuum_generating_function
+
+    v = np.array([0.5, -0.7])
+    for gram in ([[2, 0.3 + 0.4j], [0.3 - 0.4j, 1]], [[2, 0.3], [0.3, 1]]):
+        m = ModeSpace(2, 40, gram=np.array(gram))
+        for spec in (BogoliubovSpec.fock(2), BogoliubovSpec.uniform(2, 0.4),
+                     BogoliubovSpec.summable(2, -0.6)):
+            mu = _genfun_mean(m, v, spec)
+            assert _poisson_tail(mu, m.nmax) < 1e-40
+            z = vacuum_generating_function(m, v, spec)
+            assert abs(z - math.exp(-mu / 2)) < 1e-14
+
+
+def test_cli_spectrum_of_many_modes(capsys):
+    code, doc, _ = run_cli(capsys, ["fock", "spectrum", "--d", "1100", "--nmax", "1"])
+    assert code == 0
+    assert doc["results"]["eigenvalues"] == [0.0, 1.0, 1.0, 1.0, 1.0]
+    assert doc["results"]["solver"]["blocks"] == 1101
 
 
 def _one_refusal(code, doc, err) -> bool:
