@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity as sparse_identity, vstack as sparse_vstack
+from scipy.sparse import csr_matrix, identity as sparse_identity
 
 from .algebra import (
     FAM_AM,
@@ -100,10 +100,11 @@ def _ranks(prefix: np.ndarray, tail: np.ndarray) -> np.ndarray:
     return (tail[modes, prefix[:, :-1]] - tail[modes, prefix[:, 1:]]).sum(axis=1)
 
 
-def _lowering_matrices(occ: np.ndarray, tail: np.ndarray) -> list:
+def _lowering_matrices(occ: np.ndarray, tail: np.ndarray) -> tuple:
     """Per-mode a-_j, <n - e_j| a-_j |n> = sqrt(n_j), as float64 CSR
     matrices over the basis whose occupation array is occ and whose
-    _tail_counts table is tail.
+    _tail_counts table is tail, and all their entries as four arrays
+    (mode, row, col, value), mode by mode.
 
     The row of n - e_j is its rank; ranks are at most dim, so they fit
     int64 at any d.  Lowering keeps lexicographic order, so the rows rise
@@ -112,14 +113,15 @@ def _lowering_matrices(occ: np.ndarray, tail: np.ndarray) -> list:
     dim, d = occ.shape
     prefix = np.zeros((dim, d + 1), dtype=np.int64)
     np.cumsum(occ, axis=1, out=prefix[:, 1:])
-    out = []
+    out, parts = [], []
     for j in range(d):
         cols = np.flatnonzero(occ[:, j])
         rows = _ranks(prefix[cols] - (np.arange(d + 1) > j), tail)  # ranks of n - e_j
         indptr = np.searchsorted(rows, np.arange(dim + 1))
         vals = np.sqrt(occ[cols, j].astype(float))
         out.append(csr_matrix((vals, cols, indptr), shape=(dim, dim)))
-    return out
+        parts.append((np.full(cols.size, j), rows, cols, vals))
+    return out, tuple(np.concatenate(a) for a in zip(*parts))
 
 
 class ModeSpace:
@@ -137,7 +139,9 @@ class ModeSpace:
     exp(i phi(v)), and the transfer letter matrices.
 
     The transfer-representation letter matrices are built once per
-    (constant, scale) and kept on the instance; see _letter_matrices.
+    (constant, scale) and kept on the instance, and so are the word
+    products expr_matrix forms from them; see _letter_matrices and
+    _word_matrices.
     """
 
     def __init__(self, d: int, nmax: int, gram=None):
@@ -162,8 +166,9 @@ class ModeSpace:
         self._occ = occupation_array(self.d, self.nmax)
         self._tail = _tail_counts(self.d, self.nmax)
         self.occupancy = self._occ.sum(axis=1)
-        self._am = _lowering_matrices(self._occ, self._tail)
+        self._am, self._am_entries = _lowering_matrices(self._occ, self._tail)
         self._letters = {}  # (constant, scale) -> letter -> matrix
+        self._words = {}  # (constant, scale) -> word -> matrix
 
     @property
     def dim(self) -> int:
@@ -283,17 +288,46 @@ class BogoliubovSpec:
         return tuple(math.sqrt(math.exp(2.0 * r) / 2.0) for r in self.rs)
 
 
-def _lowering_ladder(m: ModeSpace, spec: BogoliubovSpec | None) -> list:
-    """Per-mode b-_j = cosh(r_j) a-_j + sinh(r_j) a+_j; a-_j when spec is
-    None."""
+def _squeezed_stack(m: ModeSpace, spec: BogoliubovSpec | None) -> tuple:
+    """The CSR arrays (data, indices, indptr) of B, the per-mode
+    b-_j = cosh(r_j) a-_j + sinh(r_j) a+_j stacked vertically (d dim rows,
+    dim columns), written in one pass from the a-_j entries; r_j = 0 when
+    spec is None.
+
+    a-_j and its transpose never share a position, so every entry is one
+    product, cosh(r_j) or sinh(r_j) times sqrt(n_j), exactly as the sum of
+    the two scaled matrices gives it.  As that sum does, B leaves out the
+    entries that are zero (all of a+_j when r_j = 0) and keeps each row's
+    columns rising."""
     if spec is None:
-        return list(m._am)
+        spec = BogoliubovSpec.fock(m.d)
     if len(spec.rs) != m.d:
         raise FockError("spec and mode space disagree on the mode count")
-    return [
-        (math.cosh(r) * a + math.sinh(r) * a.conj().T.tocsr()).tocsr()
-        for a, r in zip(m._am, spec.rs)
-    ]
+    modes, rows, cols, vals = m._am_entries
+    cosh = np.array([math.cosh(r) for r in spec.rs])[modes] * vals
+    sinh = np.array([math.sinh(r) for r in spec.rs])[modes] * vals
+    offset = modes * m.dim
+    r = np.concatenate((offset + rows, offset + cols))
+    c = np.concatenate((cols, rows))
+    x = np.concatenate((cosh, sinh))
+    keep = x != 0
+    r, c, x = r[keep], c[keep], x[keep]
+    order = np.argsort(r * m.dim + c)  # no two entries share a position
+    return x[order], c[order], np.searchsorted(r[order], np.arange(m.d * m.dim + 1))
+
+
+def _lowering_ladder(m: ModeSpace, spec: BogoliubovSpec | None) -> list:
+    """Per-mode b-_j = cosh(r_j) a-_j + sinh(r_j) a+_j; a-_j when spec is
+    None.  The b-_j are the row blocks of _squeezed_stack."""
+    if spec is None:
+        return list(m._am)
+    data, indices, indptr = _squeezed_stack(m, spec)
+    out = []
+    for j in range(m.d):
+        ptr = indptr[j * m.dim : (j + 1) * m.dim + 1]
+        lo, hi = ptr[0], ptr[-1]
+        out.append(csr_matrix((data[lo:hi], indices[lo:hi], ptr - lo), shape=(m.dim, m.dim)))
+    return out
 
 
 def bogoliubov_ladder(m: ModeSpace, spec: BogoliubovSpec | None = None):
@@ -312,7 +346,7 @@ def number_operator(m: ModeSpace, spec: BogoliubovSpec | None = None):
     enters only the coefficient vectors, never the per-mode ladders.  So
     smallest_eigenvalues solves its blocks with the real eigen-solver.  The
     sum is one product B^T B, where B stacks the b-_j."""
-    stacked = sparse_vstack(_lowering_ladder(m, spec), format="csr")
+    stacked = csr_matrix(_squeezed_stack(m, spec), shape=(m.d * m.dim, m.dim))
     return (stacked.T @ stacked).tocsr()
 
 
@@ -380,11 +414,46 @@ def _build_letter_matrices(m: ModeSpace, constant: float, scale: float) -> dict:
     return mats
 
 
+def _word_matrices(m: ModeSpace, constant: float, scale: float) -> dict:
+    """Word -> matrix under the transfer representation, cached on m next
+    to the letter matrices and seeded with the empty word, the identity.
+    Callers must not change the matrices in place."""
+    key = (constant, scale)
+    if key not in m._words:
+        m._words[key] = {(): _letter_matrices(m, constant, scale)[(FAM_I, 0)]}
+    return m._words[key]
+
+
+def _word_matrix(words: dict, letters: dict, word: tuple, d: int):
+    """The matrix of word: its longest cached prefix times the remaining
+    letters, left to right, caching every longer prefix.
+
+    Every word grows from the empty word, so a one-letter word is cached
+    as identity @ letter.  That product lists each row's columns in falling
+    order, and the later products sum their terms in the order of those
+    columns; so each entry is the same float as multiplying the word out
+    from the identity, also where a gram puts three or more terms into one
+    entry."""
+    k = len(word)
+    while word[:k] not in words:
+        k -= 1
+    cur = words[word[:k]]
+    for i in range(k, len(word)):
+        if word[i] not in letters:
+            raise FockError(f"generator {word[i]} needs a mode index below d={d}")
+        cur = cur @ letters[word[i]]
+        words[word[: i + 1]] = cur
+    return cur
+
+
 def expr_matrix(e: Expr, m: ModeSpace, p: Presentation, q=None, c=None):
     """Numeric matrix of a symbolic element under the transfer
     representation.  A numeric presentation supplies (q, c) itself; a
     symbolic deformed presentation needs them passed explicitly; the
-    undeformed variant uses constant 1."""
+    undeformed variant uses constant 1.
+
+    Each word's matrix is formed once per space and (q, c), and the words
+    are summed in sorted order into a fresh matrix, never a cached one."""
     if p.q is not None:
         q, c = p.q, p.c
     if p.variant == UNDEFORMED:
@@ -393,17 +462,12 @@ def expr_matrix(e: Expr, m: ModeSpace, p: Presentation, q=None, c=None):
         raise FockError("numeric q and c are required for a symbolic presentation")
     else:
         constant, scale = deformation_pair(q, c)
-    mats = _letter_matrices(m, constant, scale)
-    eye = mats[(FAM_I, 0)]
+    letters = _letter_matrices(m, constant, scale)
+    words = _word_matrices(m, constant, scale)
     total = csr_matrix((m.dim, m.dim), dtype=complex)
     for word, coeff in sorted(evaluate_numeric(e, {"kappa": constant, "s": scale}).items()):
-        cur = eye
-        for letter in word:
-            if letter not in mats:
-                raise FockError(f"generator {letter} needs a mode index below d={m.d}")
-            cur = cur @ mats[letter]
-        total = total + coeff * cur
-    return total.tocsr()
+        total = total + coeff * _word_matrix(words, letters, word, m.d)
+    return total
 
 
 def commutator_matrix(a, b):
@@ -424,13 +488,16 @@ def transfer_residual(m: ModeSpace, rep: TransferRep, v, w) -> float:
 
 def restricted_norm(m: ModeSpace, a, degree: int) -> float:
     """Frobenius norm of the columns of a indexed by the safe subspace for
-    operators of the given degree."""
-    from scipy.sparse.linalg import norm as sparse_norm
+    operators of the given degree.
 
-    cols = np.where(m.safe_mask(degree))[0]
+    A sparse a is read in column-major order, the order of its CSC arrays:
+    np.linalg.norm sums its squares in the order given, and this is the
+    order scipy's sparse norm of the column slice would hand it."""
+    safe = m.safe_mask(degree)
     if hasattr(a, "tocsc"):
-        return float(sparse_norm(a.tocsc()[:, cols]))
-    return float(np.linalg.norm(np.asarray(a)[:, cols]))
+        a = a.tocsc()
+        return float(np.linalg.norm(a.data[np.repeat(safe, np.diff(a.indptr))]))
+    return float(np.linalg.norm(np.asarray(a)[:, safe]))
 
 
 def invariant_blocks(a):

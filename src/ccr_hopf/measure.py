@@ -26,6 +26,16 @@ class MeasureError(CcrHopfError):
 
 ROOT2 = math.sqrt(2.0)
 
+# most monomials TestFunction.translate may expand: a term with exponents k
+# becomes prod_i (k_i + 1) of them, and the random test functions of a
+# d-mode sweep hold up to 3^d per term
+MAX_TRANSLATE_MONOMIALS = 20_000
+
+# most standard normal draws, samples * d, bochner_mc may make at once; the
+# selftest draws 100000 x 2.  A run peaks near 16 d + 24 bytes per sample
+# (tracemalloc), so about 160 MB at the budget with d = 1
+MAX_MC_DRAWS = 4_000_000
+
 
 # ---------------------------------------------------------------------------
 # Gaussian model
@@ -55,6 +65,12 @@ class GaussianModel:
         if not (np.all(np.isfinite(Kinv)) and np.all(np.isfinite(C))):
             raise MeasureError("K^-1 and the covariance C = K K^T must be finite")
         self.K, self.Kinv, self.C = K, Kinv, C
+        # the density's normalisation; a nearly singular K can leave det(C)
+        # rounded to zero or below, and then the density is undefined
+        det_c = float(np.linalg.det(C))
+        self._density_norm = (
+            (2.0 * math.pi) ** (-0.5 * self.d) * math.sqrt(det_c) if det_c > 0 else None
+        )
         if gram is None:
             self.gram = np.eye(self.d)
         else:
@@ -90,9 +106,11 @@ class GaussianModel:
         return self.gram @ np.asarray(v, dtype=float)
 
     def density(self, u) -> float:
+        if self._density_norm is None:
+            raise MeasureError("det(K K^T) rounds to zero or below; K is too close to "
+                               "singular for the density")
         u = np.asarray(u, dtype=float)
-        norm = (2.0 * math.pi) ** (-0.5 * self.d) * math.sqrt(np.linalg.det(self.C))
-        return norm * math.exp(-0.5 * float(u @ self.C @ u))
+        return self._density_norm * math.exp(-0.5 * float(u @ self.C @ u))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n rows distributed as the measure (covariance C^-1)."""
@@ -179,6 +197,9 @@ def bochner_mc(model: GaussianModel, v, samples: int = 100000, seed: int = 42) -
     deterministic for a fixed seed."""
     if samples < 2:
         raise MeasureError("need at least two samples")
+    if samples * model.d > MAX_MC_DRAWS:
+        raise MeasureError(f"{samples} samples in d={model.d} need {samples * model.d} normal "
+                           f"draws, over the budget of {MAX_MC_DRAWS}; lower the samples")
     rng = np.random.default_rng(seed)
     u = model.sample(samples, rng)
     phases = np.exp(1j * (u @ np.asarray(v, dtype=float)))
@@ -241,6 +262,18 @@ class TestFunction:
         )
         self.const = complex(const)
 
+    def _derived(self, poly: dict, lin=None, const=None) -> "TestFunction":
+        """A function with this one's d and quadratic part, and its linear
+        and constant exponents unless given, built without the checks of
+        the constructor: the operations form poly's multi-indices from this
+        function's, and the quadratic part is this function's array."""
+        f = object.__new__(TestFunction)
+        f.d, f.quad = self.d, self.quad
+        f.poly = _poly_clean({k: complex(v) for k, v in poly.items()})
+        f.lin = self.lin if lin is None else np.asarray(lin, dtype=complex)
+        f.const = self.const if const is None else complex(const)
+        return f
+
     @classmethod
     def constant(cls, d: int, value=1.0) -> "TestFunction":
         return cls(d, {(0,) * d: value})
@@ -275,18 +308,21 @@ class TestFunction:
         poly = dict(self.poly)
         for k, v in other.poly.items():
             poly[k] = poly.get(k, 0) + v
-        return TestFunction(self.d, poly, self.quad, self.lin, self.const)
+        return self._derived(poly)
 
     def __sub__(self, other: "TestFunction") -> "TestFunction":
         return self + other.scale(-1.0)
 
     def scale(self, z) -> "TestFunction":
-        poly = {k: z * v for k, v in self.poly.items()}
-        return TestFunction(self.d, poly, self.quad, self.lin, self.const)
+        return self._derived({k: z * v for k, v in self.poly.items()})
 
     def translate(self, t) -> "TestFunction":
         """u -> u + t."""
         t = np.asarray(t, dtype=float)
+        count = sum(math.prod(n + 1 for n in k) for k in self.poly)
+        if count > MAX_TRANSLATE_MONOMIALS:
+            raise MeasureError(f"translating this test function expands {count} monomials, "
+                               f"over the budget of {MAX_TRANSLATE_MONOMIALS}; lower d or the degree")
         poly = {}
         for k, coeff in self.poly.items():
             axes = []
@@ -302,17 +338,17 @@ class TestFunction:
                 poly[key] = poly.get(key, 0) + val
         lin = self.lin - self.quad @ t
         const = self.const + complex(self.lin @ t) - 0.5 * float(t @ self.quad @ t)
-        return TestFunction(self.d, poly, self.quad, lin, const)
+        return self._derived(poly, lin, const)
 
     def phase(self, w) -> "TestFunction":
         """Multiply by exp(i <w,u>)."""
         lin = self.lin + 1j * np.asarray(w, dtype=float)
-        return TestFunction(self.d, dict(self.poly), self.quad, lin, self.const)
+        return self._derived(self.poly, lin)
 
     def with_exponent(self, dlin, dconst) -> "TestFunction":
         """Multiply by exp(<dlin,u> + dconst)."""
         lin = self.lin + np.asarray(dlin, dtype=complex)
-        return TestFunction(self.d, dict(self.poly), self.quad, lin, self.const + dconst)
+        return self._derived(self.poly, lin, self.const + dconst)
 
     def mul_affine(self, w, const=0.0) -> "TestFunction":
         """Multiply by <w,u> + const."""
@@ -325,7 +361,7 @@ class TestFunction:
                 if w[i] != 0:
                     key = k[:i] + (k[i] + 1,) + k[i + 1 :]
                     poly[key] = poly.get(key, 0) + coeff * w[i]
-        return TestFunction(self.d, poly, self.quad, self.lin, self.const)
+        return self._derived(poly)
 
     def dderiv(self, v) -> "TestFunction":
         """Exact directional derivative along v."""
@@ -336,7 +372,7 @@ class TestFunction:
                 if k[i] and v[i] != 0:
                     key = k[:i] + (k[i] - 1,) + k[i + 1 :]
                     poly[key] = poly.get(key, 0) + coeff * k[i] * v[i]
-        dpoly = TestFunction(self.d, poly, self.quad, self.lin, self.const)
+        dpoly = self._derived(poly)
         dexp = self.mul_affine(-(self.quad @ v), complex(self.lin @ v))
         return dpoly + dexp
 

@@ -11,9 +11,22 @@ from math import comb
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, identity, random as sparse_random, vstack
+from scipy.sparse.linalg import norm as sparse_norm
 
-from ccr_hopf.algebra import AlgebraError, Presentation, adjoint, normal_form, phi, random_expr
+from ccr_hopf.algebra import (
+    FAM_I,
+    UNDEFORMED,
+    AlgebraError,
+    Presentation,
+    adjoint,
+    deformation_pair,
+    evaluate_numeric,
+    normal_form,
+    phi,
+    random_expr,
+)
+from ccr_hopf import fock
 from ccr_hopf.fock import (
     BogoliubovSpec,
     MAX_STATES,
@@ -319,6 +332,38 @@ def test_number_operator_is_real(family):
     assert number_operator(ModeSpace(2, 4)).dtype == np.float64
 
 
+def _per_mode_lowerings(m, spec):
+    # the per-mode sums the one-pass stack replaced, kept as the oracle
+    return [
+        (math.cosh(r) * a + math.sinh(r) * a.conj().T.tocsr()).tocsr()
+        for a, r in zip(m._am, spec.rs)
+    ]
+
+
+def _same_csr(a, b):
+    return (a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices) and np.array_equal(a.data, b.data))
+
+
+@pytest.mark.parametrize("d, nmax", [(1, 0), (1, 9), (2, 6), (3, 5), (4, 4), (198, 2), (1100, 1)])
+def test_one_pass_lowerings_match_per_mode_sums(d, nmax):
+    # every b-_j and the number operator B^T B, array for array, against the
+    # per-mode scipy sums, for zero, uniform, halving and mixed-sign squeezing
+    rng = random.Random(d * 100 + nmax)
+    m = ModeSpace(d, nmax, gram=_tridiagonal_gram(d) if d < 6 else None)
+    specs = [BogoliubovSpec.fock(d), BogoliubovSpec.uniform(d, 0.45),
+             BogoliubovSpec.summable(d, 1.3),
+             BogoliubovSpec(tuple(rng.uniform(-3.0, 3.0) for _ in range(d)))]
+    for spec in specs if d < 6 else specs[::3]:  # the oracle is slow at many modes
+        want = _per_mode_lowerings(m, spec)
+        got = fock._lowering_ladder(m, spec)
+        assert len(got) == d and all(_same_csr(g, w) for g, w in zip(got, want))
+        stacked = vstack(want, format="csr")
+        assert _same_csr(number_operator(m, spec), (stacked.T @ stacked).tocsr())
+    stacked = vstack(m._am, format="csr")
+    assert _same_csr(number_operator(m), (stacked.T @ stacked).tocsr())
+
+
 @pytest.mark.parametrize("d, nmax", [(2, 62), (3, 21), (4, 13)])
 def test_real_block_solve_matches_complex(d, nmax):
     # the float64 blocks take the real symmetric eigen-solver; the same
@@ -559,6 +604,88 @@ def test_criterion_9_builds_each_letter_set_once(monkeypatch):
     # the same criterion with a fresh build for every expression
     monkeypatch.setattr(fock, "_letter_matrices", build)
     assert selftest.criterion_09(42) == cached
+
+
+def _expr_matrix_loop(e, m, p, q, c):
+    # the per-call loop the word cache replaced, kept as the oracle: every
+    # word multiplied out from the identity, on letter matrices built afresh
+    constant, scale = (1.0, 1.0) if p.variant == UNDEFORMED else deformation_pair(q, c)
+    mats = fock._build_letter_matrices(m, constant, scale)
+    total = csr_matrix((m.dim, m.dim), dtype=complex)
+    for word, coeff in sorted(evaluate_numeric(e, {"kappa": constant, "s": scale}).items()):
+        cur = mats[(FAM_I, 0)]
+        for letter in word:
+            cur = cur @ mats[letter]
+        total = total + coeff * cur
+    return total
+
+
+_CRITERION_9_CONFIGS = [
+    (Presentation(), 1.0, 1.0),
+    (Presentation(variant="deformed-strict"), 1.3, 0.7),
+    (Presentation(variant="deformed-strict", basis="ladder"), 1.7, 1.1),
+    (Presentation(variant="deformed-collapsed"), 0.8, 1.9),
+]
+
+
+@pytest.mark.parametrize(
+    "d, nmax, gram", [(2, 10, None), (2, 7, [[1.0, 0.4], [0.4, 1.5]]), (3, 5, None),
+                      (3, 5, [[2.0, 0.4, 0.1], [0.4, 1.5, 0.3], [0.1, 0.3, 1.0]])]
+)
+def test_expr_matrix_matches_the_per_call_loop(d, nmax, gram):
+    # one shared space, so later expressions start from prefixes cached by
+    # earlier ones; every entry equals the loop's float.  A gram puts three
+    # or more terms into one entry, where the order of the sum shows.
+    m = ModeSpace(d, nmax, gram=gram)
+    rng = random.Random(90 + d)
+    for k in range(48):
+        p, q, c = _CRITERION_9_CONFIGS[k % 4]
+        e = random_expr(rng, p, max_degree=4, modes=d)
+        for x in (e, normal_form(e, p)):
+            got = expr_matrix(x, m, p, q=q, c=c)
+            want = _expr_matrix_loop(x, m, p, q, c)
+            assert np.array_equal(got.toarray(), want.toarray())
+    assert len(m._words) == 4 and all(len(w) > 20 for w in m._words.values())
+
+
+def test_expr_matrix_result_is_never_a_cached_matrix():
+    m = ModeSpace(2, 5)
+    p = Presentation(variant="deformed-strict")
+    rng = random.Random(17)
+    exprs = [phi(0), random_expr(rng, p, 3, 2), random_expr(rng, p, 3, 2)]
+    first = [expr_matrix(e, m, p, q=1.4, c=0.6).toarray() for e in exprs]
+    for e, want in zip(exprs * 2, first * 2):
+        got = expr_matrix(e, m, p, q=1.4, c=0.6)
+        for cached in m._words[deformation_pair(1.4, 0.6)].values():
+            assert not np.shares_memory(got.data, cached.data)
+        assert np.array_equal(got.toarray(), want)
+        got.data[:] = 7.0  # a caller changing its result in place
+        got.indices[:] = 0
+
+
+def test_restricted_norm_matches_scipy_column_slice():
+    # the same float, not merely a close one: 300 random matrices, complex
+    # and real, with CSR rows in scrambled column order half of the time
+    gen = np.random.default_rng(5)
+    m = ModeSpace(2, 10)
+    for k in range(300):
+        a = sparse_random(66, 66, density=gen.uniform(0.02, 0.5), format="csr", rng=gen,
+                          dtype=complex if k % 3 else float)
+        if k % 3:
+            a.data += 1j * gen.standard_normal(a.nnz)
+        if k % 2:
+            for i in range(66):  # unsorted column indices within each row
+                lo, hi = a.indptr[i], a.indptr[i + 1]
+                order = lo + gen.permutation(hi - lo)
+                a.indices[lo:hi], a.data[lo:hi] = a.indices[order], a.data[order]
+            a.has_sorted_indices = False
+        for degree in (0, 2, 3):
+            cols = np.where(m.safe_mask(degree))[0]
+            assert restricted_norm(m, a, degree) == float(sparse_norm(a.tocsc()[:, cols]))
+            dense = a.toarray()
+            assert restricted_norm(m, dense, degree) == float(np.linalg.norm(dense[:, cols]))
+    assert restricted_norm(m, csr_matrix((66, 66)), 3) == 0.0
+    assert restricted_norm(m, identity(66, format="csr"), 10) == 1.0
 
 
 def test_boundedness_trend():

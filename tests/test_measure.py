@@ -12,7 +12,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ccr_hopf import measure
+from ccr_hopf.cli import main
 from ccr_hopf.measure import (
+    MAX_MC_DRAWS,
+    MAX_TRANSLATE_MONOMIALS,
     GaussianModel,
     MeasureError,
     TestFunction,
@@ -230,6 +234,104 @@ def test_test_function_calculus():
         f + f.phase(np.array([1.0, 0.0]))
     with pytest.raises(MeasureError):
         TestFunction(2, {(0, 1, 2): 1.0})
+
+
+def _assert_same_function(got: TestFunction, want: TestFunction):
+    assert got.d == want.d and got.quad is want.quad
+    assert list(got.poly.items()) == list(want.poly.items())
+    assert all(type(k) is tuple and all(type(i) is int for i in k) for k in got.poly)
+    assert all(type(v) is complex for v in got.poly.values())
+    assert got.lin.dtype == complex and np.array_equal(got.lin, want.lin)
+    assert type(got.const) is complex and got.const == want.const
+
+
+def test_derived_test_functions_match_the_constructor(monkeypatch):
+    # each operation's result equals the validating constructor's rebuild
+    # of it, and only the constructor runs the symmetry check
+    rng = random.Random(21)
+    calls = []
+    allclose = np.allclose
+    monkeypatch.setattr(np, "allclose", lambda *a, **k: calls.append(1) or allclose(*a, **k))
+    for d in (1, 2, 3):
+        for _ in range(10):
+            f = random_test_function(rng, d)
+            g = random_test_function(rng, d)
+            g = TestFunction(d, g.poly, f.quad, f.lin, f.const)
+            t, w = _rand_vec(rng, d), _rand_vec(rng, d)
+            del calls[:]
+            derived = [f.translate(t), f.phase(w), f.with_exponent(0.3 * w, -0.2), f.scale(1.5j),
+                       f + g, f - g, f.mul_affine(w, 0.7), f.mul_affine(w), f.dderiv(t)]
+            assert not calls
+            for h in derived:
+                _assert_same_function(h, TestFunction(h.d, h.poly, h.quad, h.lin, h.const))
+    # zero coefficients are dropped, as the constructor drops them
+    f = TestFunction(2, {(1, 0): 1.0, (0, 1): 2.0})
+    assert list((f - f).poly) == [] and (f - f).is_zero()
+    model = GaussianModel.fock(2)
+    del calls[:]
+    weyl_sweep(model, random.Random(3), 7)
+    assert len(calls) == 7  # one random function per point
+
+
+def test_translate_budget():
+    # prod_i (k_i + 1) monomials: 141^2 fit the budget, 142^2 do not
+    assert 141 ** 2 <= MAX_TRANSLATE_MONOMIALS < 142 ** 2
+    t = np.array([0.1, -0.2])
+    assert len(TestFunction(2, {(140, 140): 1.0}).translate(t).poly) == 141 ** 2
+    big = TestFunction(2, {(141, 141): 1.0})
+    with pytest.raises(MeasureError, match="budget"):
+        big.translate(t)
+    # the count sums over the terms
+    with pytest.raises(MeasureError, match="budget"):
+        TestFunction(2, {(140, 140): 1.0, (0, 140): 1.0}).translate(t)
+
+
+def test_density_normalisation_and_singular_covariance():
+    rng = random.Random(4)
+    for model in (GaussianModel.fock(2), GaussianModel(np.array([[1.0, 0.3], [0.0, 2.0]])),
+                  GaussianModel.scalar_c(3, 0.7)):
+        for _ in range(5):
+            u = _rand_vec(rng, model.d, 2.0)
+            norm = (2.0 * math.pi) ** (-0.5 * model.d) * math.sqrt(np.linalg.det(model.C))
+            assert model.density(u) == norm * math.exp(-0.5 * float(u @ model.C @ u))
+    # K passes the invertibility check while det(K K^T) rounds to 0 or below
+    for k in ([[1.0, 1.0], [1.0, 1.0 + 1e-9]], [[10.0, 10.0], [10.0, 10.0 + 1e-9]]):
+        model = GaussianModel(np.array(k))
+        assert not np.linalg.det(model.C) > 0
+        assert math.isfinite(model.M(np.array([0.1, 0.2])))  # the rest of the model works
+        with pytest.raises(MeasureError, match="singular"):
+            model.density(np.zeros(2))
+
+
+def test_bochner_budget():
+    # the selftest and the benchmark draw at most 1e6 x 3
+    assert 10 ** 6 * 3 <= MAX_MC_DRAWS
+    for d in (1, 3):
+        with pytest.raises(MeasureError, match="budget"):
+            bochner_mc(GaussianModel.fock(d), np.ones(d), samples=MAX_MC_DRAWS // d + 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["measure", "weyl", "--d", "22", "--count", "1"],
+     ["measure", "weyl", "--d", "18", "--count", "3"],
+     ["measure", "bochner", "--samples", "100000000000"],
+     ["measure", "bochner", "--d", "3", "--samples", str(MAX_MC_DRAWS // 3 + 1)]],
+)
+def test_cli_measure_budgets_exit_2(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("ccr-hopf: ") and err.count("\n") == 1 and "budget" in err
+
+
+def test_cli_density_of_singular_covariance_exits_2(tmp_path, capsys):
+    kmat = tmp_path / "k.json"
+    kmat.write_text("[[10.0, 10.0], [10.0, 10.000000001]]")
+    code = main(["measure", "cocycle", "--kmat", str(kmat)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("ccr-hopf: ") and err.count("\n") == 1 and "singular" in err
 
 
 def test_delta_pairing_and_vacuum():
