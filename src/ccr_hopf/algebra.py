@@ -16,19 +16,23 @@ that is out of order, plus the contractions I*I -> I and K*Kinv -> 1
 where the presentation has them.  The only swaps that pick up a
 correction term are pi(j)phi(k) and am(j)ap(k); every rule either
 preserves degree and lowers the inversion count or strictly lowers the
-degree, so reduction terminates.  Letters outside the presentation (the
-collapsed K, Kinv and the other basis's pair) are first replaced by
-their expansion over its own letters.  Each presentation memoizes both
-tables: _pair_rule decides every pair and _letter_piece every letter.
+degree, so reduction terminates.  A letter outside the presentation (the
+collapsed K, Kinv and the other basis's pair) stands for its piece, a
+sum of words over the presentation's own letters.  Each presentation
+memoizes both tables: _pair_rule decides every pair and _letter_piece
+every letter.
 
 Two engines apply these rules.  The default ``leftmost`` schedule is the
 memoized insertion engine: it inserts a word's letters right to left
 into a suffix kept in normal form, and the normal form of each letter
 inserted into a normal word is computed once per presentation, so equal
-intermediate words are merged.  The ``rightmost`` schedule is the
-reference stack walker: it rewrites the rightmost redex of every word
-and walks every rewrite path.  Confluence is exercised by comparing the
-two.
+intermediate words are merged.  A piece letter is inserted as each word
+of its piece, weighted by that word's multiplier, so the suffix never
+holds more than the normal words it reduces to.  The ``rightmost``
+schedule is the reference stack walker: it first expands every piece
+letter into the free algebra, then rewrites the rightmost redex of every
+word and walks every rewrite path.  Confluence is exercised by comparing
+the two.
 """
 
 from __future__ import annotations
@@ -590,12 +594,42 @@ def _drive(word, frame, p: Presentation) -> dict:
     return value
 
 
+def _fold_pieces(word, p: Presentation):
+    """Coroutine for the normal form of a word holding a letter that p
+    expands (see _letter_piece): its letters are folded right to left
+    into a partial normal form, and a piece letter folds each word of its
+    piece, weighted by that word's multiplier.  The partial sum never
+    holds more than the normal words it reduces to, where expanding the
+    word first would build a free word per choice of piece words.  The
+    fold resumes from the longest suffix whose normal form is memoized,
+    and memoizes each suffix it passes."""
+    cache = p._nf_cache
+    start = next((i for i in range(1, len(word)) if word[i:] in cache), len(word))
+    partial = cache.get(word[start:], {(): ONE})
+    for i in range(start - 1, -1, -1):
+        piece = _letter_piece(word[i], p)
+        if piece is None:
+            partial = yield from _fold(word[i:i + 1], partial, p)
+        else:
+            nxt = {}
+            for u, m in piece.terms.items():
+                part = yield from _fold(u, partial, p)
+                for v, c in part.items():
+                    _acc(nxt, v, c * m)
+            partial = nxt
+        if i:
+            cache[word[i:]] = partial
+    return partial
+
+
 def _reduce_word(word, p: Presentation) -> dict:
-    """Normal form of a word, memoized in ``p._nf_cache``: its letters
-    are inserted right to left into a suffix kept in normal form."""
+    """Normal form of a legal word, memoized in ``p._nf_cache``: its
+    letters are inserted right to left into a suffix kept in normal form."""
     hit = p._nf_cache.get(word)
     if hit is not None:
         return hit
+    if any(_letter_piece(g, p) is not None for g in word):
+        return _drive(word, _fold_pieces(word, p), p)
     # everything right of the rightmost redex is normal already
     i = _find_redex(word, p, range(len(word) - 2, -1, -1))
     cut = 0 if i is None else i + 1
@@ -649,7 +683,7 @@ def _letter_piece(g, p: Presentation):
 
 def _expand_word(word, p: Presentation) -> Expr:
     """The product of the letters' pieces: a word expression over the
-    presentation's own letters."""
+    presentation's own letters (the reference engine's first step)."""
     out = unit()
     for g in word:
         piece = _letter_piece(g, p)
@@ -668,10 +702,11 @@ def normal_form(e: Expr, p: Presentation, schedule: str = "leftmost") -> Expr:
     if schedule not in ("leftmost", "rightmost"):
         raise AlgebraError(f"unknown schedule {schedule!r}")
     p.validate_expr(e)
+    if schedule == "leftmost":
+        return e._linear(lambda w: _reduce_word(w, p))
     if any(_letter_piece(g, p) is not None for w in e.terms for g in w):
         e = e._linear(lambda w: _expand_word(w, p).terms)
-    reduce = _reduce_word if schedule == "leftmost" else _walk_rightmost
-    return e._linear(lambda w: reduce(w, p))
+    return e._linear(lambda w: _walk_rightmost(w, p))
 
 
 def commutator(x: Expr, y: Expr, p: Presentation) -> Expr:

@@ -12,7 +12,8 @@ Grammar (whitespace insensitive):
 NUMBER is a natural, an exact ratio p/q, or a decimal literal.  Negative
 exponents are accepted on scalar-valued bases only (s^-2, (1+s)^-1); the
 printer uses them to express denominators, since there is no division
-operator.
+operator.  An exponent above MAX_EXPONENT is refused before any power is
+built.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ class ParseError(CcrHopfError):
 _TOKEN = re.compile(
     r"(?P<number>\d+(?:\.\d+|/\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^()])"
 )
+
+# a power is built by repeated multiplication, so its exponent is capped
+MAX_EXPONENT = 1000
 
 _SCALAR_NAMES = {"i": IMAG, "kappa": KAPPA, "s": S_PARAM, "r2": R2}
 _CENTRAL_NAMES = {"I": gen_I, "K": gen_K, "Kinv": gen_Kinv}
@@ -130,7 +134,10 @@ class _Parser:
         if kind != "number" or not text.isdigit():
             raise ParseError(f"found {text or 'end of input'!r}", pos, ["a natural exponent"])
         self.next()
-        n = int(text)
+        digits = text.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            raise ParseError(f"exponent above the limit {MAX_EXPONENT}", pos)
+        n = int(digits)
         if sign > 0:
             return base ** n
         coeff = _as_scalar(base)

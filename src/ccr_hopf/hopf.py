@@ -168,25 +168,20 @@ def swap_slots(t: TensorExpr) -> TensorExpr:
 
 def tensor_normal_form(t: TensorExpr, p: Presentation) -> TensorExpr:
     """Per-slot reduction with bilinear recombination.  The distinct
-    letters are validated once; a slot word holding a letter that p
-    expands (see algebra._letter_piece) goes through normal_form, any
-    other through the memoized word reducer."""
+    letters are validated once; every slot word, one holding a letter
+    that p expands (see algebra._letter_piece) included, goes through the
+    memoized word reducer."""
     letters = tuple(dict.fromkeys(g for k in t.terms for w in k for g in w))
     p.validate_expr(Expr.from_word(letters))
-    pieces = frozenset(g for g in letters if _letter_piece(g, p) is not None)
-    return t._like(_reduce_slots(t.terms, p, pieces))
+    return t._like(_reduce_slots(t.terms, p))
 
 
-def _reduce_slots(terms: dict, p: Presentation, pieces=frozenset()) -> dict:
+def _reduce_slots(terms: dict, p: Presentation) -> dict:
     """tensor_normal_form on a key -> coefficient mapping whose letters are
-    legal in p; pieces holds the letters among them that p expands."""
+    legal in p."""
     out = {}
     for k, c in terms.items():
-        forms = [
-            normal_form(Expr.from_word(w), p).terms
-            if pieces and not pieces.isdisjoint(w) else _reduce_word(w, p)
-            for w in k
-        ]
+        forms = [_reduce_word(w, p) for w in k]
         if all(map(dict.__contains__, forms, k)):
             # every slot is normal already: a normal word is its own form
             _acc(out, k, c)

@@ -39,8 +39,10 @@ from ccr_hopf.algebra import (
     random_expr,
     random_word,
     unit,
+    _expand_word,
     _letter_piece,
     _pair_rule,
+    _reduce_word,
 )
 from ccr_hopf.hopf import HopfSpec, check_antipode, check_coassociativity
 from ccr_hopf.scalars import IMAG, KAPPA, ONE, R2, S_PARAM, Scalar
@@ -297,11 +299,11 @@ def test_schedules_agree_smoke():
         normal_form(phi(0), P_UND, "innermost")
 
 
-def _rook_normal_form(n, kappa, field):
+def _rook_normal_form(n, kappa, field, j=0):
     """phi^n pi^n + I sum_k k! C(n,k)^2 (-i kappa)^k phi^(n-k) pi^(n-k), the
-    normal form of pi^n phi^n from the boson rook numbers; the ladder
-    form am^n ap^n has ap, am in place of phi, pi and kappa^k."""
-    create, annihilate = (phi(0), pi(0)) if field else (ap(0), am(0))
+    normal form of pi^n phi^n from the boson rook numbers (mode j); the
+    ladder form am^n ap^n has ap, am in place of phi, pi and kappa^k."""
+    create, annihilate = (phi(j), pi(j)) if field else (ap(j), am(j))
     step = -IMAG * kappa if field else kappa
     out = create ** n * annihilate ** n
     for k in range(1, n + 1):
@@ -320,6 +322,81 @@ def test_normal_order_rook_closed_form(variant, kappa):
             got = normal_form(word, p)
             assert len(got.terms) == n + 1
             assert got == _rook_normal_form(n, kappa, field)
+
+
+@pytest.mark.parametrize("variant, kappa", [("undeformed", ONE), ("deformed-strict", KAPPA)])
+def test_basis_convert_rook_round_trip(variant, kappa):
+    # am^10 ap^10 holds 2^20 free words once its letters are expanded into
+    # the field basis; folding each letter's piece into a normal suffix
+    # keeps only the normal words, so the round trip is cheap
+    p = Presentation(variant=variant)
+    j = 0 if variant == "undeformed" else 2
+    field = basis_convert(am(j) ** 10 * ap(j) ** 10, "phi-pi", p)
+    assert len(field.terms) > 11
+    assert basis_convert(field, "ladder", p) == _rook_normal_form(10, kappa, False, j)
+
+
+def _expand_then_reduce(e, p):
+    """Reference normal form: every word's letters are expanded into the
+    free algebra over p's own letters first, and each resulting word is
+    then reduced on its own."""
+    out = {}
+    for w, c in e.terms.items():
+        for w2, c2 in _expand_word(w, p).terms.items():
+            for v, c3 in _reduce_word(w2, p).items():
+                out[v] = out.get(v, Scalar.zero()) + c * c2 * c3
+    return Expr(out)
+
+
+_MIXED_COEFFS = (ONE, -IMAG, Scalar.rational(Fraction(3, 7)), KAPPA, S_PARAM ** -1,
+                 ONE / (ONE + S_PARAM), (Scalar.rational(2) + KAPPA) / (ONE + S_PARAM))
+
+
+def _mixed_expr(rng, p, max_degree=6, modes=2):
+    """A random expression over both bases' letters, plus K and Kinv
+    wherever p admits them."""
+    letters = [GEN_I] + [(f, j) for f in (FAM_PHI, FAM_PI, FAM_AP, FAM_AM) for j in range(modes)]
+    if p.variant != "undeformed":
+        letters += [GEN_K, GEN_KINV]
+    e = Expr.zero()
+    for _ in range(rng.randint(1, 3)):
+        word = tuple(rng.choice(letters) for _ in range(rng.randint(0, max_degree)))
+        e = e + Expr.from_word(word, rng.choice(_MIXED_COEFFS))
+    return e
+
+
+_ORACLE_GRAM = [[1, ["1/2", "1/3"]], [["1/2", "-1/3"], 2]]
+
+
+@pytest.mark.parametrize("variant", ["undeformed", "deformed-strict", "deformed-collapsed"])
+@pytest.mark.parametrize("basis", ["phi-pi", "ladder"])
+@pytest.mark.parametrize("gram", [None, _ORACLE_GRAM])
+@pytest.mark.parametrize("qc", [{}, {"q": 1.5, "c": 0.8}])
+def test_pieces_fold_matches_expand_then_reduce(variant, basis, gram, qc):
+    def presentation():
+        return Presentation(variant=variant, basis=basis, gram=gram, **qc)
+
+    p, ref = presentation(), presentation()
+    rng = random.Random(f"{variant}/{basis}/{gram is None}/{bool(qc)}")
+    for _ in range(12):
+        e = _mixed_expr(rng, p)
+        got, want = normal_form(e, p), _expand_then_reduce(e, ref)
+        assert got == want
+        coeffs = list(got.terms.values()) + list(want.terms.values())
+        if all(c.denominator_terms() is None for c in coeffs):
+            assert str(got) == str(want)
+    # a word with a piece letter is memoized like any other word
+    assert any(_letter_piece(g, p) is not None for w in p._nf_cache for g in w)
+
+
+def test_pieces_fold_keeps_the_presentation_fields():
+    for p in (P_UND, P_LAD, P_COL, Presentation(variant="deformed-collapsed", basis="ladder")):
+        before = set(vars(p))
+        basis_convert(am(0) ** 3 * ap(0) ** 3 + gen_I() * phi(1) * pi(0), "phi-pi", p)
+        basis_convert(pi(0) ** 3 * phi(0) ** 3, "ladder", p)
+        if p.variant == "deformed-collapsed":
+            expand_k(gen_K() * pi(0) * gen_Kinv() * phi(0) * gen_K(), p)
+        assert set(vars(p)) == before
 
 
 def test_long_words_reduce_without_recursion():

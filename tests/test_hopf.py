@@ -22,6 +22,8 @@ from ccr_hopf.algebra import (
     random_expr,
     unit,
     word_text,
+    _expand_word,
+    _reduce_word,
 )
 from ccr_hopf.hopf import (
     AxiomReport,
@@ -476,13 +478,34 @@ def test_memoized_coproduct_matches_free_expansion(h, variant, gram, idempotent)
         _assert_free_expansion(_descent_expr(rng, p, h), h, p)
 
 
+def _slotwise_expanded(t, p):
+    """Tensor normal form with every slot word's letters expanded into the
+    free algebra first and each resulting word reduced on its own."""
+    out = TensorExpr.zero(t.order)
+    for words, c in t.terms.items():
+        slots = []
+        for w in words:
+            slot = Expr.zero()
+            for w2, c2 in _expand_word(w, p).terms.items():
+                slot = slot + c2 * Expr(_reduce_word(w2, p))
+            slots.append(slot)
+        out = out + c * tensor_of(*slots)
+    return out
+
+
 def test_memoized_coproduct_collapsed_k_input():
     # K and Kinv are input letters there that reduce to 1 + (s-1) I
     k, kinv = gen_K(), gen_Kinv()
+    p = Presentation(variant="deformed-collapsed")
     for e in (k * phi(0) * kinv, kinv * k * pi(1) * phi(0),
               pi(0) * k * phi(0) * kinv * k + 2 * kinv * pi(1) * pi(0) * phi(0),
               k * k * kinv * gen_I() * phi(1) * pi(0) * kinv):
-        _assert_free_expansion(e, DF, P_COL)
+        _assert_free_expansion(e, DF, p)
+        free = _co_free(e, DF)
+        ref = Presentation(variant="deformed-collapsed")
+        assert tensor_normal_form(free, p) == _slotwise_expanded(free, ref)
+        # every slot word, one holding K or Kinv included, is memoized
+        assert all(w in p._nf_cache for key in free.terms for w in key if w)
 
 
 def test_coproduct_memo_is_per_call():

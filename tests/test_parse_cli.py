@@ -509,6 +509,22 @@ def test_cli_zero_denominator_literal_exits_2(capsys, text):
     assert f"position {text.index('/') - 1}" in err
 
 
+@pytest.mark.parametrize("text", ["phi(0)^99999999999", "s^99999999999*phi(0)",
+                                  "(1+s)^-100000*phi(0)", "phi(0)^1001", "phi(0)^" + "9" * 5000])
+def test_cli_exponent_above_limit_exits_2(capsys, text):
+    # powers are built by repeated multiplication; the parser refuses an
+    # exponent above its limit before multiplying anything
+    code, doc, err = run_cli(capsys, ["normalize", text])
+    assert _one_refusal(code, doc, err) and "exponent above the limit 1000" in err
+    assert f"position {text.index('^') + 1 + text.startswith('(1+s)^-')}" in err
+
+
+def test_cli_exponent_at_limit_is_accepted(capsys):
+    code, doc, _ = run_cli(capsys, ["normalize", "phi(0)^0001000*s^1000"])
+    assert code == 0
+    assert doc["results"]["normal_form"]["text"] == "s^1000*phi(0)^1000"
+
+
 @pytest.mark.parametrize("scale", ["nan", "1e-200"])
 @pytest.mark.parametrize("sub", ["cocycle", "eta", "bochner", "weyl", "pd-check"])
 def test_cli_measure_refuses_non_finite_model(capsys, sub, scale):
