@@ -20,7 +20,10 @@ degree, so reduction terminates.  A letter outside the presentation (the
 collapsed K, Kinv and the other basis's pair) stands for its piece, a
 sum of words over the presentation's own letters.  Each presentation
 memoizes both tables: _pair_rule decides every pair and _letter_piece
-every letter.
+every letter.  These two functions are the only place a defining relation
+or a piece is stated; ``relations`` reads the relations back off
+_pair_rule as (label, L, R) triples for the checks that a map respects
+them (hopf.check_respects_relations).
 
 Two engines apply these rules.  The default ``leftmost`` schedule is the
 memoized insertion engine: it inserts a word's letters right to left
@@ -73,6 +76,7 @@ __all__ = [
     "word_text",
     "random_word",
     "random_expr",
+    "relations",
 ]
 
 # generator families; tuple order (family, mode) is the normal order
@@ -512,6 +516,27 @@ def _pair_rule(g1, g2, p: Presentation) -> tuple:
         raise AlgebraError(f"no rewrite for adjacent pair {gen_text(g1)},{gen_text(g2)}")
     p._rules[g1, g2] = rule
     return rule
+
+
+def relations(p: Presentation, letters) -> list:
+    """The defining relations among letters, read off _pair_rule: a
+    (label, L, R) for every ordered pair g1, g2 that has a rule, with
+    L = g1*g2 and R the sum of the rule's words times their multipliers.
+    The commutations (a rule led by g2*g1) come first, then the
+    contractions, each in the order of the pairs."""
+    letters = sorted(letters)
+    swaps, contractions = [], []
+    for g1 in letters:
+        for g2 in letters:
+            rule = _pair_rule(g1, g2, p)
+            if not rule:
+                continue
+            name, R = f"{gen_text(g1)}*{gen_text(g2)}", Expr(dict(rule))
+            if rule[0][0] == (g2, g1):
+                swaps.append((f"{name} commutation", Expr.from_word((g1, g2)), R))
+            else:
+                contractions.append((f"{name} = {R}", Expr.from_word((g1, g2)), R))
+    return swaps + contractions
 
 
 def _find_redex(word, p: Presentation, positions):

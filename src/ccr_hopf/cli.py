@@ -514,12 +514,9 @@ def _cmd_measure_weyl(args):
 
 
 def _cmd_measure_pd(args):
-    from .measure import gauss_vector, positive_definiteness_check
+    from .measure import pd_sweep
 
-    model = _model(args)
-    rng = random.Random(f"{args.seed}:pd-cli")
-    vectors = [gauss_vector(rng, args.d) for _ in range(args.count)]
-    min_eig = positive_definiteness_check(model.Z, vectors)
+    min_eig = pd_sweep(_model(args), random.Random(f"{args.seed}:pd-cli"), args.count)
     results = {"min_eigenvalue": min_eig, "tolerance": -1e-10, "vectors": args.count}
     return results, min_eig >= -1e-10, f"measure pd-check min eigenvalue={min_eig:.3e}"
 

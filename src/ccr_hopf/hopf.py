@@ -18,7 +18,9 @@ the contract.  Coassociativity, the counit and antipode axioms and the
 cocommutativity probe share one sweep, _sweep: it computes Delta(w) for
 every normal word w and reduces and records the residuals that each
 check's own map derives from it.  The relation check records its
-Delta/eps/S residuals through the same reduce-and-record step.
+Delta/eps/S residuals through the same reduce-and-record step.  It reads
+its relations from algebra.relations, which derives them from the rewrite
+rules, so this module states no relation and no piece rule of its own.
 
 Reduced coproducts are built from prefixes.  Slot-wise normal form is
 the quotient map from the free tensor square onto A (x) A, an algebra
@@ -42,8 +44,6 @@ from itertools import product
 
 from .algebra import (
     BASIS_FIELD,
-    DEFORMED_COLLAPSED,
-    DEFORMED_STRICT,
     FAM_AM,
     FAM_AP,
     FAM_I,
@@ -51,7 +51,6 @@ from .algebra import (
     FAM_KINV,
     FAM_PHI,
     FAM_PI,
-    GEN_I,
     GEN_K,
     GEN_KINV,
     UNDEFORMED,
@@ -65,6 +64,7 @@ from .algebra import (
     gen_text,
     legal_letters,
     normal_form,
+    relations,
     word_text,
 )
 from .scalars import IMAG, ONE, ZERO, CcrHopfError, Scalar, signed_join
@@ -433,11 +433,10 @@ def _sweep(axiom: str, h: HopfSpec, p: Presentation, degree: int, modes: int, re
 
 
 def _covered_letters(h: HopfSpec, p: Presentation, modes: int) -> list:
-    letters = [g for g in legal_letters(p, modes) if h.covers(g)]
-    if p.variant == DEFORMED_COLLAPSED:
-        # K letters are input sugar there, not normal-form letters
-        letters = [g for g in letters if g[0] not in (FAM_K, FAM_KINV)]
-    if not letters or all(g[0] in (FAM_I, FAM_K, FAM_KINV) for g in letters):
+    """The sorted letters of modes 0..modes-1 that h covers and p does not
+    expand (see algebra._letter_piece); at least one must be a field."""
+    letters = [g for g in legal_letters(p, modes) if h.covers(g) and _letter_piece(g, p) is None]
+    if not any(g[0] in (FAM_PHI, FAM_PI) for g in letters):
         raise HopfError(
             "no covered field generators; Hopf checks run over the phi-pi basis"
         )
@@ -467,53 +466,19 @@ def sorted_basis_words(p: Presentation, max_degree: int, letters) -> list:
     return words
 
 
-def _relations(p: Presentation, h: HopfSpec, modes: int):
-    """Defining relations (label, L, R) with all letters covered by h."""
-    _covered_letters(h, p, modes)  # raises unless a field generator is covered
-    rels = []
-    ii = Expr.from_word((GEN_I,))
-
-    def word(*gens):
-        return Expr.from_word(tuple(gens))
-
-    for j in range(modes):
-        for k in range(modes):
-            g = p.gram_scalar(j, k)
-            L = word((FAM_PI, j), (FAM_PHI, k))
-            R = word((FAM_PHI, k), (FAM_PI, j)) - IMAG * g * p.kappa_scalar * ii
-            rels.append((f"pi({j})*phi({k}) commutation", L, R))
-    for j in range(modes):
-        for k in range(j + 1, modes):
-            rels.append(
-                (f"[phi({j}),phi({k})] = 0", word((FAM_PHI, k), (FAM_PHI, j)),
-                 word((FAM_PHI, j), (FAM_PHI, k)))
-            )
-            rels.append(
-                (f"[pi({j}),pi({k})] = 0", word((FAM_PI, k), (FAM_PI, j)),
-                 word((FAM_PI, j), (FAM_PI, k)))
-            )
-    centrals = [GEN_I]
-    if p.variant == DEFORMED_STRICT and h.covers(GEN_K):
-        centrals += [GEN_K, GEN_KINV]
-    x = (FAM_PHI, 0)
-    for z in centrals:
-        rels.append((f"{gen_text(z)} central", word(x, z), word(z, x)))
-    if p.idempotent_identity:
-        rels.append(("I*I = I", ii * ii, ii))
-    if p.variant == DEFORMED_STRICT and h.covers(GEN_K):
-        one = Expr.from_word(())
-        rels.append(("K*Kinv = 1", word(GEN_K, GEN_KINV), one))
-        rels.append(("Kinv*K = 1", word(GEN_KINV, GEN_K), one))
-    return rels
-
-
 def check_respects_relations(h: HopfSpec, p: Presentation, modes: int = 2) -> AxiomReport:
     """Whether Delta, eps, S are well defined on the quotient: for each
-    defining relation L = R, the residuals Delta(L)-Delta(R),
-    eps(L)-eps(R), S(L)-S(R) are reduced and reported."""
+    defining relation L = R among the covered letters, the residuals
+    Delta(L)-Delta(R), eps(L)-eps(R), S(L)-S(R) are reduced and reported.
+
+    The relations are algebra.relations, read off the rewrite rules, so
+    every pair of covered letters that has a rule is checked: I, K and Kinv
+    commute with every field letter, not only with phi(0), and I commutes
+    with K and Kinv; the contractions I*I = I and K*Kinv = Kinv*K = 1 are
+    checked where the presentation has them."""
     _check_flavor_variant(h, p)
     failures = []
-    for label, L, R in _relations(p, h, modes):
+    for label, L, R in relations(p, _covered_letters(h, p, modes)):
         for name, free_map in (("Delta", _co_free), ("eps", _eps_free), ("S", _s_free)):
             _record(failures, f"{name} on {label}", free_map(L - R, h), p)
     notes = []

@@ -40,6 +40,16 @@ MAX_MC_DRAWS = 4_000_000
 # about 45-70 us a triple, so 5-7 s at the budget
 MAX_COCYCLE_SAMPLES = 100_000
 
+# most (v, v', u) triples weyl_sweep may check: it is a Python loop at about
+# 0.2-0.5 ms a triple for d <= 4, so 2-5 s at the budget.  A triple's test
+# function holds up to 3^d monomials, so larger d costs more a triple
+# (16 ms at d = 10); MAX_TRANSLATE_MONOMIALS bounds d
+MAX_WEYL_SAMPLES = 10_000
+
+# most vectors pd_sweep may draw: the matrix Z(v_i - v_j) takes count^2
+# Python calls of Z at about 5 us each, so about 5 s at the budget
+MAX_PD_VECTORS = 1_000
+
 
 # ---------------------------------------------------------------------------
 # Gaussian model
@@ -234,6 +244,15 @@ def positive_definiteness_check(Z, vectors, coefficients=None):
     return float(np.min(np.linalg.eigvalsh(mat)))
 
 
+def pd_sweep(model: GaussianModel, rng, count: int) -> float:
+    """positive_definiteness_check of model.Z over count random vectors
+    drawn from rng."""
+    if count > MAX_PD_VECTORS:
+        raise MeasureError(f"{count} vectors are over the budget of "
+                           f"{MAX_PD_VECTORS}; lower the count")
+    return positive_definiteness_check(model.Z, [gauss_vector(rng, model.d) for _ in range(count)])
+
+
 # ---------------------------------------------------------------------------
 # Test functions: polynomial times Gaussian, exact operations
 
@@ -425,6 +444,9 @@ def weyl_sweep(model: GaussianModel, rng, count: int) -> float:
     and test functions drawn from rng."""
     if count < 1:
         raise MeasureError(f"need at least one sample point, got {count}")
+    if count > MAX_WEYL_SAMPLES:
+        raise MeasureError(f"{count} Weyl samples are over the budget of "
+                           f"{MAX_WEYL_SAMPLES}; lower the count")
     worst = 0.0
     for _ in range(count):
         v, vp, u = (gauss_vector(rng, model.d) for _ in range(3))

@@ -33,11 +33,13 @@ from ccr_hopf.algebra import (
     gen_K,
     gen_Kinv,
     legal_letter_count,
+    legal_letters,
     normal_form,
     phi,
     pi,
     random_expr,
     random_word,
+    relations,
     unit,
     _expand_word,
     _letter_piece,
@@ -511,3 +513,79 @@ def test_rule_tables_are_per_presentation():
         mults.append(m)
         assert normal_form(pi(0) * phi(1), p) == phi(1) * pi(0) + m * gen_I()
     assert len({str(m) for m in mults}) == len(ps)
+
+
+# ---------------------------------------------------------------------------
+# Maps given on generators, checked against the relation table: a map
+# respects the relations exactly when every relation L = R goes to 0
+
+
+def _image(e, images):
+    """The image of e under the algebra map that sends each letter g to
+    images[g], on the free algebra."""
+    out = Expr.zero()
+    for w, c in e.terms.items():
+        term = unit()
+        for g in w:
+            term = term * images[g]
+        out = out + term * c
+    return out
+
+
+def _broken_relations(images, source, target, modes=2):
+    """Labels of the relations of source whose images do not reduce to 0
+    in target."""
+    return [label for label, L, R in relations(source, legal_letters(source, modes))
+            if not normal_form(_image(L - R, images), target).is_zero()]
+
+
+_COMPLEX_GRAM = [[1, [0, "1/2"]], [[0, "-1/2"], 2]]
+_FIELD_LETTERS = [(f, j) for f in (FAM_PHI, FAM_PI) for j in range(2)]
+
+
+def _transfer_images(kappa):
+    """deformed-strict -> undeformed: phi -> phi, pi -> kappa pi, I -> I,
+    K -> s, Kinv -> 1/s (the transfer representation's map)."""
+    images = {g: Expr.from_word((g,)) * (kappa if g[0] == FAM_PI else ONE) for g in _FIELD_LETTERS}
+    images.update({GEN_I: gen_I(), GEN_K: S_PARAM * unit(), GEN_KINV: S_PARAM ** -1 * unit()})
+    return images
+
+
+def test_deformed_and_undeformed_algebras_are_isomorphic():
+    # the paper's claim that A and A_{q,c} have the same representations,
+    # exactly: the map and its inverse respect every defining relation
+    strict = Presentation(variant="deformed-strict", gram=_COMPLEX_GRAM)
+    plain = Presentation(gram=_COMPLEX_GRAM)
+    assert _broken_relations(_transfer_images(KAPPA), strict, plain) == []
+    inverse = {g: Expr.from_word((g,)) * (KAPPA ** -1 if g[0] == FAM_PI else ONE)
+               for g in _FIELD_LETTERS}
+    inverse[GEN_I] = gen_I()
+    assert _broken_relations(inverse, plain, strict) == []
+    # without kappa the map breaks the four commutations whose gram entry
+    # is nonzero
+    assert _broken_relations(_transfer_images(ONE), strict, plain) == [
+        f"pi({j})*phi({k}) commutation" for j in range(2) for k in range(2)
+    ]
+
+
+_ITEM_8 = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 8: under a non-real gram the phi-pi rules disagree with the "
+           "ladder rules, so phi(1)*phi(0), pi(0)*phi(1), pi(1)*phi(0) and pi(1)*pi(0) break",
+)
+
+
+@pytest.mark.parametrize("variant", ["undeformed", "deformed-strict"])
+@pytest.mark.parametrize("gram", [
+    None,
+    [[2, "1/3"], ["1/3", 1]],
+    pytest.param([[1, [0, "1/2"]], [[0, "-1/2"], 2]], marks=_ITEM_8),
+])
+def test_basis_convert_is_an_algebra_map(variant, gram):
+    # convert sends each phi-pi letter to its ladder form; reducing the
+    # product of images must give the image of the product
+    p = Presentation(variant=variant, gram=gram)
+    ladder = p.with_basis("ladder")
+    images = {g: basis_convert(Expr.from_word((g,)), "ladder", p)
+              for g in legal_letters(p, 2)}
+    assert _broken_relations(images, p, ladder) == []

@@ -8,6 +8,11 @@ import random
 import pytest
 
 from ccr_hopf.algebra import (
+    FAM_PHI,
+    FAM_PI,
+    GEN_I,
+    GEN_K,
+    GEN_KINV,
     AlgebraError,
     Expr,
     Presentation,
@@ -15,11 +20,13 @@ from ccr_hopf.algebra import (
     gen_I,
     gen_K,
     gen_Kinv,
+    gen_text,
     legal_letters,
     normal_form,
     phi,
     pi,
     random_expr,
+    relations,
     unit,
     word_text,
     _expand_word,
@@ -48,7 +55,6 @@ from ccr_hopf.hopf import (
     _co_free,
     _co_word,
     _covered_letters,
-    _relations,
 )
 from ccr_hopf.scalars import IMAG, KAPPA, ONE, S_PARAM, Scalar, ZERO
 
@@ -344,6 +350,42 @@ def _co_slot_free(t, slot, h):
     return TensorExpr(3, out)
 
 
+def _hand_relations(p, h, modes):
+    """The defining relations (label, L, R) written out by hand, without
+    reading the rewrite rules, as the oracle for check_respects_relations.
+    The centrality of I, K and Kinv is stated against phi(0) only, so this
+    list is a subset of algebra.relations."""
+    _covered_letters(h, p, modes)  # raises unless a field generator is covered
+    rels = []
+    ii = Expr.from_word((GEN_I,))
+
+    def word(*gens):
+        return Expr.from_word(tuple(gens))
+
+    for j in range(modes):
+        for k in range(modes):
+            g = p.gram_scalar(j, k)
+            L = word((FAM_PI, j), (FAM_PHI, k))
+            R = word((FAM_PHI, k), (FAM_PI, j)) - IMAG * g * p.kappa_scalar * ii
+            rels.append((f"pi({j})*phi({k}) commutation", L, R))
+    for j in range(modes):
+        for k in range(j + 1, modes):
+            rels.append((f"[phi({j}),phi({k})] = 0", word((FAM_PHI, k), (FAM_PHI, j)),
+                         word((FAM_PHI, j), (FAM_PHI, k))))
+            rels.append((f"[pi({j}),pi({k})] = 0", word((FAM_PI, k), (FAM_PI, j)),
+                         word((FAM_PI, j), (FAM_PI, k))))
+    strict = p.variant == "deformed-strict" and h.covers(GEN_K)
+    centrals = [GEN_I] + ([GEN_K, GEN_KINV] if strict else [])
+    for z in centrals:
+        rels.append((f"{gen_text(z)} central", word((FAM_PHI, 0), z), word(z, (FAM_PHI, 0))))
+    if p.idempotent_identity:
+        rels.append(("I*I = I", ii * ii, ii))
+    if strict:
+        rels.append(("K*Kinv = 1", word(GEN_K, GEN_KINV), unit()))
+        rels.append(("Kinv*K = 1", word(GEN_KINV, GEN_K), unit()))
+    return rels
+
+
 def _reference_checks(h, p, degree, modes=2):
     """The per-check loops the shared sweep replaced, kept as the oracle:
     each recomputes Delta(w) as the free expansion reduced once, applies
@@ -375,15 +417,21 @@ def _reference_checks(h, p, degree, modes=2):
         for side, val in (("m(S x id)Delta", s_l), ("m(id x S)Delta", s_r)):
             record("antipode", f"{side} on {word_text(w)}", normal_form(val - target, p))
         record("cocommutativity", word_text(w), tensor_normal_form(t - swap_slots(t), p))
-    relations = []
-    for label, L, R in _relations(p, h, modes):
+    return fails, _reference_relation_failures(h, p, modes)
+
+
+def _reference_relation_failures(h, p, modes):
+    """check_respects_relations over the hand-written relations, through
+    the public coproduct, counit and antipode."""
+    failures = []
+    for label, L, R in _hand_relations(p, h, modes):
         dres = tensor_normal_form(coproduct(L, h, p) - coproduct(R, h, p), p)
         eres = counit(L, h, p) - counit(R, h, p)
         sres = normal_form(antipode(L, h, p) - antipode(R, h, p), p)
         for name, res in (("Delta", dres), ("eps", eres), ("S", sres)):
             if not res.is_zero():
-                relations.append(Failure(f"{name} on {label}", str(res), res))
-    return fails, relations
+                failures.append(Failure(f"{name} on {label}", str(res), res))
+    return failures
 
 
 _COMPLEX_GRAM = [[1, [0, "1/2"]], [[0, "-1/2"], 2]]
@@ -417,6 +465,48 @@ def test_sweeps_match_term_by_term_loops(h, variant, gram, idempotent):
     got = check_respects_relations(h, p, 2)
     assert got.failures == tuple(want_relations)
     assert [f.residual for f in got.failures] == [f.residual for f in want_relations]
+
+
+_COMPLEX_GRAM_3 = [[1, [0, "1/2"], ["1/3", 1]], [[0, "-1/2"], 2, [0, "1/5"]],
+                   [["1/3", -1], [0, "-1/5"], 3]]
+
+
+@pytest.mark.parametrize("modes", [1, 3])
+@pytest.mark.parametrize("h, variant, gram, idempotent", _SWEEP_CASES)
+def test_relation_check_matches_hand_written_relations(h, variant, gram, idempotent, modes):
+    # the derived table checks more relations than the hand-written list,
+    # and every one it adds holds: the failures are the list's, in order
+    gram = gram and (_COMPLEX_GRAM if modes < 3 else _COMPLEX_GRAM_3)
+    p = Presentation(variant=variant, gram=gram, idempotent_identity=idempotent)
+    want = _reference_relation_failures(h, p, modes)
+    got = check_respects_relations(h, p, modes)
+    assert got.failures == tuple(want)
+    assert [f.residual for f in got.failures] == [f.residual for f in want]
+    derived = {(str(L), str(R)) for _, L, R in relations(p, _covered_letters(h, p, modes))}
+    assert {(str(L), str(R)) for _, L, R in _hand_relations(p, h, modes)} <= derived
+
+
+@pytest.mark.parametrize("h, variant, count, contractions", [
+    (DF, "deformed-strict", 23, ["I*I = I", "K*Kinv = one", "Kinv*K = one"]),
+    (CL, "deformed-strict", 11, ["I*I = I"]),
+    (CL, "undeformed", 11, ["I*I = I"]),
+    (DF, "deformed-collapsed", 11, ["I*I = I"]),
+])
+def test_relation_table_lists_every_pair_with_a_rule(h, variant, count, contractions):
+    # the swaps of all out-of-order pairs of covered letters come first,
+    # then the contractions the presentation has
+    p = Presentation(variant=variant)
+    labels = [label for label, _, _ in relations(p, _covered_letters(h, p, 2))]
+    assert len(labels) == count
+    assert labels[-len(contractions):] == contractions
+    assert all(label.endswith(" commutation") for label in labels[:-len(contractions)])
+
+
+def test_relation_check_beyond_the_gram_raises_like_the_hand_list():
+    p = Presentation(variant="deformed-strict", gram=_COMPLEX_GRAM)
+    for check in (check_respects_relations, _reference_relation_failures):
+        with pytest.raises(AlgebraError, match="mode index 2 outside the 2-mode gram"):
+            check(DF, p, 3)
 
 
 # ---------------------------------------------------------------------------

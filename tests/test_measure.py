@@ -17,7 +17,9 @@ from ccr_hopf.cli import main
 from ccr_hopf.measure import (
     MAX_COCYCLE_SAMPLES,
     MAX_MC_DRAWS,
+    MAX_PD_VECTORS,
     MAX_TRANSLATE_MONOMIALS,
+    MAX_WEYL_SAMPLES,
     GaussianModel,
     MeasureError,
     TestFunction,
@@ -36,6 +38,7 @@ from ccr_hopf.measure import (
     hermite_matrix_check,
     lowering,
     p_op,
+    pd_sweep,
     positive_definiteness_check,
     random_test_function,
     t_op,
@@ -323,12 +326,37 @@ def test_cocycle_sweep_budget_is_checked_before_drawing():
     assert max(cocycle_sweep(model, rng, 3)) < 1e-10
 
 
+@pytest.mark.parametrize("sweep, budget", [(weyl_sweep, MAX_WEYL_SAMPLES),
+                                           (pd_sweep, MAX_PD_VECTORS)])
+def test_weyl_and_pd_budgets_are_checked_before_drawing(sweep, budget):
+    # the selftest checks 50 Weyl triples and the benchmark up to 100 Weyl
+    # triples and 30 vectors; the budgets sit well above them
+    assert budget >= 1000
+    model = GaussianModel.fock(2)
+    rng, ref = random.Random(6), random.Random(6)
+    with pytest.raises(MeasureError, match="budget"):
+        sweep(model, rng, budget + 1)
+    assert rng.random() == ref.random()  # refused before any draw
+    assert math.isfinite(sweep(model, rng, 3))  # a count under the budget runs
+
+
+def test_pd_sweep_draws_like_the_vector_list():
+    model = GaussianModel.scalar_c(2, 1.0)
+    rng, ref = random.Random(9), random.Random(9)
+    vecs = [gauss_vector(ref, 2) for _ in range(12)]
+    assert pd_sweep(model, rng, 12) == positive_definiteness_check(model.Z, vecs)
+    with pytest.raises(MeasureError, match="at least one vector"):
+        pd_sweep(model, rng, 0)
+
+
 @pytest.mark.parametrize(
     "argv",
     [["measure", "cocycle", "--samples", "1000000000"],
      ["measure", "cocycle", "--d", "3", "--samples", str(MAX_COCYCLE_SAMPLES + 1)],
      ["measure", "weyl", "--d", "22", "--count", "1"],
      ["measure", "weyl", "--d", "18", "--count", "3"],
+     ["measure", "weyl", "--count", str(MAX_WEYL_SAMPLES + 1)],
+     ["measure", "pd-check", "--d", "3", "--count", str(MAX_PD_VECTORS + 1)],
      ["measure", "bochner", "--samples", "100000000000"],
      ["measure", "bochner", "--d", "3", "--samples", str(MAX_MC_DRAWS // 3 + 1)]],
 )

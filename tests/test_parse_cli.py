@@ -290,6 +290,8 @@ def test_cli_spectrum_reports_solver(capsys):
         (["hopf-check", "--checks", "counit", "--degree", "-1"], "--degree"),
         (["hopf-check", "--modes", "100000000"], "budget"),
         (["hopf-check", "--modes", "100000000", "--checks", "counit", "--degree", "0"], "budget"),
+        (["measure", "weyl", "--count", "100000000"], "budget"),
+        (["measure", "pd-check", "--count", "100000000"], "budget"),
     ],
 )
 def test_cli_unbounded_arguments_exit_2(capsys, argv, needle):
