@@ -185,7 +185,8 @@ class _SparseSum:
         out = {}
         for k, c in self.terms.items():
             for k2, c2 in image(k).items():
-                _acc(out, k2, c * c2)
+                # most coefficients are ONE: skip those products
+                _acc(out, k2, c2 if c is ONE else c if c2 is ONE else c * c2)
         return (self if shape is None else shape)._like(out)
 
     def is_zero(self) -> bool:
@@ -223,7 +224,7 @@ class _SparseSum:
             out = {}
             for k1, c1 in self.terms.items():
                 for k2, c2 in other.terms.items():
-                    _acc(out, cat(k1, k2), c1 * c2)
+                    _acc(out, cat(k1, k2), c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2)
             return self._like(out)
         s = _coerce_scalar(other)
         if s is None:

@@ -16,11 +16,16 @@ combinations genuinely fail (primitive Delta(I) against I*I = I, slot
 swap against the twisted coproduct) and the failure witness is part of
 the contract.  Coassociativity, the counit and antipode axioms and the
 cocommutativity probe share one sweep, _sweep: it computes Delta(w) for
-every normal word w and reduces and records the residuals that each
-check's own map derives from it.  The relation check records its
-Delta/eps/S residuals through the same reduce-and-record step.  It reads
-its relations from algebra.relations, which derives them from the rewrite
-rules, so this module states no relation and no piece rule of its own.
+every normal word w, and each check's own map derives the two sides of
+its axiom from it.  Every check, the relation check and
+check_multiplicativity included, reaches its verdict by comparing the
+two sides (_residual): sides equal as they stand pass at once, sides
+equal once each is reduced pass next, and only sides that disagree build
+their difference and reduce it into the failure's residual.  In a
+passing sweep most sides are equal term by term, so most cases build no
+difference at all.  The relation check reads its relations from
+algebra.relations, which derives them from the rewrite rules, so this
+module states no relation and no piece rule of its own.
 
 Reduced coproducts are built from prefixes.  Slot-wise normal form is
 the quotient map from the free tensor square onto A (x) A, an algebra
@@ -28,12 +33,16 @@ homomorphism, so nf(Delta(u v)) = nf(nf(Delta(u)) nf(Delta(v))) for any
 Delta on free words, whether or not Delta respects the relations.
 _co_nf cuts a word where an adjacent pair has a rule: a redex-free run
 grows letter by letter from its reduced prefix, and the head and the
-last run are joined and reduced once.  Each result is memoized in a
-dict owned by one top-level call (coproduct, one _sweep or one
-check_multiplicativity) and dropped when it returns; the presentation
-never holds it, so a caller that keeps a presentation alive keeps no
-coproducts.  A sweep takes each word's Delta, and the Delta of every
-slot word for coassociativity, from its memo.
+last run are joined and reduced once.  The product of two reduced
+tensors is reduced as it is multiplied: _reduce_slots takes the
+(key, coefficient) pairs of the product one at a time, so the unreduced
+product is never built (_reduced_product; check_multiplicativity's right
+side is built the same way).  Each result is memoized in a dict owned by
+one top-level call (coproduct, one _sweep or one check_multiplicativity)
+and dropped when it returns; the presentation never holds it, so a
+caller that keeps a presentation alive keeps no coproducts.  A sweep
+takes each word's Delta, and the Delta of every slot word for
+coassociativity, from its memo.
 """
 
 from __future__ import annotations
@@ -173,25 +182,41 @@ def tensor_normal_form(t: TensorExpr, p: Presentation) -> TensorExpr:
     memoized word reducer."""
     letters = tuple(dict.fromkeys(g for k in t.terms for w in k for g in w))
     p.validate_expr(Expr.from_word(letters))
-    return t._like(_reduce_slots(t.terms, p))
+    return t._like(_reduce_slots(t.terms.items(), p))
 
 
-def _reduce_slots(terms: dict, p: Presentation) -> dict:
-    """tensor_normal_form on a key -> coefficient mapping whose letters are
-    legal in p."""
+def _reduce_slots(pairs, p: Presentation) -> dict:
+    """tensor_normal_form on (key, coefficient) pairs whose letters are
+    legal in p, as a key -> coefficient dict.  A key may come more than
+    once: reduction is linear, so each pair is reduced on its own."""
     out = {}
-    for k, c in terms.items():
+    for k, c in pairs:
         forms = [_reduce_word(w, p) for w in k]
         if all(map(dict.__contains__, forms, k)):
             # every slot is normal already: a normal word is its own form
             _acc(out, k, c)
             continue
         for combo in product(*(f.items() for f in forms)):
+            # most multipliers are ONE: skip those products
             m = ONE
             for _, cw in combo:
-                m = m * cw
-            _acc(out, tuple(w for w, _ in combo), c * m)
+                if cw is not ONE:
+                    m = cw if m is ONE else m * cw
+            _acc(out, tuple(w for w, _ in combo), c if m is ONE else m if c is ONE else c * m)
     return out
+
+
+def _product_pairs(a: TensorExpr, b: TensorExpr):
+    """The (key, coefficient) pairs of a * b, one per pair of terms and not
+    summed, for _reduce_slots: the unreduced product is never built."""
+    cat = a._cat
+    return ((cat(k1, k2), c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2)
+            for k1, c1 in a.terms.items() for k2, c2 in b.terms.items())
+
+
+def _reduced_product(a: TensorExpr, b: TensorExpr, p: Presentation) -> TensorExpr:
+    """tensor_normal_form(a * b) for a, b whose letters are legal in p."""
+    return a._like(_reduce_slots(_product_pairs(a, b), p))
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +224,7 @@ def _reduce_slots(terms: dict, p: Presentation) -> dict:
 
 CLASSICAL = "classical"
 DEFORMED = "deformed"
+_MINUS_ONE = -ONE
 
 
 @dataclass(frozen=True)
@@ -250,14 +276,16 @@ class HopfSpec:
             return ONE
         return ZERO
 
-    def s_gen(self, gen) -> Expr:
+    def _s_letter(self, gen) -> tuple:
+        """S(gen) as (letter, negated): every S(gen) is one letter times +-1."""
         self._require(gen)
-        if self.flavor == DEFORMED:
-            if gen[0] == FAM_K:
-                return Expr.from_word((GEN_KINV,))
-            if gen[0] == FAM_KINV:
-                return Expr.from_word((GEN_K,))
-        return -Expr.from_word((gen,))
+        if self.flavor == DEFORMED and gen[0] in (FAM_K, FAM_KINV):
+            return (GEN_KINV if gen[0] == FAM_K else GEN_K), False
+        return gen, True
+
+    def s_gen(self, gen) -> Expr:
+        letter, negated = self._s_letter(gen)
+        return Expr.from_word((letter,), _MINUS_ONE if negated else ONE)
 
 
 def _check_flavor_variant(h: HopfSpec, p: Presentation):
@@ -293,10 +321,11 @@ def _co_nf(word, h: HopfSpec, p: Presentation, memo: dict) -> TensorExpr:
     """The tensor normal form of Delta(word), memoized in memo, a dict that
     one top-level call owns (see the module docstring).  A word is cut at
     its last pair that has a rule, and a redex-free word before its last
-    letter; the two parts' forms are multiplied and reduced once, so a run
-    grows letter by letter, nf(Delta(u g)) = nf(nf(Delta(u)) nf(Delta(g))),
-    and runs join once.  The words still to build wait on an explicit
-    stack, so no word is too long for the recursion limit."""
+    letter; the two parts' forms are reduced as they are multiplied
+    (_reduced_product), so a run grows letter by letter,
+    nf(Delta(u g)) = nf(nf(Delta(u)) nf(Delta(g))), and runs join once.
+    The words still to build wait on an explicit stack, so no word is too
+    long for the recursion limit."""
     stack = [word]
     while stack:
         w = stack[-1]
@@ -314,7 +343,7 @@ def _co_nf(word, h: HopfSpec, p: Presentation, memo: dict) -> TensorExpr:
             if missing:
                 stack += missing
             else:
-                memo[w] = TensorExpr(2)._like(_reduce_slots((memo[head] * memo[run]).terms, p))
+                memo[w] = _reduced_product(memo[head], memo[run], p)
                 stack.pop()
     return memo[word]
 
@@ -352,11 +381,15 @@ def counit(e: Expr, h: HopfSpec, p: Presentation) -> Scalar:
 
 
 def _s_word(word, h: HopfSpec) -> Expr:
-    """S on one word: the product of S(g) over its letters in reverse."""
-    out = Expr.from_word(())
+    """S on one word: the product of S(g) over its letters in reverse.  Each
+    S(g) is one letter times +-1, so this is the reversed word of mapped
+    letters with one sign, built in one pass."""
+    letters, negated = [], False
     for g in reversed(word):
-        out = out * h.s_gen(g)
-    return out
+        letter, flip = h._s_letter(g)
+        letters.append(letter)
+        negated ^= flip
+    return Expr.from_word(letters, _MINUS_ONE if negated else ONE)
 
 
 def antipode(e: Expr, h: HopfSpec, p: Presentation) -> Expr:
@@ -407,28 +440,63 @@ def _report(axiom, degree, failures, notes=()):
     return AxiomReport(axiom, degree, status, tuple(failures), tuple(notes))
 
 
-def _record(failures: list, witness: str, residual, p: Presentation):
-    """Reduce a residual (a tensor, an element or a scalar) and record it
-    as a failure unless it vanishes."""
-    if isinstance(residual, TensorExpr):
-        residual = tensor_normal_form(residual, p)
-    elif isinstance(residual, Expr):
-        residual = normal_form(residual, p)
-    if not residual.is_zero():
+def _residual(lhs, rhs, p: Presentation):
+    """The reduced residual lhs - rhs of two sides (tensors, elements or
+    scalars), or None when the sides agree.  Sides equal as they stand
+    agree; otherwise each side is reduced, and reduced sides that are equal
+    agree.  Both steps are exact: normal forms are canonical, reduction is
+    linear and coefficients compare by value.  Only sides that disagree
+    build lhs - rhs, and its reduction is the residual."""
+    if lhs == rhs:
+        return None
+    if isinstance(lhs, TensorExpr):
+        reduce = tensor_normal_form
+    elif isinstance(lhs, Expr):
+        reduce = normal_form
+    else:
+        return lhs - rhs  # scalars have nothing to reduce
+    if reduce(lhs, p) == reduce(rhs, p):
+        return None
+    return reduce(lhs - rhs, p)
+
+
+def _record(failures: list, witness: str, lhs, rhs, p: Presentation):
+    """Record a failure for witness unless the two sides agree (see
+    _residual)."""
+    residual = _residual(lhs, rhs, p)
+    if residual is not None:
         failures.append(Failure(witness, str(residual), residual))
 
 
-def _sweep(axiom: str, h: HopfSpec, p: Presentation, degree: int, modes: int, residuals):
+# most free-coproduct terms, the sum of 2^|w| over the normal words w, one
+# sweep may cover.  The five default hopf-check checks took 1.1 s at
+# --modes 1 --degree 8 (7683 terms) and 5.9 s on the failing deformed
+# collapsed sweep at --modes 2 --degree 5 (4099 terms); without the budget
+# --modes 1 --degree 12 (188419 terms) took 11.6 s, and the cost roughly
+# doubles with each degree
+MAX_SWEEP_TERMS = 10_000
+
+
+def _sweep(axiom: str, h: HopfSpec, p: Presentation, degree: int, modes: int, sides):
     """The bounded-degree check shared by the axioms: for every normal word
-    w of degree <= degree over the covered letters, residuals(w, Delta(w),
-    memo) yields (witness, residual) pairs, each reduced and recorded in
-    turn.  memo is the sweep's own _co_nf memo."""
+    w of degree <= degree over the covered letters, sides(w, Delta(w), memo)
+    yields (witness, lhs, rhs) triples, and each is recorded in turn when
+    its two sides disagree (see _residual).  memo is the sweep's own _co_nf
+    memo.  A sweep whose words' free coproducts hold more than
+    MAX_SWEEP_TERMS terms is refused before the first coproduct."""
     _check_flavor_variant(h, p)
+    words = sorted_basis_words(p, degree, _covered_letters(h, p, modes))
+    terms = sum(1 << len(w) for w in words)
+    if terms > MAX_SWEEP_TERMS:
+        raise HopfError(
+            f"the degree-{degree} sweep over {modes} modes covers {terms} free coproduct "
+            f"terms, over the budget of {MAX_SWEEP_TERMS}; lower --degree or --modes"
+        )
     failures = []
     memo = {}
-    for w in sorted_basis_words(p, degree, _covered_letters(h, p, modes)):
-        for witness, residual in residuals(w, _co_nf(w, h, p, memo), memo):
-            _record(failures, witness, residual, p)
+    for w in words:
+        for witness, lhs, rhs in sides(w, _co_nf(w, h, p, memo), memo):
+            _record(failures, witness, lhs, rhs, p)
     return _report(axiom, degree, failures)
 
 
@@ -480,7 +548,7 @@ def check_respects_relations(h: HopfSpec, p: Presentation, modes: int = 2) -> Ax
     failures = []
     for label, L, R in relations(p, _covered_letters(h, p, modes)):
         for name, free_map in (("Delta", _co_free), ("eps", _eps_free), ("S", _s_free)):
-            _record(failures, f"{name} on {label}", free_map(L - R, h), p)
+            _record(failures, f"{name} on {label}", free_map(L, h), free_map(R, h), p)
     notes = []
     if any("I*I = I" in f.witness for f in failures):
         notes.append(
@@ -503,40 +571,40 @@ def _co_slot(t: TensorExpr, slot: int, h: HopfSpec, p: Presentation, memo: dict)
 def check_coassociativity(
     h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2
 ) -> AxiomReport:
-    def residuals(w, t, memo):
-        yield word_text(w), _co_slot(t, 0, h, p, memo) - _co_slot(t, 1, h, p, memo)
+    def sides(w, t, memo):
+        yield word_text(w), _co_slot(t, 0, h, p, memo), _co_slot(t, 1, h, p, memo)
 
-    return _sweep("coassociativity", h, p, degree, modes, residuals)
+    return _sweep("coassociativity", h, p, degree, modes, sides)
 
 
 def check_counit(h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2) -> AxiomReport:
-    def residuals(w, t, _memo):
+    def sides(w, t, _memo):
         e = Expr.from_word(w)
         left = t._linear(lambda k: {k[1]: _eps_word(k[0], h)}, Expr.zero())
         right = t._linear(lambda k: {k[0]: _eps_word(k[1], h)}, Expr.zero())
-        yield f"(eps x id) on {word_text(w)}", left - e
-        yield f"(id x eps) on {word_text(w)}", right - e
+        yield f"(eps x id) on {word_text(w)}", left, e
+        yield f"(id x eps) on {word_text(w)}", right, e
 
-    return _sweep("counit", h, p, degree, modes, residuals)
+    return _sweep("counit", h, p, degree, modes, sides)
 
 
 def check_antipode(h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2) -> AxiomReport:
-    def residuals(w, t, _memo):
+    def sides(w, t, _memo):
         one = Expr.from_word(())
         left = t._linear(lambda k: (_s_word(k[0], h) * Expr.from_word(k[1])).terms, one)
         right = t._linear(lambda k: (Expr.from_word(k[0]) * _s_word(k[1], h)).terms, one)
         target = _eps_word(w, h) * one
-        yield f"m(S x id)Delta on {word_text(w)}", left - target
-        yield f"m(id x S)Delta on {word_text(w)}", right - target
+        yield f"m(S x id)Delta on {word_text(w)}", left, target
+        yield f"m(id x S)Delta on {word_text(w)}", right, target
 
-    return _sweep("antipode", h, p, degree, modes, residuals)
+    return _sweep("antipode", h, p, degree, modes, sides)
 
 
 def cocommutativity_probe(
     h: HopfSpec, p: Presentation, degree: int = 2, modes: int = 2
 ) -> AxiomReport:
     return _sweep("cocommutativity", h, p, degree, modes,
-                  lambda w, t, _memo: [(word_text(w), t - swap_slots(t))])
+                  lambda w, t, _memo: [(word_text(w), t, swap_slots(t))])
 
 
 def check_multiplicativity(
@@ -572,7 +640,7 @@ def check_multiplicativity(
             return e
 
         x, y = rand_expr(), rand_expr()
-        res = tensor_normal_form(co(x * y) - co(x) * co(y), p)
-        if not res.is_zero():
+        res = _residual(co(x * y), _reduced_product(co(x), co(y), p), p)
+        if res is not None:
             failures.append(Failure(f"trial {trial}: x={x}; y={y}", str(res), res))
     return _report("multiplicativity", degree, failures)

@@ -40,11 +40,12 @@ MAX_MC_DRAWS = 4_000_000
 # about 45-70 us a triple, so 5-7 s at the budget
 MAX_COCYCLE_SAMPLES = 100_000
 
-# most (v, v', u) triples weyl_sweep may check: it is a Python loop at about
-# 0.2-0.5 ms a triple for d <= 4, so 2-5 s at the budget.  A triple's test
-# function holds up to 3^d monomials, so larger d costs more a triple
-# (16 ms at d = 10); MAX_TRANSLATE_MONOMIALS bounds d
-MAX_WEYL_SAMPLES = 10_000
+# most monomials weyl_sweep may translate: its count of triples times the
+# most one d-mode random test function expands.  With
+# worst-case test functions a triple took 0.24 ms at d = 1 and about 9 us a
+# monomial at d = 4..8 (106 ms a triple at d = 8), so a sweep at the budget
+# takes at most about 5 s at d = 1 (20000 triples) and 1 s at d >= 4
+MAX_WEYL_MONOMIALS = 100_000
 
 # most vectors pd_sweep may draw: the matrix Z(v_i - v_j) takes count^2
 # Python calls of Z at about 5 us each, so about 5 s at the budget
@@ -441,12 +442,21 @@ def weyl_relation_check(model: GaussianModel, v, vp, f: TestFunction, u) -> comp
 
 def weyl_sweep(model: GaussianModel, rng, count: int) -> float:
     """Worst Weyl-relation residual over count random (v, v', u) triples
-    and test functions drawn from rng."""
+    and test functions drawn from rng.  Both budgets are checked against
+    the worst-case test function before the first draw, so whether a sweep
+    is refused never depends on the draws."""
     if count < 1:
         raise MeasureError(f"need at least one sample point, got {count}")
-    if count > MAX_WEYL_SAMPLES:
-        raise MeasureError(f"{count} Weyl samples are over the budget of "
-                           f"{MAX_WEYL_SAMPLES}; lower the count")
+    # a random_test_function has at most two distinct exponent vectors in
+    # {0, 1, 2}^d, so its translation expands at most 3^d + 2 * 3^(d-1)
+    # monomials, from (2, ..., 2) and (2, ..., 2, 1)
+    per = 5 * 3 ** (model.d - 1)
+    if per > MAX_TRANSLATE_MONOMIALS:
+        raise MeasureError(f"a {model.d}-mode test function may translate into {per} monomials, "
+                           f"over the budget of {MAX_TRANSLATE_MONOMIALS}; lower d")
+    if count * per > MAX_WEYL_MONOMIALS:
+        raise MeasureError(f"{count} Weyl samples of up to {per} monomials each are over the "
+                           f"budget of {MAX_WEYL_MONOMIALS} monomials; lower the count or d")
     worst = 0.0
     for _ in range(count):
         v, vp, u = (gauss_vector(rng, model.d) for _ in range(3))

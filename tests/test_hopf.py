@@ -4,9 +4,11 @@ part of the contract (their residuals are pinned exactly)."""
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
+from ccr_hopf import hopf
 from ccr_hopf.algebra import (
     FAM_PHI,
     FAM_PI,
@@ -33,6 +35,7 @@ from ccr_hopf.algebra import (
     _reduce_word,
 )
 from ccr_hopf.hopf import (
+    MAX_SWEEP_TERMS,
     AxiomReport,
     Failure,
     HopfError,
@@ -55,6 +58,10 @@ from ccr_hopf.hopf import (
     _co_free,
     _co_word,
     _covered_letters,
+    _product_pairs,
+    _record,
+    _reduce_slots,
+    _s_word,
 )
 from ccr_hopf.scalars import IMAG, KAPPA, ONE, S_PARAM, Scalar, ZERO
 
@@ -610,3 +617,128 @@ def test_coproduct_memo_is_per_call():
         check_coassociativity(h, p, 2, 2)
         coproduct(pi(0) * phi(0) * pi(1), h, p)
         assert set(vars(p)) == before
+
+
+# ---------------------------------------------------------------------------
+# Side comparison and reduce-as-you-multiply against the plain reductions
+
+
+@pytest.mark.parametrize("h, variant, gram, idempotent", _SWEEP_CASES)
+def test_reduce_slots_of_product_pairs_matches_reducing_the_product(h, variant, gram, idempotent):
+    # the product pairs of two reduced coproducts, each reduced on its own,
+    # sum to the tensor normal form of the product built in full
+    p = Presentation(variant=variant, gram=gram, idempotent_identity=idempotent)
+    rng = random.Random(f"pairs/{h.flavor}/{variant}/{gram is None}/{idempotent}")
+    for _ in range(4):
+        a = coproduct(_descent_expr(rng, p, h, max_degree=4), h, p)
+        b = coproduct(_descent_expr(rng, p, h, max_degree=4), h, p)
+        want = tensor_normal_form(a * b, p)
+        got = _reduce_slots(_product_pairs(a, b), p)
+        assert got == want.terms
+        assert str(TensorExpr(2, got)) == str(want)
+
+
+def _reference_multiplicativity(h, p, degree, modes, trials, seed):
+    """check_multiplicativity's failures recomputed with no memo: the same
+    rng draws, Delta expanded on the free algebra and the residual
+    Delta(x*y) - Delta(x)Delta(y) reduced once."""
+    letters = _covered_letters(h, p, modes)
+    rng = random.Random(seed)
+    pool = [ONE, -ONE, IMAG, Scalar.rational(2), Scalar.rational(1, 1)]
+    failures = []
+    for trial in range(trials):
+        def rand_expr():
+            e = Expr.zero()
+            for _ in range(rng.randint(1, 3)):
+                n = rng.randint(0, degree)
+                w = tuple(rng.choice(letters) for _ in range(n))
+                e = e + Expr.from_word(w, rng.choice(pool))
+            return e
+
+        x, y = rand_expr(), rand_expr()
+        res = tensor_normal_form(_co_free(x * y, h) - _co_free(x, h) * _co_free(y, h), p)
+        if not res.is_zero():
+            failures.append(Failure(f"trial {trial}: x={x}; y={y}", str(res), res))
+    return failures
+
+
+@pytest.mark.parametrize("h, variant, gram, idempotent", _SWEEP_CASES)
+def test_multiplicativity_matches_the_unmemoized_residuals(h, variant, gram, idempotent):
+    p = Presentation(variant=variant, gram=gram, idempotent_identity=idempotent)
+    for seed in (3, 11):
+        want = _reference_multiplicativity(h, p, 3, 2, 8, seed)
+        got = check_multiplicativity(h, p, degree=3, modes=2, trials=8, seed=seed)
+        assert got.failures == tuple(want)
+        assert [f.residual for f in got.failures] == [f.residual for f in want]
+        assert got.status == ("fail" if want else "pass")
+
+
+def test_record_equal_sides_need_no_reduction(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("equal sides were reduced")
+
+    monkeypatch.setattr(hopf, "tensor_normal_form", refuse)
+    monkeypatch.setattr(hopf, "normal_form", refuse)
+    failures = []
+    # the same value built twice, neither side in normal form
+    e = pi(0) * phi(0) + 2 * phi(1)
+    _record(failures, "expr", e, pi(0) * phi(0) + 2 * phi(1), P_DEF)
+    _record(failures, "tensor", tensor_of(e, e), tensor_of(e, e), P_DEF)
+    _record(failures, "scalar", KAPPA + ONE, ONE + KAPPA, P_DEF)
+    assert failures == []
+
+
+def test_record_sides_equal_after_reduction():
+    # pi(0)*phi(0) = phi(0)*pi(0) - i kappa g(0,0) I, with g(0,0) = 1 here
+    failures = []
+    lhs, rhs = pi(0) * phi(0), phi(0) * pi(0) - IMAG * KAPPA * gen_I()
+    assert lhs != rhs
+    _record(failures, "expr", lhs, rhs, P_DEF)
+    _record(failures, "tensor", tensor_of(lhs, unit()), tensor_of(rhs, unit()), P_DEF)
+    assert failures == []
+
+
+def test_record_unequal_sides_record_the_reduced_difference():
+    # the failure the earlier reduce(lhs - rhs) path recorded, text included
+    lhs, rhs = pi(0) * phi(0) * pi(1), phi(0) * pi(0) * pi(1)
+    failures = []
+    _record(failures, "expr", lhs, rhs, P_DEF)
+    want = normal_form(lhs - rhs, P_DEF)
+    assert failures == [Failure("expr", str(want), want)]
+    assert failures[0].residual == want == -IMAG * KAPPA * gen_I() * pi(1)
+    t_l, t_r = tensor_of(lhs, phi(1)), tensor_of(rhs, phi(1))
+    _record(failures, "tensor", t_l, t_r, P_DEF)
+    want = tensor_normal_form(t_l - t_r, P_DEF)
+    assert failures[1] == Failure("tensor", str(want), want)
+    assert failures[1].residual == want
+    _record(failures, "scalar", KAPPA, ONE, P_DEF)
+    assert failures[2] == Failure("scalar", str(KAPPA - ONE), KAPPA - ONE)
+
+
+@pytest.mark.parametrize("h, p", [(CL, P_UND), (DF, P_DEF)])
+def test_s_word_is_the_product_of_s_gen_reversed(h, p):
+    letters = [g for g in legal_letters(p, 2) if h.covers(g)]
+    for n in range(5):
+        for word in product(letters, repeat=n):
+            want = Expr.from_word(())
+            for g in reversed(word):
+                want = want * h.s_gen(g)
+            assert _s_word(word, h) == want
+
+
+def test_sweep_budget_is_checked_before_the_first_coproduct(monkeypatch):
+    # the largest sweeps the tests, the selftest, the golden corpus, CI and
+    # the benchmark run fit the budget
+    for h, p, degree, modes, terms in ((CL, P_UND, 8, 1, 7683), (DF, P_DEF, 4, 2, 3159)):
+        words = sorted_basis_words(p, degree, _covered_letters(h, p, modes))
+        assert sum(2 ** len(w) for w in words) == terms <= MAX_SWEEP_TERMS
+    calls = []
+    co_nf = hopf._co_nf
+    monkeypatch.setattr(hopf, "_co_nf", lambda *a: calls.append(a) or co_nf(*a))
+    for check in (check_coassociativity, check_counit, check_antipode, cocommutativity_probe):
+        with pytest.raises(HopfError, match="17411 free coproduct terms, over the budget"):
+            check(CL, P_UND, 9, 1)
+        with pytest.raises(HopfError, match="budget"):
+            check(DF, P_DEF, 5, 2)
+    assert calls == []
+    assert check_counit(CL, P_UND, 8, 1).passed and calls

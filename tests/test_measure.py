@@ -19,7 +19,7 @@ from ccr_hopf.measure import (
     MAX_MC_DRAWS,
     MAX_PD_VECTORS,
     MAX_TRANSLATE_MONOMIALS,
-    MAX_WEYL_SAMPLES,
+    MAX_WEYL_MONOMIALS,
     GaussianModel,
     MeasureError,
     TestFunction,
@@ -326,11 +326,9 @@ def test_cocycle_sweep_budget_is_checked_before_drawing():
     assert max(cocycle_sweep(model, rng, 3)) < 1e-10
 
 
-@pytest.mark.parametrize("sweep, budget", [(weyl_sweep, MAX_WEYL_SAMPLES),
-                                           (pd_sweep, MAX_PD_VECTORS)])
+@pytest.mark.parametrize("sweep, budget", [(pd_sweep, MAX_PD_VECTORS)])
 def test_weyl_and_pd_budgets_are_checked_before_drawing(sweep, budget):
-    # the selftest checks 50 Weyl triples and the benchmark up to 100 Weyl
-    # triples and 30 vectors; the budgets sit well above them
+    # the benchmark draws up to 30 vectors; the budget sits well above it
     assert budget >= 1000
     model = GaussianModel.fock(2)
     rng, ref = random.Random(6), random.Random(6)
@@ -338,6 +336,56 @@ def test_weyl_and_pd_budgets_are_checked_before_drawing(sweep, budget):
         sweep(model, rng, budget + 1)
     assert rng.random() == ref.random()  # refused before any draw
     assert math.isfinite(sweep(model, rng, 3))  # a count under the budget runs
+
+
+def _worst_test_function(rng, d):
+    """A d-mode test function with the most monomials random_test_function
+    can draw: exponent vectors (2, ..., 2) and (2, ..., 2, 1)."""
+    f = random_test_function(rng, d)
+    poly = {(2,) * d: 1.0 + 0.5j, (2,) * (d - 1) + (1,): -0.3 + 1.0j}
+    return TestFunction(d, poly, f.quad, f.lin, 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_weyl_budget_bounds_count_times_monomials(d):
+    # a random d-mode test function translates into at most 5 * 3^(d-1)
+    # monomials, the worst case drawn by _worst_test_function
+    per = 5 * 3 ** (d - 1)
+    f = _worst_test_function(random.Random(1), d)
+    assert sum(math.prod(n + 1 for n in k) for k in f.poly) == per
+    rng = random.Random(f"max:{d}")
+    for _ in range(200):
+        g = random_test_function(rng, d)
+        assert sum(math.prod(n + 1 for n in k) for k in g.poly) <= per
+    # the selftest checks 50 triples at d = 2, the benchmark up to 100 at
+    # d <= 3; both fit with room to spare
+    assert 100 * 5 * 3 ** 2 * 10 <= MAX_WEYL_MONOMIALS
+    model = GaussianModel.fock(d)
+    top = MAX_WEYL_MONOMIALS // per
+    rng, ref = random.Random(6), random.Random(6)
+    with pytest.raises(MeasureError, match="budget"):
+        weyl_sweep(model, rng, top + 1)
+    assert rng.random() == ref.random()  # refused before any draw
+    assert math.isfinite(weyl_sweep(model, rng, min(top, 3)))
+
+
+@pytest.mark.parametrize("d", [9, 10, 14])
+def test_weyl_sweep_beyond_the_translate_budget_is_refused_for_every_seed(d):
+    # from d = 9 on the worst-case test function is over the translate
+    # budget; the sweep is refused up front, not on an unlucky draw
+    assert 5 * 3 ** (d - 1) > MAX_TRANSLATE_MONOMIALS >= 5 * 3 ** 7
+    model = GaussianModel.fock(d)
+    for seed in range(3):
+        rng, ref = random.Random(seed), random.Random(seed)
+        with pytest.raises(MeasureError, match="translate into .* over the budget"):
+            weyl_sweep(model, rng, 1)
+        assert rng.random() == ref.random()
+
+
+def test_weyl_sweep_worst_case_draws_stay_in_the_translate_budget(monkeypatch):
+    # at d = 8 even the worst-case test function translates within budget
+    monkeypatch.setattr(measure, "random_test_function", _worst_test_function)
+    assert weyl_sweep(GaussianModel.fock(8), random.Random(2), 1) < 1e-10
 
 
 def test_pd_sweep_draws_like_the_vector_list():
@@ -355,7 +403,8 @@ def test_pd_sweep_draws_like_the_vector_list():
      ["measure", "cocycle", "--d", "3", "--samples", str(MAX_COCYCLE_SAMPLES + 1)],
      ["measure", "weyl", "--d", "22", "--count", "1"],
      ["measure", "weyl", "--d", "18", "--count", "3"],
-     ["measure", "weyl", "--count", str(MAX_WEYL_SAMPLES + 1)],
+     # at the default d = 2 a test function translates into at most 15 monomials
+     ["measure", "weyl", "--count", str(MAX_WEYL_MONOMIALS // 15 + 1)],
      ["measure", "pd-check", "--d", "3", "--count", str(MAX_PD_VECTORS + 1)],
      ["measure", "bochner", "--samples", "100000000000"],
      ["measure", "bochner", "--d", "3", "--samples", str(MAX_MC_DRAWS // 3 + 1)]],

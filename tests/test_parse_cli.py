@@ -292,6 +292,13 @@ def test_cli_spectrum_reports_solver(capsys):
         (["hopf-check", "--modes", "100000000", "--checks", "counit", "--degree", "0"], "budget"),
         (["measure", "weyl", "--count", "100000000"], "budget"),
         (["measure", "pd-check", "--count", "100000000"], "budget"),
+        # within the candidate-word budget, but Delta of the degree-12 words
+        # would hold 188419 free coproduct terms
+        (["hopf-check", "--modes", "1", "--degree", "12"], "budget"),
+        (["hopf-check", "--checks", "antipode", "--modes", "2", "--degree", "6"], "budget"),
+        # a 9-mode test function may translate into 32805 monomials
+        (["measure", "weyl", "--d", "9", "--count", "1"], "budget"),
+        (["measure", "weyl", "--d", "8", "--count", "10"], "budget"),
     ],
 )
 def test_cli_unbounded_arguments_exit_2(capsys, argv, needle):
