@@ -26,16 +26,17 @@ _pair_rule as (label, L, R) triples for the checks that a map respects
 them (hopf.check_respects_relations).
 
 Two engines apply these rules.  The default ``leftmost`` schedule is the
-memoized insertion engine: it inserts a word's letters right to left
-into a suffix kept in normal form, and the normal form of each letter
-inserted into a normal word is computed once per presentation, so equal
-intermediate words are merged.  A piece letter is inserted as each word
-of its piece, weighted by that word's multiplier, so the suffix never
-holds more than the normal words it reduces to.  The ``rightmost``
-schedule is the reference stack walker: it first expands every piece
-letter into the free algebra, then rewrites the rightmost redex of every
-word and walks every rewrite path.  Confluence is exercised by comparing
-the two.
+memoized insertion engine, one fold for every word: it inserts a word's
+letters right to left into a suffix kept in normal form, starting left
+of the longest suffix that is memoized or normal already.  A piece
+letter is inserted as each word of its piece, weighted by that word's
+multiplier, so the suffix never holds more than the normal words it
+reduces to.  The normal form of each suffix passed, and of each letter
+inserted into a normal word, is computed once per presentation, so
+equal intermediate words are merged.  The ``rightmost`` schedule is the
+reference stack walker: it first expands every piece letter into the
+free algebra, then rewrites the rightmost redex of every word and walks
+every rewrite path.  Confluence is exercised by comparing the two.
 """
 
 from __future__ import annotations
@@ -540,18 +541,13 @@ def relations(p: Presentation, letters) -> list:
     return swaps + contractions
 
 
-def _find_redex(word, p: Presentation, positions):
-    """First position i in ``positions`` at which the pair word[i],
-    word[i+1] has a rewrite rule, or None."""
-    rules = p._rules
-    for i in positions:
-        pair = word[i : i + 2]
-        rule = rules.get(pair)
-        if rule is None:
-            rule = _pair_rule(*pair, p)
-        if rule:
+def _rightmost_redex(word, p: Presentation) -> int:
+    """The largest i at which the pair word[i], word[i+1] has a rewrite
+    rule, or -1 when the word holds no redex."""
+    for i in range(len(word) - 2, -1, -1):
+        if _pair_rule(word[i], word[i + 1], p):
             return i
-    return None
+    return -1
 
 
 def _apply_redex(word, i: int, p: Presentation):
@@ -563,6 +559,9 @@ def _apply_redex(word, i: int, p: Presentation):
 def _fold(prefix, partial: dict, p: Presentation):
     """Insert the letters of prefix, right to left, into each normal word
     of partial (word -> coefficient); returns the resulting normal form.
+    A letter that p expands (see _letter_piece) folds each word of its
+    piece, weighted by that word's multiplier, so partial never holds more
+    than the normal words it reduces to.
 
     A coroutine: for every insertion ``(h,) + v`` that needs a rule step
     and is not memoized yet it yields that word and is sent its normal
@@ -571,6 +570,14 @@ def _fold(prefix, partial: dict, p: Presentation):
     cache = p._nf_cache
     for h in reversed(prefix):
         nxt = {}
+        piece = _letter_piece(h, p)
+        if piece is not None:
+            for u, m in piece.terms.items():
+                part = yield from _fold(u, partial, p)
+                for v, c in part.items():
+                    _acc(nxt, v, c * m)
+            partial = nxt
+            continue
         for v, c in partial.items():
             hv = (h,) + v
             if not v or not _pair_rule(h, v[0], p):
@@ -582,6 +589,19 @@ def _fold(prefix, partial: dict, p: Presentation):
             for v2, c2 in sub.items():
                 _acc(nxt, v2, c * c2)
         partial = nxt
+    return partial
+
+
+def _fold_suffixes(word, start: int, p: Presentation):
+    """Coroutine for the normal form of word, whose suffix word[start:] is
+    memoized or normal: the letters left of it are folded in one at a
+    time, and the normal form of each suffix passed is memoized."""
+    cache = p._nf_cache
+    partial = cache.get(word[start:], {word[start:]: ONE})
+    for i in range(start - 1, -1, -1):
+        partial = yield from _fold(word[i : i + 1], partial, p)
+        if i:
+            cache[word[i:]] = partial
     return partial
 
 
@@ -620,46 +640,18 @@ def _drive(word, frame, p: Presentation) -> dict:
     return value
 
 
-def _fold_pieces(word, p: Presentation):
-    """Coroutine for the normal form of a word holding a letter that p
-    expands (see _letter_piece): its letters are folded right to left
-    into a partial normal form, and a piece letter folds each word of its
-    piece, weighted by that word's multiplier.  The partial sum never
-    holds more than the normal words it reduces to, where expanding the
-    word first would build a free word per choice of piece words.  The
-    fold resumes from the longest suffix whose normal form is memoized,
-    and memoizes each suffix it passes."""
-    cache = p._nf_cache
-    start = next((i for i in range(1, len(word)) if word[i:] in cache), len(word))
-    partial = cache.get(word[start:], {(): ONE})
-    for i in range(start - 1, -1, -1):
-        piece = _letter_piece(word[i], p)
-        if piece is None:
-            partial = yield from _fold(word[i:i + 1], partial, p)
-        else:
-            nxt = {}
-            for u, m in piece.terms.items():
-                part = yield from _fold(u, partial, p)
-                for v, c in part.items():
-                    _acc(nxt, v, c * m)
-            partial = nxt
-        if i:
-            cache[word[i:]] = partial
-    return partial
-
-
 def _reduce_word(word, p: Presentation) -> dict:
-    """Normal form of a legal word, memoized in ``p._nf_cache``: its
-    letters are inserted right to left into a suffix kept in normal form."""
-    hit = p._nf_cache.get(word)
+    """Normal form of a legal word, memoized in ``p._nf_cache``.  The fold
+    starts left of the longest suffix that is memoized or normal already:
+    one right of the last piece letter and of the rightmost redex."""
+    cache = p._nf_cache
+    hit = cache.get(word)
     if hit is not None:
         return hit
-    if any(_letter_piece(g, p) is not None for g in word):
-        return _drive(word, _fold_pieces(word, p), p)
-    # everything right of the rightmost redex is normal already
-    i = _find_redex(word, p, range(len(word) - 2, -1, -1))
-    cut = 0 if i is None else i + 1
-    return _drive(word, _fold(word[:cut], {word[cut:]: ONE}, p), p)
+    start = max((i + 1 for i, g in enumerate(word) if _letter_piece(g, p) is not None), default=0)
+    start += _rightmost_redex(word[start:], p) + 1
+    start = next((i for i in range(1, start) if word[i:] in cache), start)
+    return _drive(word, _fold_suffixes(word, start, p), p)
 
 
 def _walk_rightmost(word, p: Presentation) -> dict:
@@ -670,8 +662,8 @@ def _walk_rightmost(word, p: Presentation) -> dict:
     work = [(word, ONE)]
     while work:
         w, m = work.pop()
-        i = _find_redex(w, p, range(len(w) - 2, -1, -1))
-        if i is None:
+        i = _rightmost_redex(w, p)
+        if i < 0:
             _acc(out, w, m)
             continue
         for w2, m2 in _apply_redex(w, i, p):

@@ -69,6 +69,7 @@ from .algebra import (
     _letter_piece,
     _pair_rule,
     _reduce_word,
+    _rightmost_redex,
     _SparseSum,
     gen_text,
     legal_letters,
@@ -336,8 +337,7 @@ def _co_nf(word, h: HopfSpec, p: Presentation, memo: dict) -> TensorExpr:
                        else TensorExpr.unit(2))
             stack.pop()
         else:
-            cut = next((i for i in range(len(w) - 1, 0, -1) if _pair_rule(w[i - 1], w[i], p)),
-                       len(w) - 1)
+            cut = _rightmost_redex(w, p) + 1 or len(w) - 1
             head, run = w[:cut], w[cut:]
             missing = [u for u in (head, run) if u not in memo]
             if missing:
