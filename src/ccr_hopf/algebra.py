@@ -340,7 +340,10 @@ def unit() -> Expr:
 
 def gram_entry(x) -> Scalar:
     """One gram or covariance matrix entry: a number, a rational string
-    such as "1/2", or a [re, im] pair of those."""
+    such as "1/2", or a [re, im] pair of those.  JSON true and false are
+    refused, though Python counts a bool as an int."""
+    if isinstance(x, bool) or isinstance(x, (tuple, list)) and any(isinstance(v, bool) for v in x):
+        raise AlgebraError(f"cannot read matrix entry {x!r}")
     s = _coerce_scalar(x)
     if s is not None:
         return s

@@ -46,6 +46,7 @@ from ccr_hopf.algebra import (
     _pair_rule,
     _reduce_word,
 )
+from ccr_hopf.exprparse import expr_to_text
 from ccr_hopf.hopf import HopfSpec, check_antipode, check_coassociativity
 from ccr_hopf.scalars import IMAG, KAPPA, ONE, R2, S_PARAM, Scalar
 
@@ -399,6 +400,46 @@ def test_pieces_fold_keeps_the_presentation_fields():
         if p.variant == "deformed-collapsed":
             expand_k(gen_K() * pi(0) * gen_Kinv() * phi(0) * gen_K(), p)
         assert set(vars(p)) == before
+
+
+def _shared_suffix_expr(rng, p, tails):
+    """A sum of two to four words, each a random prefix over both bases'
+    letters (and K, Kinv where p admits them) on one of the tails, with a
+    (1+s)^-1 coefficient on the first word."""
+    letters = [GEN_I] + [(f, j) for f in (FAM_PHI, FAM_PI, FAM_AP, FAM_AM) for j in range(2)]
+    if p.variant != "undeformed":
+        letters += [GEN_K, GEN_KINV]
+    e = Expr.zero()
+    for k in range(rng.randint(2, 4)):
+        prefix = tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
+        coeff = ONE / (ONE + S_PARAM) if k == 0 else rng.choice(_MIXED_COEFFS)
+        e = e + Expr.from_word(prefix + rng.choice(tails), coeff)
+    return e
+
+
+@pytest.mark.parametrize("variant", ["undeformed", "deformed-strict", "deformed-collapsed"])
+@pytest.mark.parametrize("basis", ["phi-pi", "ladder"])
+def test_fold_of_words_sharing_suffixes(variant, basis):
+    # every word goes through the one suffix fold, which resumes from the
+    # longest memoized suffix: a presentation warmed by the earlier
+    # expressions must give the rightmost engine's value and the bytes of
+    # a cold presentation
+    def presentation():
+        return Presentation(variant=variant, basis=basis, gram=_ORACLE_GRAM)
+
+    warm, ref = presentation(), presentation()
+    rng = random.Random(f"suffixes/{variant}/{basis}")
+    own = legal_letters(warm, 2)
+    tails = [tuple(rng.choice(own) for _ in range(3)) for _ in range(2)]
+    resumed = 0
+    for _ in range(8):
+        e = _shared_suffix_expr(rng, warm, tails)
+        cache = warm._nf_cache
+        resumed += any(w[i:] in cache for w in e.terms if w not in cache for i in range(1, len(w)))
+        got = normal_form(e, warm)
+        assert got == normal_form(e, ref, "rightmost")
+        assert expr_to_text(got) == expr_to_text(normal_form(e, presentation()))
+    assert resumed
 
 
 def test_long_words_reduce_without_recursion():

@@ -36,6 +36,7 @@ from ccr_hopf.algebra import (
 )
 from ccr_hopf.hopf import (
     MAX_SWEEP_TERMS,
+    MAX_TRIAL_LETTERS,
     AxiomReport,
     Failure,
     HopfError,
@@ -742,3 +743,17 @@ def test_sweep_budget_is_checked_before_the_first_coproduct(monkeypatch):
             check(DF, P_DEF, 5, 2)
     assert calls == []
     assert check_counit(CL, P_UND, 8, 1).passed and calls
+
+
+def test_multiplicativity_budget_is_checked_before_the_first_trial(monkeypatch):
+    # the CI tripwire (--modes 1 --degree 8) and the benchmark's degrees
+    # (at most 4) fit the budget
+    assert 2 * 8 <= MAX_TRIAL_LETTERS
+    calls = []
+    co_expr = hopf._co_expr
+    monkeypatch.setattr(hopf, "_co_expr", lambda *a: calls.append(a) or co_expr(*a))
+    for h, p in ((CL, P_UND), (DF, P_DEF)):
+        with pytest.raises(HopfError, match="up to 18 letters, over the budget of 16"):
+            check_multiplicativity(h, p, degree=9, modes=1)
+    assert calls == []
+    assert check_multiplicativity(CL, P_UND, degree=8, modes=1, trials=2).passed and calls

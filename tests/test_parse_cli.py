@@ -299,6 +299,10 @@ def test_cli_spectrum_reports_solver(capsys):
         # a 9-mode test function may translate into 32805 monomials
         (["measure", "weyl", "--d", "9", "--count", "1"], "budget"),
         (["measure", "weyl", "--d", "8", "--count", "10"], "budget"),
+        # multiplicativity trials at degree 16 multiply words of up to 32
+        # letters (40.8 s before the trial budget)
+        (["hopf-check", "--checks", "multiplicativity", "--modes", "1", "--degree", "16"],
+         "budget of 16"),
     ],
 )
 def test_cli_unbounded_arguments_exit_2(capsys, argv, needle):
@@ -326,7 +330,8 @@ _MATRIX_FILE_COMMANDS = [
 
 
 @pytest.mark.parametrize("argv", _MATRIX_FILE_COMMANDS)
-@pytest.mark.parametrize("bad", ['"x"', '"1/0"', "[1]", "[0, [1, 2]]"])
+@pytest.mark.parametrize("bad", ['"x"', '"1/0"', "[1]", "[0, [1, 2]]", "true", "false",
+                                 "[true, 0]", '["1/2", false]'])
 def test_cli_unreadable_matrix_entry_exits_2(tmp_path, capsys, argv, bad):
     path = tmp_path / "m.json"
     path.write_text(f"[[1, 0], [0, {bad}]]")
