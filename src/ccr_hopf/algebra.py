@@ -645,8 +645,9 @@ def _drive(word, frame, p: Presentation) -> dict:
 
 def _reduce_word(word, p: Presentation) -> dict:
     """Normal form of a legal word, memoized in ``p._nf_cache``.  The fold
-    starts left of the longest suffix that is memoized or normal already:
-    one right of the last piece letter and of the rightmost redex."""
+    starts left of the longest suffix that is memoized or normal already;
+    the normal one starts right of the last piece letter and of the
+    rightmost redex."""
     cache = p._nf_cache
     hit = cache.get(word)
     if hit is not None:

@@ -355,12 +355,17 @@ _MIXED_COEFFS = (ONE, -IMAG, Scalar.rational(Fraction(3, 7)), KAPPA, S_PARAM ** 
                  ONE / (ONE + S_PARAM), (Scalar.rational(2) + KAPPA) / (ONE + S_PARAM))
 
 
-def _mixed_expr(rng, p, max_degree=6, modes=2):
-    """A random expression over both bases' letters, plus K and Kinv
-    wherever p admits them."""
+def _mixed_letters(p, modes=2):
+    """Both bases' letters, plus K and Kinv wherever p admits them."""
     letters = [GEN_I] + [(f, j) for f in (FAM_PHI, FAM_PI, FAM_AP, FAM_AM) for j in range(modes)]
     if p.variant != "undeformed":
         letters += [GEN_K, GEN_KINV]
+    return letters
+
+
+def _mixed_expr(rng, p, max_degree=6, modes=2):
+    """A random expression over _mixed_letters."""
+    letters = _mixed_letters(p, modes)
     e = Expr.zero()
     for _ in range(rng.randint(1, 3)):
         word = tuple(rng.choice(letters) for _ in range(rng.randint(0, max_degree)))
@@ -403,12 +408,9 @@ def test_pieces_fold_keeps_the_presentation_fields():
 
 
 def _shared_suffix_expr(rng, p, tails):
-    """A sum of two to four words, each a random prefix over both bases'
-    letters (and K, Kinv where p admits them) on one of the tails, with a
-    (1+s)^-1 coefficient on the first word."""
-    letters = [GEN_I] + [(f, j) for f in (FAM_PHI, FAM_PI, FAM_AP, FAM_AM) for j in range(2)]
-    if p.variant != "undeformed":
-        letters += [GEN_K, GEN_KINV]
+    """A sum of two to four words, each a random prefix over _mixed_letters
+    on one of the tails, with a (1+s)^-1 coefficient on the first word."""
+    letters = _mixed_letters(p)
     e = Expr.zero()
     for k in range(rng.randint(2, 4)):
         prefix = tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
@@ -431,10 +433,9 @@ def test_fold_of_words_sharing_suffixes(variant, basis):
     rng = random.Random(f"suffixes/{variant}/{basis}")
     own = legal_letters(warm, 2)
     tails = [tuple(rng.choice(own) for _ in range(3)) for _ in range(2)]
-    resumed = 0
+    cache, resumed = warm._nf_cache, 0
     for _ in range(8):
         e = _shared_suffix_expr(rng, warm, tails)
-        cache = warm._nf_cache
         resumed += any(w[i:] in cache for w in e.terms if w not in cache for i in range(1, len(w)))
         got = normal_form(e, warm)
         assert got == normal_form(e, ref, "rightmost")
