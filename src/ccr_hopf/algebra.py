@@ -26,23 +26,31 @@ _pair_rule as (label, L, R) triples for the checks that a map respects
 them (hopf.check_respects_relations).
 
 Two engines apply these rules.  The default ``leftmost`` schedule is the
-memoized insertion engine, one fold for every word: it inserts a word's
-letters right to left into a suffix kept in normal form, starting left
-of the longest suffix that is memoized or normal already.  A piece
-letter is inserted as each word of its piece, weighted by that word's
-multiplier, so the suffix never holds more than the normal words it
-reduces to.  The normal form of each suffix passed, and of each letter
-inserted into a normal word, is computed once per presentation, so
-equal intermediate words are merged.  The ``rightmost`` schedule is the
-reference stack walker: it first expands every piece letter into the
-free algebra, then rewrites the rightmost redex of every word and walks
-every rewrite path.  Confluence is exercised by comparing the two.
+memoized insertion engine.  It rests on one property of the rule table,
+which holds because the algebra is a Heisenberg algebra: every swap is
+led by the swapped pair with multiplier 1 and its corrections are
+central letters (every commutator of two generators is a multiple of I).
+So the normal form of h*v, for a normal word v, takes one pass over v
+(_insert): h walks right through v a run of equal letters at a time, and
+passing r letters g adds r times each correction with one g left out,
+as in pi(0) phi(0)^n = phi(0)^n pi(0) - n i kappa I phi(0)^(n-1); a
+contraction ends the walk.  A word's letters are inserted right to left
+into a suffix kept in normal form, starting left of the longest suffix
+that is memoized or normal already.  A piece letter is inserted as each
+word of its piece, weighted by that word's multiplier, so the suffix
+never holds more than the normal words it reduces to.  The normal form
+of each word, and of each suffix passed, is computed once per
+presentation.  The ``rightmost`` schedule is the reference stack walker:
+it first expands every piece letter into the free algebra, then rewrites
+the rightmost redex of every word and walks every rewrite path.
+Confluence is exercised by comparing the two.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -492,7 +500,7 @@ class Presentation:
 
 # ---------------------------------------------------------------------------
 # Rewrite engines (see the module docstring).  Both read the rule table
-# of _pair_rule and take every rewrite step through _apply_redex.
+# of _pair_rule; the reference engine takes each step through _apply_redex.
 
 
 def _pair_rule(g1, g2, p: Presentation) -> tuple:
@@ -559,95 +567,62 @@ def _apply_redex(word, i: int, p: Presentation):
     return [(head + letters + tail, m) for letters, m in _pair_rule(word[i], word[i + 1], p)]
 
 
-def _fold(prefix, partial: dict, p: Presentation):
-    """Insert the letters of prefix, right to left, into each normal word
-    of partial (word -> coefficient); returns the resulting normal form.
-    A letter that p expands (see _letter_piece) folds each word of its
-    piece, weighted by that word's multiplier, so partial never holds more
-    than the normal words it reduces to.
-
-    A coroutine: for every insertion ``(h,) + v`` that needs a rule step
-    and is not memoized yet it yields that word and is sent its normal
-    form (see _drive).
-    """
-    cache = p._nf_cache
-    for h in reversed(prefix):
-        nxt = {}
-        piece = _letter_piece(h, p)
-        if piece is not None:
-            for u, m in piece.terms.items():
-                part = yield from _fold(u, partial, p)
-                for v, c in part.items():
-                    _acc(nxt, v, c * m)
-            partial = nxt
-            continue
-        for v, c in partial.items():
-            hv = (h,) + v
-            if not v or not _pair_rule(h, v[0], p):
-                _acc(nxt, hv, c)
-                continue
-            sub = cache.get(hv)
-            if sub is None:
-                sub = yield hv
-            for v2, c2 in sub.items():
-                _acc(nxt, v2, c * c2)
-        partial = nxt
-    return partial
+def _insert(h, v, p: Presentation) -> list:
+    """The normal form of ``(h,) + v`` for a normal word v, as (word,
+    multiplier) pairs with distinct words.  h walks right through v a run
+    of equal letters at a time and stops at the first letter it is normal
+    against, or at a contraction, whose word replaces the pair.  Passing r
+    letters g adds r times each correction of the swap, with one g left
+    out; a correction's letters are central (test_swap_corrections_are_central),
+    so they are inserted from the left."""
+    corrections = []
+    i = 0
+    while i < len(v):
+        g = v[i]
+        rule = _pair_rule(h, g, p)
+        if not rule:
+            break
+        (letters, m), *extras = rule
+        if letters != (g, h):
+            return [(v[:i] + letters + v[i + 1 :], m), *corrections]
+        # v is non-decreasing, so its run of g ends at the first larger letter
+        j = bisect_right(v, g, i)
+        for letters, m in extras:
+            terms = [(v[:i] + v[i + 1 :], m * (j - i))]
+            for c in reversed(letters):
+                terms = [(w2, m1 * m2) for w, m1 in terms for w2, m2 in _insert(c, w, p)]
+            corrections += terms
+        i = j
+    return [(v[:i] + (h,) + v[i:], ONE), *corrections]
 
 
-def _fold_suffixes(word, start: int, p: Presentation):
-    """Coroutine for the normal form of word, whose suffix word[start:] is
-    memoized or normal: the letters left of it are folded in one at a
-    time, and the normal form of each suffix passed is memoized."""
-    cache = p._nf_cache
-    partial = cache.get(word[start:], {word[start:]: ONE})
-    for i in range(start - 1, -1, -1):
-        partial = yield from _fold(word[i : i + 1], partial, p)
-        if i:
-            cache[word[i:]] = partial
-    return partial
-
-
-def _insertion(word, p: Presentation):
-    """Coroutine for the normal form of ``word = (g,) + u``, where u is
-    normal and g, u[0] is a redex.  One rule step at that pair leaves
-    prefix + u[1:] with a prefix of at most two letters, which is folded
-    back onto the normal tail u[1:]."""
-    tail = len(word) - 2
+def _fold_letter(h, partial: dict, p: Presentation) -> dict:
+    """The normal form of h times partial, a normal form (word ->
+    coefficient).  A letter that p expands (see _letter_piece) folds each
+    word of its piece, weighted by that word's multiplier, so the result
+    never holds more than the normal words it reduces to."""
     out = {}
-    for w2, m in _apply_redex(word, 0, p):
-        cut = len(w2) - tail
-        part = yield from _fold(w2[:cut], {w2[cut:]: m}, p)
+    piece = _letter_piece(h, p)
+    if piece is None:
+        for v, c in partial.items():
+            for w, m in _insert(h, v, p):
+                _acc(out, w, c if m is ONE else c * m)
+        return out
+    for u, m in piece.terms.items():
+        part = partial
+        for g in reversed(u):
+            part = _fold_letter(g, part, p)
         for v, c in part.items():
-            _acc(out, v, c)
+            _acc(out, v, c * m)
     return out
 
 
-def _drive(word, frame, p: Presentation) -> dict:
-    """Run the coroutine ``frame`` computing the normal form of word.
-    Each word it yields gets an _insertion frame of its own on an explicit
-    stack, so no word is too long for the recursion limit; every finished
-    frame is memoized in ``p._nf_cache``."""
-    stack = [(word, frame)]
-    value = None
-    while stack:
-        word, frame = stack[-1]
-        try:
-            need = frame.send(value)
-        except StopIteration as done:
-            value = p._nf_cache[word] = done.value
-            stack.pop()
-        else:
-            stack.append((need, _insertion(need, p)))
-            value = None
-    return value
-
-
 def _reduce_word(word, p: Presentation) -> dict:
-    """Normal form of a legal word, memoized in ``p._nf_cache``.  The fold
-    starts left of the longest suffix that is memoized or normal already;
-    the normal one starts right of the last piece letter and of the
-    rightmost redex."""
+    """Normal form of a legal word, memoized in ``p._nf_cache``.  The
+    letters left of the longest suffix that is memoized or normal already
+    are folded in right to left, and the normal form of every suffix they
+    pass is memoized too; the normal suffix starts right of the last piece
+    letter and of the rightmost redex."""
     cache = p._nf_cache
     hit = cache.get(word)
     if hit is not None:
@@ -655,7 +630,11 @@ def _reduce_word(word, p: Presentation) -> dict:
     start = max((i + 1 for i, g in enumerate(word) if _letter_piece(g, p) is not None), default=0)
     start += _rightmost_redex(word[start:], p) + 1
     start = next((i for i in range(1, start) if word[i:] in cache), start)
-    return _drive(word, _fold_suffixes(word, start, p), p)
+    partial = cache.get(word[start:], {word[start:]: ONE})
+    for i in range(start - 1, -1, -1):
+        partial = cache[word[i:]] = _fold_letter(word[i], partial, p)
+    cache[word] = partial
+    return partial
 
 
 def _walk_rightmost(word, p: Presentation) -> dict:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -320,7 +322,7 @@ def test_normal_order_rook_closed_form(variant, kappa):
     for basis in ("phi-pi", "ladder"):
         p = Presentation(variant=variant, basis=basis)
         field = basis == "phi-pi"
-        for n in range(1, 11):
+        for n in [*range(1, 11), 40]:
             word = pi(0) ** n * phi(0) ** n if field else am(0) ** n * ap(0) ** n
             got = normal_form(word, p)
             assert len(got.terms) == n + 1
@@ -441,6 +443,71 @@ def test_fold_of_words_sharing_suffixes(variant, basis):
         assert got == normal_form(e, ref, "rightmost")
         assert expr_to_text(got) == expr_to_text(normal_form(e, presentation()))
     assert resumed
+
+
+_GRAM2 = json.loads((Path(__file__).resolve().parent / "golden" / "gram2.json").read_text())
+
+
+def _every_presentation(grams):
+    """Every variant x basis x gram x idempotent_identity that exists."""
+    for variant in ("undeformed", "deformed-strict", "deformed-collapsed"):
+        for basis in ("phi-pi", "ladder"):
+            for gram in grams:
+                for idem in (True, False) if variant != "deformed-collapsed" else (True,):
+                    yield Presentation(variant=variant, basis=basis, gram=gram,
+                                       idempotent_identity=idem)
+
+
+def test_swap_corrections_are_central():
+    # the insertion engine rests on these shapes: a letter walks through a
+    # normal word by swaps whose corrections commute with every letter, and
+    # stops at a contraction, which leaves one word
+    central = {GEN_I, GEN_K, GEN_KINV}
+    shapes = set()
+    for p in _every_presentation([None, _GRAM2, _ORACLE_GRAM]):
+        extra = [GEN_K, GEN_KINV] if p.variant != "undeformed" else []
+        for fams in ((FAM_PHI, FAM_PI), (FAM_AP, FAM_AM)):
+            letters = [GEN_I, *extra, *((f, j) for f in fams for j in range(2))]
+            for g1 in letters:
+                for g2 in letters:
+                    rule = _pair_rule(g1, g2, p)
+                    if not rule:
+                        shapes.add("normal")
+                    elif rule[0] == ((g2, g1), ONE):
+                        assert all(set(w) <= central for w, _ in rule[1:]), (g1, g2)
+                        shapes.add("swap" if len(rule) == 1 else "corrected swap")
+                    else:
+                        assert len(rule) == 1, (g1, g2)
+                        shapes.add("contraction")
+    assert shapes == {"normal", "swap", "corrected swap", "contraction"}
+
+
+def _run_products(rng, p):
+    """Products of two or three runs of equal letters, of degree at most 8:
+    pi(j)^a phi(k)^b, am(j)^a ap(k)^b, I^c, K^a Kinv^b and runs of random
+    letters over _mixed_letters, which include the piece letters."""
+    letters = _mixed_letters(p)
+    pairs = [((f1, j), (f2, k)) for f1, f2 in ((FAM_PI, FAM_PHI), (FAM_AM, FAM_AP))
+             for j in range(2) for k in range(2)]
+    pairs += [(GEN_I, GEN_I)]
+    if p.variant != "undeformed":
+        pairs += [(GEN_K, GEN_KINV), (GEN_KINV, GEN_K)]
+    pairs += [(rng.choice(letters), rng.choice(letters)) for _ in range(4)]
+    for g1, g2 in pairs:
+        runs = [(g1, rng.randint(1, 4)), (g2, rng.randint(1, 4))]
+        if rng.random() < 0.5:
+            runs.insert(rng.randint(0, 2), (rng.choice(letters), 1))
+        word = tuple(g for g, n in runs for _ in range(n))
+        yield Expr.from_word(word, rng.choice(_MIXED_COEFFS))
+
+
+def test_runs_of_equal_letters_match_rightmost():
+    # a letter passes a run of r equal letters in one step, with r times
+    # the pair's correction; the reference walker passes them one by one
+    for p in _every_presentation([None, _ORACLE_GRAM]):
+        rng = random.Random(f"runs/{p.variant}/{p.basis}/{p.gram.size}/{p.idempotent_identity}")
+        for e in _run_products(rng, p):
+            assert normal_form(e, p) == normal_form(e, p, "rightmost"), e
 
 
 def test_long_words_reduce_without_recursion():

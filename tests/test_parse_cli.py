@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import random
@@ -7,6 +9,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccr_hopf.algebra import (
     Presentation,
@@ -666,3 +670,80 @@ def test_cli_subprocess_smoke():
     doc = json.loads(proc.stdout)
     assert doc["results"]["normal_form"]["text"] == "one"
     assert "ok:" in proc.stderr
+
+
+# Fuzzed normalize text: grammar-built token lists, numbers of at most two
+# digits, one token dropped or a stray token inserted in two texts of three.
+# Tokens are joined by spaces so that an edit never merges two numbers.  The
+# exponents of generators and groups stay small, which bounds the degree.
+_NAT = st.integers(0, 99).map(str)
+_SCALAR = st.one_of(_NAT, st.builds("{}/{}".format, _NAT, _NAT),
+                    st.builds("{}.{}".format, _NAT, _NAT), st.sampled_from(["i", "kappa", "s", "r2"]))
+# modes 0 and 1 are drawn as often as the rest, so that letters share a mode
+_MODE = st.one_of(st.sampled_from(["0", "1"]), _NAT)
+_GEN = st.one_of(st.builds(lambda f, j: [f, "(", j, ")"], st.sampled_from(["phi", "pi", "ap", "am"]), _MODE),
+                 st.sampled_from(["I", "K", "Kinv", "one"]).map(lambda g: [g]))
+_STRAY = ["(", ")", "^", "-", "+", "*", "/", ".", "phi", "7", "1.5", "@", "Kinv"]
+
+
+@st.composite
+def _fuzz_expr(draw, top=True):
+    terms = []
+    for _ in range(draw(st.integers(1, 3 if top else 2))):
+        factors = []
+        for _ in range(draw(st.integers(1, 4 if top else 2))):
+            kind = draw(st.sampled_from(["scalar", "gen", "gen", "group"] if top else ["scalar", "gen"]))
+            if kind == "scalar":
+                atom, most = [draw(_SCALAR)], 99
+            elif kind == "gen":
+                atom, most = draw(_GEN), 12 if top else 2
+            else:
+                atom, most = ["(", *draw(_fuzz_expr(top=False)), ")"], 3
+            if draw(st.booleans()):
+                atom += ["^", *draw(st.sampled_from([[], ["-"]])), str(draw(st.integers(0, most)))]
+            factors.append(atom)
+        terms.append([t for i, f in enumerate(factors) for t in ([] if i == 0 else ["*"]) + f])
+    signs = draw(st.lists(st.sampled_from(["+", "-"]), min_size=len(terms), max_size=len(terms)))
+    lead = ["-"] if signs[0] == "-" else []
+    return lead + [t for i, term in enumerate(terms) for t in ([] if i == 0 else [signs[i]]) + term]
+
+
+@st.composite
+def _fuzz_text(draw):
+    tokens = draw(_fuzz_expr())
+    edit = draw(st.sampled_from(["none", "drop", "insert"]))
+    k = draw(st.integers(0, len(tokens) - (edit == "drop")))
+    if edit == "drop":
+        del tokens[k]
+    elif edit == "insert":
+        tokens.insert(k, draw(st.sampled_from(_STRAY)))
+    return " ".join(tokens)
+
+
+def _exit_and_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+    return code, out.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_fuzz_text(), st.sampled_from(["undeformed", "deformed", "deformed-strict", "deformed-collapsed"]),
+       st.sampled_from(["phi-pi", "ladder"]))
+def test_cli_normalize_fuzzed_text(text, variant, basis):
+    # exit 0 with a JSON report or exit 2, whatever the text; no exception
+    # escapes main.  Up to degree 6 the reference engine prints the same report, bar the
+    # schedule it echoes.
+    argv = ["normalize", text, "--variant", variant, "--basis", basis, "--schedule"]
+    code, out = _exit_and_stdout(argv + ["leftmost"])
+    assert code in (0, 2)
+    if code == 0:
+        json.loads(out)
+        if max(map(len, parse_expr(text).terms), default=0) <= 6:
+            echo = '"schedule": "leftmost"'
+            assert out.count(echo) == 1
+            want = out.replace(echo, '"schedule": "rightmost"')
+            assert _exit_and_stdout(argv + ["rightmost"]) == (0, want)
