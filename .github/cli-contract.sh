@@ -1,0 +1,105 @@
+#!/usr/bin/env bash
+# The ccr-hopf command-line contract, one row per invocation:
+#
+#   <expected exit code> <timeout in seconds> <argv, as shell words>
+#
+# Each row runs twice, under PYTHONHASHSEED=1 and =2, inside `timeout`.
+# Both runs must exit with the row's code and print byte-identical
+# stdout, so no report may depend on dict or set hashing.  A row that
+# exits 2 (bad input, or a budget refusing the work) must also print
+# nothing on stdout and exactly one `ccr-hopf: ...` line on stderr.
+# Exit 1 means a check failed, which some rows expect by design.
+#
+# Run from anywhere with `ccr-hopf` on PATH: bash .github/cli-contract.sh
+# Every failing row is named; the script exits 1 if any row failed.
+set -u
+cd "$(dirname "$0")/.."
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+rows=0 failed=0
+while read -r want limit args; do
+  case "$want" in "" | "#"*) continue ;; esac
+  eval "argv=($args)"
+  rows=$((rows + 1))
+  why=""
+  for h in 1 2; do
+    code=0
+    PYTHONHASHSEED=$h timeout "$limit" ccr-hopf "${argv[@]}" \
+      < /dev/null > "$tmp/out$h" 2> "$tmp/err$h" || code=$?
+    if [ "$code" -ne "$want" ]; then
+      why="exit $code under PYTHONHASHSEED=$h"
+    elif [ "$want" -eq 2 ] && { [ -s "$tmp/out$h" ] || [ "$(wc -l < "$tmp/err$h")" -ne 1 ] ||
+                                ! grep -q '^ccr-hopf: ' "$tmp/err$h"; }; then
+      why="exit 2 without exactly one 'ccr-hopf:' stderr line and empty stdout"
+    fi
+    [ -n "$why" ] && break
+  done
+  if [ -z "$why" ] && ! cmp -s "$tmp/out1" "$tmp/out2"; then
+    why="stdout differs between PYTHONHASHSEED=1 and 2"
+  fi
+  if [ -n "$why" ]; then
+    failed=$((failed + 1))
+    echo "FAIL ($why): $want $limit $args"
+    tail -n 5 "$tmp/err$h"
+  fi
+done <<'ROWS'
+# the acceptance suite, as the installed console script runs it
+0  60 selftest --seed 42
+0  60 normalize "pi(0)*phi(0)"
+# the collapsed deformed sweep fails coassociativity and the antipode by
+# design; its residuals pass through the per-presentation rewrite tables
+1  60 hopf-check --variant deformed-collapsed --flavor deformed --checks coassociativity,counit,antipode --degree 2
+# coproducts are reduced from memoized prefixes, cut where a pair has a rule
+0  60 coproduct "pi(0)^3*phi(0)^3*pi(1)*phi(0)" --flavor deformed --variant deformed
+# coefficients in lowest terms, mixing den > 1 (-1/5, 2/5, 1/3) with den = 1
+0  60 coproduct "(2+i)^-1*pi(0)^2*phi(0) + 1/3*phi(1)*pi(0)" --flavor deformed --variant deformed
+# numeric q and c make kappa and s binary fractions: denominators near 2^100
+0  60 coproduct "pi(0)^2*phi(0)^2*pi(1)*phi(0)" --flavor deformed --variant deformed-strict --q 1.3 --c 0.7
+1  60 hopf-check --variant deformed-strict --flavor deformed --degree 4
+# the relation check reads its relations off the rewrite rules; the
+# deformed coproduct fails the commutations by design
+1  60 hopf-check --checks respects-relations --variant deformed-strict --flavor deformed --modes 2
+# letters of the other basis and collapsed K letters fold piece by piece
+0  60 convert "(2/3+kappa*(1+s)^-1)*am(0)^6*ap(0)^6" --to phi-pi --variant deformed-strict
+0  60 normalize "(5/7*(1+s)^-1)*I*K*pi(2)*pi(2)*Kinv*phi(1)*K + s*Kinv*pi(0)*K*phi(0)" --variant deformed-collapsed
+# plain words that share suffixes go through one memoized suffix fold
+0  60 normalize "(1+s)^-1*pi(1)*pi(0)*phi(1)*phi(0) + pi(0)*phi(1)*phi(0) + 2*phi(1)*pi(0)*phi(1)*phi(0) + pi(1)*pi(0)*phi(0)^2 + pi(0)^3*phi(0)^2" --gram tests/golden/gram2.json
+# time tripwires: expanding the pieces first built 2^24 free words here; a
+# letter is inserted in one pass, a run of equal letters at a time; the
+# largest sweep the tests run (7683 free coproduct terms)
+0  20 convert "am(0)^12*ap(0)^12" --to phi-pi
+0  10 normalize "pi(0)^200*phi(0)^200"
+0  30 hopf-check --modes 1 --degree 8
+# numeric commands load fock and measure on first use; the squeezed number
+# operator takes the real symmetric eigen-solver; expr_matrix caches word
+# products and restricted_norm reads the safe columns in CSC order
+0  60 fock spectrum --d 1 --nmax 4
+0  60 fock spectrum --d 2 --nmax 30 --family uniform --r 0.3
+0  60 fock transfer --d 2 --nmax 8 --seed 5
+0  60 measure eta
+0  60 measure weyl --d 2 --seed 5 --count 80
+# budgets refuse the work before it starts: an exponent over the parser's
+# limit, a coherent state far beyond the cutoff, the Python-loop sweeps,
+# a test function whose translate would hold about 1e6 monomials, Weyl
+# counts times worst-case monomials, the Hopf sweep and trial budgets
+2  20 normalize "phi(0)^99999999999"
+2  20 fock genfun --v 1e5
+2  20 measure cocycle --samples 1000000000
+2  20 measure weyl --count 100000000
+2  20 measure pd-check --count 100000000
+2  20 measure weyl --d 22 --count 1
+2  20 measure weyl --d 9 --count 1
+2  20 measure weyl --d 10 --count 10000
+2  20 measure weyl --d 8 --count 10
+2  20 hopf-check --modes 1 --degree 12
+2  20 hopf-check --checks multiplicativity --modes 1 --degree 16
+# a coefficient with more digits than the interpreter prints, and one that
+# overflows a float, are refused rather than raised
+2 120 normalize "pi(0)^300*phi(0)^300" --variant deformed --q 1.5 --c 0.8
+2  20 normalize "123456^1000*phi(0)"
+2  20 normalize "10^400*phi(0)" --numeric
+ROWS
+
+echo "$((rows - failed)) of $rows contract rows passed"
+[ "$failed" -eq 0 ]

@@ -44,7 +44,6 @@ from .algebra import (
     commutator,
     evaluate_numeric,
     gram_entry,
-    legal_letter_count,
     normal_form,
 )
 from .exprparse import ParseError, expr_to_text, parse_expr
@@ -86,9 +85,6 @@ _HOPF_CHECKS = tuple(_HOPF_CHECK_TABLE)
 # respects-relations is opt-in: with the idempotent identity in force it
 # reports the structural 2*I(x)I finding, which is not a usage failure
 _DEFAULT_CHECKS = tuple(n for n in _HOPF_CHECKS if n != "respects-relations")
-# most candidate words one hopf-check may enumerate; degree 5 over the 7
-# letters of a deformed presentation with 2 modes needs comb(12, 5) = 792
-MAX_CHECK_WORDS = 1000
 # most Poisson weight exp(i phi(v))|0> may hold above the cutoff before fock
 # genfun refuses to truncate it; runs inside the budget measured off by less
 # than 1e-11 on one to three modes, far inside the 1e-8 check
@@ -252,17 +248,6 @@ def _cmd_hopf_check(args):
             raise CliError(f"unknown check {name!r}; choose from {', '.join(_HOPF_CHECKS)}")
     if args.degree < 0:
         raise CliError("--degree must be non-negative")
-    # the exhaustive checks normal-order every non-decreasing word of degree
-    # <= --degree; each check builds at least its letter list (the degree-1
-    # words), and respects-relations builds degree-2 relation words instead
-    depth = max(2 if name == "respects-relations" else max(args.degree, 1) for name in wanted)
-    letters = legal_letter_count(p, args.modes)
-    words = math.comb(letters + depth, depth)
-    if words > MAX_CHECK_WORDS:
-        raise CliError(
-            f"{words} candidate words up to degree {depth} over {letters} letters "
-            f"exceed the budget of {MAX_CHECK_WORDS}; lower --degree or --modes"
-        )
     reports = [_HOPF_CHECK_TABLE[name](h, p, args) for name in wanted]
     passed = all(r.passed for r in reports)
     failing = [r.axiom for r in reports if not r.passed]

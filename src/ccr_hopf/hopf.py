@@ -47,6 +47,7 @@ coassociativity, from its memo.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from itertools import product
@@ -72,6 +73,7 @@ from .algebra import (
     _rightmost_redex,
     _SparseSum,
     gen_text,
+    legal_letter_count,
     legal_letters,
     normal_form,
     relations,
@@ -476,6 +478,11 @@ def _record(failures: list, witness: str, lhs, rhs, p: Presentation):
 # doubles with each degree
 MAX_SWEEP_TERMS = 10_000
 
+# most candidate words one check may enumerate (see _covered_letters);
+# degree 5 over the 7 letters of a deformed presentation with 2 modes
+# needs comb(12, 5) = 792
+MAX_CHECK_WORDS = 1000
+
 # most letters in a multiplicativity trial's product x*y, whose words hold
 # up to 2*degree letters.  The trials took 1.1 s at --modes 1 --degree 8
 # (16 letters), 3.2 s at --degree 10 and 40.8 s at --degree 16
@@ -490,7 +497,7 @@ def _sweep(axiom: str, h: HopfSpec, p: Presentation, degree: int, modes: int, si
     memo.  A sweep whose words' free coproducts hold more than
     MAX_SWEEP_TERMS terms is refused before the first coproduct."""
     _check_flavor_variant(h, p)
-    words = sorted_basis_words(p, degree, _covered_letters(h, p, modes))
+    words = sorted_basis_words(p, degree, _covered_letters(h, p, modes, max(degree, 1)))
     terms = sum(1 << len(w) for w in words)
     if terms > MAX_SWEEP_TERMS:
         raise HopfError(
@@ -505,9 +512,19 @@ def _sweep(axiom: str, h: HopfSpec, p: Presentation, degree: int, modes: int, si
     return _report(axiom, degree, failures)
 
 
-def _covered_letters(h: HopfSpec, p: Presentation, modes: int) -> list:
+def _covered_letters(h: HopfSpec, p: Presentation, modes: int, depth: int) -> list:
     """The sorted letters of modes 0..modes-1 that h covers and p does not
-    expand (see algebra._letter_piece); at least one must be a field."""
+    expand (see algebra._letter_piece); at least one must be a field.
+    depth is the longest word the check builds from them: one whose
+    comb(letters + depth, depth) candidate words over the legal letters
+    exceed MAX_CHECK_WORDS is refused before the letter list is built."""
+    count = legal_letter_count(p, modes)
+    words = math.comb(count + depth, depth)
+    if words > MAX_CHECK_WORDS:
+        raise HopfError(
+            f"{words} candidate words up to degree {depth} over {count} letters "
+            f"exceed the budget of {MAX_CHECK_WORDS}; lower --degree or --modes"
+        )
     letters = [g for g in legal_letters(p, modes) if h.covers(g) and _letter_piece(g, p) is None]
     if not any(g[0] in (FAM_PHI, FAM_PI) for g in letters):
         raise HopfError(
@@ -551,7 +568,8 @@ def check_respects_relations(h: HopfSpec, p: Presentation, modes: int = 2) -> Ax
     checked where the presentation has them."""
     _check_flavor_variant(h, p)
     failures = []
-    for label, L, R in relations(p, _covered_letters(h, p, modes)):
+    # the relations are words of two letters
+    for label, L, R in relations(p, _covered_letters(h, p, modes, 2)):
         for name, free_map in (("Delta", _co_free), ("eps", _eps_free), ("S", _s_free)):
             _record(failures, f"{name} on {label}", free_map(L, h), free_map(R, h), p)
     notes = []
@@ -632,7 +650,7 @@ def check_multiplicativity(
             f"degree-{degree} multiplicativity trials multiply words of up to {2 * degree} "
             f"letters, over the budget of {MAX_TRIAL_LETTERS}; lower --degree"
         )
-    letters = _covered_letters(h, p, modes)
+    letters = _covered_letters(h, p, modes, max(degree, 1))
     rng = random.Random(seed)
     pool = [ONE, -ONE, IMAG, Scalar.rational(2), Scalar.rational(1, 1)]
     failures = []

@@ -32,7 +32,9 @@ where they are printed or handed out (:func:`_c_parts`).
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Tuple
@@ -86,11 +88,20 @@ def _coeff(re, im=0) -> Coeff:
 
 def _c_parts(c: Coeff) -> tuple:
     """(re, im) of a triple: ints when d is 1, else Fractions (the print
-    and hand-out form)."""
+    and hand-out form).  A part with an integer of more decimal digits
+    than the interpreter converts to text (sys.get_int_max_str_digits) is
+    refused here, before anything tries to print it."""
     a, b, d = c
-    if d == 1:
-        return a, b
-    return Fraction(a, d), Fraction(b, d)
+    parts = (a, b) if d == 1 else (Fraction(a, d), Fraction(b, d))
+    limit = sys.get_int_max_str_digits()
+    # below 3*limit bits an integer has at most 0.91*limit digits
+    if limit and max(a.bit_length(), b.bit_length(), d.bit_length()) > 3 * limit:
+        if any(abs(n) >= 10 ** limit for x in parts for n in (x.numerator, x.denominator)):
+            raise ScalarError(
+                f"a coefficient has an integer of more than {limit} digits, "
+                "over the interpreter's limit for printing one"
+            )
+    return parts
 
 
 def _c_add(x: Coeff, y: Coeff) -> Coeff:
@@ -429,17 +440,15 @@ class Scalar:
         return Scalar(dict(self._den), dict(self._num))
 
     def __pow__(self, n: int):
+        # |n| multiplications by the base (its inverse for n < 0), as
+        # Expr powers are built: squaring a multi-term base multiplies
+        # ever longer sums, and (1+s+kappa)**-100 took 15x as long that way
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
+        base = self if n >= 0 else self.inverse()
         out = Scalar.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        for _ in range(abs(n)):
+            out = out * base
         return out
 
     def conjugate(self) -> "Scalar":
@@ -485,7 +494,8 @@ class Scalar:
         return Scalar(sub(self._num), sub(self._den))
 
     def to_complex(self, assignment: Mapping[str, float] | None = None) -> complex:
-        """Numeric evaluation; every parameter except r2 must be assigned."""
+        """Numeric evaluation; every parameter except r2 must be assigned.
+        A value outside the float range is refused."""
         assignment = assignment or {}
 
         def ev(p: Poly) -> complex:
@@ -503,10 +513,16 @@ class Scalar:
                 total += v
             return total
 
-        den = ev(self._den)
-        if den == 0:
-            raise ZeroDivisionError("denominator evaluates to zero")
-        return ev(self._num) / den
+        try:
+            den = ev(self._den)
+            if den == 0:
+                raise ZeroDivisionError("denominator evaluates to zero")
+            z = ev(self._num) / den
+            if cmath.isfinite(z):
+                return z
+        except OverflowError:
+            pass
+        raise ScalarError("a coefficient leaves the float range when evaluated")
 
     # -- rendering -----------------------------------------------------------
 

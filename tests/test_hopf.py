@@ -3,6 +3,7 @@ part of the contract (their residuals are pinned exactly)."""
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import product
 
@@ -35,6 +36,7 @@ from ccr_hopf.algebra import (
     _reduce_word,
 )
 from ccr_hopf.hopf import (
+    MAX_CHECK_WORDS,
     MAX_SWEEP_TERMS,
     MAX_TRIAL_LETTERS,
     AxiomReport,
@@ -363,7 +365,7 @@ def _hand_relations(p, h, modes):
     reading the rewrite rules, as the oracle for check_respects_relations.
     The centrality of I, K and Kinv is stated against phi(0) only, so this
     list is a subset of algebra.relations."""
-    _covered_letters(h, p, modes)  # raises unless a field generator is covered
+    _covered_letters(h, p, modes, 2)  # raises unless a field generator is covered
     rels = []
     ii = Expr.from_word((GEN_I,))
 
@@ -407,7 +409,7 @@ def _reference_checks(h, p, degree, modes=2):
         if not res.is_zero():
             fails[axiom].append(Failure(witness, str(res), res))
 
-    for w in sorted_basis_words(p, degree, _covered_letters(h, p, modes)):
+    for w in sorted_basis_words(p, degree, _covered_letters(h, p, modes, max(degree, 1))):
         e = Expr.from_word(w)
         t = tensor_normal_form(_co_free(e, h), p)
         record("coassociativity", word_text(w),
@@ -490,7 +492,7 @@ def test_relation_check_matches_hand_written_relations(h, variant, gram, idempot
     got = check_respects_relations(h, p, modes)
     assert got.failures == tuple(want)
     assert [f.residual for f in got.failures] == [f.residual for f in want]
-    derived = {(str(L), str(R)) for _, L, R in relations(p, _covered_letters(h, p, modes))}
+    derived = {(str(L), str(R)) for _, L, R in relations(p, _covered_letters(h, p, modes, 2))}
     assert {(str(L), str(R)) for _, L, R in _hand_relations(p, h, modes)} <= derived
 
 
@@ -504,7 +506,7 @@ def test_relation_table_lists_every_pair_with_a_rule(h, variant, count, contract
     # the swaps of all out-of-order pairs of covered letters come first,
     # then the contractions the presentation has
     p = Presentation(variant=variant)
-    labels = [label for label, _, _ in relations(p, _covered_letters(h, p, 2))]
+    labels = [label for label, _, _ in relations(p, _covered_letters(h, p, 2, 2))]
     assert len(labels) == count
     assert labels[-len(contractions):] == contractions
     assert all(label.endswith(" commutation") for label in labels[:-len(contractions)])
@@ -643,7 +645,7 @@ def _reference_multiplicativity(h, p, degree, modes, trials, seed):
     """check_multiplicativity's failures recomputed with no memo: the same
     rng draws, Delta expanded on the free algebra and the residual
     Delta(x*y) - Delta(x)Delta(y) reduced once."""
-    letters = _covered_letters(h, p, modes)
+    letters = _covered_letters(h, p, modes, max(degree, 1))
     rng = random.Random(seed)
     pool = [ONE, -ONE, IMAG, Scalar.rational(2), Scalar.rational(1, 1)]
     failures = []
@@ -731,7 +733,7 @@ def test_sweep_budget_is_checked_before_the_first_coproduct(monkeypatch):
     # the largest sweeps the tests, the selftest, the golden corpus, CI and
     # the benchmark run fit the budget
     for h, p, degree, modes, terms in ((CL, P_UND, 8, 1, 7683), (DF, P_DEF, 4, 2, 3159)):
-        words = sorted_basis_words(p, degree, _covered_letters(h, p, modes))
+        words = sorted_basis_words(p, degree, _covered_letters(h, p, modes, degree))
         assert sum(2 ** len(w) for w in words) == terms <= MAX_SWEEP_TERMS
     calls = []
     co_nf = hopf._co_nf
@@ -757,3 +759,24 @@ def test_multiplicativity_budget_is_checked_before_the_first_trial(monkeypatch):
             check_multiplicativity(h, p, degree=9, modes=1)
     assert calls == []
     assert check_multiplicativity(CL, P_UND, degree=8, modes=1, trials=2).passed and calls
+
+
+def test_word_budget_is_checked_before_the_letters_are_built(monkeypatch):
+    # every check states its word depth to _covered_letters, which refuses
+    # comb(letters + depth, depth) > MAX_CHECK_WORDS candidate words before
+    # legal_letters builds the list; degree 5 over 2 deformed modes fits
+    assert math.comb(len(legal_letters(P_DEF, 2)) + 5, 5) <= MAX_CHECK_WORDS
+    monkeypatch.setattr(hopf, "legal_letters", lambda *a: pytest.fail("letters built"))
+    refused = (
+        (lambda: check_counit(CL, P_UND, degree=7, modes=10),
+         "1184040 candidate words up to degree 7 over 21 letters"),
+        (lambda: check_coassociativity(DF, P_DEF, degree=0, modes=600),
+         "1204 candidate words up to degree 1 over 1203 letters"),
+        (lambda: check_multiplicativity(CL, P_UND, degree=7, modes=10),
+         "1184040 candidate words up to degree 7"),
+        (lambda: check_respects_relations(CL, P_UND, modes=50),
+         "5253 candidate words up to degree 2 over 101 letters"),
+    )
+    for check, needle in refused:
+        with pytest.raises(HopfError, match=f"{needle}.*exceed the budget of {MAX_CHECK_WORDS}"):
+            check()

@@ -24,12 +24,12 @@ from ccr_hopf.algebra import (
 )
 from ccr_hopf.cli import (
     GENFUN_TAIL_BUDGET,
-    MAX_CHECK_WORDS,
     _genfun_mean,
     _poisson_tail,
     main,
 )
 from ccr_hopf.exprparse import ParseError, expr_to_text, parse_expr, scalar_text
+from ccr_hopf.hopf import MAX_CHECK_WORDS
 from ccr_hopf.scalars import IMAG, KAPPA, S_PARAM, Scalar
 
 
@@ -307,12 +307,19 @@ def test_cli_spectrum_reports_solver(capsys):
         # letters (40.8 s before the trial budget)
         (["hopf-check", "--checks", "multiplicativity", "--modes", "1", "--degree", "16"],
          "budget of 16"),
+        # coefficients a report cannot hold: an integer with more digits than
+        # the interpreter converts to text, or a value past the float range
+        (["normalize", "pi(0)^300*phi(0)^300", "--variant", "deformed", "--q", "1.5",
+          "--c", "0.8"], "digits"),
+        (["normalize", "123456^1000*phi(0)"], "digits"),
+        (["normalize", "10^400*phi(0)", "--numeric"], "float range"),
     ],
 )
 def test_cli_unbounded_arguments_exit_2(capsys, argv, needle):
     code, doc, err = run_cli(capsys, argv)
     assert code == 2 and doc is None
     assert needle in err and "Traceback" not in err
+    assert err.startswith("ccr-hopf: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("modes", ["0", "-3"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -130,6 +131,55 @@ def test_to_complex():
 def test_from_complex_roundtrip():
     z = Scalar.from_complex(0.359375 - 2.5j)
     assert z.to_complex() == 0.359375 - 2.5j
+
+
+def test_to_complex_refuses_values_outside_the_float_range():
+    big = Scalar.rational(10) ** 400
+    with pytest.raises(ScalarError, match="float range"):
+        big.to_complex()
+    with pytest.raises(ScalarError, match="float range"):
+        (KAPPA ** 400).to_complex({"kappa": 1e10})
+    with pytest.raises(ScalarError, match="float range"):
+        (KAPPA * Scalar.rational(10) ** 300).to_complex({"kappa": 1e10})
+    # an exact value below the float range rounds to zero, as float() does
+    assert big.inverse().to_complex() == 0
+
+
+def test_printing_refuses_integers_over_the_str_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    fits = Scalar.rational(10 ** limit - 1)
+    assert str(fits) == "9" * limit and scalar_json(fits)["re"] == "9" * limit
+    assert str(Scalar.rational(Fraction(1, 10 ** limit - 1))) == "1/" + "9" * limit
+    for over in (Scalar.rational(10 ** limit), Scalar.rational(Fraction(1, 10 ** limit)),
+                 Scalar.rational(1, -(10 ** limit)), KAPPA * 10 ** limit):
+        with pytest.raises(ScalarError, match=f"more than {limit} digits"):
+            str(over)
+    with pytest.raises(ScalarError, match="digits"):
+        scalar_json(Scalar.rational(10 ** limit))
+
+
+def _power_bases():
+    s_inv_type = (ONE + S_PARAM).inverse()
+    return [
+        Scalar.rational(3) * KAPPA ** 2 * S_PARAM ** -1,  # a monomial
+        Scalar.rational(Fraction(-2, 3), 1),  # a constant
+        Scalar.from_complex(1.3),  # a binary fraction, as numeric q and c give
+        ONE + S_PARAM + KAPPA,  # a multi-term base
+        s_inv_type,  # a (1+s)^-1-type base
+        Scalar.rational(Fraction(5, 7)) * s_inv_type + KAPPA * R2,
+    ]
+
+
+@pytest.mark.parametrize("base", _power_bases(), ids=str)
+def test_power_is_repeated_multiplication(base):
+    for n in range(-7, 8):
+        step = base if n >= 0 else base.inverse()
+        loop = ONE
+        for _ in range(abs(n)):
+            loop = loop * step
+        got = base ** n
+        assert (got._num, got._den) == (loop._num, loop._den)
+        assert str(got) == str(loop)
 
 
 def _random_scalar(rng: random.Random, depth: int = 0) -> Scalar:
