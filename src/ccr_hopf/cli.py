@@ -207,7 +207,7 @@ def _cmd_commutator(args):
 
 def _cmd_adjoint(args):
     p = _presentation(args)
-    nf = adjoint(parse_expr(args.expr), p)
+    nf = normal_form(adjoint(parse_expr(args.expr), p), p)
     return {"adjoint": expr_json(nf), "input": args.expr}, True, f"adjoint -> {expr_to_text(nf)}"
 
 
