@@ -146,16 +146,22 @@ def test_to_complex_refuses_values_outside_the_float_range():
 
 
 def test_printing_refuses_integers_over_the_str_digit_limit():
-    limit = sys.get_int_max_str_digits()
-    fits = Scalar.rational(10 ** limit - 1)
-    assert str(fits) == "9" * limit and scalar_json(fits)["re"] == "9" * limit
-    assert str(Scalar.rational(Fraction(1, 10 ** limit - 1))) == "1/" + "9" * limit
-    for over in (Scalar.rational(10 ** limit), Scalar.rational(Fraction(1, 10 ** limit)),
-                 Scalar.rational(1, -(10 ** limit)), KAPPA * 10 ** limit):
-        with pytest.raises(ScalarError, match=f"more than {limit} digits"):
-            str(over)
-    with pytest.raises(ScalarError, match="digits"):
-        scalar_json(Scalar.rational(10 ** limit))
+    # the limit is read when a coefficient is printed, so it is set here
+    # rather than taken from the environment
+    limit, saved = 1000, sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        fits = Scalar.rational(10 ** limit - 1)
+        assert str(fits) == "9" * limit and scalar_json(fits)["re"] == "9" * limit
+        assert str(Scalar.rational(Fraction(1, 10 ** limit - 1))) == "1/" + "9" * limit
+        for over in (Scalar.rational(10 ** limit), Scalar.rational(Fraction(1, 10 ** limit)),
+                     Scalar.rational(1, -(10 ** limit)), KAPPA * 10 ** limit):
+            with pytest.raises(ScalarError, match=f"more than {limit} digits"):
+                str(over)
+        with pytest.raises(ScalarError, match="digits"):
+            scalar_json(Scalar.rational(10 ** limit))
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def _power_bases():
