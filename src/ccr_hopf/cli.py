@@ -46,7 +46,7 @@ from .algebra import (
     gram_entry,
     normal_form,
 )
-from .exprparse import ParseError, expr_to_text, parse_expr
+from .exprparse import ParseError, parse_expr
 from .hopf import (
     HopfSpec,
     antipode,
@@ -192,30 +192,31 @@ def _matrix_json(a) -> dict:
 def _cmd_normalize(args):
     p = _presentation(args)
     nf = normal_form(parse_expr(args.expr), p, args.schedule)
-    results = {"input": args.expr, "normal_form": expr_json(nf)}
+    report = expr_json(nf)
+    results = {"input": args.expr, "normal_form": report}
     if args.numeric:
         results["normal_form_numeric"] = expr_numeric_json(evaluate_numeric(nf))
-    return results, True, f"normalize -> {expr_to_text(nf)}"
+    return results, True, f"normalize -> {report['text']}"
 
 
 def _cmd_commutator(args):
     p = _presentation(args)
-    nf = commutator(parse_expr(args.left), parse_expr(args.right), p)
-    results = {"commutator": expr_json(nf), "left": args.left, "right": args.right}
-    return results, True, f"commutator -> {expr_to_text(nf)}"
+    report = expr_json(commutator(parse_expr(args.left), parse_expr(args.right), p))
+    results = {"commutator": report, "left": args.left, "right": args.right}
+    return results, True, f"commutator -> {report['text']}"
 
 
 def _cmd_adjoint(args):
     p = _presentation(args)
-    nf = normal_form(adjoint(parse_expr(args.expr), p), p)
-    return {"adjoint": expr_json(nf), "input": args.expr}, True, f"adjoint -> {expr_to_text(nf)}"
+    report = expr_json(normal_form(adjoint(parse_expr(args.expr), p), p))
+    return {"adjoint": report, "input": args.expr}, True, f"adjoint -> {report['text']}"
 
 
 def _cmd_convert(args):
     p = _presentation(args)
-    nf = basis_convert(parse_expr(args.expr), args.to, p)
-    results = {"converted": expr_json(nf), "input": args.expr, "target": args.to}
-    return results, True, f"convert -> {expr_to_text(nf)}"
+    report = expr_json(basis_convert(parse_expr(args.expr), args.to, p))
+    results = {"converted": report, "input": args.expr, "target": args.to}
+    return results, True, f"convert -> {report['text']}"
 
 
 def _flavor(args) -> HopfSpec:
@@ -235,8 +236,8 @@ def _cmd_counit(args):
 
 def _cmd_antipode(args):
     p = _presentation(args)
-    nf = antipode(parse_expr(args.expr), _flavor(args), p)
-    return {"antipode": expr_json(nf), "input": args.expr}, True, f"antipode -> {expr_to_text(nf)}"
+    report = expr_json(antipode(parse_expr(args.expr), _flavor(args), p))
+    return {"antipode": report, "input": args.expr}, True, f"antipode -> {report['text']}"
 
 
 def _cmd_hopf_check(args):

@@ -201,36 +201,33 @@ def parse_expr(text: str) -> Expr:
 def scalar_text(s: Scalar) -> str:
     """Grammar-parseable text for a coefficient; denominators become
     negative powers."""
-    if s.denominator_terms() is None:
-        return str(s)
-    return f"({scalar_text(s.numerator())})*({scalar_text(s.denominator())})^-1"
+    return quotient_text(*s.text_parts())
 
 
-def _is_sum(text: str) -> bool:
-    return " " in text
+def quotient_text(num: str, den: str | None) -> str:
+    """scalar_text from a scalar's text_parts."""
+    return num if den is None else f"({num})*({den})^-1"
+
+
+def word_order(word):
+    """Sort key of the words of an Expr in every printed form."""
+    return len(word), word
+
+
+def term_text(wtext: str, ctext: str) -> str:
+    """One signed term of expr_to_text from its word's text and its
+    coefficient's scalar_text."""
+    if ctext == "1":
+        return wtext
+    if ctext == "-1":
+        return f"-{wtext}"
+    factor = f"({ctext})" if " " in ctext else ctext
+    return factor if wtext == "one" else f"{factor}*{wtext}"
 
 
 def expr_to_text(e: Expr) -> str:
     """Deterministic text form; parse_expr(expr_to_text(e)) == e."""
-    pieces = []
-    for word in sorted(e.terms, key=lambda w: (len(w), w)):
-        coeff = e.terms[word]
-        wtext = word_text(word)
-        ctext = scalar_text(coeff)
-        if word == ():
-            if ctext == "1":
-                piece = "one"
-            elif ctext == "-1":
-                piece = "-one"
-            else:
-                piece = f"({ctext})" if _is_sum(ctext) else ctext
-        elif ctext == "1":
-            piece = wtext
-        elif ctext == "-1":
-            piece = f"-{wtext}"
-        elif _is_sum(ctext):
-            piece = f"({ctext})*{wtext}"
-        else:
-            piece = f"{ctext}*{wtext}"
-        pieces.append(piece)
-    return signed_join(pieces)
+    terms = e.terms
+    return signed_join(
+        [term_text(word_text(w), scalar_text(terms[w])) for w in sorted(terms, key=word_order)]
+    )

@@ -146,20 +146,30 @@ class TensorExpr(_SparseSum):
         return tuple(map(tuple.__add__, k1, k2))
 
     def __str__(self):
-        parts = []
-        for k in sorted(self.terms, key=lambda k: (sum(map(len, k)), k)):
-            c = self.terms[k]
-            body = " (x) ".join(word_text(w) for w in k)
-            if c.is_one():
-                parts.append(body)
-            elif (-c).is_one():
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"({c})*{body}")
-        return signed_join(parts)
+        terms = self.terms
+        return signed_join([
+            tensor_term_text([word_text(w) for w in k], str(terms[k]))
+            for k in sorted(terms, key=tensor_text_order)
+        ])
 
     def __repr__(self):
         return f"TensorExpr({self.order}, {self})"
+
+
+def tensor_text_order(key):
+    """Sort key of the terms of a TensorExpr in its text."""
+    return sum(map(len, key)), key
+
+
+def tensor_term_text(slots, ctext: str) -> str:
+    """One signed term of a TensorExpr's text from its slot words' texts
+    and its coefficient's ``str``."""
+    body = " (x) ".join(slots)
+    if ctext == "1":
+        return body
+    if ctext == "-1":
+        return f"-{body}"
+    return f"({ctext})*{body}"
 
 
 def tensor_of(*exprs: Expr) -> TensorExpr:

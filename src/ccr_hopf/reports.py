@@ -3,27 +3,52 @@
 Two serialization modes for coefficients: symbolic, where exact constants
 become {"re": "p/q", "im": "p/q"} and anything with parameters becomes
 text in the expression grammar; and numeric, where evaluated complex
-values become {"re": float, "im": float}.  Documents are rendered with
-sorted keys so identical runs produce identical bytes.
+values become {"re": float, "im": float}.
+
+``expr_json`` and ``tensor_json`` render each word and each coefficient
+once and build a report's ``terms`` rows and its ``text`` from the same
+pieces, through the term printers that ``expr_to_text`` and
+``TensorExpr.__str__`` use.
+
+``dump_json`` writes the report bytes itself, in one recursive pass.
+They equal ``json.dumps(_plain(doc), sort_keys=True, ensure_ascii=False,
+indent=2)``: native JSON values are written as they are met, and
+anything else goes through ``_plain``, the one coercion rule.  The
+package does not call ``json.dumps`` here because CPython 3.11 uses its
+C encoder only when ``indent`` is None, and the pure-Python encoder it
+falls back to, plus the ``_plain`` copy of the whole document, cost more
+than writing the bytes directly.  A property test in
+``tests/test_reports.py`` pins the equality.  Keys are sorted, so
+identical runs produce identical bytes.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import asdict, is_dataclass
+from json.encoder import encode_basestring
+from math import inf
 
 from .algebra import Expr, word_text
-from .exprparse import expr_to_text, scalar_text
-from .hopf import AxiomReport, Failure, TensorExpr
-from .scalars import Scalar
+from .exprparse import quotient_text, term_text, word_order
+from .hopf import AxiomReport, Failure, TensorExpr, tensor_term_text, tensor_text_order
+from .scalars import Scalar, coeff_text, quotient_str, signed_join
+
+
+def _coeff_forms(s: Scalar) -> tuple:
+    """(scalar_json, scalar_text, str) of one coefficient, all built
+    from one rendering of its parts."""
+    if s.is_constant():
+        re, im = s.constant_texts()
+        text = coeff_text(re, im)
+        return {"im": im, "re": re}, text, text
+    parts = s.text_parts()
+    text = quotient_text(*parts)
+    return text, text, quotient_str(*parts)
 
 
 def scalar_json(s: Scalar):
-    if s.is_constant():
-        re, im = s.constant_value()
-        return {"im": str(im), "re": str(re)}
-    return scalar_text(s)
+    return _coeff_forms(s)[0]
 
 
 def complex_json(z):
@@ -32,35 +57,32 @@ def complex_json(z):
 
 
 def expr_json(e: Expr):
-    return {
-        "terms": [
-            {"coeff": scalar_json(e.terms[w]), "word": word_text(w)}
-            for w in sorted(e.terms, key=lambda w: (len(w), w))
-        ],
-        "text": expr_to_text(e),
-    }
+    rows, pieces = [], []
+    for w in sorted(e.terms, key=word_order):
+        coeff, ctext, _ = _coeff_forms(e.terms[w])
+        wtext = word_text(w)
+        rows.append({"coeff": coeff, "word": wtext})
+        pieces.append(term_text(wtext, ctext))
+    return {"terms": rows, "text": signed_join(pieces)}
 
 
 def expr_numeric_json(values: dict):
     """Serialize an evaluated expression, word -> complex coefficient."""
     return [
         {"coeff": complex_json(values[w]), "word": word_text(w)}
-        for w in sorted(values, key=lambda w: (len(w), w))
+        for w in sorted(values, key=word_order)
     ]
 
 
 def tensor_json(t: TensorExpr):
-    return {
-        "order": t.order,
-        "terms": [
-            {
-                "coeff": scalar_json(t.terms[k]),
-                "slots": [word_text(w) for w in k],
-            }
-            for k in sorted(t.terms, key=lambda k: (tuple(len(w) for w in k), k))
-        ],
-        "text": str(t),
-    }
+    words, pieces, rows = {}, {}, []
+    for k in sorted(t.terms, key=lambda k: (tuple(map(len, k)), k)):
+        coeff, _, ctext = _coeff_forms(t.terms[k])
+        slots = [words[w] if w in words else words.setdefault(w, word_text(w)) for w in k]
+        rows.append({"coeff": coeff, "slots": slots})
+        pieces[k] = tensor_term_text(slots, ctext)
+    text = signed_join([pieces[k] for k in sorted(pieces, key=tensor_text_order)])
+    return {"order": t.order, "terms": rows, "text": text}
 
 
 def failure_json(f: Failure):
@@ -103,5 +125,76 @@ def report_json(obj):
     return _plain(obj)
 
 
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _float_text(f) -> str:
+    if f != f:
+        return "NaN"
+    if f == inf:
+        return "Infinity"
+    if f == -inf:
+        return "-Infinity"
+    return float.__repr__(f)
+
+
+def _leaf_text(value) -> str:
+    """A value _plain leaves as it is, written as json.dumps writes it."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _write(value, nl: str, emit) -> None:
+    """Emit the indented JSON text of value; nl is the newline plus the
+    indentation of the line value starts on."""
+    t = type(value)
+    if t is str:
+        emit(encode_basestring(value))
+    elif t is dict:
+        if not value:
+            emit("{}")
+            return
+        inner = nl + "  "
+        lead = "{" + inner
+        items = {str(k): v for k, v in value.items()}
+        for k in sorted(items):
+            emit(lead)
+            emit(encode_basestring(k))
+            emit(": ")
+            _write(items[k], inner, emit)
+            lead = "," + inner
+        emit(nl + "}")
+    elif t is list or t is tuple:
+        if not value:
+            emit("[]")
+            return
+        inner = nl + "  "
+        lead = "[" + inner
+        for v in value:
+            emit(lead)
+            _write(v, inner, emit)
+            lead = "," + inner
+        emit(nl + "]")
+    elif t is int:
+        emit(int.__repr__(value))
+    elif t is float:
+        emit(_float_text(value))
+    elif value is None or t is bool:
+        emit(_CONSTANTS[value])
+    else:
+        plain = _plain(value)
+        if plain is value:
+            emit(_leaf_text(value))
+        else:
+            _write(plain, nl, emit)
+
+
 def dump_json(doc) -> str:
-    return json.dumps(_plain(doc), sort_keys=True, ensure_ascii=False, indent=2)
+    out = []
+    _write(doc, "\n", out.append)
+    return "".join(out)

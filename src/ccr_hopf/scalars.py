@@ -87,21 +87,39 @@ def _coeff(re, im=0) -> Coeff:
 
 
 def _c_parts(c: Coeff) -> tuple:
-    """(re, im) of a triple: ints when d is 1, else Fractions (the print
-    and hand-out form).  A part with an integer of more decimal digits
-    than the interpreter converts to text (sys.get_int_max_str_digits) is
-    refused here, before anything tries to print it."""
+    """(re, im) of a triple: ints when d is 1, else Fractions (the
+    hand-out form)."""
     a, b, d = c
-    parts = (a, b) if d == 1 else (Fraction(a, d), Fraction(b, d))
-    limit = sys.get_int_max_str_digits()
-    # below 3*limit bits an integer has at most 0.91*limit digits
-    if limit and max(a.bit_length(), b.bit_length(), d.bit_length()) > 3 * limit:
-        if any(abs(n) >= 10 ** limit for x in parts for n in (x.numerator, x.denominator)):
-            raise ScalarError(
-                f"a coefficient has an integer of more than {limit} digits, "
-                "over the interpreter's limit for printing one"
-            )
-    return parts
+    return (a, b) if d == 1 else (Fraction(a, d), Fraction(b, d))
+
+
+def _c_texts(c: Coeff) -> tuple:
+    """(re, im) of a triple as text, as ``str`` prints the parts of
+    :func:`_c_parts`.  A part with an integer of more decimal digits than
+    the interpreter converts to text (sys.get_int_max_str_digits) is
+    refused."""
+    re, im = _c_parts(c)
+    try:
+        return str(re), str(im)
+    except ValueError:
+        raise ScalarError(
+            f"a coefficient has an integer of more than {sys.get_int_max_str_digits()} "
+            "digits, over the interpreter's limit for printing one"
+        ) from None
+
+
+def coeff_text(re: str, im: str) -> str:
+    """Text of the Gaussian rational re + im*i from the texts of its parts."""
+    if im == "0":
+        return re
+    if re == "0":
+        if im == "1":
+            return "i"
+        if im == "-1":
+            return "-i"
+        return f"{im}*i"
+    sign, mag = (" - ", im[1:]) if im[0] == "-" else (" + ", im)
+    return f"({re}{sign}{'i' if mag == '1' else mag + '*i'})"
 
 
 def _c_add(x: Coeff, y: Coeff) -> Coeff:
@@ -271,6 +289,11 @@ def signed_join(parts) -> str:
     for t in parts[1:]:
         out += " - " + t[1:] if t.startswith("-") else " + " + t
     return out
+
+
+def quotient_str(num: str, den: str | None) -> str:
+    """``str`` of a scalar from its :meth:`Scalar.text_parts`."""
+    return num if den is None else f"({num})/({den})"
 
 
 class Scalar:
@@ -527,66 +550,49 @@ class Scalar:
     # -- rendering -----------------------------------------------------------
 
     @staticmethod
-    def _coeff_str(c: Coeff) -> str:
-        re, im = _c_parts(c)
-        if not im:
-            return str(re)
-        if not re:
-            if im == 1:
-                return "i"
-            if im == -1:
-                return "-i"
-            return f"{im}*i"
-        mag = "i" if abs(im) == 1 else f"{abs(im)}*i"
-        sign = " + " if im > 0 else " - "
-        return f"({re}{sign}{mag})"
-
-    @staticmethod
-    def _mono_str(m: Mono) -> str:
-        parts = []
-        for name, e in m:
-            parts.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(parts)
-
-    @classmethod
-    def _poly_str(cls, p: Poly) -> str:
+    def _poly_str(p: Poly) -> str:
         pieces = []
         for m in sorted(p):
-            c = p[m]
-            ctext = cls._coeff_str(c)
-            mtext = cls._mono_str(m)
-            if not mtext:
-                term = ctext
-            elif ctext == "1":
-                term = mtext
+            ctext = coeff_text(*_c_texts(p[m]))
+            if not m:
+                pieces.append(ctext)
+                continue
+            mtext = "*".join([name if e == 1 else f"{name}^{e}" for name, e in m])
+            if ctext == "1":
+                pieces.append(mtext)
             elif ctext == "-1":
-                term = f"-{mtext}"
+                pieces.append(f"-{mtext}")
             else:
-                term = f"{ctext}*{mtext}"
-            pieces.append(term)
+                pieces.append(f"{ctext}*{mtext}")
         return signed_join(pieces)
 
-    def __str__(self) -> str:
+    def text_parts(self) -> tuple:
+        """(numerator text, denominator text), the second None when the
+        denominator is 1: every printed form of a scalar is built from
+        these."""
         if self._den == _P_ONE:
-            return self._poly_str(self._num)
-        return f"({self._poly_str(self._num)})/({self._poly_str(self._den)})"
+            return self._poly_str(self._num), None
+        return self._poly_str(self._num), self._poly_str(self._den)
+
+    def constant_texts(self) -> tuple:
+        """(re, im) of a constant as text."""
+        if not self.is_constant():
+            raise ScalarError("scalar is not constant")
+        return _c_texts(self._num.get(_UNIT, _C_ZERO))
+
+    def __str__(self) -> str:
+        return quotient_str(*self.text_parts())
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
 
-    # -- structured form (used by the report layer) ---------------------------
+    # -- structured form -------------------------------------------------------
 
     def denominator_terms(self) -> list[tuple[Mono, tuple]] | None:
         """The denominator's (monomial, (re, im)) terms, or None when it is 1."""
         if self._den == _P_ONE:
             return None
         return [(m, _c_parts(c)) for m, c in sorted(self._den.items())]
-
-    def numerator(self) -> "Scalar":
-        return Scalar(dict(self._num))
-
-    def denominator(self) -> "Scalar":
-        return Scalar(dict(self._den))
 
 
 ZERO = Scalar.zero()

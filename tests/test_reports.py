@@ -1,0 +1,184 @@
+"""The report layer: ``dump_json`` against the stdlib encoder, and the
+``terms`` rows of a report against its ``text``.
+
+``dump_json`` writes its bytes itself; the reference it must equal byte
+for byte is ``json.dumps(_plain(doc), sort_keys=True, ensure_ascii=False,
+indent=2)``.  ``expr_json`` and ``tensor_json`` build rows and text from
+the same rendered pieces, so each is checked against an independent
+reading of the other: the parser, the tensor arithmetic and ``str``.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ccr_hopf.cli as cli
+import ccr_hopf.selftest as selftest
+from ccr_hopf.algebra import Expr, Presentation, normal_form, random_expr
+from ccr_hopf.exprparse import parse_expr
+from ccr_hopf.hopf import HopfSpec, TensorExpr, coproduct, tensor_of
+from ccr_hopf.reports import _plain, dump_json, expr_json, tensor_json
+from ccr_hopf.scalars import IMAG, KAPPA, ONE, R2, S_PARAM, Scalar
+
+
+def _reference(doc) -> str:
+    return json.dumps(_plain(doc), sort_keys=True, ensure_ascii=False, indent=2)
+
+
+# ---------------------------------------------------------------------------
+# dump_json == the stdlib call
+
+
+@dataclass(frozen=True)
+class _Point:
+    x: float
+    label: str
+    tags: tuple = ()
+
+
+_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 0.1, 1e300]) | st.floats()
+_INTS = st.integers() | st.integers(min_value=2 ** 64, max_value=2 ** 200).map(lambda n: n * (-1) ** n)
+_TEXT = st.text(
+    st.sampled_from(['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", " ", "é", "漢", "😀", "a", " "])
+    | st.characters(),
+    max_size=8,
+)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | _INTS
+    | _FLOATS
+    | _TEXT
+    | st.complex_numbers()
+    | st.builds(_Point, _FLOATS, _TEXT, st.lists(_INTS, max_size=3).map(tuple))
+    | _FLOATS.map(np.float64)
+    | st.floats(width=32).map(np.float32)
+    | st.integers(min_value=-2 ** 63, max_value=2 ** 63 - 1).map(np.int64)
+    | st.lists(_FLOATS, max_size=4).map(np.array)
+    | st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2), max_size=3).map(np.array)
+)
+_KEYS = _TEXT | _INTS | st.booleans() | st.none() | _FLOATS | st.tuples(st.integers(), _TEXT)
+_DOCS = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+# 400 examples, derandomized, so every run checks the same documents
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_DOCS)
+def test_dump_json_is_the_stdlib_encoding(doc):
+    assert dump_json(doc) == _reference(doc)
+
+
+@pytest.mark.parametrize(
+    "bad", [object(), {1, 2}, b"bytes", np.bool_(True), {"a": [1, {"b": object()}]}, [_Point(1.0, "x", (object(),))]]
+)
+def test_dump_json_refuses_what_the_stdlib_refuses(bad):
+    with pytest.raises(TypeError):
+        _reference(bad)
+    with pytest.raises(TypeError):
+        dump_json(bad)
+
+
+def test_real_report_documents_are_the_stdlib_encoding(monkeypatch, capsys):
+    """Reports whose floats the golden corpus leaves out (they depend on
+    the BLAS build), compared in-process."""
+    seen = []
+
+    def checked(doc):
+        text = dump_json(doc)
+        assert text == _reference(doc)
+        seen.append(doc)
+        return text
+
+    monkeypatch.setattr(cli, "dump_json", checked)
+    monkeypatch.setattr(selftest, "dump_json", checked)
+    monkeypatch.delenv("CCR_HOPF_SEED", raising=False)
+    for argv in (["fock", "spectrum", "--nmax", "6"], ["measure", "bochner", "--samples", "2000"],
+                 ["selftest", "--seed", "42"]):
+        assert cli.main(argv) == 0
+    assert [d.get("command") for d in seen if "command" in d] == ["fock spectrum", "measure bochner",
+                                                                "selftest"]
+    capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# rows and text agree
+
+_SCALARS = [
+    ONE,
+    -ONE,
+    IMAG,
+    ONE + IMAG,
+    KAPPA,
+    R2,
+    Scalar.rational(Fraction(-3, 4), Fraction(2, 5)),
+    (ONE + S_PARAM).inverse(),
+    KAPPA * (S_PARAM ** 2 - IMAG).inverse(),
+    S_PARAM ** -1 - ONE,
+]
+
+
+def _row_scalar(value, kinds: set) -> Scalar:
+    """The scalar a row's coefficient names; kinds collects its form."""
+    kinds.add("constant" if isinstance(value, dict) else "quotient" if "^-1" in value else "text")
+    if isinstance(value, dict):
+        return Scalar.rational(Fraction(value["re"]), Fraction(value["im"]))
+    e = parse_expr(value)
+    assert set(e.terms) <= {()}
+    return e.terms.get((), Scalar.zero())
+
+
+def _random_element(rng, p) -> Expr:
+    e = random_expr(rng, p, max_degree=3, modes=2) * rng.choice(_SCALARS)
+    return normal_form(e + random_expr(rng, p, max_degree=2, modes=2) * rng.choice(_SCALARS), p)
+
+
+@pytest.mark.parametrize("basis", ["phi-pi", "ladder"])
+@pytest.mark.parametrize("variant", ["undeformed", "deformed-strict", "deformed-collapsed"])
+def test_expr_rows_and_text_agree(variant, basis):
+    rng = random.Random(f"{variant}/{basis}")
+    p = Presentation(variant=variant, basis=basis)
+    kinds = set()
+    for _ in range(60):
+        e = _random_element(rng, p)
+        doc = expr_json(e)
+        assert parse_expr(doc["text"]) == e
+        rebuilt = Expr.zero()
+        for row in doc["terms"]:
+            rebuilt = rebuilt + parse_expr(row["word"]) * _row_scalar(row["coeff"], kinds)
+        assert rebuilt == e and len(doc["terms"]) == len(e.terms)
+    assert kinds == {"constant", "quotient", "text"}
+
+
+@pytest.mark.parametrize(
+    "variant, flavor",
+    [("undeformed", "classical"), ("deformed-strict", "deformed"), ("deformed-collapsed", "deformed")],
+)
+def test_tensor_rows_and_text_agree(variant, flavor):
+    rng = random.Random(f"{variant}/{flavor}")
+    p = Presentation(variant=variant)
+    h = HopfSpec.classical() if flavor == "classical" else HopfSpec.deformed()
+    kinds = set()
+    for _ in range(25):
+        t = coproduct(_random_element(rng, p), h, p)
+        doc = tensor_json(t)
+        assert doc["text"] == str(t) and doc["order"] == t.order == 2
+        rebuilt = TensorExpr.zero(2)
+        for row in doc["terms"]:
+            rebuilt = rebuilt + tensor_of(*map(parse_expr, row["slots"])) * _row_scalar(row["coeff"], kinds)
+        assert rebuilt == t and len(doc["terms"]) == len(t.terms)
+    assert kinds == {"constant", "quotient", "text"}
