@@ -79,6 +79,13 @@ done <<'ROWS'
 0  60 fock transfer --d 2 --nmax 8 --seed 5
 0  60 measure eta
 0  60 measure weyl --d 2 --seed 5 --count 80
+# commands that read their tolerance, verdict or Gaussian model from fock
+# or measure, where the selftest reads them too
+0  60 fock genfun --v 0.5
+0  60 fock trend --nmax 12
+0  60 measure cocycle
+0  60 measure bochner
+0  60 measure pd-check
 # budgets refuse the work before it starts: an exponent over the parser's
 # limit, a coherent state far beyond the cutoff, the Python-loop sweeps,
 # a test function whose translate would hold about 1e6 monomials, Weyl

@@ -414,7 +414,7 @@ class Presentation:
       deformed-collapsed  K, Kinv legal as input, substituted via I*I = I
     deformation is symbolic (parameters kappa, s) unless numeric q, c are
     both given, in which case kappa = C_{q,c} and s = q^(c/2) are embedded
-    exactly as binary rationals.
+    exactly as binary rationals.  The undeformed variant refuses q, c.
     """
 
     variant: str = UNDEFORMED
@@ -435,6 +435,8 @@ class Presentation:
         object.__setattr__(self, "gram", g)
         if (self.q is None) != (self.c is None):
             raise AlgebraError("numeric deformation needs both q and c")
+        if self.variant == UNDEFORMED and self.q is not None:
+            raise AlgebraError("the undeformed variant has kappa = 1 and takes no numeric q, c")
         if self.variant == DEFORMED_COLLAPSED and not self.idempotent_identity:
             raise AlgebraError(
                 "the collapsed variant relies on I*I = I; "

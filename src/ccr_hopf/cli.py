@@ -64,7 +64,6 @@ from .reports import (
     dump_json,
     expr_json,
     expr_numeric_json,
-    report_json,
     scalar_json,
     tensor_json,
 )
@@ -87,7 +86,7 @@ _HOPF_CHECKS = tuple(_HOPF_CHECK_TABLE)
 _DEFAULT_CHECKS = tuple(n for n in _HOPF_CHECKS if n != "respects-relations")
 # most Poisson weight exp(i phi(v))|0> may hold above the cutoff before fock
 # genfun refuses to truncate it; runs inside the budget measured off by less
-# than 1e-11 on one to three modes, far inside the 1e-8 check
+# than 1e-11 on one to three modes, far inside fock.GENFUN_TOLERANCE
 GENFUN_TAIL_BUDGET = 1e-8
 
 
@@ -152,6 +151,8 @@ def _model(args):
 
     if args.d < 1:
         raise CliError("--d must be positive")
+    if args.kmat and args.scale is not None:
+        raise CliError("--kmat and --scale each set the covariance factor K; give one of them")
     gram = _gram_array(args.gram, real=True) if args.gram else None
     if args.kmat:
         model = GaussianModel(_gram_array(args.kmat, real=True), gram=gram)
@@ -162,7 +163,7 @@ def _model(args):
         if args.scale <= 0:
             raise CliError("--scale must be positive")
         return GaussianModel(np.eye(args.d) / args.scale, gram=gram)
-    return GaussianModel(math.sqrt(2.0) * np.eye(args.d), gram=gram)
+    return GaussianModel.fock(args.d, gram=gram)
 
 
 def _vector(text: str, d: int | None = None):
@@ -287,15 +288,11 @@ def _cmd_fock_matrices(args):
 
 
 def _cmd_fock_spectrum(args):
-    import numpy as np
-
-    from .fock import invariant_blocks, number_operator, smallest_eigenvalues
+    from .fock import invariant_blocks, number_operator, smallest_eigenvalues, vacuum_occupancy
 
     m = _mode_space(args)
     spec = _bogoliubov(args)
     n = number_operator(m, spec)
-    vac = m.vacuum()
-    occupancy = float(np.real(np.vdot(vac, n @ vac)))
     eigs = smallest_eigenvalues(n, args.k)
     sizes = invariant_blocks(n)[1]
     passed = not eigs or eigs[0] > -1e-8
@@ -308,7 +305,7 @@ def _cmd_fock_spectrum(args):
             "largest_block": int(sizes.max()),
             "method": "dense-blocks",
         },
-        "vacuum_occupancy": occupancy,
+        "vacuum_occupancy": vacuum_occupancy(m, n),
     }
     return results, passed, f"fock spectrum min={eigs[0] if eigs else None}"
 
@@ -370,7 +367,7 @@ def _genfun_refusal(m, mu: float, weight: float) -> str:
 
 
 def _cmd_fock_genfun(args):
-    from .fock import vacuum_generating_function
+    from .fock import GENFUN_TOLERANCE, vacuum_generating_function
 
     m = _mode_space(args)
     spec = _bogoliubov(args)
@@ -385,13 +382,13 @@ def _cmd_fock_genfun(args):
     if not args.gram:
         expected = math.exp(-mu / 2.0)
         gap = abs(z - expected)
-        passed = gap <= 1e-8
-        results.update({"expected": expected, "error": gap, "tolerance": 1e-8})
+        passed = gap <= GENFUN_TOLERANCE
+        results.update({"expected": expected, "error": gap, "tolerance": GENFUN_TOLERANCE})
     return results, passed, f"fock genfun value={z.real:.12f}"
 
 
 def _cmd_fock_transfer(args):
-    from .fock import transfer_rep, transfer_residual
+    from .fock import TRANSFER_TOLERANCE, transfer_rep, transfer_residual
     from .measure import gauss_vector
 
     m = _mode_space(args)
@@ -404,32 +401,31 @@ def _cmd_fock_transfer(args):
         "c_qc": rep.constant,
         "residual": residual,
         "scale": rep.scale,
-        "tolerance": 1e-12,
+        "tolerance": TRANSFER_TOLERANCE,
         "v": list(map(float, v)),
         "w": list(map(float, w)),
     }
-    return results, residual < 1e-12, f"fock transfer residual={residual:.3e}"
+    return results, residual < TRANSFER_TOLERANCE, f"fock transfer residual={residual:.3e}"
 
 
 def _cmd_fock_trend(args):
-    from .fock import boundedness_trend
+    from .fock import SLOPE_RATIO_FLOOR, boundedness_trend
 
     try:
         d_values = tuple(int(x) for x in args.dvalues.split(","))
     except ValueError:
         raise CliError(f"cannot read --dvalues {args.dvalues!r}; use comma-separated integers")
     trend = boundedness_trend(d_values=d_values, nmax=args.nmax)
-    converged = all(r.converged for r in trend.uniform + trend.summable)
-    passed = trend.slope_ratio >= 5.0 and converged
-    results = {"converged": converged, "slope_ratio_floor": 5.0, "trend": report_json(trend)}
-    return results, passed, f"fock trend slope_ratio={trend.slope_ratio:.2f}"
+    results = {"converged": trend.converged, "slope_ratio_floor": SLOPE_RATIO_FLOOR,
+               "trend": trend}
+    return results, trend.passed, f"fock trend slope_ratio={trend.slope_ratio:.2f}"
 
 
 # ---------------------------------------------------------------------------
 # Measure commands
 
 def _cmd_measure_cocycle(args):
-    from .measure import cocycle_sweep
+    from .measure import COCYCLE_TOLERANCE, cocycle_sweep
 
     model = _model(args)
     rng = random.Random(f"{args.seed}:cocycle-cli")
@@ -438,65 +434,50 @@ def _cmd_measure_cocycle(args):
         "cocycle_max_residual": worst_c,
         "density_ratio_max_residual": worst_r,
         "samples": args.samples,
-        "tolerance": 1e-10,
+        "tolerance": COCYCLE_TOLERANCE,
     }
-    passed = worst_c < 1e-10 and worst_r < 1e-10
+    passed = worst_c < COCYCLE_TOLERANCE and worst_r < COCYCLE_TOLERANCE
     return results, passed, f"measure cocycle max={max(worst_c, worst_r):.3e}"
 
 
 def _cmd_measure_eta(args):
-    from .measure import eta_error, gauss_vector
+    from .measure import ETA_TOLERANCE, eta_error, eta_sweep
 
     model = _model(args)
     if bool(args.v) != bool(args.u):
         raise CliError("an explicit eta point needs both --v and --u")
     if args.v:
-        pairs = [(_vector(args.v, args.d), _vector(args.u, args.d))]
+        points = [eta_error(model, _vector(args.v, args.d), _vector(args.u, args.d))]
     else:
-        rng = random.Random(f"{args.seed}:eta-cli")
-        pairs = [(gauss_vector(rng, args.d), gauss_vector(rng, args.d)) for _ in range(3)]
-    worst = 0.0
-    rows = []
-    for v, u in pairs:
-        err, got, want = eta_error(model, v, u)
-        worst = max(worst, err)
-        rows.append({"error": err, "estimate": got, "exact": want})
-    results = {"max_error": worst, "points": rows, "tolerance": 1e-8}
-    return results, worst < 1e-8, f"measure eta max error={worst:.3e}"
+        points = eta_sweep(model, random.Random(f"{args.seed}:eta-cli"), 3)
+    worst = max(0.0, *(err for err, _, _ in points))
+    rows = [{"error": err, "estimate": got, "exact": want} for err, got, want in points]
+    results = {"max_error": worst, "points": rows, "tolerance": ETA_TOLERANCE}
+    return results, worst < ETA_TOLERANCE, f"measure eta max error={worst:.3e}"
 
 
 def _cmd_measure_bochner(args):
-    from .measure import bochner_mc, gauss_vector
+    from .measure import BOCHNER_SIGMAS, bochner_check, gauss_vector
 
     model = _model(args)
     if args.v:
         v = _vector(args.v, args.d)
     else:
         v = gauss_vector(random.Random(f"{args.seed}:bochner-cli"), args.d)
-    est = bochner_mc(model, v, samples=args.samples, seed=args.seed)
-    exact = model.Z(v)
-    gap = abs(est.estimate - exact)
-    results = {
-        "estimate_im": est.estimate.imag,
-        "estimate_re": est.estimate.real,
-        "exact": exact,
-        "gap": gap,
-        "samples": est.samples,
-        "stderr": est.stderr,
-        "tolerance": "3 standard errors",
-        "v": list(map(float, v)),
-    }
-    summary = f"measure bochner gap={gap:.3e} (3se={3*est.stderr:.3e})"
-    return results, gap <= 3.0 * est.stderr, summary
+    fields, passed = bochner_check(model, v, args.samples, args.seed)
+    results = {**fields, "samples": args.samples, "v": list(map(float, v))}
+    bracket = BOCHNER_SIGMAS * fields["stderr"]
+    summary = f"measure bochner gap={fields['gap']:.3e} ({BOCHNER_SIGMAS}se={bracket:.3e})"
+    return results, passed, summary
 
 
 def _cmd_measure_weyl(args):
-    from .measure import weyl_sweep
+    from .measure import WEYL_TOLERANCE, weyl_sweep
 
     model = _model(args)
     worst = weyl_sweep(model, random.Random(f"{args.seed}:weyl-cli"), args.count)
-    results = {"max_residual": worst, "points": args.count, "tolerance": 1e-10}
-    return results, worst < 1e-10, f"measure weyl max residual={worst:.3e}"
+    results = {"max_residual": worst, "points": args.count, "tolerance": WEYL_TOLERANCE}
+    return results, worst < WEYL_TOLERANCE, f"measure weyl max residual={worst:.3e}"
 
 
 def _cmd_measure_pd(args):

@@ -350,6 +350,9 @@ def number_operator(m: ModeSpace, spec: BogoliubovSpec | None = None):
     return (stacked.T @ stacked).tocsr()
 
 
+GENFUN_TOLERANCE = 1e-8  # the vacuum generating function passes within this of its closed form
+
+
 def vacuum_generating_function(m: ModeSpace, v, spec=None) -> complex:
     """<vac| exp(i phi(v)) |vac>, computed by applying the exponential to
     the vacuum vector rather than forming a dense exponential."""
@@ -448,13 +451,15 @@ def _word_matrix(words: dict, letters: dict, word: tuple, d: int):
 
 def expr_matrix(e: Expr, m: ModeSpace, p: Presentation, q=None, c=None):
     """Numeric matrix of a symbolic element under the transfer
-    representation.  A numeric presentation supplies (q, c) itself; a
-    symbolic deformed presentation needs them passed explicitly; the
-    undeformed variant uses constant 1.
+    representation.  A numeric presentation supplies (q, c) itself and
+    refuses them passed again; a symbolic deformed presentation needs them
+    passed; the undeformed variant uses constant 1 and ignores them.
 
     Each word's matrix is formed once per space and (q, c), and the words
     are summed in sorted order into a fresh matrix, never a cached one."""
     if p.q is not None:
+        if q is not None or c is not None:
+            raise FockError("this presentation carries its own numeric q and c; pass neither")
         q, c = p.q, p.c
     if p.variant == UNDEFORMED:
         constant, scale = 1.0, 1.0
@@ -472,6 +477,9 @@ def expr_matrix(e: Expr, m: ModeSpace, p: Presentation, q=None, c=None):
 
 def commutator_matrix(a, b):
     return (a @ b - b @ a).tocsr()
+
+
+TRANSFER_TOLERANCE = 1e-12  # transfer_residual passes below this
 
 
 def transfer_residual(m: ModeSpace, rep: TransferRep, v, w) -> float:
@@ -552,6 +560,9 @@ class SpectrumReport:
     converged: bool
 
 
+SLOPE_RATIO_FLOOR = 5.0  # the least uniform-to-summable slope ratio that passes
+
+
 @dataclass(frozen=True)
 class TrendReport:
     uniform: tuple
@@ -560,15 +571,29 @@ class TrendReport:
     summable_slope: float
     slope_ratio: float
 
+    @property
+    def converged(self) -> bool:
+        return all(r.converged for r in self.uniform + self.summable)
+
+    @property
+    def passed(self) -> bool:
+        """Every row converged, and the slope ratio is at least the floor."""
+        return self.slope_ratio >= SLOPE_RATIO_FLOOR and self.converged
+
 
 def fit_slope(xs, ys) -> float:
     return float(np.polyfit(np.asarray(xs, float), np.asarray(ys, float), 1)[0])
 
 
+def vacuum_occupancy(m: ModeSpace, n) -> float:
+    """<0|N|0> of an operator N already built on m."""
+    vac = m.vacuum()
+    return float(np.vdot(vac, n @ vac).real)
+
+
 def _vacuum_cost(d, nmax, spec) -> float:
     m = ModeSpace(d, nmax)
-    vac = m.vacuum()
-    return float(np.vdot(vac, number_operator(m, spec) @ vac).real)
+    return vacuum_occupancy(m, number_operator(m, spec))
 
 
 def boundedness_trend(d_values=(1, 2, 3), nmax: int = 30) -> TrendReport:

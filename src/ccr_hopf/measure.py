@@ -95,9 +95,9 @@ class GaussianModel:
             self.gram = g
 
     @classmethod
-    def fock(cls, d: int) -> "GaussianModel":
+    def fock(cls, d: int, gram=None) -> "GaussianModel":
         # C = 2 I reproduces Z(v) = exp(-|v|^2/4)
-        return cls(ROOT2 * np.eye(d))
+        return cls(ROOT2 * np.eye(d), gram=gram)
 
     @classmethod
     def scalar_c(cls, d: int, c: float) -> "GaussianModel":
@@ -163,6 +163,9 @@ def density_ratio_check(model: GaussianModel, v, u) -> float:
     return abs(ratio - cocycle(model, v, u) ** 2)
 
 
+COCYCLE_TOLERANCE = 1e-10  # the cocycle and density-ratio residuals pass below this
+
+
 def cocycle_sweep(model: GaussianModel, rng, count: int) -> tuple:
     """Worst cocycle and density-ratio residuals over count random
     (v, v', u) triples drawn from rng."""
@@ -202,6 +205,19 @@ def eta_error(model: GaussianModel, v, u) -> tuple:
     return abs(estimate - exact), estimate, exact
 
 
+ETA_TOLERANCE = 1e-8  # eta passes when it lies within this of its limit
+
+
+def eta_sweep(model: GaussianModel, rng, count: int) -> list:
+    """eta_error at count random points (v, u) drawn from rng, v first."""
+    points = []
+    for _ in range(count):
+        v = gauss_vector(rng, model.d)
+        u = gauss_vector(rng, model.d)
+        points.append(eta_error(model, v, u))
+    return points
+
+
 @dataclass(frozen=True)
 class MCEstimate:
     estimate: complex
@@ -224,6 +240,26 @@ def bochner_mc(model: GaussianModel, v, samples: int = 100000, seed: int = 42) -
     est = complex(phases.mean())
     var = phases.real.var(ddof=1) + phases.imag.var(ddof=1)
     return MCEstimate(est, float(math.sqrt(var / samples)), samples, seed)
+
+
+BOCHNER_SIGMAS = 3  # bochner_mc passes within this many standard errors of Z(v)
+
+
+def bochner_check(model: GaussianModel, v, samples: int, seed: int) -> tuple:
+    """(report fields, passed) of bochner_mc at v against the exact Z(v),
+    judged within BOCHNER_SIGMAS standard errors."""
+    est = bochner_mc(model, v, samples=samples, seed=seed)
+    exact = model.Z(v)
+    gap = abs(est.estimate - exact)
+    fields = {
+        "estimate_im": est.estimate.imag,
+        "estimate_re": est.estimate.real,
+        "exact": exact,
+        "gap": gap,
+        "stderr": est.stderr,
+        "tolerance": f"{BOCHNER_SIGMAS} standard errors",
+    }
+    return fields, gap <= BOCHNER_SIGMAS * est.stderr
 
 
 def positive_definiteness_check(Z, vectors, coefficients=None):
@@ -438,6 +474,9 @@ def weyl_relation_check(model: GaussianModel, v, vp, f: TestFunction, u) -> comp
     lhs = p_op(model, v, t_op(model, vp, f)).evaluate(u)
     rhs = cmath.exp(1j * model.inner(v, vp)) * t_op(model, vp, p_op(model, v, f)).evaluate(u)
     return lhs - rhs
+
+
+WEYL_TOLERANCE = 1e-10  # the Weyl relation residuals pass below this
 
 
 def weyl_sweep(model: GaussianModel, rng, count: int) -> float:

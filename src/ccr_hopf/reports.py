@@ -120,11 +120,6 @@ def _plain(value):
     return value
 
 
-def report_json(obj):
-    """Serialize the dataclass reports from the representation modules."""
-    return _plain(obj)
-
-
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 
 

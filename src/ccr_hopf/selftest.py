@@ -2,9 +2,11 @@
 engine, the coalgebra layer, both representation backends, and the
 reporting pipeline itself.
 
-Each criterion function returns a JSON-plain dict with a "passed" flag
-and every measured float sitting next to the tolerance it was judged
-against.  ``run_selftest`` executes checks 1 through 12 twice and makes
+Each criterion function returns a dict, which ``dump_json`` writes,
+with a "passed" flag and every measured float sitting next to the
+tolerance it was judged against.  A tolerance, sampling loop or verdict
+that a command also judges is read from the module that measures it.
+``run_selftest`` executes checks 1 through 12 twice and makes
 byte-equality of the two serialized halves criterion 13, so determinism
 is part of the contract rather than an afterthought.
 """
@@ -37,6 +39,9 @@ from .algebra import (
 )
 from .exprparse import expr_to_text
 from .fock import (
+    GENFUN_TOLERANCE,
+    SLOPE_RATIO_FLOOR,
+    TRANSFER_TOLERANCE,
     ModeSpace,
     boundedness_trend,
     expr_matrix,
@@ -57,14 +62,17 @@ from .hopf import (
     tensor_of,
 )
 from .measure import (
+    COCYCLE_TOLERANCE,
+    ETA_TOLERANCE,
+    WEYL_TOLERANCE,
     GaussianModel,
-    bochner_mc,
+    bochner_check,
     cocycle_sweep,
-    eta_error,
+    eta_sweep,
     gauss_vector,
     weyl_sweep,
 )
-from .reports import axiom_report_json, dump_json, report_json
+from .reports import axiom_report_json, dump_json
 from .scalars import IMAG, KAPPA, S_PARAM, Scalar
 
 
@@ -291,7 +299,7 @@ def criterion_08(seed: int) -> dict:
         z = vacuum_generating_function(ModeSpace(1, nmax), [1.0])
         errs.append(abs(z - target))
     monotone = all(b < a or b < 1e-12 for a, b in zip(errs, errs[1:]))
-    ok = worst_ccr < 1e-12 and errs[2] < 1e-8 and monotone
+    ok = worst_ccr < 1e-12 and errs[2] < GENFUN_TOLERANCE and monotone
     return {
         "criterion": 8,
         "name": "fock-ccr-and-generating-function",
@@ -300,7 +308,7 @@ def criterion_08(seed: int) -> dict:
             "ccr_max_residual": worst_ccr,
             "ccr_tolerance": 1e-12,
             "genfun_error_nmax20": errs[2],
-            "genfun_tolerance": 1e-8,
+            "genfun_tolerance": GENFUN_TOLERANCE,
             "truncation_errors": {
                 "nmax=5": errs[0],
                 "nmax=10": errs[1],
@@ -356,8 +364,8 @@ def criterion_10(seed: int) -> dict:
     return {
         "criterion": 10,
         "name": "transfer-representation-ccr",
-        "passed": worst < 1e-12,
-        "details": {"max_residual": worst, "tolerance": 1e-12, "points": 20},
+        "passed": worst < TRANSFER_TOLERANCE,
+        "details": {"max_residual": worst, "tolerance": TRANSFER_TOLERANCE, "points": 20},
     }
 
 
@@ -375,13 +383,7 @@ def criterion_11(seed: int) -> dict:
     rel_errors = [abs(occ - (d / 8.0)) / (d / 8.0) for d, occ in zip((1, 2, 3), uniform)]
     increments = [b - a for a, b in zip(summable, summable[1:])]
     plateau = increments[1] < 0.5 * increments[0]
-    converged = all(r.converged for r in trend.uniform + trend.summable)
-    ok = (
-        max(rel_errors) <= 0.02
-        and trend.slope_ratio >= 5.0
-        and plateau
-        and converged
-    )
+    ok = max(rel_errors) <= 0.02 and plateau and trend.passed
     return {
         "criterion": 11,
         "name": "number-operator-growth-trend",
@@ -393,8 +395,8 @@ def criterion_11(seed: int) -> dict:
             "summable_occupancy": summable,
             "summable_increments": increments,
             "slope_ratio": trend.slope_ratio,
-            "slope_ratio_floor": 5.0,
-            "trend": report_json(trend),
+            "slope_ratio_floor": SLOPE_RATIO_FLOOR,
+            "trend": trend,
         },
     }
 
@@ -417,30 +419,17 @@ def criterion_12(seed: int) -> dict:
         cocycle, ratio = cocycle_sweep(model, rng, 100)
         worst_cocycle = max(worst_cocycle, cocycle)
         worst_ratio = max(worst_ratio, ratio)
-        for _ in range(10):
-            v = gauss_vector(rng, 2)
-            u = gauss_vector(rng, 2)
-            worst_eta = max(worst_eta, eta_error(model, v, u)[0])
+        worst_eta = max(worst_eta, *(err for err, _, _ in eta_sweep(model, rng, 10)))
         worst_weyl = max(worst_weyl, weyl_sweep(model, rng, 50))
         v = np.array([1.0, 0.5]) if idx == 0 else np.array([0.3, -1.0])
-        est = bochner_mc(model, v, samples=100000, seed=seed + idx)
-        gap = abs(est.estimate - model.Z(v))
-        within = gap <= 3.0 * est.stderr
+        fields, within = bochner_check(model, v, 100000, seed + idx)
         bochner_ok = bochner_ok and within
-        bochner[label] = {
-            "estimate_re": est.estimate.real,
-            "estimate_im": est.estimate.imag,
-            "exact": model.Z(v),
-            "gap": gap,
-            "stderr": est.stderr,
-            "tolerance": "3 standard errors",
-            "within_3_sigma": bool(within),
-        }
+        bochner[label] = {**fields, "within_3_sigma": within}
     ok = (
-        worst_cocycle < 1e-10
-        and worst_ratio < 1e-10
-        and worst_eta < 1e-8
-        and worst_weyl < 1e-10
+        worst_cocycle < COCYCLE_TOLERANCE
+        and worst_ratio < COCYCLE_TOLERANCE
+        and worst_eta < ETA_TOLERANCE
+        and worst_weyl < WEYL_TOLERANCE
         and bochner_ok
     )
     return {
@@ -449,13 +438,13 @@ def criterion_12(seed: int) -> dict:
         "passed": bool(ok),
         "details": {
             "cocycle_max_residual": worst_cocycle,
-            "cocycle_tolerance": 1e-10,
+            "cocycle_tolerance": COCYCLE_TOLERANCE,
             "density_ratio_max_residual": worst_ratio,
-            "density_ratio_tolerance": 1e-10,
+            "density_ratio_tolerance": COCYCLE_TOLERANCE,
             "eta_max_error": worst_eta,
-            "eta_tolerance": 1e-8,
+            "eta_tolerance": ETA_TOLERANCE,
             "weyl_max_residual": worst_weyl,
-            "weyl_tolerance": 1e-10,
+            "weyl_tolerance": WEYL_TOLERANCE,
             "bochner": bochner,
         },
     }

@@ -222,6 +222,15 @@ def test_deformation_pair_refuses_unusable_values(q, c):
         Presentation(variant="deformed-strict", q=q, c=c)
 
 
+def test_undeformed_variant_refuses_numeric_qc():
+    for basis in ("phi-pi", "ladder"):
+        with pytest.raises(AlgebraError, match="undeformed"):
+            Presentation(basis=basis, q=1.5, c=0.8)
+    with pytest.raises(AlgebraError, match="both q and c"):
+        Presentation(q=1.5)
+    assert Presentation(variant="deformed-collapsed", q=1.0, c=1.0).kappa_scalar.is_one()
+
+
 def test_deformation_constant_special_cases():
     rng = random.Random(5150)
     for _ in range(100):
@@ -383,11 +392,18 @@ _ORACLE_GRAM = [[1, ["1/2", "1/3"]], [["1/2", "-1/3"], 2]]
 @pytest.mark.parametrize("gram", [None, _ORACLE_GRAM])
 @pytest.mark.parametrize("qc", [{}, {"q": 1.5, "c": 0.8}])
 def test_pieces_fold_matches_expand_then_reduce(variant, basis, gram, qc):
+    rng = random.Random(f"{variant}/{basis}/{gram is None}/{bool(qc)}")
+    if variant == "undeformed" and qc:
+        # kappa = 1 here, so a numeric point is refused; the presentation it
+        # used to ignore them on reduces exactly as before
+        with pytest.raises(AlgebraError, match="undeformed"):
+            Presentation(variant=variant, basis=basis, gram=gram, **qc)
+        qc = {}
+
     def presentation():
         return Presentation(variant=variant, basis=basis, gram=gram, **qc)
 
     p, ref = presentation(), presentation()
-    rng = random.Random(f"{variant}/{basis}/{gram is None}/{bool(qc)}")
     for _ in range(12):
         e = _mixed_expr(rng, p)
         got, want = normal_form(e, p), _expand_then_reduce(e, ref)

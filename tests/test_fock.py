@@ -24,6 +24,7 @@ from ccr_hopf.algebra import (
     evaluate_numeric,
     normal_form,
     phi,
+    pi,
     random_expr,
 )
 from ccr_hopf import fock
@@ -541,6 +542,22 @@ def test_expr_matrix_requirements():
         expr_matrix(phi(0), m, p)  # symbolic presentation, no q, c
     with pytest.raises(FockError):
         expr_matrix(phi(1), m, p, q=1.5, c=0.5)  # mode out of range
+
+
+def test_expr_matrix_takes_the_point_from_one_place():
+    m = ModeSpace(2, 4)
+    numeric = Presentation(variant="deformed-strict", q=1.5, c=0.8)
+    symbolic = Presentation(variant="deformed-strict")
+    e = pi(0) * phi(1) + phi(0)
+    want = expr_matrix(e, m, symbolic, q=1.5, c=0.8)
+    assert np.array_equal(expr_matrix(e, m, numeric).toarray(), want.toarray())
+    for q, c in ((3.0, 2.0), (1.5, 0.8), (None, 2.0)):
+        with pytest.raises(FockError, match="its own numeric q and c"):
+            expr_matrix(e, m, numeric, q=q, c=c)
+    # the undeformed variant has kappa = 1 and ignores a point passed to it
+    plain = Presentation()
+    assert np.array_equal(expr_matrix(e, m, plain, q=3.0, c=2.0).toarray(),
+                          expr_matrix(e, m, plain).toarray())
 
 
 @pytest.mark.parametrize(

@@ -425,6 +425,14 @@ def test_cli_density_of_singular_covariance_exits_2(tmp_path, capsys):
     assert err.startswith("ccr-hopf: ") and err.count("\n") == 1 and "singular" in err
 
 
+def test_fock_point_model_takes_a_gram():
+    gram = np.array([[2.0, 0.5], [0.5, 1.0]])
+    model = GaussianModel.fock(2, gram=gram)
+    assert np.array_equal(model.K, math.sqrt(2.0) * np.eye(2))
+    assert np.array_equal(model.gram, gram)
+    assert np.array_equal(GaussianModel.fock(2).gram, np.eye(2))
+
+
 def test_delta_pairing_and_vacuum():
     model = GaussianModel.fock(3)
     rng = random.Random(2)

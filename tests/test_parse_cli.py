@@ -527,6 +527,23 @@ def test_cli_unusable_deformation_exits_2(capsys, argv, qc):
     assert _one_refusal(*run_cli(capsys, argv + qc))
 
 
+def test_cli_undeformed_variant_refuses_numeric_qc(capsys):
+    # kappa = 1 there, so a numeric point would be echoed but never used
+    code, doc, err = run_cli(capsys, ["normalize", "pi(0)*phi(0)", "--q", "1.5", "--c", "0.8"])
+    assert _one_refusal(code, doc, err) and "undeformed" in err
+    # the both-or-neither check still comes first
+    code, doc, err = run_cli(capsys, ["normalize", "phi(0)", "--q", "1.5"])
+    assert _one_refusal(code, doc, err) and "needs both --q and --c" in err
+
+
+@pytest.mark.parametrize("sub", ["cocycle", "eta", "bochner", "weyl", "pd-check"])
+def test_cli_measure_kmat_with_scale_exits_2(capsys, tmp_path, sub):
+    kmat = tmp_path / "k.json"
+    kmat.write_text("[[1, 0], [0, 2]]")
+    code, doc, err = run_cli(capsys, ["measure", sub, "--kmat", str(kmat), "--scale", "1.3"])
+    assert _one_refusal(code, doc, err) and "--kmat and --scale" in err
+
+
 @pytest.mark.parametrize("text", ["1/0*phi(0)", "0/0*phi(0)", "phi(0) + 3/0"])
 def test_cli_zero_denominator_literal_exits_2(capsys, text):
     code, doc, err = run_cli(capsys, ["normalize", text])
