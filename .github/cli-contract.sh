@@ -60,6 +60,10 @@ done <<'ROWS'
 # the relation check reads its relations off the rewrite rules; the
 # deformed coproduct fails the commutations by design
 1  60 hopf-check --checks respects-relations --variant deformed-strict --flavor deformed --modes 2
+# reduced tensor products are summed per pair of slot-0 words: a failing
+# collapsed run and a passing numeric-q/c run, both under a rational gram
+1  60 hopf-check --checks multiplicativity,antipode --flavor deformed --variant deformed-collapsed --degree 3 --gram tests/golden/gram2.json
+0  60 hopf-check --checks multiplicativity,antipode,coassociativity --variant deformed-strict --q 1.3 --c 0.7 --degree 3 --seed 5 --gram tests/golden/gram2.json
 # letters of the other basis and collapsed K letters fold piece by piece
 0  60 convert "(2/3+kappa*(1+s)^-1)*am(0)^6*ap(0)^6" --to phi-pi --variant deformed-strict
 0  60 normalize "(5/7*(1+s)^-1)*I*K*pi(2)*pi(2)*Kinv*phi(1)*K + s*Kinv*pi(0)*K*phi(0)" --variant deformed-collapsed
@@ -101,6 +105,8 @@ done <<'ROWS'
 2  20 measure weyl --d 8 --count 10
 2  20 hopf-check --modes 1 --degree 12
 2  20 hopf-check --checks multiplicativity --modes 1 --degree 16
+# a check named twice would run and report twice
+2  20 hopf-check --checks counit,counit
 # a coefficient with more digits than the interpreter prints, and one that
 # overflows a float, are refused rather than raised
 2 120 normalize "pi(0)^300*phi(0)^300" --variant deformed --q 1.5 --c 0.8

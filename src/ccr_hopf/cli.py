@@ -245,9 +245,11 @@ def _cmd_hopf_check(args):
     p = _presentation(args)
     h = _flavor(args)
     wanted = args.checks.split(",") if args.checks else list(_DEFAULT_CHECKS)
-    for name in wanted:
+    for i, name in enumerate(wanted):
         if name not in _HOPF_CHECKS:
             raise CliError(f"unknown check {name!r}; choose from {', '.join(_HOPF_CHECKS)}")
+        if name in wanted[:i]:
+            raise CliError(f"check {name!r} is named more than once")
     if args.degree < 0:
         raise CliError("--degree must be non-negative")
     reports = [_HOPF_CHECK_TABLE[name](h, p, args) for name in wanted]

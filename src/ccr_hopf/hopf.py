@@ -34,15 +34,18 @@ Delta on free words, whether or not Delta respects the relations.
 _co_nf cuts a word where an adjacent pair has a rule: a redex-free run
 grows letter by letter from its reduced prefix, and the head and the
 last run are joined and reduced once.  The product of two reduced
-tensors is reduced as it is multiplied: _reduce_slots takes the
-(key, coefficient) pairs of the product one at a time, so the unreduced
-product is never built (_reduced_product; check_multiplicativity's right
-side is built the same way).  Each result is memoized in a dict owned by
-one top-level call (coproduct, one _sweep or one check_multiplicativity)
-and dropped when it returns; the presentation never holds it, so a
-caller that keeps a presentation alive keeps no coproducts.  A sweep
-takes each word's Delta, and the Delta of every slot word for
-coassociativity, from its memo.
+tensors is reduced as it is multiplied, one pair of slot-0 words (u0,
+v0) at a time (_reduced_product; check_multiplicativity's right side is
+built the same way): the slot-1 products of the pair's terms sum into
+one word -> coefficient dict, and nf(u0 v0), reduced once for the pair,
+is attached to that sum.  The unreduced product is never built.  Each
+result is memoized in a dict owned by one top-level call (coproduct, one
+_sweep or one check_multiplicativity) and dropped when it returns; the
+presentation never holds it, so a caller that keeps a presentation alive
+keeps no coproducts.  A sweep takes each word's Delta, and the Delta of
+every slot word for coassociativity, from its memo.  S of a word is one
+word times +-1 (_s_letters), so the antipode sweep writes S(u0) u1 and
+u0 S(u1) straight into word -> coefficient dicts.
 """
 
 from __future__ import annotations
@@ -195,15 +198,8 @@ def tensor_normal_form(t: TensorExpr, p: Presentation) -> TensorExpr:
     memoized word reducer."""
     letters = tuple(dict.fromkeys(g for k in t.terms for w in k for g in w))
     p.validate_expr(Expr.from_word(letters))
-    return t._like(_reduce_slots(t.terms.items(), p))
-
-
-def _reduce_slots(pairs, p: Presentation) -> dict:
-    """tensor_normal_form on (key, coefficient) pairs whose letters are
-    legal in p, as a key -> coefficient dict.  A key may come more than
-    once: reduction is linear, so each pair is reduced on its own."""
     out = {}
-    for k, c in pairs:
+    for k, c in t.terms.items():
         forms = [_reduce_word(w, p) for w in k]
         if all(map(dict.__contains__, forms, k)):
             # every slot is normal already: a normal word is its own form
@@ -216,20 +212,44 @@ def _reduce_slots(pairs, p: Presentation) -> dict:
                 if cw is not ONE:
                     m = cw if m is ONE else m * cw
             _acc(out, tuple(w for w, _ in combo), c if m is ONE else m if c is ONE else c * m)
-    return out
+    return t._like(out)
 
 
-def _product_pairs(a: TensorExpr, b: TensorExpr):
-    """The (key, coefficient) pairs of a * b, one per pair of terms and not
-    summed, for _reduce_slots: the unreduced product is never built."""
-    cat = a._cat
-    return ((cat(k1, k2), c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2)
-            for k1, c1 in a.terms.items() for k2, c2 in b.terms.items())
+def _by_first_slot(t: TensorExpr) -> dict:
+    """The terms of an order-2 tensor grouped by their slot-0 word:
+    u0 -> [(u1, c), ...]."""
+    groups = {}
+    for (u0, u1), c in t.terms.items():
+        groups.setdefault(u0, []).append((u1, c))
+    return groups
 
 
 def _reduced_product(a: TensorExpr, b: TensorExpr, p: Presentation) -> TensorExpr:
-    """tensor_normal_form(a * b) for a, b whose letters are legal in p."""
-    return a._like(_reduce_slots(_product_pairs(a, b), p))
+    """tensor_normal_form(a * b) for order-2 tensors a, b whose letters are
+    legal in p, one pair of slot-0 words (u0, v0) at a time: nf(u0 v0) is
+    attached to the pair's sum c1 c2 nf(u1 v1).  Slot-wise normal form is
+    an algebra map, so any grouping of the terms gives the same element."""
+    rows_b = _by_first_slot(b).items()
+    out = {}
+    for u0, row_a in _by_first_slot(a).items():
+        for v0, row_b in rows_b:
+            right = {}
+            for u1, c1 in row_a:
+                for v1, c2 in row_b:
+                    # most coefficients and multipliers are ONE: skip those products
+                    c = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
+                    for w1, m in _reduce_word(u1 + v1, p).items():
+                        cm = c if m is ONE else m if c is ONE else c * m
+                        acc = right.get(w1)
+                        right[w1] = cm if acc is None else acc + cm
+            for w0, m in _reduce_word(u0 + v0, p).items():
+                for w1, c in right.items():
+                    k = (w0, w1)
+                    cm = c if m is ONE else m if c is ONE else m * c
+                    acc = out.get(k)
+                    out[k] = cm if acc is None else acc + cm
+    # sums that cancel are dropped once, at the end
+    return a._like({k: c for k, c in out.items() if not c.is_zero()})
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +412,21 @@ def counit(e: Expr, h: HopfSpec, p: Presentation) -> Scalar:
     return _eps_free(e, h)
 
 
-def _s_word(word, h: HopfSpec) -> Expr:
-    """S on one word: the product of S(g) over its letters in reverse.  Each
-    S(g) is one letter times +-1, so this is the reversed word of mapped
-    letters with one sign, built in one pass."""
+def _s_letters(word, h: HopfSpec) -> tuple:
+    """S on one word as (letters, negated): the product of S(g) over its
+    letters in reverse.  Each S(g) is one letter times +-1, so this is the
+    reversed word of mapped letters with one sign, built in one pass."""
     letters, negated = [], False
     for g in reversed(word):
         letter, flip = h._s_letter(g)
         letters.append(letter)
         negated ^= flip
+    return tuple(letters), negated
+
+
+def _s_word(word, h: HopfSpec) -> Expr:
+    """S on one word, as an Expr (see _s_letters)."""
+    letters, negated = _s_letters(word, h)
     return Expr.from_word(letters, _MINUS_ONE if negated else ONE)
 
 
@@ -623,9 +649,15 @@ def check_counit(h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2) 
 
 def check_antipode(h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2) -> AxiomReport:
     def sides(w, t, _memo):
+        # S(u0) u1 and u0 S(u1) are one word each, times +-1
+        left, right = {}, {}
+        for (u0, u1), c in t.terms.items():
+            letters, negated = _s_letters(u0, h)
+            _acc(left, letters + u1, -c if negated else c)
+            letters, negated = _s_letters(u1, h)
+            _acc(right, u0 + letters, -c if negated else c)
         one = Expr.from_word(())
-        left = t._linear(lambda k: (_s_word(k[0], h) * Expr.from_word(k[1])).terms, one)
-        right = t._linear(lambda k: (Expr.from_word(k[0]) * _s_word(k[1], h)).terms, one)
+        left, right = one._like(left), one._like(right)
         target = _eps_word(w, h) * one
         yield f"m(S x id)Delta on {word_text(w)}", left, target
         yield f"m(id x S)Delta on {word_text(w)}", right, target

@@ -60,9 +60,8 @@ from ccr_hopf.hopf import (
     _co_free,
     _co_word,
     _covered_letters,
-    _product_pairs,
     _record,
-    _reduce_slots,
+    _reduced_product,
     _s_word,
 )
 from ccr_hopf.scalars import IMAG, KAPPA, ONE, S_PARAM, Scalar, ZERO
@@ -625,19 +624,80 @@ def test_coproduct_memo_is_per_call():
 # Side comparison and reduce-as-you-multiply against the plain reductions
 
 
-@pytest.mark.parametrize("h, variant, gram, idempotent", _SWEEP_CASES)
-def test_reduce_slots_of_product_pairs_matches_reducing_the_product(h, variant, gram, idempotent):
-    # the product pairs of two reduced coproducts, each reduced on its own,
-    # sum to the tensor normal form of the product built in full
-    p = Presentation(variant=variant, gram=gram, idempotent_identity=idempotent)
-    rng = random.Random(f"pairs/{h.flavor}/{variant}/{gram is None}/{idempotent}")
+def _assert_reduced_product(a, b, p):
+    """_reduced_product(a, b, p) against the tensor normal form of the
+    product built in full: the same terms, the same text, and no zero
+    coefficient."""
+    want = tensor_normal_form(a * b, p)
+    got = _reduced_product(a, b, p)
+    assert got.order == 2
+    assert got.terms == want.terms
+    assert str(got) == str(want)
+    assert not any(c.is_zero() for c in got.terms.values())
+    return got
+
+
+def _assert_random_products(h, p, seed):
+    # two reduced coproducts multiplied a pair of slot-0 words at a time
+    # give the tensor normal form of the product built in full
+    rng = random.Random(seed)
     for _ in range(4):
         a = coproduct(_descent_expr(rng, p, h, max_degree=4), h, p)
         b = coproduct(_descent_expr(rng, p, h, max_degree=4), h, p)
-        want = tensor_normal_form(a * b, p)
-        got = _reduce_slots(_product_pairs(a, b), p)
-        assert got == want.terms
-        assert str(TensorExpr(2, got)) == str(want)
+        _assert_reduced_product(a, b, p)
+
+
+@pytest.mark.parametrize("h, variant, gram, idempotent", _SWEEP_CASES)
+def test_reduce_slots_of_product_pairs_matches_reducing_the_product(h, variant, gram, idempotent):
+    p = Presentation(variant=variant, gram=gram, idempotent_identity=idempotent)
+    _assert_random_products(h, p, f"pairs/{h.flavor}/{variant}/{gram is None}/{idempotent}")
+
+
+# numeric q, c make kappa and s binary rationals; q = c = 1 is the
+# collapsed point of the benchmark's collapsed-at-one requests
+@pytest.mark.parametrize("q, c", [(1.3, 0.7), (1.0, 1.0)])
+@pytest.mark.parametrize("h, variant, gram, idempotent",
+                         [case for case in _SWEEP_CASES if case[1] != "undeformed"])
+def test_reduced_product_at_numeric_q_c(h, variant, gram, idempotent, q, c):
+    p = Presentation(variant=variant, gram=gram, idempotent_identity=idempotent, q=q, c=c)
+    _assert_random_products(h, p, f"pairs/{h.flavor}/{variant}/{gram is None}/{idempotent}/{q}")
+
+
+@pytest.mark.parametrize("variant", ["undeformed", "deformed-strict", "deformed-collapsed"])
+def test_reduced_product_drops_sums_that_cancel(variant):
+    p = Presentation(variant=variant)
+    one = unit()
+    phi0_pi0 = ((FAM_PHI, 0), (FAM_PI, 0))
+    # pi(0) phi(0) = phi(0) pi(0) - i kappa I, so the slot-0 pairs
+    # (pi(0), phi(0)) and (phi(0), pi(0)) give phi(0) pi(0) (x) phi(1)
+    # with opposite signs
+    key = (phi0_pi0, ((FAM_PHI, 1),))
+    a = tensor_of(pi(0), phi(1)) + tensor_of(phi(0), phi(1))
+    b = tensor_of(phi(0), one) - tensor_of(pi(0), one)
+    assert key in _reduced_product(tensor_of(phi(0), phi(1)), tensor_of(pi(0), one), p).terms
+    assert key not in _assert_reduced_product(a, b, p).terms
+    # the same sum in slot 1, inside one pair of slot-0 words
+    a = tensor_of(phi(1), pi(0) + phi(0))
+    b = tensor_of(one, phi(0) - pi(0))
+    assert (((FAM_PHI, 1),), phi0_pi0) not in _assert_reduced_product(a, b, p).terms
+    # I*I = I, so the pairs (I, I) and (I, one) cancel to the zero tensor
+    a = tensor_of(gen_I(), phi(1))
+    b = tensor_of(gen_I(), one) - tensor_of(one, one)
+    assert _assert_reduced_product(a, b, p).is_zero()
+    assert not _reduced_product(a, b, P_FREE).is_zero()
+
+
+def test_reduced_product_with_the_unit_and_zero_tensors():
+    one, zero = TensorExpr.unit(2), TensorExpr.zero(2)
+    for h, p in ((CL, P_UND), (DF, P_DEF), (DF, P_COL)):
+        a = coproduct(pi(0) * phi(0) * pi(1), h, p)
+        unreduced = tensor_of(pi(0) * phi(0), phi(1) * pi(0))
+        for x, y in ((a, one), (one, a), (one, one), (unreduced, one), (one, unreduced)):
+            _assert_reduced_product(x, y, p)
+        assert _reduced_product(a, one, p) == a == _reduced_product(one, a, p)
+        assert _reduced_product(one, one, p).terms == one.terms
+        for x, y in ((a, zero), (zero, a), (zero, zero), (one, zero), (zero, one)):
+            assert _assert_reduced_product(x, y, p).terms == {}
 
 
 def _reference_multiplicativity(h, p, degree, modes, trials, seed):

@@ -224,6 +224,18 @@ def test_cli_hopf_check_witness_failure(capsys):
     assert "phi(0)" in witnesses
 
 
+@pytest.mark.parametrize("checks", ["multiplicativity,multiplicativity", "counit,counit",
+                                    "counit,antipode,counit"])
+def test_cli_hopf_check_refuses_a_repeated_check(capsys, monkeypatch, checks):
+    # a repeated name ran its check twice and reported it twice; it is
+    # refused before any check runs
+    monkeypatch.setattr("ccr_hopf.cli._HOPF_CHECK_TABLE", {})
+    code, doc, err = run_cli(capsys, ["hopf-check", "--checks", checks])
+    assert code == 2 and doc is None
+    assert err.startswith("ccr-hopf: ") and err.count("\n") == 1
+    assert "is named more than once" in err
+
+
 def test_cli_exit_codes(capsys):
     code, _, err = run_cli(capsys, ["normalize", "phi(0"])
     assert code == 2 and "position 5" in err
