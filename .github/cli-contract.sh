@@ -64,6 +64,9 @@ done <<'ROWS'
 # collapsed run and a passing numeric-q/c run, both under a rational gram
 1  60 hopf-check --checks multiplicativity,antipode --flavor deformed --variant deformed-collapsed --degree 3 --gram tests/golden/gram2.json
 0  60 hopf-check --checks multiplicativity,antipode,coassociativity --variant deformed-strict --q 1.3 --c 0.7 --degree 3 --seed 5 --gram tests/golden/gram2.json
+# numeric q and c on the collapsed sweep: binary-fraction residual
+# coefficients, reduced through the Gaussian-rational gcd, and 54 witnesses
+1  60 hopf-check --checks antipode,coassociativity,counit --flavor deformed --variant deformed-collapsed --q 1.5 --c 0.8 --degree 2
 # letters of the other basis and collapsed K letters fold piece by piece
 0  60 convert "(2/3+kappa*(1+s)^-1)*am(0)^6*ap(0)^6" --to phi-pi --variant deformed-strict
 0  60 normalize "(5/7*(1+s)^-1)*I*K*pi(2)*pi(2)*Kinv*phi(1)*K + s*Kinv*pi(0)*K*phi(0)" --variant deformed-collapsed
