@@ -17,13 +17,15 @@ swap against the twisted coproduct) and the failure witness is part of
 the contract.  Coassociativity, the counit and antipode axioms and the
 cocommutativity probe share one sweep, _sweep: it computes Delta(w) for
 every normal word w, and each check's own map derives the two sides of
-its axiom from it.  Every check, the relation check and
-check_multiplicativity included, reaches its verdict by comparing the
-two sides (_residual): sides equal as they stand pass at once, sides
-equal once each is reduced pass next, and only sides that disagree build
-their difference and reduce it into the failure's residual.  In a
-passing sweep most sides are equal term by term, so most cases build no
-difference at all.  The relation check reads its relations from
+its axiom from it.  A witness names its word, and the word's text is
+formatted only when a failure is recorded; a passing sweep formats none.
+The counit sweep memoizes eps of each slot word in a dict of its own.
+Every check, the relation check and check_multiplicativity included,
+reaches its verdict by comparing the two sides (_residual): sides equal
+as they stand pass at once, sides equal once each is reduced pass next,
+and only sides that disagree build their difference and reduce it into
+the failure's residual.  In a passing sweep most sides are equal term by
+term, so most cases build no difference at all.  The relation check reads its relations from
 algebra.relations, which derives them from the rewrite rules, so this
 module states no relation and no piece rule of its own.
 
@@ -498,11 +500,14 @@ def _residual(lhs, rhs, p: Presentation):
     return reduce(lhs - rhs, p)
 
 
-def _record(failures: list, witness: str, lhs, rhs, p: Presentation):
-    """Record a failure for witness unless the two sides agree (see
-    _residual)."""
+def _record(failures: list, witness: str, lhs, rhs, p: Presentation, word=None):
+    """Record a failure unless the two sides agree (see _residual).  Its
+    witness is witness, followed by the text of word when one is given;
+    that text is formatted only for a failure."""
     residual = _residual(lhs, rhs, p)
     if residual is not None:
+        if word is not None:
+            witness += word_text(word)
         failures.append(Failure(witness, str(residual), residual))
 
 
@@ -528,10 +533,11 @@ MAX_TRIAL_LETTERS = 16
 def _sweep(axiom: str, h: HopfSpec, p: Presentation, degree: int, modes: int, sides):
     """The bounded-degree check shared by the axioms: for every normal word
     w of degree <= degree over the covered letters, sides(w, Delta(w), memo)
-    yields (witness, lhs, rhs) triples, and each is recorded in turn when
-    its two sides disagree (see _residual).  memo is the sweep's own _co_nf
-    memo.  A sweep whose words' free coproducts hold more than
-    MAX_SWEEP_TERMS terms is refused before the first coproduct."""
+    yields (label, lhs, rhs) triples, and each is recorded in turn when its
+    two sides disagree (see _residual), with the witness label followed by
+    the text of w.  memo is the sweep's own _co_nf memo.  A sweep whose
+    words' free coproducts hold more than MAX_SWEEP_TERMS terms is refused
+    before the first coproduct."""
     _check_flavor_variant(h, p)
     words = sorted_basis_words(p, degree, _covered_letters(h, p, modes, max(degree, 1)))
     terms = sum(1 << len(w) for w in words)
@@ -543,8 +549,8 @@ def _sweep(axiom: str, h: HopfSpec, p: Presentation, degree: int, modes: int, si
     failures = []
     memo = {}
     for w in words:
-        for witness, lhs, rhs in sides(w, _co_nf(w, h, p, memo), memo):
-            _record(failures, witness, lhs, rhs, p)
+        for label, lhs, rhs in sides(w, _co_nf(w, h, p, memo), memo):
+            _record(failures, label, lhs, rhs, p, w)
     return _report(axiom, degree, failures)
 
 
@@ -631,18 +637,26 @@ def check_coassociativity(
     h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2
 ) -> AxiomReport:
     def sides(w, t, memo):
-        yield word_text(w), _co_slot(t, 0, h, p, memo), _co_slot(t, 1, h, p, memo)
+        yield "", _co_slot(t, 0, h, p, memo), _co_slot(t, 1, h, p, memo)
 
     return _sweep("coassociativity", h, p, degree, modes, sides)
 
 
 def check_counit(h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2) -> AxiomReport:
+    eps_memo = {}  # eps of each slot word, owned by this sweep
+
+    def eps(u):
+        v = eps_memo.get(u)
+        if v is None:
+            v = eps_memo[u] = _eps_word(u, h)
+        return v
+
     def sides(w, t, _memo):
         e = Expr.from_word(w)
-        left = t._linear(lambda k: {k[1]: _eps_word(k[0], h)}, Expr.zero())
-        right = t._linear(lambda k: {k[0]: _eps_word(k[1], h)}, Expr.zero())
-        yield f"(eps x id) on {word_text(w)}", left, e
-        yield f"(id x eps) on {word_text(w)}", right, e
+        left = t._linear(lambda k: {k[1]: eps(k[0])}, Expr.zero())
+        right = t._linear(lambda k: {k[0]: eps(k[1])}, Expr.zero())
+        yield "(eps x id) on ", left, e
+        yield "(id x eps) on ", right, e
 
     return _sweep("counit", h, p, degree, modes, sides)
 
@@ -659,8 +673,8 @@ def check_antipode(h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2
         one = Expr.from_word(())
         left, right = one._like(left), one._like(right)
         target = _eps_word(w, h) * one
-        yield f"m(S x id)Delta on {word_text(w)}", left, target
-        yield f"m(id x S)Delta on {word_text(w)}", right, target
+        yield "m(S x id)Delta on ", left, target
+        yield "m(id x S)Delta on ", right, target
 
     return _sweep("antipode", h, p, degree, modes, sides)
 
@@ -669,7 +683,7 @@ def cocommutativity_probe(
     h: HopfSpec, p: Presentation, degree: int = 2, modes: int = 2
 ) -> AxiomReport:
     return _sweep("cocommutativity", h, p, degree, modes,
-                  lambda w, t, _memo: [(word_text(w), t, swap_slots(t))])
+                  lambda w, t, _memo: [("", t, swap_slots(t))])
 
 
 def check_multiplicativity(

@@ -28,6 +28,16 @@ TAOCP vol. 2, 4.5.1; FLINT's ``fmpq_poly`` keeps one common denominator the
 same way).  ``Fraction`` appears only where values enter
 (:func:`_coeff`: :meth:`Scalar.rational`, :meth:`Scalar.substitute`) and
 where they are printed or handed out (:func:`_c_parts`).
+
+A constant (denominator 1, no monomial but the unit) also carries its
+triple in the slot ``_c``, which is None for every other scalar and is
+set wherever a scalar is made.  ``*``, ``+``, unary ``-`` and ``==`` on
+two constants are then one ``_c_mul``, ``_c_add``, ``_c_neg`` or tuple
+compare: no monomial product and no polynomial dict but the result's.
+Most coefficients of the Hopf sweeps are constants.  The unit-factor
+returns come first, so ``x * ONE`` is ``x`` itself, which callers test
+with ``is ONE``.  :meth:`Scalar.is_constant`, :meth:`Scalar.constant_value`
+and :meth:`Scalar.constant_texts` read the same slot.
 """
 
 from __future__ import annotations
@@ -296,10 +306,35 @@ def quotient_str(num: str, den: str | None) -> str:
     return num if den is None else f"({num})/({den})"
 
 
-class Scalar:
-    """An element of the exact coefficient field."""
+def _constant_of(num: Poly, den: Poly) -> Coeff | None:
+    """The triple of num/den when it is a constant (denominator 1, no
+    monomial but the unit), else None."""
+    if den != _P_ONE:
+        return None
+    if not num:
+        return _C_ZERO
+    return num.get(_UNIT) if len(num) == 1 else None
 
-    __slots__ = ("_num", "_den")
+
+def _raw(num: Poly, den: Poly) -> "Scalar":
+    """num/den as they stand; the parts must already be normal."""
+    s = Scalar.__new__(Scalar)
+    s._num, s._den, s._c = num, den, _constant_of(num, den)
+    return s
+
+
+def _constant(c: Coeff) -> "Scalar":
+    """The constant scalar of a canonical triple."""
+    s = Scalar.__new__(Scalar)
+    s._num, s._den, s._c = ({_UNIT: c} if c[0] or c[1] else {}), _P_ONE, c
+    return s
+
+
+class Scalar:
+    """An element of the exact coefficient field.  ``_c`` is the triple of
+    a constant and None for any other scalar."""
+
+    __slots__ = ("_num", "_den", "_c")
 
     def __init__(self, num: Poly, den: Poly | None = None):
         if den is None:
@@ -323,7 +358,7 @@ class Scalar:
             if lc != _C_ONE:
                 ci = _c_inv(lc)
                 num, den = _p_scale(num, ci), _p_scale(den, ci)
-        self._num, self._den = num, den
+        self._num, self._den, self._c = num, den, _constant_of(num, den)
 
     # -- constructors -------------------------------------------------------
 
@@ -375,31 +410,36 @@ class Scalar:
         return not self._num
 
     def is_one(self) -> bool:
-        return self._num == _P_ONE and self._den == _P_ONE
+        return self._c == _C_ONE
 
     def is_constant(self) -> bool:
-        return (not self._num or set(self._num) == {_UNIT}) and self._den == _P_ONE
+        return self._c is not None
+
+    def _constant_triple(self) -> Coeff:
+        if self._c is None:
+            raise ScalarError("scalar is not constant")
+        return self._c
 
     def constant_value(self) -> tuple:
         """(re, im) of a constant: ints when its denominator is 1, else
         Fractions."""
-        if not self.is_constant():
-            raise ScalarError("scalar is not constant")
-        return _c_parts(self._num.get(_UNIT, _C_ZERO))
+        return _c_parts(self._constant_triple())
 
     # -- ring / field operations ---------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if not isinstance(other, Scalar):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self._c, other._c
+        if a is not None and b is not None:
+            return _constant(_c_add(a, b))
         if self._den == other._den:
             num = dict(self._num)
             _p_add_into(num, other._num)
             if self._den == _P_ONE:
-                s = Scalar.__new__(Scalar)
-                s._num, s._den = num, dict(_P_ONE)
-                return s
+                return _raw(num, _P_ONE)
             return Scalar(num, dict(self._den))
         num = _p_mul(self._num, other._den)
         _p_add_into(num, _p_mul(other._num, self._den))
@@ -408,9 +448,9 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        s = Scalar.__new__(Scalar)
-        s._num, s._den = _p_neg(self._num), self._den
-        return s
+        if self._c is not None:
+            return _constant(_c_neg(self._c))
+        return _raw(_p_neg(self._num), self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -429,16 +469,17 @@ class Scalar:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
+        # scalars are never mutated in place, so a unit factor can hand
+        # back the other operand itself
+        a, b = self._c, other._c
+        if b == _C_ONE:
+            return self
+        if a == _C_ONE:
+            return other
+        if a is not None and b is not None:
+            return _constant(_c_mul(a, b))
         if self._den == _P_ONE and other._den == _P_ONE:
-            # scalars are never mutated in place, so a unit factor can
-            # hand back the other operand itself
-            if other._num == _P_ONE:
-                return self
-            if self._num == _P_ONE:
-                return other
-            s = Scalar.__new__(Scalar)
-            s._num, s._den = _p_mul(self._num, other._num), dict(_P_ONE)
-            return s
+            return _raw(_p_mul(self._num, other._num), _P_ONE)
         return Scalar(_p_mul(self._num, other._num), _p_mul(self._den, other._den))
 
     __rmul__ = __mul__
@@ -475,14 +516,16 @@ class Scalar:
         return out
 
     def conjugate(self) -> "Scalar":
-        s = Scalar.__new__(Scalar)
-        s._num, s._den = _p_conj(self._num), _p_conj(self._den)
-        return s
+        return _raw(_p_conj(self._num), _p_conj(self._den))
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if not isinstance(other, Scalar):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self._c, other._c
+        if a is not None and b is not None:
+            return a == b
         if self._den == other._den:
             return self._num == other._num
         return _p_mul(self._num, other._den) == _p_mul(other._num, self._den)
@@ -576,9 +619,7 @@ class Scalar:
 
     def constant_texts(self) -> tuple:
         """(re, im) of a constant as text."""
-        if not self.is_constant():
-            raise ScalarError("scalar is not constant")
-        return _c_texts(self._num.get(_UNIT, _C_ZERO))
+        return _c_texts(self._constant_triple())
 
     def __str__(self) -> str:
         return quotient_str(*self.text_parts())

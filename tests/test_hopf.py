@@ -777,6 +777,67 @@ def test_record_unequal_sides_record_the_reduced_difference():
     assert failures[2] == Failure("scalar", str(KAPPA - ONE), KAPPA - ONE)
 
 
+def _count_word_texts(monkeypatch) -> list:
+    words = []
+    monkeypatch.setattr(hopf, "word_text", lambda w: words.append(w) or word_text(w))
+    return words
+
+
+@pytest.mark.parametrize("check", [check_counit, check_antipode, check_coassociativity])
+def test_passing_sweep_formats_no_witness(check, monkeypatch):
+    words = _count_word_texts(monkeypatch)
+    assert check(CL, P_UND, degree=3).passed
+    assert check(DF, P_DEF, degree=3).passed
+    assert words == []
+
+
+def test_failing_sweep_formats_one_witness_per_failure(monkeypatch):
+    words = _count_word_texts(monkeypatch)
+    # an Expr residual prints through exprparse, not through word_text
+    rep = check_antipode(DF, P_COL, degree=2)
+    assert not rep.passed
+    assert len(words) == len(rep.failures)
+    assert [f.witness for f in rep.failures][:2] == ["m(S x id)Delta on phi(0)",
+                                                     "m(id x S)Delta on phi(0)"]
+
+
+class _WrongCounit(HopfSpec):
+    """The classical structure maps with eps(g) = 1 on every letter, which
+    breaks the counit axiom on every nonempty word."""
+
+    def eps_gen(self, gen):
+        self._require(gen)
+        return ONE
+
+
+def test_counit_failure_keeps_its_witness_format():
+    h = _WrongCounit(CL.flavor)
+    rep = check_counit(h, P_UND, degree=2)
+    assert not rep.passed
+    want = _reference_checks(h, P_UND, 2)[0]["counit"]
+    assert rep.failures == tuple(want)
+    assert [f.residual for f in rep.failures] == [f.residual for f in want]
+    fails = {f.witness: f.residual for f in rep.failures}
+    # (eps x id)Delta(phi(0)) = eps(phi(0)) 1 + eps(1) phi(0) = 1 + phi(0)
+    assert fails["(eps x id) on phi(0)"] == fails["(id x eps) on phi(0)"] == unit()
+    assert [f.witness for f in rep.failures][:2] == ["(eps x id) on I", "(id x eps) on I"]
+    assert len(fails) == len(rep.failures) == 2 * (len(sorted_basis_words(
+        P_UND, 2, _covered_letters(h, P_UND, 2, 2))) - 1)
+
+
+def test_counit_sweep_takes_each_slot_word_once(monkeypatch):
+    seen = []
+    eps_word = hopf._eps_word
+    monkeypatch.setattr(hopf, "_eps_word", lambda w, h: seen.append(w) or eps_word(w, h))
+    for _ in range(2):
+        seen.clear()
+        assert check_counit(DF, P_DEF, degree=3).passed
+        # one eps per distinct slot word, and none carried over from the
+        # sweep before
+        assert seen and len(seen) == len(set(seen))
+        assert () in seen and (GEN_K,) in seen
+
+
 @pytest.mark.parametrize("h, p", [(CL, P_UND), (DF, P_DEF)])
 def test_s_word_is_the_product_of_s_gen_reversed(h, p):
     letters = [g for g in legal_letters(p, 2) if h.covers(g)]

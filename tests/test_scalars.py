@@ -33,6 +33,9 @@ from ccr_hopf.scalars import (
     _mono_content,
     _mono_inv,
     _mono_mul,
+    _p_add_into,
+    _p_mul,
+    _p_neg,
 )
 
 
@@ -255,7 +258,14 @@ def _reference_init(self, num, den=None):
     rule, kept as the oracle for it: a unit denominator is stored as
     given, a one-term denominator is folded into the numerator by its own
     loop, and a multi-term one is shifted by the common monomial content
-    and scaled to a monic largest monomial."""
+    and scaled to a monic largest monomial.  The constant slot is set by
+    the test is_constant made on the parts before the slot existed."""
+    _three_branch_parts(self, num, den)
+    self._c = (self._num.get(_UNIT, _C_ZERO)
+               if set(self._num) <= {_UNIT} and self._den == _P_ONE else None)
+
+
+def _three_branch_parts(self, num, den):
     if den is None:
         den = _P_ONE
     if not den:
@@ -355,11 +365,11 @@ def test_constructor_matches_three_branch_reference(monkeypatch):
 
     seeds = range(2000)
     monkeypatch.setattr(Scalar, "__init__", _reference_init)
-    want = [[(x._num, x._den, list(x._num), list(x._den), str(x)) for x in _quotient_chain(n)]
-            for n in seeds]
+    want = [[(x._num, x._den, x._c, list(x._num), list(x._den), str(x))
+             for x in _quotient_chain(n)] for n in seeds]
     monkeypatch.setattr(Scalar, "__init__", tally)
-    got = [[(x._num, x._den, list(x._num), list(x._den), str(x)) for x in _quotient_chain(n)]
-           for n in seeds]
+    got = [[(x._num, x._den, x._c, list(x._num), list(x._den), str(x))
+            for x in _quotient_chain(n)] for n in seeds]
     assert got == want
     assert min(seen.values()) >= 200, seen
 
@@ -509,3 +519,88 @@ def test_field_laws_and_part_invariant_property(a, b):
         assert q == a
         results += [q, a / b, b.inverse()]
     assert all(_parts_ok(x) for x in results)
+
+
+# Constants as the constant path meets them: 0, +-1, +-i, integers past
+# 64 bits, true fractions and the binary fractions from_complex gives.
+_constant_parts = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.integers(2 ** 64, 2 ** 90),
+    st.integers(-(2 ** 90), -(2 ** 64)),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50)),
+)
+_constants = st.one_of(
+    st.sampled_from([ZERO, ONE, -ONE, IMAG, -IMAG]),
+    st.builds(Scalar.rational, _constant_parts, _constant_parts),
+    st.builds(Scalar.from_complex, st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                                      allow_infinity=False)),
+)
+_operands = st.one_of(
+    _constants,
+    _scalars(),
+    # r2 * r2 and s * s^-1 are constants made by the polynomial path; the
+    # last two keep a multi-term denominator
+    st.sampled_from([KAPPA, R2, S_PARAM ** -1, (ONE + S_PARAM).inverse(),
+                     (KAPPA - IMAG) / (ONE + S_PARAM * R2)]),
+)
+
+
+def _general_mul(a, b):
+    return Scalar(_p_mul(a._num, b._num), _p_mul(a._den, b._den))
+
+
+def _general_add(a, b):
+    if a._den == b._den:
+        num = dict(a._num)
+        _p_add_into(num, b._num)
+        return Scalar(num, a._den)
+    num = _p_mul(a._num, b._den)
+    _p_add_into(num, _p_mul(b._num, a._den))
+    return Scalar(num, _p_mul(a._den, b._den))
+
+
+def _general_eq(a, b):
+    return _p_mul(a._num, b._den) == _p_mul(b._num, a._den)
+
+
+def _refuse(*_args):
+    raise AssertionError("a constant took the polynomial path")
+
+
+def _same(got, want):
+    """Equal parts, equal text, and constness as the parts show it."""
+    assert (got._num, got._den) == (want._num, want._den)
+    assert str(got) == str(want)
+    assert got.is_constant() == (set(want._num) <= {_UNIT} and want._den == _P_ONE)
+    if got.is_constant():
+        assert got._c == want._num.get(_UNIT, _C_ZERO)
+    if not want._num:
+        assert got._num == {} and got.is_zero()
+
+
+# 400 examples per test, 0.7-1.5 s each
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.one_of(_constants, _operands), st.one_of(_constants, _operands))
+def test_constant_path_matches_the_polynomial_path(a, b):
+    for x, y in ((a, b), (b, a), (a, a)):
+        _same(x * y, _general_mul(x, y))
+        _same(x + y, _general_add(x, y))
+        _same(x - y, _general_add(x, Scalar(_p_neg(y._num), y._den)))
+        assert (x == y) == _general_eq(x, y)
+    _same(-a, Scalar(_p_neg(a._num), a._den))
+    for x in (a, b):
+        # a unit factor hands back the other operand, ONE itself for ONE * 1
+        assert x * ONE is x and ONE * x is (ONE if x.is_one() else x)
+        assert x == Scalar(dict(x._num), dict(x._den))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_constants, _constants)
+def test_constant_path_is_taken_for_two_constants(a, b):
+    # both operands constant: no polynomial helper is reached
+    with pytest.MonkeyPatch.context() as m:
+        for name in ("_p_mul", "_p_add_into", "_mono_mul", "_p_neg"):
+            m.setattr(scalars, name, _refuse)
+        results = [a * b, a + b, a - b, -a, a == b]
+    assert all(x.is_constant() for x in results[:4])
+    assert results[4] == _general_eq(a, b)
