@@ -56,6 +56,10 @@ done <<'ROWS'
 0  60 coproduct "(2+i)^-1*pi(0)^2*phi(0) + 1/3*phi(1)*pi(0)" --flavor deformed --variant deformed
 # numeric q and c make kappa and s binary fractions: denominators near 2^100
 0  60 coproduct "pi(0)^2*phi(0)^2*pi(1)*phi(0)" --flavor deformed --variant deformed-strict --q 1.3 --c 0.7
+# coproducts grown one generator at a time: through I and Kinv at numeric
+# q and c, and through the collapsed K piece, both under a rational gram
+0  60 coproduct "Kinv*phi(0)^2*pi(1)^2*I" --flavor deformed --variant deformed-strict --q 1.3 --c 0.7 --gram tests/golden/gram2.json
+0  60 coproduct "phi(0)^3*pi(0)^2*phi(1)" --flavor deformed --variant deformed-collapsed --gram tests/golden/gram2.json
 1  60 hopf-check --variant deformed-strict --flavor deformed --degree 4
 # the relation check reads its relations off the rewrite rules; the
 # deformed coproduct fails the commutations by design
