@@ -114,6 +114,8 @@ done <<'ROWS'
 2  20 hopf-check --checks multiplicativity --modes 1 --degree 16
 # a check named twice would run and report twice
 2  20 hopf-check --checks counit,counit
+# an empty check list would run the whole default set
+2  20 hopf-check --checks ""
 # a coefficient with more digits than the interpreter prints, and one that
 # overflows a float, are refused rather than raised
 2 120 normalize "pi(0)^300*phi(0)^300" --variant deformed --q 1.5 --c 0.8

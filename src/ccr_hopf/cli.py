@@ -244,7 +244,7 @@ def _cmd_antipode(args):
 def _cmd_hopf_check(args):
     p = _presentation(args)
     h = _flavor(args)
-    wanted = args.checks.split(",") if args.checks else list(_DEFAULT_CHECKS)
+    wanted = list(_DEFAULT_CHECKS) if args.checks is None else args.checks.split(",")
     for i, name in enumerate(wanted):
         if name not in _HOPF_CHECKS:
             raise CliError(f"unknown check {name!r}; choose from {', '.join(_HOPF_CHECKS)}")

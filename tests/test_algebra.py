@@ -49,7 +49,7 @@ from ccr_hopf.algebra import (
     _reduce_word,
 )
 from ccr_hopf.exprparse import expr_to_text
-from ccr_hopf.hopf import HopfSpec, check_antipode, check_coassociativity
+from ccr_hopf.hopf import HopfSpec, check_antipode, check_coassociativity, check_multiplicativity
 from ccr_hopf.scalars import IMAG, KAPPA, ONE, R2, S_PARAM, Scalar
 
 P_UND = Presentation()
@@ -607,11 +607,14 @@ def test_letter_pieces():
 def test_rule_tables_stay_within_the_letters(variant):
     # the tables are keyed by letter pairs and letters, so a sweep over
     # n letters leaves at most n^2 rules and n pieces however many words
-    # it reduces
+    # it reduces.  A passing undeformed sweep grows its coproducts without
+    # reducing a normal word, so the multiplicativity trials' words, most
+    # of them not normal, reduce enough words to test that
     p = Presentation(variant=variant, gram=[[1, ["1/2", "1/3"]], [["1/2", "-1/3"], 2]])
     h = HopfSpec.classical() if variant == "undeformed" else HopfSpec.deformed()
     check_coassociativity(h, p, degree=3, modes=2)
     check_antipode(h, p, degree=3, modes=2)
+    check_multiplicativity(h, p, degree=3, modes=2)
     n = legal_letter_count(p, 2)
     assert len(p._nf_cache) > n * n
     assert 0 < len(p._rules) <= n * n

@@ -58,8 +58,10 @@ from ccr_hopf.hopf import (
     tensor_normal_form,
     tensor_of,
     _co_free,
+    _co_nf,
     _co_word,
     _covered_letters,
+    _grown,
     _record,
     _reduced_product,
     _s_word,
@@ -698,6 +700,135 @@ def test_reduced_product_with_the_unit_and_zero_tensors():
         assert _reduced_product(one, one, p).terms == one.terms
         for x, y in ((a, zero), (zero, a), (zero, zero), (one, zero), (zero, one)):
             assert _assert_reduced_product(x, y, p).terms == {}
+
+
+# ---------------------------------------------------------------------------
+# The generator step: Delta(u) times Delta(g), one slot junction at a time
+
+
+def _assert_grown(a, b, p):
+    """_grown(a, b, p) for reduced a and b against _reduced_product and the
+    tensor normal form of the product built in full: the same terms, the
+    same text, and no zero coefficient."""
+    want = tensor_normal_form(a * b, p)
+    got = _grown(a, b, p)
+    assert got.order == 2
+    assert got.terms == want.terms == _reduced_product(a, b, p).terms
+    assert str(got) == str(want)
+    assert not any(c.is_zero() for c in got.terms.values())
+    return got
+
+
+def _assert_step(w, h, p, memo):
+    """Delta(w) grown by the step from Delta(w[:-1]) and Delta(w[-1])
+    against the free coproduct of w reduced once, and against _co_nf's own
+    result for w."""
+    head, last = (_co_nf(u, h, p, memo) for u in (w[:-1], w[-1:]))
+    got = _assert_grown(head, last, p)
+    want = tensor_normal_form(_co_free(Expr.from_word(w), h), p)
+    assert got.terms == want.terms
+    assert str(got) == str(want)
+    assert _co_nf(w, h, p, memo).terms == want.terms
+
+
+_STEP_CASES = [
+    case + qc
+    for case in _SWEEP_CASES
+    for qc in ((None, None), (1.3, 0.7), (1.0, 1.0))
+    # numeric q and c deform kappa and s, which the undeformed variant lacks
+    if qc[0] is None or case[1] != "undeformed"
+]
+
+
+@pytest.mark.parametrize("h, variant, gram, idempotent, q, c", _STEP_CASES)
+def test_step_grows_every_sweep_word(h, variant, gram, idempotent, q, c):
+    p = Presentation(variant=variant, gram=gram, idempotent_identity=idempotent, q=q, c=c)
+    words = sorted_basis_words(p, 3, _covered_letters(h, p, 2, 3))
+    memo = {}
+    for w in words:
+        if len(w) > 1:
+            _assert_step(w, h, p, memo)
+    assert len([w for w in words if len(w) > 1]) > 20
+
+
+_PHI0, _PHI1, _PI0, _PI1 = (FAM_PHI, 0), (FAM_PHI, 1), (FAM_PI, 0), (FAM_PI, 1)
+
+
+@pytest.mark.parametrize("h, variant, idempotent, q, w", [
+    # K passes the fields, meets Kinv in one slot and K in the other
+    (DF, "deformed-strict", True, None, (_PHI0, GEN_K)),
+    (DF, "deformed-strict", True, None, (_PI1, _PHI0, GEN_KINV)),
+    (DF, "deformed-strict", True, 1.3, (GEN_KINV, _PHI1, GEN_K)),
+    (DF, "deformed-strict", True, None, (GEN_K, GEN_KINV)),
+    # a field letter passes back over fields: the junction's rule carries
+    # the multiplier -i kappa g(j, k)
+    (CL, "undeformed", True, None, (_PHI1, _PI0, _PHI0)),
+    (DF, "deformed-strict", True, 1.3, (_PI1, _PI0, _PHI1)),
+    # the collapsed K piece, 1 + (s - 1) I, in the head and in the letter;
+    # K Kinv reduces to 1 plus 0*I in both slots, a sum that cancels
+    (DF, "deformed-collapsed", True, None, (GEN_K, _PHI0)),
+    (DF, "deformed-collapsed", True, None, (_PHI0, _PI1, GEN_K)),
+    (DF, "deformed-collapsed", True, 1.3, (_PI0, GEN_KINV)),
+    (DF, "deformed-collapsed", True, None, (GEN_K, GEN_KINV)),
+    # I*I = I where the identity is idempotent, and a normal pair where not
+    (CL, "undeformed", True, None, (GEN_I, GEN_I)),
+    (CL, "undeformed", False, None, (GEN_I, GEN_I)),
+    (CL, "undeformed", True, None, (_PHI0, GEN_I, GEN_I)),
+    (CL, "undeformed", False, None, (GEN_I, _PHI0, GEN_I)),
+    (DF, "deformed-strict", True, 1.0, (GEN_I, GEN_KINV, GEN_I)),
+])
+def test_step_at_junctions_that_have_a_rule(h, variant, idempotent, q, w):
+    gram = [[1, ["1/2", "1/3"]], [["1/2", "-1/3"], 2]]
+    p = Presentation(variant=variant, gram=gram, idempotent_identity=idempotent,
+                     q=q, c=None if q is None else 0.7)
+    _assert_step(w, h, p, {})
+
+
+def test_step_junction_cases_reduce_as_the_rules_say():
+    # I*I = I: Delta(I)^2 = I (x) 1 + 2 I (x) I + 1 (x) I, and I I stays
+    # a normal word where the identity is not idempotent
+    i1, one = gen_I(), unit()
+    for p, ii in ((P_UND, i1), (P_FREE, i1 * i1)):
+        memo = {}
+        assert _co_nf((GEN_I, GEN_I), CL, p, memo) == (
+            tensor_of(ii, one) + 2 * tensor_of(i1, i1) + tensor_of(one, ii))
+    # K Kinv = 1 in the strict variant, and in the collapsed one through
+    # the pieces: Delta(K Kinv) is the unit tensor
+    for p in (P_DEF, P_COL):
+        assert _co_nf((GEN_K, GEN_KINV), DF, p, {}) == TensorExpr.unit(2)
+    # phi(0) after pi(0) in slot 1: the junction's rule carries -i kappa I
+    got = _co_nf((_PHI0, _PI0, _PHI0), CL, P_UND, {})
+    assert got.terms[((), (GEN_I, _PHI0))] == -IMAG * P_UND.kappa_scalar
+
+
+@pytest.mark.parametrize("variant", ["undeformed", "deformed-strict", "deformed-collapsed"])
+def test_step_drops_sums_that_cancel(variant):
+    # the cases of test_reduced_product_drops_sums_that_cancel, term by term
+    p = Presentation(variant=variant)
+    one = unit()
+    a = tensor_of(pi(0), phi(1)) + tensor_of(phi(0), phi(1))
+    b = tensor_of(phi(0), one) - tensor_of(pi(0), one)
+    assert (((FAM_PHI, 0), (FAM_PI, 0)), ((FAM_PHI, 1),)) not in _assert_grown(a, b, p).terms
+    a = tensor_of(phi(1), pi(0) + phi(0))
+    b = tensor_of(one, phi(0) - pi(0))
+    assert (((FAM_PHI, 1),), ((FAM_PHI, 0), (FAM_PI, 0))) not in _assert_grown(a, b, p).terms
+    a = tensor_of(gen_I(), phi(1))
+    b = tensor_of(gen_I(), one) - tensor_of(one, one)
+    assert _assert_grown(a, b, p).is_zero()
+    assert not _grown(a, b, P_FREE).is_zero()
+
+
+def test_passing_undeformed_sweep_reduces_no_normal_concatenation(monkeypatch):
+    # a normal undeformed word has no junction with a rule in any slot of
+    # its coproduct, so the step reduces nothing: the only words reduced
+    # are the slot words of Delta(g), in tensor_normal_form
+    reduced = []
+    monkeypatch.setattr(hopf, "_reduce_word", lambda w, p: reduced.append(w) or _reduce_word(w, p))
+    for check in (check_coassociativity, check_counit, check_antipode, cocommutativity_probe):
+        p = Presentation(gram=[[1, ["1/2", "1/3"]], [["1/2", "-1/3"], 2]])
+        assert check(CL, p, 3, 2).passed
+    assert reduced
+    assert max(map(len, reduced)) == 1
 
 
 def _reference_multiplicativity(h, p, degree, modes, trials, seed):

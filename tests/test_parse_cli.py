@@ -24,6 +24,7 @@ from ccr_hopf.algebra import (
 )
 from ccr_hopf.cli import (
     GENFUN_TAIL_BUDGET,
+    _HOPF_CHECKS,
     _genfun_mean,
     _poisson_tail,
     main,
@@ -234,6 +235,16 @@ def test_cli_hopf_check_refuses_a_repeated_check(capsys, monkeypatch, checks):
     assert code == 2 and doc is None
     assert err.startswith("ccr-hopf: ") and err.count("\n") == 1
     assert "is named more than once" in err
+
+
+@pytest.mark.parametrize("checks", ["", "counit,", ",counit", "counit,,antipode"])
+def test_cli_hopf_check_refuses_an_empty_check_name(capsys, monkeypatch, checks):
+    # an empty --checks ran the whole default set; it names the empty
+    # check, as a trailing comma does, and is refused before any check runs
+    monkeypatch.setattr("ccr_hopf.cli._HOPF_CHECK_TABLE", {})
+    code, doc, err = run_cli(capsys, ["hopf-check", "--checks", checks])
+    assert code == 2 and doc is None
+    assert err == "ccr-hopf: unknown check ''; choose from " + ", ".join(_HOPF_CHECKS) + "\n"
 
 
 def test_cli_exit_codes(capsys):
