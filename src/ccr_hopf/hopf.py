@@ -35,19 +35,15 @@ homomorphism, so nf(Delta(u v)) = nf(nf(Delta(u)) nf(Delta(v))) for any
 Delta on free words, whether or not Delta respects the relations.
 _co_nf cuts a word where an adjacent pair has a rule: a redex-free run
 grows letter by letter from its reduced prefix, and the head and the
-last run are joined and reduced once.  A letter g is appended term by
-term (_grown): the reduced Delta(g) has a few terms, and in each slot of
-each pair of terms an empty side gives the other word, a junction pair
-with no rule gives the concatenation as it stands (a word is normal
-exactly when it holds no piece letter and no adjacent pair with a rule),
-and only a junction that has a rule is reduced.  So the step reduces no
-word while it grows the Delta of a normal undeformed word.  A join, and
-check_multiplicativity's right side, multiply two reduced tensors one
-pair of slot-0 words (u0, v0) at a time (_reduced_product): the slot-1
-products of the pair's terms sum into one word -> coefficient dict, and
-nf(u0 v0), reduced once for the pair, is attached to that sum.  Either
-way the unreduced product is never built, and a sum that cancels is
-dropped once, at the end.  Each
+last run are joined and reduced once.  Every such product, and
+check_multiplicativity's right side, multiplies two reduced tensors
+term by term (_reduced_product): in each slot of each pair of terms an
+empty side gives the other word, a junction pair with no rule gives the
+concatenation as it stands (a word is normal exactly when it holds no
+piece letter and no adjacent pair with a rule), and only a junction
+that has a rule is reduced.  So the Delta of a normal undeformed word
+grows without reducing any word, the unreduced product is never built,
+and a sum that cancels is dropped once, at the end.  Each
 result is memoized in a dict owned by one top-level call (coproduct, one
 _sweep or one check_multiplicativity) and dropped when it returns; the
 presentation never holds it, so a caller that keeps a presentation alive
@@ -224,43 +220,6 @@ def tensor_normal_form(t: TensorExpr, p: Presentation) -> TensorExpr:
     return t._like(out)
 
 
-def _by_first_slot(t: TensorExpr) -> dict:
-    """The terms of an order-2 tensor grouped by their slot-0 word:
-    u0 -> [(u1, c), ...]."""
-    groups = {}
-    for (u0, u1), c in t.terms.items():
-        groups.setdefault(u0, []).append((u1, c))
-    return groups
-
-
-def _reduced_product(a: TensorExpr, b: TensorExpr, p: Presentation) -> TensorExpr:
-    """tensor_normal_form(a * b) for order-2 tensors a, b whose letters are
-    legal in p, one pair of slot-0 words (u0, v0) at a time: nf(u0 v0) is
-    attached to the pair's sum c1 c2 nf(u1 v1).  Slot-wise normal form is
-    an algebra map, so any grouping of the terms gives the same element."""
-    rows_b = _by_first_slot(b).items()
-    out = {}
-    for u0, row_a in _by_first_slot(a).items():
-        for v0, row_b in rows_b:
-            right = {}
-            for u1, c1 in row_a:
-                for v1, c2 in row_b:
-                    # most coefficients and multipliers are ONE: skip those products
-                    c = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
-                    for w1, m in _reduce_word(u1 + v1, p).items():
-                        cm = c if m is ONE else m if c is ONE else c * m
-                        acc = right.get(w1)
-                        right[w1] = cm if acc is None else acc + cm
-            for w0, m in _reduce_word(u0 + v0, p).items():
-                for w1, c in right.items():
-                    k = (w0, w1)
-                    cm = c if m is ONE else m if c is ONE else m * c
-                    acc = out.get(k)
-                    out[k] = cm if acc is None else acc + cm
-    # sums that cancel are dropped once, at the end
-    return a._like({k: c for k, c in out.items() if not c.is_zero()})
-
-
 def _joined(u, v, p: Presentation):
     """nf(u v) for normal words u and v, as (word, multiplier) pairs.  A
     word is normal exactly when it holds no piece letter and no adjacent
@@ -275,11 +234,10 @@ def _joined(u, v, p: Presentation):
     return _reduce_word(u + v, p).items()
 
 
-def _grown(a: TensorExpr, b: TensorExpr, p: Presentation) -> TensorExpr:
-    """_reduced_product(a, b, p) for reduced order-2 tensors a and b, term
+def _reduced_product(a: TensorExpr, b: TensorExpr, p: Presentation) -> TensorExpr:
+    """tensor_normal_form(a * b) for reduced order-2 tensors a and b, term
     by term: each slot of each pair of terms is joined (_joined), so a
-    slot whose junction has no rule is reduced nowhere.  _co_nf grows a
-    word's Delta by one generator's, whose reduced form has few terms."""
+    slot whose junction has no rule is reduced nowhere."""
     out = {}
     for (u0, u1), c1 in a.terms.items():
         for (v0, v1), c2 in b.terms.items():
@@ -398,11 +356,11 @@ def _co_nf(word, h: HopfSpec, p: Presentation, memo: dict) -> TensorExpr:
     """The tensor normal form of Delta(word), memoized in memo, a dict that
     one top-level call owns (see the module docstring).  A word is cut at
     its last pair that has a rule, and a redex-free word before its last
-    letter; the two parts' forms are reduced as they are multiplied, so a
-    run grows letter by letter, nf(Delta(u g)) = nf(nf(Delta(u)) nf(Delta(g))),
-    through the generator step (_grown), and runs join once
-    (_reduced_product).  The words still to build wait on an explicit
-    stack, so no word is too long for the recursion limit."""
+    letter; the two parts' forms are reduced as they are multiplied
+    (_reduced_product), so a run grows letter by letter,
+    nf(Delta(u g)) = nf(nf(Delta(u)) nf(Delta(g))), and runs join once.
+    The words still to build wait on an explicit stack, so no word is too
+    long for the recursion limit."""
     stack = [word]
     while stack:
         w = stack[-1]
@@ -419,8 +377,7 @@ def _co_nf(word, h: HopfSpec, p: Presentation, memo: dict) -> TensorExpr:
             if missing:
                 stack += missing
             else:
-                grow = _grown if len(run) == 1 else _reduced_product
-                memo[w] = grow(memo[head], memo[run], p)
+                memo[w] = _reduced_product(memo[head], memo[run], p)
                 stack.pop()
     return memo[word]
 

@@ -61,7 +61,6 @@ from ccr_hopf.hopf import (
     _co_nf,
     _co_word,
     _covered_letters,
-    _grown,
     _record,
     _reduced_product,
     _s_word,
@@ -627,9 +626,9 @@ def test_coproduct_memo_is_per_call():
 
 
 def _assert_reduced_product(a, b, p):
-    """_reduced_product(a, b, p) against the tensor normal form of the
-    product built in full: the same terms, the same text, and no zero
-    coefficient."""
+    """_reduced_product(a, b, p) for reduced a and b against the tensor
+    normal form of the product built in full: the same terms, the same
+    text, and no zero coefficient."""
     want = tensor_normal_form(a * b, p)
     got = _reduced_product(a, b, p)
     assert got.order == 2
@@ -693,8 +692,9 @@ def test_reduced_product_with_the_unit_and_zero_tensors():
     one, zero = TensorExpr.unit(2), TensorExpr.zero(2)
     for h, p in ((CL, P_UND), (DF, P_DEF), (DF, P_COL)):
         a = coproduct(pi(0) * phi(0) * pi(1), h, p)
-        unreduced = tensor_of(pi(0) * phi(0), phi(1) * pi(0))
-        for x, y in ((a, one), (one, a), (one, one), (unreduced, one), (one, unreduced)):
+        # slot words that carry the -i kappa I of pi(0) phi(0)
+        b = tensor_normal_form(tensor_of(pi(0) * phi(0), phi(1) * pi(0)), p)
+        for x, y in ((a, one), (one, a), (one, one), (b, one), (one, b), (a, b)):
             _assert_reduced_product(x, y, p)
         assert _reduced_product(a, one, p) == a == _reduced_product(one, a, p)
         assert _reduced_product(one, one, p).terms == one.terms
@@ -706,25 +706,12 @@ def test_reduced_product_with_the_unit_and_zero_tensors():
 # The generator step: Delta(u) times Delta(g), one slot junction at a time
 
 
-def _assert_grown(a, b, p):
-    """_grown(a, b, p) for reduced a and b against _reduced_product and the
-    tensor normal form of the product built in full: the same terms, the
-    same text, and no zero coefficient."""
-    want = tensor_normal_form(a * b, p)
-    got = _grown(a, b, p)
-    assert got.order == 2
-    assert got.terms == want.terms == _reduced_product(a, b, p).terms
-    assert str(got) == str(want)
-    assert not any(c.is_zero() for c in got.terms.values())
-    return got
-
-
 def _assert_step(w, h, p, memo):
     """Delta(w) grown by the step from Delta(w[:-1]) and Delta(w[-1])
     against the free coproduct of w reduced once, and against _co_nf's own
     result for w."""
     head, last = (_co_nf(u, h, p, memo) for u in (w[:-1], w[-1:]))
-    got = _assert_grown(head, last, p)
+    got = _assert_reduced_product(head, last, p)
     want = tensor_normal_form(_co_free(Expr.from_word(w), h), p)
     assert got.terms == want.terms
     assert str(got) == str(want)
@@ -799,23 +786,6 @@ def test_step_junction_cases_reduce_as_the_rules_say():
     # phi(0) after pi(0) in slot 1: the junction's rule carries -i kappa I
     got = _co_nf((_PHI0, _PI0, _PHI0), CL, P_UND, {})
     assert got.terms[((), (GEN_I, _PHI0))] == -IMAG * P_UND.kappa_scalar
-
-
-@pytest.mark.parametrize("variant", ["undeformed", "deformed-strict", "deformed-collapsed"])
-def test_step_drops_sums_that_cancel(variant):
-    # the cases of test_reduced_product_drops_sums_that_cancel, term by term
-    p = Presentation(variant=variant)
-    one = unit()
-    a = tensor_of(pi(0), phi(1)) + tensor_of(phi(0), phi(1))
-    b = tensor_of(phi(0), one) - tensor_of(pi(0), one)
-    assert (((FAM_PHI, 0), (FAM_PI, 0)), ((FAM_PHI, 1),)) not in _assert_grown(a, b, p).terms
-    a = tensor_of(phi(1), pi(0) + phi(0))
-    b = tensor_of(one, phi(0) - pi(0))
-    assert (((FAM_PHI, 1),), ((FAM_PHI, 0), (FAM_PI, 0))) not in _assert_grown(a, b, p).terms
-    a = tensor_of(gen_I(), phi(1))
-    b = tensor_of(gen_I(), one) - tensor_of(one, one)
-    assert _assert_grown(a, b, p).is_zero()
-    assert not _grown(a, b, P_FREE).is_zero()
 
 
 def test_passing_undeformed_sweep_reduces_no_normal_concatenation(monkeypatch):
