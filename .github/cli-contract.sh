@@ -64,6 +64,10 @@ done <<'ROWS'
 # the relation check reads its relations off the rewrite rules; the
 # deformed coproduct fails the commutations by design
 1  60 hopf-check --checks respects-relations --variant deformed-strict --flavor deformed --modes 2
+# the relation check's Delta, eps and S residuals at numeric q and c under
+# a rational gram, and through the collapsed K piece
+1  60 hopf-check --checks respects-relations --variant deformed-strict --flavor deformed --modes 2 --gram tests/golden/gram2.json --q 1.5 --c 0.8
+1  60 hopf-check --checks respects-relations --variant deformed-collapsed --flavor deformed --modes 1
 # reduced tensor products are summed per pair of slot-0 words: a failing
 # collapsed run and a passing numeric-q/c run, both under a rational gram
 1  60 hopf-check --checks multiplicativity,antipode --flavor deformed --variant deformed-collapsed --degree 3 --gram tests/golden/gram2.json
