@@ -86,6 +86,10 @@ done <<'ROWS'
 0  20 convert "am(0)^12*ap(0)^12" --to phi-pi
 0  10 normalize "pi(0)^200*phi(0)^200"
 0  30 hopf-check --modes 1 --degree 8
+# the slowest sweep the budget admits (4099 free coproduct terms): it fails
+# coassociativity, the antipode and cocommutativity, and every check hands
+# over reduced sides, so each residual is one subtraction
+1  60 hopf-check --flavor deformed --variant deformed-collapsed --modes 2 --degree 5
 # numeric commands load fock and measure on first use; the squeezed number
 # operator takes the real symmetric eigen-solver; expr_matrix caches word
 # products and restricted_norm reads the safe columns in CSC order

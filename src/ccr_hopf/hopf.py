@@ -20,14 +20,14 @@ every normal word w, and each check's own map derives the two sides of
 its axiom from it.  A witness names its word, and the word's text is
 formatted only when a failure is recorded; a passing sweep formats none.
 The counit sweep memoizes eps of each slot word in a dict of its own.
-Every check, the relation check and check_multiplicativity included,
-reaches its verdict by comparing the two sides (_residual): sides equal
-as they stand pass at once, sides equal once each is reduced pass next,
-and only sides that disagree build their difference and reduce it into
-the failure's residual.  In a passing sweep most sides are equal term by
-term, so most cases build no difference at all.  The relation check reads its relations from
-algebra.relations, which derives them from the rewrite rules, so this
-module states no relation and no piece rule of its own.
+Every check hands _record two reduced sides, so one equality decides
+(normal forms are canonical) and their difference is the residual as it
+stands.  Coassociativity, cocommutativity, the counit and
+multiplicativity build reduced sides by construction; the antipode sweep
+reduces its S(u0) u1 and u0 S(u1) sums, and the relation check maps each
+relation through the reduced Delta, eps and S.  It reads the relations
+from algebra.relations, which derives them from the rewrite rules, so
+this module states no relation and no piece rule of its own.
 
 Reduced coproducts are built from prefixes.  Slot-wise normal form is
 the quotient map from the free tensor square onto A (x) A, an algebra
@@ -205,12 +205,7 @@ def tensor_normal_form(t: TensorExpr, p: Presentation) -> TensorExpr:
     p.validate_expr(Expr.from_word(letters))
     out = {}
     for k, c in t.terms.items():
-        forms = [_reduce_word(w, p) for w in k]
-        if all(map(dict.__contains__, forms, k)):
-            # every slot is normal already: a normal word is its own form
-            _acc(out, k, c)
-            continue
-        for combo in product(*(f.items() for f in forms)):
+        for combo in product(*(_reduce_word(w, p).items() for w in k)):
             # most multipliers are ONE: skip those products
             m = ONE
             for _, cw in combo:
@@ -359,6 +354,13 @@ def _co_nf(word, h: HopfSpec, p: Presentation, memo: dict) -> TensorExpr:
     letter; the two parts' forms are reduced as they are multiplied
     (_reduced_product), so a run grows letter by letter,
     nf(Delta(u g)) = nf(nf(Delta(u)) nf(Delta(g))), and runs join once.
+    The cut stays because letter steps alone are much slower on a word
+    that is not normal: each letter past a redex is then joined to every
+    term of a head form the contractions have grown.  Without the cut,
+    coproduct of pi(0)^30*phi(0)^30 took 9.8 s against 0.64 s, and the
+    deformed-strict pi(0)^4*phi(0)^4 4.0 ms against 1.7 ms (medians of 3
+    and 21 in-process runs, 2-vCPU x86 Linux VM).  A normal word has no
+    redex and takes the same letter steps either way.
     The words still to build wait on an explicit stack, so no word is too
     long for the recursion limit."""
     stack = [word]
@@ -480,34 +482,18 @@ def _report(axiom, degree, failures, notes=()):
     return AxiomReport(axiom, degree, status, tuple(failures), tuple(notes))
 
 
-def _residual(lhs, rhs, p: Presentation):
-    """The reduced residual lhs - rhs of two sides (tensors, elements or
-    scalars), or None when the sides agree.  Sides equal as they stand
-    agree; otherwise each side is reduced, and reduced sides that are equal
-    agree.  Both steps are exact: normal forms are canonical, reduction is
-    linear and coefficients compare by value.  Only sides that disagree
-    build lhs - rhs, and its reduction is the residual."""
-    if lhs == rhs:
-        return None
-    if isinstance(lhs, TensorExpr):
-        reduce = tensor_normal_form
-    elif isinstance(lhs, Expr):
-        reduce = normal_form
-    else:
-        return lhs - rhs  # scalars have nothing to reduce
-    if reduce(lhs, p) == reduce(rhs, p):
-        return None
-    return reduce(lhs - rhs, p)
-
-
-def _record(failures: list, witness: str, lhs, rhs, p: Presentation, word=None):
-    """Record a failure unless the two sides agree (see _residual).  Its
-    witness is witness, followed by the text of word when one is given;
-    that text is formatted only for a failure."""
-    residual = _residual(lhs, rhs, p)
-    if residual is not None:
+def _record(failures: list, witness: str, lhs, rhs, word=None):
+    """Record lhs - rhs as a failure unless the two sides are equal.  Both
+    sides must be reduced: normal forms, reduced tensors or scalars.
+    Normal forms are canonical and coefficients compare by value, so
+    reduced sides agree exactly when they are equal, and their difference
+    is reduced already.  The failure's witness is witness, followed by the
+    text of word when one is given; that text is formatted only for a
+    failure."""
+    if lhs != rhs:
         if word is not None:
             witness += word_text(word)
+        residual = lhs - rhs
         failures.append(Failure(witness, str(residual), residual))
 
 
@@ -533,11 +519,11 @@ MAX_TRIAL_LETTERS = 16
 def _sweep(axiom: str, h: HopfSpec, p: Presentation, degree: int, modes: int, sides):
     """The bounded-degree check shared by the axioms: for every normal word
     w of degree <= degree over the covered letters, sides(w, Delta(w), memo)
-    yields (label, lhs, rhs) triples, and each is recorded in turn when its
-    two sides disagree (see _residual), with the witness label followed by
-    the text of w.  memo is the sweep's own _co_nf memo.  A sweep whose
-    words' free coproducts hold more than MAX_SWEEP_TERMS terms is refused
-    before the first coproduct."""
+    yields (label, lhs, rhs) triples of reduced sides, and each is recorded
+    in turn (_record), with the witness label followed by the text of w.
+    memo is the sweep's own _co_nf memo.  A sweep whose words' free
+    coproducts hold more than MAX_SWEEP_TERMS terms is refused before the
+    first coproduct."""
     _check_flavor_variant(h, p)
     words = sorted_basis_words(p, degree, _covered_letters(h, p, modes, max(degree, 1)))
     terms = sum(1 << len(w) for w in words)
@@ -550,7 +536,7 @@ def _sweep(axiom: str, h: HopfSpec, p: Presentation, degree: int, modes: int, si
     memo = {}
     for w in words:
         for label, lhs, rhs in sides(w, _co_nf(w, h, p, memo), memo):
-            _record(failures, label, lhs, rhs, p, w)
+            _record(failures, label, lhs, rhs, w)
     return _report(axiom, degree, failures)
 
 
@@ -601,7 +587,9 @@ def sorted_basis_words(p: Presentation, max_degree: int, letters) -> list:
 def check_respects_relations(h: HopfSpec, p: Presentation, modes: int = 2) -> AxiomReport:
     """Whether Delta, eps, S are well defined on the quotient: for each
     defining relation L = R among the covered letters, the residuals
-    Delta(L)-Delta(R), eps(L)-eps(R), S(L)-S(R) are reduced and reported.
+    Delta(L)-Delta(R), eps(L)-eps(R), S(L)-S(R) of the reduced maps are
+    reported: Delta through _co_expr with a memo the check owns, S through
+    normal_form.
 
     The relations are algebra.relations, read off the rewrite rules, so
     every pair of covered letters that has a rule is checked: I, K and Kinv
@@ -609,11 +597,14 @@ def check_respects_relations(h: HopfSpec, p: Presentation, modes: int = 2) -> Ax
     with K and Kinv; the contractions I*I = I and K*Kinv = Kinv*K = 1 are
     checked where the presentation has them."""
     _check_flavor_variant(h, p)
+    memo = {}  # the relations' coproducts, owned by this check
+    maps = (("Delta", lambda e: _co_expr(e, h, p, memo)), ("eps", lambda e: _eps_free(e, h)),
+            ("S", lambda e: normal_form(_s_free(e, h), p)))
     failures = []
     # the relations are words of two letters
     for label, L, R in relations(p, _covered_letters(h, p, modes, 2)):
-        for name, free_map in (("Delta", _co_free), ("eps", _eps_free), ("S", _s_free)):
-            _record(failures, f"{name} on {label}", free_map(L, h), free_map(R, h), p)
+        for name, reduced_map in maps:
+            _record(failures, f"{name} on {label}", reduced_map(L), reduced_map(R))
     notes = []
     if any("I*I = I" in f.witness for f in failures):
         notes.append(
@@ -663,7 +654,7 @@ def check_counit(h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2) 
 
 def check_antipode(h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2) -> AxiomReport:
     def sides(w, t, _memo):
-        # S(u0) u1 and u0 S(u1) are one word each, times +-1
+        # S(u0) u1 and u0 S(u1) are one word each, times +-1; the sums are reduced
         left, right = {}, {}
         for (u0, u1), c in t.terms.items():
             letters, negated = _s_letters(u0, h)
@@ -671,7 +662,7 @@ def check_antipode(h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2
             letters, negated = _s_letters(u1, h)
             _acc(right, u0 + letters, -c if negated else c)
         one = Expr.from_word(())
-        left, right = one._like(left), one._like(right)
+        left, right = (one._like(d)._linear(lambda u: _reduce_word(u, p)) for d in (left, right))
         target = _eps_word(w, h) * one
         yield "m(S x id)Delta on ", left, target
         yield "m(id x S)Delta on ", right, target
@@ -696,8 +687,12 @@ def check_multiplicativity(
 ) -> AxiomReport:
     """Delta(x*y) - Delta(x)Delta(y) for random x, y, where Delta is the
     word-wise multiplicative extension and the product is the free
-    concatenation.  Well-definedness modulo the relations is the
-    business of check_respects_relations.  A degree whose products may
+    concatenation.  Both sides are nf(Delta_free(x y)) by construction:
+    the left reduces the coproduct of the free product, the right
+    multiplies the reduced coproducts of x and y (_reduced_product), and
+    slot-wise normal form is an algebra map.  So this check tests the
+    engine, not Delta; whether Delta is well defined on the algebra is
+    what check_respects_relations tests.  A degree whose products may
     hold more than MAX_TRIAL_LETTERS letters is refused before the first
     trial."""
     _check_flavor_variant(h, p)
@@ -726,7 +721,6 @@ def check_multiplicativity(
             return e
 
         x, y = rand_expr(), rand_expr()
-        res = _residual(co(x * y), _reduced_product(co(x), co(y), p), p)
-        if res is not None:
-            failures.append(Failure(f"trial {trial}: x={x}; y={y}", str(res), res))
+        _record(failures, f"trial {trial}: x={x}; y={y}", co(x * y),
+                _reduced_product(co(x), co(y), p))
     return _report("multiplicativity", degree, failures)

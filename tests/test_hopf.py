@@ -4,6 +4,7 @@ part of the contract (their residuals are pinned exactly)."""
 from __future__ import annotations
 
 import random
+from functools import partial
 from itertools import product
 
 import pytest
@@ -845,36 +846,66 @@ def test_record_equal_sides_need_no_reduction(monkeypatch):
     failures = []
     # the same value built twice, neither side in normal form
     e = pi(0) * phi(0) + 2 * phi(1)
-    _record(failures, "expr", e, pi(0) * phi(0) + 2 * phi(1), P_DEF)
-    _record(failures, "tensor", tensor_of(e, e), tensor_of(e, e), P_DEF)
-    _record(failures, "scalar", KAPPA + ONE, ONE + KAPPA, P_DEF)
+    _record(failures, "expr", e, pi(0) * phi(0) + 2 * phi(1))
+    _record(failures, "tensor", tensor_of(e, e), tensor_of(e, e))
+    _record(failures, "scalar", KAPPA + ONE, ONE + KAPPA)
     assert failures == []
 
 
-def test_record_sides_equal_after_reduction():
-    # pi(0)*phi(0) = phi(0)*pi(0) - i kappa g(0,0) I, with g(0,0) = 1 here
-    failures = []
-    lhs, rhs = pi(0) * phi(0), phi(0) * pi(0) - IMAG * KAPPA * gen_I()
-    assert lhs != rhs
-    _record(failures, "expr", lhs, rhs, P_DEF)
-    _record(failures, "tensor", tensor_of(lhs, unit()), tensor_of(rhs, unit()), P_DEF)
-    assert failures == []
+_REDUCED_SIDE_CASES = [
+    case + qc
+    for case in _SWEEP_CASES
+    for qc in ((None, None), (1.3, 0.7))
+    # numeric q and c deform kappa and s, which the undeformed variant lacks
+    if qc[0] is None or case[1] != "undeformed"
+]
+
+
+@pytest.mark.parametrize("h, variant, gram, idempotent, q, c", _REDUCED_SIDE_CASES)
+def test_every_check_hands_record_reduced_sides(h, variant, gram, idempotent, q, c, monkeypatch):
+    # _record compares its sides as they stand, so every Expr or tensor
+    # side a check hands it must be its own normal form; a scalar side has
+    # nothing to reduce
+    p = Presentation(variant=variant, gram=gram, idempotent_identity=idempotent, q=q, c=c)
+    record = hopf._record
+    witnesses = []
+
+    def record_reduced(failures, witness, lhs, rhs, word=None):
+        for side in (lhs, rhs):
+            if isinstance(side, TensorExpr):
+                assert side.terms == tensor_normal_form(side, p).terms, witness
+            elif isinstance(side, Expr):
+                assert side.terms == normal_form(side, p).terms, witness
+            else:
+                assert isinstance(side, Scalar), witness
+        witnesses.append(witness)
+        record(failures, witness, lhs, rhs, word)
+
+    monkeypatch.setattr(hopf, "_record", record_reduced)
+    sweeps = (check_coassociativity, check_counit, check_antipode, cocommutativity_probe)
+    runs = [partial(check, h, p, 3, 2) for check in sweeps]
+    runs += [partial(check_multiplicativity, h, p, 3, 2, trials=8),
+             partial(check_respects_relations, h, p, 2)]
+    for run in runs:
+        witnesses.clear()
+        run()
+        assert witnesses
 
 
 def test_record_unequal_sides_record_the_reduced_difference():
     # the failure the earlier reduce(lhs - rhs) path recorded, text included
     lhs, rhs = pi(0) * phi(0) * pi(1), phi(0) * pi(0) * pi(1)
     failures = []
-    _record(failures, "expr", lhs, rhs, P_DEF)
+    _record(failures, "expr", normal_form(lhs, P_DEF), normal_form(rhs, P_DEF))
     want = normal_form(lhs - rhs, P_DEF)
     assert failures == [Failure("expr", str(want), want)]
     assert failures[0].residual == want == -IMAG * KAPPA * gen_I() * pi(1)
     t_l, t_r = tensor_of(lhs, phi(1)), tensor_of(rhs, phi(1))
-    _record(failures, "tensor", t_l, t_r, P_DEF)
+    _record(failures, "tensor", tensor_normal_form(t_l, P_DEF), tensor_normal_form(t_r, P_DEF))
     want = tensor_normal_form(t_l - t_r, P_DEF)
     assert failures[1] == Failure("tensor", str(want), want)
     assert failures[1].residual == want
-    _record(failures, "scalar", KAPPA, ONE, P_DEF)
+    _record(failures, "scalar", KAPPA, ONE)
     assert failures[2] == Failure("scalar", str(KAPPA - ONE), KAPPA - ONE)
 
 

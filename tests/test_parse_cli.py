@@ -794,3 +794,46 @@ def test_cli_normalize_fuzzed_text(text, variant, basis):
             assert out.count(echo) == 1
             want = out.replace(echo, '"schedule": "rightmost"')
             assert _exit_and_stdout(argv + ["rightmost"]) == (0, want)
+
+
+# a name --checks may hold that no check has: a near miss, the empty name
+# or free text; a comma would split it in two, so none holds one
+_BAD_CHECK_NAME = st.one_of(
+    st.sampled_from(["", "Counit", "counit ", " antipode", "respects_relations", "bogus"]),
+    st.text(st.characters(blacklist_characters=",", blacklist_categories=("Cs",)), max_size=12),
+)
+
+
+@st.composite
+def _check_lists(draw):
+    """Distinct known check names in any order, and then as often as not
+    one edit: a name repeated, or a bad name put in."""
+    names = draw(st.permutations(_HOPF_CHECKS))[: draw(st.integers(0, len(_HOPF_CHECKS)))]
+    edit = draw(st.sampled_from(["none", "none", "repeat", "insert"]))
+    k = draw(st.integers(0, len(names)))
+    if edit == "repeat" and names:
+        names.insert(k, draw(st.sampled_from(names)))
+    elif edit == "insert":
+        names.insert(k, draw(_BAD_CHECK_NAME))
+    return names
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_check_lists())
+def test_cli_hopf_check_fuzzed_check_lists(drawn):
+    # exit 2 exactly when a name is unknown, empty or repeated, with one
+    # ccr-hopf: line on stderr and nothing on stdout; otherwise exit 0 or 1
+    # and one report per name, in the order given.  main is called bare, so
+    # an exception that escapes it fails the test.  200 examples.
+    names = ",".join(drawn).split(",")  # an empty list is one empty name
+    argv = ["hopf-check", "--checks=" + ",".join(drawn), "--degree", "1", "--modes", "1"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if any(n not in _HOPF_CHECKS for n in names) or len(set(names)) < len(names):
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("ccr-hopf: ") and err.getvalue().count("\n") == 1
+    else:
+        reports = json.loads(out.getvalue())["results"]["reports"]
+        assert [r["axiom"] for r in reports] == names
+        assert code == (0 if all(r["status"] == "pass" for r in reports) else 1)
