@@ -343,7 +343,8 @@ def _co_word(word, h: HopfSpec) -> TensorExpr:
 
 
 def _co_free(e: Expr, h: HopfSpec) -> TensorExpr:
-    """Delta on the free algebra: _co_word extended linearly, unreduced."""
+    """Delta on the free algebra: _co_word extended linearly, unreduced;
+    the reference that tests check _co_nf against."""
     return e._linear(lambda w: _co_word(w, h).terms, TensorExpr.zero(2))
 
 
