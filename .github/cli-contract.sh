@@ -104,6 +104,13 @@ done <<'ROWS'
 0  60 fock trend --nmax 12
 0  60 measure cocycle
 0  60 measure bochner
+# Monte-Carlo sample counts around 65,536-row blocks: four blocks and a
+# ragged tail, exactly one block, a scaled model over two blocks and one
+# row, and a draw the size of the benchmark's largest
+0  60 measure bochner --d 3 --samples 200003 --seed 9
+0  60 measure bochner --d 1 --samples 65536 --v 0.7
+0  60 measure bochner --scale 0.8 --d 2 --samples 131073
+0  60 measure bochner --d 3 --samples 1000000
 0  60 measure pd-check
 # budgets refuse the work before it starts: an exponent over the parser's
 # limit, a coherent state far beyond the cutoff, the Python-loop sweeps,

@@ -8,7 +8,9 @@ part of the record, so the terminal width is pinned to 80 columns; the
 corpus was recorded with Python 3.11.  It also holds the ``--help`` text
 of every subcommand and command group.  Runs of the commands whose floats
 depend on the BLAS build (``fock``, ``measure``) are not in the corpus;
-``tests/test_cli_reports.py`` pins their report shape instead.
+``tests/test_cli_reports.py`` pins their report shape instead.  The
+exceptions are three ``measure bochner`` runs, which pin the bytes of the
+Monte-Carlo estimate across its draw blocks on the recording build.
 """
 
 from __future__ import annotations
