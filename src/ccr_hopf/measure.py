@@ -31,10 +31,15 @@ ROOT2 = math.sqrt(2.0)
 # d-mode sweep hold up to 3^d per term
 MAX_TRANSLATE_MONOMIALS = 20_000
 
-# most standard normal draws, samples * d, bochner_mc may make at once; the
-# selftest draws 100000 x 2.  A run peaks near 16 d + 24 bytes per sample
-# (tracemalloc), so about 160 MB at the budget with d = 1
+# most standard normal draws, samples * d, bochner_mc may make in one run;
+# the selftest draws 100000 x 2.  The draws are taken MC_CHUNK_ROWS rows at
+# a time, so a run peaks near 24 bytes per sample (the complex phases and
+# one real temporary of the variance) plus one block (tracemalloc): about
+# 96 MB at the budget with d = 1
 MAX_MC_DRAWS = 4_000_000
+
+# rows of draws bochner_mc holds at once
+MC_CHUNK_ROWS = 65_536
 
 # most (v, v', u) triples cocycle_sweep may check: it is a Python loop at
 # about 45-70 us a triple, so 5-7 s at the budget
@@ -228,15 +233,28 @@ class MCEstimate:
 
 def bochner_mc(model: GaussianModel, v, samples: int = 100000, seed: int = 42) -> MCEstimate:
     """Monte-Carlo estimate of the Fourier transform of the measure at v;
-    deterministic for a fixed seed."""
+    deterministic for a fixed seed.
+
+    The draws go through model.sample MC_CHUNK_ROWS rows at a time, and
+    only their phases exp(i u.v) are kept.  The chunking does not change
+    the result: the generator fills rows in order, so the blocks are the
+    same stream of draws; each u.v is the same length-d dot product; cos
+    and sin give the parts of exp(i u.v) bit for bit; and the mean and
+    the variances reduce the same full array of phases.  The tests hold
+    the unchunked estimate as the oracle."""
     if samples < 2:
         raise MeasureError("need at least two samples")
     if samples * model.d > MAX_MC_DRAWS:
         raise MeasureError(f"{samples} samples in d={model.d} need {samples * model.d} normal "
                            f"draws, over the budget of {MAX_MC_DRAWS}; lower the samples")
     rng = np.random.default_rng(seed)
-    u = model.sample(samples, rng)
-    phases = np.exp(1j * (u @ np.asarray(v, dtype=float)))
+    v = np.asarray(v, dtype=float)
+    phases = np.empty(samples, dtype=complex)
+    for lo in range(0, samples, MC_CHUNK_ROWS):
+        hi = min(lo + MC_CHUNK_ROWS, samples)
+        x = model.sample(hi - lo, rng) @ v
+        phases.real[lo:hi] = np.cos(x)
+        phases.imag[lo:hi] = np.sin(x)
     est = complex(phases.mean())
     var = phases.real.var(ddof=1) + phases.imag.var(ddof=1)
     return MCEstimate(est, float(math.sqrt(var / samples)), samples, seed)

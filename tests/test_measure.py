@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from ccr_hopf.measure import (
     MAX_PD_VECTORS,
     MAX_TRANSLATE_MONOMIALS,
     MAX_WEYL_MONOMIALS,
+    MC_CHUNK_ROWS,
     GaussianModel,
     MeasureError,
     TestFunction,
@@ -149,6 +151,54 @@ def test_bochner_estimates():
     se1 = bochner_mc(model, v, samples=20000, seed=3).stderr
     se2 = bochner_mc(model, v, samples=200000, seed=3).stderr
     assert 0.5 < se2 * math.sqrt(10.0) / se1 < 2.0
+
+
+def _unchunked_bochner(model, v, samples, seed):
+    # the estimate as it was before the draws were chunked: every draw held
+    # at once, and the phases taken through the complex exponential
+    phases = np.exp(1j * (model.sample(samples, np.random.default_rng(seed)) @ v))
+    var = phases.real.var(ddof=1) + phases.imag.var(ddof=1)
+    return complex(phases.mean()), float(math.sqrt(var / samples))
+
+
+def _bochner_model(d):
+    rng = np.random.default_rng(100 + d)
+    return GaussianModel(np.eye(d) + 0.3 * rng.standard_normal((d, d))), rng.standard_normal(d)
+
+
+@pytest.mark.parametrize("chunk", [MC_CHUNK_ROWS, 7])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_bochner_chunks_match_the_unchunked_estimate(d, chunk, monkeypatch):
+    monkeypatch.setattr(measure, "MC_CHUNK_ROWS", chunk)
+    model, v = _bochner_model(d)
+    for samples in (2, 3, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        est = bochner_mc(model, v, samples=samples, seed=samples)
+        assert (est.estimate, est.stderr) == _unchunked_bochner(model, v, samples, samples)
+
+
+def test_bochner_draws_blocks_through_the_sampler(monkeypatch):
+    rows = []
+    sample = GaussianModel.sample
+    monkeypatch.setattr(GaussianModel, "sample",
+                        lambda self, n, rng: rows.append(n) or sample(self, n, rng))
+    model, v = _bochner_model(2)
+    bochner_mc(model, v, samples=2 * MC_CHUNK_ROWS + 3, seed=1)
+    assert rows == [MC_CHUNK_ROWS, MC_CHUNK_ROWS, 3]
+
+
+def test_bochner_million_draws_match_and_stay_small():
+    model, v = _bochner_model(3)
+    bochner_mc(model, v, samples=2, seed=5)  # first-use allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        est = bochner_mc(model, v, samples=10 ** 6, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 16 MB of phases, 8 MB for the variance and one block of draws; all
+    # 10^6 x 3 draws held at once peaked at 56.8 MB
+    assert peak < 32e6
+    assert (est.estimate, est.stderr) == _unchunked_bochner(model, v, 10 ** 6, 5)
 
 
 def test_positive_definiteness():
