@@ -17,8 +17,8 @@ swap against the twisted coproduct) and the failure witness is part of
 the contract.  Coassociativity, the counit and antipode axioms and the
 cocommutativity probe share one sweep, _sweep: it computes Delta(w) for
 every normal word w, and each check's own map derives the two sides of
-its axiom from it.  A witness names its word, and the word's text is
-formatted only when a failure is recorded; a passing sweep formats none.
+its axiom from it.  A witness names its word or trial, and its text is
+formatted only when a failure is recorded; a passing check formats none.
 The counit sweep memoizes eps of each slot word in a dict of its own.
 Every check hands _record two reduced sides, so one equality decides
 (normal forms are canonical) and their difference is the residual as it
@@ -483,19 +483,16 @@ def _report(axiom, degree, failures, notes=()):
     return AxiomReport(axiom, degree, status, tuple(failures), tuple(notes))
 
 
-def _record(failures: list, witness: str, lhs, rhs, word=None):
+def _record(failures: list, witness, lhs, rhs):
     """Record lhs - rhs as a failure unless the two sides are equal.  Both
     sides must be reduced: normal forms, reduced tensors or scalars.
     Normal forms are canonical and coefficients compare by value, so
     reduced sides agree exactly when they are equal, and their difference
-    is reduced already.  The failure's witness is witness, followed by the
-    text of word when one is given; that text is formatted only for a
-    failure."""
+    is reduced already.  witness() returns the failure's witness text; it
+    is called only for a failure."""
     if lhs != rhs:
-        if word is not None:
-            witness += word_text(word)
         residual = lhs - rhs
-        failures.append(Failure(witness, str(residual), residual))
+        failures.append(Failure(witness(), str(residual), residual))
 
 
 # most free-coproduct terms, the sum of 2^|w| over the normal words w, one
@@ -537,7 +534,7 @@ def _sweep(axiom: str, h: HopfSpec, p: Presentation, degree: int, modes: int, si
     memo = {}
     for w in words:
         for label, lhs, rhs in sides(w, _co_nf(w, h, p, memo), memo):
-            _record(failures, label, lhs, rhs, w)
+            _record(failures, lambda: label + word_text(w), lhs, rhs)
     return _report(axiom, degree, failures)
 
 
@@ -605,7 +602,7 @@ def check_respects_relations(h: HopfSpec, p: Presentation, modes: int = 2) -> Ax
     # the relations are words of two letters
     for label, L, R in relations(p, _covered_letters(h, p, modes, 2)):
         for name, reduced_map in maps:
-            _record(failures, f"{name} on {label}", reduced_map(L), reduced_map(R))
+            _record(failures, lambda: f"{name} on {label}", reduced_map(L), reduced_map(R))
     notes = []
     if any("I*I = I" in f.witness for f in failures):
         notes.append(
@@ -722,6 +719,6 @@ def check_multiplicativity(
             return e
 
         x, y = rand_expr(), rand_expr()
-        _record(failures, f"trial {trial}: x={x}; y={y}", co(x * y),
+        _record(failures, lambda: f"trial {trial}: x={x}; y={y}", co(x * y),
                 _reduced_product(co(x), co(y), p))
     return _report("multiplicativity", degree, failures)

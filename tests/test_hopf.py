@@ -228,6 +228,14 @@ def test_multiplicativity():
     assert check_multiplicativity(DF, P_COL, trials=10, seed=7).passed
 
 
+def test_passing_multiplicativity_formats_no_witness(monkeypatch):
+    # a trial's witness prints x and y; a passing trial throws it away
+    printed = []
+    monkeypatch.setattr(Expr, "__str__", lambda e: printed.append(e) or "")
+    assert check_multiplicativity(DF, P_DEF, trials=15, seed=6).passed
+    assert printed == []
+
+
 def test_antipode_coalgebra_compatibility():
     # eps(S(w)) = eps(w) and Delta(S(w)) = (S x S)(tau(Delta(w)))
     for w in sorted_basis_words(P_FREE, 3, [(0, 0), (3, 0), (3, 1), (4, 0), (4, 1)]):
@@ -841,14 +849,17 @@ def test_record_equal_sides_need_no_reduction(monkeypatch):
     def refuse(*_args):
         raise AssertionError("equal sides were reduced")
 
+    def no_witness():
+        raise AssertionError("equal sides formatted a witness")
+
     monkeypatch.setattr(hopf, "tensor_normal_form", refuse)
     monkeypatch.setattr(hopf, "normal_form", refuse)
     failures = []
     # the same value built twice, neither side in normal form
     e = pi(0) * phi(0) + 2 * phi(1)
-    _record(failures, "expr", e, pi(0) * phi(0) + 2 * phi(1))
-    _record(failures, "tensor", tensor_of(e, e), tensor_of(e, e))
-    _record(failures, "scalar", KAPPA + ONE, ONE + KAPPA)
+    _record(failures, no_witness, e, pi(0) * phi(0) + 2 * phi(1))
+    _record(failures, no_witness, tensor_of(e, e), tensor_of(e, e))
+    _record(failures, no_witness, KAPPA + ONE, ONE + KAPPA)
     assert failures == []
 
 
@@ -870,16 +881,16 @@ def test_every_check_hands_record_reduced_sides(h, variant, gram, idempotent, q,
     record = hopf._record
     witnesses = []
 
-    def record_reduced(failures, witness, lhs, rhs, word=None):
+    def record_reduced(failures, witness, lhs, rhs):
         for side in (lhs, rhs):
             if isinstance(side, TensorExpr):
-                assert side.terms == tensor_normal_form(side, p).terms, witness
+                assert side.terms == tensor_normal_form(side, p).terms, witness()
             elif isinstance(side, Expr):
-                assert side.terms == normal_form(side, p).terms, witness
+                assert side.terms == normal_form(side, p).terms, witness()
             else:
-                assert isinstance(side, Scalar), witness
+                assert isinstance(side, Scalar), witness()
         witnesses.append(witness)
-        record(failures, witness, lhs, rhs, word)
+        record(failures, witness, lhs, rhs)
 
     monkeypatch.setattr(hopf, "_record", record_reduced)
     sweeps = (check_coassociativity, check_counit, check_antipode, cocommutativity_probe)
@@ -896,16 +907,17 @@ def test_record_unequal_sides_record_the_reduced_difference():
     # the failure the earlier reduce(lhs - rhs) path recorded, text included
     lhs, rhs = pi(0) * phi(0) * pi(1), phi(0) * pi(0) * pi(1)
     failures = []
-    _record(failures, "expr", normal_form(lhs, P_DEF), normal_form(rhs, P_DEF))
+    _record(failures, lambda: "expr", normal_form(lhs, P_DEF), normal_form(rhs, P_DEF))
     want = normal_form(lhs - rhs, P_DEF)
     assert failures == [Failure("expr", str(want), want)]
     assert failures[0].residual == want == -IMAG * KAPPA * gen_I() * pi(1)
     t_l, t_r = tensor_of(lhs, phi(1)), tensor_of(rhs, phi(1))
-    _record(failures, "tensor", tensor_normal_form(t_l, P_DEF), tensor_normal_form(t_r, P_DEF))
+    _record(failures, lambda: "tensor", tensor_normal_form(t_l, P_DEF),
+            tensor_normal_form(t_r, P_DEF))
     want = tensor_normal_form(t_l - t_r, P_DEF)
     assert failures[1] == Failure("tensor", str(want), want)
     assert failures[1].residual == want
-    _record(failures, "scalar", KAPPA, ONE)
+    _record(failures, lambda: "scalar", KAPPA, ONE)
     assert failures[2] == Failure("scalar", str(KAPPA - ONE), KAPPA - ONE)
 
 
