@@ -154,8 +154,8 @@ def test_bochner_estimates():
 
 
 def _unchunked_bochner(model, v, samples, seed):
-    # the estimate as it was before the draws were chunked: every draw held
-    # at once, and the phases taken through the complex exponential
+    # the oracle: every draw held at once, and the phases taken through the
+    # complex exponential
     phases = np.exp(1j * (model.sample(samples, np.random.default_rng(seed)) @ v))
     var = phases.real.var(ddof=1) + phases.imag.var(ddof=1)
     return complex(phases.mean()), float(math.sqrt(var / samples))
@@ -196,7 +196,7 @@ def test_bochner_million_draws_match_and_stay_small():
     finally:
         tracemalloc.stop()
     # 16 MB of phases, 8 MB for the variance and one block of draws; all
-    # 10^6 x 3 draws held at once peaked at 56.8 MB
+    # 10^6 x 3 draws held at once peaked at 56 MB
     assert peak < 32e6
     assert (est.estimate, est.stderr) == _unchunked_bochner(model, v, 10 ** 6, 5)
 
