@@ -75,6 +75,17 @@ done <<'ROWS'
 # numeric q and c on the collapsed sweep: binary-fraction residual
 # coefficients, reduced through the Gaussian-rational gcd, and 54 witnesses
 1  60 hopf-check --checks antipode,coassociativity,counit --flavor deformed --variant deformed-collapsed --q 1.5 --c 0.8 --degree 2
+# numeric q and c outside hopf-check and coproduct: normal forms, a
+# commutator, a basis change and both antipodes; the typed kappa stays a
+# free symbol next to the numeric one
+0  60 normalize "pi(0)^3*phi(0)^3" --variant deformed --q 1.5 --c 0.8
+0  60 normalize "pi(0)*phi(0) - phi(0)*pi(0) + i*kappa*I" --variant deformed --q 1.5 --c 0.8
+0  60 normalize "K*pi(0)^2*phi(1)*Kinv*phi(0)" --variant deformed-collapsed --q 1.3 --c 0.7 --gram tests/golden/gram2.json
+0  60 normalize "am(0)^3*ap(0)^3" --basis ladder --variant deformed-strict --q 1.5 --c 0.8
+0  60 commutator "pi(0)^2" "phi(0)^2" --variant deformed-collapsed --q 1.5 --c 0.8
+0  60 convert "pi(0)^2*phi(0)^2" --to ladder --variant deformed-strict --q 1.3 --c 0.7
+0  60 antipode "phi(0)^2*pi(0)*K" --flavor deformed --variant deformed-strict --q 1.5 --c 0.8
+0  60 antipode "phi(0)*pi(0)^2*I" --variant deformed-collapsed --q 1.3 --c 0.7
 # letters of the other basis and collapsed K letters fold piece by piece
 0  60 convert "(2/3+kappa*(1+s)^-1)*am(0)^6*ap(0)^6" --to phi-pi --variant deformed-strict
 0  60 normalize "(5/7*(1+s)^-1)*I*K*pi(2)*pi(2)*Kinv*phi(1)*K + s*Kinv*pi(0)*K*phi(0)" --variant deformed-collapsed
