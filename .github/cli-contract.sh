@@ -8,7 +8,8 @@
 # stdout, so no report may depend on dict or set hashing.  A row that
 # exits 2 (bad input, or a budget refusing the work) must also print
 # nothing on stdout and exactly one `ccr-hopf: ...` line on stderr.
-# Exit 1 means a check failed, which some rows expect by design.
+# Exit 1 means a check failed, which some rows expect by design.  A row
+# that exits 0 or 1 must print strict JSON (RFC 8259): no NaN or Infinity.
 #
 # Run from anywhere with `ccr-hopf` on PATH: bash .github/cli-contract.sh
 # Every failing row is named; the script exits 1 if any row failed.
@@ -16,6 +17,11 @@ set -u
 cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+
+# reads one JSON document on stdin; exits 1 on NaN, Infinity or bad JSON
+strict_json='import json, sys
+def refuse(name): raise ValueError(name)
+json.load(sys.stdin, parse_constant=refuse)'
 
 rows=0 failed=0
 while read -r want limit args; do
@@ -32,6 +38,8 @@ while read -r want limit args; do
     elif [ "$want" -eq 2 ] && { [ -s "$tmp/out$h" ] || [ "$(wc -l < "$tmp/err$h")" -ne 1 ] ||
                                 ! grep -q '^ccr-hopf: ' "$tmp/err$h"; }; then
       why="exit 2 without exactly one 'ccr-hopf:' stderr line and empty stdout"
+    elif [ "$want" -ne 2 ] && ! python3 -c "$strict_json" < "$tmp/out$h" 2> /dev/null; then
+      why="stdout is not strict JSON under PYTHONHASHSEED=$h"
     fi
     [ -n "$why" ] && break
   done
@@ -101,6 +109,12 @@ done <<'ROWS'
 # coassociativity, the antipode and cocommutativity, and every check hands
 # over reduced sides, so each residual is one subtraction
 1  60 hopf-check --flavor deformed --variant deformed-collapsed --modes 2 --degree 5
+# a cutoff that admits no quantum, and vectors whose products overflow a
+# float, are bad input: they would print inf, NaN or Infinity as a failure
+2  20 fock trend --nmax 0
+2  20 measure bochner --v 1e308,1e308
+2  20 measure eta --v 1e308,1e308 --u 1,1
+2  20 fock transfer --v 1e308,1e308
 # numeric commands load fock and measure on first use; the squeezed number
 # operator takes the real symmetric eigen-solver; expr_matrix caches word
 # products and restricted_norm reads the safe columns in CSC order

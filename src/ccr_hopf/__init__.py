@@ -21,9 +21,9 @@ _EXPORTS = {
     ),
     "exprparse": ("ParseError", "expr_to_text", "parse_expr", "scalar_text"),
     "fock": (
-        "BogoliubovSpec", "FockError", "ModeSpace", "SpectrumReport", "TransferRep",
-        "TrendReport", "boundedness_trend", "expr_matrix", "ladder_of", "number_operator",
-        "transfer_rep", "vacuum_generating_function",
+        "BogoliubovSpec", "FockError", "ModeSpace", "TransferRep", "TrendReport",
+        "boundedness_trend", "expr_matrix", "ladder_of", "number_operator", "transfer_rep",
+        "vacuum_generating_function",
     ),
     "hopf": (
         "AxiomReport", "Failure", "HopfError", "HopfSpec", "TensorExpr", "antipode",

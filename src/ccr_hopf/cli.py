@@ -290,17 +290,18 @@ def _cmd_fock_matrices(args):
 
 
 def _cmd_fock_spectrum(args):
-    from .fock import invariant_blocks, number_operator, smallest_eigenvalues, vacuum_occupancy
+    from .fock import NONNEGATIVE_TOLERANCE, invariant_blocks, number_operator
+    from .fock import smallest_eigenvalues, vacuum_occupancy
 
     m = _mode_space(args)
     spec = _bogoliubov(args)
     n = number_operator(m, spec)
     eigs = smallest_eigenvalues(n, args.k)
     sizes = invariant_blocks(n)[1]
-    passed = not eigs or eigs[0] > -1e-8
+    passed = not eigs or eigs[0] > -NONNEGATIVE_TOLERANCE
     results = {
         "eigenvalues": list(eigs),
-        "nonnegative_tolerance": 1e-8,
+        "nonnegative_tolerance": NONNEGATIVE_TOLERANCE,
         "rs": list(spec.rs),
         "solver": {
             "blocks": len(sizes),
@@ -418,8 +419,7 @@ def _cmd_fock_trend(args):
     except ValueError:
         raise CliError(f"cannot read --dvalues {args.dvalues!r}; use comma-separated integers")
     trend = boundedness_trend(d_values=d_values, nmax=args.nmax)
-    results = {"converged": trend.converged, "slope_ratio_floor": SLOPE_RATIO_FLOOR,
-               "trend": trend}
+    results = {"slope_ratio_floor": SLOPE_RATIO_FLOOR, "trend": trend}
     return results, trend.passed, f"fock trend slope_ratio={trend.slope_ratio:.2f}"
 
 
@@ -483,11 +483,11 @@ def _cmd_measure_weyl(args):
 
 
 def _cmd_measure_pd(args):
-    from .measure import pd_sweep
+    from .measure import PD_EIGENVALUE_FLOOR, pd_sweep
 
     min_eig = pd_sweep(_model(args), random.Random(f"{args.seed}:pd-cli"), args.count)
-    results = {"min_eigenvalue": min_eig, "tolerance": -1e-10, "vectors": args.count}
-    return results, min_eig >= -1e-10, f"measure pd-check min eigenvalue={min_eig:.3e}"
+    results = {"min_eigenvalue": min_eig, "tolerance": PD_EIGENVALUE_FLOOR, "vectors": args.count}
+    return results, min_eig >= PD_EIGENVALUE_FLOOR, f"measure pd-check min eigenvalue={min_eig:.3e}"
 
 
 # ---------------------------------------------------------------------------

@@ -204,9 +204,16 @@ def eta(model: GaussianModel, v, u) -> float:
 
 
 def eta_error(model: GaussianModel, v, u) -> tuple:
-    """(error, estimate, exact) of eta against its limit -<Cv,u>/2."""
-    exact = -0.5 * float((model.C @ v) @ u)
-    estimate = eta(model, v, u)
+    """(error, estimate, exact) of eta against its limit -<Cv,u>/2; an
+    error that overflows a float raises MeasureError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        exact = -0.5 * float((model.C @ v) @ u)
+        try:
+            estimate = eta(model, v, u)
+        except OverflowError:  # math.exp of a cocycle past the float range
+            estimate = math.nan
+    if not math.isfinite(abs(estimate - exact)):
+        raise MeasureError("eta at (v, u) is not finite; |v| or |u| is too large")
     return abs(estimate - exact), estimate, exact
 
 
@@ -265,10 +272,14 @@ BOCHNER_SIGMAS = 3  # bochner_mc passes within this many standard errors of Z(v)
 
 def bochner_check(model: GaussianModel, v, samples: int, seed: int) -> tuple:
     """(report fields, passed) of bochner_mc at v against the exact Z(v),
-    judged within BOCHNER_SIGMAS standard errors."""
-    est = bochner_mc(model, v, samples=samples, seed=seed)
-    exact = model.Z(v)
+    judged within BOCHNER_SIGMAS standard errors; a gap or standard error
+    that overflows a float raises MeasureError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = bochner_mc(model, v, samples=samples, seed=seed)
+        exact = model.Z(v)
     gap = abs(est.estimate - exact)
+    if not (math.isfinite(gap) and math.isfinite(est.stderr)):
+        raise MeasureError("the Monte-Carlo estimate at v is not finite; |v| is too large")
     fields = {
         "estimate_im": est.estimate.imag,
         "estimate_re": est.estimate.real,
@@ -297,6 +308,9 @@ def positive_definiteness_check(Z, vectors, coefficients=None):
             raise MeasureError("one coefficient per vector")
         return float((np.conj(c) @ mat @ c).real)
     return float(np.min(np.linalg.eigvalsh(mat)))
+
+
+PD_EIGENVALUE_FLOOR = -1e-10  # the least eigenvalue of the matrix Z(v_i - v_j) that passes
 
 
 def pd_sweep(model: GaussianModel, rng, count: int) -> float:

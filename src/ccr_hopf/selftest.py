@@ -376,10 +376,9 @@ def criterion_11(seed: int) -> dict:
     The truncated operator keeps the squeezed vacuum inside the cutoff,
     so its smallest eigenvalue is numerically zero for both families;
     the quantity that separates them is the vacuum occupancy, which the
-    trend report carries per d."""
+    trend report's uniform and summable tuples carry, one cost per d."""
     trend = boundedness_trend(d_values=(1, 2, 3), nmax=30)
-    uniform = [r.vacuum_occupancy for r in trend.uniform]
-    summable = [r.vacuum_occupancy for r in trend.summable]
+    uniform, summable = trend.uniform, trend.summable
     rel_errors = [abs(occ - (d / 8.0)) / (d / 8.0) for d, occ in zip((1, 2, 3), uniform)]
     increments = [b - a for a, b in zip(summable, summable[1:])]
     plateau = increments[1] < 0.5 * increments[0]

@@ -78,7 +78,7 @@ CASES = [
         ["fock", "trend", "--nmax", "12", "--dvalues", "1,2"], None, 1,
         {"dvalues": "1,2", "fock-command": "trend", "format": "json", "nmax": 12, "output": None,
          "seed": 42},
-        ["converged", "slope_ratio_floor", "trend"],
+        ["slope_ratio_floor", "trend"],
     ),
     (
         ["measure", "cocycle", "--samples", "10"], None, 0,

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
+import warnings
 from math import comb
 
 import numpy as np
@@ -473,6 +474,17 @@ def test_transfer_commutator_and_identity_points():
         assert abs(rep.phi(v) - plain[0]).max() == 0.0
 
 
+def test_transfer_residual_refuses_an_overflowing_vector():
+    m = ModeSpace(2, 6)
+    rep = transfer_rep(m, 1.5, 0.8)
+    big, unit = np.array([1e308, 1e308]), np.array([1.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before numpy warns on stderr
+        for v, w in ((big, unit), (unit, big)):
+            with pytest.raises(FockError, match="not finite"):
+                transfer_residual(m, rep, v, w)
+
+
 def test_transfer_residual_stays_sparse():
     # one dense dim x dim complex matrix at dim 2556 takes 105 MB
     m = ModeSpace(2, 70)
@@ -705,17 +717,45 @@ def test_restricted_norm_matches_scipy_column_slice():
     assert restricted_norm(m, identity(66, format="csr"), 10) == 1.0
 
 
+def test_boundedness_trend_builds_one_space_per_mode_count(monkeypatch):
+    calls = {"spaces": 0, "operators": 0}
+
+    def counted(key, build):
+        def wrapper(*args, **kw):
+            calls[key] += 1
+            return build(*args, **kw)
+        return wrapper
+
+    monkeypatch.setattr(fock, "ModeSpace", counted("spaces", fock.ModeSpace))
+    monkeypatch.setattr(fock, "number_operator", counted("operators", fock.number_operator))
+    rep = boundedness_trend((1, 2, 3), 30)
+    assert calls == {"spaces": 3, "operators": 6}
+    monkeypatch.undo()
+    # each cost is the one a space of its own gives, and every cutoff that
+    # admits one quantum gives the same floats
+    r = 0.5 * math.log(2.0)
+    for family, costs in ((BogoliubovSpec.uniform, rep.uniform),
+                          (BogoliubovSpec.summable, rep.summable)):
+        for d, cost in zip((1, 2, 3), costs):
+            m = ModeSpace(d, 30)
+            assert cost == fock.vacuum_occupancy(m, number_operator(m, family(d, r)))
+    for nmax in (1, 2, 3):
+        low = boundedness_trend((1, 2, 3), nmax)
+        assert (low.uniform, low.summable) == (rep.uniform, rep.summable)
+        assert low.passed == rep.passed
+    assert (rep.d_values, rep.nmax) == ((1, 2, 3), 30)
+
+
 def test_boundedness_trend():
     rep = boundedness_trend()
-    occs = [r.vacuum_occupancy for r in rep.uniform]
-    assert np.allclose(occs, [0.125, 0.25, 0.375], atol=1e-10)
+    assert np.allclose(rep.uniform, [0.125, 0.25, 0.375], atol=1e-10)
     want = [
         sum(math.sinh(0.5 * math.log(2.0) * 2.0 ** (-j)) ** 2 for j in range(d))
         for d in (1, 2, 3)
     ]
-    got = [r.vacuum_occupancy for r in rep.summable]
-    assert np.allclose(got, want, atol=1e-10)
-    assert all(r.converged for r in rep.uniform + rep.summable)
+    assert np.allclose(rep.summable, want, atol=1e-10)
+    with pytest.raises(FockError, match="nmax=0"):
+        boundedness_trend(nmax=0)
     assert abs(rep.uniform_slope - 0.125) < 1e-10
     assert rep.slope_ratio >= 5.0
     # all-zero squeezing keeps the cost and the spectrum floor at zero

@@ -357,6 +357,23 @@ def test_density_normalisation_and_singular_covariance():
             model.density(np.zeros(2))
 
 
+def test_checks_refuse_values_that_overflow_a_float():
+    model = GaussianModel.fock(2)
+    big = np.array([1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before numpy warns on stderr
+        with pytest.raises(MeasureError, match="not finite"):
+            measure.bochner_check(model, big, 2000, 42)
+        with pytest.raises(MeasureError, match="not finite"):
+            eta_error(model, big, np.ones(2))
+        # math.exp of the cocycle overflows, which raised OverflowError
+        with pytest.raises(MeasureError, match="not finite"):
+            eta_error(model, np.ones(2), np.array([-1e300, -1e300]))
+        # large but finite phases u.v keep a finite estimate
+        fields, _ = measure.bochner_check(model, np.array([1e200, 1e200]), 2000, 42)
+    assert all(math.isfinite(fields[k]) for k in ("estimate_re", "estimate_im", "gap", "stderr"))
+
+
 def test_bochner_budget():
     # the selftest and the benchmark draw at most 1e6 x 3
     assert 10 ** 6 * 3 <= MAX_MC_DRAWS

@@ -428,6 +428,28 @@ def test_cli_trend_needs_two_mode_counts(capsys):
     assert code == 2 and "--dvalues" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["fock", "trend", "--nmax", "0"],
+    ["measure", "bochner", "--v", "1e308,1e308"],
+    ["measure", "eta", "--v", "1e308,1e308", "--u", "1,1"],
+    ["fock", "transfer", "--v", "1e308,1e308"],
+], ids=["trend-nmax-0", "bochner-overflow", "eta-overflow", "transfer-overflow"])
+def test_cli_refuses_input_without_a_finite_report(capsys, argv):
+    # a cutoff that admits no quantum, and vectors whose products overflow a
+    # float, would print slope_ratio=inf, NaN or Infinity as a failed check
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("ccr-hopf: ")
+
+
+def test_cli_bochner_keeps_large_finite_phases(capsys):
+    code, doc, _ = run_cli(capsys, ["measure", "bochner", "--v", "1e200,1e200"])
+    assert code == 0
+    res = doc["results"]
+    assert all(math.isfinite(res[k]) for k in ("estimate_re", "estimate_im", "gap", "stderr"))
+
+
 def test_cli_normalize_long_word(capsys):
     code, doc, _ = run_cli(capsys, ["normalize", "pi(0)*phi(0)^600"])
     assert code == 0

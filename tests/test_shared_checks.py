@@ -60,6 +60,28 @@ def test_command_and_criterion_read_one_tolerance(capsys, argv, field, criterion
         assert value == want
 
 
+# tolerances only a command judges: (argv, report field, module, constant,
+# its value, a value that fails the same run)
+CLI_ONLY = [
+    (["fock", "spectrum", "--nmax", "6"], "nonnegative_tolerance", fock,
+     "NONNEGATIVE_TOLERANCE", 1e-8, -1.0),
+    (["measure", "pd-check"], "tolerance", measure, "PD_EIGENVALUE_FLOOR", -1e-10, 1.0),
+]
+
+
+@pytest.mark.parametrize("argv, field, module, name, value, failing", CLI_ONLY,
+                         ids=[" ".join(c[0][:2]) for c in CLI_ONLY])
+def test_report_tolerance_is_the_constant_its_verdict_reads(capsys, monkeypatch, argv, field,
+                                                            module, name, value, failing):
+    assert getattr(module, name) == value
+    assert _cli(capsys, argv)[field] == value
+    # moving the one constant moves the report and the verdict together
+    monkeypatch.setattr(module, name, failing)
+    assert main(argv) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is False and doc["results"][field] == failing
+
+
 def _eta_loop(model, rng, count):
     # the loop eta_sweep replaced: v, then u, for each point
     points = []
@@ -108,12 +130,12 @@ def test_bochner_check_fields_and_verdict():
 
 def test_trend_verdict():
     trend = fock.boundedness_trend(d_values=(1, 2), nmax=12)
-    assert trend.converged is all(r.converged for r in trend.uniform + trend.summable)
-    assert trend.passed is (trend.slope_ratio >= fock.SLOPE_RATIO_FLOOR and trend.converged)
+    assert trend.passed is (trend.slope_ratio >= fock.SLOPE_RATIO_FLOOR)
     assert not trend.passed  # two mode counts at nmax 12 stay under the floor
-    # the verdicts are properties, so the serialized report keeps its fields
+    # the verdict is a property, so the serialized report keeps its fields
     assert sorted(json.loads(dump_json(trend))) == [
-        "slope_ratio", "summable", "summable_slope", "uniform", "uniform_slope"]
+        "d_values", "nmax", "slope_ratio", "summable", "summable_slope", "uniform",
+        "uniform_slope"]
 
 
 def test_vacuum_occupancy_of_the_built_operator():
@@ -122,4 +144,3 @@ def test_vacuum_occupancy_of_the_built_operator():
     n = fock.number_operator(m, spec)
     vac = m.vacuum()
     assert fock.vacuum_occupancy(m, n) == float(np.real(np.vdot(vac, n @ vac)))
-    assert fock._vacuum_cost(2, 8, spec) == fock.vacuum_occupancy(m, n)
