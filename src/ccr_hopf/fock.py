@@ -495,7 +495,7 @@ def transfer_residual(m: ModeSpace, rep: TransferRep, v, w) -> float:
         target = -1j * rep.constant * inner * sparse_identity(m.dim, dtype=complex, format="csr")
         residual = restricted_norm(m, comm - target, 2)
     if not math.isfinite(residual):
-        raise FockError("the transfer residual at (v, w) is not finite; |v| or |w| is too large")
+        raise FockError("the transfer residual at (v, w) is not finite; lower |v| or |w|")
     return residual
 
 

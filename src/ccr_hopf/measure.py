@@ -213,7 +213,7 @@ def eta_error(model: GaussianModel, v, u) -> tuple:
         except OverflowError:  # math.exp of a cocycle past the float range
             estimate = math.nan
     if not math.isfinite(abs(estimate - exact)):
-        raise MeasureError("eta at (v, u) is not finite; |v| or |u| is too large")
+        raise MeasureError("eta at (v, u) is not finite: the cocycle overflows a float")
     return abs(estimate - exact), estimate, exact
 
 
@@ -279,7 +279,7 @@ def bochner_check(model: GaussianModel, v, samples: int, seed: int) -> tuple:
         exact = model.Z(v)
     gap = abs(est.estimate - exact)
     if not (math.isfinite(gap) and math.isfinite(est.stderr)):
-        raise MeasureError("the Monte-Carlo estimate at v is not finite; |v| is too large")
+        raise MeasureError("the Monte-Carlo estimate at v is not finite: u.v overflows a float")
     fields = {
         "estimate_im": est.estimate.imag,
         "estimate_re": est.estimate.real,

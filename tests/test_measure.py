@@ -366,7 +366,7 @@ def test_checks_refuse_values_that_overflow_a_float():
             measure.bochner_check(model, big, 2000, 42)
         with pytest.raises(MeasureError, match="not finite"):
             eta_error(model, big, np.ones(2))
-        # math.exp of the cocycle overflows, which raised OverflowError
+        # math.exp of the cocycle overflows a float here
         with pytest.raises(MeasureError, match="not finite"):
             eta_error(model, np.ones(2), np.array([-1e300, -1e300]))
         # large but finite phases u.v keep a finite estimate
