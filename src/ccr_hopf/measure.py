@@ -33,9 +33,10 @@ MAX_TRANSLATE_MONOMIALS = 20_000
 
 # most standard normal draws, samples * d, bochner_mc may make in one run;
 # the selftest draws 100000 x 2.  The draws are taken MC_CHUNK_ROWS rows at
-# a time, so a run peaks near 24 bytes per sample (the complex phases and
-# one real temporary of the variance) plus one block (tracemalloc): about
-# 96 MB at the budget with d = 1
+# a time and reduced block by block, so a run holds one block whatever the
+# sample count (under 5 MB, tracemalloc) and the budget bounds only the run
+# time: 0.20-0.26 s at d = 1 and 0.11-0.12 s at d = 4 (one BLAS thread,
+# 2-vCPU VM), where cos and sin of each sample dominate
 MAX_MC_DRAWS = 4_000_000
 
 # rows of draws bochner_mc holds at once
@@ -243,12 +244,14 @@ def bochner_mc(model: GaussianModel, v, samples: int = 100000, seed: int = 42) -
     deterministic for a fixed seed.
 
     The draws go through model.sample MC_CHUNK_ROWS rows at a time, and
-    only their phases exp(i u.v) are kept.  The chunking does not change
-    the result: the generator fills rows in order, so the blocks are the
-    same stream of draws; each u.v is the same length-d dot product; cos
-    and sin give the parts of exp(i u.v) bit for bit; and the mean and
-    the variances reduce the same full array of phases.  The tests hold
-    the unchunked estimate as the oracle."""
+    the estimate is taken in one pass over the blocks: each block's
+    cos(u.v) and sin(u.v) give its means and sums of squared deviations,
+    which the pairwise update of Chan, Golub & LeVeque ("Algorithms for
+    computing the sample variance", Amer. Statist. 37, 1983) folds into a
+    running (count, mean, M2) for each part, so nothing of length samples
+    is held.  The blocks are the same stream of draws as one
+    model.sample(samples, rng).  The tests hold a correctly rounded sum
+    over every draw as the oracle."""
     if samples < 2:
         raise MeasureError("need at least two samples")
     if samples * model.d > MAX_MC_DRAWS:
@@ -256,15 +259,19 @@ def bochner_mc(model: GaussianModel, v, samples: int = 100000, seed: int = 42) -
                            f"draws, over the budget of {MAX_MC_DRAWS}; lower the samples")
     rng = np.random.default_rng(seed)
     v = np.asarray(v, dtype=float)
-    phases = np.empty(samples, dtype=complex)
+    count, mean, m2 = 0, np.zeros(2), np.zeros(2)  # of (cos, sin)
     for lo in range(0, samples, MC_CHUNK_ROWS):
-        hi = min(lo + MC_CHUNK_ROWS, samples)
-        x = model.sample(hi - lo, rng) @ v
-        phases.real[lo:hi] = np.cos(x)
-        phases.imag[lo:hi] = np.sin(x)
-    est = complex(phases.mean())
-    var = phases.real.var(ddof=1) + phases.imag.var(ddof=1)
-    return MCEstimate(est, float(math.sqrt(var / samples)), samples, seed)
+        rows = min(MC_CHUNK_ROWS, samples - lo)
+        x = model.sample(rows, rng) @ v
+        parts = np.stack((np.cos(x), np.sin(x)))
+        block_mean = parts.mean(axis=1)
+        block_m2 = np.square(parts - block_mean[:, None]).sum(axis=1)
+        delta = block_mean - mean
+        count += rows
+        mean += delta * (rows / count)
+        m2 += block_m2 + np.square(delta) * ((count - rows) * rows / count)
+    stderr = math.sqrt(float(m2.sum()) / (samples - 1) / samples)
+    return MCEstimate(complex(mean[0], mean[1]), stderr, samples, seed)
 
 
 BOCHNER_SIGMAS = 3  # bochner_mc passes within this many standard errors of Z(v)

@@ -10,7 +10,8 @@ of every subcommand and command group.  Runs of the commands whose floats
 depend on the BLAS build (``fock``, ``measure``) are not in the corpus;
 ``tests/test_cli_reports.py`` pins their report shape instead.  The
 exceptions are three ``measure bochner`` runs, which pin the bytes of the
-Monte-Carlo estimate across its draw blocks on the recording build.
+Monte-Carlo estimate, merged block by block in a fixed order, on the
+recording build.
 """
 
 from __future__ import annotations

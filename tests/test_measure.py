@@ -154,11 +154,40 @@ def test_bochner_estimates():
 
 
 def _unchunked_bochner(model, v, samples, seed):
-    # the oracle: every draw held at once, and the phases taken through the
-    # complex exponential
+    # a second oracle: every draw held at once, the phases taken through
+    # the complex exponential, and numpy's mean and variance
     phases = np.exp(1j * (model.sample(samples, np.random.default_rng(seed)) @ v))
     var = phases.real.var(ddof=1) + phases.imag.var(ddof=1)
     return complex(phases.mean()), float(math.sqrt(var / samples))
+
+
+def _fsum_bochner(model, v, samples, seed):
+    # the oracle: every cos and sin held at once and summed correctly
+    # rounded, the squared deviations taken about the rounded means
+    x = model.sample(samples, np.random.default_rng(seed)) @ v
+    parts = (np.cos(x), np.sin(x))
+    means = [math.fsum(p) / samples for p in parts]
+    m2 = sum(math.fsum(np.square(p - m)) for p, m in zip(parts, means))
+    return complex(*means), math.sqrt(m2 / (samples - 1) / samples)
+
+
+# bochner_mc sums each block pairwise, at most log2(65536) = 16 levels of
+# one rounding each, and folds in at most 16 blocks (10^6 rows), each fold
+# a few roundings; so with |cos|, |sin| <= 1 the estimate lies within about
+# (16 + 3 * 16) * 2^-53 = 7e-15 of the correctly rounded mean, and the sum
+# of squared deviations, a sum of terms >= 0 whose block means enter only
+# to second order, within about that many ulps of its own size, halved by
+# the square root.  numpy's mean and var of the second oracle round
+# alike.  The bounds leave a margin of over ten on both.
+ESTIMATE_BOUND = 1e-13
+STDERR_RTOL = 1e-12
+
+
+def _assert_matches_oracles(est, model, v, samples, seed):
+    for estimate, stderr in (_fsum_bochner(model, v, samples, seed),
+                             _unchunked_bochner(model, v, samples, seed)):
+        assert abs(est.estimate - estimate) <= ESTIMATE_BOUND
+        assert abs(est.stderr - stderr) <= STDERR_RTOL * stderr
 
 
 def _bochner_model(d):
@@ -173,7 +202,7 @@ def test_bochner_chunks_match_the_unchunked_estimate(d, chunk, monkeypatch):
     model, v = _bochner_model(d)
     for samples in (2, 3, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
         est = bochner_mc(model, v, samples=samples, seed=samples)
-        assert (est.estimate, est.stderr) == _unchunked_bochner(model, v, samples, samples)
+        _assert_matches_oracles(est, model, v, samples, samples)
 
 
 def test_bochner_draws_blocks_through_the_sampler(monkeypatch):
@@ -186,19 +215,29 @@ def test_bochner_draws_blocks_through_the_sampler(monkeypatch):
     assert rows == [MC_CHUNK_ROWS, MC_CHUNK_ROWS, 3]
 
 
-def test_bochner_million_draws_match_and_stay_small():
-    model, v = _bochner_model(3)
+def _traced_bochner(model, v, samples):
     bochner_mc(model, v, samples=2, seed=5)  # first-use allocations stay out of the peak
     tracemalloc.start()
     try:
-        est = bochner_mc(model, v, samples=10 ** 6, seed=5)
-        peak = tracemalloc.get_traced_memory()[1]
+        est = bochner_mc(model, v, samples=samples, seed=5)
+        return est, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 16 MB of phases, 8 MB for the variance and one block of draws; all
-    # 10^6 x 3 draws held at once peaked at 56 MB
-    assert peak < 32e6
-    assert (est.estimate, est.stderr) == _unchunked_bochner(model, v, 10 ** 6, 5)
+
+
+def test_bochner_million_draws_match_and_stay_small():
+    model, v = _bochner_model(3)
+    est, peak = _traced_bochner(model, v, 10 ** 6)
+    # one block of draws and its few block-sized temporaries, about 5 MB;
+    # holding the phases peaked at 24 MB, and all 10^6 x 3 draws at 56 MB
+    assert peak < 8e6
+    _assert_matches_oracles(est, model, v, 10 ** 6, 5)
+    # the peak does not grow with the sample count: the whole budget at
+    # d = 1 peaked at 96 MB with the phases held
+    model, v = _bochner_model(1)
+    est, peak = _traced_bochner(model, v, MAX_MC_DRAWS)
+    assert peak < 8e6
+    assert est.samples == MAX_MC_DRAWS
 
 
 def test_positive_definiteness():
