@@ -115,6 +115,11 @@ done <<'ROWS'
 2  20 measure bochner --v 1e308,1e308
 2  20 measure eta --v 1e308,1e308 --u 1,1
 2  20 fock transfer --v 1e308,1e308
+# a tiny scale makes K = 1e150 I: the cocycle, a translated test function
+# and det(C) overflow a float, which ended in tracebacks or numpy warnings
+2  20 measure cocycle --scale 1e-150
+2  20 measure weyl --scale 1e-150 --count 5
+2  20 measure eta --scale 1e-150
 # numeric commands load fock and measure on first use; the squeezed number
 # operator takes the real symmetric eigen-solver; expr_matrix caches word
 # products and restricted_norm reads the safe columns in CSC order

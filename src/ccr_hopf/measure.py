@@ -88,7 +88,8 @@ class GaussianModel:
         self.K, self.Kinv, self.C = K, Kinv, C
         # the density's normalisation; a nearly singular K can leave det(C)
         # rounded to zero or below, and then the density is undefined
-        det_c = float(np.linalg.det(C))
+        with np.errstate(over="ignore"):
+            det_c = float(np.linalg.det(C))
         self._density_norm = (
             (2.0 * math.pi) ** (-0.5 * self.d) * math.sqrt(det_c) if det_c > 0 else None
         )
@@ -174,17 +175,26 @@ COCYCLE_TOLERANCE = 1e-10  # the cocycle and density-ratio residuals pass below 
 
 def cocycle_sweep(model: GaussianModel, rng, count: int) -> tuple:
     """Worst cocycle and density-ratio residuals over count random
-    (v, v', u) triples drawn from rng."""
+    (v, v', u) triples drawn from rng; a residual that leaves the float
+    range raises MeasureError."""
     if count < 1:
         raise MeasureError(f"need at least one sample point, got {count}")
     if count > MAX_COCYCLE_SAMPLES:
         raise MeasureError(f"{count} cocycle samples are over the budget of "
                            f"{MAX_COCYCLE_SAMPLES}; lower the samples")
     worst_c = worst_r = 0.0
-    for _ in range(count):
-        v, vp, u = (gauss_vector(rng, model.d) for _ in range(3))
-        worst_c = max(worst_c, cocycle_check(model, v, vp, u))
-        worst_r = max(worst_r, density_ratio_check(model, v, u))
+    try:
+        for _ in range(count):
+            v, vp, u = (gauss_vector(rng, model.d) for _ in range(3))
+            res_c, res_r = cocycle_check(model, v, vp, u), density_ratio_check(model, v, u)
+            # max() would drop a NaN, which an infinite density leaves
+            if not (math.isfinite(res_c) and math.isfinite(res_r)):
+                raise OverflowError
+            worst_c, worst_r = max(worst_c, res_c), max(worst_r, res_r)
+    # math.exp of a cocycle past the float range, or a density that rounds to 0
+    except (OverflowError, ZeroDivisionError):
+        raise MeasureError("a cocycle or density ratio at a sample point is not finite: "
+                           "it leaves the float range") from None
     return worst_c, worst_r
 
 
@@ -522,7 +532,8 @@ def weyl_sweep(model: GaussianModel, rng, count: int) -> float:
     """Worst Weyl-relation residual over count random (v, v', u) triples
     and test functions drawn from rng.  Both budgets are checked against
     the worst-case test function before the first draw, so whether a sweep
-    is refused never depends on the draws."""
+    is refused never depends on the draws.  A residual that overflows a
+    float raises MeasureError."""
     if count < 1:
         raise MeasureError(f"need at least one sample point, got {count}")
     # a random_test_function has at most two distinct exponent vectors in
@@ -536,10 +547,13 @@ def weyl_sweep(model: GaussianModel, rng, count: int) -> float:
         raise MeasureError(f"{count} Weyl samples of up to {per} monomials each are over the "
                            f"budget of {MAX_WEYL_MONOMIALS} monomials; lower the count or d")
     worst = 0.0
-    for _ in range(count):
-        v, vp, u = (gauss_vector(rng, model.d) for _ in range(3))
-        f = random_test_function(rng, model.d)
-        worst = max(worst, abs(weyl_relation_check(model, v, vp, f, u)))
+    try:
+        for _ in range(count):
+            v, vp, u = (gauss_vector(rng, model.d) for _ in range(3))
+            f = random_test_function(rng, model.d)
+            worst = max(worst, abs(weyl_relation_check(model, v, vp, f, u)))
+    except OverflowError:  # cmath.exp of a translated test function past the float range
+        raise MeasureError("a Weyl residual at a sample point overflows a float") from None
     return worst
 
 

@@ -164,6 +164,9 @@ def criterion_03(seed: int) -> dict:
     }
 
 
+Q_NEAR_1_TOLERANCE = 1e-8  # the deformation constant at q = 1 +- 1e-5 passes within this of 1
+
+
 def criterion_04(seed: int) -> dict:
     """Special values of the deformation constant."""
     rng = _rng(seed, "special")
@@ -175,7 +178,7 @@ def criterion_04(seed: int) -> dict:
         c = rng.uniform(0.2, 4.0)
         for q in (1.0 + 1e-5, 1.0 - 1e-5):
             worst_limit = max(worst_limit, abs(deformation_constant(q, c) - 1.0))
-    ok = worst_c1 <= 1e-12 and worst_limit < 1e-8
+    ok = worst_c1 <= 1e-12 and worst_limit < Q_NEAR_1_TOLERANCE
     return {
         "criterion": 4,
         "name": "deformation-constant-special-cases",
@@ -184,7 +187,7 @@ def criterion_04(seed: int) -> dict:
             "c_equals_1_max_error": worst_c1,
             "c_equals_1_tolerance": 1e-12,
             "q_near_1_max_error": worst_limit,
-            "q_near_1_tolerance": 1e-8,
+            "q_near_1_tolerance": Q_NEAR_1_TOLERANCE,
         },
     }
 
@@ -320,6 +323,10 @@ def criterion_08(seed: int) -> dict:
     }
 
 
+# the restricted norm of expr_matrix(e) - expr_matrix(normal_form(e)) passes below this
+FUNCTOR_TOLERANCE = 1e-10
+
+
 def criterion_09(seed: int) -> dict:
     """Matrices do not see the difference between an expression and its
     normal form: 200 random elements, four presentations."""
@@ -341,10 +348,10 @@ def criterion_09(seed: int) -> dict:
     return {
         "criterion": 9,
         "name": "normal-form-representation-functor",
-        "passed": worst < 1e-10,
+        "passed": worst < FUNCTOR_TOLERANCE,
         "details": {
             "max_residual": worst,
-            "tolerance": 1e-10,
+            "tolerance": FUNCTOR_TOLERANCE,
             "expressions": 200,
         },
     }

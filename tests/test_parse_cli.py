@@ -433,10 +433,19 @@ def test_cli_trend_needs_two_mode_counts(capsys):
     ["measure", "bochner", "--v", "1e308,1e308"],
     ["measure", "eta", "--v", "1e308,1e308", "--u", "1,1"],
     ["fock", "transfer", "--v", "1e308,1e308"],
-], ids=["trend-nmax-0", "bochner-overflow", "eta-overflow", "transfer-overflow"])
+    ["measure", "cocycle", "--scale", "1e-150"],
+    ["measure", "weyl", "--scale", "1e-150", "--count", "5"],
+    ["measure", "eta", "--scale", "1e-150"],
+    ["measure", "cocycle", "--scale", "1e-150", "--samples", "1", "--seed", "1"],
+    ["measure", "cocycle", "--scale", "1e-10", "--samples", "1", "--seed", "0"],
+], ids=["trend-nmax-0", "bochner-overflow", "eta-overflow", "transfer-overflow",
+        "cocycle-scale-overflow", "weyl-scale-overflow", "eta-scale-overflow",
+        "cocycle-infinite-density", "cocycle-zero-density"])
 def test_cli_refuses_input_without_a_finite_report(capsys, argv):
-    # a cutoff that admits no quantum, and vectors whose products overflow a
-    # float, would print slope_ratio=inf, NaN or Infinity as a failed check
+    # a cutoff that admits no quantum, and vectors or scales whose products
+    # overflow a float, would print slope_ratio=inf, NaN or Infinity as a
+    # failed check, end in a traceback, or (a NaN density ratio, which max()
+    # drops) pass with a residual of 0
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
@@ -727,6 +736,20 @@ def test_cli_measure_pd_and_scale(capsys):
     code, doc, _ = run_cli(capsys, ["measure", "pd-check", "--d", "2", "--scale", "1.3"])
     assert code == 0
     assert doc["results"]["min_eigenvalue"] >= -1e-10
+
+
+def test_cli_pd_check_at_a_tiny_scale_prints_no_warning():
+    # det(C) of C = 1e300 I overflows a float; numpy's RuntimeWarning went to
+    # stderr ahead of the verdict line, which a fresh interpreter shows
+    proc = subprocess.run(
+        [sys.executable, "-m", "ccr_hopf.cli", "measure", "pd-check", "--scale", "1e-150"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["passed"] is True
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("ok: measure pd-check ")
 
 
 def test_cli_subprocess_smoke():
