@@ -748,7 +748,7 @@ def test_cli_pd_check_at_a_tiny_scale_prints_no_warning():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
-    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("ok: measure pd-check ")
 
 
