@@ -148,6 +148,8 @@ done <<'ROWS'
 # counts times worst-case monomials, the Hopf sweep and trial budgets
 2  20 normalize "phi(0)^99999999999"
 2  20 fock genfun --v 1e5
+# the vacuum's Krylov space of nmax + 1 states over the dense eigen-solver budget
+2  20 fock genfun --v 1 --nmax 2000
 2  20 measure cocycle --samples 1000000000
 2  20 measure weyl --count 100000000
 2  20 measure pd-check --count 100000000

@@ -352,13 +352,16 @@ def _genfun_mean(m, v, spec) -> float:
 
 def _genfun_refusal(m, mu: float, weight: float) -> str:
     """Why the cutoff is too small, with the nmax the budget would need."""
-    from .fock import MAX_STATES
+    from .fock import DENSE_EIG_LIMIT, MAX_STATES
 
-    top = m.nmax  # the largest cutoff the state budget admits at this d
-    while math.comb(m.d + top + 1, m.d) <= MAX_STATES:
+    # the largest cutoff the state budget and the Krylov budget of
+    # vacuum_generating_function (nmax + 1 <= DENSE_EIG_LIMIT) admit at this d
+    top = min(m.nmax, DENSE_EIG_LIMIT - 1)
+    while math.comb(m.d + top + 1, m.d) <= MAX_STATES and top + 2 <= DENSE_EIG_LIMIT:
         top += 1
     if _poisson_tail(mu, top) > GENFUN_TAIL_BUDGET:
-        need = f"no --nmax within the {MAX_STATES}-state budget (at most {top} for d={m.d}) suffices"
+        need = (f"no --nmax within the {MAX_STATES}-state budget and the {DENSE_EIG_LIMIT}-state "
+                f"Krylov budget (at most {top} for d={m.d}) suffices")
     else:
         lo, hi = m.nmax, top  # the tail is over the budget at lo, within it at hi
         while hi - lo > 1:

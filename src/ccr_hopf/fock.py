@@ -1,10 +1,10 @@
 """Truncated bosonic Fock-space numerics.
 
 Occupation-number bases with a total-occupation cutoff, per-mode ladder
-matrices, Bogoliubov (squeezed) families, vacuum generating functions via
-the action of a matrix exponential on the vacuum vector, and the transfer
-representation that keeps the field quadrature while scaling the momentum
-quadrature by the deformation constant.
+matrices, Bogoliubov (squeezed) families, vacuum generating functions by
+Lanczos from the vacuum vector, and the transfer representation that
+keeps the field quadrature while scaling the momentum quadrature by the
+deformation constant.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ class FockError(CcrHopfError):
 
 ROOT2 = math.sqrt(2.0)
 
-# largest invariant block smallest_eigenvalues solves with a dense eigvalsh
+# largest invariant block smallest_eigenvalues solves with a dense eigvalsh,
+# and largest Krylov space vacuum_generating_function solves with eigh
 DENSE_EIG_LIMIT = 2000
 
 # most occupation states, comb(d + nmax, d), a ModeSpace may hold; the
@@ -354,18 +355,49 @@ GENFUN_TOLERANCE = 1e-8  # the vacuum generating function passes within this of 
 
 
 def vacuum_generating_function(m: ModeSpace, v, spec=None) -> complex:
-    """<vac| exp(i phi(v)) |vac>, computed by applying the exponential to
-    the vacuum vector rather than forming a dense exponential."""
-    from scipy.sparse.linalg import expm_multiply
+    """<vac| exp(i phi(v)) |vac> by Lanczos from the vacuum; see Golub &
+    Meurant, Matrices, Moments and Quadrature (2010), ch. 6-7.
 
-    phi, _ = field_pair(m, v, spec)
-    try:
-        # a huge |v| overflows the step-count estimate (an inf / inf first)
-        with np.errstate(invalid="raise"):
-            image = expm_multiply(1j * phi, m.vacuum())
-    except (OverflowError, FloatingPointError):
-        raise FockError("exp(i phi(v)) leaves the float range; |v| is too large") from None
-    return complex(np.vdot(m.vacuum(), image))
+    phi(v) is the field of one mode, the one along the gram-mapped (and
+    squeezed) coefficient vector, and it moves the total occupation by
+    exactly one.  So the Lanczos vector q_k is that mode's k-th number
+    state, on the states of total occupation k, and the vacuum's Krylov
+    space has nmax + 1 dimensions whatever |v| is.  Full
+    reorthogonalization is exact here: the part of phi(v) q_k orthogonal
+    to q_0, ..., q_k is its part on occupation k + 1, so a step is one
+    sparse mat-vec that keeps only that part.  The projected phi(v) is
+    then tridiagonal with a zero diagonal; odd powers of it have a zero
+    corner, so the value is the real e_1^T cos(T) e_1, taken from eigh(T),
+    and its imaginary part is exactly 0.0.
+
+    A Krylov space above DENSE_EIG_LIMIT states raises FockError before
+    any work.  So does a |v| whose phases leave the float range, or whose
+    largest phase max|lambda(T)| is so large that its rounding alone,
+    max|lambda(T)| * 2^-52, exceeds GENFUN_TOLERANCE."""
+    if m.nmax + 1 > DENSE_EIG_LIMIT:
+        raise FockError(f"the vacuum's Krylov space of nmax + 1 = {m.nmax + 1} states exceeds "
+                        f"the dense eigen-solver budget of {DENSE_EIG_LIMIT}; lower nmax")
+    q = m.vacuum()
+    betas = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi, _ = field_pair(m, v, spec)
+        for k in range(1, m.nmax + 1):
+            w = phi @ q
+            w[m.occupancy != k] = 0.0  # the rest lies along q_(k-2)
+            beta = float(np.linalg.norm(w))
+            if not math.isfinite(beta):
+                raise FockError("exp(i phi(v)) leaves the float range; |v| is too large")
+            if beta == 0.0:  # phi(v) = 0
+                break
+            betas.append(beta)
+            q = w / beta
+    t = np.diag(betas, 1)
+    lam, u = np.linalg.eigh(t + t.T)
+    top = np.abs(lam).max()
+    if top * np.finfo(float).eps > GENFUN_TOLERANCE:
+        raise FockError(f"the phases of exp(i phi(v)) reach {top:.3g}, whose rounding "
+                        f"alone exceeds the tolerance {GENFUN_TOLERANCE:g}; |v| is too large")
+    return complex(u[0] ** 2 @ np.cos(lam))
 
 
 @dataclass(frozen=True)
@@ -516,13 +548,36 @@ def restricted_norm(m: ModeSpace, a, degree: int) -> float:
 def invariant_blocks(a):
     """Connected components of the sparsity graph of a Hermitian matrix,
     as (labels, sizes): state i lies in block labels[i], which holds
-    sizes[labels[i]] states.  No nonzero couples two blocks, so each one
-    is an invariant subspace and the spectrum is the union of theirs.
-    For the squeezed number operator these are the per-mode parity
-    sectors; for the plain Fock operator every state is its own block."""
-    from scipy.sparse.csgraph import connected_components
+    sizes[labels[i]] states; blocks are numbered by their first state.
+    No nonzero couples two blocks, so each one is an invariant subspace
+    and the spectrum is the union of theirs.  For the squeezed number
+    operator these are the per-mode parity sectors; for the plain Fock
+    operator every state is its own block.
 
-    _, labels = connected_components(a != 0, directed=False)
+    Found by min-label propagation with pointer jumping (Shiloach &
+    Vishkin, J. Algorithms 3, 1982) over the stored nonzero entries,
+    read both ways.  Labels start as the states' own indices, only fall
+    and always name a state of the same block, so they settle on each
+    block's first state."""
+    a = csr_matrix(a)
+    keep = a.data != 0
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))[keep]
+    cols = a.indices[keep]
+    rows, cols = np.concatenate((rows, cols)), np.concatenate((cols, rows))
+    label = np.arange(a.shape[0])
+    while True:
+        # each state takes its neighbours' least label and hooks its old
+        # label's state to it; then every label jumps to its label's label
+        low = label.copy()
+        np.minimum.at(low, rows, label[cols])
+        np.minimum.at(low, label, low.copy())
+        jumped = low[low]
+        while not np.array_equal(jumped, low):
+            low, jumped = jumped, jumped[jumped]
+        if np.array_equal(low, label):
+            break
+        label = low
+    labels = np.unique(label, return_inverse=True)[1]
     return labels, np.bincount(labels)
 
 

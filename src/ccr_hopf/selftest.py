@@ -134,6 +134,10 @@ def criterion_02(seed: int) -> dict:
     }
 
 
+# the K-collapse ratio at 20 numeric points passes within this of the deformation constant
+COLLAPSE_TOLERANCE = 1e-12
+
+
 def criterion_03(seed: int) -> dict:
     """K-collapse identity, symbolically and at 20 numeric points."""
     collapsed = Presentation(variant=DEFORMED_COLLAPSED)
@@ -149,7 +153,7 @@ def criterion_03(seed: int) -> dict:
         s = q ** (c / 2.0)
         ratio = (s * s - 1.0 / (s * s)) / (c * (q - 1.0 / q))
         worst = max(worst, abs(ratio - deformation_constant(q, c)))
-    ok = got == want and worst < 1e-12
+    ok = got == want and worst < COLLAPSE_TOLERANCE
     return {
         "criterion": 3,
         "name": "k-collapse-identity",
@@ -158,12 +162,13 @@ def criterion_03(seed: int) -> dict:
             "symbolic": expr_to_text(got),
             "symbolic_expected": expr_to_text(want),
             "numeric_max_error": worst,
-            "numeric_tolerance": 1e-12,
+            "numeric_tolerance": COLLAPSE_TOLERANCE,
             "points": 20,
         },
     }
 
 
+C_EQUALS_1_TOLERANCE = 1e-12  # the deformation constant at c = 1 passes within this of 1
 Q_NEAR_1_TOLERANCE = 1e-8  # the deformation constant at q = 1 +- 1e-5 passes within this of 1
 
 
@@ -178,14 +183,14 @@ def criterion_04(seed: int) -> dict:
         c = rng.uniform(0.2, 4.0)
         for q in (1.0 + 1e-5, 1.0 - 1e-5):
             worst_limit = max(worst_limit, abs(deformation_constant(q, c) - 1.0))
-    ok = worst_c1 <= 1e-12 and worst_limit < Q_NEAR_1_TOLERANCE
+    ok = worst_c1 <= C_EQUALS_1_TOLERANCE and worst_limit < Q_NEAR_1_TOLERANCE
     return {
         "criterion": 4,
         "name": "deformation-constant-special-cases",
         "passed": bool(ok),
         "details": {
             "c_equals_1_max_error": worst_c1,
-            "c_equals_1_tolerance": 1e-12,
+            "c_equals_1_tolerance": C_EQUALS_1_TOLERANCE,
             "q_near_1_max_error": worst_limit,
             "q_near_1_tolerance": Q_NEAR_1_TOLERANCE,
         },
@@ -283,6 +288,9 @@ def criterion_07(seed: int) -> dict:
     }
 
 
+CCR_TOLERANCE = 1e-12  # the truncated ladder CCR passes below this on the degree-2 safe subspace
+
+
 def criterion_08(seed: int) -> dict:
     """Truncated ladder CCR and the vacuum generating function."""
     rng = _rng(seed, "fock")
@@ -302,14 +310,14 @@ def criterion_08(seed: int) -> dict:
         z = vacuum_generating_function(ModeSpace(1, nmax), [1.0])
         errs.append(abs(z - target))
     monotone = all(b < a or b < 1e-12 for a, b in zip(errs, errs[1:]))
-    ok = worst_ccr < 1e-12 and errs[2] < GENFUN_TOLERANCE and monotone
+    ok = worst_ccr < CCR_TOLERANCE and errs[2] < GENFUN_TOLERANCE and monotone
     return {
         "criterion": 8,
         "name": "fock-ccr-and-generating-function",
         "passed": bool(ok),
         "details": {
             "ccr_max_residual": worst_ccr,
-            "ccr_tolerance": 1e-12,
+            "ccr_tolerance": CCR_TOLERANCE,
             "genfun_error_nmax20": errs[2],
             "genfun_tolerance": GENFUN_TOLERANCE,
             "truncation_errors": {

@@ -6,12 +6,15 @@ from __future__ import annotations
 
 import math
 import random
+import time
 import tracemalloc
 import warnings
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix, identity, random as sparse_random, vstack
 from scipy.sparse.linalg import norm as sparse_norm
 
@@ -387,6 +390,48 @@ def test_invariant_blocks_are_parity_sectors():
         assert len(sizes) == m.dim
 
 
+@st.composite
+def _symmetric_patterns(draw):
+    """A symmetric n x n CSR matrix with edges drawn at random, so that it
+    has empty rows and one-state blocks, plus explicit zeros stored off
+    the edges (and sums that cancel to zero on repeated edges)."""
+    n = draw(st.integers(1, 30))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    rows, cols, vals = [], [], []
+    for i, j in draw(st.lists(pair, max_size=2 * n)):
+        x = draw(st.sampled_from([1.0, -1.0, 2.0 + 1j]))
+        rows += [i, j]
+        cols += [j, i]
+        vals += [x, np.conj(x)]
+    for i, j in draw(st.lists(pair, max_size=n)):
+        rows += [i, j]
+        cols += [j, i]
+        vals += [0.0, 0.0]
+    return csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_symmetric_patterns())
+def test_invariant_blocks_match_connected_components(a):
+    # oracle: scipy's graph search over the nonzero pattern
+    from scipy.sparse.csgraph import connected_components
+
+    labels, sizes = invariant_blocks(a)
+    want = connected_components(a != 0, directed=False)[1]
+    assert labels.tolist() == want.tolist()
+    assert sizes.tolist() == np.bincount(want).tolist()
+
+
+@pytest.mark.parametrize("d, nmax", [(1, 7), (2, 23), (3, 12), (4, 10), (2, 62), (3, 22)])
+@pytest.mark.parametrize("family", ["fock", "uniform", "summable"])
+def test_number_operator_blocks_match_connected_components(d, nmax, family):
+    from scipy.sparse.csgraph import connected_components
+
+    n = number_operator(ModeSpace(d, nmax), _spec(family, d, 0.3))
+    labels, _ = invariant_blocks(n)
+    assert labels.tolist() == connected_components(n != 0, directed=False)[1].tolist()
+
+
 def test_fock_family_above_the_old_dense_limit():
     # dim 2016, where a fixed-start Lanczos used to return [1, 2, 2, 3, 3]
     m = ModeSpace(2, 62)
@@ -433,9 +478,53 @@ def test_generating_function_fock():
 
 
 def test_generating_function_overflow_is_a_fock_error():
-    # scipy's step-count estimate overflows at this |v|
+    # the norm of phi(v)|vac> overflows at this |v|
     with pytest.raises(FockError, match="too large"):
         vacuum_generating_function(ModeSpace(1, 10), np.array([1e300]))
+
+
+def test_generating_function_work_is_bounded_in_v():
+    # nmax mat-vecs and one eigh of an (nmax + 1)-state T, whatever |v|
+    # is; a step count that grew with |v| took seconds at 1e4
+    from scipy.linalg import expm
+
+    m = ModeSpace(1, 10)
+    start = time.perf_counter()
+    z = vacuum_generating_function(m, np.array([1e4]))
+    assert time.perf_counter() - start < 0.5
+    phi = field_pair(m, np.array([1e4]))[0]
+    assert abs(z - expm(1j * phi.toarray())[0, 0]) < 1e-10
+    # rounding the phases alone breaks GENFUN_TOLERANCE, or the norms overflow
+    for v in (1e20, 1e300):
+        start = time.perf_counter()
+        with pytest.raises(FockError, match="too large"):
+            vacuum_generating_function(m, np.array([v]))
+        assert time.perf_counter() - start < 0.5
+
+
+def test_generating_function_krylov_budget():
+    with pytest.raises(FockError, match="Krylov space of nmax \\+ 1 = 2001 states"):
+        vacuum_generating_function(ModeSpace(1, fock.DENSE_EIG_LIMIT), np.array([1.0]))
+
+
+@pytest.mark.parametrize("d, nmax", [(1, 12), (2, 8), (3, 5)])
+@pytest.mark.parametrize("family", ["fock", "uniform", "summable"])
+def test_generating_function_matches_dense_expm(d, nmax, family):
+    # oracle: the dense exponential of the unsplit field matrix on the
+    # vacuum, with no gram, a real one and a complex one, for a real and a
+    # complex coefficient vector
+    from scipy.linalg import expm
+
+    off = np.diag(np.ones(d - 1), 1)
+    for gram in (None, np.eye(d) + 0.3 * (off + off.T),
+                 2 * np.eye(d) + (0.3 + 0.4j) * off + (0.3 - 0.4j) * off.T):
+        m = ModeSpace(d, nmax, gram=gram)
+        spec = _spec(family, d, 0.4)
+        for v in (np.linspace(0.5, -0.7, d), np.linspace(0.3, 1.1, d) * (1 - 0.5j)):
+            z = vacuum_generating_function(m, v, spec)
+            phi = field_pair(m, v, spec)[0]
+            assert abs(z - expm(1j * phi.toarray())[0, 0]) < 1e-14
+            assert z.imag == 0.0
 
 
 def test_generating_function_bogoliubov_quadrature():

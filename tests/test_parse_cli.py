@@ -501,13 +501,15 @@ def test_poisson_tail_matches_direct_sum():
         (["--family", "uniform", "--r", "10", "--v", "1"], "no --nmax"),
         (["--d", "2", "--nmax", "30", "--v", "1.5,-2", "--family", "summable", "--r", "1"],
          "it needs --nmax 39"),
+        # at d = 1 the 2000-state Krylov budget binds before the state budget
+        (["--v", "70", "--nmax", "20"], "2000-state Krylov budget (at most 1999 for d=1)"),
     ],
 )
 def test_cli_genfun_over_budget_exits_2_before_expm(capsys, monkeypatch, argv, needle):
     import ccr_hopf.fock
 
     def unreachable(*args, **kwargs):
-        raise AssertionError("the budget must refuse before expm_multiply runs")
+        raise AssertionError("the budget must refuse before the Lanczos solve runs")
 
     monkeypatch.setattr(ccr_hopf.fock, "vacuum_generating_function", unreachable)
     code, doc, err = run_cli(capsys, ["fock", "genfun"] + argv)
@@ -556,6 +558,13 @@ def test_cli_spectrum_of_many_modes(capsys):
     assert code == 0
     assert doc["results"]["eigenvalues"] == [0.0, 1.0, 1.0, 1.0, 1.0]
     assert doc["results"]["solver"]["blocks"] == 1101
+
+
+def test_cli_genfun_refuses_a_krylov_space_over_the_eigen_budget(capsys):
+    # the tail is within budget, but T would have 2001 states
+    code, doc, err = run_cli(capsys, ["fock", "genfun", "--v", "1", "--nmax", "2000"])
+    assert _one_refusal(code, doc, err)
+    assert "Krylov space of nmax + 1 = 2001 states" in err
 
 
 def _one_refusal(code, doc, err) -> bool:

@@ -128,6 +128,29 @@ def test_fresh_fock_import_skips_sparse_linalg():
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["fock", "spectrum", "--d", "2", "--nmax", "10", "--family", "uniform"],
+        ["fock", "genfun", "--v", "1.0"],
+        ["selftest", "--seed", "42"],
+    ],
+)
+def test_fresh_fock_commands_skip_scipy_solvers(argv):
+    # the Fock layer solves with numpy alone; scipy's dense and sparse
+    # solver packages would add about 10 MB and 0.1 s to the first call
+    proc = _python(
+        "import contextlib, io, json, sys\n"
+        "import ccr_hopf.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = ccr_hopf.cli.main({argv!r})\n"
+        "assert code == 0, code\n"
+        "solvers = ('scipy.linalg', 'scipy.sparse.linalg', 'scipy.sparse.csgraph')\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith(solvers))))\n"
+    )
+    assert json.loads(proc.stdout) == []
+
+
+@pytest.mark.parametrize(
     "argv", [["fock", "spectrum", "--d", "1", "--nmax", "4"], ["measure", "eta"]]
 )
 def test_fresh_numeric_commands(argv):
