@@ -2,9 +2,9 @@
 for q-deformed canonical commutation relation algebras.
 
 The public names resolve on first access (PEP 562), so importing the
-package, or only its exact-algebra modules, does not import numpy or
-scipy; ``fock``, ``measure`` and ``selftest`` load when one of their
-names is first used.
+package, or only its exact-algebra modules, does not import numpy;
+``fock``, ``measure`` and ``selftest`` load when one of their names is
+first used.  The numeric modules need numpy alone.
 """
 
 import importlib

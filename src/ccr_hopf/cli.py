@@ -16,7 +16,7 @@ builds the report document around it, writes it and prints the status
 line.  Adding a command means one function plus one table row.
 
 Each invocation pays only for what its command uses: the parser is built
-once per process, and numpy, scipy and the ``fock``, ``measure`` and
+once per process, and numpy and the ``fock``, ``measure`` and
 ``selftest`` modules are imported inside the commands that need them, so
 the exact algebra commands never load them.
 """
@@ -315,7 +315,7 @@ def _cmd_fock_spectrum(args):
 
 def _poisson_tail(mu: float, n: int) -> float:
     """P(N > n) for N ~ Poisson(mu), summed on whichever side of n the
-    terms fall off geometrically; math only, so scipy is not imported."""
+    terms fall off geometrically, with math alone."""
     if mu == 0.0:
         return 0.0
     if math.isinf(mu):

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity as sparse_identity
 
 from .algebra import (
     FAM_AM,
@@ -101,28 +100,181 @@ def _ranks(prefix: np.ndarray, tail: np.ndarray) -> np.ndarray:
     return (tail[modes, prefix[:, :-1]] - tail[modes, prefix[:, 1:]]).sum(axis=1)
 
 
-def _lowering_matrices(occ: np.ndarray, tail: np.ndarray) -> tuple:
-    """Per-mode a-_j, <n - e_j| a-_j |n> = sqrt(n_j), as float64 CSR
-    matrices over the basis whose occupation array is occ and whose
-    _tail_counts table is tail, and all their entries as four arrays
-    (mode, row, col, value), mode by mode.
+def _mixed(z: np.ndarray) -> bool:
+    """Whether z holds both nonzero real and nonzero imaginary parts."""
+    return z.dtype.kind == "c" and bool(z.real.any()) and bool(z.imag.any())
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise, each complex product rounded part by part,
+    (ar br - ai bi) + i (ar bi + ai br), as compiled sparse-matrix kernels
+    round it, on every machine.  numpy's complex multiply fuses a part into
+    one FMA where the processor has one.  That changes nothing when one
+    factor is real or imaginary throughout, as each part then holds at
+    most one nonzero product, so numpy's multiply serves there."""
+    if not (_mixed(a) and _mixed(b)):
+        return a * b
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _sums(index: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """out[i] = the sum of vals[index == i], added one by one in the order
+    given, starting from zero."""
+    out = np.zeros(n, dtype=vals.dtype)
+    np.add.at(out, index, vals)
+    return out
+
+
+class SparseOp:
+    """A sparse matrix as coordinate arrays: rows, cols and vals, in
+    row-major order with one entry per position (a stored value may be
+    zero), and the shape.  Callers must not change one in place.
+
+    It carries what the Fock layer's callers use: @ with a dense vector or
+    matrix or with another operator; + and -, which give an operator
+    between two operators and a dense array with a dense array; scalar *
+    and /; conj(), T, diagonal(), toarray(), nnz and dtype.
+
+    The arithmetic rounds as the usual compressed-sparse-row kernels do:
+    an entry of a sum or a product adds its terms one by one from zero, a
+    product's in the order of the left operand's columns, and a sum that
+    is exactly zero is not stored; a scalar scales vals, and / multiplies
+    by the reciprocal."""
+
+    __slots__ = ("rows", "cols", "vals", "shape")
+    __array_ufunc__ = None  # numpy operands defer to the reflected operators
+
+    def __init__(self, rows, cols, vals, shape):
+        self.rows, self.cols, self.vals, self.shape = rows, cols, vals, tuple(shape)
+
+    @property
+    def nnz(self) -> int:
+        """The number of stored entries."""
+        return self.vals.size
+
+    @property
+    def dtype(self):
+        return self.vals.dtype
+
+    def _with(self, vals) -> "SparseOp":
+        return SparseOp(self.rows, self.cols, vals, self.shape)
+
+    def conj(self) -> "SparseOp":
+        return self._with(self.vals.conj())
+
+    @property
+    def T(self) -> "SparseOp":
+        order = np.argsort(self.cols * self.shape[0] + self.rows)
+        return SparseOp(self.cols[order], self.rows[order], self.vals[order], self.shape[::-1])
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.dtype)
+        out[self.rows, self.cols] += self.vals
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        out = np.zeros(min(self.shape), dtype=self.dtype)
+        on = self.rows == self.cols
+        out[self.rows[on]] += self.vals[on]
+        return out
+
+    def __mul__(self, scalar) -> "SparseOp":
+        return self._with(self.vals * scalar)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar) -> "SparseOp":
+        return self * (1 / scalar)
+
+    def __add__(self, other):
+        if isinstance(other, SparseOp):
+            return _coalesced(np.concatenate((self.rows, other.rows)),
+                              np.concatenate((self.cols, other.cols)),
+                              np.concatenate((self.vals, other.vals)), self.shape)
+        return self.toarray() + other
+
+    def __sub__(self, other):
+        if isinstance(other, SparseOp):
+            return self + other._with(-other.vals)
+        return self.toarray() - other
+
+    def __matmul__(self, other):
+        if self.shape[1] != other.shape[0]:
+            raise ValueError(f"cannot multiply shapes {self.shape} and {other.shape}")
+        if isinstance(other, SparseOp):
+            # every (left entry, right entry) pair that meets on a column
+            # of the left operand, the right operand's row by row
+            starts = np.searchsorted(other.rows, np.arange(other.shape[0] + 1))
+            count = np.diff(starts)[self.cols]
+            left = np.repeat(np.arange(self.nnz), count)
+            first = np.repeat(starts[self.cols] - (np.cumsum(count) - count), count)
+            right = first + np.arange(left.size)
+            return _coalesced(self.rows[left], other.cols[right],
+                              _mul(self.vals[left], other.vals[right]),
+                              (self.shape[0], other.shape[1]))
+        x = np.asarray(other)
+        if x.ndim == 2:
+            return np.stack([self @ column for column in x.T], axis=1)
+        return _sums(self.rows, _mul(self.vals, x[self.cols]), self.shape[0])
+
+
+def _coalesced(rows, cols, vals, shape) -> SparseOp:
+    """The operator whose entry at a position is the sum of the vals given
+    there, added in the order given from zero; exactly zero sums are not
+    stored."""
+    keys = rows * shape[1] + cols
+    order = np.argsort(keys, kind="stable")  # keeps the order within a position
+    keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    sums = _sums(np.cumsum(first) - 1, vals[order], keys.size)
+    keep = sums != 0
+    keys = keys[keep]
+    return SparseOp(keys // shape[1], keys % shape[1], sums[keep], shape)
+
+
+def _scalar_op(dim: int, value) -> SparseOp:
+    """value times the identity on dim states, as a complex operator."""
+    diag = np.arange(dim)
+    return SparseOp(diag, diag, np.full(dim, value, dtype=complex), (dim, dim))
+
+
+def _linear_combination(terms, dim: int) -> SparseOp:
+    """sum of coeff * op over the (coeff, op) pairs, as a complex dim x dim
+    operator: the scaled entries are gathered and coalesced once, so each
+    entry adds its terms in the order of the pairs, as adding the scaled
+    operators one at a time would."""
+    terms = list(terms)
+    if not terms:
+        empty = np.zeros(0, dtype=np.int64)
+        return SparseOp(empty, empty, np.zeros(0, dtype=complex), (dim, dim))
+    return _coalesced(np.concatenate([op.rows for _, op in terms]),
+                      np.concatenate([op.cols for _, op in terms]),
+                      np.concatenate([op.vals * coeff for coeff, op in terms], dtype=complex),
+                      (dim, dim))
+
+
+def _lowering_entries(occ: np.ndarray, tail: np.ndarray) -> tuple:
+    """The entries of the per-mode a-_j, <n - e_j| a-_j |n> = sqrt(n_j),
+    over the basis whose occupation array is occ and whose _tail_counts
+    table is tail, as four arrays (mode, row, col, value), mode by mode.
 
     The row of n - e_j is its rank; ranks are at most dim, so they fit
-    int64 at any d.  Lowering keeps lexicographic order, so the rows rise
-    with the columns and each row holds at most one entry: the CSR arrays
-    are written directly."""
+    int64 at any d.  Lowering keeps lexicographic order, so within a mode
+    the rows rise with the columns and each row holds at most one entry."""
     dim, d = occ.shape
     prefix = np.zeros((dim, d + 1), dtype=np.int64)
     np.cumsum(occ, axis=1, out=prefix[:, 1:])
-    out, parts = [], []
+    parts = []
     for j in range(d):
         cols = np.flatnonzero(occ[:, j])
         rows = _ranks(prefix[cols] - (np.arange(d + 1) > j), tail)  # ranks of n - e_j
-        indptr = np.searchsorted(rows, np.arange(dim + 1))
-        vals = np.sqrt(occ[cols, j].astype(float))
-        out.append(csr_matrix((vals, cols, indptr), shape=(dim, dim)))
-        parts.append((np.full(cols.size, j), rows, cols, vals))
-    return out, tuple(np.concatenate(a) for a in zip(*parts))
+        parts.append((np.full(cols.size, j), rows, cols, np.sqrt(occ[cols, j].astype(float))))
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 class ModeSpace:
@@ -133,7 +285,8 @@ class ModeSpace:
     vectors enter through L^H, so that [a-(v), a+(w)] = <v|w> with the
     inner product induced by the gram.
 
-    The per-mode ladders a-_j are real float64 matrices, and so are the
+    Matrices are SparseOp operators built from _am_entries, the entries of
+    the per-mode ladders a-_j.  Those are real float64, and so are the
     squeezed b-_j and the number operator built from them.  Complex
     arithmetic enters with a complex coefficient: the gram coordinates and
     conj(w) in ladder_of, the i of pi in field_pair, the vacuum vector and
@@ -167,7 +320,7 @@ class ModeSpace:
         self._occ = occupation_array(self.d, self.nmax)
         self._tail = _tail_counts(self.d, self.nmax)
         self.occupancy = self._occ.sum(axis=1)
-        self._am, self._am_entries = _lowering_matrices(self._occ, self._tail)
+        self._am_entries = _lowering_entries(self._occ, self._tail)
         self._letters = {}  # (constant, scale) -> letter -> matrix
         self._words = {}  # (constant, scale) -> word -> matrix
 
@@ -212,18 +365,16 @@ def ladder_of(m: ModeSpace, v, spec=None):
     spec, the Bogoliubov (b+(v), b-(v)) by the same (anti)linearity."""
     w = m.coords(v)
     lowering = _lowering_ladder(m, spec)
-    am = csr_matrix((m.dim, m.dim), dtype=complex)
-    for j in range(m.d):
-        if w[j] != 0:
-            am = am + np.conj(w[j]) * lowering[j]
-    return am.conj().T.tocsr(), am.tocsr()
+    am = _linear_combination(((np.conj(w[j]), lowering[j]) for j in range(m.d) if w[j] != 0),
+                             m.dim)
+    return am.conj().T, am
 
 
 def field_pair(m: ModeSpace, v, spec=None):
     """(phi(v), pi(v)); built on the Bogoliubov ladder when spec is given."""
     ap, am = ladder_of(m, v, spec)
-    phi = ((ap + am) / ROOT2).tocsr()
-    pi = ((1j * (ap - am)) / ROOT2).tocsr()
+    phi = (ap + am) / ROOT2
+    pi = (1j * (ap - am)) / ROOT2
     return phi, pi
 
 
@@ -289,17 +440,15 @@ class BogoliubovSpec:
         return tuple(math.sqrt(math.exp(2.0 * r) / 2.0) for r in self.rs)
 
 
-def _squeezed_stack(m: ModeSpace, spec: BogoliubovSpec | None) -> tuple:
-    """The CSR arrays (data, indices, indptr) of B, the per-mode
-    b-_j = cosh(r_j) a-_j + sinh(r_j) a+_j stacked vertically (d dim rows,
-    dim columns), written in one pass from the a-_j entries; r_j = 0 when
-    spec is None.
+def _squeezed_stack(m: ModeSpace, spec: BogoliubovSpec | None) -> SparseOp:
+    """B, the per-mode b-_j = cosh(r_j) a-_j + sinh(r_j) a+_j stacked
+    vertically (d dim rows, dim columns), written in one pass from the a-_j
+    entries; r_j = 0 when spec is None.
 
     a-_j and its transpose never share a position, so every entry is one
     product, cosh(r_j) or sinh(r_j) times sqrt(n_j), exactly as the sum of
     the two scaled matrices gives it.  As that sum does, B leaves out the
-    entries that are zero (all of a+_j when r_j = 0) and keeps each row's
-    columns rising."""
+    entries that are zero (all of a+_j when r_j = 0)."""
     if spec is None:
         spec = BogoliubovSpec.fock(m.d)
     if len(spec.rs) != m.d:
@@ -314,31 +463,19 @@ def _squeezed_stack(m: ModeSpace, spec: BogoliubovSpec | None) -> tuple:
     keep = x != 0
     r, c, x = r[keep], c[keep], x[keep]
     order = np.argsort(r * m.dim + c)  # no two entries share a position
-    return x[order], c[order], np.searchsorted(r[order], np.arange(m.d * m.dim + 1))
+    return SparseOp(r[order], c[order], x[order], (m.d * m.dim, m.dim))
 
 
 def _lowering_ladder(m: ModeSpace, spec: BogoliubovSpec | None) -> list:
-    """Per-mode b-_j = cosh(r_j) a-_j + sinh(r_j) a+_j; a-_j when spec is
-    None.  The b-_j are the row blocks of _squeezed_stack."""
-    if spec is None:
-        return list(m._am)
-    data, indices, indptr = _squeezed_stack(m, spec)
-    out = []
-    for j in range(m.d):
-        ptr = indptr[j * m.dim : (j + 1) * m.dim + 1]
-        lo, hi = ptr[0], ptr[-1]
-        out.append(csr_matrix((data[lo:hi], indices[lo:hi], ptr - lo), shape=(m.dim, m.dim)))
-    return out
+    """Per-mode b-_j = cosh(r_j) a-_j + sinh(r_j) a+_j, the row blocks of
+    _squeezed_stack; the a-_j when spec is None."""
+    b = _squeezed_stack(m, spec)
+    ends = np.searchsorted(b.rows, np.arange(m.d + 1) * m.dim)
+    return [SparseOp(b.rows[lo:hi] - j * m.dim, b.cols[lo:hi], b.vals[lo:hi], (m.dim, m.dim))
+            for j, (lo, hi) in enumerate(zip(ends[:-1], ends[1:]))]
 
 
-def bogoliubov_ladder(m: ModeSpace, spec: BogoliubovSpec | None = None):
-    """Per-mode (b+_j, b-_j); the Fock ladder (a+_j, a-_j) in
-    orthonormalized coordinates when spec is None."""
-    bm = _lowering_ladder(m, spec)
-    return [b.conj().T.tocsr() for b in bm], bm
-
-
-def number_operator(m: ModeSpace, spec: BogoliubovSpec | None = None):
+def number_operator(m: ModeSpace, spec: BogoliubovSpec | None = None) -> SparseOp:
     """N = sum_j b+_j b-_j; the plain Fock number operator when spec is
     None (then N is diagonal with the total occupation as eigenvalue).
 
@@ -346,9 +483,10 @@ def number_operator(m: ModeSpace, spec: BogoliubovSpec | None = None):
     entries of b-_j are sqrt(n) times cosh r_j or sinh r_j, and a gram
     enters only the coefficient vectors, never the per-mode ladders.  So
     smallest_eigenvalues solves its blocks with the real eigen-solver.  The
-    sum is one product B^T B, where B stacks the b-_j."""
-    stacked = csr_matrix(_squeezed_stack(m, spec), shape=(m.d * m.dim, m.dim))
-    return (stacked.T @ stacked).tocsr()
+    sum is one product B^T B, where B stacks the b-_j: an entry adds its
+    products over the rows of B in order, mode by mode."""
+    b = _squeezed_stack(m, spec)
+    return b.T @ b
 
 
 GENFUN_TOLERANCE = 1e-8  # the vacuum generating function passes within this of its closed form
@@ -415,7 +553,7 @@ class TransferRep:
         return field_pair(self.space, v)[0]
 
     def pi(self, v):
-        return (self.constant * field_pair(self.space, v)[1]).tocsr()
+        return self.constant * field_pair(self.space, v)[1]
 
 
 def transfer_rep(m: ModeSpace, q: float, c: float) -> TransferRep:
@@ -432,20 +570,19 @@ def _letter_matrices(m: ModeSpace, constant: float, scale: float) -> dict:
 
 
 def _build_letter_matrices(m: ModeSpace, constant: float, scale: float) -> dict:
-    eye = sparse_identity(m.dim, dtype=complex, format="csr")
     phis, pis = phi_pi_matrices(m)
     mats = {
-        (FAM_I, 0): eye,
-        (FAM_K, 0): (scale * eye).tocsr(),
-        (FAM_KINV, 0): ((1.0 / scale) * eye).tocsr(),
+        (FAM_I, 0): _scalar_op(m.dim, 1.0),
+        (FAM_K, 0): _scalar_op(m.dim, scale),
+        (FAM_KINV, 0): _scalar_op(m.dim, 1.0 / scale),
     }
     for j in range(m.d):
         ph = phis[j]
-        pj = (constant * pis[j]).tocsr()
+        pj = constant * pis[j]
         mats[(FAM_PHI, j)] = ph
         mats[(FAM_PI, j)] = pj
-        mats[(FAM_AP, j)] = ((ph - 1j * pj) / ROOT2).tocsr()
-        mats[(FAM_AM, j)] = ((ph + 1j * pj) / ROOT2).tocsr()
+        mats[(FAM_AP, j)] = (ph - 1j * pj) / ROOT2
+        mats[(FAM_AM, j)] = (ph + 1j * pj) / ROOT2
     return mats
 
 
@@ -461,14 +598,9 @@ def _word_matrices(m: ModeSpace, constant: float, scale: float) -> dict:
 
 def _word_matrix(words: dict, letters: dict, word: tuple, d: int):
     """The matrix of word: its longest cached prefix times the remaining
-    letters, left to right, caching every longer prefix.
-
-    Every word grows from the empty word, so a one-letter word is cached
-    as identity @ letter.  That product lists each row's columns in falling
-    order, and the later products sum their terms in the order of those
-    columns; so each entry is the same float as multiplying the word out
-    from the identity, also where a gram puts three or more terms into one
-    entry."""
+    letters, left to right, caching every longer prefix.  A product's
+    floats depend only on its two factors, so each entry is the same float
+    as multiplying the word out from the identity."""
     k = len(word)
     while word[:k] not in words:
         k -= 1
@@ -487,8 +619,9 @@ def expr_matrix(e: Expr, m: ModeSpace, p: Presentation, q=None, c=None):
     refuses them passed again; a symbolic deformed presentation needs them
     passed; the undeformed variant uses constant 1 and ignores them.
 
-    Each word's matrix is formed once per space and (q, c), and the words
-    are summed in sorted order into a fresh matrix, never a cached one."""
+    Each word's matrix is formed once per space and (q, c).  The entries of
+    every word times its coefficient are gathered in sorted word order and
+    coalesced once, into a fresh matrix, never a cached one."""
     if p.q is not None:
         if q is not None or c is not None:
             raise FockError("this presentation carries its own numeric q and c; pass neither")
@@ -501,14 +634,13 @@ def expr_matrix(e: Expr, m: ModeSpace, p: Presentation, q=None, c=None):
         constant, scale = deformation_pair(q, c)
     letters = _letter_matrices(m, constant, scale)
     words = _word_matrices(m, constant, scale)
-    total = csr_matrix((m.dim, m.dim), dtype=complex)
-    for word, coeff in sorted(evaluate_numeric(e, {"kappa": constant, "s": scale}).items()):
-        total = total + coeff * _word_matrix(words, letters, word, m.d)
-    return total
+    terms = sorted(evaluate_numeric(e, {"kappa": constant, "s": scale}).items())
+    return _linear_combination(((coeff, _word_matrix(words, letters, word, m.d))
+                                for word, coeff in terms), m.dim)
 
 
-def commutator_matrix(a, b):
-    return (a @ b - b @ a).tocsr()
+def commutator_matrix(a: SparseOp, b: SparseOp) -> SparseOp:
+    return a @ b - b @ a
 
 
 TRANSFER_TOLERANCE = 1e-12  # transfer_residual passes below this
@@ -524,24 +656,24 @@ def transfer_residual(m: ModeSpace, rep: TransferRep, v, w) -> float:
         comm = commutator_matrix(rep.pi(v), rep.phi(w))
         g = rep.space.gram
         inner = float(v @ w) if g is None else float(np.real(np.conj(v) @ g @ w))
-        target = -1j * rep.constant * inner * sparse_identity(m.dim, dtype=complex, format="csr")
-        residual = restricted_norm(m, comm - target, 2)
+        target = -1j * rep.constant * inner
+        residual = restricted_norm(m, comm - _scalar_op(m.dim, target), 2)
     if not math.isfinite(residual):
         raise FockError("the transfer residual at (v, w) is not finite; lower |v| or |w|")
     return residual
 
 
 def restricted_norm(m: ModeSpace, a, degree: int) -> float:
-    """Frobenius norm of the columns of a indexed by the safe subspace for
-    operators of the given degree.
+    """Frobenius norm of the columns of a, a SparseOp or a dense array,
+    indexed by the safe subspace for operators of the given degree.
 
-    A sparse a is read in column-major order, the order of its CSC arrays:
-    np.linalg.norm sums its squares in the order given, and this is the
-    order scipy's sparse norm of the column slice would hand it."""
+    A SparseOp's stored entries in those columns are read in column-major
+    order, rows rising within a column: np.linalg.norm sums its squares in
+    the order given, and this is the order of a column slice's CSC data."""
     safe = m.safe_mask(degree)
-    if hasattr(a, "tocsc"):
-        a = a.tocsc()
-        return float(np.linalg.norm(a.data[np.repeat(safe, np.diff(a.indptr))]))
+    if isinstance(a, SparseOp):
+        inside = safe[a.cols]
+        return float(np.linalg.norm(a.vals[inside][np.argsort(a.cols[inside], kind="stable")]))
     return float(np.linalg.norm(np.asarray(a)[:, safe]))
 
 
@@ -559,10 +691,8 @@ def invariant_blocks(a):
     read both ways.  Labels start as the states' own indices, only fall
     and always name a state of the same block, so they settle on each
     block's first state."""
-    a = csr_matrix(a)
-    keep = a.data != 0
-    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))[keep]
-    cols = a.indices[keep]
+    keep = a.vals != 0
+    rows, cols = a.rows[keep], a.cols[keep]
     rows, cols = np.concatenate((rows, cols)), np.concatenate((cols, rows))
     label = np.arange(a.shape[0])
     while True:
@@ -585,16 +715,16 @@ NONNEGATIVE_TOLERANCE = 1e-8  # a number operator's lowest eigenvalue passes abo
 
 
 def smallest_eigenvalues(a, k: int) -> tuple:
-    """Lowest k eigenvalues of a Hermitian sparse matrix, ascending.
+    """Lowest k eigenvalues of a Hermitian SparseOp, ascending.
 
     The matrix is split into its invariant blocks; one-state blocks are
     read off the diagonal and every larger one is solved with a dense
-    eigvalsh.  A block above DENSE_EIG_LIMIT states raises FockError."""
+    eigvalsh, its states in rising order.  A block above DENSE_EIG_LIMIT
+    states raises FockError."""
     if k < 0:
         raise FockError("k must be non-negative")
     if k == 0:
         return ()
-    a = a.tocsr()
     labels, sizes = invariant_blocks(a)
     if sizes.max() > DENSE_EIG_LIMIT:
         raise FockError(
@@ -602,13 +732,20 @@ def smallest_eigenvalues(a, k: int) -> tuple:
             f"eigen-solver budget of {DENSE_EIG_LIMIT}; a smaller nmax shrinks it"
         )
     parts = [a.diagonal()[sizes[labels] == 1].real]
-    # order the states block by block, so each block is a diagonal slice
+    # a state's place in its block; then each block's entries, block by
+    # block, are scattered into its dense array
     order = np.argsort(labels, kind="stable")
-    a = a[order][:, order]
-    ends = np.cumsum(sizes)
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    block = labels[a.rows]
+    inside = np.flatnonzero((block == labels[a.cols]) & (sizes[block] > 1))
+    inside = inside[np.argsort(block[inside], kind="stable")]
+    ends = np.searchsorted(block[inside], np.arange(sizes.size + 1))
     for b in np.flatnonzero(sizes > 1):
-        lo, hi = ends[b] - sizes[b], ends[b]
-        parts.append(np.linalg.eigvalsh(a[lo:hi, lo:hi].toarray())[:k])
+        at = inside[ends[b] : ends[b + 1]]
+        dense = np.zeros((sizes[b], sizes[b]), dtype=a.dtype)
+        dense[place[a.rows[at]], place[a.cols[at]]] += a.vals[at]
+        parts.append(np.linalg.eigvalsh(dense)[:k])
     vals = np.sort(np.concatenate(parts))[:k]
     return tuple(float(x) for x in vals)
 
