@@ -94,6 +94,8 @@ done <<'ROWS'
 0  60 convert "pi(0)^2*phi(0)^2" --to ladder --variant deformed-strict --q 1.3 --c 0.7
 0  60 antipode "phi(0)^2*pi(0)*K" --flavor deformed --variant deformed-strict --q 1.5 --c 0.8
 0  60 antipode "phi(0)*pi(0)^2*I" --variant deformed-collapsed --q 1.3 --c 0.7
+# a typed denominator that vanishes at the numeric point (s = 1 at q = c = 1)
+2  20 normalize "(s-1)^-1*phi(0)" --variant deformed --q 1 --c 1
 # letters of the other basis and collapsed K letters fold piece by piece
 0  60 convert "(2/3+kappa*(1+s)^-1)*am(0)^6*ap(0)^6" --to phi-pi --variant deformed-strict
 0  60 normalize "(5/7*(1+s)^-1)*I*K*pi(2)*pi(2)*Kinv*phi(1)*K + s*Kinv*pi(0)*K*phi(0)" --variant deformed-collapsed

@@ -32,8 +32,8 @@ _EXPORTS = {
         "tensor_of",
     ),
     "measure": (
-        "GaussianModel", "MCEstimate", "MeasureError", "TestFunction", "WeylElement",
-        "bochner_mc", "cocycle", "eta", "positive_definiteness_check", "weyl_compose",
+        "GaussianModel", "MCEstimate", "MeasureError", "TestFunction", "bochner_mc", "cocycle",
+        "eta", "positive_definiteness_check",
     ),
     "reports": ("dump_json",),
     "scalars": ("IMAG", "KAPPA", "ONE", "R2", "S_PARAM", "ZERO", "Scalar", "ScalarError"),

@@ -301,9 +301,6 @@ class Expr(_SparseSum):
     def coefficient(self, word) -> Scalar:
         return self.terms.get(tuple(word), ZERO)
 
-    def map_coefficients(self, f) -> "Expr":
-        return Expr({w: f(c) for w, c in self.terms.items()})
-
     def __str__(self):
         from .exprparse import expr_to_text
 
@@ -442,17 +439,21 @@ class Presentation:
                 "the collapsed variant relies on I*I = I; "
                 "idempotent_identity cannot be disabled"
             )
+        point = None
         if self.variant == UNDEFORMED:
             kappa = ONE
             s = s_inv = None
         elif self.q is not None:
             constant, scale = deformation_pair(self.q, self.c)
-            kappa = Scalar.rational(Fraction(constant))
-            s_frac = Fraction(scale)
-            s = Scalar.rational(s_frac)
-            s_inv = Scalar.rational(1 / s_frac)
+            point = {"kappa": Fraction(constant), "s": Fraction(scale)}
+            kappa = Scalar.rational(point["kappa"])
+            s = Scalar.rational(point["s"])
+            s_inv = Scalar.rational(1 / point["s"])
         else:
             kappa, s, s_inv = KAPPA, S_PARAM, S_PARAM ** -1
+        # the exact kappa and s of numeric q, c, where validate_expr
+        # evaluates the typed denominators
+        object.__setattr__(self, "_point", point)
         object.__setattr__(self, "_kappa", kappa)
         object.__setattr__(self, "_s", s)
         object.__setattr__(self, "_s_inv", s_inv)
@@ -498,6 +499,17 @@ class Presentation:
                     )
                 if size is not None and g[0] not in _CENTRAL and g[1] >= size:
                     raise AlgebraError(f"mode index {g[1]} outside the {size}-mode gram")
+        if self._point is None:
+            return
+        # a typed denominator may vanish at numeric q, c; a denominator of 1
+        # is a constant and never does
+        for coeff in e.terms.values():
+            den = coeff.denominator()
+            if not den.is_constant() and den.substitute(self._point).is_zero():
+                from .exprparse import scalar_text
+
+                raise AlgebraError(f"the coefficient {scalar_text(coeff)} has a denominator "
+                                   f"that vanishes at q={self.q}, c={self.c}")
 
 
 # ---------------------------------------------------------------------------

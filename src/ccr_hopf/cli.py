@@ -183,7 +183,7 @@ def _vector(text: str, d: int | None = None):
 def _matrix_json(a) -> dict:
     import numpy as np
 
-    a = np.asarray(a.toarray() if hasattr(a, "toarray") else a, dtype=complex)
+    a = np.asarray(a.toarray(), dtype=complex)
     return {"im": a.imag.tolist(), "re": a.real.tolist()}
 
 

@@ -67,9 +67,10 @@ def _tail_counts(d: int, nmax: int) -> np.ndarray:
 
 
 def occupation_array(d: int, nmax: int) -> np.ndarray:
-    """The (dim, d) int64 array whose rows are the occupations of
-    occupation_states, unranked mode by mode from their row numbers.  More
-    than MAX_STATES rows raise FockError before any is built."""
+    """The (dim, d) int64 array whose rows are the occupation tuples
+    (n_0, ..., n_{d-1}) with sum <= nmax in lexicographic order, the
+    all-zero tuple first, unranked mode by mode from their row numbers.
+    More than MAX_STATES rows raise FockError before any is built."""
     if math.comb(d + nmax, d) > MAX_STATES:
         raise FockError(f"the occupation basis for d={d}, nmax={nmax} exceeds the "
                         f"budget of {MAX_STATES} states; lower d or nmax")
@@ -84,13 +85,6 @@ def occupation_array(d: int, nmax: int) -> np.ndarray:
         left -= tail[i, total] - tail[i, p]
         total = p
     return occ
-
-
-def occupation_states(d: int, nmax: int) -> list:
-    """All occupation tuples (n_0, ..., n_{d-1}) with sum <= nmax, in
-    lexicographic order.  The all-zero tuple comes first.  More than
-    MAX_STATES of them raise FockError before any is built."""
-    return list(map(tuple, occupation_array(d, nmax).tolist()))
 
 
 def _ranks(prefix: np.ndarray, tail: np.ndarray) -> np.ndarray:
@@ -386,12 +380,8 @@ def phi_pi_matrices(m: ModeSpace):
 
 @dataclass(frozen=True)
 class BogoliubovSpec:
-    """Per-mode squeezing parameters r_j.
-
-    Equivalent parameterizations: covariance scalar gamma = exp(-2r) and
-    generating-function parameter c with c^2 = exp(2r)/2, so gamma =
-    1/(2c^2) and r = 0 <=> gamma = 1 <=> c^2 = 1/2 (the Fock point).
-    """
+    """Per-mode squeezing parameters r_j; r_j = 0 on every mode is the
+    Fock point."""
 
     rs: tuple
 
@@ -416,28 +406,6 @@ class BogoliubovSpec:
     @classmethod
     def summable(cls, d: int, r: float) -> "BogoliubovSpec":
         return cls(tuple(float(r) * 2.0 ** (-j) for j in range(d)))
-
-    @classmethod
-    def from_c(cls, d: int, c: float) -> "BogoliubovSpec":
-        c = float(c)
-        if c <= 0:
-            raise FockError("c must be positive")
-        return cls.uniform(d, 0.5 * math.log(2.0 * c * c))
-
-    @classmethod
-    def from_gamma(cls, d: int, gamma: float) -> "BogoliubovSpec":
-        gamma = float(gamma)
-        if gamma <= 0:
-            raise FockError("gamma must be positive")
-        return cls.uniform(d, -0.5 * math.log(gamma))
-
-    @property
-    def gammas(self) -> tuple:
-        return tuple(math.exp(-2.0 * r) for r in self.rs)
-
-    @property
-    def cs(self) -> tuple:
-        return tuple(math.sqrt(math.exp(2.0 * r) / 2.0) for r in self.rs)
 
 
 def _squeezed_stack(m: ModeSpace, spec: BogoliubovSpec | None) -> SparseOp:

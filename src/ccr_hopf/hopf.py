@@ -99,7 +99,6 @@ __all__ = [
     "coproduct",
     "counit",
     "antipode",
-    "antipode_tensor",
     "swap_slots",
     "tensor_normal_form",
     "sorted_basis_words",
@@ -313,10 +312,6 @@ class HopfSpec:
             return (GEN_KINV if gen[0] == FAM_K else GEN_K), False
         return gen, True
 
-    def s_gen(self, gen) -> Expr:
-        letter, negated = self._s_letter(gen)
-        return Expr.from_word((letter,), _MINUS_ONE if negated else ONE)
-
 
 def _check_flavor_variant(h: HopfSpec, p: Presentation):
     if h.flavor == DEFORMED and p.variant == UNDEFORMED:
@@ -445,13 +440,6 @@ def antipode(e: Expr, h: HopfSpec, p: Presentation) -> Expr:
 def _s_free(e: Expr, h: HopfSpec) -> Expr:
     """S on the free algebra: _s_word extended linearly, unreduced."""
     return e._linear(lambda w: _s_word(w, h).terms)
-
-
-def antipode_tensor(t: TensorExpr, h: HopfSpec, p: Presentation) -> TensorExpr:
-    """S applied in every slot (no slot reversal), tensor-reduced."""
-    return tensor_normal_form(
-        t._linear(lambda words: tensor_of(*(_s_word(w, h) for w in words)).terms), p
-    )
 
 
 # ---------------------------------------------------------------------------

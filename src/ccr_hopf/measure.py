@@ -2,9 +2,9 @@
 
 A centered Gaussian measure with Fourier transform exp(-M_K(v)/2),
 M_K(v) = |K^-1 v|^2, carries multiplication operators T(v), translation
-operators P(v) weighted by the Radon-Nikodym cocycle, the exact Weyl
-composition law, and the field/momentum formulas with closed-form
-directional derivatives on a polynomial-times-Gaussian function class.
+operators P(v) weighted by the Radon-Nikodym cocycle, acting exactly on
+a polynomial-times-Gaussian function class, and the Weyl relation
+between them.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as cartesian
 
 import numpy as np
@@ -105,13 +104,6 @@ class GaussianModel:
     def fock(cls, d: int, gram=None) -> "GaussianModel":
         # C = 2 I reproduces Z(v) = exp(-|v|^2/4)
         return cls(ROOT2 * np.eye(d), gram=gram)
-
-    @classmethod
-    def scalar_c(cls, d: int, c: float) -> "GaussianModel":
-        c = float(c)
-        if c <= 0:
-            raise MeasureError("c must be positive")
-        return cls(np.eye(d) / c)
 
     def M(self, v) -> float:
         w = self.Kinv @ np.asarray(v, dtype=float)
@@ -352,8 +344,8 @@ def _poly_clean(poly: dict) -> dict:
 class TestFunction:
     """p(u) * exp(-u.A.u/2 + b.u + c) with a complex polynomial p.
 
-    Closed under translation, linear-phase multiplication, multiplication
-    by affine functions, and directional derivatives; evaluation is exact
+    Closed under translation and multiplication by the exponential of an
+    affine function, the operations of T(v) and P(v); evaluation is exact
     up to floating point.
     """
 
@@ -389,13 +381,6 @@ class TestFunction:
         f.const = self.const if const is None else complex(const)
         return f
 
-    @classmethod
-    def constant(cls, d: int, value=1.0) -> "TestFunction":
-        return cls(d, {(0,) * d: value})
-
-    def is_zero(self) -> bool:
-        return not self.poly
-
     def evaluate(self, u) -> complex:
         u = np.asarray(u, dtype=float)
         p = 0.0 + 0.0j
@@ -407,29 +392,6 @@ class TestFunction:
             p += term
         expo = -0.5 * float(u @ self.quad @ u) + complex(self.lin @ u) + self.const
         return p * cmath.exp(expo)
-
-    def _same_gaussian(self, other: "TestFunction") -> bool:
-        return (
-            self.d == other.d
-            and np.array_equal(self.quad, other.quad)
-            and np.array_equal(self.lin, other.lin)
-            and self.const == other.const
-        )
-
-    def __add__(self, other: "TestFunction") -> "TestFunction":
-        # only same-exponent combinations arise in the operator formulas
-        if not self._same_gaussian(other):
-            raise MeasureError("cannot add test functions with different exponents")
-        poly = dict(self.poly)
-        for k, v in other.poly.items():
-            poly[k] = poly.get(k, 0) + v
-        return self._derived(poly)
-
-    def __sub__(self, other: "TestFunction") -> "TestFunction":
-        return self + other.scale(-1.0)
-
-    def scale(self, z) -> "TestFunction":
-        return self._derived({k: z * v for k, v in self.poly.items()})
 
     def translate(self, t) -> "TestFunction":
         """u -> u + t."""
@@ -465,31 +427,6 @@ class TestFunction:
         lin = self.lin + np.asarray(dlin, dtype=complex)
         return self._derived(self.poly, lin, self.const + dconst)
 
-    def mul_affine(self, w, const=0.0) -> "TestFunction":
-        """Multiply by <w,u> + const."""
-        w = np.asarray(w, dtype=complex)
-        poly = {}
-        for k, coeff in self.poly.items():
-            if const != 0:
-                poly[k] = poly.get(k, 0) + coeff * const
-            for i in range(self.d):
-                if w[i] != 0:
-                    key = k[:i] + (k[i] + 1,) + k[i + 1 :]
-                    poly[key] = poly.get(key, 0) + coeff * w[i]
-        return self._derived(poly)
-
-    def dderiv(self, v) -> "TestFunction":
-        """Exact directional derivative along v."""
-        v = np.asarray(v, dtype=float)
-        poly = {}
-        for k, coeff in self.poly.items():
-            for i in range(self.d):
-                if k[i] and v[i] != 0:
-                    key = k[:i] + (k[i] - 1,) + k[i + 1 :]
-                    poly[key] = poly.get(key, 0) + coeff * k[i] * v[i]
-        dpoly = self._derived(poly)
-        dexp = self.mul_affine(-(self.quad @ v), complex(self.lin @ v))
-        return dpoly + dexp
 
 
 def random_test_function(rng, d: int) -> TestFunction:
@@ -558,123 +495,3 @@ def weyl_sweep(model: GaussianModel, rng, count: int) -> float:
     except OverflowError:  # cmath.exp of a translated test function past the float range
         raise MeasureError("a Weyl residual at a sample point overflows a float") from None
     return worst
-
-
-def apply_phi(model: GaussianModel, v, f: TestFunction) -> TestFunction:
-    """phi(v)f = <v,u> f."""
-    return f.mul_affine(np.asarray(v, dtype=float))
-
-
-def apply_pi(model: GaussianModel, v, f: TestFunction) -> TestFunction:
-    """pi(v)f = -i (d_v f - <Cv,u> f / 2), the derivative taken along u_v."""
-    uv = model.embed(v)
-    cv = model.C @ np.asarray(v, dtype=float)
-    return (f.dderiv(uv) + f.mul_affine(cv).scale(-0.5)).scale(-1j)
-
-
-def lowering(model: GaussianModel, v, f: TestFunction) -> TestFunction:
-    """a-(v) = (phi(v) + i pi(v)) / sqrt2."""
-    return (apply_phi(model, v, f) + apply_pi(model, v, f).scale(1j)).scale(1.0 / ROOT2)
-
-
-def vacuum_lowering_check(model: GaussianModel, v, points) -> float:
-    """max |(a-(v) 1)(u)| over the points; vanishes when C = 2I (up to the
-    roundoff in forming C from K)."""
-    f = lowering(model, v, TestFunction.constant(model.d))
-    return max(abs(f.evaluate(u)) for u in points)
-
-
-def functional_operator_check(model: GaussianModel, v, vp, f: TestFunction, u) -> complex:
-    """([pi(v), phi(v')] f)(u) + i <v|v'> f(u); zero for the exact formulas."""
-    comm = apply_pi(model, v, apply_phi(model, vp, f)) - apply_phi(
-        model, vp, apply_pi(model, v, f)
-    )
-    return comm.evaluate(u) + 1j * model.inner(vp, v) * f.evaluate(u)
-
-
-# ---------------------------------------------------------------------------
-# Weyl CCR group with exact phases
-
-def _fractions(vec) -> tuple:
-    return tuple(Fraction(x) for x in vec)
-
-
-@dataclass(frozen=True)
-class WeylElement:
-    """(v1, v2, lambda) with exact rational coordinates; the phase is kept
-    as the rational angle theta with lambda = exp(i theta), so composition
-    is exactly associative."""
-
-    v1: tuple
-    v2: tuple
-    theta: Fraction = Fraction(0)
-
-    @classmethod
-    def make(cls, v1, v2, theta=0) -> "WeylElement":
-        v1 = _fractions(v1)
-        v2 = _fractions(v2)
-        if len(v1) != len(v2):
-            raise MeasureError("v1 and v2 must have the same dimension")
-        return cls(v1, v2, Fraction(theta))
-
-    @property
-    def lam(self) -> complex:
-        return cmath.exp(1j * float(self.theta))
-
-    @property
-    def d(self) -> int:
-        return len(self.v1)
-
-
-def weyl_identity(d: int) -> WeylElement:
-    return WeylElement.make((0,) * d, (0,) * d)
-
-
-def weyl_compose(g: WeylElement, h: WeylElement, gram=None) -> WeylElement:
-    """(v1+v1', v2+v2', exp(i<v2,v1'>) lam lam'), phases added exactly."""
-    if g.d != h.d:
-        raise MeasureError("dimension mismatch")
-    if gram is None:
-        pairing = sum(a * b for a, b in zip(g.v2, h.v1))
-    else:
-        rows = [[Fraction(x) for x in row] for row in gram]
-        if len(rows) != g.d or any(len(r) != g.d for r in rows):
-            raise MeasureError("gram must be d x d")
-        pairing = sum(
-            g.v2[i] * rows[i][j] * h.v1[j] for i in range(g.d) for j in range(g.d)
-        )
-    v1 = tuple(a + b for a, b in zip(g.v1, h.v1))
-    v2 = tuple(a + b for a, b in zip(g.v2, h.v2))
-    return WeylElement(v1, v2, g.theta + h.theta + pairing)
-
-
-# ---------------------------------------------------------------------------
-# Hermite cross-check against the matrix picture
-
-def hermite_matrix_check(nmax: int = 10) -> dict:
-    """Matrix elements of phi and pi in the orthonormal Hermite basis of
-    the d=1 Fock-point measure, computed by Gauss-Hermite quadrature, versus
-    the ladder-matrix construction.  Returns the max absolute deviations."""
-    from .fock import ModeSpace, phi_pi_matrices
-
-    x, w = np.polynomial.hermite.hermgauss(64)
-    w = w / math.sqrt(math.pi)
-    # orthonormal for weight exp(-x^2)/sqrt(pi): h_{n+1} = (sqrt2 x h_n - sqrt(n) h_{n-1})/sqrt(n+1)
-    h = np.zeros((nmax + 1, len(x)))
-    h[0] = 1.0
-    if nmax >= 1:
-        h[1] = ROOT2 * x
-    for n in range(1, nmax):
-        h[n + 1] = (ROOT2 * x * h[n] - math.sqrt(n) * h[n - 1]) / math.sqrt(n + 1)
-    # h_n' = sqrt(2n) h_{n-1}
-    dh = np.zeros_like(h)
-    for n in range(1, nmax + 1):
-        dh[n] = math.sqrt(2 * n) * h[n - 1]
-    phi_quad = np.einsum("k,mk,k,nk->mn", w, h, x, h)
-    pi_quad = -1j * (np.einsum("k,mk,nk->mn", w, h, dh) - phi_quad)
-    m = ModeSpace(1, nmax)
-    phis, pis = phi_pi_matrices(m)
-    return {
-        "phi": float(np.max(np.abs(phi_quad - phis[0].toarray()))),
-        "pi": float(np.max(np.abs(pi_quad - pis[0].toarray()))),
-    }

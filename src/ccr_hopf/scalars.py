@@ -36,8 +36,8 @@ two constants are then one ``_c_mul``, ``_c_add``, ``_c_neg`` or tuple
 compare: no monomial product and no polynomial dict but the result's.
 Most coefficients of the Hopf sweeps are constants.  The unit-factor
 returns come first, so ``x * ONE`` is ``x`` itself, which callers test
-with ``is ONE``.  :meth:`Scalar.is_constant`, :meth:`Scalar.constant_value`
-and :meth:`Scalar.constant_texts` read the same slot.
+with ``is ONE``.  :meth:`Scalar.is_constant` and
+:meth:`Scalar.constant_texts` read the same slot.
 """
 
 from __future__ import annotations
@@ -409,21 +409,18 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self._num
 
-    def is_one(self) -> bool:
-        return self._c == _C_ONE
-
     def is_constant(self) -> bool:
         return self._c is not None
+
+    def denominator(self) -> "Scalar":
+        """The denominator as a scalar: 1 unless a multi-term divisor
+        survived normalisation."""
+        return ONE if self._den == _P_ONE else _raw(self._den, _P_ONE)
 
     def _constant_triple(self) -> Coeff:
         if self._c is None:
             raise ScalarError("scalar is not constant")
         return self._c
-
-    def constant_value(self) -> tuple:
-        """(re, im) of a constant: ints when its denominator is 1, else
-        Fractions."""
-        return _c_parts(self._constant_triple())
 
     # -- ring / field operations ---------------------------------------------
 
@@ -626,14 +623,6 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
-
-    # -- structured form -------------------------------------------------------
-
-    def denominator_terms(self) -> list[tuple[Mono, tuple]] | None:
-        """The denominator's (monomial, (re, im)) terms, or None when it is 1."""
-        if self._den == _P_ONE:
-            return None
-        return [(m, _c_parts(c)) for m, c in sorted(self._den.items())]
 
 
 ZERO = Scalar.zero()

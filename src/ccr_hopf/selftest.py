@@ -44,6 +44,7 @@ from .fock import (
     TRANSFER_TOLERANCE,
     ModeSpace,
     boundedness_trend,
+    commutator_matrix,
     expr_matrix,
     ladder_of,
     restricted_norm,
@@ -134,18 +135,20 @@ def criterion_02(seed: int) -> dict:
     }
 
 
-# the K-collapse ratio at 20 numeric points passes within this of the deformation constant
+# the K-collapse ratio at COLLAPSE_POINTS numeric points passes within this of the
+# deformation constant
 COLLAPSE_TOLERANCE = 1e-12
+COLLAPSE_POINTS = 20
 
 
 def criterion_03(seed: int) -> dict:
-    """K-collapse identity, symbolically and at 20 numeric points."""
+    """K-collapse identity, symbolically and at COLLAPSE_POINTS numeric points."""
     collapsed = Presentation(variant=DEFORMED_COLLAPSED)
     got = expand_k(gen_K() ** 2 - gen_Kinv() ** 2, collapsed)
     want = gen_I() * (S_PARAM ** 2 - S_PARAM ** -2)
     rng = _rng(seed, "collapse")
     worst = 0.0
-    for _ in range(20):
+    for _ in range(COLLAPSE_POINTS):
         q = rng.uniform(0.2, 3.0)
         if abs(q - 1.0) < 1e-2:
             q += 0.05
@@ -163,7 +166,7 @@ def criterion_03(seed: int) -> dict:
             "symbolic_expected": expr_to_text(want),
             "numeric_max_error": worst,
             "numeric_tolerance": COLLAPSE_TOLERANCE,
-            "points": 20,
+            "points": COLLAPSE_POINTS,
         },
     }
 
@@ -302,7 +305,7 @@ def criterion_08(seed: int) -> dict:
         w = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2)])
         ap_v, am_v = ladder_of(m, v)
         ap_w, am_w = ladder_of(m, w)
-        comm = (am_v @ ap_w - ap_w @ am_v) - np.vdot(v, w) * eye
+        comm = commutator_matrix(am_v, ap_w) - np.vdot(v, w) * eye
         worst_ccr = max(worst_ccr, restricted_norm(m, comm, 2))
     target = math.exp(-0.25)
     errs = []
@@ -331,13 +334,15 @@ def criterion_08(seed: int) -> dict:
     }
 
 
-# the restricted norm of expr_matrix(e) - expr_matrix(normal_form(e)) passes below this
+# the restricted norm of expr_matrix(e) - expr_matrix(normal_form(e)) passes below this,
+# over FUNCTOR_EXPRESSIONS random expressions
 FUNCTOR_TOLERANCE = 1e-10
+FUNCTOR_EXPRESSIONS = 200
 
 
 def criterion_09(seed: int) -> dict:
     """Matrices do not see the difference between an expression and its
-    normal form: 200 random elements, four presentations."""
+    normal form: FUNCTOR_EXPRESSIONS random elements, four presentations."""
     rng = _rng(seed, "functor")
     m = ModeSpace(2, 10)
     configs = [
@@ -347,7 +352,7 @@ def criterion_09(seed: int) -> dict:
         (Presentation(variant=DEFORMED_COLLAPSED), 0.8, 1.9),
     ]
     worst = 0.0
-    for k in range(200):
+    for k in range(FUNCTOR_EXPRESSIONS):
         p, q, c = configs[k % len(configs)]
         e = random_expr(rng, p, max_degree=3, modes=2)
         a = expr_matrix(e, m, p, q=q, c=c)
@@ -360,9 +365,12 @@ def criterion_09(seed: int) -> dict:
         "details": {
             "max_residual": worst,
             "tolerance": FUNCTOR_TOLERANCE,
-            "expressions": 200,
+            "expressions": FUNCTOR_EXPRESSIONS,
         },
     }
+
+
+TRANSFER_POINTS = 20  # random (q, c, v, w) points of the transfer residual
 
 
 def criterion_10(seed: int) -> dict:
@@ -370,7 +378,7 @@ def criterion_10(seed: int) -> dict:
     rng = _rng(seed, "transfer")
     m = ModeSpace(2, 10)
     worst = 0.0
-    for _ in range(20):
+    for _ in range(TRANSFER_POINTS):
         q = rng.uniform(0.3, 2.5)
         c = rng.uniform(0.3, 2.5)
         v = gauss_vector(rng, 2)
@@ -380,8 +388,13 @@ def criterion_10(seed: int) -> dict:
         "criterion": 10,
         "name": "transfer-representation-ccr",
         "passed": worst < TRANSFER_TOLERANCE,
-        "details": {"max_residual": worst, "tolerance": TRANSFER_TOLERANCE, "points": 20},
+        "details": {"max_residual": worst, "tolerance": TRANSFER_TOLERANCE,
+                    "points": TRANSFER_POINTS},
     }
+
+
+# the uniform family's vacuum occupancy passes within this relative error of d/8
+UNIFORM_TOLERANCE = 0.02
 
 
 def criterion_11(seed: int) -> dict:
@@ -397,7 +410,7 @@ def criterion_11(seed: int) -> dict:
     rel_errors = [abs(occ - (d / 8.0)) / (d / 8.0) for d, occ in zip((1, 2, 3), uniform)]
     increments = [b - a for a, b in zip(summable, summable[1:])]
     plateau = increments[1] < 0.5 * increments[0]
-    ok = max(rel_errors) <= 0.02 and plateau and trend.passed
+    ok = max(rel_errors) <= UNIFORM_TOLERANCE and plateau and trend.passed
     return {
         "criterion": 11,
         "name": "number-operator-growth-trend",
@@ -405,7 +418,7 @@ def criterion_11(seed: int) -> dict:
         "details": {
             "uniform_occupancy": uniform,
             "uniform_relative_errors": rel_errors,
-            "uniform_tolerance": 0.02,
+            "uniform_tolerance": UNIFORM_TOLERANCE,
             "summable_occupancy": summable,
             "summable_increments": increments,
             "slope_ratio": trend.slope_ratio,

@@ -55,7 +55,7 @@ from ccr_hopf.fock import (
     invariant_blocks,
     ladder_of,
     number_operator,
-    occupation_states,
+    occupation_array,
     phi_pi_matrices,
     restricted_norm,
     smallest_eigenvalues,
@@ -65,8 +65,12 @@ from ccr_hopf.fock import (
 )
 
 
+def _states(d, nmax):
+    return list(map(tuple, occupation_array(d, nmax).tolist()))
+
+
 def test_basis_enumeration():
-    states = occupation_states(2, 2)
+    states = ModeSpace(2, 2).states
     assert states == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
     m = ModeSpace(3, 5)
     assert m.dim == comb(5 + 3, 3)
@@ -78,7 +82,7 @@ def test_basis_enumeration():
 
 
 def _recursive_states(d, nmax):
-    # the recursive enumeration occupation_states replaced, kept as the oracle
+    # the recursive enumeration occupation_array replaced, kept as the oracle
     out = []
 
     def grow(prefix, left):
@@ -95,12 +99,12 @@ def _recursive_states(d, nmax):
 def test_occupation_states_match_recursion():
     for d in range(1, 6):
         for nmax in range(0, 7):
-            assert occupation_states(d, nmax) == _recursive_states(d, nmax), (d, nmax)
-    states = occupation_states(1100, 1)
+            assert _states(d, nmax) == _recursive_states(d, nmax), (d, nmax)
+    states = _states(1100, 1)
     assert len(states) == 1101 and states[-1] == (1,) + (0,) * 1099
     with pytest.raises(FockError, match="budget"):
-        occupation_states(1000, 30)
-    assert len(occupation_states(3, 30)) == comb(33, 3) <= MAX_STATES
+        occupation_array(1000, 30)
+    assert len(_states(3, 30)) == comb(33, 3) <= MAX_STATES
 
 
 def _per_state_lowering(m, index, j):
@@ -167,7 +171,7 @@ def test_numpy_ladders_match_per_state_loop(d, nmax):
     # run without one
     for gram in (None, _tridiagonal_gram(d)) if d < 6 else (None,):
         m = ModeSpace(d, nmax, gram=gram)
-        assert m.states == occupation_states(d, nmax)
+        assert m.states == _states(d, nmax)
         assert np.array_equal(m.occupancy, [sum(s) for s in m.states])
         index = {s: i for i, s in enumerate(m.states)}
         ladders = fock._lowering_ladder(m, None)
@@ -288,20 +292,6 @@ def test_bogoliubov_fock_point_and_ccr():
         bpw, _ = ladder_of(m, w, spec)
         comm = commutator_matrix(bmv, bpw) - float(v @ w) * eye
         assert restricted_norm(m, comm, 2) < 1e-10
-
-
-def test_bogoliubov_parameterizations():
-    spec = BogoliubovSpec.from_c(1, 1.0)
-    assert abs(spec.rs[0] - 0.5 * math.log(2.0)) < 1e-15
-    assert abs(spec.gammas[0] - 0.5) < 1e-15
-    assert abs(spec.cs[0] - 1.0) < 1e-15
-    assert abs(BogoliubovSpec.from_c(1, math.sqrt(0.5)).rs[0]) < 1e-15
-    assert BogoliubovSpec.from_gamma(2, 1.0).rs == (0.0, 0.0)
-    for c in (0.3, 1.7):
-        s = BogoliubovSpec.from_c(1, c)
-        assert abs(s.gammas[0] - 1.0 / (2 * c * c)) < 1e-14
-    with pytest.raises(FockError):
-        BogoliubovSpec.from_c(1, 0.0)
     with pytest.raises(FockError):
         ladder_of(ModeSpace(2, 3), [1.0, 0.0], BogoliubovSpec.fock(3))
 
@@ -1129,3 +1119,33 @@ def test_generating_function_matches_gauss_hermite(d):
         for spec in (BogoliubovSpec.uniform(d, 0.4), BogoliubovSpec.summable(d, -0.7)):
             sigma = float(np.linalg.norm(np.exp(spec.rs) * real))
             assert abs(vacuum_generating_function(m, real, spec) - gauss(sigma)) < 1e-14
+
+
+def _hermite_matrices(nmax):
+    """phi and pi of the d = 1 Fock-point measure in its orthonormal Hermite
+    basis, by 64-point Gauss-Hermite quadrature: an oracle for the ladder
+    construction that shares no code with it."""
+    x, w = np.polynomial.hermite.hermgauss(64)
+    w = w / math.sqrt(math.pi)
+    # orthonormal for weight exp(-x^2)/sqrt(pi): h_{n+1} = (sqrt2 x h_n - sqrt(n) h_{n-1})/sqrt(n+1)
+    h = np.zeros((nmax + 1, len(x)))
+    h[0] = 1.0
+    if nmax >= 1:
+        h[1] = math.sqrt(2.0) * x
+    for n in range(1, nmax):
+        h[n + 1] = (math.sqrt(2.0) * x * h[n] - math.sqrt(n) * h[n - 1]) / math.sqrt(n + 1)
+    # h_n' = sqrt(2n) h_{n-1}
+    dh = np.zeros_like(h)
+    for n in range(1, nmax + 1):
+        dh[n] = math.sqrt(2 * n) * h[n - 1]
+    phi_quad = np.einsum("k,mk,k,nk->mn", w, h, x, h)
+    pi_quad = -1j * (np.einsum("k,mk,nk->mn", w, h, dh) - phi_quad)
+    return phi_quad, pi_quad
+
+
+def test_hermite_cross_check():
+    # the Gauss-Hermite matrix elements of phi and pi equal the ladder matrices
+    phi_quad, pi_quad = _hermite_matrices(10)
+    phis, pis = phi_pi_matrices(ModeSpace(1, 10))
+    assert float(np.max(np.abs(phi_quad - phis[0].toarray()))) < 1e-10
+    assert float(np.max(np.abs(pi_quad - pis[0].toarray()))) < 1e-10

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccr_hopf.algebra import (
+    AlgebraError,
     Presentation,
     adjoint,
     legal_letter_count,
@@ -31,7 +32,7 @@ from ccr_hopf.cli import (
 )
 from ccr_hopf.exprparse import ParseError, expr_to_text, parse_expr, scalar_text
 from ccr_hopf.hopf import MAX_CHECK_WORDS
-from ccr_hopf.scalars import IMAG, KAPPA, S_PARAM, Scalar
+from ccr_hopf.scalars import IMAG, KAPPA, ONE, S_PARAM, Scalar
 
 
 def test_grammar_examples():
@@ -47,7 +48,7 @@ def test_grammar_examples():
     e = parse_expr("ap(1)^2")
     ((word, coeff),) = e.terms.items()
     assert word == ((5, 1), (5, 1))
-    assert coeff.is_one()
+    assert coeff == ONE
 
 
 def test_whitespace_and_numbers():
@@ -597,6 +598,42 @@ def test_cli_undeformed_variant_refuses_numeric_qc(capsys):
     # the both-or-neither check still comes first
     code, doc, err = run_cli(capsys, ["normalize", "phi(0)", "--q", "1.5"])
     assert _one_refusal(code, doc, err) and "needs both --q and --c" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normalize", "(s-1)^-1*phi(0)"],
+        ["normalize", "(kappa-1)^-1*phi(0)"],
+        ["commutator", "(1+s)^-1*phi(0)", "(s-1)^-1*pi(0)"],
+        ["convert", "(kappa-1)^-1*phi(0)", "--to", "ladder"],
+        ["antipode", "(kappa-1)^-1*phi(0)", "--flavor", "deformed"],
+    ],
+)
+def test_cli_denominator_vanishing_at_numeric_qc_exits_2(capsys, argv):
+    # kappa = s = 1 at q = c = 1, where these typed denominators vanish
+    qc = ["--variant", "deformed", "--q", "1", "--c", "1"]
+    code, doc, err = run_cli(capsys, argv + qc)
+    assert _one_refusal(code, doc, err) and "vanishes at q=1.0, c=1.0" in err
+    # away from that point, and without numeric q and c, they run
+    for flags in (["--variant", "deformed", "--q", "1.5", "--c", "0.8"], ["--variant", "deformed"]):
+        assert run_cli(capsys, argv + flags)[0] == 0
+
+
+def test_typed_denominators_are_evaluated_only_at_numeric_qc(monkeypatch):
+    calls = []
+    substitute = Scalar.substitute
+    monkeypatch.setattr(Scalar, "substitute", lambda s, a: calls.append(a) or substitute(s, a))
+    e = parse_expr("(s-1)^-1*phi(0) + 2*pi(0) + kappa*phi(1)")
+    Presentation(variant="deformed-strict").validate_expr(e)
+    Presentation(variant="deformed-strict", q=1.5, c=0.8).validate_expr(parse_expr("2*pi(0)"))
+    assert calls == []  # symbolic presentations and constant coefficients cost nothing
+    # typed kappa and s are not refused in general, only a denominator that
+    # vanishes at the point; a denominator of 1 is not evaluated
+    Presentation(variant="deformed-strict", q=1.5, c=0.8).validate_expr(e)
+    assert len(calls) == 1
+    with pytest.raises(AlgebraError, match="vanishes"):
+        Presentation(variant="deformed-collapsed", q=1.0, c=1.0).validate_expr(e)
 
 
 @pytest.mark.parametrize("sub", ["cocycle", "eta", "bochner", "weyl", "pd-check"])

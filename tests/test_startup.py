@@ -1,11 +1,14 @@
 """What an invocation pays for: the parser is built once per process and
 reused without carrying state between calls, the package and the CLI
-import numpy only for the commands that use them, and nothing imports
-scipy, which only the tests use."""
+import numpy only for the commands that use them, nothing imports scipy,
+which only the tests use, and the package holds no definition that only
+the tests reach."""
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,3 +169,58 @@ def test_fresh_numeric_commands(argv):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["passed"] is True
+
+
+ROOT = Path(__file__).resolve().parents[1]
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# definitions under src/ccr_hopf that nothing in src or perfbench/ references,
+# each with the reason it stays
+UNREFERENCED_ALLOWED = {
+    ("hopf.py", "_co_free"): "the free-algebra coproduct the tests check _co_nf against",
+}
+
+
+def _references(tree, strings):
+    """(name, names of the enclosing definitions) of every name and
+    attribute in tree, and of every string constant when strings is set."""
+    out = []
+
+    def visit(node, enclosing):
+        if isinstance(node, _DEFINITIONS):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Name):
+            out.append((node.id, enclosing))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, enclosing))
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.append((node.value, enclosing))
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return out
+
+
+def test_every_definition_is_referenced_outside_itself():
+    # a function, class or method that no command, selftest criterion or
+    # benchmark workload reaches moves into tests/ as an oracle or goes.
+    # A reference is a name or attribute in src/ccr_hopf or perfbench/
+    # outside the definition itself; perfbench also names functions as
+    # strings (workloads.Layers).  Dunder methods are called by protocol.
+    defined, used = [], set()
+    for path in sorted((ROOT / "src" / "ccr_hopf").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [(path.name, node.name, node.lineno) for node in ast.walk(tree)
+                    if isinstance(node, _DEFINITIONS)
+                    and not (node.name.startswith("__") and node.name.endswith("__"))]
+        used |= {name for name, enclosing in _references(tree, False) if name not in enclosing}
+    for path in sorted((ROOT / "perfbench").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used |= {name for name, enclosing in _references(tree, True) if name not in enclosing}
+    unreferenced = {(f, name): line for f, name, line in defined if name not in used}
+    stray = [f"{f}:{line} {name}" for (f, name), line in sorted(unreferenced.items())
+             if (f, name) not in UNREFERENCED_ALLOWED]
+    assert not stray, "referenced from nowhere in src or perfbench: " + ", ".join(stray)
+    # an allowance outlives neither its definition nor its reason
+    assert set(UNREFERENCED_ALLOWED) <= set(unreferenced)
