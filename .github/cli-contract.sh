@@ -128,6 +128,12 @@ done <<'ROWS'
 0  60 fock spectrum --d 1 --nmax 4
 0  60 fock spectrum --d 2 --nmax 30 --family uniform --r 0.3
 0  60 fock transfer --d 2 --nmax 8 --seed 5
+# the per-mode matrices, a three-mode squeezed spectrum, and the ladders
+# and transfer matrices weighted through a gram
+0  60 fock matrices --d 2 --nmax 3
+0  60 fock spectrum --d 3 --nmax 12 --family summable
+0  60 fock genfun --d 2 --v 0.3,0.4 --gram tests/golden/gram2.json
+0  60 fock transfer --gram tests/golden/gram2.json
 0  60 measure eta
 0  60 measure weyl --d 2 --seed 5 --count 80
 # commands that read their tolerance, verdict or Gaussian model from fock

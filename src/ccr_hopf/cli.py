@@ -402,7 +402,7 @@ def _cmd_fock_transfer(args):
     v = _vector(args.v, args.d) if args.v else gauss_vector(rng, args.d)
     w = _vector(args.w, args.d) if args.w else gauss_vector(rng, args.d)
     rep = transfer_rep(m, 1.5 if args.q is None else args.q, 0.8 if args.c is None else args.c)
-    residual = transfer_residual(m, rep, v, w)
+    residual = transfer_residual(rep, v, w)
     results = {
         "c_qc": rep.constant,
         "residual": residual,

@@ -281,15 +281,15 @@ class ModeSpace:
 
     Matrices are SparseOp operators built from _am_entries, the entries of
     the per-mode ladders a-_j.  Those are real float64, and so are the
-    squeezed b-_j and the number operator built from them.  Complex
-    arithmetic enters with a complex coefficient: the gram coordinates and
-    conj(w) in ladder_of, the i of pi in field_pair, the vacuum vector and
-    exp(i phi(v)), and the transfer letter matrices.
+    squeezed b-_j, stacked in _squeezed_stack, and the number operator
+    built from them.  Complex arithmetic enters with a complex
+    coefficient: the gram coordinates and conj(w) in ladder_of, the i of
+    pi in field_pair, the vacuum vector and exp(i phi(v)), and the
+    transfer letter matrices.
 
-    The transfer-representation letter matrices are built once per
-    (constant, scale) and kept on the instance, and so are the word
-    products expr_matrix forms from them; see _letter_matrices and
-    _word_matrices.
+    The transfer representation's matrices are kept on the instance, one
+    word cache per (constant, scale), seeded with the letters and grown
+    with the word products expr_matrix forms; see _word_matrices.
     """
 
     def __init__(self, d: int, nmax: int, gram=None):
@@ -315,7 +315,6 @@ class ModeSpace:
         self._tail = _tail_counts(self.d, self.nmax)
         self.occupancy = self._occ.sum(axis=1)
         self._am_entries = _lowering_entries(self._occ, self._tail)
-        self._letters = {}  # (constant, scale) -> letter -> matrix
         self._words = {}  # (constant, scale) -> word -> matrix
 
     @property
@@ -326,13 +325,6 @@ class ModeSpace:
     def states(self) -> list:
         """The occupation tuples, in basis order; built on first use."""
         return list(map(tuple, self._occ.tolist()))
-
-    def index(self, occ) -> int:
-        occ = tuple(int(n) for n in occ)
-        if len(occ) != self.d or min(occ) < 0 or sum(occ) > self.nmax:
-            raise FockError(f"occupation {occ} outside the cutoff")
-        prefix = np.cumsum((0,) + occ)[None, :]
-        return int(_ranks(prefix, self._tail)[0])
 
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
@@ -356,11 +348,15 @@ class ModeSpace:
 def ladder_of(m: ModeSpace, v, spec=None):
     """(a+(v), a-(v)) for a coefficient vector v, linear through the gram;
     a-(v) is antilinear in v so that [a-(v), a+(w)] = <v|w>.  With a
-    spec, the Bogoliubov (b+(v), b-(v)) by the same (anti)linearity."""
-    w = m.coords(v)
-    lowering = _lowering_ladder(m, spec)
-    am = _linear_combination(((np.conj(w[j]), lowering[j]) for j in range(m.d) if w[j] != 0),
-                             m.dim)
+    spec, the Bogoliubov (b+(v), b-(v)) by the same (anti)linearity.
+
+    a-(v) = sum_j conj(w_j) b-_j for the gram coordinates w: each row of
+    _squeezed_stack is weighted by conj(w_j) of its mode j and the rows
+    are folded onto one another, so an entry adds its terms mode by mode."""
+    w = np.conj(m.coords(v))
+    b = _squeezed_stack(m, spec)
+    mode = b.rows // m.dim
+    am = _coalesced(b.rows - mode * m.dim, b.cols, b.vals * w[mode], (m.dim, m.dim))
     return am.conj().T, am
 
 
@@ -434,15 +430,6 @@ def _squeezed_stack(m: ModeSpace, spec: BogoliubovSpec | None) -> SparseOp:
     return SparseOp(r[order], c[order], x[order], (m.d * m.dim, m.dim))
 
 
-def _lowering_ladder(m: ModeSpace, spec: BogoliubovSpec | None) -> list:
-    """Per-mode b-_j = cosh(r_j) a-_j + sinh(r_j) a+_j, the row blocks of
-    _squeezed_stack; the a-_j when spec is None."""
-    b = _squeezed_stack(m, spec)
-    ends = np.searchsorted(b.rows, np.arange(m.d + 1) * m.dim)
-    return [SparseOp(b.rows[lo:hi] - j * m.dim, b.cols[lo:hi], b.vals[lo:hi], (m.dim, m.dim))
-            for j, (lo, hi) in enumerate(zip(ends[:-1], ends[1:]))]
-
-
 def number_operator(m: ModeSpace, spec: BogoliubovSpec | None = None) -> SparseOp:
     """N = sum_j b+_j b-_j; the plain Fock number operator when spec is
     None (then N is diagonal with the total occupation as eigenvalue).
@@ -512,8 +499,6 @@ class TransferRep:
     constant; the group-like generator acts as the scalar q^(c/2)."""
 
     space: ModeSpace
-    q: float
-    c: float
     constant: float
     scale: float
 
@@ -525,58 +510,44 @@ class TransferRep:
 
 
 def transfer_rep(m: ModeSpace, q: float, c: float) -> TransferRep:
-    return TransferRep(m, float(q), float(c), *deformation_pair(q, c))
-
-
-def _letter_matrices(m: ModeSpace, constant: float, scale: float) -> dict:
-    """Letter -> matrix under the transfer representation, cached on m.
-    Callers must not change the matrices in place."""
-    key = (constant, scale)
-    if key not in m._letters:
-        m._letters[key] = _build_letter_matrices(m, constant, scale)
-    return m._letters[key]
-
-
-def _build_letter_matrices(m: ModeSpace, constant: float, scale: float) -> dict:
-    phis, pis = phi_pi_matrices(m)
-    mats = {
-        (FAM_I, 0): _scalar_op(m.dim, 1.0),
-        (FAM_K, 0): _scalar_op(m.dim, scale),
-        (FAM_KINV, 0): _scalar_op(m.dim, 1.0 / scale),
-    }
-    for j in range(m.d):
-        ph = phis[j]
-        pj = constant * pis[j]
-        mats[(FAM_PHI, j)] = ph
-        mats[(FAM_PI, j)] = pj
-        mats[(FAM_AP, j)] = (ph - 1j * pj) / ROOT2
-        mats[(FAM_AM, j)] = (ph + 1j * pj) / ROOT2
-    return mats
+    return TransferRep(m, *deformation_pair(q, c))
 
 
 def _word_matrices(m: ModeSpace, constant: float, scale: float) -> dict:
-    """Word -> matrix under the transfer representation, cached on m next
-    to the letter matrices and seeded with the empty word, the identity.
-    Callers must not change the matrices in place."""
+    """Word -> matrix under the transfer representation, cached on m per
+    (constant, scale).  It is seeded with the empty word, the identity,
+    and every one-letter word, the letter's matrix; _word_matrix adds the
+    longer words.  Callers must not change the matrices in place."""
     key = (constant, scale)
     if key not in m._words:
-        m._words[key] = {(): _letter_matrices(m, constant, scale)[(FAM_I, 0)]}
+        phis, pis = phi_pi_matrices(m)
+        one = _scalar_op(m.dim, 1.0)
+        words = {(): one, ((FAM_I, 0),): one, ((FAM_K, 0),): _scalar_op(m.dim, scale),
+                 ((FAM_KINV, 0),): _scalar_op(m.dim, 1.0 / scale)}
+        for j, (ph, mom) in enumerate(zip(phis, pis)):
+            pj = constant * mom
+            words[((FAM_PHI, j),)] = ph
+            words[((FAM_PI, j),)] = pj
+            words[((FAM_AP, j),)] = (ph - 1j * pj) / ROOT2
+            words[((FAM_AM, j),)] = (ph + 1j * pj) / ROOT2
+        m._words[key] = words
     return m._words[key]
 
 
-def _word_matrix(words: dict, letters: dict, word: tuple, d: int):
+def _word_matrix(words: dict, word: tuple, d: int):
     """The matrix of word: its longest cached prefix times the remaining
     letters, left to right, caching every longer prefix.  A product's
-    floats depend only on its two factors, so each entry is the same float
-    as multiplying the word out from the identity."""
+    floats depend only on its two factors, and the identity times a letter
+    is that letter entry for entry, so each entry is the same float as
+    multiplying the word out from the identity."""
     k = len(word)
     while word[:k] not in words:
         k -= 1
     cur = words[word[:k]]
     for i in range(k, len(word)):
-        if word[i] not in letters:
+        if word[i : i + 1] not in words:
             raise FockError(f"generator {word[i]} needs a mode index below d={d}")
-        cur = cur @ letters[word[i]]
+        cur = cur @ words[word[i : i + 1]]
         words[word[: i + 1]] = cur
     return cur
 
@@ -600,10 +571,9 @@ def expr_matrix(e: Expr, m: ModeSpace, p: Presentation, q=None, c=None):
         raise FockError("numeric q and c are required for a symbolic presentation")
     else:
         constant, scale = deformation_pair(q, c)
-    letters = _letter_matrices(m, constant, scale)
     words = _word_matrices(m, constant, scale)
     terms = sorted(evaluate_numeric(e, {"kappa": constant, "s": scale}).items())
-    return _linear_combination(((coeff, _word_matrix(words, letters, word, m.d))
+    return _linear_combination(((coeff, _word_matrix(words, word, m.d))
                                 for word, coeff in terms), m.dim)
 
 
@@ -614,7 +584,7 @@ def commutator_matrix(a: SparseOp, b: SparseOp) -> SparseOp:
 TRANSFER_TOLERANCE = 1e-12  # transfer_residual passes below this
 
 
-def transfer_residual(m: ModeSpace, rep: TransferRep, v, w) -> float:
+def transfer_residual(rep: TransferRep, v, w) -> float:
     """Deformed CCR residual of the transfer representation: the norm of
     [pi(v), phi(w)] + i c(q,c) Re<v|w> on the degree-2 safe subspace, where
     <v|w> = v^H G w is the inner product of the space's gram G (the plain
@@ -622,8 +592,8 @@ def transfer_residual(m: ModeSpace, rep: TransferRep, v, w) -> float:
     raises FockError."""
     with np.errstate(over="ignore", invalid="ignore"):
         comm = commutator_matrix(rep.pi(v), rep.phi(w))
-        g = rep.space.gram
-        inner = float(v @ w) if g is None else float(np.real(np.conj(v) @ g @ w))
+        m = rep.space
+        inner = float(v @ w) if m.gram is None else float(np.real(np.conj(v) @ m.gram @ w))
         target = -1j * rep.constant * inner
         residual = restricted_norm(m, comm - _scalar_op(m.dim, target), 2)
     if not math.isfinite(residual):
@@ -687,8 +657,10 @@ def smallest_eigenvalues(a, k: int) -> tuple:
 
     The matrix is split into its invariant blocks; one-state blocks are
     read off the diagonal and every larger one is solved with a dense
-    eigvalsh, its states in rising order.  A block above DENSE_EIG_LIMIT
-    states raises FockError."""
+    eigvalsh, its states in rising order, placed by np.searchsorted.  Only
+    the entries whose row and column both lie in the block enter it, so a
+    stored zero between two blocks is left out.  A block above
+    DENSE_EIG_LIMIT states raises FockError."""
     if k < 0:
         raise FockError("k must be non-negative")
     if k == 0:
@@ -700,19 +672,13 @@ def smallest_eigenvalues(a, k: int) -> tuple:
             f"eigen-solver budget of {DENSE_EIG_LIMIT}; a smaller nmax shrinks it"
         )
     parts = [a.diagonal()[sizes[labels] == 1].real]
-    # a state's place in its block; then each block's entries, block by
-    # block, are scattered into its dense array
-    order = np.argsort(labels, kind="stable")
-    place = np.empty_like(order)
-    place[order] = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    block = labels[a.rows]
-    inside = np.flatnonzero((block == labels[a.cols]) & (sizes[block] > 1))
-    inside = inside[np.argsort(block[inside], kind="stable")]
-    ends = np.searchsorted(block[inside], np.arange(sizes.size + 1))
+    block = np.where(labels[a.rows] == labels[a.cols], labels[a.rows], -1)
     for b in np.flatnonzero(sizes > 1):
-        at = inside[ends[b] : ends[b + 1]]
-        dense = np.zeros((sizes[b], sizes[b]), dtype=a.dtype)
-        dense[place[a.rows[at]], place[a.cols[at]]] += a.vals[at]
+        states = np.flatnonzero(labels == b)
+        at = block == b
+        dense = np.zeros((states.size, states.size), dtype=a.dtype)
+        rows, cols = np.searchsorted(states, a.rows[at]), np.searchsorted(states, a.cols[at])
+        dense[rows, cols] += a.vals[at]
         parts.append(np.linalg.eigvalsh(dense)[:k])
     vals = np.sort(np.concatenate(parts))[:k]
     return tuple(float(x) for x in vals)

@@ -303,9 +303,8 @@ def bochner_check(model: GaussianModel, v, samples: int, seed: int) -> tuple:
     return fields, gap <= BOCHNER_SIGMAS * est.stderr
 
 
-def positive_definiteness_check(Z, vectors, coefficients=None):
-    """Gram matrix Z(v_i - v_j); returns its minimum eigenvalue, or the
-    quadratic form value when coefficients are supplied."""
+def positive_definiteness_check(Z, vectors):
+    """Gram matrix Z(v_i - v_j); returns its minimum eigenvalue."""
     vs = [np.asarray(v, dtype=float) for v in vectors]
     m = len(vs)
     if m == 0:
@@ -314,11 +313,6 @@ def positive_definiteness_check(Z, vectors, coefficients=None):
     for i in range(m):
         for j in range(m):
             mat[i, j] = Z(vs[i] - vs[j])
-    if coefficients is not None:
-        c = np.asarray(coefficients, dtype=complex)
-        if c.shape != (m,):
-            raise MeasureError("one coefficient per vector")
-        return float((np.conj(c) @ mat @ c).real)
     return float(np.min(np.linalg.eigvalsh(mat)))
 
 
@@ -435,8 +429,6 @@ def random_test_function(rng, d: int) -> TestFunction:
     for _ in range(rng.randint(1, 2)):
         key = tuple(rng.randint(0, 2) for _ in range(d))
         poly[key] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-    if not poly:
-        poly = {(0,) * d: 1.0}
     quad = np.diag([rng.uniform(0.0, 0.5) for _ in range(d)])
     lin = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(d)])
     return TestFunction(d, poly, quad, lin, 0.0)

@@ -383,7 +383,7 @@ def criterion_10(seed: int) -> dict:
         c = rng.uniform(0.3, 2.5)
         v = gauss_vector(rng, 2)
         w = gauss_vector(rng, 2)
-        worst = max(worst, transfer_residual(m, transfer_rep(m, q, c), v, w))
+        worst = max(worst, transfer_residual(transfer_rep(m, q, c), v, w))
     return {
         "criterion": 10,
         "name": "transfer-representation-ccr",

@@ -69,6 +69,35 @@ def _states(d, nmax):
     return list(map(tuple, occupation_array(d, nmax).tolist()))
 
 
+def _index(m, occ):
+    # the row of an occupation tuple: its lexicographic rank, from the
+    # prefix sums and the library's _tail_counts table
+    occ = tuple(int(n) for n in occ)
+    if len(occ) != m.d or min(occ) < 0 or sum(occ) > m.nmax:
+        raise FockError(f"occupation {occ} outside the cutoff")
+    prefix = np.cumsum((0,) + occ)[None, :]
+    return int(fock._ranks(prefix, fock._tail_counts(m.d, m.nmax))[0])
+
+
+def _lowering_ladder(m, spec):
+    # the per-mode b-_j, the row blocks of the library's one stack; the
+    # a-_j when spec is None
+    b = fock._squeezed_stack(m, spec)
+    ends = np.searchsorted(b.rows, np.arange(m.d + 1) * m.dim)
+    return [SparseOp(b.rows[lo:hi] - j * m.dim, b.cols[lo:hi], b.vals[lo:hi], (m.dim, m.dim))
+            for j, (lo, hi) in enumerate(zip(ends[:-1], ends[1:]))]
+
+
+def _per_mode_ladder(m, v, spec=None):
+    # ladder_of as the per-mode row blocks combined one mode at a time,
+    # kept as the oracle for weighting the stack row by row
+    w = m.coords(v)
+    lowering = _lowering_ladder(m, spec)
+    am = fock._linear_combination(
+        ((np.conj(w[j]), lowering[j]) for j in range(m.d) if w[j] != 0), m.dim)
+    return am.conj().T, am
+
+
 def test_basis_enumeration():
     states = ModeSpace(2, 2).states
     assert states == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
@@ -76,9 +105,9 @@ def test_basis_enumeration():
     assert m.dim == comb(5 + 3, 3)
     assert m.states[0] == (0, 0, 0)
     for i, s in enumerate(m.states):
-        assert m.index(s) == i
+        assert _index(m, s) == i
     with pytest.raises(FockError):
-        m.index((6, 0, 0))
+        _index(m, (6, 0, 0))
 
 
 def _recursive_states(d, nmax):
@@ -174,7 +203,7 @@ def test_numpy_ladders_match_per_state_loop(d, nmax):
         assert m.states == _states(d, nmax)
         assert np.array_equal(m.occupancy, [sum(s) for s in m.states])
         index = {s: i for i, s in enumerate(m.states)}
-        ladders = fock._lowering_ladder(m, None)
+        ladders = _lowering_ladder(m, None)
         for j in range(d):
             got, want = ladders[j], _per_state_lowering(m, index, j)
             assert got.dtype == np.float64 and _canonical(got)
@@ -184,11 +213,11 @@ def test_numpy_ladders_match_per_state_loop(d, nmax):
 def test_index_is_the_lexicographic_rank():
     for d, nmax, step in ((1, 7, 1), (3, 4, 1), (5, 3, 1), (198, 2, 41)):
         m = ModeSpace(d, nmax)
-        assert all(m.index(m.states[i]) == i for i in range(0, m.dim, step))
+        assert all(_index(m, m.states[i]) == i for i in range(0, m.dim, step))
     m = ModeSpace(2, 3)
     for bad in ((4, 0), (2, 2), (-1, 1), (0, 0, 0), (1,)):
         with pytest.raises(FockError, match="outside the cutoff"):
-            m.index(bad)
+            _index(m, bad)
 
 
 def test_single_mode_ladder_entries():
@@ -277,8 +306,8 @@ def test_number_operator_spectrum_and_shift():
 
 def test_bogoliubov_fock_point_and_ccr():
     m = ModeSpace(2, 8)
-    bm = fock._lowering_ladder(m, BogoliubovSpec.fock(2))
-    am = fock._lowering_ladder(m, None)
+    bm = _lowering_ladder(m, BogoliubovSpec.fock(2))
+    am = _lowering_ladder(m, None)
     for j in range(2):
         assert _max_abs(bm[j] - am[j]) == 0.0
         assert _max_abs(bm[j].conj().T - am[j].conj().T) == 0.0
@@ -334,25 +363,40 @@ def test_smallest_eigenvalues_match_unsplit_dense(family):
 
 def test_smallest_eigenvalues_any_hermitian_matrix():
     # blocks of a generic complex Hermitian matrix, states shuffled so
-    # that no block is contiguous, plus isolated diagonal states
+    # that no block is contiguous, plus isolated diagonal states, and
+    # stored zeros that join two blocks and a block to an isolated state
     rng = np.random.default_rng(7)
     dim, sizes = 40, (7, 5, 5, 3, 2)
     perm = rng.permutation(dim)
     a = np.zeros((dim, dim), dtype=complex)
-    start = 0
+    start, blocks = 0, []
     for size in sizes:
         x = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
         idx = perm[start : start + size]
         a[np.ix_(idx, idx)] = x + x.conj().T
+        blocks.append(np.sort(idx))
         start += size
     for i in perm[start:]:
         a[i, i] = rng.normal()
-    m = _op(a)
+    zeros = [(perm[0], perm[7]), (perm[8], perm[start]), (perm[12], perm[start + 1])]
+    zeros += [(j, i) for i, j in zeros]
+    rows, cols = np.nonzero(a)
+    rows = np.concatenate((rows, [i for i, _ in zeros]))
+    cols = np.concatenate((cols, [j for _, j in zeros]))
+    vals = np.concatenate((a[np.nonzero(a)], np.zeros(len(zeros))))
+    order = np.argsort(rows * dim + cols)
+    m = SparseOp(rows[order], cols[order], vals[order], a.shape)
+    assert m.nnz == np.count_nonzero(a) + 6 and _canonical(m)
     labels, block_sizes = invariant_blocks(m)
     assert sorted(block_sizes) == sorted(sizes + (1,) * (dim - start))
     full = np.linalg.eigvalsh(a)
     for k in (1, 6, dim):
-        assert np.allclose(smallest_eigenvalues(m, k), full[:k], rtol=0, atol=1e-10)
+        got = smallest_eigenvalues(m, k)
+        assert np.allclose(got, full[:k], rtol=0, atol=1e-10)
+        # each block solved on its own, its states in rising order
+        parts = [a.diagonal()[perm[start:]].real]
+        parts += [np.linalg.eigvalsh(a[np.ix_(idx, idx)])[:k] for idx in blocks]
+        assert got == tuple(float(x) for x in np.sort(np.concatenate(parts))[:k])
 
 
 @pytest.mark.parametrize("family", ["fock", "uniform", "summable"])
@@ -365,7 +409,7 @@ def test_number_operator_is_real(family):
         assert _max_abs(n - n.T) == 0.0
         # one stacked product against the per-mode sum it replaced: the
         # order of the additions differs, the vacuum entry does not
-        bm = fock._lowering_ladder(m, spec)
+        bm = _lowering_ladder(m, spec)
         ref = bm[0].conj().T @ bm[0]
         for b in bm[1:]:
             ref = ref + b.conj().T @ b
@@ -400,7 +444,7 @@ def test_one_pass_lowerings_match_per_mode_sums(d, nmax):
              BogoliubovSpec(tuple(rng.uniform(-3.0, 3.0) for _ in range(d)))]
     for spec in specs if d < 6 else specs[::3]:  # the oracle is slow at many modes
         want = _per_mode_lowerings(m, spec)
-        got = fock._lowering_ladder(m, spec)
+        got = _lowering_ladder(m, spec)
         assert len(got) == d and all(_same_entries(g, w) for g, w in zip(got, want))
         stacked = vstack(want, format="csr")
         assert _same_entries(number_operator(m, spec), (stacked.T @ stacked).tocsr())
@@ -593,7 +637,7 @@ def test_transfer_commutator_and_identity_points():
             v @ w
         ) * eye
         assert restricted_norm(m, comm, 2) < 1e-12
-        assert transfer_residual(m, rep, v, w) < 1e-12
+        assert transfer_residual(rep, v, w) < 1e-12
     v = np.array([0.3, 0.4])
     plain = field_pair(m, v)
     for q, c in ((1.0, 2.5), (1.7, 1.0)):
@@ -610,7 +654,7 @@ def test_transfer_residual_refuses_an_overflowing_vector():
         warnings.simplefilter("error")  # refused before numpy warns on stderr
         for v, w in ((big, unit), (unit, big)):
             with pytest.raises(FockError, match="not finite"):
-                transfer_residual(m, rep, v, w)
+                transfer_residual(rep, v, w)
 
 
 def test_transfer_residual_stays_sparse():
@@ -619,10 +663,10 @@ def test_transfer_residual_stays_sparse():
     assert m.dim >= 2500
     rep = transfer_rep(m, 1.5, 2.0)
     v, w = np.array([0.3, -0.7]), np.array([0.5, 0.2])
-    transfer_residual(m, rep, v, w)  # first-use imports stay out of the peak
+    transfer_residual(rep, v, w)  # first-use imports stay out of the peak
     tracemalloc.start()
     try:
-        res = transfer_residual(m, rep, v, w)
+        res = transfer_residual(rep, v, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -716,7 +760,7 @@ def test_transfer_residual_with_gram(gram):
         inner = sum(v[j] * g[j, k] * w[k] for j in range(2) for k in range(2)).real
         comm = commutator_matrix(rep.pi(v), rep.phi(w))
         assert abs(comm.toarray()[0, 0] + 1j * rep.constant * inner) < 1e-12
-        assert transfer_residual(m, rep, v, w) < 1e-12
+        assert transfer_residual(rep, v, w) < 1e-12
         # the Euclidean v.w is the wrong target whenever it differs
         euclid = comm + 1j * rep.constant * float(v @ w) * np.eye(m.dim)
         assert restricted_norm(m, euclid, 2) > 1e-3
@@ -748,31 +792,40 @@ def test_letter_matrix_cache_matches_fresh_spaces():
 def test_criterion_9_builds_each_letter_set_once(monkeypatch):
     from ccr_hopf import fock, selftest
 
+    # a letter set is built from phi_pi_matrices, once per (q, c)
     builds = []
-    build = fock._build_letter_matrices
+    build = fock.phi_pi_matrices
 
-    def counted(m, constant, scale):
-        builds.append((constant, scale))
-        return build(m, constant, scale)
+    def counted(m):
+        builds.append(m)
+        return build(m)
 
-    monkeypatch.setattr(fock, "_build_letter_matrices", counted)
+    monkeypatch.setattr(fock, "phi_pi_matrices", counted)
     cached = selftest.criterion_09(42)
     assert len(builds) == 4
     # the same criterion with a fresh build for every expression
-    monkeypatch.setattr(fock, "_letter_matrices", build)
+    words = fock._word_matrices
+
+    def fresh(m, constant, scale):
+        m._words.clear()
+        return words(m, constant, scale)
+
+    monkeypatch.setattr(fock, "_word_matrices", fresh)
     assert selftest.criterion_09(42) == cached
+    assert len(builds) == 4 + 2 * selftest.FUNCTOR_EXPRESSIONS
 
 
 def _expr_matrix_loop(e, m, p, q, c):
     # the per-call loop the word cache replaced, kept as the oracle: every
     # word multiplied out from the identity, on letter matrices built afresh
+    # on a space of their own
     constant, scale = (1.0, 1.0) if p.variant == UNDEFORMED else deformation_pair(q, c)
-    mats = fock._build_letter_matrices(m, constant, scale)
+    mats = fock._word_matrices(ModeSpace(m.d, m.nmax, gram=m.gram), constant, scale)
     total = fock._linear_combination([], m.dim)
     for word, coeff in sorted(evaluate_numeric(e, {"kappa": constant, "s": scale}).items()):
-        cur = mats[(FAM_I, 0)]
+        cur = mats[()]
         for letter in word:
-            cur = cur @ mats[letter]
+            cur = cur @ mats[(letter,)]
         total = total + coeff * cur
     return total
 
@@ -1004,6 +1057,37 @@ def test_fock_operators_match_scipy_entry_for_entry(d, nmax, gram):
         lowering = _scipy_lowering(m) if spec is None else _per_mode_lowerings(m, spec)
         stacked = vstack(lowering, format="csr")
         assert _same_entries(number_operator(m, spec), (stacked.T @ stacked).tocsr())
+
+
+def _same_bits(a, b):
+    # two SparseOps with the same shape, dtype, positions and bytes
+    return (a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.rows, b.rows)
+            and np.array_equal(a.cols, b.cols) and a.vals.tobytes() == b.vals.tobytes())
+
+
+@pytest.mark.parametrize("d, nmax", [(1, 9), (2, 6), (3, 4)])
+def test_weighted_stack_matches_the_per_mode_ladders(d, nmax, monkeypatch):
+    # ladder_of weights the rows of one stack; the per-mode row blocks
+    # combined mode by mode give the same bytes, and so do field_pair and
+    # the generating function built on them
+    off = np.diag(np.ones(d - 1), 1)
+    grams = (None, np.eye(d) + 0.3 * (off + off.T),
+             2 * np.eye(d) + (0.3 + 0.4j) * off + (0.3 - 0.4j) * off.T)
+    specs = (None, BogoliubovSpec.fock(d), BogoliubovSpec.uniform(d, 0.4),
+             BogoliubovSpec.summable(d, -0.7))
+    vs = (np.linspace(0.5, -0.7, d), np.linspace(0.3, 1.1, d) * (1 - 0.5j),
+          np.where(np.arange(d) == d // 2, 0.0, np.linspace(0.9, -0.4, d)), np.zeros(d))
+    for gram in grams:
+        m = ModeSpace(d, nmax, gram=gram)
+        for spec in specs:
+            for v in vs:
+                assert all(map(_same_bits, ladder_of(m, v, spec), _per_mode_ladder(m, v, spec)))
+                got = field_pair(m, v, spec)
+                z = vacuum_generating_function(m, v, spec)
+                with monkeypatch.context() as mp:
+                    mp.setattr(fock, "ladder_of", _per_mode_ladder)
+                    assert all(map(_same_bits, got, field_pair(m, v, spec)))
+                    assert z == vacuum_generating_function(m, v, spec)
 
 
 def _scipy_expr_matrix(e, m, p, q, c):

@@ -391,10 +391,10 @@ def test_positive_definiteness():
     assert positive_definiteness_check(model.Z, [np.zeros(2)]) == 1.0
     mc = _scaled(2, 1.0)
     assert positive_definiteness_check(mc.Z, vecs) >= -1e-10
-    coeffs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(8)]
-    assert positive_definiteness_check(mc.Z, vecs, coeffs) >= -1e-10
-    with pytest.raises(MeasureError):
-        positive_definiteness_check(model.Z, vecs, coeffs[:3])
+    # the quadratic form sum_ij conj(c_i) Z(v_i - v_j) c_j at random c
+    coeffs = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(8)])
+    gram = np.array([[mc.Z(np.asarray(a) - np.asarray(b)) for b in vecs] for a in vecs])
+    assert float((np.conj(coeffs) @ gram @ coeffs).real) >= -1e-10
 
 
 def test_weyl_group():

@@ -174,53 +174,78 @@ def test_fresh_numeric_commands(argv):
 ROOT = Path(__file__).resolve().parents[1]
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-# definitions under src/ccr_hopf that nothing in src or perfbench/ references,
-# each with the reason it stays
+# definitions under src/ccr_hopf that nothing in src or perfbench/ reaches,
+# each with the reason it stays; what they call counts as reached
 UNREFERENCED_ALLOWED = {
     ("hopf.py", "_co_free"): "the free-algebra coproduct the tests check _co_nf against",
 }
 
 
-def _references(tree, strings):
-    """(name, names of the enclosing definitions) of every name and
-    attribute in tree, and of every string constant when strings is set."""
-    out = []
-
-    def visit(node, enclosing):
-        if isinstance(node, _DEFINITIONS):
-            enclosing = enclosing | {node.name}
-        if isinstance(node, ast.Name):
-            out.append((node.id, enclosing))
-        elif isinstance(node, ast.Attribute):
-            out.append((node.attr, enclosing))
-        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.append((node.value, enclosing))
-        for child in ast.iter_child_nodes(node):
-            visit(child, enclosing)
-
-    visit(tree, frozenset())
+def _names(nodes, strings=False):
+    """Every name and attribute under nodes, and every string constant
+    when strings is set."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+            elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                out.add(sub.value)
     return out
+
+
+def _own_code(node):
+    """What runs when a definition is used: a function's whole node, and a
+    class's bases, decorators and body outside its methods and nested
+    classes, which are definitions of their own."""
+    if isinstance(node, ast.ClassDef):
+        return node.bases + node.keywords + node.decorator_list + [
+            stmt for stmt in node.body if not isinstance(stmt, _DEFINITIONS)]
+    return [node]
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
 
 def test_every_definition_is_referenced_outside_itself():
     # a function, class or method that no command, selftest criterion or
     # benchmark workload reaches moves into tests/ as an oracle or goes.
-    # A reference is a name or attribute in src/ccr_hopf or perfbench/
-    # outside the definition itself; perfbench also names functions as
-    # strings (workloads.Layers).  Dunder methods are called by protocol.
-    defined, used = [], set()
+    # Reached names are walked from the roots: the module-level statements
+    # of src/ccr_hopf, which run on import; dunder methods, which are
+    # called by protocol; every name, attribute and string in perfbench/
+    # (workloads.Layers names functions as strings); and the allowed
+    # definitions.  A reached name reaches what every definition of that
+    # name references.  Names are matched without their scope, so a
+    # definition still passes when reached code uses its name for
+    # something else: hopf's letters.index would keep a definition named
+    # index.
+    defined, calls, roots = [], {}, set()
     for path in sorted((ROOT / "src" / "ccr_hopf").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined += [(path.name, node.name, node.lineno) for node in ast.walk(tree)
-                    if isinstance(node, _DEFINITIONS)
-                    and not (node.name.startswith("__") and node.name.endswith("__"))]
-        used |= {name for name, enclosing in _references(tree, False) if name not in enclosing}
+        roots |= _names(stmt for stmt in tree.body if not isinstance(stmt, _DEFINITIONS))
+        for node in ast.walk(tree):
+            if not isinstance(node, _DEFINITIONS):
+                continue
+            names = _names(_own_code(node))
+            if _is_dunder(node.name) or (path.name, node.name) in UNREFERENCED_ALLOWED:
+                roots |= names
+            if not _is_dunder(node.name):
+                defined.append((path.name, node.name, node.lineno))
+                calls.setdefault(node.name, set()).update(names)
     for path in sorted((ROOT / "perfbench").rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        used |= {name for name, enclosing in _references(tree, True) if name not in enclosing}
-    unreferenced = {(f, name): line for f, name, line in defined if name not in used}
-    stray = [f"{f}:{line} {name}" for (f, name), line in sorted(unreferenced.items())
+        roots |= _names([ast.parse(path.read_text(encoding="utf-8"))], strings=True)
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(calls.get(name, ()))
+    unreached = {(f, name): line for f, name, line in defined if name not in reached}
+    stray = [f"{f}:{line} {name}" for (f, name), line in sorted(unreached.items())
              if (f, name) not in UNREFERENCED_ALLOWED]
-    assert not stray, "referenced from nowhere in src or perfbench: " + ", ".join(stray)
+    assert not stray, "reached from nowhere in src or perfbench: " + ", ".join(stray)
     # an allowance outlives neither its definition nor its reason
-    assert set(UNREFERENCED_ALLOWED) <= set(unreferenced)
+    assert set(UNREFERENCED_ALLOWED) <= set(unreached)
