@@ -134,6 +134,10 @@ done <<'ROWS'
 0  60 fock spectrum --d 3 --nmax 12 --family summable
 0  60 fock genfun --d 2 --v 0.3,0.4 --gram tests/golden/gram2.json
 0  60 fock transfer --gram tests/golden/gram2.json
+# a gram whose mirrored entries differ by 1e-6 relative is not Hermitian
+# to the stated 1e-12, and both numeric layers refuse it as bad input
+2  20 fock transfer --gram tests/golden/gram_asymmetric.json
+2  20 measure eta --gram tests/golden/gram_asymmetric.json
 0  60 measure eta
 0  60 measure weyl --d 2 --seed 5 --count 80
 # commands that read their tolerance, verdict or Gaussian model from fock

@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping
 
@@ -94,6 +94,9 @@ FAM_I, FAM_K, FAM_KINV, FAM_PHI, FAM_PI, FAM_AP, FAM_AM = range(7)
 _CENTRAL = frozenset((FAM_I, FAM_K, FAM_KINV))
 _FIELD = frozenset((FAM_PHI, FAM_PI))
 _LADDER = frozenset((FAM_AP, FAM_AM))
+# the families legal in the undeformed variant and in the deformed ones
+_UNDEFORMED_FAMILIES = frozenset((FAM_I,)) | _FIELD | _LADDER
+_DEFORMED_FAMILIES = frozenset(range(7))
 
 GEN_I = (FAM_I, 0)
 GEN_K = (FAM_K, 0)
@@ -473,22 +476,10 @@ class Presentation:
     def with_basis(self, basis: str) -> "Presentation":
         if basis == self.basis:
             return self
-        return Presentation(
-            variant=self.variant,
-            basis=basis,
-            gram=self.gram,
-            q=self.q,
-            c=self.c,
-            idempotent_identity=self.idempotent_identity,
-        )
-
-    def legal_families(self) -> frozenset:
-        if self.variant == UNDEFORMED:
-            return frozenset((FAM_I,)) | _FIELD | _LADDER
-        return frozenset(range(7))
+        return replace(self, basis=basis)
 
     def validate_expr(self, e: Expr) -> None:
-        legal = self.legal_families()
+        legal = _UNDEFORMED_FAMILIES if self.variant == UNDEFORMED else _DEFORMED_FAMILIES
         size = self.gram.size
         for w in e.terms:
             for g in w:
@@ -828,10 +819,9 @@ _COEFF_POOL = (ONE, -ONE, IMAG, -IMAG, Scalar.rational(Fraction(1, 2)), Scalar.r
                ONE + IMAG)
 
 
-def random_expr(rng: random.Random, p: Presentation, max_degree: int, modes: int,
-                nterms: int = 3) -> Expr:
+def random_expr(rng: random.Random, p: Presentation, max_degree: int, modes: int) -> Expr:
     e = Expr.zero()
-    for _ in range(rng.randint(1, nterms)):
+    for _ in range(rng.randint(1, 3)):
         w = random_word(rng, p, max_degree, modes)
         e = e + Expr.from_word(w, rng.choice(_COEFF_POOL))
     return e

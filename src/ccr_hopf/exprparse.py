@@ -22,7 +22,7 @@ import re
 from fractions import Fraction
 
 from .algebra import Expr, am, ap, gen_I, gen_K, gen_Kinv, phi, pi, unit, word_text
-from .scalars import IMAG, KAPPA, R2, S_PARAM, CcrHopfError, Scalar, signed_join
+from .scalars import IMAG, KAPPA, R2, S_PARAM, ZERO, CcrHopfError, Scalar, signed_join
 
 
 class ParseError(CcrHopfError):
@@ -180,7 +180,7 @@ class _Parser:
 def _as_scalar(e: Expr) -> Scalar | None:
     """The coefficient when e is a pure scalar multiple of the unit."""
     if not e.terms:
-        return Scalar.zero()
+        return ZERO
     if set(e.terms) == {()}:
         return e.terms[()]
     return None

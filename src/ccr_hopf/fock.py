@@ -304,7 +304,7 @@ class ModeSpace:
             g = np.asarray(gram, dtype=complex)
             if g.shape != (self.d, self.d):
                 raise FockError("gram must be a d x d matrix")
-            if not np.allclose(g, g.conj().T, atol=1e-12):
+            if not np.allclose(g, g.conj().T, rtol=0, atol=1e-12):
                 raise FockError("gram must be Hermitian")
             try:
                 self._chol = np.linalg.cholesky(g)
@@ -312,9 +312,8 @@ class ModeSpace:
                 raise FockError("gram must be positive definite") from None
             self.gram = g
         self._occ = occupation_array(self.d, self.nmax)
-        self._tail = _tail_counts(self.d, self.nmax)
         self.occupancy = self._occ.sum(axis=1)
-        self._am_entries = _lowering_entries(self._occ, self._tail)
+        self._am_entries = _lowering_entries(self._occ, _tail_counts(self.d, self.nmax))
         self._words = {}  # (constant, scale) -> word -> matrix
 
     @property

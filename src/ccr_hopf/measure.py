@@ -96,7 +96,7 @@ class GaussianModel:
             self.gram = np.eye(self.d)
         else:
             g = np.asarray(gram, dtype=float)
-            if g.shape != (self.d, self.d) or not np.allclose(g, g.T, atol=1e-12):
+            if g.shape != (self.d, self.d) or not np.allclose(g, g.T, rtol=0, atol=1e-12):
                 raise MeasureError("gram must be a real symmetric d x d matrix")
             self.gram = g
 

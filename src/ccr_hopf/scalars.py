@@ -166,17 +166,6 @@ def _c_mul(x: Coeff, y: Coeff) -> Coeff:
     return re, im, d
 
 
-def _c_scale(x: Coeff, q: Coeff) -> Coeff:
-    """x times a real q (a triple with q[1] == 0)."""
-    p, _, r = q
-    a, b, d = x[0] * p, x[1] * p, x[2] * r
-    if d != 1:
-        h = gcd(a, b, d)
-        if h != 1:
-            return a // h, b // h, d // h
-    return a, b, d
-
-
 def _c_conj(x: Coeff) -> Coeff:
     return x[0], -x[1], x[2]
 
@@ -247,7 +236,7 @@ def _p_mul(a: Poly, b: Poly) -> Poly:
             m, f = _mono_mul(m1, m2)
             c = _c_mul(c1, c2)
             if f is not _C_ONE:
-                c = _c_scale(c, f)
+                c = _c_mul(c, f)
             acc = _c_add(out.get(m, _C_ZERO), c)
             if acc[0] or acc[1]:
                 out[m] = acc
@@ -363,18 +352,6 @@ class Scalar:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "Scalar":
-        return cls({})
-
-    @classmethod
-    def one(cls) -> "Scalar":
-        return cls(dict(_P_ONE))
-
-    @classmethod
-    def i(cls) -> "Scalar":
-        return cls({_UNIT: _coeff(0, 1)})
-
-    @classmethod
     def rational(cls, re, im=0) -> "Scalar":
         c = _coeff(re, im)
         if not (c[0] or c[1]):
@@ -382,11 +359,10 @@ class Scalar:
         return cls({_UNIT: c})
 
     @classmethod
-    def param(cls, name: str, exp: int = 1) -> "Scalar":
+    def param(cls, name: str) -> "Scalar":
         if not name.isidentifier():
             raise ScalarError(f"bad parameter name {name!r}")
-        mono, f = _exps_normalize({name: exp})
-        return cls({mono: f})
+        return cls({((name, 1),): _C_ONE})
 
     @classmethod
     def from_complex(cls, z: complex) -> "Scalar":
@@ -507,7 +483,7 @@ class Scalar:
         if not isinstance(n, int):
             return NotImplemented
         base = self if n >= 0 else self.inverse()
-        out = Scalar.one()
+        out = ONE
         for _ in range(abs(n)):
             out = out * base
         return out
@@ -551,7 +527,7 @@ class Scalar:
                     else:
                         kept[name] = e
                 mono, f2 = _exps_normalize(kept)
-                _p_add_into(out, {mono: _c_scale(_c_scale(c, _coeff(factor)), f2)})
+                _p_add_into(out, {mono: _c_mul(_c_mul(c, _coeff(factor)), f2)})
             return out
 
         return Scalar(sub(self._num), sub(self._den))
@@ -625,9 +601,9 @@ class Scalar:
         return f"Scalar({self})"
 
 
-ZERO = Scalar.zero()
-ONE = Scalar.one()
-IMAG = Scalar.i()
+ZERO = Scalar.rational(0)
+ONE = Scalar.rational(1)
+IMAG = Scalar.rational(0, 1)
 KAPPA = Scalar.param("kappa")
 S_PARAM = Scalar.param("s")
 R2 = Scalar.param(ROOT2_NAME)

@@ -50,7 +50,7 @@ from ccr_hopf.algebra import (
 )
 from ccr_hopf.exprparse import expr_to_text
 from ccr_hopf.hopf import HopfSpec, check_antipode, check_coassociativity, check_multiplicativity
-from ccr_hopf.scalars import IMAG, KAPPA, ONE, R2, S_PARAM, Scalar
+from ccr_hopf.scalars import IMAG, KAPPA, ONE, R2, S_PARAM, ZERO, Scalar
 
 P_UND = Presentation()
 P_DEF = Presentation(variant="deformed-strict")
@@ -258,9 +258,9 @@ def test_jacobi_identity():
     rng = random.Random(31415)
     for p in (P_UND, P_DEF):
         for _ in range(25):
-            x = random_expr(rng, p, 2, 2, nterms=2)
-            y = random_expr(rng, p, 2, 2, nterms=2)
-            z = random_expr(rng, p, 2, 2, nterms=2)
+            x = random_expr(rng, p, 2, 2)
+            y = random_expr(rng, p, 2, 2)
+            z = random_expr(rng, p, 2, 2)
             s = (
                 commutator(x, commutator(y, z, p), p)
                 + commutator(y, commutator(z, x, p), p)
@@ -357,7 +357,7 @@ def _expand_then_reduce(e, p):
     for w, c in e.terms.items():
         for w2, c2 in _expand_word(w, p).terms.items():
             for v, c3 in _reduce_word(w2, p).items():
-                out[v] = out.get(v, Scalar.zero()) + c * c2 * c3
+                out[v] = out.get(v, ZERO) + c * c2 * c3
     return Expr(out)
 
 

@@ -5,7 +5,8 @@ on the BLAS build.  What does not depend on it is pinned here: the exit
 code, the ``command`` field, the exact ``config`` echo (including the
 ``fock-command``/``measure-command`` echo and the ``CCR_HOPF_SEED``
 override, which only the seeded commands take) and the key set of
-``results``.
+``results``.  ``--output`` writes the report stdout would hold to a file,
+for an algebra and a fock command alike.
 """
 
 from __future__ import annotations
@@ -153,3 +154,23 @@ def test_fock_measure_report_shape(capsys, monkeypatch, argv, env_seed, code, co
     assert doc["config"] == config
     assert sorted(doc["results"]) == keys
     assert doc["passed"] is (code == 0)
+
+
+@pytest.mark.parametrize(
+    "argv", [["normalize", "pi(0)*phi(0)"], ["fock", "spectrum", "--d", "1", "--nmax", "4"]]
+)
+def test_output_writes_the_stdout_report_to_the_file(capsys, tmp_path, argv):
+    assert main(argv) == 0
+    want, status = capsys.readouterr()
+    path = tmp_path / "report.json"
+    assert main(argv + ["--output", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert out == "" and err == status and err.startswith("ok: ")
+    # the report is stdout's bytes but for its config echo of the path
+    echo = '"output": null'
+    assert want.count(echo) == 1
+    assert path.read_bytes() == want.replace(echo, f'"output": {json.dumps(str(path))}').encode()
+    # a file in a missing directory is refused through main's OSError branch
+    assert main(argv + ["--output", str(tmp_path / "missing" / "report.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("ccr-hopf: ")

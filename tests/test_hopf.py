@@ -39,6 +39,7 @@ from ccr_hopf.hopf import (
     MAX_CHECK_WORDS,
     MAX_SWEEP_TERMS,
     MAX_TRIAL_LETTERS,
+    MULTIPLICATIVITY_TRIALS,
     AxiomReport,
     Failure,
     HopfError,
@@ -57,13 +58,11 @@ from ccr_hopf.hopf import (
     swap_slots,
     tensor_normal_form,
     tensor_of,
-    _co_free,
     _co_nf,
-    _co_word,
     _covered_letters,
     _record,
     _reduced_product,
-    _s_word,
+    _s_free,
 )
 from ccr_hopf.scalars import IMAG, KAPPA, ONE, S_PARAM, Scalar, ZERO
 
@@ -73,6 +72,20 @@ P_UND = Presentation()
 P_FREE = Presentation(idempotent_identity=False)
 P_DEF = Presentation(variant="deformed-strict")
 P_COL = Presentation(variant="deformed-collapsed")
+
+
+def _co_word(word, h):
+    """Delta on one word: the product of Delta(g) over its letters."""
+    t = TensorExpr.unit(2)
+    for g in word:
+        t = t * h.delta_gen(g)
+    return t
+
+
+def _co_free(e, h):
+    """Delta on the free algebra: _co_word extended linearly, unreduced;
+    the reference that _co_nf is checked against."""
+    return e._linear(lambda w: _co_word(w, h).terms, TensorExpr.zero(2))
 
 
 def test_coproduct_generators():
@@ -222,24 +235,25 @@ def test_cocommutativity():
 
 
 def test_multiplicativity():
-    assert check_multiplicativity(CL, P_UND, trials=15, seed=5).passed
-    assert check_multiplicativity(DF, P_DEF, trials=15, seed=6).passed
-    assert check_multiplicativity(DF, P_COL, trials=10, seed=7).passed
+    assert check_multiplicativity(CL, P_UND, seed=5).passed
+    assert check_multiplicativity(DF, P_DEF, seed=6).passed
+    assert check_multiplicativity(DF, P_COL, seed=7).passed
 
 
 def test_passing_multiplicativity_formats_no_witness(monkeypatch):
     # a trial's witness prints x and y; a passing trial throws it away
     printed = []
     monkeypatch.setattr(Expr, "__str__", lambda e: printed.append(e) or "")
-    assert check_multiplicativity(DF, P_DEF, trials=15, seed=6).passed
+    assert check_multiplicativity(DF, P_DEF, seed=6).passed
     assert printed == []
 
 
 def _antipode_each_slot(t, h, p):
     """S applied in every slot (no slot reversal), tensor-reduced."""
-    return tensor_normal_form(
-        t._linear(lambda words: tensor_of(*(_s_word(w, h) for w in words)).terms), p
-    )
+    def s_each(words):
+        return tensor_of(*(_s_free(Expr.from_word(w), h) for w in words)).terms
+
+    return tensor_normal_form(t._linear(s_each), p)
 
 
 def test_antipode_coalgebra_compatibility():
@@ -533,6 +547,19 @@ def test_relation_check_beyond_the_gram_raises_like_the_hand_list():
             check(DF, p, 3)
 
 
+def test_multiplicativity_beyond_the_gram_raises_before_the_first_trial(monkeypatch):
+    # the trials' expressions skip _check_input, so their letters are
+    # checked against the gram once, before any coproduct
+    calls = []
+    co_expr = hopf._co_expr
+    monkeypatch.setattr(hopf, "_co_expr", lambda *a: calls.append(a) or co_expr(*a))
+    for h, variant in ((CL, "undeformed"), (DF, "deformed-strict")):
+        p = Presentation(variant=variant, gram=_COMPLEX_GRAM)
+        with pytest.raises(AlgebraError, match="mode index 2 outside the 2-mode gram"):
+            check_multiplicativity(h, p, degree=1, modes=3)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # The memoized coproduct against the free expansion reduced once
 
@@ -630,7 +657,7 @@ def test_coproduct_memo_is_per_call():
     for h, p in ((CL, Presentation()), (DF, Presentation(variant="deformed-strict")),
                  (DF, Presentation(variant="deformed-collapsed"))):
         before = set(vars(p))
-        check_multiplicativity(h, p, degree=3, modes=2, trials=3, seed=1)
+        check_multiplicativity(h, p, degree=3, modes=2, seed=1)
         check_coassociativity(h, p, 2, 2)
         coproduct(pi(0) * phi(0) * pi(1), h, p)
         assert set(vars(p)) == before
@@ -816,7 +843,7 @@ def test_passing_undeformed_sweep_reduces_no_normal_concatenation(monkeypatch):
     assert max(map(len, reduced)) == 1
 
 
-def _reference_multiplicativity(h, p, degree, modes, trials, seed):
+def _reference_multiplicativity(h, p, degree, modes, seed):
     """check_multiplicativity's failures recomputed with no memo: the same
     rng draws, Delta expanded on the free algebra and the residual
     Delta(x*y) - Delta(x)Delta(y) reduced once."""
@@ -824,7 +851,7 @@ def _reference_multiplicativity(h, p, degree, modes, trials, seed):
     rng = random.Random(seed)
     pool = [ONE, -ONE, IMAG, Scalar.rational(2), Scalar.rational(1, 1)]
     failures = []
-    for trial in range(trials):
+    for trial in range(MULTIPLICATIVITY_TRIALS):
         def rand_expr():
             e = Expr.zero()
             for _ in range(rng.randint(1, 3)):
@@ -844,8 +871,8 @@ def _reference_multiplicativity(h, p, degree, modes, trials, seed):
 def test_multiplicativity_matches_the_unmemoized_residuals(h, variant, gram, idempotent):
     p = Presentation(variant=variant, gram=gram, idempotent_identity=idempotent)
     for seed in (3, 11):
-        want = _reference_multiplicativity(h, p, 3, 2, 8, seed)
-        got = check_multiplicativity(h, p, degree=3, modes=2, trials=8, seed=seed)
+        want = _reference_multiplicativity(h, p, 3, 2, seed)
+        got = check_multiplicativity(h, p, degree=3, modes=2, seed=seed)
         assert got.failures == tuple(want)
         assert [f.residual for f in got.failures] == [f.residual for f in want]
         assert got.status == ("fail" if want else "pass")
@@ -901,7 +928,7 @@ def test_every_check_hands_record_reduced_sides(h, variant, gram, idempotent, q,
     monkeypatch.setattr(hopf, "_record", record_reduced)
     sweeps = (check_coassociativity, check_counit, check_antipode, cocommutativity_probe)
     runs = [partial(check, h, p, 3, 2) for check in sweeps]
-    runs += [partial(check_multiplicativity, h, p, 3, 2, trials=8),
+    runs += [partial(check_multiplicativity, h, p, 3, 2),
              partial(check_respects_relations, h, p, 2)]
     for run in runs:
         witnesses.clear()
@@ -997,7 +1024,7 @@ def test_s_word_is_the_product_of_s_gen_reversed(h, p):
             for g in reversed(word):
                 letter, negated = h._s_letter(g)
                 want = want * Expr.from_word((letter,), -ONE if negated else ONE)
-            assert _s_word(word, h) == want
+            assert _s_free(Expr.from_word(word), h) == want
 
 
 def test_sweep_budget_is_checked_before_the_first_coproduct(monkeypatch):
@@ -1029,7 +1056,7 @@ def test_multiplicativity_budget_is_checked_before_the_first_trial(monkeypatch):
         with pytest.raises(HopfError, match="up to 18 letters, over the budget of 16"):
             check_multiplicativity(h, p, degree=9, modes=1)
     assert calls == []
-    assert check_multiplicativity(CL, P_UND, degree=8, modes=1, trials=2).passed and calls
+    assert check_multiplicativity(CL, P_UND, degree=8, modes=1).passed and calls
 
 
 def test_word_budget_is_checked_before_the_letters_are_built(monkeypatch):

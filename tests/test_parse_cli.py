@@ -68,7 +68,7 @@ def test_negative_exponents_scalars_only():
     # a parenthesized scalar subexpression is an acceptable base
     e = parse_expr("(1 + s)^-1 * I")
     ((_, coeff),) = e.terms.items()
-    assert coeff == (Scalar.one() + S_PARAM) ** -1
+    assert coeff == (ONE + S_PARAM) ** -1
 
 
 def test_parse_error_positions():
@@ -109,7 +109,7 @@ def test_expr_str_round_trips():
         IMAG,
         KAPPA,
         Scalar.rational(3, 4),
-        (Scalar.one() + S_PARAM).inverse(),
+        (ONE + S_PARAM).inverse(),
         KAPPA * (S_PARAM ** 2 - IMAG).inverse(),
     ]
     for _ in range(120):
@@ -120,7 +120,7 @@ def test_expr_str_round_trips():
 
 
 def test_scalar_text_rational_function():
-    r = (Scalar.one() + S_PARAM) * (S_PARAM ** 2 - Scalar.rational(3)).inverse()
+    r = (ONE + S_PARAM) * (S_PARAM ** 2 - Scalar.rational(3)).inverse()
     text = scalar_text(r)
     assert "/" not in text.replace("1/", "", 0) or "^-1" in text
     parsed = parse_expr(text)

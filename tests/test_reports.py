@@ -27,7 +27,7 @@ from ccr_hopf.algebra import Expr, Presentation, normal_form, random_expr
 from ccr_hopf.exprparse import parse_expr
 from ccr_hopf.hopf import HopfSpec, TensorExpr, coproduct, tensor_of
 from ccr_hopf.reports import _plain, dump_json, expr_json, tensor_json
-from ccr_hopf.scalars import IMAG, KAPPA, ONE, R2, S_PARAM, Scalar
+from ccr_hopf.scalars import IMAG, KAPPA, ONE, R2, S_PARAM, ZERO, Scalar
 
 
 def _reference(doc) -> str:
@@ -139,7 +139,7 @@ def _row_scalar(value, kinds: set) -> Scalar:
         return Scalar.rational(Fraction(value["re"]), Fraction(value["im"]))
     e = parse_expr(value)
     assert set(e.terms) <= {()}
-    return e.terms.get((), Scalar.zero())
+    return e.terms.get((), ZERO)
 
 
 def _random_element(rng, p) -> Expr:

@@ -30,7 +30,7 @@ from ccr_hopf.scalars import (
     _c_inv,
     _c_mul,
     _c_parts,
-    _c_scale,
+    _coeff,
     _mono_content,
     _mono_inv,
     _mono_mul,
@@ -290,13 +290,13 @@ def _three_branch_parts(self, num, den):
             self._num, self._den = num, den
             return
         inv_m, f = _mono_inv(dm)
-        ci = _c_scale(_c_inv(dc), f)
+        ci = _c_mul(_c_inv(dc), f)
         out = {}
         for m, c in num.items():
             mm, f2 = _mono_mul(m, inv_m)
             v = _c_mul(c, ci)
             if f2 != _C_ONE:
-                v = _c_scale(v, f2)
+                v = _c_mul(v, f2)
             acc = _c_add(out.get(mm, _C_ZERO), v)
             if acc[0] or acc[1]:
                 out[mm] = acc
@@ -312,7 +312,7 @@ def _three_branch_parts(self, num, den):
             out = {}
             for m, c in p.items():
                 mm, f2 = _mono_mul(m, inv_m)
-                out[mm] = _c_scale(_c_scale(c, f), f2) if (f != _C_ONE or f2 != _C_ONE) else c
+                out[mm] = _c_mul(_c_mul(c, f), f2) if (f != _C_ONE or f2 != _C_ONE) else c
             return out
 
         num, den = shift(num), shift(den)
@@ -449,14 +449,16 @@ def _ref_exps_normalize(exps):
 def test_integer_first_parts_match_fraction_pair_reference(monkeypatch):
     seeds = range(2000)
     with monkeypatch.context() as m:
-        for name in ("coeff", "c_parts", "c_add", "c_neg", "c_mul", "c_scale", "c_conj", "c_inv",
+        for name in ("coeff", "c_parts", "c_add", "c_neg", "c_mul", "c_conj", "c_inv",
                      "exps_normalize"):
             m.setattr(scalars, f"_{name}", globals()[f"_ref_{name}"])
         m.setattr(scalars, "_C_ZERO", (0, 0))
         m.setattr(scalars, "_C_ONE", (1, 0))
         m.setattr(scalars, "_P_ONE", {_UNIT: (1, 0)})
-        # the chain's fixed atoms, rebuilt as pairs
-        for name, value in (("IMAG", Scalar.i()), ("R2", Scalar.param("r2")),
+        # powers start from the module's ONE; the chain's fixed atoms, all
+        # rebuilt as pairs
+        m.setattr(scalars, "ONE", Scalar.rational(1))
+        for name, value in (("IMAG", Scalar.rational(0, 1)), ("R2", Scalar.param("r2")),
                             ("KAPPA", Scalar.param("kappa")), ("S_PARAM", Scalar.param("s"))):
             m.setitem(globals(), name, value)
         assert all(len(c) == 2 for c in IMAG._num.values())
@@ -471,14 +473,33 @@ def test_integer_first_parts_match_fraction_pair_reference(monkeypatch):
     assert fractions >= 1000  # true fractions are kept, not only integers
 
 
+def test_c_mul_by_a_real_factor_matches_the_scaling_reference():
+    # the r2 side factors and substituted values are real triples, and
+    # _c_mul by one is the reference's scaling by a real number
+    rng = random.Random(5)
+
+    def pair(c):
+        return Fraction(c[0], c[2]), Fraction(c[1], c[2])
+
+    def part():
+        return Fraction(rng.randint(-60, 60), rng.choice((1, 2, 3, 4, 6, 8, 12, 2 ** 53)))
+
+    for _ in range(20000):
+        x = _coeff(part(), part())
+        q = rng.choice(((2 ** rng.randint(1, 9), 0, 1), (1, 0, 2 ** rng.randint(1, 9)),
+                        _coeff(part())))
+        got = _c_mul(x, q)
+        assert _is_coeff(got) and pair(got) == _ref_c_scale(pair(x), pair(q)), (x, q)
+
+
 def test_entry_points_keep_part_invariant():
     made = [
         Scalar.rational(True, False),
         Scalar.rational(Fraction(4, 2), "3/1"),
         Scalar.rational(0.5, "1.25"),
         Scalar.from_complex(2.0 - 0.5j),
-        Scalar.param("r2", -3),
-        Scalar.param("r2", 4),
+        R2 ** -3,
+        R2 ** 4,
         (KAPPA ** 2 * R2 + S_PARAM).substitute({"kappa": Fraction(4, 2), "s": 0.5}),
         (ONE + IMAG).inverse(),
         Scalar.rational(Fraction(2, 3), 1) * Scalar.rational(3, Fraction(-3, 2)),
@@ -515,7 +536,7 @@ def _scalars(draw):
     for _ in range(draw(st.integers(1, 3))):
         term = Scalar.rational(draw(_part_values), draw(_part_values))
         for name, e in draw(_monomials).items():
-            term = term * Scalar.param(name, e)
+            term = term * Scalar.param(name) ** e
         out = out + term
     return out
 

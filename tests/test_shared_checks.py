@@ -8,6 +8,7 @@ from __future__ import annotations
 import functools
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,3 +145,19 @@ def test_vacuum_occupancy_of_the_built_operator():
     n = fock.number_operator(m, spec)
     vac = m.vacuum()
     assert fock.vacuum_occupancy(m, n) == float(np.real(np.vdot(vac, n @ vac)))
+
+
+def test_both_numeric_layers_refuse_a_gram_asymmetric_past_their_tolerance():
+    # the checks state atol=1e-12 and no relative slack: numpy's default
+    # rtol=1e-5 let this file's 1e-6 asymmetry through to the fock commands
+    # and measure eta, where normalize refused it
+    path = Path(__file__).parent / "golden" / "gram_asymmetric.json"
+    gram = json.loads(path.read_text(encoding="utf-8"))
+    with pytest.raises(fock.FockError, match="gram must be Hermitian"):
+        fock.ModeSpace(2, 3, gram=gram)
+    with pytest.raises(measure.MeasureError, match="gram must be a real symmetric"):
+        GaussianModel.fock(2, gram=gram)
+    # a mirror within 1e-12 still passes both
+    gram[1][0] = gram[0][1] + 5e-13
+    assert fock.ModeSpace(2, 3, gram=gram).gram is not None
+    assert GaussianModel.fock(2, gram=gram).gram[1][0] == gram[1][0]

@@ -174,12 +174,6 @@ def test_fresh_numeric_commands(argv):
 ROOT = Path(__file__).resolve().parents[1]
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-# definitions under src/ccr_hopf that nothing in src or perfbench/ reaches,
-# each with the reason it stays; what they call counts as reached
-UNREFERENCED_ALLOWED = {
-    ("hopf.py", "_co_free"): "the free-algebra coproduct the tests check _co_nf against",
-}
-
 
 def _names(nodes, strings=False):
     """Every name and attribute under nodes, and every string constant
@@ -215,13 +209,12 @@ def test_every_definition_is_referenced_outside_itself():
     # benchmark workload reaches moves into tests/ as an oracle or goes.
     # Reached names are walked from the roots: the module-level statements
     # of src/ccr_hopf, which run on import; dunder methods, which are
-    # called by protocol; every name, attribute and string in perfbench/
-    # (workloads.Layers names functions as strings); and the allowed
-    # definitions.  A reached name reaches what every definition of that
-    # name references.  Names are matched without their scope, so a
-    # definition still passes when reached code uses its name for
-    # something else: hopf's letters.index would keep a definition named
-    # index.
+    # called by protocol; and every name, attribute and string in
+    # perfbench/ (workloads.Layers names functions as strings).  A reached
+    # name reaches what every definition of that name references.  Names
+    # are matched without their scope, so a definition still passes when
+    # reached code uses its name for something else: hopf's letters.index
+    # would keep a definition named index.
     defined, calls, roots = [], {}, set()
     for path in sorted((ROOT / "src" / "ccr_hopf").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -230,9 +223,9 @@ def test_every_definition_is_referenced_outside_itself():
             if not isinstance(node, _DEFINITIONS):
                 continue
             names = _names(_own_code(node))
-            if _is_dunder(node.name) or (path.name, node.name) in UNREFERENCED_ALLOWED:
+            if _is_dunder(node.name):
                 roots |= names
-            if not _is_dunder(node.name):
+            else:
                 defined.append((path.name, node.name, node.lineno))
                 calls.setdefault(node.name, set()).update(names)
     for path in sorted((ROOT / "perfbench").rglob("*.py")):
@@ -243,9 +236,5 @@ def test_every_definition_is_referenced_outside_itself():
         if name not in reached:
             reached.add(name)
             todo.extend(calls.get(name, ()))
-    unreached = {(f, name): line for f, name, line in defined if name not in reached}
-    stray = [f"{f}:{line} {name}" for (f, name), line in sorted(unreached.items())
-             if (f, name) not in UNREFERENCED_ALLOWED]
+    stray = [f"{f}:{line} {name}" for f, name, line in sorted(defined) if name not in reached]
     assert not stray, "reached from nowhere in src or perfbench: " + ", ".join(stray)
-    # an allowance outlives neither its definition nor its reason
-    assert set(UNREFERENCED_ALLOWED) <= set(unreached)
