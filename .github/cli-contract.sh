@@ -162,6 +162,9 @@ done <<'ROWS'
 2  20 fock genfun --v 1e5
 # the vacuum's Krylov space of nmax + 1 states over the dense eigen-solver budget
 2  20 fock genfun --v 1 --nmax 2000
+# the trend reads its costs off the vacuum column and forms no number
+# operator, but its occupation basis (d = 8, nmax = 30) is still refused
+2  20 fock trend --dvalues 1,2,8 --nmax 30
 2  20 measure cocycle --samples 1000000000
 2  20 measure weyl --count 100000000
 2  20 measure pd-check --count 100000000
@@ -169,6 +172,8 @@ done <<'ROWS'
 2  20 measure weyl --d 9 --count 1
 2  20 measure weyl --d 10 --count 10000
 2  20 measure weyl --d 8 --count 10
+# the most one-mode Weyl points the monomial budget admits
+0  60 measure weyl --d 1 --count 20000
 2  20 hopf-check --modes 1 --degree 12
 2  20 hopf-check --checks multiplicativity --modes 1 --degree 16
 # a check named twice would run and report twice

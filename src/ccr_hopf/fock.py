@@ -711,18 +711,41 @@ def vacuum_occupancy(m: ModeSpace, n) -> float:
     return float(np.vdot(vac, n @ vac).real)
 
 
+def vacuum_cost(m: ModeSpace, spec: BogoliubovSpec) -> float:
+    """<0|N|0> = |B|0>|^2 for the squeezed number operator N = B^T B of
+    spec, read off the vacuum column of the stack B without forming N.
+
+    That column holds one entry per mode, the a+_j entry out of |0> (the
+    a-_j entry into row 0) scaled by sinh(r_j).  The squares are added
+    mode by mode from 0.0, the order in which the product B^T B adds them
+    into N[0, 0], so the cost is the same float as vacuum_occupancy(m,
+    number_operator(m, spec))."""
+    if len(spec.rs) != m.d:
+        raise FockError("spec and mode space disagree on the mode count")
+    modes, rows, _, vals = m._am_entries
+    into_vacuum = rows == 0
+    cost = 0.0
+    for j, x in zip(modes[into_vacuum].tolist(), vals[into_vacuum].tolist()):
+        b = math.sinh(spec.rs[j]) * x
+        cost += b * b
+    return cost
+
+
 def boundedness_trend(d_values=(1, 2, 3), nmax: int = 30) -> TrendReport:
     """Growth of the Bogoliubov vacuum cost with the mode count, at
     squeezing r = log(2)/2.
 
     The cost <vac| N_b |vac> = sum_j sinh^2(r_j) diverges with d when a
     ladder family leaves the Fock class: linear growth for uniform
-    r_j = r, a plateau for the summable r_j = r 2^-j.  One ModeSpace per d
-    serves both families.  As b-_j|vac> = sinh(r_j) a+_j|vac>, every
-    cutoff nmax >= 1 gives the same cost; a smaller one raises FockError.
-    The smallest eigenvalues of the truncated N_b sit at numerical zero
-    for every finite d (the squeezed vacuum survives truncation), so the
-    trend lives in the vacuum cost, not in the spectrum.
+    r_j = r, a plateau for the summable r_j = r 2^-j.  Each cost is read
+    off the vacuum column of the squeezed stack (vacuum_cost); no number
+    operator is formed.  One ModeSpace per d serves both families, so a
+    basis over MAX_STATES raises FockError.  As b-_j|vac> = sinh(r_j)
+    a+_j|vac>, every cutoff nmax >= 1 gives the same cost; a smaller one
+    raises FockError.  The smallest eigenvalues of the truncated N_b sit
+    at numerical zero for every finite d (the squeezed vacuum survives
+    truncation), so the trend lives in the vacuum cost, not in the
+    spectrum.
     """
     if len(set(d_values)) < 2:
         raise FockError("a growth trend needs at least two distinct mode counts")
@@ -732,8 +755,8 @@ def boundedness_trend(d_values=(1, 2, 3), nmax: int = 30) -> TrendReport:
     uniform, summable = [], []
     for d in d_values:
         m = ModeSpace(d, nmax)
-        uniform.append(vacuum_occupancy(m, number_operator(m, BogoliubovSpec.uniform(d, r))))
-        summable.append(vacuum_occupancy(m, number_operator(m, BogoliubovSpec.summable(d, r))))
+        uniform.append(vacuum_cost(m, BogoliubovSpec.uniform(d, r)))
+        summable.append(vacuum_cost(m, BogoliubovSpec.summable(d, r)))
     ds = np.asarray(d_values, float)
     us, ss = (float(np.polyfit(ds, costs, 1)[0]) for costs in (uniform, summable))
     ratio = math.inf if ss == 0.0 else abs(us / ss)

@@ -27,7 +27,8 @@ ROOT2 = math.sqrt(2.0)
 
 # most monomials TestFunction.translate may expand: a term with exponents k
 # becomes prod_i (k_i + 1) of them, and the random test functions of a
-# d-mode sweep hold up to 3^d per term
+# d-mode sweep hold up to 3^d per term.  Expanding 141^2 = 19881 of them,
+# exponents (140, 140), takes about 10 ms (one BLAS thread, 2-vCPU x86-64 VM)
 MAX_TRANSLATE_MONOMIALS = 20_000
 
 # most standard normal draws, samples * d, bochner_mc may make in one run;
@@ -46,15 +47,26 @@ MC_CHUNK_ROWS = 65_536
 MAX_COCYCLE_SAMPLES = 100_000
 
 # most monomials weyl_sweep may translate: its count of triples times the
-# most one d-mode random test function expands.  With
-# worst-case test functions a triple took 0.24 ms at d = 1 and about 9 us a
-# monomial at d = 4..8 (106 ms a triple at d = 8), so a sweep at the budget
-# takes at most about 5 s at d = 1 (20000 triples) and 1 s at d >= 4
+# most one d-mode random test function expands.  With worst-case test
+# functions a triple took 0.10 ms at d = 1 and about 3 us a monomial at
+# d = 4..8 (34 ms a triple at d = 8), so a sweep at the budget takes at
+# most about 2 s at d = 1 (20000 triples) and 0.3 s at d >= 4 (one BLAS
+# thread, 2-vCPU x86-64 VM)
 MAX_WEYL_MONOMIALS = 100_000
 
 # most vectors pd_sweep may draw: the matrix Z(v_i - v_j) takes count^2
 # Python calls of Z at about 5 us each, so about 5 s at the budget
 MAX_PD_VECTORS = 1_000
+
+
+SYMMETRY_TOLERANCE = 1e-12  # most |A - A^T| entry a gram or quadratic part may hold
+
+
+def _symmetric(a: np.ndarray) -> bool:
+    """Whether every entry of |a - a^T| is at most SYMMETRY_TOLERANCE, with
+    no relative slack; a NaN or infinite entry fails."""
+    with np.errstate(invalid="ignore"):
+        return bool((np.abs(a - a.T) <= SYMMETRY_TOLERANCE).all())
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +108,7 @@ class GaussianModel:
             self.gram = np.eye(self.d)
         else:
             g = np.asarray(gram, dtype=float)
-            if g.shape != (self.d, self.d) or not np.allclose(g, g.T, rtol=0, atol=1e-12):
+            if g.shape != (self.d, self.d) or not _symmetric(g):
                 raise MeasureError("gram must be a real symmetric d x d matrix")
             self.gram = g
 
@@ -354,9 +366,7 @@ class TestFunction:
             if len(k) != self.d or any(i < 0 for i in k):
                 raise MeasureError(f"bad multi-index {k}")
         self.quad = np.zeros((d, d)) if quad is None else np.asarray(quad, dtype=float)
-        if self.quad.shape != (self.d, self.d) or not np.allclose(
-            self.quad, self.quad.T, atol=1e-12
-        ):
+        if self.quad.shape != (self.d, self.d) or not _symmetric(self.quad):
             raise MeasureError("quadratic part must be real symmetric")
         self.lin = (
             np.zeros(d, dtype=complex) if lin is None else np.asarray(lin, dtype=complex)
@@ -367,44 +377,47 @@ class TestFunction:
         """A function with this one's d and quadratic part, and its linear
         and constant exponents unless given, built without the checks of
         the constructor: the operations form poly's multi-indices from this
-        function's, and the quadratic part is this function's array."""
+        function's and its complex values from its coefficients, and the
+        quadratic part is this function's array."""
         f = object.__new__(TestFunction)
         f.d, f.quad = self.d, self.quad
-        f.poly = _poly_clean({k: complex(v) for k, v in poly.items()})
+        f.poly = _poly_clean(poly)
         f.lin = self.lin if lin is None else np.asarray(lin, dtype=complex)
         f.const = self.const if const is None else complex(const)
         return f
 
     def evaluate(self, u) -> complex:
+        """f(u).  The powers of the u_i are Python float powers, so one
+        past the float range raises OverflowError."""
         u = np.asarray(u, dtype=float)
+        us = u.tolist()
         p = 0.0 + 0.0j
         for k, coeff in sorted(self.poly.items()):
             term = coeff
             for i, n in enumerate(k):
                 if n:
-                    term *= u[i] ** n
+                    term *= us[i] ** n
             p += term
         expo = -0.5 * float(u @ self.quad @ u) + complex(self.lin @ u) + self.const
         return p * cmath.exp(expo)
 
     def translate(self, t) -> "TestFunction":
-        """u -> u + t."""
+        """u -> u + t.  The powers of the t_i are Python float powers, so
+        one past the float range raises OverflowError."""
         t = np.asarray(t, dtype=float)
         count = sum(math.prod(n + 1 for n in k) for k in self.poly)
         if count > MAX_TRANSLATE_MONOMIALS:
             raise MeasureError(f"translating this test function expands {count} monomials, "
                                f"over the budget of {MAX_TRANSLATE_MONOMIALS}; lower d or the degree")
+        ts = t.tolist()
         poly = {}
         for k, coeff in self.poly.items():
-            axes = []
-            for i, n in enumerate(k):
-                axes.append(
-                    [(j, math.comb(n, j) * t[i] ** (n - j)) for j in range(n + 1)]
-                )
-            for combo in cartesian(*axes):
-                key = tuple(j for j, _ in combo)
+            # binomial factor comb(n, j) t_i^(n - j) of exponent j on axis i
+            factors = [[math.comb(n, j) * ti ** (n - j) for j in range(n + 1)]
+                       for ti, n in zip(ts, k)]
+            for key, combo in zip(cartesian(*(range(n + 1) for n in k)), cartesian(*factors)):
                 val = coeff
-                for _, f in combo:
+                for f in combo:
                     val *= f
                 poly[key] = poly.get(key, 0) + val
         lin = self.lin - self.quad @ t
@@ -442,18 +455,20 @@ def t_op(model: GaussianModel, v, f: TestFunction) -> TestFunction:
     return f.phase(v)
 
 
-def p_op(model: GaussianModel, v, f: TestFunction) -> TestFunction:
-    """(P(v)f)(u) = a(v,u) f(u + u_v)."""
+def p_op(model: GaussianModel, v):
+    """P(v) as a map on test functions, (P(v)f)(u) = a(v,u) f(u + u_v);
+    Cv, u_v and M_K(Cv) are formed once for every f it is applied to."""
     v = np.asarray(v, dtype=float)
     cv = model.C @ v
-    shifted = f.translate(model.embed(v))
-    return shifted.with_exponent(-0.5 * cv, -0.25 * model.M(cv))
+    shift, dlin, dconst = model.embed(v), -0.5 * cv, -0.25 * model.M(cv)
+    return lambda f: f.translate(shift).with_exponent(dlin, dconst)
 
 
 def weyl_relation_check(model: GaussianModel, v, vp, f: TestFunction, u) -> complex:
     """(P(v)T(v')f)(u) - exp(i<v|v'>) (T(v')P(v)f)(u)."""
-    lhs = p_op(model, v, t_op(model, vp, f)).evaluate(u)
-    rhs = cmath.exp(1j * model.inner(v, vp)) * t_op(model, vp, p_op(model, v, f)).evaluate(u)
+    p = p_op(model, v)
+    lhs = p(t_op(model, vp, f)).evaluate(u)
+    rhs = cmath.exp(1j * model.inner(v, vp)) * t_op(model, vp, p(f)).evaluate(u)
     return lhs - rhs
 
 
@@ -465,7 +480,7 @@ def weyl_sweep(model: GaussianModel, rng, count: int) -> float:
     and test functions drawn from rng.  Both budgets are checked against
     the worst-case test function before the first draw, so whether a sweep
     is refused never depends on the draws.  A residual that overflows a
-    float raises MeasureError."""
+    float, or is not finite, raises MeasureError."""
     if count < 1:
         raise MeasureError(f"need at least one sample point, got {count}")
     # a random_test_function has at most two distinct exponent vectors in
@@ -479,11 +494,17 @@ def weyl_sweep(model: GaussianModel, rng, count: int) -> float:
         raise MeasureError(f"{count} Weyl samples of up to {per} monomials each are over the "
                            f"budget of {MAX_WEYL_MONOMIALS} monomials; lower the count or d")
     worst = 0.0
-    try:
+    with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(count):
             v, vp, u = (gauss_vector(rng, model.d) for _ in range(3))
             f = random_test_function(rng, model.d)
-            worst = max(worst, abs(weyl_relation_check(model, v, vp, f, u)))
-    except OverflowError:  # cmath.exp of a translated test function past the float range
-        raise MeasureError("a Weyl residual at a sample point overflows a float") from None
+            try:
+                residual = abs(weyl_relation_check(model, v, vp, f, u))
+            # a float power or cmath.exp of a test function past the float range
+            except OverflowError:
+                residual = math.nan
+            # max() would drop the NaN that an infinite exponent leaves
+            if not math.isfinite(residual):
+                raise MeasureError("a Weyl residual at a sample point overflows a float")
+            worst = max(worst, residual)
     return worst

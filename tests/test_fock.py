@@ -905,7 +905,8 @@ def test_boundedness_trend_builds_one_space_per_mode_count(monkeypatch):
     monkeypatch.setattr(fock, "ModeSpace", counted("spaces", fock.ModeSpace))
     monkeypatch.setattr(fock, "number_operator", counted("operators", fock.number_operator))
     rep = boundedness_trend((1, 2, 3), 30)
-    assert calls == {"spaces": 3, "operators": 6}
+    # the costs are read off the vacuum column: no number operator is formed
+    assert calls == {"spaces": 3, "operators": 0}
     monkeypatch.undo()
     # each cost is the one a space of its own gives, and every cutoff that
     # admits one quantum gives the same floats
@@ -920,6 +921,30 @@ def test_boundedness_trend_builds_one_space_per_mode_count(monkeypatch):
         assert (low.uniform, low.summable) == (rep.uniform, rep.summable)
         assert low.passed == rep.passed
     assert (rep.d_values, rep.nmax) == ((1, 2, 3), 30)
+
+
+def test_vacuum_cost_is_the_built_operators_vacuum_entry():
+    # the vacuum column of the squeezed stack gives <0|N|0> bit for bit, for
+    # both trend families and for zero, mixed-sign and random squeezing; a
+    # basis over the budget is refused before either path runs
+    rng = random.Random(35)
+    r = 0.5 * math.log(2.0)
+    for d in (1, 2, 3, 4):
+        specs = [BogoliubovSpec.uniform(d, r), BogoliubovSpec.summable(d, r),
+                 BogoliubovSpec.fock(d),
+                 BogoliubovSpec(tuple((-1.0) ** j * 0.3 * (j + 1) for j in range(d))),
+                 BogoliubovSpec(tuple(rng.uniform(-2.0, 2.0) for _ in range(d)))]
+        for nmax in (1, 2, 12, 30):
+            if comb(d + nmax, d) > MAX_STATES:
+                with pytest.raises(FockError, match="budget"):
+                    ModeSpace(d, nmax)
+                continue
+            m = ModeSpace(d, nmax)
+            for spec in specs:
+                want = fock.vacuum_occupancy(m, number_operator(m, spec))
+                assert fock.vacuum_cost(m, spec).hex() == want.hex()
+    with pytest.raises(FockError, match="mode count"):
+        fock.vacuum_cost(ModeSpace(2, 3), BogoliubovSpec.fock(3))
 
 
 def test_boundedness_trend():

@@ -7,6 +7,7 @@ constant function as the vacuum exactly when C = 2I."""
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 import tracemalloc
@@ -440,11 +441,11 @@ def test_weyl_relation_pointwise():
     f = random_test_function(rng, 2)
     u = _rand_vec(rng, 2)
     vp = _rand_vec(rng, 2)
-    lhs = p_op(model, np.zeros(2), t_op(model, vp, f)).evaluate(u)
+    lhs = p_op(model, np.zeros(2))(t_op(model, vp, f)).evaluate(u)
     assert abs(lhs - t_op(model, vp, f).evaluate(u)) < 1e-12
     v = _rand_vec(rng, 2)
-    lhs = p_op(model, v, t_op(model, np.zeros(2), f)).evaluate(u)
-    assert abs(lhs - p_op(model, v, f).evaluate(u)) < 1e-12
+    lhs = p_op(model, v)(t_op(model, np.zeros(2), f)).evaluate(u)
+    assert abs(lhs - p_op(model, v)(f).evaluate(u)) < 1e-12
 
 
 def test_test_function_calculus():
@@ -486,8 +487,8 @@ def test_derived_test_functions_match_the_constructor(monkeypatch):
     # of it, and only the constructor runs the symmetry check
     rng = random.Random(21)
     calls = []
-    allclose = np.allclose
-    monkeypatch.setattr(np, "allclose", lambda *a, **k: calls.append(1) or allclose(*a, **k))
+    symmetric = measure._symmetric
+    monkeypatch.setattr(measure, "_symmetric", lambda a: calls.append(1) or symmetric(a))
     for d in (1, 2, 3):
         for _ in range(10):
             f = random_test_function(rng, d)
@@ -506,6 +507,120 @@ def test_derived_test_functions_match_the_constructor(monkeypatch):
     del calls[:]
     weyl_sweep(model, random.Random(3), 7)
     assert len(calls) == 7  # one random function per point
+
+
+def test_symmetry_checks_have_no_relative_slack():
+    # an asymmetry of 1e-6 on entries near 0.5 is far past 1e-12, though a
+    # relative tolerance of 1e-5 would forgive it
+    with pytest.raises(MeasureError, match="symmetric"):
+        TestFunction(2, {(0, 0): 1}, quad=[[1, 0.5], [0.500001, 1]])
+    f = TestFunction(2, {(0, 0): 1}, quad=[[1, 0.5], [0.5 + 1e-13, 1]])
+    assert f.quad[1, 0] == 0.5 + 1e-13
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused without a numpy warning
+        for bad in ([[1.0, math.nan], [math.nan, 1.0]], [[math.nan, 0.0], [0.0, 1.0]],
+                    [[math.inf, 0.0], [0.0, 1.0]]):
+            with pytest.raises(MeasureError, match="symmetric"):
+                TestFunction(2, {(0, 0): 1}, quad=bad)
+            with pytest.raises(MeasureError, match="symmetric"):
+                GaussianModel.fock(2, gram=bad)
+
+
+# reference test-function operations on numpy scalars: t[i] and u[i] are
+# numpy float64 entries, and P(v) forms Cv, u_v and M_K(Cv) once
+# for each side of the Weyl relation.  The library reads t and u as Python
+# floats and forms P(v) once a point; both must give the same floats.
+
+def _numpy_translate(f, t):
+    t = np.asarray(t, dtype=float)
+    poly = {}
+    for k, coeff in f.poly.items():
+        axes = []
+        for i, n in enumerate(k):
+            axes.append([(j, math.comb(n, j) * t[i] ** (n - j)) for j in range(n + 1)])
+        for combo in itertools.product(*axes):
+            key = tuple(j for j, _ in combo)
+            val = coeff
+            for _, factor in combo:
+                val *= factor
+            poly[key] = poly.get(key, 0) + val
+    lin = f.lin - f.quad @ t
+    const = f.const + complex(f.lin @ t) - 0.5 * float(t @ f.quad @ t)
+    return TestFunction(f.d, poly, f.quad, lin, const)
+
+
+def _numpy_evaluate(f, u):
+    u = np.asarray(u, dtype=float)
+    p = 0.0 + 0.0j
+    for k, coeff in sorted(f.poly.items()):
+        term = coeff
+        for i, n in enumerate(k):
+            if n:
+                term *= u[i] ** n
+        p += term
+    expo = -0.5 * float(u @ f.quad @ u) + complex(f.lin @ u) + f.const
+    return p * cmath.exp(expo)
+
+
+def _numpy_p_op(model, v, f):
+    v = np.asarray(v, dtype=float)
+    cv = model.C @ v
+    return _numpy_translate(f, model.embed(v)).with_exponent(-0.5 * cv, -0.25 * model.M(cv))
+
+
+def _numpy_weyl_relation_check(model, v, vp, f, u):
+    lhs = _numpy_evaluate(_numpy_p_op(model, v, f.phase(vp)), u)
+    rhs = cmath.exp(1j * model.inner(v, vp)) * _numpy_evaluate(_numpy_p_op(model, v, f).phase(vp), u)
+    return lhs - rhs
+
+
+def _assert_same_floats(got, want):
+    assert list(got.poly) == list(want.poly)
+    assert [(z.real.hex(), z.imag.hex()) for z in got.poly.values()] == \
+        [(z.real.hex(), z.imag.hex()) for z in want.poly.values()]
+    assert got.lin.tobytes() == want.lin.tobytes() and got.const == want.const
+
+
+def test_test_function_operations_match_the_numpy_scalar_oracle(monkeypatch):
+    # bit for bit: the translated polynomial's keys, order and complex
+    # values, the values at random points, and the Weyl sweep maxima
+    rng = random.Random(3535)
+    for d in (1, 2, 3, 4):
+        for _ in range(40):
+            f = random_test_function(rng, d)
+            t, u = _rand_vec(rng, d, 3.0), _rand_vec(rng, d, 3.0)
+            _assert_same_floats(f.translate(t), _numpy_translate(f, t))
+            assert f.evaluate(u) == _numpy_evaluate(f, u)
+            g = f.translate(t)
+            assert g.evaluate(u) == _numpy_evaluate(_numpy_translate(f, t), u)
+    # a d = 8 function at the translate budget of a Weyl sweep
+    f = _worst_test_function(random.Random(8), 8)
+    t, u = _rand_vec(rng, 8), _rand_vec(rng, 8)
+    assert sum(math.prod(n + 1 for n in k) for k in f.poly) == 5 * 3 ** 7
+    _assert_same_floats(f.translate(t), _numpy_translate(f, t))
+    assert f.translate(t).evaluate(u) == _numpy_evaluate(_numpy_translate(f, t), u)
+    sweeps = [(GaussianModel.fock(d), seed, 30) for d in (1, 2, 3, 4) for seed in (1, 2)]
+    sweeps += [(_scaled(3, 0.7), 5, 30), (GaussianModel.fock(8), 9, 2)]
+    got = [weyl_sweep(model, random.Random(seed), count) for model, seed, count in sweeps]
+    monkeypatch.setattr(measure, "weyl_relation_check", _numpy_weyl_relation_check)
+    want = [weyl_sweep(model, random.Random(seed), count) for model, seed, count in sweeps]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_weyl_sweep_refuses_a_shift_past_the_float_range():
+    # u_v = gram v near 1e200 squares past the float range: the power
+    # raises, and a residual left infinite or NaN is refused, not dropped
+    # by the running maximum as a pass
+    model = GaussianModel.fock(2, gram=1e200 * np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before numpy warns on stderr
+        with pytest.raises(MeasureError, match="overflows a float"):
+            weyl_sweep(model, random.Random(1), 3)
+    f = TestFunction(1, {(2,): 1.0})
+    with pytest.raises(OverflowError):
+        f.translate([1e200])
+    with pytest.raises(OverflowError):
+        f.evaluate([1e200])
 
 
 def test_translate_budget():
