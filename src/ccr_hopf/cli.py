@@ -290,18 +290,16 @@ def _cmd_fock_matrices(args):
 
 
 def _cmd_fock_spectrum(args):
-    from .fock import NONNEGATIVE_TOLERANCE, invariant_blocks, number_operator
-    from .fock import smallest_eigenvalues, vacuum_occupancy
+    from .fock import invariant_blocks, number_operator, spectrum_check, vacuum_occupancy
 
     m = _mode_space(args)
     spec = _bogoliubov(args)
     n = number_operator(m, spec)
-    eigs = smallest_eigenvalues(n, args.k)
+    fields, passed = spectrum_check(n, args.k)
+    eigs = fields["eigenvalues"]
     sizes = invariant_blocks(n)[1]
-    passed = not eigs or eigs[0] > -NONNEGATIVE_TOLERANCE
     results = {
-        "eigenvalues": list(eigs),
-        "nonnegative_tolerance": NONNEGATIVE_TOLERANCE,
+        **fields,
         "rs": list(spec.rs),
         "solver": {
             "blocks": len(sizes),
@@ -336,20 +334,6 @@ def _poisson_tail(mu: float, n: int) -> float:
     return 1.0 - total
 
 
-def _genfun_mean(m, v, spec) -> float:
-    """Mean total occupation of exp(i phi(v))|0>, a coherent state for
-    every family.  With w = m.coords(v), phi(v) = sum_j (alpha_j a+_j +
-    conj(alpha_j) a-_j) / sqrt2 where alpha_j = Re(w_j) e^{r_j} +
-    i Im(w_j) e^{-r_j}, since b+_j + b-_j = e^{r_j} (a+_j + a-_j).  So the
-    mean is 1/2 sum_j |alpha_j|^2 and <0|exp(i phi(v))|0> = exp(-mean / 2)."""
-    import numpy as np
-
-    w, rs = m.coords(v), np.array(spec.rs)
-    with np.errstate(over="ignore"):
-        x, y = w.real * np.exp(rs), w.imag * np.exp(-rs)
-        return 0.5 * float(x @ x + y @ y)
-
-
 def _genfun_refusal(m, mu: float, weight: float) -> str:
     """Why the cutoff is too small, with the nmax the budget would need."""
     from .fock import DENSE_EIG_LIMIT, MAX_STATES
@@ -373,28 +357,23 @@ def _genfun_refusal(m, mu: float, weight: float) -> str:
 
 
 def _cmd_fock_genfun(args):
-    from .fock import GENFUN_TOLERANCE, vacuum_generating_function
+    from .fock import genfun_check, genfun_mean
 
     m = _mode_space(args)
     spec = _bogoliubov(args)
     v = _vector(args.v, args.d)
-    mu = _genfun_mean(m, v, spec)
+    mu = genfun_mean(m, v, spec)
     weight = _poisson_tail(mu, m.nmax)
     if weight > GENFUN_TAIL_BUDGET:
         raise CliError(_genfun_refusal(m, mu, weight))
-    z = vacuum_generating_function(m, v, spec)
-    results = {"value_im": z.imag, "value_re": z.real}
-    passed = True
-    if not args.gram:
-        expected = math.exp(-mu / 2.0)
-        gap = abs(z - expected)
-        passed = gap <= GENFUN_TOLERANCE
-        results.update({"expected": expected, "error": gap, "tolerance": GENFUN_TOLERANCE})
-    return results, passed, f"fock genfun value={z.real:.12f}"
+    fields, passed = genfun_check(m, v, spec)
+    if args.gram:
+        fields, passed = {k: fields[k] for k in ("value_im", "value_re")}, True
+    return fields, passed, f"fock genfun value={fields['value_re']:.12f}"
 
 
 def _cmd_fock_transfer(args):
-    from .fock import TRANSFER_TOLERANCE, transfer_rep, transfer_residual
+    from .fock import transfer_check, transfer_rep
     from .measure import gauss_vector
 
     m = _mode_space(args)
@@ -402,16 +381,10 @@ def _cmd_fock_transfer(args):
     v = _vector(args.v, args.d) if args.v else gauss_vector(rng, args.d)
     w = _vector(args.w, args.d) if args.w else gauss_vector(rng, args.d)
     rep = transfer_rep(m, 1.5 if args.q is None else args.q, 0.8 if args.c is None else args.c)
-    residual = transfer_residual(rep, v, w)
-    results = {
-        "c_qc": rep.constant,
-        "residual": residual,
-        "scale": rep.scale,
-        "tolerance": TRANSFER_TOLERANCE,
-        "v": list(map(float, v)),
-        "w": list(map(float, w)),
-    }
-    return results, residual < TRANSFER_TOLERANCE, f"fock transfer residual={residual:.3e}"
+    fields, passed = transfer_check(rep, v, w)
+    results = {**fields, "c_qc": rep.constant, "scale": rep.scale,
+               "v": list(map(float, v)), "w": list(map(float, w))}
+    return results, passed, f"fock transfer residual={fields['residual']:.3e}"
 
 
 def _cmd_fock_trend(args):
@@ -430,23 +403,16 @@ def _cmd_fock_trend(args):
 # Measure commands
 
 def _cmd_measure_cocycle(args):
-    from .measure import COCYCLE_TOLERANCE, cocycle_sweep
+    from .measure import cocycle_sweep
 
     model = _model(args)
-    rng = random.Random(f"{args.seed}:cocycle-cli")
-    worst_c, worst_r = cocycle_sweep(model, rng, args.samples)
-    results = {
-        "cocycle_max_residual": worst_c,
-        "density_ratio_max_residual": worst_r,
-        "samples": args.samples,
-        "tolerance": COCYCLE_TOLERANCE,
-    }
-    passed = worst_c < COCYCLE_TOLERANCE and worst_r < COCYCLE_TOLERANCE
-    return results, passed, f"measure cocycle max={max(worst_c, worst_r):.3e}"
+    fields, passed = cocycle_sweep(model, random.Random(f"{args.seed}:cocycle-cli"), args.samples)
+    worst = max(fields["cocycle_max_residual"], fields["density_ratio_max_residual"])
+    return {**fields, "samples": args.samples}, passed, f"measure cocycle max={worst:.3e}"
 
 
 def _cmd_measure_eta(args):
-    from .measure import ETA_TOLERANCE, eta_error, eta_sweep
+    from .measure import eta_check, eta_error, eta_sweep
 
     model = _model(args)
     if bool(args.v) != bool(args.u):
@@ -455,10 +421,8 @@ def _cmd_measure_eta(args):
         points = [eta_error(model, _vector(args.v, args.d), _vector(args.u, args.d))]
     else:
         points = eta_sweep(model, random.Random(f"{args.seed}:eta-cli"), 3)
-    worst = max(0.0, *(err for err, _, _ in points))
-    rows = [{"error": err, "estimate": got, "exact": want} for err, got, want in points]
-    results = {"max_error": worst, "points": rows, "tolerance": ETA_TOLERANCE}
-    return results, worst < ETA_TOLERANCE, f"measure eta max error={worst:.3e}"
+    fields, passed = eta_check(points)
+    return fields, passed, f"measure eta max error={fields['max_error']:.3e}"
 
 
 def _cmd_measure_bochner(args):
@@ -477,20 +441,20 @@ def _cmd_measure_bochner(args):
 
 
 def _cmd_measure_weyl(args):
-    from .measure import WEYL_TOLERANCE, weyl_sweep
+    from .measure import weyl_sweep
 
     model = _model(args)
-    worst = weyl_sweep(model, random.Random(f"{args.seed}:weyl-cli"), args.count)
-    results = {"max_residual": worst, "points": args.count, "tolerance": WEYL_TOLERANCE}
-    return results, worst < WEYL_TOLERANCE, f"measure weyl max residual={worst:.3e}"
+    fields, passed = weyl_sweep(model, random.Random(f"{args.seed}:weyl-cli"), args.count)
+    summary = f"measure weyl max residual={fields['max_residual']:.3e}"
+    return {**fields, "points": args.count}, passed, summary
 
 
 def _cmd_measure_pd(args):
-    from .measure import PD_EIGENVALUE_FLOOR, pd_sweep
+    from .measure import pd_sweep
 
-    min_eig = pd_sweep(_model(args), random.Random(f"{args.seed}:pd-cli"), args.count)
-    results = {"min_eigenvalue": min_eig, "tolerance": PD_EIGENVALUE_FLOOR, "vectors": args.count}
-    return results, min_eig >= PD_EIGENVALUE_FLOOR, f"measure pd-check min eigenvalue={min_eig:.3e}"
+    fields, passed = pd_sweep(_model(args), random.Random(f"{args.seed}:pd-cli"), args.count)
+    summary = f"measure pd-check min eigenvalue={fields['min_eigenvalue']:.3e}"
+    return {**fields, "vectors": args.count}, passed, summary
 
 
 # ---------------------------------------------------------------------------

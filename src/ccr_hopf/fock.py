@@ -492,6 +492,30 @@ def vacuum_generating_function(m: ModeSpace, v, spec=None) -> complex:
     return complex(u[0] ** 2 @ np.cos(lam))
 
 
+def genfun_mean(m: ModeSpace, v, spec=None) -> float:
+    """Mean total occupation of exp(i phi(v))|0>, a coherent state for
+    every family.  With w = m.coords(v), phi(v) = sum_j (alpha_j a+_j +
+    conj(alpha_j) a-_j) / sqrt2 where alpha_j = Re(w_j) e^{r_j} +
+    i Im(w_j) e^{-r_j}, since b+_j + b-_j = e^{r_j} (a+_j + a-_j).  So the
+    mean is 1/2 sum_j |alpha_j|^2 and <0|exp(i phi(v))|0> = exp(-mean / 2)."""
+    w = m.coords(v)
+    rs = np.zeros(m.d) if spec is None else np.array(spec.rs)
+    with np.errstate(over="ignore"):
+        x, y = w.real * np.exp(rs), w.imag * np.exp(-rs)
+        return 0.5 * float(x @ x + y @ y)
+
+
+def genfun_check(m: ModeSpace, v, spec=None) -> tuple:
+    """(report fields, passed) of vacuum_generating_function at v against
+    its closed form exp(-genfun_mean / 2), judged within GENFUN_TOLERANCE."""
+    z = vacuum_generating_function(m, v, spec)
+    expected = math.exp(-genfun_mean(m, v, spec) / 2.0)
+    error = abs(z - expected)
+    fields = {"error": error, "expected": expected, "tolerance": GENFUN_TOLERANCE,
+              "value_im": z.imag, "value_re": z.real}
+    return fields, error <= GENFUN_TOLERANCE
+
+
 @dataclass(frozen=True)
 class TransferRep:
     """Representation keeping phi and scaling pi by the deformation
@@ -580,11 +604,12 @@ def commutator_matrix(a: SparseOp, b: SparseOp) -> SparseOp:
     return a @ b - b @ a
 
 
-TRANSFER_TOLERANCE = 1e-12  # transfer_residual passes below this
+TRANSFER_TOLERANCE = 1e-12  # transfer_check's residual passes below this
 
 
-def transfer_residual(rep: TransferRep, v, w) -> float:
-    """Deformed CCR residual of the transfer representation: the norm of
+def transfer_check(rep: TransferRep, v, w) -> tuple:
+    """(report fields, passed) of the deformed CCR residual of the
+    transfer representation, judged below TRANSFER_TOLERANCE: the norm of
     [pi(v), phi(w)] + i c(q,c) Re<v|w> on the degree-2 safe subspace, where
     <v|w> = v^H G w is the inner product of the space's gram G (the plain
     dot product when there is none).  A residual past the float range
@@ -597,7 +622,7 @@ def transfer_residual(rep: TransferRep, v, w) -> float:
         residual = restricted_norm(m, comm - _scalar_op(m.dim, target), 2)
     if not math.isfinite(residual):
         raise FockError("the transfer residual at (v, w) is not finite; lower |v| or |w|")
-    return residual
+    return {"residual": residual, "tolerance": TRANSFER_TOLERANCE}, residual < TRANSFER_TOLERANCE
 
 
 def restricted_norm(m: ModeSpace, a, degree: int) -> float:
@@ -681,6 +706,14 @@ def smallest_eigenvalues(a, k: int) -> tuple:
         parts.append(np.linalg.eigvalsh(dense)[:k])
     vals = np.sort(np.concatenate(parts))[:k]
     return tuple(float(x) for x in vals)
+
+
+def spectrum_check(n, k: int) -> tuple:
+    """(report fields, passed) of the lowest k eigenvalues of a number
+    operator, judged above -NONNEGATIVE_TOLERANCE."""
+    eigs = smallest_eigenvalues(n, k)
+    fields = {"eigenvalues": list(eigs), "nonnegative_tolerance": NONNEGATIVE_TOLERANCE}
+    return fields, not eigs or eigs[0] > -NONNEGATIVE_TOLERANCE
 
 
 SLOPE_RATIO_FLOOR = 5.0  # the least uniform-to-summable slope ratio that passes

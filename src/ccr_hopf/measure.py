@@ -178,8 +178,9 @@ COCYCLE_TOLERANCE = 1e-10  # the cocycle and density-ratio residuals pass below 
 
 
 def cocycle_sweep(model: GaussianModel, rng, count: int) -> tuple:
-    """Worst cocycle and density-ratio residuals over count random
-    (v, v', u) triples drawn from rng; a residual that leaves the float
+    """(report fields, passed) of the worst cocycle and density-ratio
+    residuals over count random (v, v', u) triples drawn from rng, each
+    judged below COCYCLE_TOLERANCE; a residual that leaves the float
     range raises MeasureError."""
     if count < 1:
         raise MeasureError(f"need at least one sample point, got {count}")
@@ -199,7 +200,9 @@ def cocycle_sweep(model: GaussianModel, rng, count: int) -> tuple:
             raise MeasureError("a cocycle or density ratio at a sample point is not finite: "
                                "it leaves the float range")
         worst_c, worst_r = max(worst_c, res_c), max(worst_r, res_r)
-    return worst_c, worst_r
+    fields = {"cocycle_max_residual": worst_c, "density_ratio_max_residual": worst_r,
+              "tolerance": COCYCLE_TOLERANCE}
+    return fields, worst_c < COCYCLE_TOLERANCE and worst_r < COCYCLE_TOLERANCE
 
 
 def eta(model: GaussianModel, v, u) -> float:
@@ -243,6 +246,14 @@ def eta_sweep(model: GaussianModel, rng, count: int) -> list:
         u = gauss_vector(rng, model.d)
         points.append(eta_error(model, v, u))
     return points
+
+
+def eta_check(points) -> tuple:
+    """(report fields, passed) of eta_error points, judged within
+    ETA_TOLERANCE at the worst one."""
+    worst = max(0.0, *(err for err, _, _ in points))
+    rows = [{"error": err, "estimate": got, "exact": want} for err, got, want in points]
+    return {"max_error": worst, "points": rows, "tolerance": ETA_TOLERANCE}, worst < ETA_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -331,13 +342,15 @@ def positive_definiteness_check(Z, vectors):
 PD_EIGENVALUE_FLOOR = -1e-10  # the least eigenvalue of the matrix Z(v_i - v_j) that passes
 
 
-def pd_sweep(model: GaussianModel, rng, count: int) -> float:
-    """positive_definiteness_check of model.Z over count random vectors
-    drawn from rng."""
+def pd_sweep(model: GaussianModel, rng, count: int) -> tuple:
+    """(report fields, passed) of positive_definiteness_check of model.Z
+    over count random vectors drawn from rng, judged at or above
+    PD_EIGENVALUE_FLOOR."""
     if count > MAX_PD_VECTORS:
         raise MeasureError(f"{count} vectors are over the budget of "
                            f"{MAX_PD_VECTORS}; lower the count")
-    return positive_definiteness_check(model.Z, [gauss_vector(rng, model.d) for _ in range(count)])
+    low = positive_definiteness_check(model.Z, [gauss_vector(rng, model.d) for _ in range(count)])
+    return {"min_eigenvalue": low, "tolerance": PD_EIGENVALUE_FLOOR}, low >= PD_EIGENVALUE_FLOOR
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +488,10 @@ def weyl_relation_check(model: GaussianModel, v, vp, f: TestFunction, u) -> comp
 WEYL_TOLERANCE = 1e-10  # the Weyl relation residuals pass below this
 
 
-def weyl_sweep(model: GaussianModel, rng, count: int) -> float:
-    """Worst Weyl-relation residual over count random (v, v', u) triples
-    and test functions drawn from rng.  Both budgets are checked against
+def weyl_sweep(model: GaussianModel, rng, count: int) -> tuple:
+    """(report fields, passed) of the worst Weyl-relation residual over
+    count random (v, v', u) triples and test functions drawn from rng,
+    judged below WEYL_TOLERANCE.  Both budgets are checked against
     the worst-case test function before the first draw, so whether a sweep
     is refused never depends on the draws.  A residual that overflows a
     float, or is not finite, raises MeasureError."""
@@ -507,4 +521,4 @@ def weyl_sweep(model: GaussianModel, rng, count: int) -> float:
             if not math.isfinite(residual):
                 raise MeasureError("a Weyl residual at a sample point overflows a float")
             worst = max(worst, residual)
-    return worst
+    return {"max_residual": worst, "tolerance": WEYL_TOLERANCE}, worst < WEYL_TOLERANCE

@@ -13,7 +13,6 @@ is part of the contract rather than an afterthought.
 
 from __future__ import annotations
 
-import math
 import random
 
 import numpy as np
@@ -39,18 +38,16 @@ from .algebra import (
 )
 from .exprparse import expr_to_text
 from .fock import (
-    GENFUN_TOLERANCE,
     SLOPE_RATIO_FLOOR,
-    TRANSFER_TOLERANCE,
     ModeSpace,
     boundedness_trend,
     commutator_matrix,
     expr_matrix,
+    genfun_check,
     ladder_of,
     restricted_norm,
+    transfer_check,
     transfer_rep,
-    transfer_residual,
-    vacuum_generating_function,
 )
 from .hopf import (
     HopfSpec,
@@ -63,12 +60,10 @@ from .hopf import (
     tensor_of,
 )
 from .measure import (
-    COCYCLE_TOLERANCE,
-    ETA_TOLERANCE,
-    WEYL_TOLERANCE,
     GaussianModel,
     bochner_check,
     cocycle_sweep,
+    eta_check,
     eta_sweep,
     gauss_vector,
     weyl_sweep,
@@ -307,13 +302,10 @@ def criterion_08(seed: int) -> dict:
         ap_w, am_w = ladder_of(m, w)
         comm = commutator_matrix(am_v, ap_w) - np.vdot(v, w) * eye
         worst_ccr = max(worst_ccr, restricted_norm(m, comm, 2))
-    target = math.exp(-0.25)
-    errs = []
-    for nmax in (5, 10, 20, 40):
-        z = vacuum_generating_function(ModeSpace(1, nmax), [1.0])
-        errs.append(abs(z - target))
+    genfun = [genfun_check(ModeSpace(1, nmax), [1.0]) for nmax in (5, 10, 20, 40)]
+    errs = [fields["error"] for fields, _ in genfun]
     monotone = all(b < a or b < 1e-12 for a, b in zip(errs, errs[1:]))
-    ok = worst_ccr < CCR_TOLERANCE and errs[2] < GENFUN_TOLERANCE and monotone
+    ok = worst_ccr < CCR_TOLERANCE and genfun[2][1] and monotone
     return {
         "criterion": 8,
         "name": "fock-ccr-and-generating-function",
@@ -322,7 +314,7 @@ def criterion_08(seed: int) -> dict:
             "ccr_max_residual": worst_ccr,
             "ccr_tolerance": CCR_TOLERANCE,
             "genfun_error_nmax20": errs[2],
-            "genfun_tolerance": GENFUN_TOLERANCE,
+            "genfun_tolerance": genfun[2][0]["tolerance"],
             "truncation_errors": {
                 "nmax=5": errs[0],
                 "nmax=10": errs[1],
@@ -377,19 +369,19 @@ def criterion_10(seed: int) -> dict:
     """Transfer representation: deformed momentum against the field."""
     rng = _rng(seed, "transfer")
     m = ModeSpace(2, 10)
-    worst = 0.0
+    checks = []
     for _ in range(TRANSFER_POINTS):
         q = rng.uniform(0.3, 2.5)
         c = rng.uniform(0.3, 2.5)
         v = gauss_vector(rng, 2)
         w = gauss_vector(rng, 2)
-        worst = max(worst, transfer_residual(transfer_rep(m, q, c), v, w))
+        checks.append(transfer_check(transfer_rep(m, q, c), v, w))
     return {
         "criterion": 10,
         "name": "transfer-representation-ccr",
-        "passed": worst < TRANSFER_TOLERANCE,
-        "details": {"max_residual": worst, "tolerance": TRANSFER_TOLERANCE,
-                    "points": TRANSFER_POINTS},
+        "passed": all(passed for _, passed in checks),
+        "details": {"max_residual": max(fields["residual"] for fields, _ in checks),
+                    "tolerance": checks[0][0]["tolerance"], "points": TRANSFER_POINTS},
     }
 
 
@@ -436,42 +428,32 @@ def criterion_12(seed: int) -> dict:
         ("sqrt2-identity", GaussianModel.fock(2)),
         ("triangular", GaussianModel(np.array([[1.0, 0.3], [0.0, 2.0]]))),
     ]
-    worst_cocycle = 0.0
-    worst_ratio = 0.0
-    worst_eta = 0.0
-    worst_weyl = 0.0
+    runs = []  # per model: its cocycle, eta, Weyl and Bochner verdicts
     bochner = {}
-    bochner_ok = True
     for idx, (label, model) in enumerate(models):
-        cocycle, ratio = cocycle_sweep(model, rng, 100)
-        worst_cocycle = max(worst_cocycle, cocycle)
-        worst_ratio = max(worst_ratio, ratio)
-        worst_eta = max(worst_eta, *(err for err, _, _ in eta_sweep(model, rng, 10)))
-        worst_weyl = max(worst_weyl, weyl_sweep(model, rng, 50))
         v = np.array([1.0, 0.5]) if idx == 0 else np.array([0.3, -1.0])
-        fields, within = bochner_check(model, v, 100000, seed + idx)
-        bochner_ok = bochner_ok and within
+        runs.append((cocycle_sweep(model, rng, 100), eta_check(eta_sweep(model, rng, 10)),
+                     weyl_sweep(model, rng, 50), bochner_check(model, v, 100000, seed + idx)))
+        fields, within = runs[-1][3]
         bochner[label] = {**fields, "within_3_sigma": within}
-    ok = (
-        worst_cocycle < COCYCLE_TOLERANCE
-        and worst_ratio < COCYCLE_TOLERANCE
-        and worst_eta < ETA_TOLERANCE
-        and worst_weyl < WEYL_TOLERANCE
-        and bochner_ok
-    )
+
+    def worst(check: int, key: str) -> float:
+        return max(run[check][0][key] for run in runs)
+
+    tolerance = [fields["tolerance"] for fields, _ in runs[0]]
     return {
         "criterion": 12,
         "name": "gaussian-measure-checks",
-        "passed": bool(ok),
+        "passed": all(passed for run in runs for _, passed in run),
         "details": {
-            "cocycle_max_residual": worst_cocycle,
-            "cocycle_tolerance": COCYCLE_TOLERANCE,
-            "density_ratio_max_residual": worst_ratio,
-            "density_ratio_tolerance": COCYCLE_TOLERANCE,
-            "eta_max_error": worst_eta,
-            "eta_tolerance": ETA_TOLERANCE,
-            "weyl_max_residual": worst_weyl,
-            "weyl_tolerance": WEYL_TOLERANCE,
+            "cocycle_max_residual": worst(0, "cocycle_max_residual"),
+            "cocycle_tolerance": tolerance[0],
+            "density_ratio_max_residual": worst(0, "density_ratio_max_residual"),
+            "density_ratio_tolerance": tolerance[0],
+            "eta_max_error": worst(1, "max_error"),
+            "eta_tolerance": tolerance[1],
+            "weyl_max_residual": worst(2, "max_residual"),
+            "weyl_tolerance": tolerance[2],
             "bochner": bochner,
         },
     }

@@ -60,7 +60,7 @@ from ccr_hopf.fock import (
     restricted_norm,
     smallest_eigenvalues,
     transfer_rep,
-    transfer_residual,
+    transfer_check,
     vacuum_generating_function,
 )
 
@@ -637,7 +637,7 @@ def test_transfer_commutator_and_identity_points():
             v @ w
         ) * eye
         assert restricted_norm(m, comm, 2) < 1e-12
-        assert transfer_residual(rep, v, w) < 1e-12
+        assert transfer_check(rep, v, w)[1]
     v = np.array([0.3, 0.4])
     plain = field_pair(m, v)
     for q, c in ((1.0, 2.5), (1.7, 1.0)):
@@ -654,7 +654,7 @@ def test_transfer_residual_refuses_an_overflowing_vector():
         warnings.simplefilter("error")  # refused before numpy warns on stderr
         for v, w in ((big, unit), (unit, big)):
             with pytest.raises(FockError, match="not finite"):
-                transfer_residual(rep, v, w)
+                transfer_check(rep, v, w)
 
 
 def test_transfer_residual_stays_sparse():
@@ -663,14 +663,14 @@ def test_transfer_residual_stays_sparse():
     assert m.dim >= 2500
     rep = transfer_rep(m, 1.5, 2.0)
     v, w = np.array([0.3, -0.7]), np.array([0.5, 0.2])
-    transfer_residual(rep, v, w)  # first-use imports stay out of the peak
+    transfer_check(rep, v, w)  # first-use imports stay out of the peak
     tracemalloc.start()
     try:
-        res = transfer_residual(rep, v, w)
+        fields, passed = transfer_check(rep, v, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res < 1e-12
+    assert passed and fields["residual"] < 1e-12
     assert peak < 32e6
 
 
@@ -760,7 +760,7 @@ def test_transfer_residual_with_gram(gram):
         inner = sum(v[j] * g[j, k] * w[k] for j in range(2) for k in range(2)).real
         comm = commutator_matrix(rep.pi(v), rep.phi(w))
         assert abs(comm.toarray()[0, 0] + 1j * rep.constant * inner) < 1e-12
-        assert transfer_residual(rep, v, w) < 1e-12
+        assert transfer_check(rep, v, w)[1]
         # the Euclidean v.w is the wrong target whenever it differs
         euclid = comm + 1j * rep.constant * float(v @ w) * np.eye(m.dim)
         assert restricted_norm(m, euclid, 2) > 1e-3

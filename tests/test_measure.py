@@ -21,13 +21,16 @@ import pytest
 from ccr_hopf import measure
 from ccr_hopf.cli import main
 from ccr_hopf.measure import (
+    COCYCLE_TOLERANCE,
     MAX_COCYCLE_SAMPLES,
     MAX_MC_DRAWS,
     MAX_PD_VECTORS,
     MAX_TRANSLATE_MONOMIALS,
     MAX_WEYL_MONOMIALS,
     MC_CHUNK_ROWS,
+    PD_EIGENVALUE_FLOOR,
     ROOT2,
+    WEYL_TOLERANCE,
     GaussianModel,
     MeasureError,
     TestFunction,
@@ -237,20 +240,23 @@ def test_cocycle_identities():
 def test_shared_sweeps_follow_the_explicit_loops():
     model = GaussianModel(np.array([[1.0, 0.3], [0.0, 2.0]]))
     rng, ref = random.Random("sweep"), random.Random("sweep")
-    worst_c, worst_r = cocycle_sweep(model, rng, 20)
+    fields, passed = cocycle_sweep(model, rng, 20)
     want_c = want_r = 0.0
     for _ in range(20):
         v, vp, u = (np.array([ref.gauss(0, 1) for _ in range(2)]) for _ in range(3))
         want_c = max(want_c, cocycle_check(model, v, vp, u))
         want_r = max(want_r, density_ratio_check(model, v, u))
-    assert (worst_c, worst_r) == (want_c, want_r) and max(want_c, want_r) < 1e-10
-    worst = weyl_sweep(model, rng, 5)
+    assert fields == {"cocycle_max_residual": want_c, "density_ratio_max_residual": want_r,
+                      "tolerance": COCYCLE_TOLERANCE}
+    assert passed and max(want_c, want_r) < 1e-10
+    fields, passed = weyl_sweep(model, rng, 5)
     want = 0.0
     for _ in range(5):
         v, vp, u = (np.array([ref.gauss(0, 1) for _ in range(2)]) for _ in range(3))
         f = random_test_function(ref, 2)
         want = max(want, abs(weyl_relation_check(model, v, vp, f, u)))
-    assert worst == want < 1e-10
+    assert fields == {"max_residual": want, "tolerance": WEYL_TOLERANCE}
+    assert passed and want < 1e-10
     assert rng.random() == ref.random()  # both streams consumed alike
     v, u = gauss_vector(rng, 2), gauss_vector(rng, 2)
     err, estimate, exact = eta_error(model, v, u)
@@ -601,9 +607,12 @@ def test_test_function_operations_match_the_numpy_scalar_oracle(monkeypatch):
     assert f.translate(t).evaluate(u) == _numpy_evaluate(_numpy_translate(f, t), u)
     sweeps = [(GaussianModel.fock(d), seed, 30) for d in (1, 2, 3, 4) for seed in (1, 2)]
     sweeps += [(_scaled(3, 0.7), 5, 30), (GaussianModel.fock(8), 9, 2)]
-    got = [weyl_sweep(model, random.Random(seed), count) for model, seed, count in sweeps]
+    def worst(model, seed, count):
+        return weyl_sweep(model, random.Random(seed), count)[0]["max_residual"]
+
+    got = [worst(*sweep) for sweep in sweeps]
     monkeypatch.setattr(measure, "weyl_relation_check", _numpy_weyl_relation_check)
-    want = [weyl_sweep(model, random.Random(seed), count) for model, seed, count in sweeps]
+    want = [worst(*sweep) for sweep in sweeps]
     assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
@@ -686,7 +695,7 @@ def test_cocycle_sweep_budget_is_checked_before_drawing():
     assert rng.random() == ref.random()  # refused before any draw
     # the budget itself is accepted; a few points stand in for it here
     assert 10 ** 5 <= MAX_COCYCLE_SAMPLES < 10 ** 6
-    assert max(cocycle_sweep(model, rng, 3)) < 1e-10
+    assert cocycle_sweep(model, rng, 3)[1]
 
 
 @pytest.mark.parametrize("sweep, budget", [(pd_sweep, MAX_PD_VECTORS)])
@@ -698,7 +707,7 @@ def test_weyl_and_pd_budgets_are_checked_before_drawing(sweep, budget):
     with pytest.raises(MeasureError, match="budget"):
         sweep(model, rng, budget + 1)
     assert rng.random() == ref.random()  # refused before any draw
-    assert math.isfinite(sweep(model, rng, 3))  # a count under the budget runs
+    assert sweep(model, rng, 3)[1]  # a count under the budget runs
 
 
 def _worst_test_function(rng, d):
@@ -729,7 +738,7 @@ def test_weyl_budget_bounds_count_times_monomials(d):
     with pytest.raises(MeasureError, match="budget"):
         weyl_sweep(model, rng, top + 1)
     assert rng.random() == ref.random()  # refused before any draw
-    assert math.isfinite(weyl_sweep(model, rng, min(top, 3)))
+    assert weyl_sweep(model, rng, min(top, 3))[1]
 
 
 @pytest.mark.parametrize("d", [9, 10, 14])
@@ -748,14 +757,15 @@ def test_weyl_sweep_beyond_the_translate_budget_is_refused_for_every_seed(d):
 def test_weyl_sweep_worst_case_draws_stay_in_the_translate_budget(monkeypatch):
     # at d = 8 even the worst-case test function translates within budget
     monkeypatch.setattr(measure, "random_test_function", _worst_test_function)
-    assert weyl_sweep(GaussianModel.fock(8), random.Random(2), 1) < 1e-10
+    assert weyl_sweep(GaussianModel.fock(8), random.Random(2), 1)[1]
 
 
 def test_pd_sweep_draws_like_the_vector_list():
     model = _scaled(2, 1.0)
     rng, ref = random.Random(9), random.Random(9)
     vecs = [gauss_vector(ref, 2) for _ in range(12)]
-    assert pd_sweep(model, rng, 12) == positive_definiteness_check(model.Z, vecs)
+    assert pd_sweep(model, rng, 12) == ({"min_eigenvalue": positive_definiteness_check(
+        model.Z, vecs), "tolerance": PD_EIGENVALUE_FLOOR}, True)
     with pytest.raises(MeasureError, match="at least one vector"):
         pd_sweep(model, rng, 0)
 

@@ -26,7 +26,6 @@ from ccr_hopf.algebra import (
 from ccr_hopf.cli import (
     GENFUN_TAIL_BUDGET,
     _HOPF_CHECKS,
-    _genfun_mean,
     _poisson_tail,
     main,
 )
@@ -541,14 +540,14 @@ def test_genfun_closed_form_holds_with_a_gram():
     # complex for a complex gram; the truncated value confirms it
     import numpy as np
 
-    from ccr_hopf.fock import BogoliubovSpec, ModeSpace, vacuum_generating_function
+    from ccr_hopf.fock import BogoliubovSpec, ModeSpace, genfun_mean, vacuum_generating_function
 
     v = np.array([0.5, -0.7])
     for gram in ([[2, 0.3 + 0.4j], [0.3 - 0.4j, 1]], [[2, 0.3], [0.3, 1]]):
         m = ModeSpace(2, 40, gram=np.array(gram))
         for spec in (BogoliubovSpec.fock(2), BogoliubovSpec.uniform(2, 0.4),
                      BogoliubovSpec.summable(2, -0.6)):
-            mu = _genfun_mean(m, v, spec)
+            mu = genfun_mean(m, v, spec)
             assert _poisson_tail(mu, m.nmax) < 1e-40
             z = vacuum_generating_function(m, v, spec)
             assert abs(z - math.exp(-mu / 2)) < 1e-14

@@ -83,6 +83,43 @@ def test_report_tolerance_is_the_constant_its_verdict_reads(capsys, monkeypatch,
     assert doc["passed"] is False and doc["results"][field] == failing
 
 
+# (module, verdict, argv, criterion): each verdict a command and a criterion share
+VERDICTS = [
+    (measure, "cocycle_sweep", ["measure", "cocycle", "--samples", "5"], 12),
+    (measure, "eta_check", ["measure", "eta"], 12),
+    (measure, "weyl_sweep", ["measure", "weyl", "--count", "5"], 12),
+    (measure, "bochner_check", ["measure", "bochner", "--samples", "2000"], 12),
+    (fock, "transfer_check", ["fock", "transfer", "--nmax", "4"], 10),
+    (fock, "genfun_check", ["fock", "genfun", "--v", "0.5"], 8),
+]
+
+
+@pytest.mark.parametrize("module, name, argv, criterion", VERDICTS, ids=[v[1] for v in VERDICTS])
+def test_a_failing_verdict_fails_the_command_and_the_criterion(capsys, monkeypatch, module, name,
+                                                               argv, criterion):
+    # neither the command nor the criterion judges the fields again: the
+    # verdict's passed alone decides both
+    verdict = getattr(module, name)
+
+    def failing(*args):
+        return verdict(*args)[0], False
+
+    assert _criterion(criterion)["passed"] is True
+    for where in (module, selftest):  # selftest binds the names it imports
+        monkeypatch.setattr(where, name, failing)
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+    assert selftest.CRITERION_FUNCS[criterion - 1](42)["passed"] is False
+
+
+def test_a_failing_trend_fails_the_command_and_the_criterion(capsys, monkeypatch):
+    assert _criterion(11)["passed"] is True
+    monkeypatch.setattr(fock.TrendReport, "passed", property(lambda self: False))
+    assert main(["fock", "trend", "--nmax", "12"]) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+    assert selftest.criterion_11(42)["passed"] is False
+
+
 def _eta_loop(model, rng, count):
     # the loop eta_sweep replaced: v, then u, for each point
     points = []
