@@ -154,6 +154,15 @@ done <<'ROWS'
 0  60 measure bochner --scale 0.8 --d 2 --samples 131073
 0  60 measure bochner --d 3 --samples 1000000
 0  60 measure pd-check
+# exact identities on large values: the cocycle, density-ratio, Weyl and
+# transfer residuals are judged in units of the values they compare, so
+# rounding on a large value is no failure (each of these exited 1 on an
+# absolute bound), and the selftest passes at a seed that failed that way
+0  60 measure cocycle --scale 0.5 --samples 2000
+0  60 fock transfer --v 300,400 --w 100,200
+0  60 fock transfer --v 300,400 --w 400,-300
+0  60 measure weyl --scale 0.25 --count 500
+0  60 selftest --seed 5
 # budgets refuse the work before it starts: an exponent over the parser's
 # limit, a coherent state far beyond the cutoff, the Python-loop sweeps,
 # a test function whose translate would hold about 1e6 monomials, Weyl

@@ -604,7 +604,7 @@ def commutator_matrix(a: SparseOp, b: SparseOp) -> SparseOp:
     return a @ b - b @ a
 
 
-TRANSFER_TOLERANCE = 1e-12  # transfer_check's residual passes below this
+TRANSFER_TOLERANCE = 1e-12  # transfer_check's scaled residual passes below this
 
 
 def transfer_check(rep: TransferRep, v, w) -> tuple:
@@ -613,15 +613,24 @@ def transfer_check(rep: TransferRep, v, w) -> tuple:
     [pi(v), phi(w)] + i c(q,c) Re<v|w> on the degree-2 safe subspace, where
     <v|w> = v^H G w is the inner product of the space's gram G (the plain
     dot product when there is none).  A residual past the float range
-    raises FockError."""
+    raises FockError.
+
+    The residual is reported over max(1, c(q,c) |v| |w| (nmax + 1)
+    sqrt(S)), with gram norms and S safe states: within a factor 1.25, the
+    largest norm pi(v) phi(w) and phi(w) pi(v) can have on those columns,
+    and so the scale of the rounding the commutator leaves, whatever the
+    size of the target."""
+    m = rep.space
     with np.errstate(over="ignore", invalid="ignore"):
         comm = commutator_matrix(rep.pi(v), rep.phi(w))
-        m = rep.space
         inner = float(v @ w) if m.gram is None else float(np.real(np.conj(v) @ m.gram @ w))
         target = -1j * rep.constant * inner
         residual = restricted_norm(m, comm - _scalar_op(m.dim, target), 2)
+        size = (rep.constant * np.linalg.norm(m.coords(v)) * np.linalg.norm(m.coords(w))
+                * (m.nmax + 1) * math.sqrt(m.safe_mask(2).sum()))
     if not math.isfinite(residual):
         raise FockError("the transfer residual at (v, w) is not finite; lower |v| or |w|")
+    residual /= max(1.0, float(size))
     return {"residual": residual, "tolerance": TRANSFER_TOLERANCE}, residual < TRANSFER_TOLERANCE
 
 

@@ -160,28 +160,49 @@ def cocycle(model: GaussianModel, v, u) -> float:
     return math.exp(-0.25 * model.M(cv) - 0.5 * float(cv @ np.asarray(u, float)))
 
 
+def _cocycle_sides(model: GaussianModel, v, vp, u) -> tuple:
+    """a(v+v', u) and a(v, u) a(v', u + u_v)."""
+    lhs = cocycle(model, np.asarray(v, float) + np.asarray(vp, float), u)
+    return lhs, cocycle(model, v, u) * cocycle(model, vp, np.asarray(u, float) + model.embed(v))
+
+
 def cocycle_check(model: GaussianModel, v, vp, u) -> float:
     """|a(v+v', u) - a(v, u) a(v', u + u_v)|."""
-    lhs = cocycle(model, np.asarray(v, float) + np.asarray(vp, float), u)
-    rhs = cocycle(model, v, u) * cocycle(model, vp, np.asarray(u, float) + model.embed(v))
+    lhs, rhs = _cocycle_sides(model, v, vp, u)
     return abs(lhs - rhs)
+
+
+def _density_ratio_sides(model: GaussianModel, v, u) -> tuple:
+    """density(u+u_v)/density(u) and a(v,u)^2."""
+    u = np.asarray(u, dtype=float)
+    return model.density(u + model.embed(v)) / model.density(u), cocycle(model, v, u) ** 2
 
 
 def density_ratio_check(model: GaussianModel, v, u) -> float:
     """|density(u+u_v)/density(u) - a(v,u)^2|."""
-    u = np.asarray(u, dtype=float)
-    ratio = model.density(u + model.embed(v)) / model.density(u)
-    return abs(ratio - cocycle(model, v, u) ** 2)
+    ratio, square = _density_ratio_sides(model, v, u)
+    return abs(ratio - square)
 
 
-COCYCLE_TOLERANCE = 1e-10  # the cocycle and density-ratio residuals pass below this
+def scaled_residual(lhs, rhs) -> float:
+    """|lhs - rhs| / max(1, |lhs|, |rhs|): an identity's residual in units
+    of the larger side it compares, or absolute while both sides are below
+    1.  Each side is a few products and an exp of a short sum, so its
+    rounding error is a few ulp of its own size times the size of that
+    sum's terms (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., ch. 3); a bound on the absolute residual fails on values
+    large enough, however exact the identity."""
+    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+
+
+COCYCLE_TOLERANCE = 1e-10  # the scaled cocycle and density-ratio residuals pass below this
 
 
 def cocycle_sweep(model: GaussianModel, rng, count: int) -> tuple:
-    """(report fields, passed) of the worst cocycle and density-ratio
-    residuals over count random (v, v', u) triples drawn from rng, each
-    judged below COCYCLE_TOLERANCE; a residual that leaves the float
-    range raises MeasureError."""
+    """(report fields, passed) of the worst scaled_residual of the cocycle
+    identity and of the density ratio over count random (v, v', u) triples
+    drawn from rng, each judged below COCYCLE_TOLERANCE; a residual that
+    leaves the float range raises MeasureError."""
     if count < 1:
         raise MeasureError(f"need at least one sample point, got {count}")
     if count > MAX_COCYCLE_SAMPLES:
@@ -191,7 +212,8 @@ def cocycle_sweep(model: GaussianModel, rng, count: int) -> tuple:
     for _ in range(count):
         v, vp, u = (gauss_vector(rng, model.d) for _ in range(3))
         try:
-            res_c, res_r = cocycle_check(model, v, vp, u), density_ratio_check(model, v, u)
+            res_c = scaled_residual(*_cocycle_sides(model, v, vp, u))
+            res_r = scaled_residual(*_density_ratio_sides(model, v, u))
         # math.exp of a cocycle past the float range, or a density that rounds to 0
         except (OverflowError, ZeroDivisionError):
             res_c = res_r = math.nan
@@ -477,21 +499,26 @@ def p_op(model: GaussianModel, v):
     return lambda f: f.translate(shift).with_exponent(dlin, dconst)
 
 
-def weyl_relation_check(model: GaussianModel, v, vp, f: TestFunction, u) -> complex:
-    """(P(v)T(v')f)(u) - exp(i<v|v'>) (T(v')P(v)f)(u)."""
+def _weyl_sides(model: GaussianModel, v, vp, f: TestFunction, u) -> tuple:
+    """(P(v)T(v')f)(u) and exp(i<v|v'>) (T(v')P(v)f)(u)."""
     p = p_op(model, v)
     lhs = p(t_op(model, vp, f)).evaluate(u)
-    rhs = cmath.exp(1j * model.inner(v, vp)) * t_op(model, vp, p(f)).evaluate(u)
+    return lhs, cmath.exp(1j * model.inner(v, vp)) * t_op(model, vp, p(f)).evaluate(u)
+
+
+def weyl_relation_check(model: GaussianModel, v, vp, f: TestFunction, u) -> complex:
+    """(P(v)T(v')f)(u) - exp(i<v|v'>) (T(v')P(v)f)(u)."""
+    lhs, rhs = _weyl_sides(model, v, vp, f, u)
     return lhs - rhs
 
 
-WEYL_TOLERANCE = 1e-10  # the Weyl relation residuals pass below this
+WEYL_TOLERANCE = 1e-10  # the scaled Weyl relation residuals pass below this
 
 
 def weyl_sweep(model: GaussianModel, rng, count: int) -> tuple:
-    """(report fields, passed) of the worst Weyl-relation residual over
-    count random (v, v', u) triples and test functions drawn from rng,
-    judged below WEYL_TOLERANCE.  Both budgets are checked against
+    """(report fields, passed) of the worst scaled_residual of the Weyl
+    relation over count random (v, v', u) triples and test functions drawn
+    from rng, judged below WEYL_TOLERANCE.  Both budgets are checked against
     the worst-case test function before the first draw, so whether a sweep
     is refused never depends on the draws.  A residual that overflows a
     float, or is not finite, raises MeasureError."""
@@ -513,7 +540,7 @@ def weyl_sweep(model: GaussianModel, rng, count: int) -> tuple:
             v, vp, u = (gauss_vector(rng, model.d) for _ in range(3))
             f = random_test_function(rng, model.d)
             try:
-                residual = abs(weyl_relation_check(model, v, vp, f, u))
+                residual = scaled_residual(*_weyl_sides(model, v, vp, f, u))
             # a float power or cmath.exp of a test function past the float range
             except OverflowError:
                 residual = math.nan

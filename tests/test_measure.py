@@ -241,11 +241,18 @@ def test_shared_sweeps_follow_the_explicit_loops():
     model = GaussianModel(np.array([[1.0, 0.3], [0.0, 2.0]]))
     rng, ref = random.Random("sweep"), random.Random("sweep")
     fields, passed = cocycle_sweep(model, rng, 20)
+    # each residual is scaled by the larger of the two sides it compares
     want_c = want_r = 0.0
     for _ in range(20):
         v, vp, u = (np.array([ref.gauss(0, 1) for _ in range(2)]) for _ in range(3))
-        want_c = max(want_c, cocycle_check(model, v, vp, u))
-        want_r = max(want_r, density_ratio_check(model, v, u))
+        lhs = cocycle(model, v + vp, u)
+        rhs = cocycle(model, v, u) * cocycle(model, vp, u + model.embed(v))
+        assert cocycle_check(model, v, vp, u) == abs(lhs - rhs)
+        want_c = max(want_c, abs(lhs - rhs) / max(1.0, lhs, rhs))
+        ratio = model.density(u + model.embed(v)) / model.density(u)
+        square = cocycle(model, v, u) ** 2
+        assert density_ratio_check(model, v, u) == abs(ratio - square)
+        want_r = max(want_r, abs(ratio - square) / max(1.0, ratio, square))
     assert fields == {"cocycle_max_residual": want_c, "density_ratio_max_residual": want_r,
                       "tolerance": COCYCLE_TOLERANCE}
     assert passed and max(want_c, want_r) < 1e-10
@@ -254,7 +261,11 @@ def test_shared_sweeps_follow_the_explicit_loops():
     for _ in range(5):
         v, vp, u = (np.array([ref.gauss(0, 1) for _ in range(2)]) for _ in range(3))
         f = random_test_function(ref, 2)
-        want = max(want, abs(weyl_relation_check(model, v, vp, f, u)))
+        p = p_op(model, v)
+        lhs = p(t_op(model, vp, f)).evaluate(u)
+        rhs = cmath.exp(1j * model.inner(v, vp)) * t_op(model, vp, p(f)).evaluate(u)
+        assert weyl_relation_check(model, v, vp, f, u) == lhs - rhs
+        want = max(want, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
     assert fields == {"max_residual": want, "tolerance": WEYL_TOLERANCE}
     assert passed and want < 1e-10
     assert rng.random() == ref.random()  # both streams consumed alike
@@ -574,10 +585,10 @@ def _numpy_p_op(model, v, f):
     return _numpy_translate(f, model.embed(v)).with_exponent(-0.5 * cv, -0.25 * model.M(cv))
 
 
-def _numpy_weyl_relation_check(model, v, vp, f, u):
+def _numpy_weyl_sides(model, v, vp, f, u):
     lhs = _numpy_evaluate(_numpy_p_op(model, v, f.phase(vp)), u)
-    rhs = cmath.exp(1j * model.inner(v, vp)) * _numpy_evaluate(_numpy_p_op(model, v, f).phase(vp), u)
-    return lhs - rhs
+    return lhs, cmath.exp(1j * model.inner(v, vp)) * _numpy_evaluate(
+        _numpy_p_op(model, v, f).phase(vp), u)
 
 
 def _assert_same_floats(got, want):
@@ -607,11 +618,12 @@ def test_test_function_operations_match_the_numpy_scalar_oracle(monkeypatch):
     assert f.translate(t).evaluate(u) == _numpy_evaluate(_numpy_translate(f, t), u)
     sweeps = [(GaussianModel.fock(d), seed, 30) for d in (1, 2, 3, 4) for seed in (1, 2)]
     sweeps += [(_scaled(3, 0.7), 5, 30), (GaussianModel.fock(8), 9, 2)]
+
     def worst(model, seed, count):
         return weyl_sweep(model, random.Random(seed), count)[0]["max_residual"]
 
     got = [worst(*sweep) for sweep in sweeps]
-    monkeypatch.setattr(measure, "weyl_relation_check", _numpy_weyl_relation_check)
+    monkeypatch.setattr(measure, "_weyl_sides", _numpy_weyl_sides)
     want = [worst(*sweep) for sweep in sweeps]
     assert [x.hex() for x in got] == [x.hex() for x in want]
 
