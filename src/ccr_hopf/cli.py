@@ -290,13 +290,12 @@ def _cmd_fock_matrices(args):
 
 
 def _cmd_fock_spectrum(args):
-    from .fock import invariant_blocks, number_operator, spectrum_check, vacuum_occupancy
+    from .fock import invariant_blocks, number_operator, spectrum_check, vacuum_cost
 
     m = _mode_space(args)
     spec = _bogoliubov(args)
     n = number_operator(m, spec)
     fields, passed = spectrum_check(n, args.k)
-    eigs = fields["eigenvalues"]
     sizes = invariant_blocks(n)[1]
     results = {
         **fields,
@@ -306,9 +305,9 @@ def _cmd_fock_spectrum(args):
             "largest_block": int(sizes.max()),
             "method": "dense-blocks",
         },
-        "vacuum_occupancy": vacuum_occupancy(m, n),
+        "vacuum_occupancy": vacuum_cost(m, spec),
     }
-    return results, passed, f"fock spectrum min={eigs[0] if eigs else None}"
+    return results, passed, f"fock spectrum min={min(fields['eigenvalues'], default=None)}"
 
 
 def _poisson_tail(mu: float, n: int) -> float:
@@ -367,8 +366,6 @@ def _cmd_fock_genfun(args):
     if weight > GENFUN_TAIL_BUDGET:
         raise CliError(_genfun_refusal(m, mu, weight))
     fields, passed = genfun_check(m, v, spec)
-    if args.gram:
-        fields, passed = {k: fields[k] for k in ("value_im", "value_re")}, True
     return fields, passed, f"fock genfun value={fields['value_re']:.12f}"
 
 

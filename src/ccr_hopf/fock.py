@@ -613,13 +613,9 @@ def transfer_check(rep: TransferRep, v, w) -> tuple:
     [pi(v), phi(w)] + i c(q,c) Re<v|w> on the degree-2 safe subspace, where
     <v|w> = v^H G w is the inner product of the space's gram G (the plain
     dot product when there is none).  A residual past the float range
-    raises FockError.
-
-    The residual is reported over max(1, c(q,c) |v| |w| (nmax + 1)
-    sqrt(S)), with gram norms and S safe states: within a factor 1.25, the
-    largest norm pi(v) phi(w) and phi(w) pi(v) can have on those columns,
-    and so the scale of the rounding the commutator leaves, whatever the
-    size of the target."""
+    raises FockError.  The residual is reported over max(1, c(q,c) |v| |w|
+    (nmax + 1) sqrt(S)), gram norms and S safe states: the size, within
+    1.25 times, of the products compared, whose rounding it leaves."""
     m = rep.space
     with np.errstate(over="ignore", invalid="ignore"):
         comm = commutator_matrix(rep.pi(v), rep.phi(w))
@@ -747,12 +743,6 @@ class TrendReport:
         return self.slope_ratio >= SLOPE_RATIO_FLOOR
 
 
-def vacuum_occupancy(m: ModeSpace, n) -> float:
-    """<0|N|0> of an operator N already built on m."""
-    vac = m.vacuum()
-    return float(np.vdot(vac, n @ vac).real)
-
-
 def vacuum_cost(m: ModeSpace, spec: BogoliubovSpec) -> float:
     """<0|N|0> = |B|0>|^2 for the squeezed number operator N = B^T B of
     spec, read off the vacuum column of the stack B without forming N.
@@ -760,8 +750,8 @@ def vacuum_cost(m: ModeSpace, spec: BogoliubovSpec) -> float:
     That column holds one entry per mode, the a+_j entry out of |0> (the
     a-_j entry into row 0) scaled by sinh(r_j).  The squares are added
     mode by mode from 0.0, the order in which the product B^T B adds them
-    into N[0, 0], so the cost is the same float as vacuum_occupancy(m,
-    number_operator(m, spec))."""
+    into N[0, 0], so the cost is the same float as <0|N|0> of the built
+    number_operator(m, spec)."""
     if len(spec.rs) != m.d:
         raise FockError("spec and mode space disagree on the mode count")
     modes, rows, _, vals = m._am_entries

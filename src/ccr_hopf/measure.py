@@ -186,12 +186,7 @@ def density_ratio_check(model: GaussianModel, v, u) -> float:
 
 def scaled_residual(lhs, rhs) -> float:
     """|lhs - rhs| / max(1, |lhs|, |rhs|): an identity's residual in units
-    of the larger side it compares, or absolute while both sides are below
-    1.  Each side is a few products and an exp of a short sum, so its
-    rounding error is a few ulp of its own size times the size of that
-    sum's terms (Higham, Accuracy and Stability of Numerical Algorithms,
-    2nd ed., ch. 3); a bound on the absolute residual fails on values
-    large enough, however exact the identity."""
+    of the larger side it compares, absolute while both are below 1."""
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
@@ -470,7 +465,6 @@ class TestFunction:
         return self._derived(self.poly, lin, self.const + dconst)
 
 
-
 def random_test_function(rng, d: int) -> TestFunction:
     """Small random profile for property loops (plain random.Random)."""
     poly = {}
@@ -485,11 +479,6 @@ def random_test_function(rng, d: int) -> TestFunction:
 # ---------------------------------------------------------------------------
 # Representation operators on test functions
 
-def t_op(model: GaussianModel, v, f: TestFunction) -> TestFunction:
-    """(T(v)f)(u) = exp(i<v,u>) f(u)."""
-    return f.phase(v)
-
-
 def p_op(model: GaussianModel, v):
     """P(v) as a map on test functions, (P(v)f)(u) = a(v,u) f(u + u_v);
     Cv, u_v and M_K(Cv) are formed once for every f it is applied to."""
@@ -500,10 +489,11 @@ def p_op(model: GaussianModel, v):
 
 
 def _weyl_sides(model: GaussianModel, v, vp, f: TestFunction, u) -> tuple:
-    """(P(v)T(v')f)(u) and exp(i<v|v'>) (T(v')P(v)f)(u)."""
+    """(P(v)T(v')f)(u) and exp(i<v|v'>) (T(v')P(v)f)(u), where T(v') is
+    the multiplication by exp(i<v',u>), f.phase(v')."""
     p = p_op(model, v)
-    lhs = p(t_op(model, vp, f)).evaluate(u)
-    return lhs, cmath.exp(1j * model.inner(v, vp)) * t_op(model, vp, p(f)).evaluate(u)
+    lhs = p(f.phase(vp)).evaluate(u)
+    return lhs, cmath.exp(1j * model.inner(v, vp)) * p(f).phase(vp).evaluate(u)
 
 
 def weyl_relation_check(model: GaussianModel, v, vp, f: TestFunction, u) -> complex:

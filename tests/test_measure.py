@@ -46,7 +46,6 @@ from ccr_hopf.measure import (
     pd_sweep,
     positive_definiteness_check,
     random_test_function,
-    t_op,
     weyl_relation_check,
     weyl_sweep,
 )
@@ -262,8 +261,8 @@ def test_shared_sweeps_follow_the_explicit_loops():
         v, vp, u = (np.array([ref.gauss(0, 1) for _ in range(2)]) for _ in range(3))
         f = random_test_function(ref, 2)
         p = p_op(model, v)
-        lhs = p(t_op(model, vp, f)).evaluate(u)
-        rhs = cmath.exp(1j * model.inner(v, vp)) * t_op(model, vp, p(f)).evaluate(u)
+        lhs = p(f.phase(vp)).evaluate(u)
+        rhs = cmath.exp(1j * model.inner(v, vp)) * p(f).phase(vp).evaluate(u)
         assert weyl_relation_check(model, v, vp, f, u) == lhs - rhs
         want = max(want, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
     assert fields == {"max_residual": want, "tolerance": WEYL_TOLERANCE}
@@ -458,10 +457,10 @@ def test_weyl_relation_pointwise():
     f = random_test_function(rng, 2)
     u = _rand_vec(rng, 2)
     vp = _rand_vec(rng, 2)
-    lhs = p_op(model, np.zeros(2))(t_op(model, vp, f)).evaluate(u)
-    assert abs(lhs - t_op(model, vp, f).evaluate(u)) < 1e-12
+    lhs = p_op(model, np.zeros(2))(f.phase(vp)).evaluate(u)
+    assert abs(lhs - f.phase(vp).evaluate(u)) < 1e-12
     v = _rand_vec(rng, 2)
-    lhs = p_op(model, v)(t_op(model, np.zeros(2), f)).evaluate(u)
+    lhs = p_op(model, v)(f.phase(np.zeros(2))).evaluate(u)
     assert abs(lhs - p_op(model, v)(f).evaluate(u)) < 1e-12
 
 

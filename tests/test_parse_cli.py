@@ -525,6 +525,9 @@ def test_cli_genfun_over_budget_exits_2_before_expm(capsys, monkeypatch, argv, n
         ["--family", "uniform", "--r", "3", "--v", "1", "--nmax", "286"],
         ["--d", "2", "--nmax", "39", "--v", "1.5,-2", "--family", "summable", "--r", "1"],
         ["--d", "3", "--nmax", "14", "--v", "0.4,-0.3,0.8", "--family", "uniform", "--r", "-0.5"],
+        # a gram run is checked against the same closed form
+        ["--d", "2", "--v", "0.3,0.4", "--family", "uniform", "--r", "0.4",
+         "--gram", str(Path(__file__).resolve().parent / "golden" / "gram2.json")],
     ],
 )
 def test_cli_genfun_checks_every_family(capsys, argv):

@@ -1,7 +1,8 @@
 """The checks that both a command and the acceptance suite judge are
 defined once, in the module that measures them: each command's report
-and each selftest criterion carry the same tolerance, and the shared
-sampling loops draw what the loops they replaced drew."""
+and each selftest criterion carry the same tolerance, both read one
+verdict's passed, and the shared sampling loops draw what the loops they
+replaced drew."""
 
 from __future__ import annotations
 
@@ -176,12 +177,17 @@ def test_trend_verdict():
         "uniform_slope"]
 
 
-def test_vacuum_occupancy_of_the_built_operator():
+def test_vacuum_occupancy_of_the_built_operator(capsys):
+    # fock spectrum reports <0|N|0> read off the squeezed stack, the float
+    # the operator it solves gives
     m = fock.ModeSpace(2, 8)
     spec = fock.BogoliubovSpec.uniform(2, 0.3)
     n = fock.number_operator(m, spec)
     vac = m.vacuum()
-    assert fock.vacuum_occupancy(m, n) == float(np.real(np.vdot(vac, n @ vac)))
+    want = float(np.real(np.vdot(vac, n @ vac)))
+    assert fock.vacuum_cost(m, spec) == want
+    argv = ["fock", "spectrum", "--nmax", "8", "--family", "uniform", "--r", "0.3"]
+    assert _cli(capsys, argv)["vacuum_occupancy"] == want
 
 
 def test_both_numeric_layers_refuse_a_gram_asymmetric_past_their_tolerance():
