@@ -614,8 +614,8 @@ def transfer_check(rep: TransferRep, v, w) -> tuple:
     <v|w> = v^H G w is the inner product of the space's gram G (the plain
     dot product when there is none).  A residual past the float range
     raises FockError.  The residual is reported over max(1, c(q,c) |v| |w|
-    (nmax + 1) sqrt(S)), gram norms and S safe states: the size, within
-    1.25 times, of the products compared, whose rounding it leaves."""
+    (nmax + 1) sqrt(S)), in gram norms with S safe states: 1.25 times that
+    bounds either product's norm on those columns, and so their rounding."""
     m = rep.space
     with np.errstate(over="ignore", invalid="ignore"):
         comm = commutator_matrix(rep.pi(v), rep.phi(w))

@@ -7,9 +7,10 @@ with a "passed" flag and every measured float sitting next to the
 tolerance it was judged against.  A check that a command also judges
 (criteria 8, 10, 11 and 12) takes its sampling loop and its verdict,
 report fields plus passed, from the fock or measure module that owns
-its tolerance, and compares nothing itself.  ``run_selftest`` executes checks 1 through 12 twice and makes
-byte-equality of the two serialized halves criterion 13, so determinism
-is part of the contract rather than an afterthought.
+its tolerance, and compares nothing itself.  ``run_selftest`` executes
+checks 1 through 12 twice and makes byte-equality of the two serialized
+halves criterion 13, so determinism is part of the contract rather than
+an afterthought.
 """
 
 from __future__ import annotations
