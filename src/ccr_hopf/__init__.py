@@ -21,8 +21,8 @@ _EXPORTS = {
     ),
     "exprparse": ("ParseError", "expr_to_text", "parse_expr", "scalar_text"),
     "fock": (
-        "BogoliubovSpec", "FockError", "ModeSpace", "TransferRep", "TrendReport",
-        "boundedness_trend", "expr_matrix", "ladder_of", "number_operator", "transfer_rep",
+        "BogoliubovSpec", "FockError", "ModeSpace", "TransferRep", "boundedness_trend",
+        "expr_matrix", "ladder_of", "number_operator", "transfer_rep",
         "vacuum_generating_function",
     ),
     "hopf": (

@@ -66,14 +66,20 @@ def _tail_counts(d: int, nmax: int) -> np.ndarray:
     )
 
 
+def _check_states(d: int, nmax: int) -> None:
+    """Raise FockError when the occupation basis of d modes at cutoff
+    nmax, comb(d + nmax, d) states, holds more than MAX_STATES."""
+    if math.comb(d + nmax, d) > MAX_STATES:
+        raise FockError(f"the occupation basis for d={d}, nmax={nmax} exceeds the "
+                        f"budget of {MAX_STATES} states; lower d or nmax")
+
+
 def occupation_array(d: int, nmax: int) -> np.ndarray:
     """The (dim, d) int64 array whose rows are the occupation tuples
     (n_0, ..., n_{d-1}) with sum <= nmax in lexicographic order, the
     all-zero tuple first, unranked mode by mode from their row numbers.
     More than MAX_STATES rows raise FockError before any is built."""
-    if math.comb(d + nmax, d) > MAX_STATES:
-        raise FockError(f"the occupation basis for d={d}, nmax={nmax} exceeds the "
-                        f"budget of {MAX_STATES} states; lower d or nmax")
+    _check_states(d, nmax)
     tail = _tail_counts(d, nmax)
     left = np.arange(tail[0, 0])  # rank not yet placed
     total = np.zeros_like(left)  # P_i
@@ -724,60 +730,22 @@ def spectrum_check(n, k: int) -> tuple:
 SLOPE_RATIO_FLOOR = 5.0  # the least uniform-to-summable slope ratio that passes
 
 
-@dataclass(frozen=True)
-class TrendReport:
-    """The uniform and summable vacuum costs, one per mode count in
-    d_values at cutoff nmax, their least-squares slopes in d and the ratio."""
-
-    d_values: tuple
-    nmax: int
-    uniform: tuple
-    summable: tuple
-    uniform_slope: float
-    summable_slope: float
-    slope_ratio: float
-
-    @property
-    def passed(self) -> bool:
-        """The slope ratio is at least the floor."""
-        return self.slope_ratio >= SLOPE_RATIO_FLOOR
-
-
-def vacuum_cost(m: ModeSpace, spec: BogoliubovSpec) -> float:
-    """<0|N|0> = |B|0>|^2 for the squeezed number operator N = B^T B of
-    spec, read off the vacuum column of the stack B without forming N.
-
-    That column holds one entry per mode, the a+_j entry out of |0> (the
-    a-_j entry into row 0) scaled by sinh(r_j).  The squares are added
-    mode by mode from 0.0, the order in which the product B^T B adds them
-    into N[0, 0], so the cost is the same float as <0|N|0> of the built
-    number_operator(m, spec)."""
-    if len(spec.rs) != m.d:
-        raise FockError("spec and mode space disagree on the mode count")
-    modes, rows, _, vals = m._am_entries
-    into_vacuum = rows == 0
-    cost = 0.0
-    for j, x in zip(modes[into_vacuum].tolist(), vals[into_vacuum].tolist()):
-        b = math.sinh(spec.rs[j]) * x
-        cost += b * b
-    return cost
-
-
-def boundedness_trend(d_values=(1, 2, 3), nmax: int = 30) -> TrendReport:
-    """Growth of the Bogoliubov vacuum cost with the mode count, at
-    squeezing r = log(2)/2.
+def boundedness_trend(d_values=(1, 2, 3), nmax: int = 30) -> tuple:
+    """(report fields, passed) of the growth of the Bogoliubov vacuum cost
+    with the mode count at squeezing r = log(2)/2: the uniform and summable
+    costs per mode count in d_values at cutoff nmax, their least-squares
+    slopes in d and the ratio, which passes at SLOPE_RATIO_FLOOR or above.
 
     The cost <vac| N_b |vac> = sum_j sinh^2(r_j) diverges with d when a
     ladder family leaves the Fock class: linear growth for uniform
-    r_j = r, a plateau for the summable r_j = r 2^-j.  Each cost is read
-    off the vacuum column of the squeezed stack (vacuum_cost); no number
-    operator is formed.  One ModeSpace per d serves both families, so a
-    basis over MAX_STATES raises FockError.  As b-_j|vac> = sinh(r_j)
-    a+_j|vac>, every cutoff nmax >= 1 gives the same cost; a smaller one
-    raises FockError.  The smallest eigenvalues of the truncated N_b sit
-    at numerical zero for every finite d (the squeezed vacuum survives
-    truncation), so the trend lives in the vacuum cost, not in the
-    spectrum.
+    r_j = r, a plateau for the summable r_j = r 2^-j.  As a+_j|vac> is a
+    unit vector at every nmax >= 1, the sum added mode by mode from 0.0
+    is the float N[0, 0] of number_operator(ModeSpace(d, nmax), spec).  No
+    space is built, but its refusals stand: a cutoff below one quantum, a
+    d below 1 and a basis over MAX_STATES raise FockError.  The smallest
+    eigenvalues of the truncated N_b sit at numerical zero for every
+    finite d (the squeezed vacuum survives truncation), so the trend
+    lives in the vacuum cost, not in the spectrum.
     """
     if len(set(d_values)) < 2:
         raise FockError("a growth trend needs at least two distinct mode counts")
@@ -786,10 +754,19 @@ def boundedness_trend(d_values=(1, 2, 3), nmax: int = 30) -> TrendReport:
     r = 0.5 * math.log(2.0)
     uniform, summable = [], []
     for d in d_values:
-        m = ModeSpace(d, nmax)
-        uniform.append(vacuum_cost(m, BogoliubovSpec.uniform(d, r)))
-        summable.append(vacuum_cost(m, BogoliubovSpec.summable(d, r)))
+        if d < 1:
+            raise FockError("need d >= 1 and nmax >= 0")
+        _check_states(d, nmax)
+        for costs, spec in ((uniform, BogoliubovSpec.uniform(d, r)),
+                            (summable, BogoliubovSpec.summable(d, r))):
+            cost = 0.0
+            for r_j in spec.rs:
+                b = math.sinh(r_j)
+                cost += b * b
+            costs.append(cost)
     ds = np.asarray(d_values, float)
     us, ss = (float(np.polyfit(ds, costs, 1)[0]) for costs in (uniform, summable))
     ratio = math.inf if ss == 0.0 else abs(us / ss)
-    return TrendReport(tuple(d_values), nmax, tuple(uniform), tuple(summable), us, ss, ratio)
+    fields = {"d_values": list(d_values), "nmax": nmax, "uniform": uniform, "summable": summable,
+              "uniform_slope": us, "summable_slope": ss, "slope_ratio": ratio}
+    return fields, ratio >= SLOPE_RATIO_FLOOR

@@ -25,7 +25,6 @@ identical runs produce identical bytes.
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, is_dataclass
 from json.encoder import encode_basestring
 from math import inf
 
@@ -111,8 +110,6 @@ def _plain(value):
             return value.item()
     if isinstance(value, complex):
         return complex_json(value)
-    if is_dataclass(value) and not isinstance(value, type):
-        return _plain(asdict(value))
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

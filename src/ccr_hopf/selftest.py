@@ -394,13 +394,13 @@ def criterion_11(seed: int) -> dict:
     The truncated operator keeps the squeezed vacuum inside the cutoff,
     so its smallest eigenvalue is numerically zero for both families;
     the quantity that separates them is the vacuum occupancy, which the
-    trend report's uniform and summable tuples carry, one cost per d."""
-    trend = boundedness_trend(d_values=(1, 2, 3), nmax=30)
-    uniform, summable = trend.uniform, trend.summable
+    trend's uniform and summable fields carry, one cost per d."""
+    trend, passed = boundedness_trend(d_values=(1, 2, 3), nmax=30)
+    uniform, summable = trend["uniform"], trend["summable"]
     rel_errors = [abs(occ - (d / 8.0)) / (d / 8.0) for d, occ in zip((1, 2, 3), uniform)]
     increments = [b - a for a, b in zip(summable, summable[1:])]
     plateau = increments[1] < 0.5 * increments[0]
-    ok = max(rel_errors) <= UNIFORM_TOLERANCE and plateau and trend.passed
+    ok = max(rel_errors) <= UNIFORM_TOLERANCE and plateau and passed
     return {
         "criterion": 11,
         "name": "number-operator-growth-trend",
@@ -411,7 +411,7 @@ def criterion_11(seed: int) -> dict:
             "uniform_tolerance": UNIFORM_TOLERANCE,
             "summable_occupancy": summable,
             "summable_increments": increments,
-            "slope_ratio": trend.slope_ratio,
+            "slope_ratio": trend["slope_ratio"],
             "slope_ratio_floor": SLOPE_RATIO_FLOOR,
             "trend": trend,
         },

@@ -910,29 +910,44 @@ def test_boundedness_trend_builds_one_space_per_mode_count(monkeypatch):
 
     monkeypatch.setattr(fock, "ModeSpace", counted("spaces", fock.ModeSpace))
     monkeypatch.setattr(fock, "number_operator", counted("operators", fock.number_operator))
-    rep = boundedness_trend((1, 2, 3), 30)
-    # the costs are read off the vacuum column: no number operator is formed
-    assert calls == {"spaces": 3, "operators": 0}
+    rep, passed = boundedness_trend((1, 2, 3), 30)
+    # the costs are the closed form: no space and no number operator is built
+    assert calls == {"spaces": 0, "operators": 0}
     monkeypatch.undo()
     # each cost is the one a space of its own gives, and every cutoff that
     # admits one quantum gives the same floats
     r = 0.5 * math.log(2.0)
-    for family, costs in ((BogoliubovSpec.uniform, rep.uniform),
-                          (BogoliubovSpec.summable, rep.summable)):
+    for family, costs in ((BogoliubovSpec.uniform, rep["uniform"]),
+                          (BogoliubovSpec.summable, rep["summable"])):
         for d, cost in zip((1, 2, 3), costs):
             m = ModeSpace(d, 30)
             assert cost == _vacuum_entry(m, number_operator(m, family(d, r)))
     for nmax in (1, 2, 3):
-        low = boundedness_trend((1, 2, 3), nmax)
-        assert (low.uniform, low.summable) == (rep.uniform, rep.summable)
-        assert low.passed == rep.passed
-    assert (rep.d_values, rep.nmax) == ((1, 2, 3), 30)
+        low, low_passed = boundedness_trend((1, 2, 3), nmax)
+        assert (low["uniform"], low["summable"]) == (rep["uniform"], rep["summable"])
+        assert low_passed == passed
+    assert (rep["d_values"], rep["nmax"]) == ([1, 2, 3], 30)
+    # a space's refusals stand, in its order, with none built
+    with pytest.raises(FockError, match="need d >= 1"):
+        boundedness_trend((3, -1, 2), 30)
+    with pytest.raises(FockError, match="need d >= 1"):
+        boundedness_trend((0, 1), 30)
+    with pytest.raises(FockError, match="d=8, nmax=30 exceeds the budget"):
+        boundedness_trend((1, 8, 0), 30)
+
+
+def _closed_form_cost(rs) -> float:
+    # sum_j sinh(r_j)^2, added mode by mode from 0.0
+    cost = 0.0
+    for r in rs:
+        cost += math.sinh(r) * math.sinh(r)
+    return cost
 
 
 def test_vacuum_cost_is_the_built_operators_vacuum_entry():
-    # the vacuum column of the squeezed stack gives <0|N|0> bit for bit, for
-    # both trend families and for zero, mixed-sign and random squeezing; a
-    # basis over the budget is refused before either path runs
+    # the closed form sum_j sinh^2(r_j) the trend adds is <0|N|0> bit for
+    # bit, for both trend families and for zero, mixed-sign and random
+    # squeezing; a basis over the budget is refused before either path runs
     rng = random.Random(35)
     r = 0.5 * math.log(2.0)
     for d in (1, 2, 3, 4):
@@ -944,27 +959,32 @@ def test_vacuum_cost_is_the_built_operators_vacuum_entry():
             if comb(d + nmax, d) > MAX_STATES:
                 with pytest.raises(FockError, match="budget"):
                     ModeSpace(d, nmax)
+                with pytest.raises(FockError, match="budget"):
+                    boundedness_trend((1, d), nmax)
                 continue
             m = ModeSpace(d, nmax)
             for spec in specs:
-                want = _vacuum_entry(m, number_operator(m, spec))
-                assert fock.vacuum_cost(m, spec).hex() == want.hex()
-    with pytest.raises(FockError, match="mode count"):
-        fock.vacuum_cost(ModeSpace(2, 3), BogoliubovSpec.fock(3))
+                n = number_operator(m, spec)
+                want = _vacuum_entry(m, n)
+                assert _closed_form_cost(spec.rs).hex() == want.hex()
+                assert float(n.diagonal()[0]).hex() == want.hex()
+            rep, _ = boundedness_trend((d, 1 if d > 1 else 2), nmax)
+            assert rep["uniform"][0].hex() == _closed_form_cost(specs[0].rs).hex()
+            assert rep["summable"][0].hex() == _closed_form_cost(specs[1].rs).hex()
 
 
 def test_boundedness_trend():
-    rep = boundedness_trend()
-    assert np.allclose(rep.uniform, [0.125, 0.25, 0.375], atol=1e-10)
+    rep, passed = boundedness_trend()
+    assert np.allclose(rep["uniform"], [0.125, 0.25, 0.375], atol=1e-10)
     want = [
         sum(math.sinh(0.5 * math.log(2.0) * 2.0 ** (-j)) ** 2 for j in range(d))
         for d in (1, 2, 3)
     ]
-    assert np.allclose(rep.summable, want, atol=1e-10)
+    assert np.allclose(rep["summable"], want, atol=1e-10)
     with pytest.raises(FockError, match="nmax=0"):
         boundedness_trend(nmax=0)
-    assert abs(rep.uniform_slope - 0.125) < 1e-10
-    assert rep.slope_ratio >= 5.0
+    assert abs(rep["uniform_slope"] - 0.125) < 1e-10
+    assert rep["slope_ratio"] >= 5.0 and passed
     # all-zero squeezing keeps the cost and the spectrum floor at zero
     m = ModeSpace(2, 6)
     n = number_operator(m, BogoliubovSpec.fock(2))

@@ -59,7 +59,6 @@ _LEAVES = (
     | _FLOATS
     | _TEXT
     | st.complex_numbers()
-    | st.builds(_Point, _FLOATS, _TEXT, st.lists(_INTS, max_size=3).map(tuple))
     | _FLOATS.map(np.float64)
     | st.floats(width=32).map(np.float32)
     | st.integers(min_value=-2 ** 63, max_value=2 ** 63 - 1).map(np.int64)
@@ -84,7 +83,10 @@ def test_dump_json_is_the_stdlib_encoding(doc):
 
 
 @pytest.mark.parametrize(
-    "bad", [object(), {1, 2}, b"bytes", np.bool_(True), {"a": [1, {"b": object()}]}, [_Point(1.0, "x", (object(),))]]
+    "bad",
+    # a dataclass is refused as json.dumps refuses it: no report holds one
+    [object(), {1, 2}, b"bytes", np.bool_(True), {"a": [1, {"b": object()}]}, [_Point(1.0, "x", (object(),))],
+     {"p": _Point(1.0, "x")}],
 )
 def test_dump_json_refuses_what_the_stdlib_refuses(bad):
     with pytest.raises(TypeError):
