@@ -29,6 +29,7 @@ from .algebra import (
     deformation_pair,
     evaluate_numeric,
 )
+from .measure import _hermitian
 from .scalars import CcrHopfError
 
 
@@ -310,7 +311,7 @@ class ModeSpace:
             g = np.asarray(gram, dtype=complex)
             if g.shape != (self.d, self.d):
                 raise FockError("gram must be a d x d matrix")
-            if not np.allclose(g, g.conj().T, rtol=0, atol=1e-12):
+            if not _hermitian(g):
                 raise FockError("gram must be Hermitian")
             try:
                 self._chol = np.linalg.cholesky(g)

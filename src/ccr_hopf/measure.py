@@ -59,14 +59,16 @@ MAX_WEYL_MONOMIALS = 100_000
 MAX_PD_VECTORS = 1_000
 
 
-SYMMETRY_TOLERANCE = 1e-12  # most |A - A^T| entry a gram or quadratic part may hold
+SYMMETRY_TOLERANCE = 1e-12  # most |A - A^H| entry a gram or quadratic part may hold
 
 
-def _symmetric(a: np.ndarray) -> bool:
-    """Whether every entry of |a - a^T| is at most SYMMETRY_TOLERANCE, with
-    no relative slack; a NaN or infinite entry fails."""
+def _hermitian(a: np.ndarray) -> bool:
+    """Whether every entry of |a - a^H| is at most SYMMETRY_TOLERANCE, with
+    no relative slack; a NaN or infinite entry fails.  The one rule for
+    the grams of both numeric layers and the quadratic parts of test
+    functions; on a real matrix it is symmetry."""
     with np.errstate(invalid="ignore"):
-        return bool((np.abs(a - a.T) <= SYMMETRY_TOLERANCE).all())
+        return bool((np.abs(a - a.conj().T) <= SYMMETRY_TOLERANCE).all())
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +110,7 @@ class GaussianModel:
             self.gram = np.eye(self.d)
         else:
             g = np.asarray(gram, dtype=float)
-            if g.shape != (self.d, self.d) or not _symmetric(g):
+            if g.shape != (self.d, self.d) or not _hermitian(g):
                 raise MeasureError("gram must be a real symmetric d x d matrix")
             self.gram = g
 
@@ -160,27 +162,27 @@ def cocycle(model: GaussianModel, v, u) -> float:
     return math.exp(-0.25 * model.M(cv) - 0.5 * float(cv @ np.asarray(u, float)))
 
 
-def _cocycle_sides(model: GaussianModel, v, vp, u) -> tuple:
-    """a(v+v', u) and a(v, u) a(v', u + u_v)."""
+def _cocycle_sides(model: GaussianModel, v, vp, u, a_vu: float) -> tuple:
+    """a(v+v', u) and a(v, u) a(v', u + u_v), given a_vu = a(v, u)."""
     lhs = cocycle(model, np.asarray(v, float) + np.asarray(vp, float), u)
-    return lhs, cocycle(model, v, u) * cocycle(model, vp, np.asarray(u, float) + model.embed(v))
+    return lhs, a_vu * cocycle(model, vp, np.asarray(u, float) + model.embed(v))
 
 
 def cocycle_check(model: GaussianModel, v, vp, u) -> float:
     """|a(v+v', u) - a(v, u) a(v', u + u_v)|."""
-    lhs, rhs = _cocycle_sides(model, v, vp, u)
+    lhs, rhs = _cocycle_sides(model, v, vp, u, cocycle(model, v, u))
     return abs(lhs - rhs)
 
 
-def _density_ratio_sides(model: GaussianModel, v, u) -> tuple:
-    """density(u+u_v)/density(u) and a(v,u)^2."""
+def _density_ratio_sides(model: GaussianModel, v, u, a_vu: float) -> tuple:
+    """density(u+u_v)/density(u) and a(v,u)^2, given a_vu = a(v, u)."""
     u = np.asarray(u, dtype=float)
-    return model.density(u + model.embed(v)) / model.density(u), cocycle(model, v, u) ** 2
+    return model.density(u + model.embed(v)) / model.density(u), a_vu ** 2
 
 
 def density_ratio_check(model: GaussianModel, v, u) -> float:
     """|density(u+u_v)/density(u) - a(v,u)^2|."""
-    ratio, square = _density_ratio_sides(model, v, u)
+    ratio, square = _density_ratio_sides(model, v, u, cocycle(model, v, u))
     return abs(ratio - square)
 
 
@@ -207,8 +209,9 @@ def cocycle_sweep(model: GaussianModel, rng, count: int) -> tuple:
     for _ in range(count):
         v, vp, u = (gauss_vector(rng, model.d) for _ in range(3))
         try:
-            res_c = scaled_residual(*_cocycle_sides(model, v, vp, u))
-            res_r = scaled_residual(*_density_ratio_sides(model, v, u))
+            a_vu = cocycle(model, v, u)  # a(v, u), a factor of both identities
+            res_c = scaled_residual(*_cocycle_sides(model, v, vp, u, a_vu))
+            res_r = scaled_residual(*_density_ratio_sides(model, v, u, a_vu))
         # math.exp of a cocycle past the float range, or a density that rounds to 0
         except (OverflowError, ZeroDivisionError):
             res_c = res_r = math.nan
@@ -396,7 +399,7 @@ class TestFunction:
             if len(k) != self.d or any(i < 0 for i in k):
                 raise MeasureError(f"bad multi-index {k}")
         self.quad = np.zeros((d, d)) if quad is None else np.asarray(quad, dtype=float)
-        if self.quad.shape != (self.d, self.d) or not _symmetric(self.quad):
+        if self.quad.shape != (self.d, self.d) or not _hermitian(self.quad):
             raise MeasureError("quadratic part must be real symmetric")
         self.lin = (
             np.zeros(d, dtype=complex) if lin is None else np.asarray(lin, dtype=complex)

@@ -41,7 +41,7 @@ from ccr_hopf.algebra import (
     pi,
     random_expr,
 )
-from ccr_hopf import fock
+from ccr_hopf import fock, measure
 from ccr_hopf.fock import (
     BogoliubovSpec,
     MAX_STATES,
@@ -1000,6 +1000,24 @@ def test_gram_validation():
         ModeSpace(2, 3, gram=np.eye(3))
     with pytest.raises(FockError):
         ModeSpace(0, 3)
+
+
+@pytest.mark.parametrize("gram", [
+    [[math.inf, 0.0], [0.0, 1.0]],
+    [[1.0, math.inf], [math.inf, 1.0]],
+    [[1.0, math.nan], [math.nan, 1.0]],
+    [[1.0, complex(0.5, math.inf)], [complex(0.5, -math.inf), 1.0]],
+])
+def test_gram_refuses_non_finite_entries(gram):
+    # numpy's allclose counts equal infinities as close and Cholesky does
+    # not raise on them; the one entrywise rule of both numeric layers
+    # refuses any non-finite entry
+    assert fock._hermitian is measure._hermitian
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FockError, match="gram must be Hermitian"):
+            ModeSpace(2, 3, gram=gram)
+    assert not measure._hermitian(np.array(gram, dtype=complex))
 
 
 @pytest.mark.parametrize("q, c", [(math.nan, 1.0), (1.5, math.nan), (math.inf, 0.8), (1e300, 2.0)])

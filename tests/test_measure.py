@@ -279,6 +279,40 @@ def test_shared_sweeps_follow_the_explicit_loops():
             weyl_sweep(model, rng, count)
 
 
+def _explicit_cocycle_residuals(model, rng, count):
+    # the sweep's worst scaled residuals, from a(v, u) computed once for
+    # each identity: four cocycle calls a point
+    worst_c = worst_r = 0.0
+    for _ in range(count):
+        v, vp, u = (gauss_vector(rng, model.d) for _ in range(3))
+        lhs = cocycle(model, v + vp, u)
+        rhs = cocycle(model, v, u) * cocycle(model, vp, u + model.embed(v))
+        ratio = model.density(u + model.embed(v)) / model.density(u)
+        square = cocycle(model, v, u) ** 2
+        worst_c = max(worst_c, abs(lhs - rhs) / max(1.0, lhs, rhs))
+        worst_r = max(worst_r, abs(ratio - square) / max(1.0, ratio, square))
+    return worst_c, worst_r
+
+
+def test_cocycle_sweep_computes_a_v_u_once_per_point(monkeypatch):
+    # a(v, u) is a factor of the cocycle identity and squared in the
+    # density ratio: one call serves both, so a point costs three calls
+    # and the residuals are the floats the four-call loop gives
+    models = [GaussianModel.fock(3), GaussianModel(np.array([[1.0, 0.3], [0.0, 2.0]])),
+              _scaled(2, 1.7)]
+    calls = []
+    counted = measure.cocycle
+    for seed in range(6):
+        for model in models:
+            want = _explicit_cocycle_residuals(model, random.Random(f"{seed}:calls"), 40)
+            monkeypatch.setattr(measure, "cocycle", lambda *a: calls.append(1) or counted(*a))
+            del calls[:]
+            fields, _ = cocycle_sweep(model, random.Random(f"{seed}:calls"), 40)
+            monkeypatch.undo()
+            assert len(calls) == 3 * 40
+            assert (fields["cocycle_max_residual"], fields["density_ratio_max_residual"]) == want
+
+
 def test_eta_extrapolation():
     model = GaussianModel(np.array([[1.0, 0.4], [0.0, 1.5]]))
     rng = random.Random(5)
@@ -503,8 +537,8 @@ def test_derived_test_functions_match_the_constructor(monkeypatch):
     # of it, and only the constructor runs the symmetry check
     rng = random.Random(21)
     calls = []
-    symmetric = measure._symmetric
-    monkeypatch.setattr(measure, "_symmetric", lambda a: calls.append(1) or symmetric(a))
+    hermitian = measure._hermitian
+    monkeypatch.setattr(measure, "_hermitian", lambda a: calls.append(1) or hermitian(a))
     for d in (1, 2, 3):
         for _ in range(10):
             f = random_test_function(rng, d)
