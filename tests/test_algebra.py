@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from ccr_hopf import algebra
 from ccr_hopf.algebra import (
     FAM_AM,
     FAM_AP,
@@ -48,7 +49,7 @@ from ccr_hopf.algebra import (
     _pair_rule,
     _reduce_word,
 )
-from ccr_hopf.exprparse import expr_to_text
+from ccr_hopf.exprparse import expr_to_text, parse_expr
 from ccr_hopf.hopf import HopfSpec, check_antipode, check_coassociativity, check_multiplicativity
 from ccr_hopf.scalars import IMAG, KAPPA, ONE, R2, S_PARAM, ZERO, Scalar
 
@@ -514,6 +515,27 @@ def _run_products(rng, p):
             runs.insert(rng.randint(0, 2), (rng.choice(letters), 1))
         word = tuple(g for g, n in runs for _ in range(n))
         yield Expr.from_word(word, rng.choice(_MIXED_COEFFS))
+
+
+def test_rightmost_schedule_has_a_step_budget(monkeypatch):
+    # the reference walker counts its rewrite steps over every word of one
+    # normal_form call and refuses the call past the budget; pi(0)^2*phi(0)^2
+    # takes 12 steps, so two such words take 24
+    two = parse_expr("pi(0)^2*phi(0)^2 + pi(1)^2*phi(1)^2")
+    want = normal_form(two, P_UND)
+    monkeypatch.setattr(algebra, "RIGHTMOST_STEP_BUDGET", 24)
+    assert normal_form(two, P_UND, "rightmost") == want
+    monkeypatch.setattr(algebra, "RIGHTMOST_STEP_BUDGET", 23)
+    with pytest.raises(AlgebraError, match="walked 23 rewrite steps"):
+        normal_form(two, P_UND, "rightmost")
+    assert normal_form(two, P_UND) == want  # the leftmost engine has no such budget
+    monkeypatch.undo()
+    # the shipped budget admits pi(0)^6*phi(0)^6 (44,136 steps) and refuses
+    # pi(0)^7*phi(0)^7 (442,792)
+    six = parse_expr("pi(0)^6*phi(0)^6")
+    assert normal_form(six, P_UND, "rightmost") == normal_form(six, P_UND)
+    with pytest.raises(AlgebraError, match=f"walked {algebra.RIGHTMOST_STEP_BUDGET} rewrite steps"):
+        normal_form(parse_expr("pi(0)^7*phi(0)^7"), P_UND, "rightmost")
 
 
 def test_runs_of_equal_letters_match_rightmost():

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccr_hopf.algebra import (
+    RIGHTMOST_STEP_BUDGET,
     AlgebraError,
     Presentation,
     adjoint,
@@ -561,6 +562,15 @@ def test_cli_spectrum_of_many_modes(capsys):
     assert code == 0
     assert doc["results"]["eigenvalues"] == [0.0, 1.0, 1.0, 1.0, 1.0]
     assert doc["results"]["solver"]["blocks"] == 1101
+
+
+def test_cli_rightmost_schedule_refuses_a_walk_over_its_step_budget(capsys):
+    # pi(0)^8*phi(0)^8 took 20 s on the reference walker before it had a budget
+    argv = ["normalize", "pi(0)^8*phi(0)^8", "--schedule", "rightmost"]
+    code, doc, err = run_cli(capsys, argv)
+    assert _one_refusal(code, doc, err)
+    assert f"walked {RIGHTMOST_STEP_BUDGET} rewrite steps" in err
+    assert run_cli(capsys, argv[:2])[0] == 0
 
 
 def test_cli_genfun_refuses_a_krylov_space_over_the_eigen_budget(capsys):
