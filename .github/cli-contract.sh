@@ -132,6 +132,8 @@ done <<'ROWS'
 # and transfer matrices weighted through a gram
 0  60 fock matrices --d 2 --nmax 3
 0  60 fock spectrum --d 3 --nmax 12 --family summable
+# a cutoff of zero quanta: the vacuum alone, whose reported occupancy is 0.0
+0  60 fock spectrum --d 2 --nmax 0 --family uniform
 0  60 fock genfun --d 2 --v 0.3,0.4 --gram tests/golden/gram2.json
 0  60 fock transfer --gram tests/golden/gram2.json
 # a gram whose mirrored entries differ by 1e-6 relative is not Hermitian
@@ -171,9 +173,13 @@ done <<'ROWS'
 2  20 fock genfun --v 1e5
 # the vacuum's Krylov space of nmax + 1 states over the dense eigen-solver budget
 2  20 fock genfun --v 1 --nmax 2000
-# the trend reads its costs off the vacuum column and forms no number
-# operator, but its occupation basis (d = 8, nmax = 30) is still refused
+# the trend is the closed form sum_j sinh^2(r_j) and builds no Fock
+# space, but it refuses what building one would: a basis over the state
+# budget (d = 8, nmax = 30) and a mode count below 1
 2  20 fock trend --dvalues 1,2,8 --nmax 30
+2  20 fock trend --dvalues 0,1
+# the reference walker's step budget: this word walked for 20 s without it
+2  20 normalize "pi(0)^8*phi(0)^8" --schedule rightmost
 2  20 measure cocycle --samples 1000000000
 2  20 measure weyl --count 100000000
 2  20 measure pd-check --count 100000000

@@ -668,8 +668,8 @@ def _walk_rightmost(word, p: Presentation, steps: list) -> dict:
         steps[0] += 1
         if steps[0] > RIGHTMOST_STEP_BUDGET:
             raise AlgebraError(
-                f"the rightmost schedule walked {RIGHTMOST_STEP_BUDGET} rewrite steps without "
-                f"reaching the normal form, its budget; use the leftmost schedule")
+                f"the rightmost schedule walked {RIGHTMOST_STEP_BUDGET} rewrite steps, its "
+                f"budget, without reaching the normal form; use the leftmost schedule")
         for w2, m2 in _apply_redex(w, i, p):
             work.append((w2, m * m2))
     return out
