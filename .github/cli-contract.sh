@@ -183,6 +183,10 @@ done <<'ROWS'
 # budget (d = 8, nmax = 30) and a mode count below 1
 2  20 fock trend --dvalues 1,2,8 --nmax 30
 2  20 fock trend --dvalues 0,1
+# the budget is decided factor by factor: the exact comb(8000000, 4000000)
+# would take minutes to compute before the refusal
+2  20 fock spectrum --d 4000000 --nmax 4000000
+2  20 fock trend --dvalues 4000000,1 --nmax 4000000
 # the reference walker's step budget: this word walked for 20 s without it
 2  20 normalize "pi(0)^8*phi(0)^8" --schedule rightmost
 2  20 measure cocycle --samples 1000000000

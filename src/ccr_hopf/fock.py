@@ -69,10 +69,16 @@ def _tail_counts(d: int, nmax: int) -> np.ndarray:
 
 def _check_states(d: int, nmax: int) -> None:
     """Raise FockError when the occupation basis of d modes at cutoff
-    nmax, comb(d + nmax, d) states, holds more than MAX_STATES."""
-    if math.comb(d + nmax, d) > MAX_STATES:
-        raise FockError(f"the occupation basis for d={d}, nmax={nmax} exceeds the "
-                        f"budget of {MAX_STATES} states; lower d or nmax")
+    nmax, comb(d + nmax, d) states, holds more than MAX_STATES.  The
+    binomial is built factor by factor, comb(n, j) for j up to
+    min(d, nmax), and grows with j, so the first factor past the budget
+    refuses: huge d and nmax never compute the exact value."""
+    n, states = d + nmax, 1
+    for j in range(1, min(d, nmax) + 1):
+        states = states * (n - j + 1) // j
+        if states > MAX_STATES:
+            raise FockError(f"the occupation basis for d={d}, nmax={nmax} exceeds the "
+                            f"budget of {MAX_STATES} states; lower d or nmax")
 
 
 def occupation_array(d: int, nmax: int) -> np.ndarray:

@@ -136,6 +136,26 @@ def test_occupation_states_match_recursion():
     assert len(_states(3, 30)) == comb(33, 3) <= MAX_STATES
 
 
+def test_state_budget_is_decided_without_the_exact_binomial():
+    # refused exactly when comb(d + nmax, d) passes the budget, at every
+    # size around it
+    for d in range(1, 40):
+        for nmax in range(0, 40):
+            over = comb(d + nmax, d) > MAX_STATES
+            try:
+                fock._check_states(d, nmax)
+            except FockError as exc:
+                assert over and f"d={d}, nmax={nmax} exceeds the budget" in str(exc)
+            else:
+                assert not over, (d, nmax)
+    # comb(2n, n) at n = 10^6 took 37 s; the factors pass the budget at once
+    for d, nmax in ((4_000_000, 4_000_000), (1, 10 ** 9), (10 ** 9, 1), (10 ** 12, 10 ** 12)):
+        with pytest.raises(FockError, match="budget"):
+            fock._check_states(d, nmax)
+    fock._check_states(MAX_STATES - 1, 1)
+    fock._check_states(1, MAX_STATES - 1)
+
+
 def _per_state_lowering(m, index, j):
     # the per-state dict loop the numpy ladders replaced, kept as the
     # oracle; index maps each state to its row
