@@ -55,7 +55,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping
 
-from .scalars import IMAG, KAPPA, ONE, R2, S_PARAM, ZERO, CcrHopfError, Scalar
+from .scalars import (IMAG, KAPPA, ONE, R2, S_PARAM, ZERO, CcrHopfError, Scalar, _constant,
+                      read_gaussian, read_rational)
 
 __all__ = [
     "AlgebraError",
@@ -348,8 +349,9 @@ def unit() -> Expr:
 
 def gram_entry(x) -> Scalar:
     """One gram or covariance matrix entry: a number, a rational string
-    such as "1/2", or a [re, im] pair of those.  JSON true and false are
-    refused, though Python counts a bool as an int."""
+    such as "1/2", or a [re, im] pair of those, each read by
+    scalars.read_rational.  JSON true and false are refused, though Python
+    counts a bool as an int."""
     if isinstance(x, bool) or isinstance(x, (tuple, list)) and any(isinstance(v, bool) for v in x):
         raise AlgebraError(f"cannot read matrix entry {x!r}")
     s = _coerce_scalar(x)
@@ -357,9 +359,9 @@ def gram_entry(x) -> Scalar:
         return s
     try:
         if isinstance(x, (str, float)):
-            return Scalar.rational(Fraction(x))
+            return _constant(read_rational(x))
         if isinstance(x, (tuple, list)) and len(x) == 2:
-            return Scalar.rational(Fraction(x[0]), Fraction(x[1]))
+            return _constant(read_gaussian(x[0], x[1]))
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         pass
     raise AlgebraError(f"cannot read matrix entry {x!r}")
@@ -380,8 +382,9 @@ class Gram:
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise AlgebraError("gram matrix must be square")
+        # a constant's conjugate and == are one triple operation each
         for j in range(n):
-            for k in range(n):
+            for k in range(j, n):
                 if not (rows[j][k].conjugate() == rows[k][j]):
                     raise AlgebraError("gram matrix must be Hermitian")
         self._rows = rows
@@ -402,6 +405,10 @@ class Gram:
 
 # ---------------------------------------------------------------------------
 # Presentation
+
+
+# the symbolic s^-1, which every presentation without numeric q, c shares
+_S_INV = S_PARAM ** -1
 
 
 @dataclass(frozen=True, eq=False)
@@ -453,7 +460,7 @@ class Presentation:
             s = Scalar.rational(point["s"])
             s_inv = Scalar.rational(1 / point["s"])
         else:
-            kappa, s, s_inv = KAPPA, S_PARAM, S_PARAM ** -1
+            kappa, s, s_inv = KAPPA, S_PARAM, _S_INV
         # the exact kappa and s of numeric q, c, where validate_expr
         # evaluates the typed denominators
         object.__setattr__(self, "_point", point)

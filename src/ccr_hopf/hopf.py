@@ -87,7 +87,7 @@ from .algebra import (
     relations,
     word_text,
 )
-from .scalars import IMAG, ONE, ZERO, CcrHopfError, Scalar, signed_join
+from .scalars import IMAG, ONE, ZERO, CcrHopfError, Scalar, quotient_str, signed_join
 
 __all__ = [
     "HopfError",
@@ -153,9 +153,9 @@ class TensorExpr(_SparseSum):
         return tuple(map(tuple.__add__, k1, k2))
 
     def __str__(self):
-        terms = self.terms
+        terms, memo = self.terms, {}
         return signed_join([
-            tensor_term_text([word_text(w) for w in k], str(terms[k]))
+            tensor_term_text([word_text(w) for w in k], quotient_str(*terms[k].text_parts(memo)))
             for k in sorted(terms, key=tensor_text_order)
         ])
 

@@ -8,7 +8,8 @@ values become {"re": float, "im": float}.
 ``expr_json`` and ``tensor_json`` render each word and each coefficient
 once and build a report's ``terms`` rows and its ``text`` from the same
 pieces, through the term printers that ``expr_to_text`` and
-``TensorExpr.__str__`` use.
+``TensorExpr.__str__`` use.  A polynomial that several coefficients share,
+typically a common denominator, is rendered once per report.
 
 ``dump_json`` writes the report bytes itself, in one recursive pass.
 They equal ``json.dumps(_plain(doc), sort_keys=True, ensure_ascii=False,
@@ -34,14 +35,15 @@ from .hopf import AxiomReport, Failure, TensorExpr, tensor_term_text, tensor_tex
 from .scalars import Scalar, coeff_text, quotient_str, signed_join
 
 
-def _coeff_forms(s: Scalar) -> tuple:
+def _coeff_forms(s: Scalar, memo: dict | None = None) -> tuple:
     """(scalar_json, scalar_text, str) of one coefficient, all built
-    from one rendering of its parts."""
+    from one rendering of its parts; a report passes one memo to all its
+    coefficients (see Scalar.text_parts)."""
     if s.is_constant():
         re, im = s.constant_texts()
         text = coeff_text(re, im)
         return {"im": im, "re": re}, text, text
-    parts = s.text_parts()
+    parts = s.text_parts(memo)
     text = quotient_text(*parts)
     return text, text, quotient_str(*parts)
 
@@ -56,9 +58,9 @@ def complex_json(z):
 
 
 def expr_json(e: Expr):
-    rows, pieces = [], []
+    rows, pieces, memo = [], [], {}
     for w in sorted(e.terms, key=word_order):
-        coeff, ctext, _ = _coeff_forms(e.terms[w])
+        coeff, ctext, _ = _coeff_forms(e.terms[w], memo)
         wtext = word_text(w)
         rows.append({"coeff": coeff, "word": wtext})
         pieces.append(term_text(wtext, ctext))
@@ -74,9 +76,9 @@ def expr_numeric_json(values: dict):
 
 
 def tensor_json(t: TensorExpr):
-    words, pieces, rows = {}, {}, []
+    words, pieces, rows, memo = {}, {}, [], {}
     for k in sorted(t.terms, key=lambda k: (tuple(map(len, k)), k)):
-        coeff, _, ctext = _coeff_forms(t.terms[k])
+        coeff, _, ctext = _coeff_forms(t.terms[k], memo)
         slots = [words[w] if w in words else words.setdefault(w, word_text(w)) for w in k]
         rows.append({"coeff": coeff, "slots": slots})
         pieces[k] = tensor_term_text(slots, ctext)
@@ -155,10 +157,14 @@ def _write(value, nl: str, emit) -> None:
         lead = "{" + inner
         items = {str(k): v for k, v in value.items()}
         for k in sorted(items):
-            emit(lead)
-            emit(encode_basestring(k))
-            emit(": ")
-            _write(items[k], inner, emit)
+            v = items[k]
+            head = lead + encode_basestring(k) + ": "
+            # a text value, the commonest leaf, is written with its key
+            if type(v) is str:
+                emit(head + encode_basestring(v))
+            else:
+                emit(head)
+                _write(v, inner, emit)
             lead = "," + inner
         emit(nl + "}")
     elif t is list or t is tuple:

@@ -25,9 +25,12 @@ do plain integer arithmetic and reduce each result by one three-argument
 ``gcd``, skipped when its denominator is 1.  Nearly every coefficient the
 algebra meets is a Gaussian integer, and those never pay a gcd (Knuth,
 TAOCP vol. 2, 4.5.1; FLINT's ``fmpq_poly`` keeps one common denominator the
-same way).  ``Fraction`` appears only where values enter
-(:func:`_coeff`: :meth:`Scalar.rational`, :meth:`Scalar.substitute`) and
-where they are printed or handed out (:func:`_c_parts`).
+same way).  Exact text enters and leaves as integers too: :func:`read_rational`
+reads integer and ``p/q`` text with ``int`` and one ``gcd``, and
+:func:`_c_texts` prints each part of a triple with one ``gcd``.
+``Fraction`` appears only where other values enter (:func:`_coeff`:
+:meth:`Scalar.rational`, :meth:`Scalar.substitute`, and decimal, float,
+signed or spaced text in :func:`read_rational`).
 
 A constant (denominator 1, no monomial but the unit) also carries its
 triple in the slot ``_c``, which is None for every other scalar and is
@@ -96,21 +99,55 @@ def _coeff(re, im=0) -> Coeff:
     return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
 
 
-def _c_parts(c: Coeff) -> tuple:
-    """(re, im) of a triple: ints when d is 1, else Fractions (the
-    hand-out form)."""
-    a, b, d = c
-    return (a, b) if d == 1 else (Fraction(a, d), Fraction(b, d))
+def read_rational(x) -> Coeff:
+    """The canonical real triple of x: an int, integer or ``p/q`` text (an
+    optional "-" and decimal digits), or else anything ``Fraction()`` takes,
+    read through it.  A ``p/q`` text with q = 0 raises ZeroDivisionError,
+    checked before p is read; text with more digits than the interpreter
+    converts raises ValueError, as ``Fraction`` does."""
+    if type(x) is int:
+        return x, 0, 1
+    if type(x) is str:
+        p, slash, q = x.partition("/")
+        digits = p[1:] if p.startswith("-") else p
+        if digits.isdecimal() and (not slash or q.isdecimal()):
+            if not slash:
+                return int(p), 0, 1
+            d = int(q)
+            if not d:
+                raise ZeroDivisionError(f"zero denominator in {x!r}")
+            n = int(p)
+            h = gcd(n, d)
+            return n // h, 0, d // h
+    return _coeff(x)
+
+
+def read_gaussian(re, im) -> Coeff:
+    """The canonical triple of re + im*i, each part read by read_rational."""
+    a, _, d = read_rational(re)
+    b, _, g = read_rational(im)
+    if d == g:
+        return a, b, d
+    # each part is in lowest terms, so no prime divides all three
+    m = d * g // gcd(d, g)
+    return a * (m // d), b * (m // g), m
+
+
+def _ratio_text(n: int, d: int) -> str:
+    h = gcd(n, d)
+    return str(n // h) if h == d else f"{n // h}/{d // h}"
 
 
 def _c_texts(c: Coeff) -> tuple:
-    """(re, im) of a triple as text, as ``str`` prints the parts of
-    :func:`_c_parts`.  A part with an integer of more decimal digits than
-    the interpreter converts to text (sys.get_int_max_str_digits) is
-    refused."""
-    re, im = _c_parts(c)
+    """(re, im) of a triple as text, each part as ``str`` prints
+    ``Fraction(part, d)``, reduced by one gcd.  A part with an integer of
+    more decimal digits than the interpreter converts to text
+    (sys.get_int_max_str_digits) is refused."""
+    a, b, d = c
     try:
-        return str(re), str(im)
+        if d == 1:
+            return str(a), str(b)
+        return _ratio_text(a, d), _ratio_text(b, d)
     except ValueError:
         raise ScalarError(
             f"a coefficient has an integer of more than {sys.get_int_max_str_digits()} "
@@ -489,6 +526,8 @@ class Scalar:
         return out
 
     def conjugate(self) -> "Scalar":
+        if self._c is not None:
+            return _constant(_c_conj(self._c))
         return _raw(_p_conj(self._num), _p_conj(self._den))
 
     def __eq__(self, other):
@@ -582,13 +621,13 @@ class Scalar:
                 pieces.append(f"{ctext}*{mtext}")
         return signed_join(pieces)
 
-    def text_parts(self) -> tuple:
+    def text_parts(self, memo: dict | None = None) -> tuple:
         """(numerator text, denominator text), the second None when the
         denominator is 1: every printed form of a scalar is built from
-        these."""
-        if self._den == _P_ONE:
-            return self._poly_str(self._num), None
-        return self._poly_str(self._num), self._poly_str(self._den)
+        these.  Calls that share a memo dict render each distinct
+        polynomial once, such as a denominator that many terms share."""
+        den = None if self._den == _P_ONE else _poly_text(self._den, memo)
+        return _poly_text(self._num, memo), den
 
     def constant_texts(self) -> tuple:
         """(re, im) of a constant as text."""
@@ -599,6 +638,16 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
+
+
+def _poly_text(p: Poly, memo: dict | None) -> str:
+    if memo is None:
+        return Scalar._poly_str(p)
+    key = frozenset(p.items())
+    text = memo.get(key)
+    if text is None:
+        text = memo[key] = Scalar._poly_str(p)
+    return text
 
 
 ZERO = Scalar.rational(0)

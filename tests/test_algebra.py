@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ccr_hopf import algebra
 from ccr_hopf.algebra import (
@@ -33,6 +35,7 @@ from ccr_hopf.algebra import (
     evaluate_numeric,
     expand_k,
     gen_I,
+    gram_entry,
     gen_K,
     gen_Kinv,
     legal_letter_count,
@@ -572,6 +575,52 @@ def test_gram_validation():
     p = Presentation(gram=Gram([[1]]))
     with pytest.raises(AlgebraError):
         normal_form(pi(1) * phi(1), p)
+
+
+def _fraction_gram_entry(x) -> Scalar:
+    """gram_entry as it read every entry through Fraction."""
+    if isinstance(x, bool) or isinstance(x, (tuple, list)) and any(isinstance(v, bool) for v in x):
+        raise AlgebraError(f"cannot read matrix entry {x!r}")
+    s = algebra._coerce_scalar(x)
+    if s is not None:
+        return s
+    try:
+        if isinstance(x, (str, float)):
+            return Scalar.rational(Fraction(x))
+        if isinstance(x, (tuple, list)) and len(x) == 2:
+            return Scalar.rational(Fraction(x[0]), Fraction(x[1]))
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise AlgebraError(f"cannot read matrix entry {x!r}")
+
+
+def _entry_outcome(read, x):
+    try:
+        s = read(x)
+    except AlgebraError as exc:
+        return str(exc)
+    return s._num, s._den, s._c
+
+
+_ENTRY_PART = (st.sampled_from(["3/0", "1/0", "-0", "2/4", " 1/2", "+1/4", "0.5", "1e3", "7",
+                                "-6/8", "", "x", "1/2/3", "٣/٤"])
+               | st.integers(-10 ** 20, 10 ** 20) | st.integers(-99, 99).map(str)
+               | st.builds("{}/{}".format, st.integers(-99, 99), st.integers(0, 99))
+               | st.floats() | st.booleans() | st.none() | st.complex_numbers(max_magnitude=1e6)
+               | st.fractions())
+
+
+# 500 examples, derandomized: entries, [re, im] pairs of them (lists or
+# tuples, mixing kinds) and lists of other lengths
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_ENTRY_PART | st.lists(_ENTRY_PART, max_size=3) | st.tuples(_ENTRY_PART, _ENTRY_PART))
+@example(["1/2", True])
+@example([False, 0])
+@example(["+1/4", "0.5"])
+@example([1, "-3/2"])
+def test_gram_entry_matches_the_fraction_reader(x):
+    # the same value, to the parts of the scalar, or the same refusal
+    assert _entry_outcome(gram_entry, x) == _entry_outcome(_fraction_gram_entry, x)
 
 
 def test_mode_index_checked_against_gram():

@@ -184,3 +184,24 @@ def test_tensor_rows_and_text_agree(variant, flavor):
             rebuilt = rebuilt + tensor_of(*map(parse_expr, row["slots"])) * _row_scalar(row["coeff"], kinds)
         assert rebuilt == t and len(doc["terms"]) == len(t.terms)
     assert kinds == {"constant", "quotient", "text"}
+
+
+def test_a_report_renders_each_polynomial_once(monkeypatch):
+    # the deformed coproduct of this word under the collapsed variant has
+    # 186 terms, 88 of them over 1 + s, and its normal form 5, all over
+    # 1 + s: a report renders that denominator once, and no polynomial twice
+    p = Presentation(variant="deformed-collapsed")
+    e = parse_expr("(1+s)^-1*pi(0)^4*phi(0)^4")
+    nf, t = normal_form(e, p), coproduct(e, HopfSpec.deformed(), p)
+    for sum_, size, shared in ((nf, 5, 5), (t, 186, 88)):
+        assert len(sum_.terms) == size
+        assert sum(c.denominator() == ONE + S_PARAM for c in sum_.terms.values()) == shared
+    render = Scalar._poly_str
+    for report, sum_ in ((expr_json, nf), (tensor_json, t)):
+        text = str(sum_)
+        rendered = []
+        monkeypatch.setattr(Scalar, "_poly_str",
+                            staticmethod(lambda q: rendered.append(render(q)) or rendered[-1]))
+        assert report(sum_)["text"] == text
+        monkeypatch.undo()
+        assert rendered.count("1 + s") == 1 and len(rendered) == len(set(rendered))

@@ -29,14 +29,17 @@ from ccr_hopf.scalars import (
     _c_add,
     _c_inv,
     _c_mul,
-    _c_parts,
+    _c_texts,
     _coeff,
     _mono_content,
     _mono_inv,
     _mono_mul,
     _p_add_into,
     _p_mul,
+    _p_conj,
     _p_neg,
+    read_gaussian,
+    read_rational,
 )
 
 
@@ -404,8 +407,8 @@ def _ref_coeff(re, im=0):
     return (Fraction(re), Fraction(im))
 
 
-def _ref_c_parts(c):
-    return c
+def _ref_c_texts(c):
+    return str(c[0]), str(c[1])
 
 
 def _ref_c_add(a, b):
@@ -449,7 +452,7 @@ def _ref_exps_normalize(exps):
 def test_integer_first_parts_match_fraction_pair_reference(monkeypatch):
     seeds = range(2000)
     with monkeypatch.context() as m:
-        for name in ("coeff", "c_parts", "c_add", "c_neg", "c_mul", "c_conj", "c_inv",
+        for name in ("coeff", "c_texts", "c_add", "c_neg", "c_mul", "c_conj", "c_inv",
                      "exps_normalize"):
             m.setattr(scalars, f"_{name}", globals()[f"_ref_{name}"])
         m.setattr(scalars, "_C_ZERO", (0, 0))
@@ -508,14 +511,15 @@ def test_entry_points_keep_part_invariant():
         Scalar.rational(Fraction(1, 2), Fraction(1, 2)) * Scalar.rational(1, -1),
     ]
     assert all(_parts_ok(x) for x in made)
-    assert [type(v) for v in _c_parts(made[0]._c)] == [int, int]
+    assert made[0]._c[2] == 1
     assert str(made[1]) == "(2 + 3*i)" and str(made[4]) == "1/4*r2"
     assert made[2]._num == {_UNIT: (2, 5, 4)} and made[3]._num == {_UNIT: (4, -1, 2)}
     assert made[7]._num == {_UNIT: (1, -1, 2)} and made[9]._num == {_UNIT: (1, -1, 2)}
     assert made[8]._num == {_UNIT: (7, 4, 2)}
     # a product whose denominator cancels comes out with denominator 1
     assert made[11]._num == {_UNIT: (1, 0, 1)} and made[11] == ONE
-    assert _c_parts(made[10]._c) == (Fraction(0.3), 0) and made[10]._num[_UNIT][2] == 2 ** 54
+    a, b, d = made[10]._c
+    assert (Fraction(a, d), b) == (Fraction(0.3), 0) and d == 2 ** 54
     assert (made[10] - made[10])._num == {}  # a cancelled term is dropped, not kept as (0, 0, d)
 
 
@@ -620,6 +624,7 @@ def test_constant_path_matches_the_polynomial_path(a, b):
         _same(x - y, _general_add(x, Scalar(_p_neg(y._num), y._den)))
         assert (x == y) == _general_eq(x, y)
     _same(-a, Scalar(_p_neg(a._num), a._den))
+    _same(a.conjugate(), Scalar(_p_conj(a._num), _p_conj(a._den)))
     for x in (a, b):
         # a unit factor hands back the other operand, ONE itself for ONE * 1
         assert x * ONE is x and ONE * x is (ONE if x.is_constant() and x == ONE else x)
@@ -636,3 +641,74 @@ def test_constant_path_is_taken_for_two_constants(a, b):
         results = [a * b, a + b, a - b, -a, a == b]
     assert all(x.is_constant() for x in results[:4])
     assert results[4] == _general_eq(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Exact text in and out: read_rational and _c_texts against Fraction
+
+_RATIO_TEXT = st.one_of(
+    st.sampled_from(["3/0", "0/0", "-0", "0", "-0/5", "2/4", "-3/6", "007/014", " 1/2", "1/2 ",
+                     "+1/4", "0.5", "-0.25", "1e3", "1/-2", "1 /2", "", "-", "--1", "/2", "2/",
+                     "1_000", "1/2/3", "٣", "-٣/٤", "²", "nan", "inf", "1.5/2"]),
+    st.builds("{}{}".format, st.sampled_from(["", "-", "+", " "]),
+              st.integers(0, 10 ** 30).map(str)),
+    st.builds("{}{}/{}".format, st.sampled_from(["", "-"]), st.integers(0, 10 ** 20),
+              st.integers(0, 10 ** 20)),
+    st.text(st.sampled_from("0123456789-+/. e_"), max_size=8),
+)
+_READ_VALUES = _RATIO_TEXT | st.integers(-10 ** 30, 10 ** 30) | st.floats() | st.fractions()
+
+
+def _fraction_path(read, *args):
+    """What read(*args) gives: a triple, or the class of what it raises."""
+    try:
+        return read(*args)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
+        return type(exc)
+
+
+# 600 examples, derandomized, so every run reads the same values
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_READ_VALUES, _READ_VALUES)
+def test_read_rational_matches_the_fraction_path(x, y):
+    # integer and p/q text is read with int and one gcd, the rest through
+    # Fraction: each gives the triple of Fraction(x), or raises as it does
+    got = _fraction_path(read_rational, x)
+    assert got == _fraction_path(lambda v: _coeff(Fraction(v)), x)
+    if isinstance(got, tuple):
+        assert all(type(v) is int for v in got) and math.gcd(*got) == 1 and got[2] > 0
+    assert _fraction_path(read_gaussian, x, y) == _fraction_path(
+        lambda u, v: _coeff(Fraction(u), Fraction(v)), x, y)
+
+
+def test_read_rational_reads_the_denominator_first():
+    # a zero denominator is refused before the numerator is converted, as
+    # the expression parser always did
+    with pytest.raises(ZeroDivisionError):
+        read_rational("1" * 5000 + "/0")
+    with pytest.raises(ValueError, match="4300"):
+        read_rational("1/" + "1" * 5000)
+
+
+_PART = st.integers(-10 ** 6, 10 ** 6) | st.integers(-10 ** 700, 10 ** 700)
+_DEN = st.sampled_from([1, 2, 3, 6, 2 ** 52]) | st.integers(1, 10 ** 700)
+
+
+# 400 examples, derandomized; integers of up to 700 digits meet a limit of 640
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_PART, _PART, _DEN)
+def test_c_texts_prints_what_str_of_fraction_prints(a, b, d):
+    h = math.gcd(a, b, d)
+    c = (a // h, b // h, d // h)
+    limit, saved = 640, sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        try:
+            want = tuple(str(Fraction(v, c[2])) for v in c[:2])
+        except ValueError:
+            with pytest.raises(ScalarError, match=f"more than {limit} digits"):
+                _c_texts(c)
+        else:
+            assert _c_texts(c) == want
+    finally:
+        sys.set_int_max_str_digits(saved)
