@@ -64,9 +64,10 @@ def _factor_of(terms: dict) -> tuple:
     most one term, else (None, None, the Expr)."""
     if len(terms) > 1:
         return None, None, _expr(terms)
-    for w, c in terms.items():
-        return c, w, None
-    return ZERO, (), None
+    if not terms:
+        return ZERO, (), None
+    (w, c), = terms.items()
+    return c, w, None
 
 
 def _expr(terms: dict) -> Expr:

@@ -656,7 +656,8 @@ _RATIO_TEXT = st.one_of(
               st.integers(0, 10 ** 20)),
     st.text(st.sampled_from("0123456789-+/. e_"), max_size=8),
 )
-_READ_VALUES = _RATIO_TEXT | st.integers(-10 ** 30, 10 ** 30) | st.floats() | st.fractions()
+_READ_VALUES = (_RATIO_TEXT | st.integers(-10 ** 30, 10 ** 30) | st.floats() | st.fractions()
+                | st.booleans())
 
 
 def _fraction_path(read, *args):
