@@ -209,6 +209,9 @@ done <<'ROWS'
 2 120 normalize "pi(0)^300*phi(0)^300" --variant deformed --q 1.5 --c 0.8
 2  20 normalize "123456^1000*phi(0)"
 2  20 normalize "10^400*phi(0)" --numeric
+# a number and a mode index with more digits than the interpreter converts
+2  20 normalize "$(printf '1%.0s' {1..5000})*phi(0)"
+2  20 normalize "phi($(printf '1%.0s' {1..5000}))"
 ROWS
 
 echo "$((rows - failed)) of $rows contract rows passed"

@@ -163,8 +163,10 @@ class _SparseSum:
     coefficients; zero coefficients are never stored.
 
     A subclass says how two keys concatenate (``_cat``, extended
-    bilinearly by ``*``), what the unit key is and how a sum prints.  Sums
-    of different subclasses never mix: their operators decline each other,
+    bilinearly by ``*``), what the unit key is and how a sum prints.  A sum
+    adds, subtracts and compares only with a sum of its own subclass; a
+    scalar enters only as a factor, on either side of ``*``.  Sums of
+    different subclasses never mix: their operators decline each other,
     so Python raises TypeError.
     """
 
@@ -181,14 +183,8 @@ class _SparseSum:
         return out
 
     def _operand(self, other):
-        """other as a sum of this shape, a scalar as a multiple of the unit
-        key, or NotImplemented."""
-        if isinstance(other, _SparseSum):
-            return other if type(other) is type(self) else NotImplemented
-        s = _coerce_scalar(other)
-        if s is None:
-            return NotImplemented
-        return self._like({} if s.is_zero() else {self._unit_key(): s})
+        """other if it is a sum of this shape, else NotImplemented."""
+        return other if type(other) is type(self) else NotImplemented
 
     def _linear(self, image, shape: "_SparseSum | None" = None):
         """The linear extension of image applied to self: the sum of
@@ -214,8 +210,6 @@ class _SparseSum:
             _acc(out, k, c)
         return self._like(out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return self._like({k: -c for k, c in self.terms.items()})
 
@@ -224,9 +218,6 @@ class _SparseSum:
         if other is NotImplemented:
             return other
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, _SparseSum):

@@ -175,6 +175,8 @@ class _Parser:
                 c = read_rational(number)
             except ZeroDivisionError:
                 raise self.error(f"zero denominator in {number!r}", k) from None
+            except ValueError:  # more digits than the interpreter converts
+                raise self.error("too many digits in a number", k) from None
             return (ONE if c == (1, 0, 1) else _constant(c)), (), None
         if name:
             fam = _MODE_NAMES.get(name)
@@ -187,8 +189,12 @@ class _Parser:
                     raise self.error(_found(tokens[k + 2]), k + 2, ["a mode number"])
                 if tokens[k + 3][2] != ")":
                     raise self.error(_found(tokens[k + 3]), k + 3, ["')'"])
+                try:
+                    mode = int(mode)
+                except ValueError:
+                    raise self.error("too many digits in a mode number", k + 2) from None
                 self.k = k + 4
-                return ONE, ((fam, int(mode)),), None
+                return ONE, ((fam, mode),), None
             s = _SCALAR_NAMES.get(name)
             if s is not None:
                 return s, (), None

@@ -12,27 +12,29 @@ pieces, through the term printers that ``expr_to_text`` and
 typically a common denominator, is rendered once per report.
 
 ``dump_json`` writes the report bytes itself, in one recursive pass.
-They equal ``json.dumps(_plain(doc), sort_keys=True, ensure_ascii=False,
-indent=2)``: native JSON values are written as they are met, and
-anything else goes through ``_plain``, the one coercion rule.  The
-package does not call ``json.dumps`` here because CPython 3.11 uses its
-C encoder only when ``indent`` is None, and the pure-Python encoder it
-falls back to, plus the ``_plain`` copy of the whole document, cost more
-than writing the bytes directly.  A property test in
-``tests/test_reports.py`` pins the equality.  Keys are sorted, so
+It takes the JSON documents the package builds: exact ``str``, ``int``,
+``float``, ``bool`` and ``None`` leaves, lists, tuples, and dicts with
+``str`` keys.  For every document it accepts, ``dump_json(doc) ==
+json.dumps(doc, sort_keys=True, ensure_ascii=False, indent=2,
+allow_nan=False)``, so every report is strict JSON (RFC 8259).  Any
+other value, or a key that is not a ``str``, raises TypeError; a NaN or
+infinite float raises CcrHopfError, which the CLI turns into exit 2.
+The package does not call ``json.dumps`` here because CPython 3.11 uses
+its C encoder only when ``indent`` is None, and the pure-Python encoder
+it falls back to costs more than writing the bytes directly.  A property
+test in ``tests/test_reports.py`` pins the equality.  Keys are sorted, so
 identical runs produce identical bytes.
 """
 
 from __future__ import annotations
 
-import sys
 from json.encoder import encode_basestring
-from math import inf
+from math import isfinite
 
 from .algebra import Expr, word_text
 from .exprparse import quotient_text, term_text, word_order
 from .hopf import AxiomReport, Failure, TensorExpr, tensor_term_text, tensor_text_order
-from .scalars import Scalar, coeff_text, quotient_str, signed_join
+from .scalars import CcrHopfError, Scalar, coeff_text, quotient_str, signed_join
 
 
 def _coeff_forms(s: Scalar, memo: dict | None = None) -> tuple:
@@ -100,47 +102,7 @@ def axiom_report_json(r: AxiomReport):
     }
 
 
-def _plain(value):
-    """Recursively coerce numpy scalars and arrays to JSON-native types.
-    numpy values can only exist once numpy is imported, so it is looked up
-    rather than imported here."""
-    np = sys.modules.get("numpy")
-    if np is not None:
-        if isinstance(value, np.ndarray):
-            return [_plain(v) for v in value.tolist()]
-        if isinstance(value, (np.floating, np.integer)):
-            return value.item()
-    if isinstance(value, complex):
-        return complex_json(value)
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
-
-
 _CONSTANTS = {None: "null", True: "true", False: "false"}
-
-
-def _float_text(f) -> str:
-    if f != f:
-        return "NaN"
-    if f == inf:
-        return "Infinity"
-    if f == -inf:
-        return "-Infinity"
-    return float.__repr__(f)
-
-
-def _leaf_text(value) -> str:
-    """A value _plain leaves as it is, written as json.dumps writes it."""
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def _write(value, nl: str, emit) -> None:
@@ -155,9 +117,9 @@ def _write(value, nl: str, emit) -> None:
             return
         inner = nl + "  "
         lead = "{" + inner
-        items = {str(k): v for k, v in value.items()}
-        for k in sorted(items):
-            v = items[k]
+        for k in sorted(value):
+            v = value[k]
+            # encode_basestring raises TypeError on a key that is not a str
             head = lead + encode_basestring(k) + ": "
             # a text value, the commonest leaf, is written with its key
             if type(v) is str:
@@ -181,15 +143,13 @@ def _write(value, nl: str, emit) -> None:
     elif t is int:
         emit(int.__repr__(value))
     elif t is float:
-        emit(_float_text(value))
+        if not isfinite(value):
+            raise CcrHopfError(f"a report value is {value!r}, which JSON cannot hold")
+        emit(float.__repr__(value))
     elif value is None or t is bool:
         emit(_CONSTANTS[value])
     else:
-        plain = _plain(value)
-        if plain is value:
-            emit(_leaf_text(value))
-        else:
-            _write(plain, nl, emit)
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def dump_json(doc) -> str:

@@ -468,12 +468,6 @@ class Scalar:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             other = self._coerce(other)

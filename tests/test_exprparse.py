@@ -50,12 +50,15 @@ def _tokenize(text: str):
 
 
 def _number(text: str, pos: int) -> Fraction:
-    if "/" in text:
+    try:
+        if "/" not in text:
+            return Fraction(text)
         p, q = text.split("/")
-        if not int(q):
-            raise ParseError(f"zero denominator in {text!r}", pos)
-        return Fraction(int(p), int(q))
-    return Fraction(text)
+        if int(q):
+            return Fraction(int(p), int(q))
+    except ValueError:  # more digits than the interpreter converts
+        raise ParseError("too many digits in a number", pos) from None
+    raise ParseError(f"zero denominator in {text!r}", pos)
 
 
 def _as_scalar(e: Expr) -> Scalar | None:
@@ -156,7 +159,11 @@ class _ReferenceParser:
                 if mkind != "number" or not mtext.isdigit():
                     raise ParseError(f"found {mtext or 'end of input'!r}", mpos, ["a mode number"])
                 self.expect_op(")")
-                return _MODE_NAMES[text](int(mtext))
+                try:
+                    mode = int(mtext)
+                except ValueError:
+                    raise ParseError("too many digits in a mode number", mpos) from None
+                return _MODE_NAMES[text](mode)
             raise ParseError(f"unknown name {text!r}", pos)
         if kind == "op" and text == "(":
             inner = self.expr()

@@ -337,6 +337,16 @@ def test_cli_spectrum_reports_solver(capsys):
           "--c", "0.8"], "digits"),
         (["normalize", "123456^1000*phi(0)"], "digits"),
         (["normalize", "10^400*phi(0)", "--numeric"], "float range"),
+        # numbers and a mode index with more digits than the interpreter
+        # converts (4300): an integer, a ratio, a decimal and a mode
+        (["normalize", "1" * 5000 + "*phi(0)"],
+         "parse error: too many digits in a number at position 0"),
+        (["normalize", "phi(0) + 2/" + "3" * 5000],
+         "parse error: too many digits in a number at position 9"),
+        (["normalize", "1." + "1" * 5000 + "*phi(0)"],
+         "parse error: too many digits in a number at position 0"),
+        (["normalize", "phi(" + "1" * 5000 + ")"],
+         "parse error: too many digits in a mode number at position 4"),
     ],
 )
 def test_cli_unbounded_arguments_exit_2(capsys, argv, needle):
@@ -448,6 +458,20 @@ def test_cli_refuses_input_without_a_finite_report(capsys, argv):
     # failed check, end in a traceback, or (a NaN density ratio, which max()
     # drops) pass with a residual of 0
     code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("ccr-hopf: ")
+
+
+def test_cli_non_finite_report_value_exits_2(capsys, monkeypatch):
+    # the report writer refuses NaN and Infinity rather than print them
+    import ccr_hopf.fock as fock
+
+    def infinite_trend(d_values, nmax):
+        return {"d_values": list(d_values), "nmax": nmax, "slope_ratio": math.inf}, True
+
+    monkeypatch.setattr(fock, "boundedness_trend", infinite_trend)
+    code = main(["fock", "trend"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("ccr-hopf: ")

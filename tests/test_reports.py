@@ -2,10 +2,12 @@
 ``terms`` rows of a report against its ``text``.
 
 ``dump_json`` writes its bytes itself; the reference it must equal byte
-for byte is ``json.dumps(_plain(doc), sort_keys=True, ensure_ascii=False,
-indent=2)``.  ``expr_json`` and ``tensor_json`` build rows and text from
-the same rendered pieces, so each is checked against an independent
-reading of the other: the parser, the tensor arithmetic and ``str``.
+for byte is ``json.dumps(doc, sort_keys=True, ensure_ascii=False,
+indent=2, allow_nan=False)``, on documents of exact JSON types with
+``str`` keys and finite floats.  Anything else it refuses.  ``expr_json``
+and ``tensor_json`` build rows and text from the same rendered pieces, so
+each is checked against an independent reading of the other: the parser,
+the tensor arithmetic and ``str``.
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ import ccr_hopf.selftest as selftest
 from ccr_hopf.algebra import Expr, Presentation, normal_form, random_expr
 from ccr_hopf.exprparse import parse_expr
 from ccr_hopf.hopf import HopfSpec, TensorExpr, coproduct, tensor_of
-from ccr_hopf.reports import _plain, dump_json, expr_json, tensor_json
-from ccr_hopf.scalars import IMAG, KAPPA, ONE, R2, S_PARAM, ZERO, Scalar
+from ccr_hopf.reports import dump_json, expr_json, tensor_json
+from ccr_hopf.scalars import CcrHopfError, IMAG, KAPPA, ONE, R2, S_PARAM, ZERO, Scalar
 
 
 def _reference(doc) -> str:
-    return json.dumps(_plain(doc), sort_keys=True, ensure_ascii=False, indent=2)
+    return json.dumps(doc, sort_keys=True, ensure_ascii=False, indent=2, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +47,8 @@ class _Point:
     tags: tuple = ()
 
 
-_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 0.1, 1e300]) | st.floats()
+_FLOATS = (st.sampled_from([-0.0, 0.0, 5e-324, 0.1, 1e300])
+           | st.floats(allow_nan=False, allow_infinity=False))
 _INTS = st.integers() | st.integers(min_value=2 ** 64, max_value=2 ** 200).map(lambda n: n * (-1) ** n)
 _TEXT = st.text(
     st.sampled_from(['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", " ", "é", "漢", "😀", "a", " "])
@@ -58,19 +61,12 @@ _LEAVES = (
     | _INTS
     | _FLOATS
     | _TEXT
-    | st.complex_numbers()
-    | _FLOATS.map(np.float64)
-    | st.floats(width=32).map(np.float32)
-    | st.integers(min_value=-2 ** 63, max_value=2 ** 63 - 1).map(np.int64)
-    | st.lists(_FLOATS, max_size=4).map(np.array)
-    | st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2), max_size=3).map(np.array)
 )
-_KEYS = _TEXT | _INTS | st.booleans() | st.none() | _FLOATS | st.tuples(st.integers(), _TEXT)
 _DOCS = st.recursive(
     _LEAVES,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(_KEYS, inner, max_size=4),
+    | st.dictionaries(_TEXT, inner, max_size=4),
     max_leaves=30,
 )
 
@@ -93,6 +89,29 @@ def test_dump_json_refuses_what_the_stdlib_refuses(bad):
         _reference(bad)
     with pytest.raises(TypeError):
         dump_json(bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    # numpy values, complex numbers and keys that are not str: no report
+    # holds one, so the writer coerces none of them
+    [np.float64(1.5), np.int64(3), np.array([1.0, 2.0]), {"a": [np.float64(0.5)]}, 1 + 2j,
+     {"z": [1j]}, {1: "a"}, {"a": {(1, "b"): 2}}],
+    ids=["float64", "int64", "array", "nested-float64", "complex", "nested-complex", "int-key",
+         "tuple-key"],
+)
+def test_dump_json_refuses_values_outside_json(bad):
+    with pytest.raises(TypeError):
+        dump_json(bad)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_dump_json_refuses_non_finite_numbers(value):
+    # json.dumps writes NaN or Infinity unless allow_nan=False; neither is JSON
+    with pytest.raises(ValueError):
+        _reference({"a": [value]})
+    with pytest.raises(CcrHopfError):
+        dump_json({"results": {"trend": [1.0, {"slope": value}]}})
 
 
 def test_real_report_documents_are_the_stdlib_encoding(monkeypatch, capsys):
