@@ -1002,6 +1002,29 @@ def test_counit_failure_keeps_its_witness_format():
         P_UND, 2, _covered_letters(h, P_UND, 2, 2))) - 1)
 
 
+def test_counit_residual_text_is_pinned():
+    # no hopf-check invocation fails the counit (eps is an algebra map on
+    # every presentation and the axiom holds on the generators), so the
+    # golden corpus has no order-1 counit residual; a wrong counit through
+    # the collapsed K piece at numeric q, c pins its text here instead
+    p = Presentation(variant="deformed-collapsed", q=1.3, c=0.7)
+    rep = check_counit(_WrongCounit(DF.flavor), p, degree=2, modes=1)
+    assert len(rep.failures) == 16
+    texts = {f.witness: f.residual_text for f in rep.failures}
+    assert texts["(eps x id) on I"] == "one"
+    assert texts["(eps x id) on phi(0)"] == (
+        "one + 433136879595961/4503599627370496*I - 433136879595961/4936736506966457*phi(0)")
+    assert texts["(id x eps) on I*pi(0)"] == (
+        "one + 4070462747774535/4936736506966457*I + 4936736506966457/4503599627370496*pi(0)"
+        " + 433136879595961/4503599627370496*I*pi(0)")
+    assert texts["(eps x id) on phi(0)^2"] == (
+        "one + 4088957735563704719745271846833/20282409603651670423947251286016*I"
+        " + 9007199254740992/4936736506966457*phi(0)"
+        " + 866273759191922/4936736506966457*I*phi(0)"
+        " - 4088957735563704719745271846833/24371367339215375143692523132849*phi(0)^2")
+    assert all(str(f.residual) == f.residual_text for f in rep.failures)
+
+
 def test_counit_sweep_takes_each_slot_word_once(monkeypatch):
     seen = []
     eps_word = hopf._eps_word
