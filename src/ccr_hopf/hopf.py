@@ -29,6 +29,18 @@ relation through the reduced Delta, eps and S.  It reads the relations
 from algebra.relations, which derives them from the rewrite rules, so
 this module states no relation and no piece rule of its own.
 
+The tensor calculus runs on numbered slot words.  Each top-level call
+(coproduct, one _sweep, one check_multiplicativity, one
+check_respects_relations) owns one _SlotTable.  The table numbers the
+slot words the call meets, holds each reduced Delta as a dict keyed by
+tuples of those ids, and joins each pair of ids once.  A check compares
+id-keyed sides; words are put back only into a public result and into a
+failure's residual.  Both sides of every comparison come from the same
+table, and distinct ids name distinct words, so the id-keyed sides are
+equal exactly when their word forms are.  The table dies with its call:
+the presentation never holds it, so a caller that keeps a presentation
+alive keeps no coproducts.
+
 Reduced coproducts are built from prefixes.  Slot-wise normal form is
 the quotient map from the free tensor square onto A (x) A, an algebra
 homomorphism, so nf(Delta(u v)) = nf(nf(Delta(u)) nf(Delta(v))) for any
@@ -37,20 +49,17 @@ _co_nf cuts a word where an adjacent pair has a rule: a redex-free run
 grows letter by letter from its reduced prefix, and the head and the
 last run are joined and reduced once.  Every such product, and
 check_multiplicativity's right side, multiplies two reduced tensors
-term by term (_reduced_product): in each slot of each pair of terms an
-empty side gives the other word, a junction pair with no rule gives the
-concatenation as it stands (a word is normal exactly when it holds no
-piece letter and no adjacent pair with a rule), and only a junction
-that has a rule is reduced.  So the Delta of a normal undeformed word
-grows without reducing any word, the unreduced product is never built,
-and a sum that cancels is dropped once, at the end.  Each
-result is memoized in a dict owned by one top-level call (coproduct, one
-_sweep or one check_multiplicativity) and dropped when it returns; the
-presentation never holds it, so a caller that keeps a presentation alive
-keeps no coproducts.  A sweep takes each word's Delta, and the Delta of
-every slot word for coassociativity, from its memo.  S of a word is one
-word times +-1 (_s_letters), so the antipode sweep writes S(u0) u1 and
-u0 S(u1) straight into word -> coefficient dicts.
+term by term (_SlotTable.product).  In each slot of each pair of terms
+the two words are joined (_SlotTable.join): an empty side gives the
+other word, a junction pair with no rule gives the concatenation as it
+stands (a word is normal exactly when it holds no piece letter and no
+adjacent pair with a rule), and only a junction that has a rule is
+reduced.  So the Delta of a normal undeformed word grows without
+reducing any word, the unreduced product is never built, and a sum that
+cancels is dropped once, at the end.  A sweep takes each word's Delta,
+and the Delta of every slot word for coassociativity, from the table.
+S of a word is one word times +-1 (_s_letters), so the antipode sweep
+writes S(u0) u1 and u0 S(u1) straight into word -> coefficient dicts.
 """
 
 from __future__ import annotations
@@ -58,6 +67,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
 from .algebra import (
@@ -99,7 +109,6 @@ __all__ = [
     "coproduct",
     "counit",
     "antipode",
-    "swap_slots",
     "tensor_normal_form",
     "sorted_basis_words",
     "check_respects_relations",
@@ -189,12 +198,6 @@ def tensor_of(*exprs: Expr) -> TensorExpr:
     return TensorExpr(len(exprs))._like(terms)
 
 
-def swap_slots(t: TensorExpr) -> TensorExpr:
-    if t.order != 2:
-        raise HopfError("slot swap is defined for order 2")
-    return TensorExpr(2, {(k[1], k[0]): c for k, c in t.terms.items()})
-
-
 def tensor_normal_form(t: TensorExpr, p: Presentation) -> TensorExpr:
     """Per-slot reduction with bilinear recombination.  The distinct
     letters are validated once; every slot word, one holding a letter
@@ -212,40 +215,6 @@ def tensor_normal_form(t: TensorExpr, p: Presentation) -> TensorExpr:
                     m = cw if m is ONE else m * cw
             _acc(out, tuple(w for w, _ in combo), c if m is ONE else m if c is ONE else c * m)
     return t._like(out)
-
-
-def _joined(u, v, p: Presentation):
-    """nf(u v) for normal words u and v, as (word, multiplier) pairs.  A
-    word is normal exactly when it holds no piece letter and no adjacent
-    pair with a rule, so u v is normal unless its junction has a rule, and
-    only then is it reduced."""
-    if not u:
-        return ((v, ONE),)
-    if not v:
-        return ((u, ONE),)
-    if not _pair_rule(u[-1], v[0], p):
-        return ((u + v, ONE),)
-    return _reduce_word(u + v, p).items()
-
-
-def _reduced_product(a: TensorExpr, b: TensorExpr, p: Presentation) -> TensorExpr:
-    """tensor_normal_form(a * b) for reduced order-2 tensors a and b, term
-    by term: each slot of each pair of terms is joined (_joined), so a
-    slot whose junction has no rule is reduced nowhere."""
-    out = {}
-    for (u0, u1), c1 in a.terms.items():
-        for (v0, v1), c2 in b.terms.items():
-            c = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
-            for w0, m0 in _joined(u0, v0, p):
-                for w1, m1 in _joined(u1, v1, p):
-                    # most coefficients and multipliers are ONE: skip those products
-                    cm = c if m1 is ONE else m1 if c is ONE else c * m1
-                    cm = cm if m0 is ONE else m0 if cm is ONE else m0 * cm
-                    k = (w0, w1)
-                    acc = out.get(k)
-                    out[k] = cm if acc is None else acc + cm
-    # sums that cancel are dropped once, at the end
-    return a._like({k: c for k, c in out.items() if not c.is_zero()})
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +298,100 @@ def _check_input(e: Expr, h: HopfSpec, p: Presentation):
     p.validate_expr(e)
 
 
-def _co_nf(word, h: HopfSpec, p: Presentation, memo: dict) -> TensorExpr:
-    """The tensor normal form of Delta(word), memoized in memo, a dict that
-    one top-level call owns (see the module docstring).  A word is cut at
-    its last pair that has a rule, and a redex-free word before its last
-    letter; the two parts' forms are reduced as they are multiplied
-    (_reduced_product), so a run grows letter by letter,
+class _SlotTable:
+    """The slot words of one top-level call and the tensor calculus on
+    their ids (see the module docstring).  words lists the words by id,
+    with the empty word at 0, and ids maps a word to its id.  A reduced
+    order-k tensor is a dict from k-tuples of ids to coefficients; an
+    Expr is a dict from ids.  joins holds the join of each pair of ids,
+    and co the reduced Delta of each word _co_nf has met."""
+
+    __slots__ = ("h", "p", "words", "ids", "joins", "co")
+
+    def __init__(self, h: HopfSpec, p: Presentation):
+        self.h, self.p = h, p
+        self.words, self.ids = [()], {(): 0}
+        self.joins, self.co = {}, {}
+
+    def id(self, word) -> int:
+        i = self.ids.get(word)
+        if i is None:
+            i = self.ids[word] = len(self.words)
+            self.words.append(word)
+        return i
+
+    def join(self, i: int, j: int) -> tuple:
+        """nf(u v) for the normal words u and v numbered i and j, as (id,
+        multiplier) pairs, stored in joins.  A word is normal exactly when
+        it holds no piece letter and no adjacent pair with a rule, so u v
+        is normal unless its junction has a rule, and only then is it
+        reduced."""
+        u, v = self.words[i], self.words[j]
+        if not u:
+            out = ((j, ONE),)
+        elif not v:
+            out = ((i, ONE),)
+        elif not _pair_rule(u[-1], v[0], self.p):
+            out = ((self.id(u + v), ONE),)
+        else:
+            out = tuple((self.id(w), m) for w, m in _reduce_word(u + v, self.p).items())
+        self.joins[i, j] = out
+        return out
+
+    def product(self, a: dict, b: dict) -> dict:
+        """tensor_normal_form(a * b) for reduced order-2 tensors a and b,
+        term by term: each slot of each pair of terms is joined, so a slot
+        whose junction has no rule is reduced nowhere."""
+        joins = self.joins
+        out = {}
+        for (u0, u1), c1 in a.items():
+            for (v0, v1), c2 in b.items():
+                c = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
+                j0 = joins.get((u0, v0))
+                if j0 is None:
+                    j0 = self.join(u0, v0)
+                j1 = joins.get((u1, v1))
+                if j1 is None:
+                    j1 = self.join(u1, v1)
+                for w0, m0 in j0:
+                    for w1, m1 in j1:
+                        # most coefficients and multipliers are ONE: skip those products
+                        cm = c if m1 is ONE else m1 if c is ONE else c * m1
+                        cm = cm if m0 is ONE else m0 if cm is ONE else m0 * cm
+                        k = (w0, w1)
+                        acc = out.get(k)
+                        out[k] = cm if acc is None else acc + cm
+        return _nonzero(out)
+
+    def reduce(self, terms: dict) -> dict:
+        """The normal form of a word -> coefficient dict, keyed by ids."""
+        out = {}
+        for u, c in terms.items():
+            for w, m in _reduce_word(u, self.p).items():
+                _acc(out, self.id(w), c if m is ONE else c * m)
+        return out
+
+    def words_of(self, terms: dict, order: int):
+        """The Expr (order 1) or TensorExpr (order 2 or 3) whose words the
+        ids of terms name."""
+        words = self.words
+        if order == 1:
+            return Expr.zero()._like({words[i]: c for i, c in terms.items()})
+        return TensorExpr.zero(order)._like(
+            {tuple(map(words.__getitem__, k)): c for k, c in terms.items()})
+
+
+def _nonzero(terms: dict) -> dict:
+    """terms without the sums that cancelled: sums are accumulated without
+    a zero test, and the zeros dropped once, at the end."""
+    return {k: c for k, c in terms.items() if not c.is_zero()}
+
+
+def _co_nf(word, t: _SlotTable) -> dict:
+    """The reduced Delta of word, id-keyed, memoized in t.co.  A word is
+    cut at its last pair that has a rule, and a redex-free word before its
+    last letter; the two parts' forms are reduced as they are multiplied
+    (_SlotTable.product), so a run grows letter by letter,
     nf(Delta(u g)) = nf(nf(Delta(u)) nf(Delta(g))), and runs join once.
     The cut stays because letter steps alone are much slower on a word
     that is not normal: each letter past a redex is then joined to every
@@ -345,14 +402,15 @@ def _co_nf(word, h: HopfSpec, p: Presentation, memo: dict) -> TensorExpr:
     redex and takes the same letter steps either way.
     The words still to build wait on an explicit stack, so no word is too
     long for the recursion limit."""
+    memo, p = t.co, t.p
     stack = [word]
     while stack:
         w = stack[-1]
         if w in memo:
             stack.pop()
         elif len(w) <= 1:
-            memo[w] = (tensor_normal_form(h.delta_gen(w[0]), p) if w
-                       else TensorExpr.unit(2))
+            form = tensor_normal_form(t.h.delta_gen(w[0]), p) if w else TensorExpr.unit(2)
+            memo[w] = {(t.id(u0), t.id(u1)): c for (u0, u1), c in form.terms.items()}
             stack.pop()
         else:
             cut = _rightmost_redex(w, p) + 1 or len(w) - 1
@@ -361,22 +419,27 @@ def _co_nf(word, h: HopfSpec, p: Presentation, memo: dict) -> TensorExpr:
             if missing:
                 stack += missing
             else:
-                memo[w] = _reduced_product(memo[head], memo[run], p)
+                memo[w] = t.product(memo[head], memo[run])
                 stack.pop()
     return memo[word]
 
 
-def _co_expr(e: Expr, h: HopfSpec, p: Presentation, memo: dict) -> TensorExpr:
-    """_co_nf extended linearly; every letter of e must be legal in p and
-    covered by h (_check_input, or letters from _covered_letters)."""
-    return e._linear(lambda w: _co_nf(w, h, p, memo).terms, TensorExpr.zero(2))
+def _co_expr(e: Expr, t: _SlotTable) -> dict:
+    """_co_nf extended linearly; every letter of e must be legal in t.p and
+    covered by t.h (_check_input, or letters from _covered_letters)."""
+    out = {}
+    for w, c in e.terms.items():
+        for k, c2 in _co_nf(w, t).items():
+            _acc(out, k, c2 if c is ONE else c if c2 is ONE else c * c2)
+    return out
 
 
 def coproduct(e: Expr, h: HopfSpec, p: Presentation) -> TensorExpr:
     """Multiplicative extension of the generator coproduct, reduced to
     tensor normal form."""
     _check_input(e, h, p)
-    return _co_expr(e, h, p, {})
+    t = _SlotTable(h, p)
+    return t.words_of(_co_expr(e, t), 2)
 
 
 def _eps_word(word, h: HopfSpec) -> Scalar:
@@ -456,15 +519,22 @@ def _report(axiom, degree, failures, notes=()):
     return AxiomReport(axiom, degree, status, tuple(failures), tuple(notes))
 
 
-def _record(failures: list, witness, lhs, rhs):
+def _record(failures: list, witness, lhs, rhs, words=None):
     """Record lhs - rhs as a failure unless the two sides are equal.  Both
-    sides must be reduced: normal forms, reduced tensors or scalars.
-    Normal forms are canonical and coefficients compare by value, so
-    reduced sides agree exactly when they are equal, and their difference
-    is reduced already.  witness() returns the failure's witness text; it
-    is called only for a failure."""
+    sides must be reduced: normal forms, scalars, or the id-keyed terms of
+    one _SlotTable, whose difference words() turns into the word-keyed
+    residual.  Normal forms are canonical and coefficients compare by
+    value, so reduced sides agree exactly when they are equal, and their
+    difference is reduced already.  witness() returns the failure's
+    witness text; it is called only for a failure."""
     if lhs != rhs:
-        residual = lhs - rhs
+        if words is None:
+            residual = lhs - rhs
+        else:
+            diff = dict(lhs)
+            for k, c in rhs.items():
+                _acc(diff, k, -c)
+            residual = words(diff)
         failures.append(Failure(witness(), str(residual), residual))
 
 
@@ -490,14 +560,15 @@ MAX_TRIAL_LETTERS = 16
 MULTIPLICATIVITY_TRIALS = 25
 
 
-def _sweep(axiom: str, h: HopfSpec, p: Presentation, degree: int, modes: int, sides):
+def _sweep(axiom: str, h: HopfSpec, p: Presentation, degree: int, modes: int, sides,
+           order: int):
     """The bounded-degree check shared by the axioms: for every normal word
-    w of degree <= degree over the covered letters, sides(w, Delta(w), memo)
-    yields (label, lhs, rhs) triples of reduced sides, and each is recorded
-    in turn (_record), with the witness label followed by the text of w.
-    memo is the sweep's own _co_nf memo.  A sweep whose words' free
-    coproducts hold more than MAX_SWEEP_TERMS terms is refused before the
-    first coproduct."""
+    w of degree <= degree over the covered letters, sides(w, Delta(w), t)
+    yields (label, lhs, rhs) triples of reduced sides of the given order,
+    id-keyed in t, the sweep's own _SlotTable.  Each is recorded in turn
+    (_record), with the witness label followed by the text of w.  A sweep
+    whose words' free coproducts hold more than MAX_SWEEP_TERMS terms is
+    refused before the first coproduct."""
     _check_flavor_variant(h, p)
     words = sorted_basis_words(p, degree, _covered_letters(h, p, modes, max(degree, 1)))
     terms = sum(1 << len(w) for w in words)
@@ -507,10 +578,11 @@ def _sweep(axiom: str, h: HopfSpec, p: Presentation, degree: int, modes: int, si
             f"terms, over the budget of {MAX_SWEEP_TERMS}; lower --degree or --modes"
         )
     failures = []
-    memo = {}
+    t = _SlotTable(h, p)
+    residual = partial(t.words_of, order=order)
     for w in words:
-        for label, lhs, rhs in sides(w, _co_nf(w, h, p, memo), memo):
-            _record(failures, lambda: label + word_text(w), lhs, rhs)
+        for label, lhs, rhs in sides(w, _co_nf(w, t), t):
+            _record(failures, lambda: label + word_text(w), lhs, rhs, residual)
     return _report(axiom, degree, failures)
 
 
@@ -562,8 +634,8 @@ def check_respects_relations(h: HopfSpec, p: Presentation, modes: int = 2) -> Ax
     """Whether Delta, eps, S are well defined on the quotient: for each
     defining relation L = R among the covered letters, the residuals
     Delta(L)-Delta(R), eps(L)-eps(R), S(L)-S(R) of the reduced maps are
-    reported: Delta through _co_expr with a memo the check owns, S through
-    normal_form.
+    reported: Delta through _co_expr in a _SlotTable the check owns, S
+    through normal_form.
 
     The relations are algebra.relations, read off the rewrite rules, so
     every pair of covered letters that has a rule is checked: I, K and Kinv
@@ -571,14 +643,16 @@ def check_respects_relations(h: HopfSpec, p: Presentation, modes: int = 2) -> Ax
     with K and Kinv; the contractions I*I = I and K*Kinv = Kinv*K = 1 are
     checked where the presentation has them."""
     _check_flavor_variant(h, p)
-    memo = {}  # the relations' coproducts, owned by this check
-    maps = (("Delta", lambda e: _co_expr(e, h, p, memo)), ("eps", lambda e: _eps_free(e, h)),
-            ("S", lambda e: normal_form(_s_free(e, h), p)))
+    t = _SlotTable(h, p)  # the relations' coproducts, owned by this check
+    maps = (("Delta", lambda e: _co_expr(e, t), partial(t.words_of, order=2)),
+            ("eps", lambda e: _eps_free(e, h), None),
+            ("S", lambda e: normal_form(_s_free(e, h), p), None))
     failures = []
     # the relations are words of two letters
     for label, L, R in relations(p, _covered_letters(h, p, modes, 2)):
-        for name, reduced_map in maps:
-            _record(failures, lambda: f"{name} on {label}", reduced_map(L), reduced_map(R))
+        for name, reduced_map, words in maps:
+            _record(failures, lambda: f"{name} on {label}", reduced_map(L), reduced_map(R),
+                    words)
     notes = []
     if any("I*I = I" in f.witness for f in failures):
         notes.append(
@@ -588,67 +662,74 @@ def check_respects_relations(h: HopfSpec, p: Presentation, modes: int = 2) -> Ax
     return _report("respects-relations", None, failures, notes)
 
 
-def _co_slot(t: TensorExpr, slot: int, h: HopfSpec, p: Presentation, memo: dict) -> TensorExpr:
-    """(Delta (x) id) t for slot 0 and (id (x) Delta) t for slot 1, with
-    Delta reduced through _co_nf."""
-    return t._linear(
-        lambda k: {k[:slot] + u + k[slot + 1 :]: c
-                   for u, c in _co_nf(k[slot], h, p, memo).terms.items()},
-        TensorExpr.zero(3),
-    )
-
-
 def check_coassociativity(
     h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2
 ) -> AxiomReport:
-    def sides(w, t, memo):
-        yield "", _co_slot(t, 0, h, p, memo), _co_slot(t, 1, h, p, memo)
+    def sides(w, t, table):
+        # (Delta (x) id) t and (id (x) Delta) t, keyed (a, b, i1) and (i0, a, b)
+        left, right = {}, {}
+        for (i0, i1), c in t.items():
+            for (a, b), c2 in _co_nf(table.words[i0], table).items():
+                k, cc = (a, b, i1), c2 if c is ONE else c if c2 is ONE else c * c2
+                acc = left.get(k)
+                left[k] = cc if acc is None else acc + cc
+            for (a, b), c2 in _co_nf(table.words[i1], table).items():
+                k, cc = (i0, a, b), c2 if c is ONE else c if c2 is ONE else c * c2
+                acc = right.get(k)
+                right[k] = cc if acc is None else acc + cc
+        yield "", _nonzero(left), _nonzero(right)
 
-    return _sweep("coassociativity", h, p, degree, modes, sides)
+    return _sweep("coassociativity", h, p, degree, modes, sides, 3)
 
 
 def check_counit(h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2) -> AxiomReport:
-    eps_memo = {}  # eps of each slot word, owned by this sweep
+    eps_memo = {}  # eps of each slot word by id, owned by this sweep
 
-    def eps(u):
-        v = eps_memo.get(u)
-        if v is None:
-            v = eps_memo[u] = _eps_word(u, h)
-        return v
+    def sides(w, t, table):
+        def eps(i):
+            v = eps_memo.get(i)
+            if v is None:
+                v = eps_memo[i] = _eps_word(table.words[i], h)
+            return v
 
-    def sides(w, t, _memo):
-        e = Expr.from_word(w)
-        left = t._linear(lambda k: {k[1]: eps(k[0])}, Expr.zero())
-        right = t._linear(lambda k: {k[0]: eps(k[1])}, Expr.zero())
-        yield "(eps x id) on ", left, e
-        yield "(id x eps) on ", right, e
+        left, right = {}, {}
+        for (i0, i1), c in t.items():
+            e = eps(i0)
+            if not e.is_zero():
+                _acc(left, i1, c * e)
+            e = eps(i1)
+            if not e.is_zero():
+                _acc(right, i0, c * e)
+        target = {table.id(w): ONE}
+        yield "(eps x id) on ", left, target
+        yield "(id x eps) on ", right, target
 
-    return _sweep("counit", h, p, degree, modes, sides)
+    return _sweep("counit", h, p, degree, modes, sides, 1)
 
 
 def check_antipode(h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2) -> AxiomReport:
-    def sides(w, t, _memo):
+    def sides(w, t, table):
         # S(u0) u1 and u0 S(u1) are one word each, times +-1; the sums are reduced
+        words = table.words
         left, right = {}, {}
-        for (u0, u1), c in t.terms.items():
-            letters, negated = _s_letters(u0, h)
-            _acc(left, letters + u1, -c if negated else c)
-            letters, negated = _s_letters(u1, h)
-            _acc(right, u0 + letters, -c if negated else c)
-        one = Expr.from_word(())
-        left, right = (one._like(d)._linear(lambda u: _reduce_word(u, p)) for d in (left, right))
-        target = _eps_word(w, h) * one
-        yield "m(S x id)Delta on ", left, target
-        yield "m(id x S)Delta on ", right, target
+        for (i0, i1), c in t.items():
+            letters, negated = _s_letters(words[i0], h)
+            _acc(left, letters + words[i1], -c if negated else c)
+            letters, negated = _s_letters(words[i1], h)
+            _acc(right, words[i0] + letters, -c if negated else c)
+        eps = _eps_word(w, h)
+        target = {} if eps.is_zero() else {0: eps}
+        yield "m(S x id)Delta on ", table.reduce(left), target
+        yield "m(id x S)Delta on ", table.reduce(right), target
 
-    return _sweep("antipode", h, p, degree, modes, sides)
+    return _sweep("antipode", h, p, degree, modes, sides, 1)
 
 
 def cocommutativity_probe(
     h: HopfSpec, p: Presentation, degree: int = 2, modes: int = 2
 ) -> AxiomReport:
     return _sweep("cocommutativity", h, p, degree, modes,
-                  lambda w, t, _memo: [("", t, swap_slots(t))])
+                  lambda w, t, _table: [("", t, {(i1, i0): c for (i0, i1), c in t.items()})], 2)
 
 
 def check_multiplicativity(
@@ -663,7 +744,7 @@ def check_multiplicativity(
     product is the free concatenation.  Both sides are nf(Delta_free(x y))
     by construction: the left reduces the coproduct of the free product,
     the right multiplies the reduced coproducts of x and y
-    (_reduced_product), and slot-wise normal form is an algebra map.  So
+    (_SlotTable.product), and slot-wise normal form is an algebra map.  So
     this check tests the engine, not Delta; whether Delta is well defined
     on the algebra is what check_respects_relations tests.  A degree whose
     products may hold more than MAX_TRIAL_LETTERS letters is refused
@@ -681,7 +762,8 @@ def check_multiplicativity(
     rng = random.Random(seed)
     pool = [ONE, -ONE, IMAG, Scalar.rational(2), Scalar.rational(1, 1)]
     failures = []
-    memo = {}  # shared by the trials' coproducts
+    t = _SlotTable(h, p)  # shared by the trials' coproducts
+    residual = partial(t.words_of, order=2)
     for trial in range(MULTIPLICATIVITY_TRIALS):
         def rand_expr():
             e = Expr.zero()
@@ -692,6 +774,6 @@ def check_multiplicativity(
             return e
 
         x, y = rand_expr(), rand_expr()
-        _record(failures, lambda: f"trial {trial}: x={x}; y={y}", _co_expr(x * y, h, p, memo),
-                _reduced_product(_co_expr(x, h, p, memo), _co_expr(y, h, p, memo), p))
+        _record(failures, lambda: f"trial {trial}: x={x}; y={y}", _co_expr(x * y, t),
+                t.product(_co_expr(x, t), _co_expr(y, t)), residual)
     return _report("multiplicativity", degree, failures)

@@ -8,6 +8,8 @@ from functools import partial
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccr_hopf import hopf
 from ccr_hopf.algebra import (
@@ -55,14 +57,13 @@ from ccr_hopf.hopf import (
     coproduct,
     counit,
     sorted_basis_words,
-    swap_slots,
     tensor_normal_form,
     tensor_of,
     _co_nf,
     _covered_letters,
     _record,
-    _reduced_product,
     _s_free,
+    _SlotTable,
 )
 from ccr_hopf.scalars import IMAG, KAPPA, ONE, S_PARAM, Scalar, ZERO
 
@@ -86,6 +87,11 @@ def _co_free(e, h):
     """Delta on the free algebra: _co_word extended linearly, unreduced;
     the reference that _co_nf is checked against."""
     return e._linear(lambda w: _co_word(w, h).terms, TensorExpr.zero(2))
+
+
+def _swap(t):
+    """The slot swap of an order-2 tensor."""
+    return TensorExpr(2, {(k[1], k[0]): c for k, c in t.terms.items()})
 
 
 def test_coproduct_generators():
@@ -262,7 +268,7 @@ def test_antipode_coalgebra_compatibility():
         e = Expr.from_word(w)
         assert counit(antipode(e, CL, P_FREE), CL, P_FREE) == counit(e, CL, P_FREE)
         lhs = coproduct(antipode(e, CL, P_FREE), CL, P_FREE)
-        rhs = _antipode_each_slot(swap_slots(coproduct(e, CL, P_FREE)), CL, P_FREE)
+        rhs = _antipode_each_slot(_swap(coproduct(e, CL, P_FREE)), CL, P_FREE)
         assert tensor_normal_form(lhs - rhs, P_FREE).is_zero()
 
 
@@ -291,7 +297,6 @@ def test_tensor_expr_basics():
     b = tensor_of(unit(), unit())
     assert (a - a).is_zero()
     assert a * b == a
-    assert swap_slots(swap_slots(a)) == a
     with pytest.raises(HopfError):
         a + tensor_of(phi(0), phi(0), phi(0))
     # slotwise product and linearity in each slot, over seeded pairs
@@ -454,7 +459,7 @@ def _reference_checks(h, p, degree, modes=2):
         target = counit(e, h, p) * one
         for side, val in (("m(S x id)Delta", s_l), ("m(id x S)Delta", s_r)):
             record("antipode", f"{side} on {word_text(w)}", normal_form(val - target, p))
-        record("cocommutativity", word_text(w), tensor_normal_form(t - swap_slots(t), p))
+        record("cocommutativity", word_text(w), tensor_normal_form(t - _swap(t), p))
     return fails, _reference_relation_failures(h, p, modes)
 
 
@@ -667,12 +672,24 @@ def test_coproduct_memo_is_per_call():
 # Side comparison and reduce-as-you-multiply against the plain reductions
 
 
-def _assert_reduced_product(a, b, p):
-    """_reduced_product(a, b, p) for reduced a and b against the tensor
-    normal form of the product built in full: the same terms, the same
-    text, and no zero coefficient."""
+def _ids(t, x):
+    """The reduced order-2 tensor x keyed by the ids of table t."""
+    return {tuple(map(t.id, k)): c for k, c in x.terms.items()}
+
+
+def _reduced_product(a, b, p, t=None):
+    """The id product of reduced a and b in table t (a fresh one over p
+    by default), turned back into words."""
+    t = t or _SlotTable(CL, p)
+    return t.words_of(t.product(_ids(t, a), _ids(t, b)), 2)
+
+
+def _assert_reduced_product(a, b, p, t=None):
+    """The id product of reduced a and b against the tensor normal form
+    of the product built in full: the same terms, the same text, and no
+    zero coefficient."""
     want = tensor_normal_form(a * b, p)
-    got = _reduced_product(a, b, p)
+    got = _reduced_product(a, b, p, t)
     assert got.order == 2
     assert got.terms == want.terms
     assert str(got) == str(want)
@@ -748,16 +765,21 @@ def test_reduced_product_with_the_unit_and_zero_tensors():
 # The generator step: Delta(u) times Delta(g), one slot junction at a time
 
 
-def _assert_step(w, h, p, memo):
-    """Delta(w) grown by the step from Delta(w[:-1]) and Delta(w[-1])
-    against the free coproduct of w reduced once, and against _co_nf's own
-    result for w."""
-    head, last = (_co_nf(u, h, p, memo) for u in (w[:-1], w[-1:]))
-    got = _assert_reduced_product(head, last, p)
-    want = tensor_normal_form(_co_free(Expr.from_word(w), h), p)
+def _co_words(w, t):
+    """_co_nf's reduced Delta of w in table t, turned into words."""
+    return t.words_of(_co_nf(w, t), 2)
+
+
+def _assert_step(w, t):
+    """Delta(w) grown by the step from Delta(w[:-1]) and Delta(w[-1]) in
+    table t against the free coproduct of w reduced once, and against
+    _co_nf's own result for w."""
+    head, last = (_co_words(u, t) for u in (w[:-1], w[-1:]))
+    got = _assert_reduced_product(head, last, t.p, t)
+    want = tensor_normal_form(_co_free(Expr.from_word(w), t.h), t.p)
     assert got.terms == want.terms
     assert str(got) == str(want)
-    assert _co_nf(w, h, p, memo).terms == want.terms
+    assert _co_words(w, t).terms == want.terms
 
 
 _STEP_CASES = [
@@ -773,11 +795,53 @@ _STEP_CASES = [
 def test_step_grows_every_sweep_word(h, variant, gram, idempotent, q, c):
     p = Presentation(variant=variant, gram=gram, idempotent_identity=idempotent, q=q, c=c)
     words = sorted_basis_words(p, 3, _covered_letters(h, p, 2, 3))
-    memo = {}
+    t = _SlotTable(h, p)
     for w in words:
         if len(w) > 1:
-            _assert_step(w, h, p, memo)
+            _assert_step(w, t)
     assert len([w for w in words if len(w) > 1]) > 20
+
+
+@pytest.mark.parametrize("h, variant, gram, idempotent, q, c", _STEP_CASES)
+# 25 derandomized pairs of words per case
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_id_product_of_reduced_coproducts_matches_the_full_product(h, variant, gram, idempotent,
+                                                                   q, c, data):
+    # two reduced coproducts of random words over the letters h covers,
+    # multiplied in id space and turned back into words, against the
+    # tensor normal form of their product built in full
+    p = Presentation(variant=variant, gram=gram, idempotent_identity=idempotent, q=q, c=c)
+    words = st.lists(st.sampled_from([g for g in legal_letters(p, 2) if h.covers(g)]),
+                     max_size=4).map(tuple)
+    t = _SlotTable(h, p)
+    a, b = _co_nf(data.draw(words), t), _co_nf(data.draw(words), t)
+    got = t.words_of(t.product(a, b), 2)
+    want = tensor_normal_form(t.words_of(a, 2) * t.words_of(b, 2), p)
+    assert got.terms == want.terms
+    assert str(got) == str(want)
+
+
+def test_each_join_is_computed_once_per_check(monkeypatch):
+    # a top-level call owns one table, and the table joins each pair of
+    # slot words once, however many products meet the pair
+    joins = []
+    join = _SlotTable.join
+    monkeypatch.setattr(_SlotTable, "join",
+                        lambda t, i, j: joins.append((t, t.words[i], t.words[j])) or join(t, i, j))
+    gram = [[1, ["1/2", "1/3"]], [["1/2", "-1/3"], 2]]
+    for h, p in ((CL, Presentation(gram=gram)), (DF, Presentation(variant="deformed-strict")),
+                 (DF, Presentation(variant="deformed-collapsed", q=1.3, c=0.7))):
+        runs = [partial(check, h, p, 3, 2) for check in (
+            check_coassociativity, check_counit, check_antipode, cocommutativity_probe,
+            check_multiplicativity)]
+        runs += [partial(check_respects_relations, h, p, 2),
+                 partial(coproduct, pi(0) * phi(0) * pi(1) * phi(1) + phi(1) * pi(0), h, p)]
+        for run in runs:
+            joins.clear()
+            run()
+            assert len({t for t, _, _ in joins}) == 1
+            assert len(joins) == len(set(joins)) > 0
 
 
 _PHI0, _PHI1, _PI0, _PI1 = (FAM_PHI, 0), (FAM_PHI, 1), (FAM_PI, 0), (FAM_PI, 1)
@@ -810,7 +874,7 @@ def test_step_at_junctions_that_have_a_rule(h, variant, idempotent, q, w):
     gram = [[1, ["1/2", "1/3"]], [["1/2", "-1/3"], 2]]
     p = Presentation(variant=variant, gram=gram, idempotent_identity=idempotent,
                      q=q, c=None if q is None else 0.7)
-    _assert_step(w, h, p, {})
+    _assert_step(w, _SlotTable(h, p))
 
 
 def test_step_junction_cases_reduce_as_the_rules_say():
@@ -818,15 +882,14 @@ def test_step_junction_cases_reduce_as_the_rules_say():
     # a normal word where the identity is not idempotent
     i1, one = gen_I(), unit()
     for p, ii in ((P_UND, i1), (P_FREE, i1 * i1)):
-        memo = {}
-        assert _co_nf((GEN_I, GEN_I), CL, p, memo) == (
+        assert _co_words((GEN_I, GEN_I), _SlotTable(CL, p)) == (
             tensor_of(ii, one) + 2 * tensor_of(i1, i1) + tensor_of(one, ii))
     # K Kinv = 1 in the strict variant, and in the collapsed one through
     # the pieces: Delta(K Kinv) is the unit tensor
     for p in (P_DEF, P_COL):
-        assert _co_nf((GEN_K, GEN_KINV), DF, p, {}) == TensorExpr.unit(2)
+        assert _co_words((GEN_K, GEN_KINV), _SlotTable(DF, p)) == TensorExpr.unit(2)
     # phi(0) after pi(0) in slot 1: the junction's rule carries -i kappa I
-    got = _co_nf((_PHI0, _PI0, _PHI0), CL, P_UND, {})
+    got = _co_words((_PHI0, _PI0, _PHI0), _SlotTable(CL, P_UND))
     assert got.terms[((), (GEN_I, _PHI0))] == -IMAG * P_UND.kappa_scalar
 
 
@@ -914,8 +977,11 @@ def test_every_check_hands_record_reduced_sides(h, variant, gram, idempotent, q,
     record = hopf._record
     witnesses = []
 
-    def record_reduced(failures, witness, lhs, rhs):
+    def record_reduced(failures, witness, lhs, rhs, words=None):
         for side in (lhs, rhs):
+            if words is not None:
+                # id-keyed terms of the check's table, turned into words
+                side = words(side)
             if isinstance(side, TensorExpr):
                 assert side.terms == tensor_normal_form(side, p).terms, witness()
             elif isinstance(side, Expr):
@@ -923,7 +989,7 @@ def test_every_check_hands_record_reduced_sides(h, variant, gram, idempotent, q,
             else:
                 assert isinstance(side, Scalar), witness()
         witnesses.append(witness)
-        record(failures, witness, lhs, rhs)
+        record(failures, witness, lhs, rhs, words)
 
     monkeypatch.setattr(hopf, "_record", record_reduced)
     sweeps = (check_coassociativity, check_counit, check_antipode, cocommutativity_probe)
