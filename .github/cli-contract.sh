@@ -186,6 +186,9 @@ done <<'ROWS'
 # the budget is decided factor by factor: the exact comb(8000000, 4000000)
 # would take minutes to compute before the refusal
 2  20 fock spectrum --d 4000000 --nmax 4000000
+# summable squeezing at r = 100: the dense solver's rounding bound
+# (3.4e73) passes the 1e-8 nonnegativity tolerance, so no verdict is given
+2  20 fock spectrum --family summable --d 2 --r 100
 2  20 fock trend --dvalues 4000000,1 --nmax 4000000
 # the reference walker's step budget: this word walked for 20 s without it
 2  20 normalize "pi(0)^8*phi(0)^8" --schedule rightmost

@@ -290,23 +290,13 @@ def _cmd_fock_matrices(args):
 
 
 def _cmd_fock_spectrum(args):
-    from .fock import invariant_blocks, number_operator, spectrum_check
+    from .fock import number_operator, spectrum_check
 
     m = _mode_space(args)
     spec = _bogoliubov(args)
     n = number_operator(m, spec)
     fields, passed = spectrum_check(n, args.k)
-    sizes = invariant_blocks(n)[1]
-    results = {
-        **fields,
-        "rs": list(spec.rs),
-        "solver": {
-            "blocks": len(sizes),
-            "largest_block": int(sizes.max()),
-            "method": "dense-blocks",
-        },
-        "vacuum_occupancy": float(n.diagonal()[0]),
-    }
+    results = {**fields, "rs": list(spec.rs), "vacuum_occupancy": float(n.diagonal()[0])}
     return results, passed, f"fock spectrum min={min(fields['eigenvalues'], default=None)}"
 
 

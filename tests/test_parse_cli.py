@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import shlex
 import subprocess
 import sys
 import warnings
@@ -307,6 +308,53 @@ def test_cli_spectrum_reports_solver(capsys):
     code, doc, _ = run_cli(capsys, ["fock", "spectrum", "--d", "2", "--nmax", "3"])
     assert code == 0
     assert doc["results"]["solver"] == {"blocks": 10, "largest_block": 1, "method": "dense-blocks"}
+
+
+def test_cli_spectrum_refuses_a_rounding_bound_past_the_tolerance(capsys):
+    # summable squeezing at r = 100 reported eigenvalues of -1.5e71 for a
+    # positive semidefinite N: the solver's bound s u ||N||_F is 3.4e73
+    argv = ["fock", "spectrum", "--family", "summable", "--d", "2", "--r", "100"]
+    code, doc, err = run_cli(capsys, argv)
+    assert code == 2 and doc is None
+    assert err.startswith("ccr-hopf: ") and err.count("\n") == 1
+    assert "rounding bound 3.36e+73 (largest block of 21 states)" in err
+
+
+def _recorded_spectrum_argvs():
+    """The fock spectrum invocations of the golden corpus and of the
+    contract table that expect a report (exit 0 or 1), help text aside."""
+    root = Path(__file__).resolve().parent.parent
+    cases = json.loads((root / "tests" / "golden" / "cli.json").read_text(encoding="utf-8"))
+    argvs = [c["argv"] for c in cases if c["exit"] != 2]
+    table = (root / ".github" / "cli-contract.sh").read_text(encoding="utf-8")
+    rows = table.split("<<'ROWS'\n", 1)[1].split("\nROWS\n", 1)[0].splitlines()
+    argvs += [shlex.split(row)[2:] for row in rows
+              if row[:1] in ("0", "1") and not row.startswith("#")]
+    return [a for a in argvs if a[:2] == ["fock", "spectrum"] and "--help" not in a]
+
+
+def test_recorded_spectra_stay_inside_the_rounding_bound(capsys, monkeypatch):
+    # the bound s u ||N||_F, recomputed here, stays below the tolerance on
+    # every spectrum the corpus and the contract record, so none is refused
+    import numpy as np
+
+    from ccr_hopf import fock
+
+    bounds = []
+    check = fock.spectrum_check
+
+    def bounded(n, k):
+        bounds.append(fock.invariant_blocks(n)[1].max() * 2.0 ** -53 * np.linalg.norm(n.toarray()))
+        return check(n, k)
+
+    monkeypatch.setattr(fock, "spectrum_check", bounded)
+    argvs = _recorded_spectrum_argvs()
+    assert len(argvs) >= 4
+    for argv in argvs:
+        assert main(argv) in (0, 1), argv
+        capsys.readouterr()
+    assert len(bounds) == len(argvs)
+    assert max(bounds) < 1e-10 < fock.NONNEGATIVE_TOLERANCE
 
 
 @pytest.mark.parametrize(

@@ -63,25 +63,31 @@ def test_command_and_criterion_read_one_tolerance(capsys, argv, field, criterion
 
 
 # tolerances only a command judges: (argv, report field, module, constant,
-# its value, a value that fails the same run)
+# its value, a value that fails the same run, the exit code it fails with).
+# No tolerance fails a spectrum of the positive semidefinite N without
+# falling below the solver's rounding bound, which spectrum_check refuses
 CLI_ONLY = [
     (["fock", "spectrum", "--nmax", "6"], "nonnegative_tolerance", fock,
-     "NONNEGATIVE_TOLERANCE", 1e-8, -1.0),
-    (["measure", "pd-check"], "tolerance", measure, "PD_EIGENVALUE_FLOOR", -1e-10, 1.0),
+     "NONNEGATIVE_TOLERANCE", 1e-8, -1.0, 2),
+    (["measure", "pd-check"], "tolerance", measure, "PD_EIGENVALUE_FLOOR", -1e-10, 1.0, 1),
 ]
 
 
-@pytest.mark.parametrize("argv, field, module, name, value, failing", CLI_ONLY,
+@pytest.mark.parametrize("argv, field, module, name, value, failing, code", CLI_ONLY,
                          ids=[" ".join(c[0][:2]) for c in CLI_ONLY])
 def test_report_tolerance_is_the_constant_its_verdict_reads(capsys, monkeypatch, argv, field,
-                                                            module, name, value, failing):
+                                                            module, name, value, failing, code):
     assert getattr(module, name) == value
     assert _cli(capsys, argv)[field] == value
     # moving the one constant moves the report and the verdict together
     monkeypatch.setattr(module, name, failing)
-    assert main(argv) == 1
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["passed"] is False and doc["results"][field] == failing
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == "" and f"tolerance of {failing:g}" in err
+    else:
+        doc = json.loads(out)
+        assert doc["passed"] is False and doc["results"][field] == failing
 
 
 # (module, verdict, argv, criterion): each verdict a command and a criterion share
