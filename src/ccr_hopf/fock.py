@@ -694,6 +694,15 @@ def invariant_blocks(a):
 NONNEGATIVE_TOLERANCE = 1e-8  # a number operator's lowest eigenvalue passes above minus this
 
 
+def _check_blocks(sizes) -> None:
+    """Raise FockError when an invariant block exceeds DENSE_EIG_LIMIT."""
+    if sizes.max() > DENSE_EIG_LIMIT:
+        raise FockError(
+            f"an invariant block of {sizes.max()} states exceeds the dense "
+            f"eigen-solver budget of {DENSE_EIG_LIMIT}; a smaller nmax shrinks it"
+        )
+
+
 def smallest_eigenvalues(a, k: int) -> tuple:
     """Lowest k eigenvalues of a Hermitian SparseOp, ascending.
 
@@ -708,11 +717,7 @@ def smallest_eigenvalues(a, k: int) -> tuple:
     if k == 0:
         return ()
     labels, sizes = invariant_blocks(a)
-    if sizes.max() > DENSE_EIG_LIMIT:
-        raise FockError(
-            f"an invariant block of {sizes.max()} states exceeds the dense "
-            f"eigen-solver budget of {DENSE_EIG_LIMIT}; a smaller nmax shrinks it"
-        )
+    _check_blocks(sizes)
     parts = [a.diagonal()[sizes[labels] == 1].real]
     block = np.where(labels[a.rows] == labels[a.cols], labels[a.rows], -1)
     for b in np.flatnonzero(sizes > 1):
@@ -736,10 +741,12 @@ def spectrum_check(n, k: int) -> tuple:
     about s u ||B||_F of B, u = 2^-53, so by Weyl's inequality they lie
     about that close to B's own.  When s u ||n||_F, with s the largest
     invariant block, exceeds NONNEGATIVE_TOLERANCE, the verdict would rest
-    on rounding, and FockError is raised before the solve.  At d = 2,
+    on rounding, and FockError is raised before the solve; a block over
+    the solver's budget is refused first.  At d = 2,
     nmax = 10 and summable r = 100 the bound is 3.4e73; at d = 2,
     nmax = 68 and r = 0.5 it is at most 2.8e-10."""
     sizes = invariant_blocks(n)[1]
+    _check_blocks(sizes)
     largest = int(sizes.max())
     bound = largest * 2.0 ** -53 * float(np.linalg.norm(n.vals))
     if bound > NONNEGATIVE_TOLERANCE:
