@@ -142,12 +142,6 @@ def word_text(word) -> str:
     return "*".join(parts)
 
 
-def _coerce_scalar(x):
-    if isinstance(x, complex):
-        return Scalar.from_complex(x)
-    return Scalar._coerce(x)
-
-
 def _acc(table: dict, key, coeff: Scalar) -> None:
     """Add coeff * key into table, dropping the key when it cancels."""
     acc = table.get(key)
@@ -230,7 +224,7 @@ class _SparseSum:
                 for k2, c2 in other.terms.items():
                     _acc(out, cat(k1, k2), c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2)
             return self._like(out)
-        s = _coerce_scalar(other)
+        s = Scalar._coerce(other)
         if s is None:
             return NotImplemented
         if s.is_zero():
@@ -345,7 +339,7 @@ def gram_entry(x) -> Scalar:
     counts a bool as an int."""
     if isinstance(x, bool) or isinstance(x, (tuple, list)) and any(isinstance(v, bool) for v in x):
         raise AlgebraError(f"cannot read matrix entry {x!r}")
-    s = _coerce_scalar(x)
+    s = Scalar._coerce(x)
     if s is not None:
         return s
     try:

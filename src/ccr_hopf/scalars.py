@@ -401,12 +401,6 @@ class Scalar:
             raise ScalarError(f"bad parameter name {name!r}")
         return cls({((name, 1),): _C_ONE})
 
-    @classmethod
-    def from_complex(cls, z: complex) -> "Scalar":
-        """Exact embedding of a complex float (binary rationals)."""
-        z = complex(z)
-        return cls.rational(z.real, z.imag)
-
     # -- coercion ------------------------------------------------------------
 
     @staticmethod
@@ -439,9 +433,7 @@ class Scalar:
 
     def __add__(self, other):
         if not isinstance(other, Scalar):
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+            return NotImplemented
         a, b = self._c, other._c
         if a is not None and b is not None:
             return _constant(_c_add(a, b))
@@ -454,8 +446,6 @@ class Scalar:
         num = _p_mul(self._num, other._den)
         _p_add_into(num, _p_mul(other._num, self._den))
         return Scalar(num, _p_mul(self._den, other._den))
-
-    __radd__ = __add__
 
     def __neg__(self):
         if self._c is not None:
@@ -496,12 +486,6 @@ class Scalar:
             raise ZeroDivisionError("scalar division by zero")
         return Scalar(_p_mul(self._num, other._den), _p_mul(self._den, other._num))
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
@@ -526,9 +510,7 @@ class Scalar:
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+            return NotImplemented
         a, b = self._c, other._c
         if a is not None and b is not None:
             return a == b

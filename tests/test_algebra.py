@@ -569,8 +569,8 @@ def test_evaluate_numeric():
 
 def test_gram_validation():
     with pytest.raises(AlgebraError):
-        Gram([[1, 1j], [1j, 1]])  # not Hermitian
-    g = Gram([[1, 0.5j], [-0.5j, 1]])
+        Gram([[1, [0, 1]], [[0, 1], 1]])  # not Hermitian
+    g = Gram([[1, [0, 0.5]], [[0, -0.5], 1]])
     assert g.scalar(0, 1).conjugate() == g.scalar(1, 0)
     p = Presentation(gram=Gram([[1]]))
     with pytest.raises(AlgebraError):
@@ -581,7 +581,7 @@ def _fraction_gram_entry(x) -> Scalar:
     """gram_entry as it read every entry through Fraction."""
     if isinstance(x, bool) or isinstance(x, (tuple, list)) and any(isinstance(v, bool) for v in x):
         raise AlgebraError(f"cannot read matrix entry {x!r}")
-    s = algebra._coerce_scalar(x)
+    s = Scalar._coerce(x)
     if s is not None:
         return s
     try:

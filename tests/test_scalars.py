@@ -145,8 +145,8 @@ def test_to_complex():
         w.to_complex({})
 
 
-def test_from_complex_roundtrip():
-    z = Scalar.from_complex(0.359375 - 2.5j)
+def test_float_parts_roundtrip():
+    z = Scalar.rational(0.359375, -2.5)
     assert z.to_complex() == 0.359375 - 2.5j
 
 
@@ -186,7 +186,7 @@ def _power_bases():
     return [
         Scalar.rational(3) * KAPPA ** 2 * S_PARAM ** -1,  # a monomial
         Scalar.rational(Fraction(-2, 3), 1),  # a constant
-        Scalar.from_complex(1.3),  # a binary fraction, as numeric q and c give
+        Scalar.rational(1.3),  # a binary fraction, as numeric q and c give
         ONE + S_PARAM + KAPPA,  # a multi-term base
         s_inv_type,  # a (1+s)^-1-type base
         Scalar.rational(Fraction(5, 7)) * s_inv_type + KAPPA * R2,
@@ -253,8 +253,13 @@ def test_pow_and_inverse():
 
 def test_int_and_fraction_mixing():
     assert 2 * KAPPA == KAPPA + KAPPA
-    assert KAPPA - Fraction(1, 2) == KAPPA + Fraction(-1, 2)
-    assert Fraction(1, 2) / (ONE + ONE) == Scalar.rational(Fraction(1, 4))
+    assert KAPPA - Fraction(1, 2) == KAPPA + Scalar.rational(Fraction(-1, 2))
+    assert ONE / (ONE + ONE) == Scalar.rational(Fraction(1, 2))
+    # a sum, a comparison and a divisor take no int or Fraction operand
+    for op in (lambda: KAPPA + Fraction(-1, 2), lambda: 1 + ONE, lambda: Fraction(1, 2) / ONE):
+        with pytest.raises(TypeError):
+            op()
+    assert ONE != 1 and not ONE == Fraction(1)
 
 
 def test_str_deterministic():
@@ -500,7 +505,7 @@ def test_entry_points_keep_part_invariant():
         Scalar.rational(True, False),
         Scalar.rational(Fraction(4, 2), "3/1"),
         Scalar.rational(0.5, "1.25"),
-        Scalar.from_complex(2.0 - 0.5j),
+        Scalar.rational(2.0, -0.5),
         R2 ** -3,
         R2 ** 4,
         (KAPPA ** 2 * R2 + S_PARAM).substitute({"kappa": Fraction(4, 2), "s": 0.5}),
@@ -558,7 +563,7 @@ def test_field_laws_and_part_invariant_property(a, b):
 
 
 # Constants as the constant path meets them: 0, +-1, +-i, integers past
-# 64 bits, true fractions and the binary fractions from_complex gives.
+# 64 bits, true fractions and the binary fractions of float parts.
 _constant_parts = st.one_of(
     st.sampled_from([0, 1, -1]),
     st.integers(2 ** 64, 2 ** 90),
@@ -568,8 +573,8 @@ _constant_parts = st.one_of(
 _constants = st.one_of(
     st.sampled_from([ZERO, ONE, -ONE, IMAG, -IMAG]),
     st.builds(Scalar.rational, _constant_parts, _constant_parts),
-    st.builds(Scalar.from_complex, st.complex_numbers(max_magnitude=1e6, allow_nan=False,
-                                                      allow_infinity=False)),
+    st.builds(lambda z: Scalar.rational(z.real, z.imag),
+              st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)),
 )
 _operands = st.one_of(
     _constants,
