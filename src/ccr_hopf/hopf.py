@@ -31,15 +31,14 @@ this module states no relation and no piece rule of its own.
 
 The tensor calculus runs on numbered slot words.  Each top-level call
 (coproduct, one _sweep, one check_multiplicativity, one
-check_respects_relations) owns one _SlotTable.  The table numbers the
-slot words the call meets, holds each reduced Delta as a dict keyed by
-tuples of those ids, and joins each pair of ids once.  A check compares
-id-keyed sides; words are put back only into a public result and into a
-failure's residual.  Both sides of every comparison come from the same
-table, and distinct ids name distinct words, so the id-keyed sides are
-equal exactly when their word forms are.  The table dies with its call:
-the presentation never holds it, so a caller that keeps a presentation
-alive keeps no coproducts.
+check_respects_relations) owns one _SlotTable: it numbers the slot words
+the call meets, holds each reduced Delta as a dict keyed by tuples of
+ids, and joins each pair of ids once.  Checks compare id-keyed sides, and
+words come back only in a public result and a failure's residual.  Both
+sides of a comparison come from one table, so they are equal exactly
+when their word forms are.  The table dies with its call, and the
+presentation never holds it, so a caller that keeps a presentation alive
+keeps no coproducts.
 
 Reduced coproducts are built from prefixes.  Slot-wise normal form is
 the quotient map from the free tensor square onto A (x) A, an algebra
@@ -49,17 +48,13 @@ _co_nf cuts a word where an adjacent pair has a rule: a redex-free run
 grows letter by letter from its reduced prefix, and the head and the
 last run are joined and reduced once.  Every such product, and
 check_multiplicativity's right side, multiplies two reduced tensors
-term by term (_SlotTable.product).  In each slot of each pair of terms
-the two words are joined (_SlotTable.join): an empty side gives the
-other word, a junction pair with no rule gives the concatenation as it
-stands (a word is normal exactly when it holds no piece letter and no
-adjacent pair with a rule), and only a junction that has a rule is
-reduced.  So the Delta of a normal undeformed word grows without
-reducing any word, the unreduced product is never built, and a sum that
-cancels is dropped once, at the end.  A sweep takes each word's Delta,
-and the Delta of every slot word for coassociativity, from the table.
-S of a word is one word times +-1 (_s_letters), so the antipode sweep
-writes S(u0) u1 and u0 S(u1) straight into word -> coefficient dicts.
+term by term (_SlotTable.product), joining the words of each slot
+(_SlotTable.join), and only a junction that has a rule is reduced.  So
+the Delta of a normal undeformed word grows without reducing any word,
+the unreduced product is never built, and a sum that cancels is dropped
+once, at the end.  S of a word is one word times +-1 (_s_letters), so
+the antipode sweep writes S(u0) u1 and u0 S(u1) straight into word ->
+coefficient dicts.
 """
 
 from __future__ import annotations
@@ -430,8 +425,10 @@ def _co_expr(e: Expr, t: _SlotTable) -> dict:
     out = {}
     for w, c in e.terms.items():
         for k, c2 in _co_nf(w, t).items():
-            _acc(out, k, c2 if c is ONE else c if c2 is ONE else c * c2)
-    return out
+            c2 = c2 if c is ONE else c if c2 is ONE else c * c2
+            acc = out.get(k)
+            out[k] = c2 if acc is None else acc + c2
+    return _nonzero(out)
 
 
 def coproduct(e: Expr, h: HopfSpec, p: Presentation) -> TensorExpr:
