@@ -742,17 +742,21 @@ def spectrum_check(n, k: int) -> tuple:
     about that close to B's own.  When s u ||n||_F, with s the largest
     invariant block, exceeds NONNEGATIVE_TOLERANCE, the verdict would rest
     on rounding, and FockError is raised before the solve; a block over
-    the solver's budget is refused first.  At d = 2,
+    the solver's budget is refused first.  k = 0 asks for no eigenvalue,
+    so neither refusal applies, and a negative k is refused by
+    smallest_eigenvalues.  At d = 2,
     nmax = 10 and summable r = 100 the bound is 3.4e73; at d = 2,
     nmax = 68 and r = 0.5 it is at most 2.8e-10."""
     sizes = invariant_blocks(n)[1]
-    _check_blocks(sizes)
     largest = int(sizes.max())
-    bound = largest * 2.0 ** -53 * float(np.linalg.norm(n.vals))
-    if bound > NONNEGATIVE_TOLERANCE:
-        raise FockError(
-            f"the eigen-solver's rounding bound {bound:.3g} (largest block of {largest} states) "
-            f"exceeds the nonnegativity tolerance of {NONNEGATIVE_TOLERANCE:g}; lower --r or --nmax")
+    if k > 0:
+        _check_blocks(sizes)
+        bound = largest * 2.0 ** -53 * float(np.linalg.norm(n.vals))
+        if bound > NONNEGATIVE_TOLERANCE:
+            raise FockError(
+                f"the eigen-solver's rounding bound {bound:.3g} (largest block of {largest} "
+                f"states) exceeds the nonnegativity tolerance of {NONNEGATIVE_TOLERANCE:g}; "
+                f"lower --r or --nmax")
     eigs = smallest_eigenvalues(n, k)
     fields = {"eigenvalues": list(eigs), "nonnegative_tolerance": NONNEGATIVE_TOLERANCE,
               "solver": {"blocks": len(sizes), "largest_block": largest,

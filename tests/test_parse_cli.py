@@ -318,6 +318,11 @@ def test_cli_spectrum_refuses_a_rounding_bound_past_the_tolerance(capsys):
     assert code == 2 and doc is None
     assert err.startswith("ccr-hopf: ") and err.count("\n") == 1
     assert "rounding bound 3.36e+73 (largest block of 21 states)" in err
+    # asking for no eigenvalue leaves nothing to round, and reports as before
+    code, doc, _ = run_cli(capsys, argv + ["--k", "0"])
+    assert code == 0 and doc["results"]["eigenvalues"] == []
+    assert doc["results"]["solver"] == {"blocks": 4, "largest_block": 21,
+                                        "method": "dense-blocks"}
 
 
 def _recorded_spectrum_argvs():
