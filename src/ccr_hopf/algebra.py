@@ -180,17 +180,16 @@ class _SparseSum:
         """other if it is a sum of this shape, else NotImplemented."""
         return other if type(other) is type(self) else NotImplemented
 
-    def _linear(self, image, shape: "_SparseSum | None" = None):
+    def _linear(self, image):
         """The linear extension of image applied to self: the sum of
         c * image(k) over the terms, where image maps a key to a key ->
-        coefficient mapping.  The result has the shape of ``shape``
-        (default self)."""
+        coefficient mapping of self's shape."""
         out = {}
         for k, c in self.terms.items():
             for k2, c2 in image(k).items():
                 # most coefficients are ONE: skip those products
                 _acc(out, k2, c2 if c is ONE else c if c2 is ONE else c * c2)
-        return (self if shape is None else shape)._like(out)
+        return self._like(out)
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -86,7 +86,10 @@ def _co_word(word, h):
 def _co_free(e, h):
     """Delta on the free algebra: _co_word extended linearly, unreduced;
     the reference that _co_nf is checked against."""
-    return e._linear(lambda w: _co_word(w, h).terms, TensorExpr.zero(2))
+    out = TensorExpr.zero(2)
+    for w, c in e.terms.items():
+        out = out + c * _co_word(w, h)
+    return out
 
 
 def _swap(t):
