@@ -356,7 +356,8 @@ class _SlotTable:
                         k = (w0, w1)
                         acc = out.get(k)
                         out[k] = cm if acc is None else acc + cm
-        return _nonzero(out)
+        # sums that cancel are dropped once, at the end
+        return {k: c for k, c in out.items() if not c.is_zero()}
 
     def reduce(self, terms: dict) -> dict:
         """The normal form of a word -> coefficient dict, keyed by ids."""
@@ -374,12 +375,6 @@ class _SlotTable:
             return Expr.zero()._like({words[i]: c for i, c in terms.items()})
         return TensorExpr.zero(order)._like(
             {tuple(map(words.__getitem__, k)): c for k, c in terms.items()})
-
-
-def _nonzero(terms: dict) -> dict:
-    """terms without the sums that cancelled: sums are accumulated without
-    a zero test, and the zeros dropped once, at the end."""
-    return {k: c for k, c in terms.items() if not c.is_zero()}
 
 
 def _co_nf(word, t: _SlotTable) -> dict:
@@ -425,10 +420,8 @@ def _co_expr(e: Expr, t: _SlotTable) -> dict:
     out = {}
     for w, c in e.terms.items():
         for k, c2 in _co_nf(w, t).items():
-            c2 = c2 if c is ONE else c if c2 is ONE else c * c2
-            acc = out.get(k)
-            out[k] = c2 if acc is None else acc + c2
-    return _nonzero(out)
+            _acc(out, k, c2 if c is ONE else c if c2 is ONE else c * c2)
+    return out
 
 
 def coproduct(e: Expr, h: HopfSpec, p: Presentation) -> TensorExpr:
@@ -560,12 +553,12 @@ MULTIPLICATIVITY_TRIALS = 25
 def _sweep(axiom: str, h: HopfSpec, p: Presentation, degree: int, modes: int, sides,
            order: int):
     """The bounded-degree check shared by the axioms: for every normal word
-    w of degree <= degree over the covered letters, sides(w, Delta(w), t)
-    yields (label, lhs, rhs) triples of reduced sides of the given order,
-    id-keyed in t, the sweep's own _SlotTable.  Each is recorded in turn
-    (_record), with the witness label followed by the text of w.  A sweep
-    whose words' free coproducts hold more than MAX_SWEEP_TERMS terms is
-    refused before the first coproduct."""
+    w of degree <= degree over the covered letters, sides(w, Delta(w),
+    table) yields (label, lhs, rhs) triples of reduced sides of the given
+    order, id-keyed in table, the sweep's own _SlotTable.  Each is
+    recorded in turn (_record), with the witness label followed by the
+    text of w.  A sweep whose words' free coproducts hold more than
+    MAX_SWEEP_TERMS terms is refused before the first coproduct."""
     _check_flavor_variant(h, p)
     words = sorted_basis_words(p, degree, _covered_letters(h, p, modes, max(degree, 1)))
     terms = sum(1 << len(w) for w in words)
@@ -662,19 +655,15 @@ def check_respects_relations(h: HopfSpec, p: Presentation, modes: int = 2) -> Ax
 def check_coassociativity(
     h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2
 ) -> AxiomReport:
-    def sides(w, t, table):
-        # (Delta (x) id) t and (id (x) Delta) t, keyed (a, b, i1) and (i0, a, b)
+    def sides(w, delta, table):
+        # (Delta (x) id) and (id (x) Delta) of Delta(w), keyed (a, b, i1) and (i0, a, b)
         left, right = {}, {}
-        for (i0, i1), c in t.items():
+        for (i0, i1), c in delta.items():
             for (a, b), c2 in _co_nf(table.words[i0], table).items():
-                k, cc = (a, b, i1), c2 if c is ONE else c if c2 is ONE else c * c2
-                acc = left.get(k)
-                left[k] = cc if acc is None else acc + cc
+                _acc(left, (a, b, i1), c2 if c is ONE else c if c2 is ONE else c * c2)
             for (a, b), c2 in _co_nf(table.words[i1], table).items():
-                k, cc = (i0, a, b), c2 if c is ONE else c if c2 is ONE else c * c2
-                acc = right.get(k)
-                right[k] = cc if acc is None else acc + cc
-        yield "", _nonzero(left), _nonzero(right)
+                _acc(right, (i0, a, b), c2 if c is ONE else c if c2 is ONE else c * c2)
+        yield "", left, right
 
     return _sweep("coassociativity", h, p, degree, modes, sides, 3)
 
@@ -682,7 +671,7 @@ def check_coassociativity(
 def check_counit(h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2) -> AxiomReport:
     eps_memo = {}  # eps of each slot word by id, owned by this sweep
 
-    def sides(w, t, table):
+    def sides(w, delta, table):
         def eps(i):
             v = eps_memo.get(i)
             if v is None:
@@ -690,7 +679,7 @@ def check_counit(h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2) 
             return v
 
         left, right = {}, {}
-        for (i0, i1), c in t.items():
+        for (i0, i1), c in delta.items():
             e = eps(i0)
             if not e.is_zero():
                 _acc(left, i1, c * e)
@@ -705,11 +694,11 @@ def check_counit(h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2) 
 
 
 def check_antipode(h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2) -> AxiomReport:
-    def sides(w, t, table):
+    def sides(w, delta, table):
         # S(u0) u1 and u0 S(u1) are one word each, times +-1; the sums are reduced
         words = table.words
         left, right = {}, {}
-        for (i0, i1), c in t.items():
+        for (i0, i1), c in delta.items():
             letters, negated = _s_letters(words[i0], h)
             _acc(left, letters + words[i1], -c if negated else c)
             letters, negated = _s_letters(words[i1], h)
@@ -725,8 +714,10 @@ def check_antipode(h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2
 def cocommutativity_probe(
     h: HopfSpec, p: Presentation, degree: int = 2, modes: int = 2
 ) -> AxiomReport:
-    return _sweep("cocommutativity", h, p, degree, modes,
-                  lambda w, t, _table: [("", t, {(i1, i0): c for (i0, i1), c in t.items()})], 2)
+    def sides(w, delta, _table):
+        yield "", delta, {(i1, i0): c for (i0, i1), c in delta.items()}
+
+    return _sweep("cocommutativity", h, p, degree, modes, sides, 2)
 
 
 def check_multiplicativity(
