@@ -744,9 +744,9 @@ def spectrum_check(n, k: int) -> tuple:
     on rounding, and FockError is raised before the solve; a block over
     the solver's budget is refused first.  k = 0 asks for no eigenvalue,
     so neither refusal applies, and a negative k is refused by
-    smallest_eigenvalues.  At d = 2,
-    nmax = 10 and summable r = 100 the bound is 3.4e73; at d = 2,
-    nmax = 68 and r = 0.5 it is at most 2.8e-10."""
+    smallest_eigenvalues.  At d = 2, nmax = 10 and summable r = 100 the
+    bound is 3.4e73; at d = 2, nmax = 68 and r = 0.5 it is at most
+    2.8e-10."""
     sizes = invariant_blocks(n)[1]
     largest = int(sizes.max())
     if k > 0:
