@@ -20,25 +20,28 @@ every normal word w, and each check's own map derives the two sides of
 its axiom from it.  A witness names its word or trial, and its text is
 formatted only when a failure is recorded; a passing check formats none.
 The counit sweep memoizes eps of each slot word in a dict of its own.
-Every check hands _record two reduced sides, so one equality decides
-(normal forms are canonical) and their difference is the residual as it
-stands.  Coassociativity, cocommutativity, the counit and
-multiplicativity build reduced sides by construction; the antipode sweep
-reduces its S(u0) u1 and u0 S(u1) sums, and the relation check maps each
-relation through the reduced Delta, eps and S.  It reads the relations
-from algebra.relations, which derives them from the rewrite rules, so
-this module states no relation and no piece rule of its own.
+Every check hands _record two reduced sides of one shape, so one
+equality decides (normal forms are canonical) and their difference is
+the residual as it stands.  Coassociativity, cocommutativity, the
+counit and multiplicativity build reduced sides by construction; the
+antipode sweep reduces its S(u0) u1 and u0 S(u1) sums, and the relation
+check maps each relation through the reduced Delta, eps and S.  It
+reads the relations from algebra.relations, which derives them from
+the rewrite rules, so this module states no relation and no piece rule
+of its own.
 
 The tensor calculus runs on numbered slot words.  Each top-level call
 (coproduct, one _sweep, one check_multiplicativity, one
 check_respects_relations) owns one _SlotTable: it numbers the slot words
-the call meets, holds each reduced Delta as a dict keyed by tuples of
-ids, and joins each pair of ids once.  Checks compare id-keyed sides, and
-words come back only in a public result and a failure's residual.  Both
-sides of a comparison come from one table, so they are equal exactly
-when their word forms are.  The table dies with its call, and the
-presentation never holds it, so a caller that keeps a presentation alive
-keeps no coproducts.
+the call meets, reduces slot-wise (_SlotTable.reduce), holds each
+reduced Delta and joins each pair of ids once.  Every side a check
+compares is a dict from k-tuples of ids to coefficients: k = 2 or 3 for
+Delta, k = 1 for S and the counit, and a scalar eps is a multiple of
+the empty word, {(0,): eps}.  Words come back only in a public result
+and a failure's residual.  Both sides of a comparison come from one
+table, so they are equal exactly when their word forms are.  The table
+dies with its call, and the presentation never holds it, so a caller
+that keeps a presentation alive keeps no coproducts.
 
 Reduced coproducts are built from prefixes.  Slot-wise normal form is
 the quotient map from the free tensor square onto A (x) A, an algebra
@@ -53,8 +56,8 @@ term by term (_SlotTable.product), joining the words of each slot
 the Delta of a normal undeformed word grows without reducing any word,
 the unreduced product is never built, and a sum that cancels is dropped
 once, at the end.  S of a word is one word times +-1 (_s_letters), so
-the antipode sweep writes S(u0) u1 and u0 S(u1) straight into word ->
-coefficient dicts.
+the antipode sweep writes S(u0) u1 and u0 S(u1) straight into dicts
+keyed by 1-tuples of words, which _SlotTable.reduce reduces.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import product
 
 from .algebra import (
@@ -104,7 +106,6 @@ __all__ = [
     "coproduct",
     "counit",
     "antipode",
-    "tensor_normal_form",
     "sorted_basis_words",
     "check_respects_relations",
     "check_coassociativity",
@@ -191,25 +192,6 @@ def tensor_of(*exprs: Expr) -> TensorExpr:
     for e in exprs:
         terms = {k + (w,): c * cw for k, c in terms.items() for w, cw in e.terms.items()}
     return TensorExpr(len(exprs))._like(terms)
-
-
-def tensor_normal_form(t: TensorExpr, p: Presentation) -> TensorExpr:
-    """Per-slot reduction with bilinear recombination.  The distinct
-    letters are validated once; every slot word, one holding a letter
-    that p expands (see algebra._letter_piece) included, goes through the
-    memoized word reducer."""
-    letters = tuple(dict.fromkeys(g for k in t.terms for w in k for g in w))
-    p.validate_expr(Expr.from_word(letters))
-    out = {}
-    for k, c in t.terms.items():
-        for combo in product(*(_reduce_word(w, p).items() for w in k)):
-            # most multipliers are ONE: skip those products
-            m = ONE
-            for _, cw in combo:
-                if cw is not ONE:
-                    m = cw if m is ONE else m * cw
-            _acc(out, tuple(w for w, _ in combo), c if m is ONE else m if c is ONE else c * m)
-    return t._like(out)
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +316,9 @@ class _SlotTable:
         return out
 
     def product(self, a: dict, b: dict) -> dict:
-        """tensor_normal_form(a * b) for reduced order-2 tensors a and b,
-        term by term: each slot of each pair of terms is joined, so a slot
-        whose junction has no rule is reduced nowhere."""
+        """The slot-wise normal form of a * b for reduced order-2 tensors a
+        and b, term by term: each slot of each pair of terms is joined, so
+        a slot whose junction has no rule is reduced nowhere."""
         joins = self.joins
         out = {}
         for (u0, u1), c1 in a.items():
@@ -360,19 +342,28 @@ class _SlotTable:
         return {k: c for k, c in out.items() if not c.is_zero()}
 
     def reduce(self, terms: dict) -> dict:
-        """The normal form of a word -> coefficient dict, keyed by ids."""
-        out = {}
-        for u, c in terms.items():
-            for w, m in _reduce_word(u, self.p).items():
-                _acc(out, self.id(w), c if m is ONE else c * m)
+        """The slot-wise normal form of a dict from k-tuples of words to
+        coefficients, of any order k, keyed by k-tuples of ids.  Each slot
+        word goes through the memoized word reducer, whose letters the
+        caller has checked against p."""
+        p, out = self.p, {}
+        for k, c in terms.items():
+            for combo in product(*(_reduce_word(w, p).items() for w in k)):
+                # most multipliers are ONE: skip those products
+                m = ONE
+                for _, cw in combo:
+                    if cw is not ONE:
+                        m = cw if m is ONE else m * cw
+                _acc(out, tuple(self.id(w) for w, _ in combo),
+                     c if m is ONE else m if c is ONE else c * m)
         return out
 
     def words_of(self, terms: dict, order: int):
-        """The Expr (order 1) or TensorExpr (order 2 or 3) whose words the
-        ids of terms name."""
+        """The Expr (order 1) or TensorExpr (order 2 or 3) whose slot words
+        the id tuples of terms name."""
         words = self.words
         if order == 1:
-            return Expr.zero()._like({words[i]: c for i, c in terms.items()})
+            return Expr.zero()._like({words[i]: c for (i,), c in terms.items()})
         return TensorExpr.zero(order)._like(
             {tuple(map(words.__getitem__, k)): c for k, c in terms.items()})
 
@@ -399,8 +390,7 @@ def _co_nf(word, t: _SlotTable) -> dict:
         if w in memo:
             stack.pop()
         elif len(w) <= 1:
-            form = tensor_normal_form(t.h.delta_gen(w[0]), p) if w else TensorExpr.unit(2)
-            memo[w] = {(t.id(u0), t.id(u1)): c for (u0, u1), c in form.terms.items()}
+            memo[w] = t.reduce((t.h.delta_gen(w[0]) if w else TensorExpr.unit(2)).terms)
             stack.pop()
         else:
             cut = _rightmost_redex(w, p) + 1 or len(w) - 1
@@ -509,22 +499,25 @@ def _report(axiom, degree, failures, notes=()):
     return AxiomReport(axiom, degree, status, tuple(failures), tuple(notes))
 
 
-def _record(failures: list, witness, lhs, rhs, words=None):
+def _scalar_side(v: Scalar) -> dict:
+    """v times the empty word, id 0 in every _SlotTable, as an order-1 side."""
+    return {} if v.is_zero() else {(0,): v}
+
+
+def _record(failures: list, witness, lhs: dict, rhs: dict, t: _SlotTable):
     """Record lhs - rhs as a failure unless the two sides are equal.  Both
-    sides must be reduced: normal forms, scalars, or the id-keyed terms of
-    one _SlotTable, whose difference words() turns into the word-keyed
-    residual.  Normal forms are canonical and coefficients compare by
-    value, so reduced sides agree exactly when they are equal, and their
-    difference is reduced already.  witness() returns the failure's
-    witness text; it is called only for a failure."""
+    sides are reduced and keyed by k-tuples of ids in t: k = 1 for an
+    element, 2 or 3 for a tensor.  Normal forms are canonical and
+    coefficients compare by value, so reduced sides agree exactly when
+    they are equal, and their difference is reduced already; it is never
+    empty, so its first key gives the residual's order.  witness()
+    returns the failure's witness text; it is called only for a
+    failure."""
     if lhs != rhs:
-        if words is None:
-            residual = lhs - rhs
-        else:
-            diff = dict(lhs)
-            for k, c in rhs.items():
-                _acc(diff, k, -c)
-            residual = words(diff)
+        diff = dict(lhs)
+        for k, c in rhs.items():
+            _acc(diff, k, -c)
+        residual = t.words_of(diff, len(next(iter(diff))))
         failures.append(Failure(witness(), str(residual), residual))
 
 
@@ -550,15 +543,14 @@ MAX_TRIAL_LETTERS = 16
 MULTIPLICATIVITY_TRIALS = 25
 
 
-def _sweep(axiom: str, h: HopfSpec, p: Presentation, degree: int, modes: int, sides,
-           order: int):
+def _sweep(axiom: str, h: HopfSpec, p: Presentation, degree: int, modes: int, sides):
     """The bounded-degree check shared by the axioms: for every normal word
     w of degree <= degree over the covered letters, sides(w, Delta(w),
-    table) yields (label, lhs, rhs) triples of reduced sides of the given
-    order, id-keyed in table, the sweep's own _SlotTable.  Each is
-    recorded in turn (_record), with the witness label followed by the
-    text of w.  A sweep whose words' free coproducts hold more than
-    MAX_SWEEP_TERMS terms is refused before the first coproduct."""
+    table) yields (label, lhs, rhs) triples of reduced sides, id-keyed in
+    table, the sweep's own _SlotTable.  Each is recorded in turn
+    (_record), with the witness label followed by the text of w.  A sweep
+    whose words' free coproducts hold more than MAX_SWEEP_TERMS terms is
+    refused before the first coproduct."""
     _check_flavor_variant(h, p)
     words = sorted_basis_words(p, degree, _covered_letters(h, p, modes, max(degree, 1)))
     terms = sum(1 << len(w) for w in words)
@@ -569,10 +561,9 @@ def _sweep(axiom: str, h: HopfSpec, p: Presentation, degree: int, modes: int, si
         )
     failures = []
     t = _SlotTable(h, p)
-    residual = partial(t.words_of, order=order)
     for w in words:
         for label, lhs, rhs in sides(w, _co_nf(w, t), t):
-            _record(failures, lambda: label + word_text(w), lhs, rhs, residual)
+            _record(failures, lambda: label + word_text(w), lhs, rhs, t)
     return _report(axiom, degree, failures)
 
 
@@ -624,8 +615,9 @@ def check_respects_relations(h: HopfSpec, p: Presentation, modes: int = 2) -> Ax
     """Whether Delta, eps, S are well defined on the quotient: for each
     defining relation L = R among the covered letters, the residuals
     Delta(L)-Delta(R), eps(L)-eps(R), S(L)-S(R) of the reduced maps are
-    reported: Delta through _co_expr in a _SlotTable the check owns, S
-    through normal_form.
+    reported as sides of one _SlotTable the check owns: Delta through
+    _co_expr, eps as a multiple of the empty word, and S as its word
+    images reduced slot-wise.
 
     The relations are algebra.relations, read off the rewrite rules, so
     every pair of covered letters that has a rule is checked: I, K and Kinv
@@ -634,15 +626,14 @@ def check_respects_relations(h: HopfSpec, p: Presentation, modes: int = 2) -> Ax
     checked where the presentation has them."""
     _check_flavor_variant(h, p)
     t = _SlotTable(h, p)  # the relations' coproducts, owned by this check
-    maps = (("Delta", lambda e: _co_expr(e, t), partial(t.words_of, order=2)),
-            ("eps", lambda e: _eps_free(e, h), None),
-            ("S", lambda e: normal_form(_s_free(e, h), p), None))
+    maps = (("Delta", lambda e: _co_expr(e, t)),
+            ("eps", lambda e: _scalar_side(_eps_free(e, h))),
+            ("S", lambda e: t.reduce({(w,): c for w, c in _s_free(e, h).terms.items()})))
     failures = []
     # the relations are words of two letters
     for label, L, R in relations(p, _covered_letters(h, p, modes, 2)):
-        for name, reduced_map, words in maps:
-            _record(failures, lambda: f"{name} on {label}", reduced_map(L), reduced_map(R),
-                    words)
+        for name, reduced_map in maps:
+            _record(failures, lambda: f"{name} on {label}", reduced_map(L), reduced_map(R), t)
     notes = []
     if any("I*I = I" in f.witness for f in failures):
         notes.append(
@@ -665,7 +656,7 @@ def check_coassociativity(
                 _acc(right, (i0, a, b), c2 if c is ONE else c if c2 is ONE else c * c2)
         yield "", left, right
 
-    return _sweep("coassociativity", h, p, degree, modes, sides, 3)
+    return _sweep("coassociativity", h, p, degree, modes, sides)
 
 
 def check_counit(h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2) -> AxiomReport:
@@ -682,15 +673,15 @@ def check_counit(h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2) 
         for (i0, i1), c in delta.items():
             e = eps(i0)
             if not e.is_zero():
-                _acc(left, i1, c * e)
+                _acc(left, (i1,), c * e)
             e = eps(i1)
             if not e.is_zero():
-                _acc(right, i0, c * e)
-        target = {table.id(w): ONE}
+                _acc(right, (i0,), c * e)
+        target = {(table.id(w),): ONE}
         yield "(eps x id) on ", left, target
         yield "(id x eps) on ", right, target
 
-    return _sweep("counit", h, p, degree, modes, sides, 1)
+    return _sweep("counit", h, p, degree, modes, sides)
 
 
 def check_antipode(h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2) -> AxiomReport:
@@ -700,15 +691,14 @@ def check_antipode(h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2
         left, right = {}, {}
         for (i0, i1), c in delta.items():
             letters, negated = _s_letters(words[i0], h)
-            _acc(left, letters + words[i1], -c if negated else c)
+            _acc(left, (letters + words[i1],), -c if negated else c)
             letters, negated = _s_letters(words[i1], h)
-            _acc(right, words[i0] + letters, -c if negated else c)
-        eps = _eps_word(w, h)
-        target = {} if eps.is_zero() else {0: eps}
+            _acc(right, (words[i0] + letters,), -c if negated else c)
+        target = _scalar_side(_eps_word(w, h))
         yield "m(S x id)Delta on ", table.reduce(left), target
         yield "m(id x S)Delta on ", table.reduce(right), target
 
-    return _sweep("antipode", h, p, degree, modes, sides, 1)
+    return _sweep("antipode", h, p, degree, modes, sides)
 
 
 def cocommutativity_probe(
@@ -717,7 +707,7 @@ def cocommutativity_probe(
     def sides(w, delta, _table):
         yield "", delta, {(i1, i0): c for (i0, i1), c in delta.items()}
 
-    return _sweep("cocommutativity", h, p, degree, modes, sides, 2)
+    return _sweep("cocommutativity", h, p, degree, modes, sides)
 
 
 def check_multiplicativity(
@@ -751,7 +741,6 @@ def check_multiplicativity(
     pool = [ONE, -ONE, IMAG, Scalar.rational(2), Scalar.rational(1, 1)]
     failures = []
     t = _SlotTable(h, p)  # shared by the trials' coproducts
-    residual = partial(t.words_of, order=2)
     for trial in range(MULTIPLICATIVITY_TRIALS):
         def rand_expr():
             e = Expr.zero()
@@ -763,5 +752,5 @@ def check_multiplicativity(
 
         x, y = rand_expr(), rand_expr()
         _record(failures, lambda: f"trial {trial}: x={x}; y={y}", _co_expr(x * y, t),
-                t.product(_co_expr(x, t), _co_expr(y, t)), residual)
+                t.product(_co_expr(x, t), _co_expr(y, t)), t)
     return _report("multiplicativity", degree, failures)

@@ -34,6 +34,7 @@ from ccr_hopf.algebra import (
     relations,
     unit,
     word_text,
+    _acc,
     _expand_word,
     _reduce_word,
 )
@@ -57,12 +58,13 @@ from ccr_hopf.hopf import (
     coproduct,
     counit,
     sorted_basis_words,
-    tensor_normal_form,
     tensor_of,
     _co_nf,
     _covered_letters,
+    _eps_free,
     _record,
     _s_free,
+    _scalar_side,
     _SlotTable,
 )
 from ccr_hopf.scalars import IMAG, KAPPA, ONE, S_PARAM, Scalar, ZERO
@@ -73,6 +75,27 @@ P_UND = Presentation()
 P_FREE = Presentation(idempotent_identity=False)
 P_DEF = Presentation(variant="deformed-strict")
 P_COL = Presentation(variant="deformed-collapsed")
+
+
+# the slot-wise reduction the package used before its slot tables, kept as
+# the reference that the id-keyed reductions are checked against
+def tensor_normal_form(t: TensorExpr, p: Presentation) -> TensorExpr:
+    """Per-slot reduction with bilinear recombination.  The distinct
+    letters are validated once; every slot word, one holding a letter
+    that p expands (see algebra._letter_piece) included, goes through the
+    memoized word reducer."""
+    letters = tuple(dict.fromkeys(g for k in t.terms for w in k for g in w))
+    p.validate_expr(Expr.from_word(letters))
+    out = {}
+    for k, c in t.terms.items():
+        for combo in product(*(_reduce_word(w, p).items() for w in k)):
+            # most multipliers are ONE: skip those products
+            m = ONE
+            for _, cw in combo:
+                if cw is not ONE:
+                    m = cw if m is ONE else m * cw
+            _acc(out, tuple(w for w, _ in combo), c if m is ONE else m if c is ONE else c * m)
+    return t._like(out)
 
 
 def _co_word(word, h):
@@ -711,6 +734,27 @@ def _assert_random_products(h, p, seed):
 
 
 @pytest.mark.parametrize("h, variant, gram, idempotent", _SWEEP_CASES)
+def test_table_reduce_matches_the_reference_at_every_order(h, variant, gram, idempotent):
+    # _SlotTable.reduce on word tuples of order 1, 2 and 3, turned back
+    # into words, against normal_form and the tests' tensor_normal_form
+    p = Presentation(variant=variant, gram=gram, idempotent_identity=idempotent)
+    rng = random.Random(f"reduce/{h.flavor}/{variant}/{gram is None}/{idempotent}")
+    t = _SlotTable(h, p)
+    for order in (1, 2, 3):
+        for _ in range(4):
+            slots = [_descent_expr(rng, p, h, max_degree=4) for _ in range(order)]
+            if order == 1:
+                terms = {(w,): c for w, c in slots[0].terms.items()}
+                want = normal_form(slots[0], p)
+            else:
+                terms = tensor_of(*slots).terms
+                want = tensor_normal_form(TensorExpr(order, terms), p)
+            got = t.words_of(t.reduce(terms), order)
+            assert got.terms == want.terms
+            assert str(got) == str(want)
+
+
+@pytest.mark.parametrize("h, variant, gram, idempotent", _SWEEP_CASES)
 def test_reduce_slots_of_product_pairs_matches_reducing_the_product(h, variant, gram, idempotent):
     p = Presentation(variant=variant, gram=gram, idempotent_identity=idempotent)
     _assert_random_products(h, p, f"pairs/{h.flavor}/{variant}/{gram is None}/{idempotent}")
@@ -899,7 +943,7 @@ def test_step_junction_cases_reduce_as_the_rules_say():
 def test_passing_undeformed_sweep_reduces_no_normal_concatenation(monkeypatch):
     # a normal undeformed word has no junction with a rule in any slot of
     # its coproduct, so the step reduces nothing: the only words reduced
-    # are the slot words of Delta(g), in tensor_normal_form
+    # are the slot words of Delta(g), in _SlotTable.reduce
     reduced = []
     monkeypatch.setattr(hopf, "_reduce_word", lambda w, p: reduced.append(w) or _reduce_word(w, p))
     for check in (check_coassociativity, check_counit, check_antipode, cocommutativity_probe):
@@ -951,14 +995,24 @@ def test_record_equal_sides_need_no_reduction(monkeypatch):
     def no_witness():
         raise AssertionError("equal sides formatted a witness")
 
-    monkeypatch.setattr(hopf, "tensor_normal_form", refuse)
+    t = _SlotTable(CL, P_UND)
+
+    def side(x):
+        # the terms of x, keyed by id tuples of t, with no reduction
+        if isinstance(x, Expr):
+            return {(t.id(w),): c for w, c in x.terms.items()}
+        return {tuple(map(t.id, k)): c for k, c in x.terms.items()}
+
+    monkeypatch.setattr(_SlotTable, "reduce", refuse)
+    monkeypatch.setattr(_SlotTable, "words_of", refuse)
+    monkeypatch.setattr(hopf, "_reduce_word", refuse)
     monkeypatch.setattr(hopf, "normal_form", refuse)
     failures = []
     # the same value built twice, neither side in normal form
     e = pi(0) * phi(0) + 2 * phi(1)
-    _record(failures, no_witness, e, pi(0) * phi(0) + 2 * phi(1))
-    _record(failures, no_witness, tensor_of(e, e), tensor_of(e, e))
-    _record(failures, no_witness, KAPPA + ONE, ONE + KAPPA)
+    _record(failures, no_witness, side(e), side(pi(0) * phi(0) + 2 * phi(1)), t)
+    _record(failures, no_witness, side(tensor_of(e, e)), side(tensor_of(e, e)), t)
+    _record(failures, no_witness, _scalar_side(KAPPA + ONE), _scalar_side(ONE + KAPPA), t)
     assert failures == []
 
 
@@ -973,26 +1027,27 @@ _REDUCED_SIDE_CASES = [
 
 @pytest.mark.parametrize("h, variant, gram, idempotent, q, c", _REDUCED_SIDE_CASES)
 def test_every_check_hands_record_reduced_sides(h, variant, gram, idempotent, q, c, monkeypatch):
-    # _record compares its sides as they stand, so every Expr or tensor
-    # side a check hands it must be its own normal form; a scalar side has
-    # nothing to reduce
+    # _record compares its sides as they stand, so every side a check
+    # hands it must be its own normal form: id tuples of one order in the
+    # check's table, an element (an eps side on the empty word included)
+    # at order 1 and a tensor at order 2 or 3
     p = Presentation(variant=variant, gram=gram, idempotent_identity=idempotent, q=q, c=c)
     record = hopf._record
     witnesses = []
 
-    def record_reduced(failures, witness, lhs, rhs, words=None):
+    def record_reduced(failures, witness, lhs, rhs, t):
         for side in (lhs, rhs):
-            if words is not None:
-                # id-keyed terms of the check's table, turned into words
-                side = words(side)
+            orders = {len(k) for k in side}
+            assert len(orders) <= 1 and orders <= {1, 2, 3}, witness()
+            assert all(isinstance(i, int) for k in side for i in k), witness()
+            side = t.words_of(side, orders.pop() if orders else 1)
             if isinstance(side, TensorExpr):
                 assert side.terms == tensor_normal_form(side, p).terms, witness()
-            elif isinstance(side, Expr):
-                assert side.terms == normal_form(side, p).terms, witness()
             else:
-                assert isinstance(side, Scalar), witness()
+                assert isinstance(side, Expr), witness()
+                assert side.terms == normal_form(side, p).terms, witness()
         witnesses.append(witness)
-        record(failures, witness, lhs, rhs, words)
+        record(failures, witness, lhs, rhs, t)
 
     monkeypatch.setattr(hopf, "_record", record_reduced)
     sweeps = (check_coassociativity, check_counit, check_antipode, cocommutativity_probe)
@@ -1007,20 +1062,25 @@ def test_every_check_hands_record_reduced_sides(h, variant, gram, idempotent, q,
 
 def test_record_unequal_sides_record_the_reduced_difference():
     # the failure the earlier reduce(lhs - rhs) path recorded, text included
+    # an element's sides are 1-tuples of ids, a tensor's pairs, and a
+    # scalar is a multiple of the empty word, so its residual is one too
     lhs, rhs = pi(0) * phi(0) * pi(1), phi(0) * pi(0) * pi(1)
+    t = _SlotTable(DF, P_DEF)
     failures = []
-    _record(failures, lambda: "expr", normal_form(lhs, P_DEF), normal_form(rhs, P_DEF))
+    _record(failures, lambda: "expr", t.reduce({(w,): c for w, c in lhs.terms.items()}),
+            t.reduce({(w,): c for w, c in rhs.terms.items()}), t)
     want = normal_form(lhs - rhs, P_DEF)
     assert failures == [Failure("expr", str(want), want)]
     assert failures[0].residual == want == -IMAG * KAPPA * gen_I() * pi(1)
     t_l, t_r = tensor_of(lhs, phi(1)), tensor_of(rhs, phi(1))
-    _record(failures, lambda: "tensor", tensor_normal_form(t_l, P_DEF),
-            tensor_normal_form(t_r, P_DEF))
+    _record(failures, lambda: "tensor", t.reduce(t_l.terms), t.reduce(t_r.terms), t)
     want = tensor_normal_form(t_l - t_r, P_DEF)
     assert failures[1] == Failure("tensor", str(want), want)
     assert failures[1].residual == want
-    _record(failures, lambda: "scalar", KAPPA, ONE)
-    assert failures[2] == Failure("scalar", str(KAPPA - ONE), KAPPA - ONE)
+    _record(failures, lambda: "scalar", _scalar_side(KAPPA), _scalar_side(ONE), t)
+    want = (KAPPA - ONE) * unit()
+    assert failures[2] == Failure("scalar", str(want), want)
+    assert failures[2].residual == want
 
 
 def _count_word_texts(monkeypatch) -> list:
@@ -1105,6 +1165,26 @@ def test_counit_sweep_takes_each_slot_word_once(monkeypatch):
         # sweep before
         assert seen and len(seen) == len(set(seen))
         assert () in seen and (GEN_K,) in seen
+
+
+@pytest.mark.parametrize("h, variant, gram, idempotent, q, c", _STEP_CASES)
+def test_counit_agrees_on_every_relation_and_passes_its_sweep(h, variant, gram, idempotent,
+                                                              q, c):
+    # eps is an algebra map on every presentation and (eps x id)Delta(g) =
+    # (id x eps)Delta(g) = g on every generator, so no built-in flavor fails
+    # an eps check: an eps side of check_respects_relations, a multiple of
+    # the empty word, never reaches a residual, and the counit sweep passes
+    p = Presentation(variant=variant, gram=gram, idempotent_identity=idempotent, q=q, c=c)
+    for modes in (1, 2):
+        rels = relations(p, _covered_letters(h, p, modes, 2))
+        assert rels
+        for label, L, R in rels:
+            assert _eps_free(L, h) == _eps_free(R, h), label
+            assert _scalar_side(_eps_free(L, h)) == _scalar_side(_eps_free(R, h)), label
+        rep = check_respects_relations(h, p, modes)
+        assert not any(f.witness.startswith("eps") for f in rep.failures)
+    rep = check_counit(h, p, 3, 2)
+    assert rep.passed and rep.failures == ()
 
 
 @pytest.mark.parametrize("h, p", [(CL, P_UND), (DF, P_DEF)])
