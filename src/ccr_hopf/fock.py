@@ -694,30 +694,25 @@ def invariant_blocks(a):
 NONNEGATIVE_TOLERANCE = 1e-8  # a number operator's lowest eigenvalue passes above minus this
 
 
-def _check_blocks(sizes) -> None:
-    """Raise FockError when an invariant block exceeds DENSE_EIG_LIMIT."""
-    if sizes.max() > DENSE_EIG_LIMIT:
+def _solver_blocks(a, k: int) -> tuple:
+    """invariant_blocks(a) for a solve of the lowest k eigenvalues: a
+    negative k, then for k > 0 a block above DENSE_EIG_LIMIT states, raise
+    FockError."""
+    if k < 0:
+        raise FockError("k must be non-negative")
+    labels, sizes = invariant_blocks(a)
+    if k > 0 and sizes.max() > DENSE_EIG_LIMIT:
         raise FockError(
             f"an invariant block of {sizes.max()} states exceeds the dense "
             f"eigen-solver budget of {DENSE_EIG_LIMIT}; a smaller nmax shrinks it"
         )
+    return labels, sizes
 
 
-def smallest_eigenvalues(a, k: int) -> tuple:
-    """Lowest k eigenvalues of a Hermitian SparseOp, ascending.
-
-    The matrix is split into its invariant blocks; one-state blocks are
-    read off the diagonal and every larger one is solved with a dense
-    eigvalsh, its states in rising order, placed by np.searchsorted.  Only
-    the entries whose row and column both lie in the block enter it, so a
-    stored zero between two blocks is left out.  A block above
-    DENSE_EIG_LIMIT states raises FockError."""
-    if k < 0:
-        raise FockError("k must be non-negative")
+def _block_eigenvalues(a, k: int, labels, sizes) -> tuple:
+    """smallest_eigenvalues(a, k) from a's invariant blocks (labels, sizes)."""
     if k == 0:
         return ()
-    labels, sizes = invariant_blocks(a)
-    _check_blocks(sizes)
     parts = [a.diagonal()[sizes[labels] == 1].real]
     block = np.where(labels[a.rows] == labels[a.cols], labels[a.rows], -1)
     for b in np.flatnonzero(sizes > 1):
@@ -731,6 +726,18 @@ def smallest_eigenvalues(a, k: int) -> tuple:
     return tuple(float(x) for x in vals)
 
 
+def smallest_eigenvalues(a, k: int) -> tuple:
+    """Lowest k eigenvalues of a Hermitian SparseOp, ascending.
+
+    The matrix is split into its invariant blocks; one-state blocks are
+    read off the diagonal and every larger one is solved with a dense
+    eigvalsh, its states in rising order, placed by np.searchsorted.  Only
+    the entries whose row and column both lie in the block enter it, so a
+    stored zero between two blocks is left out.  A negative k and, for
+    k > 0, a block above DENSE_EIG_LIMIT states raise FockError."""
+    return _block_eigenvalues(a, k, *_solver_blocks(a, k))
+
+
 def spectrum_check(n, k: int) -> tuple:
     """(report fields, passed) of the lowest k eigenvalues of a number
     operator, judged above -NONNEGATIVE_TOLERANCE, with the block layout
@@ -741,23 +748,21 @@ def spectrum_check(n, k: int) -> tuple:
     about s u ||B||_F of B, u = 2^-53, so by Weyl's inequality they lie
     about that close to B's own.  When s u ||n||_F, with s the largest
     invariant block, exceeds NONNEGATIVE_TOLERANCE, the verdict would rest
-    on rounding, and FockError is raised before the solve; a block over
-    the solver's budget is refused first.  k = 0 asks for no eigenvalue,
-    so neither refusal applies, and a negative k is refused by
-    smallest_eigenvalues.  At d = 2, nmax = 10 and summable r = 100 the
-    bound is 3.4e73; at d = 2, nmax = 68 and r = 0.5 it is at most
-    2.8e-10."""
-    sizes = invariant_blocks(n)[1]
+    on rounding, and FockError is raised before the solve; a negative k
+    and a block over the solver's budget are refused first.  k = 0 asks
+    for no eigenvalue, so no refusal applies.  At d = 2, nmax = 10 and
+    summable r = 100 the bound is 3.4e73; at d = 2, nmax = 68 and r = 0.5
+    it is at most 2.8e-10."""
+    labels, sizes = _solver_blocks(n, k)
     largest = int(sizes.max())
     if k > 0:
-        _check_blocks(sizes)
         bound = largest * 2.0 ** -53 * float(np.linalg.norm(n.vals))
         if bound > NONNEGATIVE_TOLERANCE:
             raise FockError(
                 f"the eigen-solver's rounding bound {bound:.3g} (largest block of {largest} "
                 f"states) exceeds the nonnegativity tolerance of {NONNEGATIVE_TOLERANCE:g}; "
                 f"lower --r or --nmax")
-    eigs = smallest_eigenvalues(n, k)
+    eigs = _block_eigenvalues(n, k, labels, sizes)
     fields = {"eigenvalues": list(eigs), "nonnegative_tolerance": NONNEGATIVE_TOLERANCE,
               "solver": {"blocks": len(sizes), "largest_block": largest,
                          "method": "dense-blocks"}}

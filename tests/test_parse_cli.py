@@ -325,6 +325,46 @@ def test_cli_spectrum_refuses_a_rounding_bound_past_the_tolerance(capsys):
                                         "method": "dense-blocks"}
 
 
+def test_cli_spectrum_finds_the_blocks_once(capsys, monkeypatch):
+    # one fock spectrum searches the invariant blocks once, for the report's
+    # solver layout and for the solve, and refuses in the order it did:
+    # a negative k first, then the block budget before the rounding bound
+    import numpy as np
+
+    from ccr_hopf import fock
+
+    calls = []
+    for name in ("invariant_blocks", "_solver_blocks", "_block_eigenvalues"):
+        def counted(*args, _f=getattr(fock, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+
+        monkeypatch.setattr(fock, name, counted)
+    argv = ["fock", "spectrum", "--d", "2", "--nmax", "6", "--family", "uniform"]
+    for k, code in (("3", 0), ("0", 0), ("-1", 2)):
+        calls.clear()
+        got, doc, err = run_cli(capsys, argv + ["--k", k])
+        assert got == code
+        if code == 0:
+            assert len(doc["results"]["eigenvalues"]) == int(k)
+            assert calls == ["_solver_blocks", "invariant_blocks", "_block_eigenvalues"]
+        else:
+            assert "k must be non-negative" in err and calls == ["_solver_blocks"]
+    # one mode at nmax 4100 splits into two parity blocks of 2051 states,
+    # over the solver's budget and past the rounding bound at once
+    calls.clear()
+    code, _, err = run_cli(capsys, ["fock", "spectrum", "--d", "1", "--nmax", "4100",
+                                    "--family", "uniform", "--r", "0.5"])
+    assert code == 2 and "exceeds the dense eigen-solver budget" in err
+    assert calls == ["_solver_blocks", "invariant_blocks"]
+    n = fock.number_operator(fock.ModeSpace(1, 4100), fock.BogoliubovSpec.uniform(1, 0.5))
+    assert 2051 * 2.0 ** -53 * float(np.linalg.norm(n.vals)) > fock.NONNEGATIVE_TOLERANCE
+    # the public solve finds the blocks once too, and k = 0 is refused nothing
+    calls.clear()
+    assert fock.smallest_eigenvalues(n, 0) == ()
+    assert calls == ["_solver_blocks", "invariant_blocks", "_block_eigenvalues"]
+
+
 def _recorded_spectrum_argvs():
     """The fock spectrum invocations of the golden corpus and of the
     contract table that expect a report (exit 0 or 1), help text aside."""
