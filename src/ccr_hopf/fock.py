@@ -695,9 +695,9 @@ NONNEGATIVE_TOLERANCE = 1e-8  # a number operator's lowest eigenvalue passes abo
 
 
 def _solver_blocks(a, k: int) -> tuple:
-    """invariant_blocks(a) for a solve of the lowest k eigenvalues: a
-    negative k, then for k > 0 a block above DENSE_EIG_LIMIT states, raise
-    FockError."""
+    """invariant_blocks(a) for a solve of the lowest k eigenvalues.  A
+    negative k is refused first; for k > 0 so is a block above
+    DENSE_EIG_LIMIT states."""
     if k < 0:
         raise FockError("k must be non-negative")
     labels, sizes = invariant_blocks(a)
