@@ -203,6 +203,8 @@ done <<'ROWS'
 0  60 measure weyl --d 1 --count 20000
 2  20 hopf-check --modes 1 --degree 12
 2  20 hopf-check --checks multiplicativity --modes 1 --degree 16
+# a degree-0 sweep builds no word, yet its mode window past the gram is refused
+2  20 hopf-check --checks counit,antipode,coassociativity,cocommutativity --degree 0 --modes 3 --gram tests/golden/gram2.json
 # a check named twice would run and report twice
 2  20 hopf-check --checks counit,counit
 # an empty check list would run the whole default set

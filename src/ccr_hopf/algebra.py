@@ -156,12 +156,11 @@ class _SparseSum:
     """Finitely supported linear combination of keys with exact scalar
     coefficients; zero coefficients are never stored.
 
-    A subclass says how two keys concatenate (``_cat``, extended
-    bilinearly by ``*``), what the unit key is and how a sum prints.  A sum
-    adds, subtracts and compares only with a sum of its own subclass; a
-    scalar enters only as a factor, on either side of ``*``.  Sums of
-    different subclasses never mix: their operators decline each other,
-    so Python raises TypeError.
+    This is the linear arithmetic the sums share; a subclass adds how a
+    sum prints, and only Expr multiplies sums.  A sum adds, subtracts and
+    compares only with a sum of its own subclass; a scalar enters only as
+    a factor, on either side of ``*``.  Sums of different subclasses never
+    mix: their operators decline each other, so Python raises TypeError.
     """
 
     __slots__ = ("terms",)
@@ -213,16 +212,6 @@ class _SparseSum:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, _SparseSum):
-            other = self._operand(other)
-            if other is NotImplemented:
-                return other
-            cat = self._cat
-            out = {}
-            for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
-                    _acc(out, cat(k1, k2), c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2)
-            return self._like(out)
         s = Scalar._coerce(other)
         if s is None:
             return NotImplemented
@@ -235,14 +224,6 @@ class _SparseSum:
         if isinstance(other, _SparseSum):
             return NotImplemented
         return self * other
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = self._like({self._unit_key(): ONE})
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         other = self._operand(other)
@@ -278,13 +259,22 @@ class Expr(_SparseSum):
         e.terms = {}
         return e
 
-    @staticmethod
-    def _unit_key():
-        return ()
+    def __mul__(self, other):
+        if not isinstance(other, Expr):
+            return super().__mul__(other)
+        out = {}
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                _acc(out, w1 + w2, c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2)
+        return self._like(out)
 
-    @staticmethod
-    def _cat(w1, w2):
-        return w1 + w2
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            return NotImplemented
+        out = Expr.from_word(())
+        for _ in range(n):
+            out = out * self
+        return out
 
     def coefficient(self, word) -> Scalar:
         return self.terms.get(tuple(word), ZERO)

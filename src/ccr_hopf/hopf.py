@@ -121,8 +121,11 @@ class HopfError(CcrHopfError):
 
 
 class TensorExpr(_SparseSum):
-    """Element of the 2- or 3-fold tensor power; keys are word tuples,
-    multiplication is slotwise concatenation extended bilinearly."""
+    """Element of the 2- or 3-fold tensor power, keyed by tuples of slot
+    words: a coproduct result or a failure's residual.  It is a value,
+    not an algebra: it adds, scales and compares, and TensorExpr(order)
+    is the zero tensor.  The engine multiplies tensors only on the id
+    tuples of a _SlotTable, so a TensorExpr has no product and no power."""
 
     __slots__ = ("order",)
 
@@ -131,14 +134,6 @@ class TensorExpr(_SparseSum):
             raise HopfError("tensor order must be 2 or 3")
         self.order = order
         super().__init__(terms)
-
-    @classmethod
-    def zero(cls, order: int) -> "TensorExpr":
-        return cls(order)
-
-    @classmethod
-    def unit(cls, order: int) -> "TensorExpr":
-        return cls(order, {((),) * order: ONE})
 
     def _like(self, terms: dict) -> "TensorExpr":
         t = object.__new__(type(self))
@@ -149,13 +144,6 @@ class TensorExpr(_SparseSum):
         if isinstance(other, TensorExpr) and other.order != self.order:
             raise HopfError("tensor order mismatch")
         return super()._operand(other)
-
-    def _unit_key(self):
-        return ((),) * self.order
-
-    @staticmethod
-    def _cat(k1, k2):
-        return tuple(map(tuple.__add__, k1, k2))
 
     def __str__(self):
         terms, memo = self.terms, {}
@@ -232,17 +220,17 @@ class HopfSpec:
                 f"{self.flavor} structure maps"
             )
 
-    def delta_gen(self, gen) -> TensorExpr:
+    def delta_gen(self, gen) -> dict:
+        """Delta(gen) as a dict from (slot-0 word, slot-1 word) pairs to
+        coefficients, unreduced; its key order fixes the ids
+        _SlotTable.reduce assigns."""
         self._require(gen)
-        e = Expr.from_word((gen,))
-        one = Expr.from_word(())
+        g = (gen,)
         if self.flavor == CLASSICAL or gen[0] == FAM_I:
-            return tensor_of(e, one) + tensor_of(one, e)
+            return {(g, ()): ONE, ((), g): ONE}
         if gen[0] in (FAM_K, FAM_KINV):
-            return tensor_of(e, e)
-        k = Expr.from_word((GEN_K,))
-        kinv = Expr.from_word((GEN_KINV,))
-        return tensor_of(e, k) + tensor_of(kinv, e)
+            return {(g, g): ONE}
+        return {(g, (GEN_K,)): ONE, ((GEN_KINV,), g): ONE}
 
     def eps_gen(self, gen) -> Scalar:
         self._require(gen)
@@ -364,7 +352,7 @@ class _SlotTable:
         words = self.words
         if order == 1:
             return Expr.zero()._like({words[i]: c for (i,), c in terms.items()})
-        return TensorExpr.zero(order)._like(
+        return TensorExpr(order)._like(
             {tuple(map(words.__getitem__, k)): c for k, c in terms.items()})
 
 
@@ -390,7 +378,7 @@ def _co_nf(word, t: _SlotTable) -> dict:
         if w in memo:
             stack.pop()
         elif len(w) <= 1:
-            memo[w] = t.reduce((t.h.delta_gen(w[0]) if w else TensorExpr.unit(2)).terms)
+            memo[w] = t.reduce(t.h.delta_gen(w[0]) if w else {((), ()): ONE})
             stack.pop()
         else:
             cut = _rightmost_redex(w, p) + 1 or len(w) - 1
@@ -569,10 +557,12 @@ def _sweep(axiom: str, h: HopfSpec, p: Presentation, degree: int, modes: int, si
 
 def _covered_letters(h: HopfSpec, p: Presentation, modes: int, depth: int) -> list:
     """The sorted letters of modes 0..modes-1 that h covers and p does not
-    expand (see algebra._letter_piece); at least one must be a field.
-    depth is the longest word the check builds from them: one whose
-    comb(letters + depth, depth) candidate words over the legal letters
-    exceed MAX_CHECK_WORDS is refused before the letter list is built."""
+    expand (see algebra._letter_piece); at least one must be a field, and
+    all must be legal in p, so every check refuses a mode window past the
+    gram at every degree.  depth is the longest word the check builds
+    from them: one whose comb(letters + depth, depth) candidate words over
+    the legal letters exceed MAX_CHECK_WORDS is refused before the letter
+    list is built."""
     count = legal_letter_count(p, modes)
     words = math.comb(count + depth, depth)
     if words > MAX_CHECK_WORDS:
@@ -585,7 +575,9 @@ def _covered_letters(h: HopfSpec, p: Presentation, modes: int, depth: int) -> li
         raise HopfError(
             "no covered field generators; Hopf checks run over the phi-pi basis"
         )
-    return sorted(letters)
+    letters.sort()
+    p.validate_expr(Expr.from_word(letters))
+    return letters
 
 
 def sorted_basis_words(p: Presentation, max_degree: int, letters) -> list:
@@ -726,9 +718,7 @@ def check_multiplicativity(
     this check tests the engine, not Delta; whether Delta is well defined
     on the algebra is what check_respects_relations tests.  A degree whose
     products may hold more than MAX_TRIAL_LETTERS letters is refused
-    before the first trial.  x and y are sums of words over the covered
-    letters with constant coefficients, so one check of the letters
-    against p stands for _check_input on every trial's x, y and x*y."""
+    before the first trial."""
     _check_flavor_variant(h, p)
     if 2 * degree > MAX_TRIAL_LETTERS:
         raise HopfError(
@@ -736,7 +726,6 @@ def check_multiplicativity(
             f"letters, over the budget of {MAX_TRIAL_LETTERS}; lower --degree"
         )
     letters = _covered_letters(h, p, modes, max(degree, 1))
-    p.validate_expr(Expr.from_word(letters))
     rng = random.Random(seed)
     pool = [ONE, -ONE, IMAG, Scalar.rational(2), Scalar.rational(1, 1)]
     failures = []

@@ -98,18 +98,30 @@ def tensor_normal_form(t: TensorExpr, p: Presentation) -> TensorExpr:
     return t._like(out)
 
 
+# the references' tensor product: a TensorExpr is a value with no
+# product, since the engine multiplies tensors only as id tuples of a
+# _SlotTable
+def _tensor_mul(a: TensorExpr, b: TensorExpr) -> TensorExpr:
+    """Slot-wise concatenation of a and b, extended bilinearly."""
+    out = {}
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            _acc(out, tuple(map(tuple.__add__, k1, k2)), c1 * c2)
+    return a._like(out)
+
+
 def _co_word(word, h):
     """Delta on one word: the product of Delta(g) over its letters."""
-    t = TensorExpr.unit(2)
+    t = tensor_of(unit(), unit())
     for g in word:
-        t = t * h.delta_gen(g)
+        t = _tensor_mul(t, TensorExpr(2, h.delta_gen(g)))
     return t
 
 
 def _co_free(e, h):
     """Delta on the free algebra: _co_word extended linearly, unreduced;
     the reference that _co_nf is checked against."""
-    out = TensorExpr.zero(2)
+    out = TensorExpr(2)
     for w, c in e.terms.items():
         out = out + c * _co_word(w, h)
     return out
@@ -125,15 +137,40 @@ def test_coproduct_generators():
     assert got == tensor_of(phi(0), unit()) + tensor_of(unit(), phi(0))
     got = coproduct(phi(0), DF, P_DEF)
     assert got == tensor_of(phi(0), gen_K()) + tensor_of(gen_Kinv(), phi(0))
-    assert coproduct(unit(), CL, P_UND) == TensorExpr.unit(2)
+    assert coproduct(unit(), CL, P_UND) == tensor_of(unit(), unit())
     assert coproduct(gen_K(), DF, P_DEF) == tensor_of(gen_K(), gen_K())
+
+
+@pytest.mark.parametrize("h, p", [(CL, P_UND), (CL, P_DEF), (DF, P_DEF), (DF, P_COL)])
+def test_delta_gen_items_match_the_outer_product_form(h, p):
+    # delta_gen's word pairs, coefficients and key order are those of the
+    # outer-product form it replaced; the order fixes the ids that
+    # _SlotTable.reduce assigns
+    one, k, kinv = unit(), gen_K(), gen_Kinv()
+    families = set()
+    for g in legal_letters(p, 2):
+        if not h.covers(g):
+            continue
+        families.add(g[0])
+        e = Expr.from_word((g,))
+        if h is CL or g == GEN_I:
+            want = tensor_of(e, one) + tensor_of(one, e)
+        elif g in (GEN_K, GEN_KINV):
+            want = tensor_of(e, e)
+        else:
+            want = tensor_of(e, k) + tensor_of(kinv, e)
+        got = h.delta_gen(g)
+        assert type(got) is dict
+        assert list(got.items()) == list(want.terms.items())
+    assert families == ({GEN_I[0], FAM_PHI, FAM_PI} if h is CL
+                        else {GEN_I[0], GEN_K[0], GEN_KINV[0], FAM_PHI, FAM_PI})
 
 
 def test_coproduct_product_word():
     e = phi(0) * pi(0)
     got = coproduct(e, DF, P_DEF)
     want = tensor_normal_form(
-        coproduct(phi(0), DF, P_DEF) * coproduct(pi(0), DF, P_DEF), P_DEF
+        _tensor_mul(coproduct(phi(0), DF, P_DEF), coproduct(pi(0), DF, P_DEF)), P_DEF
     )
     assert got == want
 
@@ -322,14 +359,21 @@ def test_tensor_expr_basics():
     a = tensor_of(phi(0), pi(0))
     b = tensor_of(unit(), unit())
     assert (a - a).is_zero()
-    assert a * b == a
+    assert _tensor_mul(a, b) == a
+    # a tensor is a value: it has no product and no power, and an Expr
+    # multiplies it on neither side
+    for x, y in ((a, b), (a, phi(0)), (phi(0), a)):
+        with pytest.raises(TypeError):
+            x * y
+    with pytest.raises(TypeError):
+        a ** 2
     with pytest.raises(HopfError):
         a + tensor_of(phi(0), phi(0), phi(0))
     # slotwise product and linearity in each slot, over seeded pairs
     rng = random.Random(11)
     for _ in range(20):
         w, x, y, z = (random_expr(rng, P_DEF, 2, 2) for _ in range(4))
-        assert tensor_of(w, x) * tensor_of(y, z) == tensor_of(w * y, x * z)
+        assert _tensor_mul(tensor_of(w, x), tensor_of(y, z)) == tensor_of(w * y, x * z)
         assert tensor_of(w + x, y) == tensor_of(w, y) + tensor_of(x, y)
     assert (a - a).terms == {}
     assert (a + tensor_of(-phi(0), pi(0))).terms == {}
@@ -628,7 +672,7 @@ _MEMO_CASES = [
 def _slotwise_normal_form(t, p):
     """Tensor normal form the plain way: normal_form on every slot of
     every key, recombined by the outer product."""
-    out = TensorExpr.zero(t.order)
+    out = TensorExpr(t.order)
     for words, c in t.terms.items():
         out = out + c * tensor_of(*(normal_form(Expr.from_word(w), p) for w in words))
     return out
@@ -653,7 +697,7 @@ def test_memoized_coproduct_matches_free_expansion(h, variant, gram, idempotent)
 def _slotwise_expanded(t, p):
     """Tensor normal form with every slot word's letters expanded into the
     free algebra first and each resulting word reduced on its own."""
-    out = TensorExpr.zero(t.order)
+    out = TensorExpr(t.order)
     for words, c in t.terms.items():
         slots = []
         for w in words:
@@ -714,7 +758,7 @@ def _assert_reduced_product(a, b, p, t=None):
     """The id product of reduced a and b against the tensor normal form
     of the product built in full: the same terms, the same text, and no
     zero coefficient."""
-    want = tensor_normal_form(a * b, p)
+    want = tensor_normal_form(_tensor_mul(a, b), p)
     got = _reduced_product(a, b, p, t)
     assert got.order == 2
     assert got.terms == want.terms
@@ -795,7 +839,7 @@ def test_reduced_product_drops_sums_that_cancel(variant):
 
 
 def test_reduced_product_with_the_unit_and_zero_tensors():
-    one, zero = TensorExpr.unit(2), TensorExpr.zero(2)
+    one, zero = tensor_of(unit(), unit()), TensorExpr(2)
     for h, p in ((CL, P_UND), (DF, P_DEF), (DF, P_COL)):
         a = coproduct(pi(0) * phi(0) * pi(1), h, p)
         # slot words that carry the -i kappa I of pi(0) phi(0)
@@ -864,7 +908,7 @@ def test_id_product_of_reduced_coproducts_matches_the_full_product(h, variant, g
     t = _SlotTable(h, p)
     a, b = _co_nf(data.draw(words), t), _co_nf(data.draw(words), t)
     got = t.words_of(t.product(a, b), 2)
-    want = tensor_normal_form(t.words_of(a, 2) * t.words_of(b, 2), p)
+    want = tensor_normal_form(_tensor_mul(t.words_of(a, 2), t.words_of(b, 2)), p)
     assert got.terms == want.terms
     assert str(got) == str(want)
 
@@ -934,7 +978,7 @@ def test_step_junction_cases_reduce_as_the_rules_say():
     # K Kinv = 1 in the strict variant, and in the collapsed one through
     # the pieces: Delta(K Kinv) is the unit tensor
     for p in (P_DEF, P_COL):
-        assert _co_words((GEN_K, GEN_KINV), _SlotTable(DF, p)) == TensorExpr.unit(2)
+        assert _co_words((GEN_K, GEN_KINV), _SlotTable(DF, p)) == tensor_of(one, one)
     # phi(0) after pi(0) in slot 1: the junction's rule carries -i kappa I
     got = _co_words((_PHI0, _PI0, _PHI0), _SlotTable(CL, P_UND))
     assert got.terms[((), (GEN_I, _PHI0))] == -IMAG * P_UND.kappa_scalar
@@ -971,7 +1015,8 @@ def _reference_multiplicativity(h, p, degree, modes, seed):
             return e
 
         x, y = rand_expr(), rand_expr()
-        res = tensor_normal_form(_co_free(x * y, h) - _co_free(x, h) * _co_free(y, h), p)
+        free_product = _tensor_mul(_co_free(x, h), _co_free(y, h))
+        res = tensor_normal_form(_co_free(x * y, h) - free_product, p)
         if not res.is_zero():
             failures.append(Failure(f"trial {trial}: x={x}; y={y}", str(res), res))
     return failures

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import random
 import shlex
 import subprocess
@@ -10,7 +11,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ccr_hopf.algebra import (
@@ -278,6 +279,19 @@ def test_cli_mode_outside_gram_exits_2(tmp_path, capsys):
         assert "mode index 5 outside the 2-mode gram" in err
 
 
+@pytest.mark.parametrize("checks", ["counit", "antipode", "coassociativity", "cocommutativity",
+                                    "respects-relations", "multiplicativity"])
+@pytest.mark.parametrize("degree", ["0", "1"])
+def test_cli_hopf_check_refuses_a_mode_window_past_the_gram_at_every_degree(capsys, checks,
+                                                                           degree):
+    # a degree-0 sweep builds no word over the window's letters, yet its
+    # window is refused like every other check's, in the same words
+    code, doc, err = run_cli(capsys, ["hopf-check", "--checks", checks, "--degree", degree,
+                                      "--modes", "3", "--gram", _GRAM2])
+    assert code == 2 and doc is None
+    assert err == "ccr-hopf: mode index 2 outside the 2-mode gram\n"
+
+
 def test_cli_non_finite_vector_exits_2(capsys):
     code, doc, err = run_cli(capsys, ["fock", "genfun", "--v", "nan"])
     assert code == 2 and doc is None
@@ -365,16 +379,28 @@ def test_cli_spectrum_finds_the_blocks_once(capsys, monkeypatch):
     assert calls == ["_solver_blocks", "invariant_blocks", "_block_eigenvalues"]
 
 
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _contract_rows():
+    """(exit code, timeout in s, argv) of every row of the contract table
+    that needs no shell expansion ($(...)), split as
+    tools/producer_trace.py splits them."""
+    table = (_ROOT / ".github" / "cli-contract.sh").read_text(encoding="utf-8")
+    rows = []
+    for line in table.split("<<'ROWS'\n", 1)[1].split("\nROWS\n", 1)[0].splitlines():
+        parts = line.split(None, 2)
+        if len(parts) == 3 and not line.startswith("#") and "$(" not in line:
+            rows.append((int(parts[0]), int(parts[1]), shlex.split(parts[2])))
+    return rows
+
+
 def _recorded_spectrum_argvs():
     """The fock spectrum invocations of the golden corpus and of the
     contract table that expect a report (exit 0 or 1), help text aside."""
-    root = Path(__file__).resolve().parent.parent
-    cases = json.loads((root / "tests" / "golden" / "cli.json").read_text(encoding="utf-8"))
+    cases = json.loads((_ROOT / "tests" / "golden" / "cli.json").read_text(encoding="utf-8"))
     argvs = [c["argv"] for c in cases if c["exit"] != 2]
-    table = (root / ".github" / "cli-contract.sh").read_text(encoding="utf-8")
-    rows = table.split("<<'ROWS'\n", 1)[1].split("\nROWS\n", 1)[0].splitlines()
-    argvs += [shlex.split(row)[2:] for row in rows
-              if row[:1] in ("0", "1") and not row.startswith("#")]
+    argvs += [argv for want, _, argv in _contract_rows() if want in (0, 1)]
     return [a for a in argvs if a[:2] == ["fock", "spectrum"] and "--help" not in a]
 
 
@@ -1057,3 +1083,96 @@ def test_cli_hopf_check_fuzzed_check_lists(drawn):
         reports = json.loads(out.getvalue())["results"]["reports"]
         assert [r["axiom"] for r in reports] == names
         assert code == (0 if all(r["status"] == "pass" for r in reports) else 1)
+
+
+# the values the argv fuzz puts in place of one flag's value: zero, a
+# negative, an integer past every budget (400 digits, within the
+# interpreter's 4300-digit limit), a subnormal, the non-finite floats and
+# the empty string
+_EDGE_VALUES = ["0", "-1", "9" * 400, "1e-320", "nan", "inf", "-inf", ""]
+_HUGE = _EDGE_VALUES[2]
+
+# (argv, index of a flag's value) over every contract row within the
+# 60 s timeout
+_FLAG_VALUES = [(argv, i) for _, limit, argv in _contract_rows() if limit <= 60
+                for i in range(1, len(argv))
+                if argv[i - 1].startswith("--") and not argv[i].startswith("--")]
+
+# (command, flag, value) of the breaches pinned as strict xfails below;
+# each also covers a few argvs with that flag value that keep the contract
+_PINNED_BREACHES = {
+    ("measure", "--d", _HUGE), ("measure", "--scale", "1e-320"),
+    ("hopf-check", "--modes", _HUGE), ("fock", "--d", _HUGE), ("fock", "--nmax", "0"),
+}
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def _assert_contract(argv):
+    """Run argv in process and assert the exit-code contract of
+    .github/cli-contract.sh: argparse's usage error (SystemExit(2)) is
+    allowed; otherwise the exit code is 0, 1 or 2, exits 0 and 1 print
+    strict JSON, and exit 2 prints nothing on stdout and one ccr-hopf:
+    line on stderr.  Any exception that escapes main fails the caller,
+    and so does a warning, which a process would print on stderr."""
+    out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(_ROOT)  # the rows name their files from the repository root
+    try:
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+        return
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith("ccr-hopf: ") and err.getvalue().count("\n") == 1, argv
+    else:
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_FLAG_VALUES), st.sampled_from(_EDGE_VALUES))
+def test_cli_contract_rows_with_one_edge_flag_value(row, value):
+    # one contract row with one flag's value replaced by an edge value
+    # keeps the exit-code contract.  2000 examples, derandomized, draw
+    # about 1450 of the 1560 (row, flag, value) choices, in about 4 s
+    argv, i = row
+    assume((argv[0], argv[i - 1], value) not in _PINNED_BREACHES)
+    _assert_contract(argv[:i] + [value] + argv[i + 1:])
+
+
+@pytest.mark.parametrize("argv", [
+    # np.eye(d) refuses a d past numpy's dimension limit with ValueError
+    pytest.param(["measure", "weyl", "--d", _HUGE, "--count", "1"],
+                 marks=pytest.mark.xfail(strict=True, raises=ValueError)),
+    # I/c overflows to inf, and numpy warns on stderr, before K is refused
+    pytest.param(["measure", "cocycle", "--scale", "1e-320"],
+                 marks=pytest.mark.xfail(strict=True, raises=RuntimeWarning)),
+    # the word-budget refusal prints comb(letters + 12, 12), past 4300 digits
+    pytest.param(["hopf-check", "--modes", _HUGE, "--degree", "12"],
+                 marks=pytest.mark.xfail(strict=True, raises=ValueError)),
+])
+def test_cli_contract_breaches_found_by_the_argv_fuzz(argv):
+    _assert_contract(argv)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError)
+def test_cli_fock_refuses_a_huge_mode_count_at_cutoff_zero(monkeypatch):
+    # the state budget counts comb(d + nmax, d) states, one at nmax = 0
+    # whatever d is, so ModeSpace goes on to build arrays d entries long:
+    # the fuzz's d = 4000000 ran past 10 s, and a 400-digit d never ends.
+    # Here the first such array fails instead of being built
+    from ccr_hopf import fock
+
+    def built(d, nmax):
+        raise AssertionError(f"a {d}-mode table was built")
+
+    monkeypatch.setattr(fock, "_tail_counts", built)
+    _assert_contract(["fock", "spectrum", "--d", _HUGE, "--nmax", "0"])

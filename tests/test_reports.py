@@ -198,7 +198,7 @@ def test_tensor_rows_and_text_agree(variant, flavor):
         t = coproduct(_random_element(rng, p), h, p)
         doc = tensor_json(t)
         assert doc["text"] == str(t) and doc["order"] == t.order == 2
-        rebuilt = TensorExpr.zero(2)
+        rebuilt = TensorExpr(2)
         for row in doc["terms"]:
             rebuilt = rebuilt + tensor_of(*map(parse_expr, row["slots"])) * _row_scalar(row["coeff"], kinds)
         assert rebuilt == t and len(doc["terms"]) == len(t.terms)

@@ -9,14 +9,17 @@ records:
 - every row of ``.github/cli-contract.sh`` whose timeout is at most 60 s,
   from the repository root; a row is split with ``shlex``, and a row that
   needs the shell's expansion (``$(...)``) is left out;
-- two cycles of the ``rewrite``, ``hopf`` and ``numeric`` benchmark
-  workloads (seed 1), through the executors of ``perfbench/workloads.py``.
+- two cycles of each of the four benchmark workloads, ``rewrite``,
+  ``hopf``, ``numeric`` and ``cli`` (seed 1), through the executors of
+  ``perfbench/workloads.py``; the ``cli`` workload's gram files are
+  written, as its worker writes them, into a temporary directory.
 
 It then prints, file by file, the statement lines that none of them ran.
 A statement is an ``ast`` statement whose first line holds bytecode, so a
 function's docstring is not one.  The output depends on the tree alone,
 not on the run's timing.  The tool takes no options, edits nothing under
-``perfbench/`` and writes no file (not even bytecode caches).  Run it
+``perfbench/`` and writes no file (not even bytecode caches) outside that
+temporary directory, which it removes.  Run it
 from anywhere:
 
     python tools/producer_trace.py
@@ -34,6 +37,7 @@ import os
 import random
 import shlex
 import sys
+import tempfile
 import types
 import warnings
 from pathlib import Path
@@ -45,7 +49,7 @@ PACKAGE = ROOT / "src" / "ccr_hopf"
 GOLDEN = ROOT / "tests" / "golden"
 CONTRACT = ROOT / ".github" / "cli-contract.sh"
 CONTRACT_TIMEOUT_S = 60
-WORKLOADS = ("rewrite", "hopf", "numeric")
+WORKLOADS = ("rewrite", "hopf", "numeric", "cli")
 CYCLES = 2
 
 
@@ -107,17 +111,22 @@ def run_producers() -> str:
     import workloads
 
     requests = 0
-    for name in WORKLOADS:
-        wl = workloads.WORKLOADS[name]
-        rng = random.Random(f"1:{name}")
-        layers = workloads.Layers(wl.modules)
-        for index in range(CYCLES):
-            for req in wl.cycle(rng, index):
-                requests += 1
-                try:
-                    workloads.EXECUTORS[req.kind](layers, req.params)
-                except Exception:  # noqa: BLE001 -- a failing request still ran its lines
-                    pass
+    with tempfile.TemporaryDirectory() as cli_dir:
+        # the cli cycle names the gram files its setup writes in CLI_DIR
+        workloads.CLI_DIR = cli_dir
+        for name in WORKLOADS:
+            wl = workloads.WORKLOADS[name]
+            rng = random.Random(f"1:{name}")
+            if name == "cli":
+                workloads.cli_setup(rng, cli_dir)
+            layers = workloads.Layers(wl.modules)
+            for index in range(CYCLES):
+                for req in wl.cycle(rng, index):
+                    requests += 1
+                    try:
+                        workloads.EXECUTORS[req.kind](layers, req.params)
+                    except Exception:  # noqa: BLE001 -- a failing request still ran its lines
+                        pass
     return (f"{len(cases)} golden cases, {len(rows)} contract rows, {requests} requests of "
             f"{CYCLES} cycles of {', '.join(WORKLOADS)}")
 
