@@ -217,6 +217,19 @@ done <<'ROWS'
 # a number and a mode index with more digits than the interpreter converts
 2  20 normalize "$(printf '1%.0s' {1..5000})*phi(0)"
 2  20 normalize "phi($(printf '1%.0s' {1..5000}))"
+# the argv fuzz's breaches: a 400-digit mode count is refused by the mode
+# budgets before any array is built (numpy refused np.eye(d) with a
+# traceback, and at nmax = 0 the tables were built d entries long), and a
+# word budget past 4300 digits is named by its order of magnitude
+2  20 measure weyl --d "$(printf '9%.0s' {1..400})" --count 1
+2  20 fock spectrum --d "$(printf '9%.0s' {1..400})" --nmax 0
+2  20 hopf-check --modes "$(printf '9%.0s' {1..400})" --degree 12
+# a scale whose reciprocal overflows is refused before K = I/c warns
+2  20 measure cocycle --scale 1e-320
+# a covariance factor read from a file, and the deformation constant's
+# series branch at q = 1
+0  60 measure cocycle --kmat tests/golden/gram2.json
+0  60 normalize "pi(0)*phi(0) + K" --variant deformed --q 1 --c 0.5
 ROWS
 
 echo "$((rows - failed)) of $rows contract rows passed"

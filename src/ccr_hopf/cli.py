@@ -145,8 +145,6 @@ def _mode_space(args):
 
 
 def _model(args):
-    import numpy as np
-
     from .measure import GaussianModel
 
     if args.d < 1:
@@ -162,7 +160,7 @@ def _model(args):
     if args.scale is not None:
         if args.scale <= 0:
             raise CliError("--scale must be positive")
-        return GaussianModel(np.eye(args.d) / args.scale, gram=gram)
+        return GaussianModel.scaled(args.d, args.scale, gram=gram)
     return GaussianModel.fock(args.d, gram=gram)
 
 

@@ -72,13 +72,19 @@ def _check_states(d: int, nmax: int) -> None:
     nmax, comb(d + nmax, d) states, holds more than MAX_STATES.  The
     binomial is built factor by factor, comb(n, j) for j up to
     min(d, nmax), and grows with j, so the first factor past the budget
-    refuses: huge d and nmax never compute the exact value."""
+    refuses: huge d and nmax never compute the exact value.
+
+    A basis with nmax >= 1 holds at least d + 1 states, so it spans at
+    most MAX_STATES - 1 modes.  At nmax = 0 it is the vacuum alone, yet
+    the tables built with it are d long, so the same mode budget holds."""
     n, states = d + nmax, 1
     for j in range(1, min(d, nmax) + 1):
         states = states * (n - j + 1) // j
         if states > MAX_STATES:
             raise FockError(f"the occupation basis for d={d}, nmax={nmax} exceeds the "
                             f"budget of {MAX_STATES} states; lower d or nmax")
+    if d >= MAX_STATES:
+        raise FockError(f"{d} modes are over the budget of {MAX_STATES - 1} modes; lower d")
 
 
 def occupation_array(d: int, nmax: int) -> np.ndarray:

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -538,7 +539,9 @@ def _sweep(axiom: str, h: HopfSpec, p: Presentation, degree: int, modes: int, si
     table, the sweep's own _SlotTable.  Each is recorded in turn
     (_record), with the witness label followed by the text of w.  A sweep
     whose words' free coproducts hold more than MAX_SWEEP_TERMS terms is
-    refused before the first coproduct."""
+    refused before the first coproduct, and so is a negative degree."""
+    if degree < 0:
+        raise HopfError(f"the degree must be non-negative, got {degree}")
     _check_flavor_variant(h, p)
     words = sorted_basis_words(p, degree, _covered_letters(h, p, modes, max(degree, 1)))
     terms = sum(1 << len(w) for w in words)
@@ -562,12 +565,17 @@ def _covered_letters(h: HopfSpec, p: Presentation, modes: int, depth: int) -> li
     gram at every degree.  depth is the longest word the check builds
     from them: one whose comb(letters + depth, depth) candidate words over
     the legal letters exceed MAX_CHECK_WORDS is refused before the letter
-    list is built."""
+    list is built.  A count with more digits than the interpreter prints
+    (sys.get_int_max_str_digits) is named by its order of magnitude."""
     count = legal_letter_count(p, modes)
     words = math.comb(count + depth, depth)
     if words > MAX_CHECK_WORDS:
+        try:
+            shown = str(words)
+        except ValueError:
+            shown = f"10^{sys.get_int_max_str_digits()} or more"
         raise HopfError(
-            f"{words} candidate words up to degree {depth} over {count} letters "
+            f"{shown} candidate words up to degree {depth} over {count} letters "
             f"exceed the budget of {MAX_CHECK_WORDS}; lower --degree or --modes"
         )
     letters = [g for g in legal_letters(p, modes) if h.covers(g) and _letter_piece(g, p) is None]
@@ -716,9 +724,11 @@ def check_multiplicativity(
     the right multiplies the reduced coproducts of x and y
     (_SlotTable.product), and slot-wise normal form is an algebra map.  So
     this check tests the engine, not Delta; whether Delta is well defined
-    on the algebra is what check_respects_relations tests.  A degree whose
-    products may hold more than MAX_TRIAL_LETTERS letters is refused
-    before the first trial."""
+    on the algebra is what check_respects_relations tests.  A negative
+    degree, and one whose products may hold more than MAX_TRIAL_LETTERS
+    letters, are refused before the first trial."""
+    if degree < 0:
+        raise HopfError(f"the degree must be non-negative, got {degree}")
     _check_flavor_variant(h, p)
     if 2 * degree > MAX_TRIAL_LETTERS:
         raise HopfError(

@@ -54,12 +54,24 @@ MAX_COCYCLE_SAMPLES = 100_000
 # thread, 2-vCPU x86-64 VM)
 MAX_WEYL_MONOMIALS = 100_000
 
+# most modes a GaussianModel may have, checked before any d x d array is
+# built.  At the budget K, K^-1, C and the gram hold 512 KiB each, and
+# GaussianModel.fock(256) takes about 9 ms (one BLAS thread, 2-vCPU x86-64
+# VM); weyl_sweep's refusal prints 5 * 3^255, 123 digits.  At d = 1000 the
+# Fock model's density already leaves the float range
+MAX_MODES = 256
+
 # most vectors pd_sweep may draw: the matrix Z(v_i - v_j) takes count^2
 # Python calls of Z at about 5 us each, so about 5 s at the budget
 MAX_PD_VECTORS = 1_000
 
 
 SYMMETRY_TOLERANCE = 1e-12  # most |A - A^H| entry a gram or quadratic part may hold
+
+
+def _check_modes(d: int) -> None:
+    if d > MAX_MODES:
+        raise MeasureError(f"a model of {d} modes is over the budget of {MAX_MODES}; lower d")
 
 
 def _hermitian(a: np.ndarray) -> bool:
@@ -90,6 +102,7 @@ class GaussianModel:
         self.d = K.shape[0]
         if self.d == 0:
             raise MeasureError("K must be at least 1 x 1")
+        _check_modes(self.d)
         if not np.all(np.isfinite(K)):
             raise MeasureError("K must have finite entries")
         with np.errstate(over="ignore"):
@@ -117,7 +130,17 @@ class GaussianModel:
     @classmethod
     def fock(cls, d: int, gram=None) -> "GaussianModel":
         # C = 2 I reproduces Z(v) = exp(-|v|^2/4)
+        _check_modes(d)
         return cls(ROOT2 * np.eye(d), gram=gram)
+
+    @classmethod
+    def scaled(cls, d: int, scale: float, gram=None) -> "GaussianModel":
+        """K = I/scale.  A scale whose reciprocal is not a finite float is
+        refused before the division, which would warn."""
+        _check_modes(d)
+        if scale == 0 or not math.isfinite(1.0 / scale):
+            raise MeasureError("K must have finite entries")
+        return cls(np.eye(d) / scale, gram=gram)
 
     def M(self, v) -> float:
         w = self.Kinv @ np.asarray(v, dtype=float)

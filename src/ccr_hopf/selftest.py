@@ -2,15 +2,16 @@
 engine, the coalgebra layer, both representation backends, and the
 reporting pipeline itself.
 
-Each criterion function returns a dict, which ``dump_json`` writes,
-with a "passed" flag and every measured float sitting next to the
-tolerance it was judged against.  A check that a command also judges
-(criteria 8, 10, 11 and 12) takes its sampling loop and its verdict,
-report fields plus passed, from the fock or measure module that owns
-its tolerance, and compares nothing itself.  ``run_selftest`` executes
-checks 1 through 12 twice and makes byte-equality of the two serialized
-halves criterion 13, so determinism is part of the contract rather than
-an afterthought.
+Each criterion function computes its verdict and its details, in which
+every measured float sits next to the tolerance it was judged against,
+and hands them to ``_criterion``, which builds every criterion document
+that ``dump_json`` writes.  A check that a command also judges (criteria 8,
+10, 11 and 12) takes its sampling loop and its verdict, report fields
+plus passed, from the fock or measure module that owns its tolerance,
+and compares nothing itself.  ``run_selftest`` executes checks 1
+through 12 twice and makes byte-equality of the two serialized halves
+criterion 13, so determinism is part of the contract rather than an
+afterthought.
 """
 
 from __future__ import annotations
@@ -78,6 +79,15 @@ def _rng(seed: int, tag: str) -> random.Random:
     return random.Random(f"{seed}:{tag}")
 
 
+def _criterion(number: int, name: str, passed, details: dict, exact: bool = False) -> dict:
+    """The document of one criterion; one that compares exactly carries
+    "tolerance": 0.0 next to its verdict."""
+    doc = {"criterion": number, "name": name, "passed": bool(passed), "details": details}
+    if exact:
+        doc["tolerance"] = 0.0
+    return doc
+
+
 def criterion_01(seed: int) -> dict:
     """Exact CCR normal forms for the momentum-field commutator."""
     strict = Presentation(variant=DEFORMED_STRICT)
@@ -87,18 +97,12 @@ def criterion_01(seed: int) -> dict:
     got_plain = commutator(pi(0), phi(0), plain)
     want_plain = gen_I() * (-IMAG)
     ok = got_deformed == want_deformed and got_plain == want_plain
-    return {
-        "criterion": 1,
-        "name": "exact-ccr-normal-forms",
-        "passed": bool(ok),
-        "tolerance": 0.0,
-        "details": {
-            "deformed": expr_to_text(got_deformed),
-            "deformed_expected": expr_to_text(want_deformed),
-            "undeformed": expr_to_text(got_plain),
-            "undeformed_expected": expr_to_text(want_plain),
-        },
-    }
+    return _criterion(1, "exact-ccr-normal-forms", ok, {
+        "deformed": expr_to_text(got_deformed),
+        "deformed_expected": expr_to_text(want_deformed),
+        "undeformed": expr_to_text(got_plain),
+        "undeformed_expected": expr_to_text(want_plain),
+    }, exact=True)
 
 
 def criterion_02(seed: int) -> dict:
@@ -120,16 +124,10 @@ def criterion_02(seed: int) -> dict:
             e = Expr.from_word(w)
             if normal_form(e, p, "leftmost") != normal_form(e, p, "rightmost"):
                 mismatches.append(word_text(w))
-    return {
-        "criterion": 2,
-        "name": "confluence-two-schedules",
-        "passed": not mismatches,
-        "tolerance": 0.0,
-        "details": {
-            "mismatches": mismatches[:10],
-            "words_checked": total,
-        },
-    }
+    return _criterion(2, "confluence-two-schedules", not mismatches, {
+        "mismatches": mismatches[:10],
+        "words_checked": total,
+    }, exact=True)
 
 
 # the K-collapse ratio at COLLAPSE_POINTS numeric points passes within this of the
@@ -154,18 +152,13 @@ def criterion_03(seed: int) -> dict:
         ratio = (s * s - 1.0 / (s * s)) / (c * (q - 1.0 / q))
         worst = max(worst, abs(ratio - deformation_constant(q, c)))
     ok = got == want and worst < COLLAPSE_TOLERANCE
-    return {
-        "criterion": 3,
-        "name": "k-collapse-identity",
-        "passed": bool(ok),
-        "details": {
-            "symbolic": expr_to_text(got),
-            "symbolic_expected": expr_to_text(want),
-            "numeric_max_error": worst,
-            "numeric_tolerance": COLLAPSE_TOLERANCE,
-            "points": COLLAPSE_POINTS,
-        },
-    }
+    return _criterion(3, "k-collapse-identity", ok, {
+        "symbolic": expr_to_text(got),
+        "symbolic_expected": expr_to_text(want),
+        "numeric_max_error": worst,
+        "numeric_tolerance": COLLAPSE_TOLERANCE,
+        "points": COLLAPSE_POINTS,
+    })
 
 
 C_EQUALS_1_TOLERANCE = 1e-12  # the deformation constant at c = 1 passes within this of 1
@@ -184,17 +177,12 @@ def criterion_04(seed: int) -> dict:
         for q in (1.0 + 1e-5, 1.0 - 1e-5):
             worst_limit = max(worst_limit, abs(deformation_constant(q, c) - 1.0))
     ok = worst_c1 <= C_EQUALS_1_TOLERANCE and worst_limit < Q_NEAR_1_TOLERANCE
-    return {
-        "criterion": 4,
-        "name": "deformation-constant-special-cases",
-        "passed": bool(ok),
-        "details": {
-            "c_equals_1_max_error": worst_c1,
-            "c_equals_1_tolerance": C_EQUALS_1_TOLERANCE,
-            "q_near_1_max_error": worst_limit,
-            "q_near_1_tolerance": Q_NEAR_1_TOLERANCE,
-        },
-    }
+    return _criterion(4, "deformation-constant-special-cases", ok, {
+        "c_equals_1_max_error": worst_c1,
+        "c_equals_1_tolerance": C_EQUALS_1_TOLERANCE,
+        "q_near_1_max_error": worst_limit,
+        "q_near_1_tolerance": Q_NEAR_1_TOLERANCE,
+    })
 
 
 def criterion_05(seed: int) -> dict:
@@ -207,13 +195,9 @@ def criterion_05(seed: int) -> dict:
         check_antipode(h, p, degree=3, modes=2),
         cocommutativity_probe(h, p, degree=3, modes=2),
     ]
-    return {
-        "criterion": 5,
-        "name": "classical-hopf-axioms",
-        "passed": all(r.passed for r in reports),
-        "tolerance": 0.0,
-        "details": {"reports": [axiom_report_json(r) for r in reports]},
-    }
+    ok = all(r.passed for r in reports)
+    details = {"reports": [axiom_report_json(r) for r in reports]}
+    return _criterion(5, "classical-hopf-axioms", ok, details, exact=True)
 
 
 def criterion_06(seed: int) -> dict:
@@ -241,18 +225,12 @@ def criterion_06(seed: int) -> dict:
         h, Presentation(variant=DEFORMED_COLLAPSED, q=1.0, c=1.0), degree=2, modes=2
     )
     ok = all(r.passed for r in axioms) and witness_ok and at_one.passed
-    return {
-        "criterion": 6,
-        "name": "deformed-hopf-axioms",
-        "passed": bool(ok),
-        "tolerance": 0.0,
-        "details": {
-            "axioms": [axiom_report_json(r) for r in axioms],
-            "cocommutativity_witness": axiom_report_json(probe),
-            "cocommutativity_at_s_equals_1": axiom_report_json(at_one),
-            "witness_matches_recorded_residual": bool(witness_ok),
-        },
-    }
+    return _criterion(6, "deformed-hopf-axioms", ok, {
+        "axioms": [axiom_report_json(r) for r in axioms],
+        "cocommutativity_witness": axiom_report_json(probe),
+        "cocommutativity_at_s_equals_1": axiom_report_json(at_one),
+        "witness_matches_recorded_residual": witness_ok,
+    }, exact=True)
 
 
 def criterion_07(seed: int) -> dict:
@@ -272,20 +250,14 @@ def criterion_07(seed: int) -> dict:
         and all(got[k] == want[k] for k in want)
         and len(rep.notes) > 0
     )
-    return {
-        "criterion": 7,
-        "name": "idempotent-identity-finding",
-        "passed": bool(ok),
-        "tolerance": 0.0,
-        "details": {
-            "report": axiom_report_json(rep),
-            "expected_residuals": {
-                "Delta on I*I = I": str(want["Delta on I*I = I"]),
-                "S on I*I = I": expr_to_text(want["S on I*I = I"]),
-            },
-            "recorded_as_finding": len(rep.notes) > 0,
+    return _criterion(7, "idempotent-identity-finding", ok, {
+        "report": axiom_report_json(rep),
+        "expected_residuals": {
+            "Delta on I*I = I": str(want["Delta on I*I = I"]),
+            "S on I*I = I": expr_to_text(want["S on I*I = I"]),
         },
-    }
+        "recorded_as_finding": len(rep.notes) > 0,
+    }, exact=True)
 
 
 CCR_TOLERANCE = 1e-12  # the truncated ladder CCR passes below this on the degree-2 safe subspace
@@ -309,19 +281,14 @@ def criterion_08(seed: int) -> dict:
     errs = [fields["error"] for fields, _ in genfun]
     monotone = all(b < a or b < 1e-12 for a, b in zip(errs, errs[1:]))
     ok = worst_ccr < CCR_TOLERANCE and genfun[2][1] and monotone
-    return {
-        "criterion": 8,
-        "name": "fock-ccr-and-generating-function",
-        "passed": bool(ok),
-        "details": {
-            "ccr_max_residual": worst_ccr,
-            "ccr_tolerance": CCR_TOLERANCE,
-            "genfun_error_nmax20": errs[2],
-            "genfun_tolerance": genfun[2][0]["tolerance"],
-            "truncation_errors": {f"nmax={n}": err for n, err in zip(cutoffs, errs)},
-            "monotone": bool(monotone),
-        },
-    }
+    return _criterion(8, "fock-ccr-and-generating-function", ok, {
+        "ccr_max_residual": worst_ccr,
+        "ccr_tolerance": CCR_TOLERANCE,
+        "genfun_error_nmax20": errs[2],
+        "genfun_tolerance": genfun[2][0]["tolerance"],
+        "truncation_errors": {f"nmax={n}": err for n, err in zip(cutoffs, errs)},
+        "monotone": monotone,
+    })
 
 
 # the restricted norm of expr_matrix(e) - expr_matrix(normal_form(e)) passes below this,
@@ -348,16 +315,11 @@ def criterion_09(seed: int) -> dict:
         a = expr_matrix(e, m, p, q=q, c=c)
         b = expr_matrix(normal_form(e, p), m, p, q=q, c=c)
         worst = max(worst, restricted_norm(m, a - b, 3))
-    return {
-        "criterion": 9,
-        "name": "normal-form-representation-functor",
-        "passed": worst < FUNCTOR_TOLERANCE,
-        "details": {
-            "max_residual": worst,
-            "tolerance": FUNCTOR_TOLERANCE,
-            "expressions": FUNCTOR_EXPRESSIONS,
-        },
-    }
+    return _criterion(9, "normal-form-representation-functor", worst < FUNCTOR_TOLERANCE, {
+        "max_residual": worst,
+        "tolerance": FUNCTOR_TOLERANCE,
+        "expressions": FUNCTOR_EXPRESSIONS,
+    })
 
 
 TRANSFER_POINTS = 20  # random (q, c, v, w) points of the transfer residual
@@ -374,13 +336,12 @@ def criterion_10(seed: int) -> dict:
         v = gauss_vector(rng, 2)
         w = gauss_vector(rng, 2)
         checks.append(transfer_check(transfer_rep(m, q, c), v, w))
-    return {
-        "criterion": 10,
-        "name": "transfer-representation-ccr",
-        "passed": all(passed for _, passed in checks),
-        "details": {"max_residual": max(fields["residual"] for fields, _ in checks),
-                    "tolerance": checks[0][0]["tolerance"], "points": TRANSFER_POINTS},
-    }
+    ok = all(passed for _, passed in checks)
+    return _criterion(10, "transfer-representation-ccr", ok, {
+        "max_residual": max(fields["residual"] for fields, _ in checks),
+        "tolerance": checks[0][0]["tolerance"],
+        "points": TRANSFER_POINTS,
+    })
 
 
 # the uniform family's vacuum occupancy passes within this relative error of d/8
@@ -401,21 +362,16 @@ def criterion_11(seed: int) -> dict:
     increments = [b - a for a, b in zip(summable, summable[1:])]
     plateau = increments[1] < 0.5 * increments[0]
     ok = max(rel_errors) <= UNIFORM_TOLERANCE and plateau and passed
-    return {
-        "criterion": 11,
-        "name": "number-operator-growth-trend",
-        "passed": bool(ok),
-        "details": {
-            "uniform_occupancy": uniform,
-            "uniform_relative_errors": rel_errors,
-            "uniform_tolerance": UNIFORM_TOLERANCE,
-            "summable_occupancy": summable,
-            "summable_increments": increments,
-            "slope_ratio": trend["slope_ratio"],
-            "slope_ratio_floor": SLOPE_RATIO_FLOOR,
-            "trend": trend,
-        },
-    }
+    return _criterion(11, "number-operator-growth-trend", ok, {
+        "uniform_occupancy": uniform,
+        "uniform_relative_errors": rel_errors,
+        "uniform_tolerance": UNIFORM_TOLERANCE,
+        "summable_occupancy": summable,
+        "summable_increments": increments,
+        "slope_ratio": trend["slope_ratio"],
+        "slope_ratio_floor": SLOPE_RATIO_FLOOR,
+        "trend": trend,
+    })
 
 
 def criterion_12(seed: int) -> dict:
@@ -435,37 +391,23 @@ def criterion_12(seed: int) -> dict:
         fields, within = runs[-1][3]
         bochner[label] = {**fields, "within_3_sigma": within}
     cocycle, eta, weyl = ([run[check][0] for run in runs] for check in range(3))
-    return {
-        "criterion": 12,
-        "name": "gaussian-measure-checks",
-        "passed": all(passed for run in runs for _, passed in run),
-        "details": {
-            "cocycle_max_residual": max(f["cocycle_max_residual"] for f in cocycle),
-            "cocycle_tolerance": cocycle[0]["tolerance"],
-            "density_ratio_max_residual": max(f["density_ratio_max_residual"] for f in cocycle),
-            "density_ratio_tolerance": cocycle[0]["tolerance"],
-            "eta_max_error": max(f["max_error"] for f in eta),
-            "eta_tolerance": eta[0]["tolerance"],
-            "weyl_max_residual": max(f["max_residual"] for f in weyl),
-            "weyl_tolerance": weyl[0]["tolerance"],
-            "bochner": bochner,
-        },
-    }
+    ok = all(passed for run in runs for _, passed in run)
+    return _criterion(12, "gaussian-measure-checks", ok, {
+        "cocycle_max_residual": max(f["cocycle_max_residual"] for f in cocycle),
+        "cocycle_tolerance": cocycle[0]["tolerance"],
+        "density_ratio_max_residual": max(f["density_ratio_max_residual"] for f in cocycle),
+        "density_ratio_tolerance": cocycle[0]["tolerance"],
+        "eta_max_error": max(f["max_error"] for f in eta),
+        "eta_tolerance": eta[0]["tolerance"],
+        "weyl_max_residual": max(f["max_residual"] for f in weyl),
+        "weyl_tolerance": weyl[0]["tolerance"],
+        "bochner": bochner,
+    })
 
 
 CRITERION_FUNCS = (
-    criterion_01,
-    criterion_02,
-    criterion_03,
-    criterion_04,
-    criterion_05,
-    criterion_06,
-    criterion_07,
-    criterion_08,
-    criterion_09,
-    criterion_10,
-    criterion_11,
-    criterion_12,
+    criterion_01, criterion_02, criterion_03, criterion_04, criterion_05, criterion_06,
+    criterion_07, criterion_08, criterion_09, criterion_10, criterion_11, criterion_12,
 )
 
 
@@ -482,16 +424,8 @@ def run_selftest(seed: int = 42) -> dict:
     b1 = dump_json(first).encode("utf-8")
     b2 = dump_json(second).encode("utf-8")
     identical = b1 == b2
-    criteria = list(first)
-    criteria.append(
-        {
-            "criterion": 13,
-            "name": "deterministic-reports",
-            "passed": bool(identical),
-            "tolerance": 0.0,
-            "details": {"bytes": len(b1), "identical": bool(identical)},
-        }
-    )
+    criteria = first + [_criterion(13, "deterministic-reports", identical,
+                                   {"bytes": len(b1), "identical": identical}, exact=True)]
     return {
         "criteria": criteria,
         "passed": all(c["passed"] for c in criteria),

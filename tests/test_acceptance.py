@@ -104,3 +104,21 @@ def test_criterion_13_deterministic_reports():
     tag = "PASS" if identical else "FAIL"
     print(f"criterion 13 [{tag}] deterministic-reports")
     assert identical
+
+
+def test_criterion_documents_share_one_frame():
+    # every criterion document is its number, name, verdict and details,
+    # and the exact comparisons carry tolerance 0.0 next to the verdict
+    exact = {1, 2, 5, 6, 7, 13}
+    docs = [fn(SEED) for fn in selftest.CRITERION_FUNCS]
+    docs.append(selftest.run_selftest(SEED)["criteria"][12])
+    for position, doc in enumerate(docs):
+        number = position + 1
+        assert doc["criterion"] == number
+        frame = {"criterion", "name", "passed", "details"}
+        assert set(doc) == (frame | {"tolerance"} if number in exact else frame), number
+        if number in exact:
+            assert doc["tolerance"] == 0.0
+        assert type(doc["passed"]) is bool
+        assert isinstance(doc["details"], dict)
+    assert len({doc["name"] for doc in docs}) == len(docs) == 13

@@ -154,6 +154,12 @@ def test_state_budget_is_decided_without_the_exact_binomial():
             fock._check_states(d, nmax)
     fock._check_states(MAX_STATES - 1, 1)
     fock._check_states(1, MAX_STATES - 1)
+    # at nmax = 0 the basis is one state whatever d is; the mode budget
+    # admits the modes a basis with nmax >= 1 may span, and no more
+    fock._check_states(MAX_STATES - 1, 0)
+    for d in (MAX_STATES, 10 ** 400):
+        with pytest.raises(FockError, match=f"over the budget of {MAX_STATES - 1} modes"):
+            fock._check_states(d, 0)
 
 
 def _per_state_lowering(m, index, j):

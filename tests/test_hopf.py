@@ -1294,3 +1294,16 @@ def test_word_budget_is_checked_before_the_letters_are_built(monkeypatch):
     for check, needle in refused:
         with pytest.raises(HopfError, match=f"{needle}.*exceed the budget of {MAX_CHECK_WORDS}"):
             check()
+    # a count with more digits than the interpreter prints is named by its
+    # order of magnitude: comb(letters + 12, 12) over 400-digit letters
+    with pytest.raises(HopfError, match=r"^10\^4300 or more candidate words up to degree 12"):
+        check_counit(CL, P_UND, degree=12, modes=10 ** 400)
+
+
+@pytest.mark.parametrize("check", [check_coassociativity, check_counit, check_antipode,
+                                   cocommutativity_probe, check_multiplicativity])
+def test_a_negative_degree_is_refused(check):
+    # the CLI refuses --degree -1 before any check runs; a library call is
+    # refused by the check itself, not swept over the empty word alone
+    with pytest.raises(HopfError, match="degree must be non-negative, got -1"):
+        check(CL, P_UND, -1, 1)

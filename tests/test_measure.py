@@ -24,6 +24,7 @@ from ccr_hopf.measure import (
     COCYCLE_TOLERANCE,
     MAX_COCYCLE_SAMPLES,
     MAX_MC_DRAWS,
+    MAX_MODES,
     MAX_PD_VECTORS,
     MAX_TRANSLATE_MONOMIALS,
     MAX_WEYL_MONOMIALS,
@@ -57,7 +58,7 @@ def _rand_vec(rng, d, scale=1.0):
 
 def _scaled(d, c):
     """The model of the CLI's --scale c: K = I / c."""
-    return GaussianModel(np.eye(d) / c)
+    return GaussianModel.scaled(d, c)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +221,26 @@ def test_model_basics():
     u = m.sample(40000, rng)
     cov = np.cov(u.T)
     assert np.allclose(cov, np.linalg.inv(m.C), atol=0.03)
+
+
+def test_mode_budget_and_scale_are_checked_before_any_array(monkeypatch):
+    # the largest d the tests and the benchmark use is 22, far inside the
+    # budget; past it no d x d array is built
+    assert GaussianModel.fock(MAX_MODES).d == MAX_MODES
+    with pytest.raises(MeasureError, match=f"of {MAX_MODES + 1} modes is over the budget"):
+        GaussianModel(np.eye(MAX_MODES + 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(GaussianModel.scaled(2, 1e-100).K, np.eye(2) / 1e-100)
+    monkeypatch.setattr(np, "eye", lambda *a, **k: pytest.fail("np.eye was called"))
+    for build in (GaussianModel.fock, lambda d: GaussianModel.scaled(d, 0.5)):
+        for d in (MAX_MODES + 1, 10 ** 400):
+            with pytest.raises(MeasureError, match=f"of {d} modes is over the budget of {MAX_MODES}"):
+                build(d)
+    # a scale whose reciprocal overflows, or is zero, would make numpy warn
+    for scale in (1e-320, 0.0, -1e-320):
+        with pytest.raises(MeasureError, match="^K must have finite entries$"):
+            GaussianModel.scaled(2, scale)
 
 
 def test_cocycle_identities():

@@ -11,7 +11,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccr_hopf.algebra import (
@@ -1098,13 +1098,6 @@ _FLAG_VALUES = [(argv, i) for _, limit, argv in _contract_rows() if limit <= 60
                 for i in range(1, len(argv))
                 if argv[i - 1].startswith("--") and not argv[i].startswith("--")]
 
-# (command, flag, value) of the breaches pinned as strict xfails below;
-# each also covers a few argvs with that flag value that keep the contract
-_PINNED_BREACHES = {
-    ("measure", "--d", _HUGE), ("measure", "--scale", "1e-320"),
-    ("hopf-check", "--modes", _HUGE), ("fock", "--d", _HUGE), ("fock", "--nmax", "0"),
-}
-
 
 def _refuse_constant(name):
     raise ValueError(f"{name} is not strict JSON")
@@ -1116,7 +1109,8 @@ def _assert_contract(argv):
     allowed; otherwise the exit code is 0, 1 or 2, exits 0 and 1 print
     strict JSON, and exit 2 prints nothing on stdout and one ccr-hopf:
     line on stderr.  Any exception that escapes main fails the caller,
-    and so does a warning, which a process would print on stderr."""
+    and so does a warning, which a process would print on stderr.  The
+    exit code is returned, None for argparse's."""
     out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
     os.chdir(_ROOT)  # the rows name their files from the repository root
     try:
@@ -1135,6 +1129,7 @@ def _assert_contract(argv):
         assert err.getvalue().startswith("ccr-hopf: ") and err.getvalue().count("\n") == 1, argv
     else:
         json.loads(out.getvalue(), parse_constant=_refuse_constant)
+    return code
 
 
 @settings(max_examples=2000, deadline=None, derandomize=True, database=None)
@@ -1142,37 +1137,34 @@ def _assert_contract(argv):
 def test_cli_contract_rows_with_one_edge_flag_value(row, value):
     # one contract row with one flag's value replaced by an edge value
     # keeps the exit-code contract.  2000 examples, derandomized, draw
-    # about 1450 of the 1560 (row, flag, value) choices, in about 4 s
+    # about 1530 of the 1600 (row, flag, value) choices, in about 4 s
     argv, i = row
-    assume((argv[0], argv[i - 1], value) not in _PINNED_BREACHES)
     _assert_contract(argv[:i] + [value] + argv[i + 1:])
 
 
 @pytest.mark.parametrize("argv", [
-    # np.eye(d) refuses a d past numpy's dimension limit with ValueError
-    pytest.param(["measure", "weyl", "--d", _HUGE, "--count", "1"],
-                 marks=pytest.mark.xfail(strict=True, raises=ValueError)),
-    # I/c overflows to inf, and numpy warns on stderr, before K is refused
-    pytest.param(["measure", "cocycle", "--scale", "1e-320"],
-                 marks=pytest.mark.xfail(strict=True, raises=RuntimeWarning)),
-    # the word-budget refusal prints comb(letters + 12, 12), past 4300 digits
-    pytest.param(["hopf-check", "--modes", _HUGE, "--degree", "12"],
-                 marks=pytest.mark.xfail(strict=True, raises=ValueError)),
+    # the mode budget refuses d before np.eye(d), which numpy refuses with
+    # ValueError past its dimension limit
+    ["measure", "weyl", "--d", _HUGE, "--count", "1"],
+    # I/c would overflow to inf, and numpy warn on stderr, before K is refused
+    ["measure", "cocycle", "--scale", "1e-320"],
+    # the word-budget refusal names comb(letters + 12, 12), past 4300
+    # digits, by its order of magnitude
+    ["hopf-check", "--modes", _HUGE, "--degree", "12"],
 ])
 def test_cli_contract_breaches_found_by_the_argv_fuzz(argv):
-    _assert_contract(argv)
+    assert _assert_contract(argv) == 2
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError)
 def test_cli_fock_refuses_a_huge_mode_count_at_cutoff_zero(monkeypatch):
     # the state budget counts comb(d + nmax, d) states, one at nmax = 0
-    # whatever d is, so ModeSpace goes on to build arrays d entries long:
-    # the fuzz's d = 4000000 ran past 10 s, and a 400-digit d never ends.
-    # Here the first such array fails instead of being built
+    # whatever d is, while ModeSpace builds arrays d entries long: the
+    # mode budget refuses d first.  Here the first such array fails
+    # instead of being built
     from ccr_hopf import fock
 
     def built(d, nmax):
         raise AssertionError(f"a {d}-mode table was built")
 
     monkeypatch.setattr(fock, "_tail_counts", built)
-    _assert_contract(["fock", "spectrum", "--d", _HUGE, "--nmax", "0"])
+    assert _assert_contract(["fock", "spectrum", "--d", _HUGE, "--nmax", "0"]) == 2
