@@ -136,6 +136,13 @@ done <<'ROWS'
 # the per-mode matrices, a three-mode squeezed spectrum, and the ladders
 # and transfer matrices weighted through a gram
 0  60 fock matrices --d 2 --nmax 3
+# fock matrices prints each mode's phi and pi densely, 2 d dim^2 entries:
+# the dense budget refuses from d and nmax before any basis is built, and
+# at nmax = 0 the modes share one ladder stack, so 19999 of them take
+# seconds where a d x d identity of 3.2 GB was built
+2  20 fock matrices --d 120 --nmax 1
+2  20 fock matrices --d 1 --nmax 19999
+0  20 fock matrices --d 19999 --nmax 0
 0  60 fock spectrum --d 3 --nmax 12 --family summable
 # a cutoff of zero quanta: the vacuum alone, whose reported occupancy is 0.0
 0  60 fock spectrum --d 2 --nmax 0 --family uniform

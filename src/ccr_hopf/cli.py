@@ -84,10 +84,6 @@ _HOPF_CHECKS = tuple(_HOPF_CHECK_TABLE)
 # respects-relations is opt-in: with the idempotent identity in force it
 # reports the structural 2*I(x)I finding, which is not a usage failure
 _DEFAULT_CHECKS = tuple(n for n in _HOPF_CHECKS if n != "respects-relations")
-# most Poisson weight exp(i phi(v))|0> may hold above the cutoff before fock
-# genfun refuses to truncate it; runs inside the budget measured off by less
-# than 1e-11 on one to three modes, far inside fock.GENFUN_TOLERANCE
-GENFUN_TAIL_BUDGET = 1e-8
 
 
 class CliError(CcrHopfError):
@@ -272,8 +268,9 @@ def _bogoliubov(args):
 
 
 def _cmd_fock_matrices(args):
-    from .fock import phi_pi_matrices
+    from .fock import matrices_budget, phi_pi_matrices
 
+    matrices_budget(args.d, args.nmax)
     m = _mode_space(args)
     phis, pis = phi_pi_matrices(m)
     results = {
@@ -294,65 +291,17 @@ def _cmd_fock_spectrum(args):
     spec = _bogoliubov(args)
     n = number_operator(m, spec)
     fields, passed = spectrum_check(n, args.k)
-    results = {**fields, "rs": list(spec.rs), "vacuum_occupancy": float(n.diagonal()[0])}
+    results = {**fields, "rs": list(spec.rs)}
     return results, passed, f"fock spectrum min={min(fields['eigenvalues'], default=None)}"
 
 
-def _poisson_tail(mu: float, n: int) -> float:
-    """P(N > n) for N ~ Poisson(mu), summed on whichever side of n the
-    terms fall off geometrically, with math alone."""
-    if mu == 0.0:
-        return 0.0
-    if math.isinf(mu):
-        return 1.0
-    k = n + 1 if n + 1 >= mu else n
-    term = math.exp(k * math.log(mu) - mu - math.lgamma(k + 1))
-    total = 0.0
-    if k > n:  # above n the terms shrink by mu / k
-        while term > total * 1e-17:
-            total += term
-            k += 1
-            term *= mu / k
-        return total
-    while k >= 0 and term > total * 1e-17:  # up to n they shrink going down
-        total += term
-        term *= k / mu
-        k -= 1
-    return 1.0 - total
-
-
-def _genfun_refusal(m, mu: float, weight: float) -> str:
-    """Why the cutoff is too small, with the nmax the budget would need."""
-    from .fock import DENSE_EIG_LIMIT, MAX_STATES
-
-    # the largest cutoff the state budget and the Krylov budget of
-    # vacuum_generating_function (nmax + 1 <= DENSE_EIG_LIMIT) admit at this d
-    top = min(m.nmax, DENSE_EIG_LIMIT - 1)
-    while math.comb(m.d + top + 1, m.d) <= MAX_STATES and top + 2 <= DENSE_EIG_LIMIT:
-        top += 1
-    if _poisson_tail(mu, top) > GENFUN_TAIL_BUDGET:
-        need = (f"no --nmax within the {MAX_STATES}-state budget and the {DENSE_EIG_LIMIT}-state "
-                f"Krylov budget (at most {top} for d={m.d}) suffices")
-    else:
-        lo, hi = m.nmax, top  # the tail is over the budget at lo, within it at hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if _poisson_tail(mu, mid) > GENFUN_TAIL_BUDGET else (lo, mid)
-        need = f"it needs --nmax {hi}"
-    return (f"exp(i phi(v))|0> holds weight {weight:.3g} above nmax={m.nmax} (mean occupation "
-            f"{mu:.4g}), over the budget of {GENFUN_TAIL_BUDGET:g}; {need}")
-
-
 def _cmd_fock_genfun(args):
-    from .fock import genfun_check, genfun_mean
+    from .fock import genfun_budget, genfun_check
 
     m = _mode_space(args)
     spec = _bogoliubov(args)
     v = _vector(args.v, args.d)
-    mu = genfun_mean(m, v, spec)
-    weight = _poisson_tail(mu, m.nmax)
-    if weight > GENFUN_TAIL_BUDGET:
-        raise CliError(_genfun_refusal(m, mu, weight))
+    genfun_budget(m, v, spec)
     fields, passed = genfun_check(m, v, spec)
     return fields, passed, f"fock genfun value={fields['value_re']:.12f}"
 

@@ -47,6 +47,10 @@ DENSE_EIG_LIMIT = 2000
 # tests, selftest and perfbench build at most 5456 (d=3, nmax=30)
 MAX_STATES = 20000
 
+# most dense entries, 2 d dim^2, that the d per-mode phi and pi matrices
+# of fock matrices may print: about 10 MB of report JSON
+MAX_DENSE_ENTRIES = 250000
+
 # largest squeezing |r| whose gamma = exp(-2r) and c^2 = exp(2r)/2 are
 # finite floats
 R_MAX = 354
@@ -67,9 +71,9 @@ def _tail_counts(d: int, nmax: int) -> np.ndarray:
     )
 
 
-def _check_states(d: int, nmax: int) -> None:
-    """Raise FockError when the occupation basis of d modes at cutoff
-    nmax, comb(d + nmax, d) states, holds more than MAX_STATES.  The
+def _check_states(d: int, nmax: int) -> int:
+    """comb(d + nmax, d), the size of the occupation basis of d modes at
+    cutoff nmax; FockError when it holds more than MAX_STATES.  The
     binomial is built factor by factor, comb(n, j) for j up to
     min(d, nmax), and grows with j, so the first factor past the budget
     refuses: huge d and nmax never compute the exact value.
@@ -85,6 +89,24 @@ def _check_states(d: int, nmax: int) -> None:
                             f"budget of {MAX_STATES} states; lower d or nmax")
     if d >= MAX_STATES:
         raise FockError(f"{d} modes are over the budget of {MAX_STATES - 1} modes; lower d")
+    return states
+
+
+def matrices_budget(d: int, nmax: int) -> None:
+    """Raise FockError when the per-mode phi(e_j) and pi(e_j) of d modes
+    at cutoff nmax, written densely, hold more than MAX_DENSE_ENTRIES
+    entries, 2 d dim^2 for dim = comb(d + nmax, d).  It reads d and nmax
+    alone, so no basis or matrix is built for a refused pair; the state
+    and mode budgets are checked first, and d < 1 or nmax < 0 is left to
+    ModeSpace to refuse."""
+    if d < 1 or nmax < 0:
+        return
+    dim = _check_states(d, nmax)
+    entries = 2 * d * dim * dim
+    if entries > MAX_DENSE_ENTRIES:
+        raise FockError(f"the dense phi and pi matrices for d={d}, nmax={nmax} ({dim} states) "
+                        f"hold {entries} entries, over the budget of {MAX_DENSE_ENTRIES}; "
+                        f"lower d or nmax")
 
 
 def occupation_array(d: int, nmax: int) -> np.ndarray:
@@ -366,30 +388,43 @@ class ModeSpace:
 def ladder_of(m: ModeSpace, v, spec=None):
     """(a+(v), a-(v)) for a coefficient vector v, linear through the gram;
     a-(v) is antilinear in v so that [a-(v), a+(w)] = <v|w>.  With a
-    spec, the Bogoliubov (b+(v), b-(v)) by the same (anti)linearity.
+    spec, the Bogoliubov (b+(v), b-(v)) by the same (anti)linearity."""
+    return _ladder(m, np.conj(m.coords(v)), _squeezed_stack(m, spec))
 
-    a-(v) = sum_j conj(w_j) b-_j for the gram coordinates w: each row of
-    _squeezed_stack is weighted by conj(w_j) of its mode j and the rows
-    are folded onto one another, so an entry adds its terms mode by mode."""
-    w = np.conj(m.coords(v))
-    b = _squeezed_stack(m, spec)
+
+def _ladder(m: ModeSpace, w: np.ndarray, b: SparseOp) -> tuple:
+    """(a+, a-) for a- = sum_j w_j b-_j, where b stacks the b-_j: each row
+    of b is weighted by w_j of its mode j and the rows are folded onto one
+    another, so an entry adds its terms mode by mode."""
     mode = b.rows // m.dim
     am = _coalesced(b.rows - mode * m.dim, b.cols, b.vals * w[mode], (m.dim, m.dim))
     return am.conj().T, am
 
 
+def _fields(ap: SparseOp, am: SparseOp) -> tuple:
+    """(phi, pi) = ((a+ + a-) / sqrt2, i (a+ - a-) / sqrt2)."""
+    return (ap + am) / ROOT2, (1j * (ap - am)) / ROOT2
+
+
 def field_pair(m: ModeSpace, v, spec=None):
     """(phi(v), pi(v)); built on the Bogoliubov ladder when spec is given."""
-    ap, am = ladder_of(m, v, spec)
-    phi = (ap + am) / ROOT2
-    pi = (1j * (ap - am)) / ROOT2
-    return phi, pi
+    return _fields(*ladder_of(m, v, spec))
 
 
 def phi_pi_matrices(m: ModeSpace):
-    """Per-mode field and momentum matrices phi(e_j), pi(e_j)."""
-    phis, pis = zip(*(field_pair(m, e) for e in np.eye(m.d)))
-    return list(phis), list(pis)
+    """Per-mode field and momentum matrices phi(e_j), pi(e_j), all from one
+    ladder stack and one unit vector reused mode by mode, so no d x d
+    array is built."""
+    b = _squeezed_stack(m, None)
+    e = np.zeros(m.d)
+    phis, pis = [], []
+    for j in range(m.d):
+        e[j] = 1.0
+        phi, pi = _fields(*_ladder(m, np.conj(m.coords(e)), b))
+        e[j] = 0.0
+        phis.append(phi)
+        pis.append(pi)
+    return phis, pis
 
 
 @dataclass(frozen=True)
@@ -463,6 +498,10 @@ def number_operator(m: ModeSpace, spec: BogoliubovSpec | None = None) -> SparseO
 
 
 GENFUN_TOLERANCE = 1e-8  # the vacuum generating function passes within this of its closed form
+# most Poisson weight exp(i phi(v))|0> may hold above the cutoff before
+# genfun_budget refuses to truncate it; runs inside the budget measured off
+# by less than 1e-11 on one to three modes, far inside GENFUN_TOLERANCE
+GENFUN_TAIL_BUDGET = 1e-8
 
 
 def vacuum_generating_function(m: ModeSpace, v, spec=None) -> complex:
@@ -522,6 +561,54 @@ def genfun_mean(m: ModeSpace, v, spec=None) -> float:
     with np.errstate(over="ignore"):
         x, y = w.real * np.exp(rs), w.imag * np.exp(-rs)
         return 0.5 * float(x @ x + y @ y)
+
+
+def _poisson_tail(mu: float, n: int) -> float:
+    """P(N > n) for N ~ Poisson(mu), summed on whichever side of n the
+    terms fall off geometrically, with math alone."""
+    if mu == 0.0:
+        return 0.0
+    if math.isinf(mu):
+        return 1.0
+    k = n + 1 if n + 1 >= mu else n
+    term = math.exp(k * math.log(mu) - mu - math.lgamma(k + 1))
+    total = 0.0
+    if k > n:  # above n the terms shrink by mu / k
+        while term > total * 1e-17:
+            total += term
+            k += 1
+            term *= mu / k
+        return total
+    while k >= 0 and term > total * 1e-17:  # up to n they shrink going down
+        total += term
+        term *= k / mu
+        k -= 1
+    return 1.0 - total
+
+
+def genfun_budget(m: ModeSpace, v, spec=None) -> None:
+    """Raise FockError when exp(i phi(v))|0> holds more than
+    GENFUN_TAIL_BUDGET of its Poisson weight above m.nmax.  The message
+    names the least --nmax within the budget, or says that none is within
+    the state budget and vacuum_generating_function's Krylov budget."""
+    mu = genfun_mean(m, v, spec)
+    weight = _poisson_tail(mu, m.nmax)
+    if weight <= GENFUN_TAIL_BUDGET:
+        return
+    top = min(m.nmax, DENSE_EIG_LIMIT - 1)  # the largest cutoff both budgets admit at this d
+    while math.comb(m.d + top + 1, m.d) <= MAX_STATES and top + 2 <= DENSE_EIG_LIMIT:
+        top += 1
+    if _poisson_tail(mu, top) > GENFUN_TAIL_BUDGET:
+        need = (f"no --nmax within the {MAX_STATES}-state budget and the {DENSE_EIG_LIMIT}-state "
+                f"Krylov budget (at most {top} for d={m.d}) suffices")
+    else:
+        lo, hi = m.nmax, top  # the tail is over the budget at lo, within it at hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if _poisson_tail(mu, mid) > GENFUN_TAIL_BUDGET else (lo, mid)
+        need = f"it needs --nmax {hi}"
+    raise FockError(f"exp(i phi(v))|0> holds weight {weight:.3g} above nmax={m.nmax} (mean "
+                    f"occupation {mu:.4g}), over the budget of {GENFUN_TAIL_BUDGET:g}; {need}")
 
 
 def genfun_check(m: ModeSpace, v, spec=None) -> tuple:
@@ -747,7 +834,7 @@ def smallest_eigenvalues(a, k: int) -> tuple:
 def spectrum_check(n, k: int) -> tuple:
     """(report fields, passed) of the lowest k eigenvalues of a number
     operator, judged above -NONNEGATIVE_TOLERANCE, with the block layout
-    the solver ran on.
+    the solver ran on and the vacuum occupancy N[0, 0].
 
     A dense symmetric eigen-solve is backward stable: the eigenvalues
     eigvalsh returns for an s-state block B are exact for a matrix within
@@ -771,7 +858,8 @@ def spectrum_check(n, k: int) -> tuple:
     eigs = _block_eigenvalues(n, k, labels, sizes)
     fields = {"eigenvalues": list(eigs), "nonnegative_tolerance": NONNEGATIVE_TOLERANCE,
               "solver": {"blocks": len(sizes), "largest_block": largest,
-                         "method": "dense-blocks"}}
+                         "method": "dense-blocks"},
+              "vacuum_occupancy": float(n.diagonal()[0])}
     return fields, not eigs or eigs[0] > -NONNEGATIVE_TOLERANCE
 
 

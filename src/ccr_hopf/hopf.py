@@ -474,18 +474,16 @@ class Failure:
 class AxiomReport:
     axiom: str
     degree: int | None
-    status: str
     failures: tuple
     notes: tuple = ()
 
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return not self.failures
 
-
-def _report(axiom, degree, failures, notes=()):
-    status = "pass" if not failures else "fail"
-    return AxiomReport(axiom, degree, status, tuple(failures), tuple(notes))
+    @property
+    def status(self) -> str:
+        return "pass" if self.passed else "fail"
 
 
 def _scalar_side(v: Scalar) -> dict:
@@ -555,7 +553,7 @@ def _sweep(axiom: str, h: HopfSpec, p: Presentation, degree: int, modes: int, si
     for w in words:
         for label, lhs, rhs in sides(w, _co_nf(w, t), t):
             _record(failures, lambda: label + word_text(w), lhs, rhs, t)
-    return _report(axiom, degree, failures)
+    return AxiomReport(axiom, degree, tuple(failures))
 
 
 def _covered_letters(h: HopfSpec, p: Presentation, modes: int, depth: int) -> list:
@@ -640,7 +638,7 @@ def check_respects_relations(h: HopfSpec, p: Presentation, modes: int = 2) -> Ax
             "a primitive Delta(I) cannot respect I*I = I; the residual is "
             "structural, recorded as a finding rather than repaired"
         )
-    return _report("respects-relations", None, failures, notes)
+    return AxiomReport("respects-relations", None, tuple(failures), tuple(notes))
 
 
 def check_coassociativity(
@@ -752,4 +750,4 @@ def check_multiplicativity(
         x, y = rand_expr(), rand_expr()
         _record(failures, lambda: f"trial {trial}: x={x}; y={y}", _co_expr(x * y, t),
                 t.product(_co_expr(x, t), _co_expr(y, t)), t)
-    return _report("multiplicativity", degree, failures)
+    return AxiomReport("multiplicativity", degree, tuple(failures))

@@ -43,7 +43,9 @@ from ccr_hopf.algebra import (
 )
 from ccr_hopf import fock, measure
 from ccr_hopf.fock import (
+    GENFUN_TAIL_BUDGET,
     BogoliubovSpec,
+    MAX_DENSE_ENTRIES,
     MAX_STATES,
     FockError,
     ModeSpace,
@@ -52,13 +54,16 @@ from ccr_hopf.fock import (
     commutator_matrix,
     expr_matrix,
     field_pair,
+    genfun_budget,
     invariant_blocks,
     ladder_of,
+    matrices_budget,
     number_operator,
     occupation_array,
     phi_pi_matrices,
     restricted_norm,
     smallest_eigenvalues,
+    spectrum_check,
     transfer_rep,
     transfer_check,
     vacuum_generating_function,
@@ -143,11 +148,11 @@ def test_state_budget_is_decided_without_the_exact_binomial():
         for nmax in range(0, 40):
             over = comb(d + nmax, d) > MAX_STATES
             try:
-                fock._check_states(d, nmax)
+                states = fock._check_states(d, nmax)
             except FockError as exc:
                 assert over and f"d={d}, nmax={nmax} exceeds the budget" in str(exc)
             else:
-                assert not over, (d, nmax)
+                assert not over and states == comb(d + nmax, d), (d, nmax)
     # comb(2n, n) at n = 10^6 took 37 s; the factors pass the budget at once
     for d, nmax in ((4_000_000, 4_000_000), (1, 10 ** 9), (10 ** 9, 1), (10 ** 12, 10 ** 12)):
         with pytest.raises(FockError, match="budget"):
@@ -160,6 +165,57 @@ def test_state_budget_is_decided_without_the_exact_binomial():
     for d in (MAX_STATES, 10 ** 400):
         with pytest.raises(FockError, match=f"over the budget of {MAX_STATES - 1} modes"):
             fock._check_states(d, 0)
+
+
+def test_matrices_budget_counts_the_dense_entries():
+    # 2 d dim^2 entries against the budget, at every small size and across
+    # its edge; what the CLI, the contract table and the benchmark print
+    # stays inside it
+    for d in range(1, 30):
+        for nmax in range(0, 12):
+            dim = comb(d + nmax, d)
+            if dim > MAX_STATES:
+                continue
+            try:
+                matrices_budget(d, nmax)
+            except FockError as exc:
+                assert 2 * d * dim * dim > MAX_DENSE_ENTRIES, (d, nmax)
+                assert f"hold {2 * d * dim * dim} entries, over the budget" in str(exc)
+            else:
+                assert 2 * d * dim * dim <= MAX_DENSE_ENTRIES, (d, nmax)
+    matrices_budget(1, 352)  # 247,808 entries
+    for d, nmax in ((1, 353), (120, 1), (1, MAX_STATES - 1), (MAX_STATES - 1, 1)):
+        with pytest.raises(FockError, match=f"over the budget of {MAX_DENSE_ENTRIES}"):
+            matrices_budget(d, nmax)
+    for d, nmax in ((2, 10), (2, 3), (1, 5), (2, 5), (MAX_STATES - 1, 0)):
+        matrices_budget(d, nmax)
+    # the state and mode budgets come first; what ModeSpace refuses is left to it
+    with pytest.raises(FockError, match="occupation basis"):
+        matrices_budget(4_000_000, 4_000_000)
+    with pytest.raises(FockError, match="modes"):
+        matrices_budget(MAX_STATES, 0)
+    matrices_budget(0, 3)
+    matrices_budget(2, -1)
+
+
+def test_phi_pi_matrices_are_built_from_one_stack(monkeypatch):
+    # each mode's matrices equal field_pair at its unit vector, with and
+    # without a gram; many modes build without a d x d identity, which
+    # took 3.2 GB at the 19999 modes the budgets admit at nmax = 0
+    off = np.diag(np.ones(2), 1)
+    for gram in (None, 2 * np.eye(3) + (0.3 + 0.4j) * off + (0.3 - 0.4j) * off.T):
+        m = ModeSpace(3, 4, gram=gram)
+        for j, pair in enumerate(zip(*phi_pi_matrices(m))):
+            assert all(map(_same_bits, pair, field_pair(m, np.eye(3)[j])))
+    m = ModeSpace(2000, 0)
+
+    def eye(*args, **kwargs):
+        raise AssertionError("a d x d identity was built")
+
+    monkeypatch.setattr(np, "eye", eye)
+    phis, pis = phi_pi_matrices(m)
+    assert len(phis) == len(pis) == 2000
+    assert all(p.shape == (1, 1) and p.nnz == 0 for p in phis + pis)
 
 
 def _per_state_lowering(m, index, j):
@@ -615,6 +671,67 @@ def test_generating_function_work_is_bounded_in_v():
         with pytest.raises(FockError, match="too large"):
             vacuum_generating_function(m, np.array([v]))
         assert time.perf_counter() - start < 0.5
+
+
+def _poisson_tail_oracle(mu, n):
+    # every term of the upper tail, far past the mode, added exactly
+    top = int(mu + 40 * math.sqrt(mu) + n + 200)
+    return math.fsum(math.exp(k * math.log(mu) - mu - math.lgamma(k + 1))
+                     for k in range(n + 1, top))
+
+
+def test_poisson_tail_matches_direct_sum():
+    for mu in (1e-3, 0.5, 0.9571, 3.7, 40.0, 201.7, 900.0):
+        for n in (0, 1, 5, 10, 20, 60, 286, 1200):
+            want = _poisson_tail_oracle(mu, n)
+            got = fock._poisson_tail(mu, n)
+            assert abs(got - want) <= 1e-12 + 1e-9 * want, (mu, n, got, want)
+    assert fock._poisson_tail(0.0, 3) == 0.0
+    assert fock._poisson_tail(math.inf, 3) == 1.0
+    assert fock._poisson_tail(5e9, 19999) == 1.0
+
+
+@pytest.mark.parametrize(
+    "d, nmax, v, spec, needle",
+    [
+        (1, 10, [1e5], None, "no --nmax within the 20000-state budget"),
+        (1, 20, [1e3], None, "no --nmax within the 20000-state budget"),
+        (1, 20, [1.0], BogoliubovSpec.uniform(1, 3.0), "it needs --nmax 286"),
+        (1, 10, [1.0], BogoliubovSpec.uniform(1, 10.0), "no --nmax"),
+        (2, 30, [1.5, -2.0], BogoliubovSpec.summable(2, 1.0), "it needs --nmax 39"),
+        # at d = 1 the 2000-state Krylov budget binds before the state budget
+        (1, 20, [70.0], None, "2000-state Krylov budget (at most 1999 for d=1)"),
+    ],
+)
+def test_genfun_budget_refuses_before_the_solve(monkeypatch, d, nmax, v, spec, needle):
+    # the refusals fock genfun prints, from the library: the budget reads
+    # the closed-form mean alone
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the budget must refuse before the Lanczos solve runs")
+
+    monkeypatch.setattr(fock, "vacuum_generating_function", unreachable)
+    with pytest.raises(FockError) as exc:
+        genfun_budget(ModeSpace(d, nmax), np.array(v), spec)
+    assert f"budget of {GENFUN_TAIL_BUDGET:g}" in str(exc.value) and needle in str(exc.value)
+
+
+def test_genfun_budget_admits_without_the_solve(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the budget must not run the Lanczos solve")
+
+    monkeypatch.setattr(fock, "vacuum_generating_function", unreachable)
+    assert genfun_budget(ModeSpace(1, 10), np.array([1.0])) is None
+    m = ModeSpace(2, 39)
+    assert genfun_budget(m, np.array([1.5, -2.0]), BogoliubovSpec.summable(2, 1.0)) is None
+
+
+def test_spectrum_check_reports_the_vacuum_occupancy():
+    for m, spec in ((ModeSpace(2, 8), BogoliubovSpec.uniform(2, 0.3)),
+                    (ModeSpace(3, 5), BogoliubovSpec.summable(3, -0.6)),
+                    (ModeSpace(2, 0), BogoliubovSpec.uniform(2, 0.3))):
+        n = number_operator(m, spec)
+        for k in (0, 3):
+            assert spectrum_check(n, k)[0]["vacuum_occupancy"] == float(n.diagonal()[0])
 
 
 def test_generating_function_krylov_budget():

@@ -26,13 +26,9 @@ from ccr_hopf.algebra import (
     random_expr,
     unit,
 )
-from ccr_hopf.cli import (
-    GENFUN_TAIL_BUDGET,
-    _HOPF_CHECKS,
-    _poisson_tail,
-    main,
-)
+from ccr_hopf.cli import _HOPF_CHECKS, main
 from ccr_hopf.exprparse import ParseError, expr_to_text, parse_expr, scalar_text
+from ccr_hopf.fock import GENFUN_TAIL_BUDGET, _poisson_tail
 from ccr_hopf.hopf import MAX_CHECK_WORDS
 from ccr_hopf.scalars import IMAG, KAPPA, ONE, S_PARAM, Scalar
 
@@ -618,24 +614,6 @@ def test_cli_fock_genfun_check(capsys):
     assert r["error"] < 1e-8
 
 
-def _poisson_tail_oracle(mu, n):
-    # every term of the upper tail, far past the mode, added exactly
-    top = int(mu + 40 * math.sqrt(mu) + n + 200)
-    return math.fsum(math.exp(k * math.log(mu) - mu - math.lgamma(k + 1))
-                     for k in range(n + 1, top))
-
-
-def test_poisson_tail_matches_direct_sum():
-    for mu in (1e-3, 0.5, 0.9571, 3.7, 40.0, 201.7, 900.0):
-        for n in (0, 1, 5, 10, 20, 60, 286, 1200):
-            want = _poisson_tail_oracle(mu, n)
-            got = _poisson_tail(mu, n)
-            assert abs(got - want) <= 1e-12 + 1e-9 * want, (mu, n, got, want)
-    assert _poisson_tail(0.0, 3) == 0.0
-    assert _poisson_tail(math.inf, 3) == 1.0
-    assert _poisson_tail(5e9, 19999) == 1.0
-
-
 @pytest.mark.parametrize(
     "argv, needle",
     [
@@ -1137,7 +1115,7 @@ def _assert_contract(argv):
 def test_cli_contract_rows_with_one_edge_flag_value(row, value):
     # one contract row with one flag's value replaced by an edge value
     # keeps the exit-code contract.  2000 examples, derandomized, draw
-    # about 1530 of the 1600 (row, flag, value) choices, in about 4 s
+    # about 1580 of the 1648 (row, flag, value) choices, in about 7 s
     argv, i = row
     _assert_contract(argv[:i] + [value] + argv[i + 1:])
 
@@ -1168,3 +1146,29 @@ def test_cli_fock_refuses_a_huge_mode_count_at_cutoff_zero(monkeypatch):
 
     monkeypatch.setattr(fock, "_tail_counts", built)
     assert _assert_contract(["fock", "spectrum", "--d", _HUGE, "--nmax", "0"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["--d", "120", "--nmax", "1"], ["--d", "1", "--nmax", "19999"]])
+def test_cli_fock_matrices_refuses_its_dense_output_before_any_build(monkeypatch, argv):
+    # the dense-entry budget reads d and nmax alone, so neither a basis nor
+    # a matrix is built for a refused pair
+    from ccr_hopf import fock
+
+    def built(*args, **kwargs):
+        raise AssertionError("a basis or a matrix was built")
+
+    monkeypatch.setattr(fock, "ModeSpace", built)
+    monkeypatch.setattr(fock, "phi_pi_matrices", built)
+    assert _assert_contract(["fock", "matrices"] + argv) == 2
+
+
+_CONTRACT_ROWS = [(want, argv) for want, limit, argv in _contract_rows() if limit <= 60]
+
+
+@pytest.mark.parametrize("want, argv", _CONTRACT_ROWS,
+                         ids=[shlex.join(argv) for _, argv in _CONTRACT_ROWS])
+def test_cli_contract_rows_exit_as_the_table_says(want, argv):
+    # every row of .github/cli-contract.sh within 60 s, run in process,
+    # keeps the contract and exits with its row's code; the 120 s row and
+    # the rows built with printf have tests of their own
+    assert _assert_contract(argv) == want
