@@ -143,6 +143,12 @@ done <<'ROWS'
 2  20 fock matrices --d 120 --nmax 1
 2  20 fock matrices --d 1 --nmax 19999
 0  20 fock matrices --d 19999 --nmax 0
+# spectrum, genfun and transfer build the space's (dim, d) occupation
+# table: its budget refuses 20000 states over 19999 modes, which the state
+# budget admits, before a table of 3.2 GB is built
+2  20 fock spectrum --d 19999 --nmax 1
+2  20 fock genfun --d 19999 --nmax 1 --v 1
+2  20 fock transfer --d 19999 --nmax 1
 0  60 fock spectrum --d 3 --nmax 12 --family summable
 # a cutoff of zero quanta: the vacuum alone, whose reported occupancy is 0.0
 0  60 fock spectrum --d 2 --nmax 0 --family uniform
@@ -237,6 +243,14 @@ done <<'ROWS'
 # series branch at q = 1
 0  60 measure cocycle --kmat tests/golden/gram2.json
 0  60 normalize "pi(0)*phi(0) + K" --variant deformed --q 1 --c 0.5
+# a product or power of sums is multiplied out in the free algebra, and a
+# step of more than 4096 term pairs is refused before it is built: the
+# ^20 grew to 7.7 GB, and the coproduct at ^14 ran past 120 s.  The edge,
+# 2048 terms times 2 at the last step, runs
+2  20 normalize "(phi(0)*pi(1)+pi(0)*phi(1))^20"
+2  20 coproduct "(phi(0)+pi(0))^14"
+2  20 commutator "(phi(0)+pi(0))^12" "(phi(1)+pi(1))^12"
+0  60 normalize "(phi(0)+pi(0))^12"
 ROWS
 
 echo "$((rows - failed)) of $rows contract rows passed"

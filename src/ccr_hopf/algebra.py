@@ -237,12 +237,19 @@ class _SparseSum:
         return f"{type(self).__name__}({self})"
 
 
+# most term pairs one free product of sums may concatenate, and so one
+# step of a power: (phi(0)+pi(0))^12 multiplies 2048 terms by 2 at its last
+# step.  Without it (phi(0)*pi(1)+pi(0)*phi(1))^20 grew to 7.7 GB
+MAX_PRODUCT_PAIRS = 4096
+
+
 class Expr(_SparseSum):
     """Finitely supported linear combination of generator words.
 
     Multiplication concatenates words bilinearly; no relations are
-    applied until :func:`normal_form`.  Zero coefficients are never
-    stored.
+    applied until :func:`normal_form`.  A product of more than
+    MAX_PRODUCT_PAIRS term pairs raises AlgebraError before any is
+    formed.  Zero coefficients are never stored.
     """
 
     __slots__ = ()
@@ -262,6 +269,10 @@ class Expr(_SparseSum):
     def __mul__(self, other):
         if not isinstance(other, Expr):
             return super().__mul__(other)
+        if len(self.terms) * len(other.terms) > MAX_PRODUCT_PAIRS:
+            raise AlgebraError(f"a product of a {len(self.terms)}-term and a {len(other.terms)}-term "
+                               f"sum is over the budget of {MAX_PRODUCT_PAIRS} term pairs; "
+                               f"multiply fewer or shorter sums")
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():

@@ -47,6 +47,13 @@ DENSE_EIG_LIMIT = 2000
 # tests, selftest and perfbench build at most 5456 (d=3, nmax=30)
 MAX_STATES = 20000
 
+# most entries, dim * d, of a built space's occupation table: 32 MB of
+# int64, and as much again for the prefix sums of its lowering entries.
+# The largest table within MAX_STATES at nmax >= 2 is d=198, nmax=2
+# (3940200 entries), which the tests build, so the budget bounds nmax = 1
+# alone, at d <= 1999; there nmax = 1 at d = 19999 would take 3.2 GB
+MAX_TABLE_ENTRIES = 4_000_000
+
 # most dense entries, 2 d dim^2, that the d per-mode phi and pi matrices
 # of fock matrices may print: about 10 MB of report JSON
 MAX_DENSE_ENTRIES = 250000
@@ -73,14 +80,16 @@ def _tail_counts(d: int, nmax: int) -> np.ndarray:
 
 def _check_states(d: int, nmax: int) -> int:
     """comb(d + nmax, d), the size of the occupation basis of d modes at
-    cutoff nmax; FockError when it holds more than MAX_STATES.  The
-    binomial is built factor by factor, comb(n, j) for j up to
-    min(d, nmax), and grows with j, so the first factor past the budget
-    refuses: huge d and nmax never compute the exact value.
+    cutoff nmax; FockError when d < 1 or nmax < 0, or when it holds more
+    than MAX_STATES.  The binomial is built factor by factor, comb(n, j)
+    for j up to min(d, nmax), and grows with j, so the first factor past
+    the budget refuses: huge d and nmax never compute the exact value.
 
     A basis with nmax >= 1 holds at least d + 1 states, so it spans at
     most MAX_STATES - 1 modes.  At nmax = 0 it is the vacuum alone, yet
     the tables built with it are d long, so the same mode budget holds."""
+    if d < 1 or nmax < 0:
+        raise FockError("need d >= 1 and nmax >= 0")
     n, states = d + nmax, 1
     for j in range(1, min(d, nmax) + 1):
         states = states * (n - j + 1) // j
@@ -90,6 +99,18 @@ def _check_states(d: int, nmax: int) -> int:
     if d >= MAX_STATES:
         raise FockError(f"{d} modes are over the budget of {MAX_STATES - 1} modes; lower d")
     return states
+
+
+def _check_space(d: int, nmax: int) -> int:
+    """The admission of a space that is built: _check_states, and then
+    FockError when its (dim, d) occupation table holds more than
+    MAX_TABLE_ENTRIES entries.  Returns dim."""
+    dim = _check_states(d, nmax)
+    if dim * d > MAX_TABLE_ENTRIES:
+        raise FockError(f"the occupation table for d={d}, nmax={nmax} ({dim} states) holds "
+                        f"{dim * d} entries, over the budget of {MAX_TABLE_ENTRIES}; "
+                        f"lower d or nmax")
+    return dim
 
 
 def matrices_budget(d: int, nmax: int) -> None:
@@ -113,8 +134,8 @@ def occupation_array(d: int, nmax: int) -> np.ndarray:
     """The (dim, d) int64 array whose rows are the occupation tuples
     (n_0, ..., n_{d-1}) with sum <= nmax in lexicographic order, the
     all-zero tuple first, unranked mode by mode from their row numbers.
-    More than MAX_STATES rows raise FockError before any is built."""
-    _check_states(d, nmax)
+    A pair _check_space refuses raises FockError before any is built."""
+    _check_space(d, nmax)
     tail = _tail_counts(d, nmax)
     left = np.arange(tail[0, 0])  # rank not yet placed
     total = np.zeros_like(left)  # P_i
@@ -334,10 +355,7 @@ class ModeSpace:
     """
 
     def __init__(self, d: int, nmax: int, gram=None):
-        if d < 1 or nmax < 0:
-            raise FockError("need d >= 1 and nmax >= 0")
-        self.d = int(d)
-        self.nmax = int(nmax)
+        self.d, self.nmax = int(d), int(nmax)
         if gram is None:
             self.gram = None
             self._chol = None
@@ -504,6 +522,12 @@ GENFUN_TOLERANCE = 1e-8  # the vacuum generating function passes within this of 
 GENFUN_TAIL_BUDGET = 1e-8
 
 
+def _check_krylov(nmax: int) -> None:
+    if nmax + 1 > DENSE_EIG_LIMIT:
+        raise FockError(f"the vacuum's Krylov space of nmax + 1 = {nmax + 1} states exceeds "
+                        f"the dense eigen-solver budget of {DENSE_EIG_LIMIT}; lower nmax")
+
+
 def vacuum_generating_function(m: ModeSpace, v, spec=None) -> complex:
     """<vac| exp(i phi(v)) |vac> by Lanczos from the vacuum; see Golub &
     Meurant, Matrices, Moments and Quadrature (2010), ch. 6-7.
@@ -520,13 +544,11 @@ def vacuum_generating_function(m: ModeSpace, v, spec=None) -> complex:
     corner, so the value is the real e_1^T cos(T) e_1, taken from eigh(T),
     and its imaginary part is exactly 0.0.
 
-    A Krylov space above DENSE_EIG_LIMIT states raises FockError before
-    any work.  So does a |v| whose phases leave the float range, or whose
-    largest phase max|lambda(T)| is so large that its rounding alone,
+    A Krylov space _check_krylov refuses raises FockError before any work.
+    So does a |v| whose phases leave the float range, or whose largest
+    phase max|lambda(T)| is so large that its rounding alone,
     max|lambda(T)| * 2^-52, exceeds GENFUN_TOLERANCE."""
-    if m.nmax + 1 > DENSE_EIG_LIMIT:
-        raise FockError(f"the vacuum's Krylov space of nmax + 1 = {m.nmax + 1} states exceeds "
-                        f"the dense eigen-solver budget of {DENSE_EIG_LIMIT}; lower nmax")
+    _check_krylov(m.nmax)
     q = m.vacuum()
     betas = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -587,17 +609,21 @@ def _poisson_tail(mu: float, n: int) -> float:
 
 
 def genfun_budget(m: ModeSpace, v, spec=None) -> None:
-    """Raise FockError when exp(i phi(v))|0> holds more than
-    GENFUN_TAIL_BUDGET of its Poisson weight above m.nmax.  The message
-    names the least --nmax within the budget, or says that none is within
-    the state budget and vacuum_generating_function's Krylov budget."""
+    """Raise FockError when exp(i phi(v))|0> holds more than GENFUN_TAIL_BUDGET
+    of its Poisson weight above m.nmax, naming the least --nmax within the
+    budget, or saying that none passes both _check_space and _check_krylov."""
     mu = genfun_mean(m, v, spec)
     weight = _poisson_tail(mu, m.nmax)
     if weight <= GENFUN_TAIL_BUDGET:
         return
-    top = min(m.nmax, DENSE_EIG_LIMIT - 1)  # the largest cutoff both budgets admit at this d
-    while math.comb(m.d + top + 1, m.d) <= MAX_STATES and top + 2 <= DENSE_EIG_LIMIT:
-        top += 1
+    top = 0  # the largest cutoff both admissions pass at this d
+    try:
+        while True:
+            _check_space(m.d, top + 1)
+            _check_krylov(top + 1)
+            top += 1
+    except FockError:
+        pass
     if _poisson_tail(mu, top) > GENFUN_TAIL_BUDGET:
         need = (f"no --nmax within the {MAX_STATES}-state budget and the {DENSE_EIG_LIMIT}-state "
                 f"Krylov budget (at most {top} for d={m.d}) suffices")
@@ -890,8 +916,6 @@ def boundedness_trend(d_values=(1, 2, 3), nmax: int = 30) -> tuple:
     r = 0.5 * math.log(2.0)
     uniform, summable = [], []
     for d in d_values:
-        if d < 1:
-            raise FockError("need d >= 1 and nmax >= 0")
         _check_states(d, nmax)
         for costs, spec in ((uniform, BogoliubovSpec.uniform(d, r)),
                             (summable, BogoliubovSpec.summable(d, r))):

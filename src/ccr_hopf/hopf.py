@@ -537,11 +537,8 @@ def _sweep(axiom: str, h: HopfSpec, p: Presentation, degree: int, modes: int, si
     table, the sweep's own _SlotTable.  Each is recorded in turn
     (_record), with the witness label followed by the text of w.  A sweep
     whose words' free coproducts hold more than MAX_SWEEP_TERMS terms is
-    refused before the first coproduct, and so is a negative degree."""
-    if degree < 0:
-        raise HopfError(f"the degree must be non-negative, got {degree}")
-    _check_flavor_variant(h, p)
-    words = sorted_basis_words(p, degree, _covered_letters(h, p, modes, max(degree, 1)))
+    refused before the first coproduct, after _covered_letters admits it."""
+    words = sorted_basis_words(p, degree, _covered_letters(h, p, modes, degree))
     terms = sum(1 << len(w) for w in words)
     if terms > MAX_SWEEP_TERMS:
         raise HopfError(
@@ -556,16 +553,19 @@ def _sweep(axiom: str, h: HopfSpec, p: Presentation, degree: int, modes: int, si
     return AxiomReport(axiom, degree, tuple(failures))
 
 
-def _covered_letters(h: HopfSpec, p: Presentation, modes: int, depth: int) -> list:
-    """The sorted letters of modes 0..modes-1 that h covers and p does not
-    expand (see algebra._letter_piece); at least one must be a field, and
-    all must be legal in p, so every check refuses a mode window past the
-    gram at every degree.  depth is the longest word the check builds
-    from them: one whose comb(letters + depth, depth) candidate words over
-    the legal letters exceed MAX_CHECK_WORDS is refused before the letter
-    list is built.  A count with more digits than the interpreter prints
-    (sys.get_int_max_str_digits) is named by its order of magnitude."""
-    count = legal_letter_count(p, modes)
+def _covered_letters(h: HopfSpec, p: Presentation, modes: int, degree: int) -> list:
+    """Every check's admission: a negative degree, then _check_flavor_variant,
+    then comb(letters + depth, depth) candidate words over the legal letters
+    past MAX_CHECK_WORDS, depth = max(degree, 1), are refused in turn, the
+    last with a count past the interpreter's digits (sys.get_int_max_str_digits)
+    named by its order of magnitude.  It returns the sorted letters of modes
+    0..modes-1 that h covers and p does not expand (algebra._letter_piece); at
+    least one must be a field, and all must be legal in p, so every check
+    refuses a mode window past the gram at every degree."""
+    if degree < 0:
+        raise HopfError(f"the degree must be non-negative, got {degree}")
+    _check_flavor_variant(h, p)
+    count, depth = legal_letter_count(p, modes), max(degree, 1)
     words = math.comb(count + depth, depth)
     if words > MAX_CHECK_WORDS:
         try:
@@ -622,14 +622,12 @@ def check_respects_relations(h: HopfSpec, p: Presentation, modes: int = 2) -> Ax
     commute with every field letter, not only with phi(0), and I commutes
     with K and Kinv; the contractions I*I = I and K*Kinv = Kinv*K = 1 are
     checked where the presentation has them."""
-    _check_flavor_variant(h, p)
     t = _SlotTable(h, p)  # the relations' coproducts, owned by this check
     maps = (("Delta", lambda e: _co_expr(e, t)),
             ("eps", lambda e: _scalar_side(_eps_free(e, h))),
             ("S", lambda e: t.reduce({(w,): c for w, c in _s_free(e, h).terms.items()})))
     failures = []
-    # the relations are words of two letters
-    for label, L, R in relations(p, _covered_letters(h, p, modes, 2)):
+    for label, L, R in relations(p, _covered_letters(h, p, modes, 2)):  # two-letter words
         for name, reduced_map in maps:
             _record(failures, lambda: f"{name} on {label}", reduced_map(L), reduced_map(R), t)
     notes = []
@@ -722,18 +720,15 @@ def check_multiplicativity(
     the right multiplies the reduced coproducts of x and y
     (_SlotTable.product), and slot-wise normal form is an algebra map.  So
     this check tests the engine, not Delta; whether Delta is well defined
-    on the algebra is what check_respects_relations tests.  A negative
-    degree, and one whose products may hold more than MAX_TRIAL_LETTERS
-    letters, are refused before the first trial."""
-    if degree < 0:
-        raise HopfError(f"the degree must be non-negative, got {degree}")
-    _check_flavor_variant(h, p)
+    on the algebra is what check_respects_relations tests.  A degree whose
+    products may hold more than MAX_TRIAL_LETTERS letters is refused before
+    _covered_letters admits the rest."""
     if 2 * degree > MAX_TRIAL_LETTERS:
         raise HopfError(
             f"degree-{degree} multiplicativity trials multiply words of up to {2 * degree} "
             f"letters, over the budget of {MAX_TRIAL_LETTERS}; lower --degree"
         )
-    letters = _covered_letters(h, p, modes, max(degree, 1))
+    letters = _covered_letters(h, p, modes, degree)
     rng = random.Random(seed)
     pool = [ONE, -ONE, IMAG, Scalar.rational(2), Scalar.rational(1, 1)]
     failures = []

@@ -70,6 +70,9 @@ SYMMETRY_TOLERANCE = 1e-12  # most |A - A^H| entry a gram or quadratic part may 
 
 
 def _check_modes(d: int) -> None:
+    """Every model's admission of its mode count: 1 <= d <= MAX_MODES."""
+    if d < 1:
+        raise MeasureError("K must be at least 1 x 1")
     if d > MAX_MODES:
         raise MeasureError(f"a model of {d} modes is over the budget of {MAX_MODES}; lower d")
 
@@ -100,8 +103,6 @@ class GaussianModel:
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise MeasureError("K must be a square real matrix")
         self.d = K.shape[0]
-        if self.d == 0:
-            raise MeasureError("K must be at least 1 x 1")
         _check_modes(self.d)
         if not np.all(np.isfinite(K)):
             raise MeasureError("K must have finite entries")

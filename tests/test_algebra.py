@@ -21,6 +21,7 @@ from ccr_hopf.algebra import (
     GEN_I,
     GEN_K,
     GEN_KINV,
+    MAX_PRODUCT_PAIRS,
     AlgebraError,
     Expr,
     Gram,
@@ -787,3 +788,30 @@ def test_basis_convert_is_an_algebra_map(variant, gram):
     images = {g: basis_convert(Expr.from_word((g,)), "ladder", p)
               for g in legal_letters(p, 2)}
     assert _broken_relations(images, p, ladder) == []
+
+
+def test_free_product_refuses_over_its_pair_budget_before_any_term(monkeypatch):
+    # Expr.__mul__ counts the term pairs of a product of sums before it
+    # forms one; a power repeats it, and the parser's product of sums,
+    # commutator and the rightmost reference's letter expansion go through it
+    edge = (phi(0) + pi(0)) ** 12  # 2048 terms times 2 at the last step
+    assert len(edge.terms) == MAX_PRODUCT_PAIRS == 4096
+    assert len(((phi(0) + pi(0)) ** 6 * (phi(1) + pi(1)) ** 6).terms) == 4096
+    budget = f"over the budget of {MAX_PRODUCT_PAIRS} term pairs"
+    for refused, sizes in (
+        (lambda: (phi(0) + pi(0)) ** 13, "4096-term and a 2-term"),
+        (lambda: parse_expr("(phi(0)*pi(1)+pi(0)*phi(1))^20"), "4096-term and a 2-term"),
+        (lambda: parse_expr("(phi(0)+pi(0))^7*(phi(1)+pi(1))^6"), "128-term and a 64-term"),
+        (lambda: normal_form(ap(0) ** 13, P_UND, "rightmost"), "4096-term and a 2-term"),
+    ):
+        with pytest.raises(AlgebraError, match=f"^a product of a {sizes} sum is {budget}"):
+            refused()
+    pair = phi(1) + pi(1)
+    monkeypatch.setattr(algebra, "_acc", lambda *a: pytest.fail("a term was formed"))
+    for refused, sizes in (
+        (lambda: edge * pair, "4096-term and a 2-term"),
+        (lambda: pair * edge, "2-term and a 4096-term"),
+        (lambda: commutator(edge, edge, P_UND), "4096-term and a 4096-term"),
+    ):
+        with pytest.raises(AlgebraError, match=f"^a product of a {sizes} sum is {budget}"):
+            refused()

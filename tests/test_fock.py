@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import time
 import tracemalloc
 import warnings
@@ -47,6 +48,7 @@ from ccr_hopf.fock import (
     BogoliubovSpec,
     MAX_DENSE_ENTRIES,
     MAX_STATES,
+    MAX_TABLE_ENTRIES,
     FockError,
     ModeSpace,
     SparseOp,
@@ -196,6 +198,61 @@ def test_matrices_budget_counts_the_dense_entries():
         matrices_budget(MAX_STATES, 0)
     matrices_budget(0, 3)
     matrices_budget(2, -1)
+
+
+def test_space_admission_refuses_outside_the_domain():
+    # one refusal text for d < 1 or nmax < 0, wherever a size enters;
+    # occupation_array(0, 3) ended in an IndexError
+    for d, nmax in ((0, 3), (2, -1), (-5, -5), (-(10 ** 400), 0)):
+        for admit in (fock._check_states, fock._check_space, occupation_array, ModeSpace):
+            with pytest.raises(FockError, match=r"^need d >= 1 and nmax >= 0$"):
+                admit(d, nmax)
+    with pytest.raises(FockError, match=r"^need d >= 1 and nmax >= 0$"):
+        boundedness_trend((0, 1), 4)
+
+
+def test_table_budget_refuses_before_any_array(monkeypatch):
+    # the state budget admits 20000 states over 19999 modes, whose (dim, d)
+    # table would take 3.2 GB; the space's admission counts dim * d first.
+    # The largest table within the state budget at nmax >= 2 is admitted
+    assert fock._check_states(MAX_STATES - 1, 1) == MAX_STATES
+    assert fock._check_space(198, 2) == 19900 and 19900 * 198 <= MAX_TABLE_ENTRIES
+    assert fock._check_space(1999, 1) == 2000 and 2000 * 1999 <= MAX_TABLE_ENTRIES
+    assert fock._check_space(MAX_STATES - 1, 0) == 1
+
+    def built(*args, **kwargs):
+        raise AssertionError("an array was built")
+
+    for name in ("array", "arange", "empty", "zeros", "zeros_like", "cumsum"):
+        monkeypatch.setattr(np, name, built)
+    monkeypatch.setattr(fock, "_tail_counts", built)
+    for d in (2000, MAX_STATES - 1):
+        needle = f"for d={d}, nmax=1 ({d + 1} states) holds {(d + 1) * d} entries, over the budget"
+        for admit in (fock._check_space, occupation_array, ModeSpace):
+            with pytest.raises(FockError, match=re.escape(needle)):
+                admit(d, 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 30, 198, 1999, 2000, 2500])
+def test_genfun_budget_names_only_cutoffs_a_run_admits(d):
+    # over a grid of mean occupations 0.5 x^2, the cutoff a refusal names,
+    # the least within the tail budget or else the largest a run admits,
+    # builds a space and passes the Krylov budget; past the largest, a
+    # space or its solve is refused
+    m, named = ModeSpace(d, 0), set()
+    for x in (0.5, 2.0, 8.0, 40.0):
+        with pytest.raises(FockError) as exc:
+            genfun_budget(m, np.full(d, x / math.sqrt(d)))
+        n = re.search(r"it needs --nmax (\d+)|at most (\d+) for d=", str(exc.value)).groups()
+        if n[1] is not None:
+            top = int(n[1])
+            with pytest.raises(FockError):
+                fock._check_space(d, top + 1)
+                fock._check_krylov(top + 1)
+        named.add(int(n[0] or n[1]))
+    for nmax in named:
+        assert ModeSpace(d, nmax).nmax == nmax
+        fock._check_krylov(nmax)
 
 
 def test_phi_pi_matrices_are_built_from_one_stack(monkeypatch):

@@ -1307,3 +1307,34 @@ def test_a_negative_degree_is_refused(check):
     # refused by the check itself, not swept over the empty word alone
     with pytest.raises(HopfError, match="degree must be non-negative, got -1"):
         check(CL, P_UND, -1, 1)
+
+
+def test_every_check_admits_in_one_order(monkeypatch):
+    # _covered_letters is every check's admission: a negative degree, then a
+    # flavor, variant or basis the maps are not defined on, then the word
+    # budget, each refused before the next is looked at and before the
+    # letters are built; multiplicativity's trial budget comes first of all
+    monkeypatch.setattr(hopf, "legal_letters", lambda *a: pytest.fail("letters built"))
+    ladder = Presentation(basis="ladder")
+    for check in (check_coassociativity, check_counit, check_antipode, cocommutativity_probe,
+                  check_multiplicativity):
+        for h, p in ((DF, P_UND), (CL, ladder)):
+            with pytest.raises(HopfError, match="^the degree must be non-negative, got -1$"):
+                check(h, p, degree=-1, modes=10 ** 400)
+        with pytest.raises(HopfError, match="^the deformed coproduct introduces K"):
+            check(DF, P_UND, degree=7, modes=10)
+        with pytest.raises(HopfError, match="^Hopf structure maps are defined over the phi-pi"):
+            check(CL, ladder, degree=7, modes=10)
+        with pytest.raises(HopfError, match="^1184040 candidate words up to degree 7"):
+            check(CL, P_UND, degree=7, modes=10)
+    for h, p, needle in ((DF, P_UND, "introduces K"), (CL, ladder, "over the phi-pi basis"),
+                         (CL, P_UND, "5253 candidate words")):
+        with pytest.raises(HopfError, match=needle):
+            check_respects_relations(h, p, modes=50)
+    for h, p in ((DF, P_UND), (CL, ladder)):
+        with pytest.raises(HopfError, match="up to 18 letters, over the budget of 16"):
+            check_multiplicativity(h, p, degree=9, modes=10 ** 400)
+    with pytest.raises(HopfError, match="^the degree must be non-negative, got -2$"):
+        _covered_letters(DF, P_UND, 10 ** 400, -2)
+    with pytest.raises(HopfError, match="introduces K"):
+        _covered_letters(DF, P_UND, 10 ** 400, 0)

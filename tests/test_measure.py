@@ -911,3 +911,14 @@ def test_model_refuses_non_finite_matrices(k):
         warnings.simplefilter("error")
         with pytest.raises(MeasureError):
             GaussianModel(np.diag([k, 1.0]))
+
+
+def test_mode_count_below_one_is_refused_before_any_array(monkeypatch):
+    # numpy refused np.eye(-1) with its own ValueError; the mode admission
+    # names the model's smallest size first, as GaussianModel does for a
+    # 0 x 0 K
+    monkeypatch.setattr(np, "eye", lambda *a, **k: pytest.fail("np.eye was called"))
+    for build in (GaussianModel.fock, lambda d: GaussianModel.scaled(d, 0.5)):
+        for d in (0, -1, -10 ** 400):
+            with pytest.raises(MeasureError, match=r"^K must be at least 1 x 1$"):
+                build(d)

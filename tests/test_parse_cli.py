@@ -5,16 +5,22 @@ import math
 import os
 import random
 import shlex
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ccr_hopf.algebra import (
+    FAM_AM,
+    FAM_AP,
+    FAM_PHI,
+    FAM_PI,
     RIGHTMOST_STEP_BUDGET,
     AlgebraError,
     Presentation,
@@ -1115,7 +1121,7 @@ def _assert_contract(argv):
 def test_cli_contract_rows_with_one_edge_flag_value(row, value):
     # one contract row with one flag's value replaced by an edge value
     # keeps the exit-code contract.  2000 examples, derandomized, draw
-    # about 1580 of the 1648 (row, flag, value) choices, in about 7 s
+    # all 1704 (row, flag, value) choices, in about 12 s
     argv, i = row
     _assert_contract(argv[:i] + [value] + argv[i + 1:])
 
@@ -1160,6 +1166,117 @@ def test_cli_fock_matrices_refuses_its_dense_output_before_any_build(monkeypatch
     monkeypatch.setattr(fock, "ModeSpace", built)
     monkeypatch.setattr(fock, "phi_pi_matrices", built)
     assert _assert_contract(["fock", "matrices"] + argv) == 2
+
+
+@pytest.mark.parametrize("sub, argv", [("spectrum", []), ("genfun", ["--v", "1"]), ("transfer", [])])
+def test_cli_fock_refuses_a_table_over_budget_before_any_array(monkeypatch, sub, argv):
+    # 20000 states over 19999 modes pass the state budget, yet their (dim, d)
+    # occupation table would take 3.2 GB: the space's admission refuses the
+    # pair before any array of the basis is built
+    import numpy as np
+
+    from ccr_hopf import fock
+
+    def built(*args, **kwargs):
+        raise AssertionError("an array of the basis was built")
+
+    for name in ("arange", "empty", "zeros", "zeros_like"):
+        monkeypatch.setattr(np, name, built)
+    monkeypatch.setattr(fock, "_tail_counts", built)
+    assert _assert_contract(["fock", sub, "--d", "19999", "--nmax", "1"] + argv) == 2
+
+
+# Positional expressions built by structure, not by text: a sum of two or
+# three terms of one or two letters raised to a power up to 20, a product
+# of up to three such powers, or a run of one letter, up to 400 long as a
+# power or up to 40 written out, over the letters of both bases.  Powers of
+# sums past the free-product budget (MAX_PRODUCT_PAIRS term pairs a step)
+# are refused at once; the rest are expanded and mapped
+_STRUCT_LETTERS = [f"{f}({j})" for f in ("phi", "pi", "ap", "am") for j in (0, 1)]
+_STRUCT_MAPS = ["normalize", "commutator", "adjoint", "convert", "coproduct", "counit", "antipode"]
+# the longest one argv of the structured fuzz may run, in seconds
+_STRUCT_TIMEOUT = 20
+
+
+@st.composite
+def _structured_expr(draw):
+    kind = draw(st.sampled_from(["power", "product", "run"]))
+    if kind == "run":
+        g, n = draw(st.sampled_from(_STRUCT_LETTERS)), draw(st.integers(1, 400))
+        return f"{g}^{n}" if draw(st.booleans()) else "*".join([g] * min(n, 40))
+    factors = []
+    for _ in range(draw(st.integers(1, 3)) if kind == "product" else 1):
+        words = st.lists(st.sampled_from(_STRUCT_LETTERS), min_size=1, max_size=2).map("*".join)
+        terms = draw(st.lists(words, min_size=2, max_size=3))
+        factors.append(f"({'+'.join(terms)})^{draw(st.integers(0, 20))}")
+    return "*".join(factors)
+
+
+def _slow_expansion(sub, basis, texts):
+    """Whether the map admits these texts and then expands them for
+    seconds, which no budget bounds yet (ROADMAP item 4's term budget).  A
+    letter the map writes as two terms expands: one of the other basis, one
+    of the source basis under convert, and every letter under coproduct.
+    Such a draw has several words (the commutator's product of its two
+    arguments) whose expansion, the sum of 2^(expanding letters) over the
+    words, passes 2^18: normalize "(phi(1)*ap(1)+am(0)*ap(1))^12" and
+    coproduct "(phi(0)+pi(0))^12" took 22 s and more.  Or, outside
+    coproduct, whose words of one letter expand runs, a word with more than
+    40 expanding letters: normalize "am(0)^311" took 234 s and convert
+    "phi(0)^100" 5 s.  Or it is a commutator of two words past 200 letters:
+    phi(0)^400 with pi(0)^400 took 5 s."""
+    own = (FAM_PHI, FAM_PI) if basis == "phi-pi" else (FAM_AP, FAM_AM)
+
+    def expands(g):
+        return sub == "coproduct" or (g[0] in own) == (sub == "convert")
+
+    words, free, most, longest = 1, 1, 0, []
+    for text in texts:
+        try:
+            terms = parse_expr(text).terms
+        except (AlgebraError, ParseError):
+            return False  # refused before the map runs
+        counts = [sum(map(expands, w)) for w in terms] or [0]
+        words, free, most = words * len(terms), free * sum(2 ** k for k in counts), most + max(counts)
+        longest.append(max(map(len, terms), default=0))
+    if sub == "commutator" and min(longest) > 200:
+        return True
+    return (words > 1 and free > 2 ** 18) or (sub != "coproduct" and most > 40)
+
+
+class _Overtime(BaseException):
+    """Raised by the alarm inside main; no handler of main catches it."""
+
+
+def _overtime(signum, frame):
+    raise _Overtime
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_STRUCT_MAPS), st.sampled_from(["phi-pi", "ladder"]), _structured_expr(),
+       _structured_expr())
+def test_cli_structured_expressions_keep_the_contract(sub, basis, text, other):
+    # every map over the structured expressions keeps the exit-code
+    # contract (_assert_contract), each argv within _STRUCT_TIMEOUT seconds:
+    # an alarm stops it there, and the time is checked after it returns.
+    # _slow_expansion's draws are skipped.  150 examples, derandomized, in
+    # about 8 s; about one in eight is skipped, and most powers of sums are
+    # refused by the free-product budget
+    texts = [text, other] if sub == "commutator" else [text]
+    assume(not _slow_expansion(sub, basis, texts))
+    to = ["--to", "ladder" if basis == "phi-pi" else "phi-pi"] if sub == "convert" else []
+    argv = [sub, *texts, "--basis", basis, *to]
+    previous = signal.signal(signal.SIGALRM, _overtime)
+    started = time.perf_counter()
+    signal.setitimer(signal.ITIMER_REAL, _STRUCT_TIMEOUT)
+    try:
+        _assert_contract(argv)
+    except _Overtime:
+        pytest.fail(f"{shlex.join(argv)} ran past {_STRUCT_TIMEOUT} s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - started < _STRUCT_TIMEOUT, argv
 
 
 _CONTRACT_ROWS = [(want, argv) for want, limit, argv in _contract_rows() if limit <= 60]

@@ -14,20 +14,30 @@ with ``--trace 0``, then once at seed 1 with ``--trace 1``, each for the
   counters (``algebra.words_reduced``, ``hopf.calls``, ``scalars.calls``,
   ``measure.mc_samples``, ...), with its counts and environment line.
 
+Then it times the command-line rows of ``CLI_ROWS`` under ``"cli"``: each
+is run ``CLI_REPEATS`` times, each time in a fresh interpreter on this
+tree's ``src``, and a row records the median wall time, the largest peak
+RSS of the child and the exit code.
+
 The file goes to the repository root.  The script uses the standard
-library alone, only invokes ``perfbench/run.py`` and changes nothing under
-``perfbench/``.  A run that exits non-zero or prints no result stops it
-before any file is written.  It took about 40 s on a 2-core x86 host: a
-run ends when its fixed number of request cycles does.
+library alone, only invokes ``perfbench/run.py`` and the tree's
+``ccr_hopf.cli``, and changes nothing under ``perfbench/``.  A run that
+exits non-zero or prints no result, and a CLI row whose runs exit with
+different codes, stop it before any file is written.  The workloads took
+about 40 s on a 2-core x86 host, as a run ends when its fixed number of
+request cycles does, and the CLI rows about two minutes, most of it the
+coproduct of ``(phi(0)+pi(0))^12``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,6 +45,25 @@ RUN = ROOT / "perfbench" / "run.py"
 WORKLOADS = ("rewrite", "hopf", "numeric", "cli")
 SEEDS = (1, 2, 3)
 TRACE_SEED = 1
+CLI_REPEATS = 3
+_SUM_POWERS = [("normalize", "(phi(0)*pi(1)+pi(0)*phi(1))^{}"), ("coproduct", "(phi(0)+pi(0))^{}")]
+# the baseline's command-line rows: the acceptance suite, cold starts of
+# each command family, the collapsed Hopf sweep, the deep words, and the
+# sum powers up to the first the free-product budget refuses (^13)
+CLI_ROWS = [
+    ["selftest", "--seed", "42"],
+    ["normalize", "pi(0)*phi(0)"],
+    ["fock", "spectrum", "--d", "2", "--nmax", "10", "--family", "uniform"],
+    ["fock", "genfun", "--v", "1.0"],
+    ["fock", "trend"],
+    ["measure", "eta"],
+    ["hopf-check", "--flavor", "deformed", "--variant", "deformed-collapsed", "--modes", "2",
+     "--degree", "5"],
+    ["normalize", "pi(0)^200*phi(0)^200"],
+    ["coproduct", "phi(0)^400"],
+    ["coproduct", "pi(0)^30*phi(0)^30"],
+    ["normalize", "pi(0)^20*pi(1)^20*phi(0)^20*phi(1)^20", "--gram", "tests/golden/gram2.json"],
+] + [[sub, text.format(n)] for sub, text in _SUM_POWERS for n in (10, 12, 13)]
 
 
 def run(workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -72,6 +101,30 @@ def workload_point(workload: str, seconds: float) -> dict:
     }
 
 
+def cli_run(argv: list) -> tuple:
+    """(wall time in s, peak RSS in MB, exit code) of one cold run of the
+    tree's ccr_hopf.cli on argv, its output discarded."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "ccr_hopf.cli", *argv], cwd=ROOT, env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return time.perf_counter() - start, usage.ru_maxrss / 1024, proc.returncode
+
+
+def cli_point(argv: list) -> dict:
+    runs = [cli_run(argv) for _ in range(CLI_REPEATS)]
+    codes = {code for _, _, code in runs}
+    if len(codes) != 1:
+        raise SystemExit(f"bench_trajectory: {' '.join(argv)} exited {sorted(codes)}")
+    row = {"argv": argv, "exit": codes.pop(), "median_s": statistics.median(t for t, _, _ in runs),
+           "peak_rss_mb": max(rss for _, rss, _ in runs), "runs_s": [t for t, _, _ in runs]}
+    print(f"cli {' '.join(argv)}: exit {row['exit']}, {row['median_s']:.3g} s, "
+          f"{row['peak_rss_mb']:.0f} MB", file=sys.stderr)
+    return row
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="write one point of the benchmark trajectory")
     ap.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
@@ -83,6 +136,7 @@ def main(argv=None) -> int:
         "seconds": seconds,
         "seeds": list(SEEDS),
         "workloads": {w: workload_point(w, seconds) for w in WORKLOADS},
+        "cli": {"repeats": CLI_REPEATS, "rows": [cli_point(row) for row in CLI_ROWS]},
     }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
