@@ -147,8 +147,13 @@ done <<'ROWS'
 # table: its budget refuses 20000 states over 19999 modes, which the state
 # budget admits, before a table of 3.2 GB is built
 2  20 fock spectrum --d 19999 --nmax 1
-2  20 fock genfun --d 19999 --nmax 1 --v 1
+2  20 fock genfun --d 19999 --nmax 1 --v "$(printf '1,%.0s' {1..19998})1"
 2  20 fock transfer --d 19999 --nmax 1
+# genfun and transfer read a given vector before they build the space, so
+# one whose length is not d is refused before 19999 modes are built
+2  20 fock genfun --d 19999 --nmax 1 --v 1
+2  20 fock genfun --d 19999 --nmax 0 --v 1
+2  20 fock transfer --d 19999 --nmax 0 --v 1
 0  60 fock spectrum --d 3 --nmax 12 --family summable
 # a cutoff of zero quanta: the vacuum alone, whose reported occupancy is 0.0
 0  60 fock spectrum --d 2 --nmax 0 --family uniform

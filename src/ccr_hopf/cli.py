@@ -298,9 +298,9 @@ def _cmd_fock_spectrum(args):
 def _cmd_fock_genfun(args):
     from .fock import genfun_budget, genfun_check
 
+    v = _vector(args.v, args.d)
     m = _mode_space(args)
     spec = _bogoliubov(args)
-    v = _vector(args.v, args.d)
     genfun_budget(m, v, spec)
     fields, passed = genfun_check(m, v, spec)
     return fields, passed, f"fock genfun value={fields['value_re']:.12f}"
@@ -310,10 +310,12 @@ def _cmd_fock_transfer(args):
     from .fock import transfer_check, transfer_rep
     from .measure import gauss_vector
 
+    # a given vector is read before the space is built, a drawn one after
+    v, w = (_vector(text, args.d) if text else None for text in (args.v, args.w))
     m = _mode_space(args)
     rng = random.Random(f"{args.seed}:transfer-cli")
-    v = _vector(args.v, args.d) if args.v else gauss_vector(rng, args.d)
-    w = _vector(args.w, args.d) if args.w else gauss_vector(rng, args.d)
+    v = gauss_vector(rng, args.d) if v is None else v
+    w = gauss_vector(rng, args.d) if w is None else w
     rep = transfer_rep(m, 1.5 if args.q is None else args.q, 0.8 if args.c is None else args.c)
     fields, passed = transfer_check(rep, v, w)
     results = {**fields, "c_qc": rep.constant, "scale": rep.scale,

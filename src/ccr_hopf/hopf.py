@@ -30,18 +30,22 @@ reads the relations from algebra.relations, which derives them from
 the rewrite rules, so this module states no relation and no piece rule
 of its own.
 
-The tensor calculus runs on numbered slot words.  Each top-level call
-(coproduct, one _sweep, one check_multiplicativity, one
+The tensor calculus runs on numbered slot words and coefficients.  Each
+top-level call (coproduct, one _sweep, one check_multiplicativity, one
 check_respects_relations) owns one _SlotTable: it numbers the slot words
-the call meets, reduces slot-wise (_SlotTable.reduce), holds each
-reduced Delta and joins each pair of ids once.  Every side a check
-compares is a dict from k-tuples of ids to coefficients: k = 2 or 3 for
-Delta, k = 1 for S and the counit, and a scalar eps is a multiple of
-the empty word, {(0,): eps}.  Words come back only in a public result
-and a failure's residual.  Both sides of a comparison come from one
-table, so they are equal exactly when their word forms are.  The table
-dies with its call, and the presentation never holds it, so a caller
-that keeps a presentation alive keeps no coproducts.
+and the coefficients the call meets, reduces slot-wise
+(_SlotTable.reduce), holds each reduced Delta, joins each pair of word
+ids once, and makes the product and the sum of each pair of coefficient
+ids once, so the scalar arithmetic of a call runs once per distinct pair.
+Every side a check compares is a dict from k-tuples of word ids to
+coefficient ids: k = 2 or 3 for Delta, k = 1 for S and the counit, and a
+scalar eps is a multiple of the empty word, {(0,): the id of eps}.
+Words and scalars come back only in a public result and a failure's
+residual (_SlotTable.words_of).  Both sides of a comparison come from one
+table, and two equal coefficients share one id (see _record), so the
+sides are equal exactly when their word forms are.  The table dies with
+its call, and the presentation never holds it, so a caller that keeps a
+presentation alive keeps no coproducts.
 
 Reduced coproducts are built from prefixes.  Slot-wise normal form is
 the quotient map from the free tensor square onto A (x) A, an algebra
@@ -66,7 +70,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 
 from .algebra import (
     BASIS_FIELD,
@@ -95,7 +99,7 @@ from .algebra import (
     relations,
     word_text,
 )
-from .scalars import IMAG, ONE, ZERO, CcrHopfError, Scalar, quotient_str, signed_join
+from .scalars import IMAG, ONE, ZERO, CcrHopfError, Scalar, _P_ONE, quotient_str, signed_join
 
 __all__ = [
     "HopfError",
@@ -265,96 +269,184 @@ def _check_input(e: Expr, h: HopfSpec, p: Presentation):
 
 
 class _SlotTable:
-    """The slot words of one top-level call and the tensor calculus on
-    their ids (see the module docstring).  words lists the words by id,
-    with the empty word at 0, and ids maps a word to its id.  A reduced
-    order-k tensor is a dict from k-tuples of ids to coefficients; an
-    Expr is a dict from ids.  joins holds the join of each pair of ids,
-    and co the reduced Delta of each word _co_nf has met."""
+    """The slot words and coefficients of one top-level call and the tensor
+    calculus on their ids (see the module docstring).  words lists the
+    words by id, with the empty word at 0, and ids maps a word to its id;
+    coefs lists the coefficients by id, _SEED_COEFS first, and cids maps a
+    coefficient's key (see cid) to its id.  A reduced order-k tensor is a
+    dict from k-tuples of word ids to coefficient ids, and an element a
+    dict from 1-tuples.  joins[i] maps each word id j to the join of words
+    i and j, nfs each word reduced so far to its normal form as (word id,
+    coefficient id) pairs, co each word _co_nf has met to its reduced
+    Delta, and muls and adds each pair of coefficient ids met so far to
+    the id of their product and of their sum."""
 
-    __slots__ = ("h", "p", "words", "ids", "joins", "co")
+    __slots__ = ("h", "p", "words", "ids", "joins", "nfs", "co", "coefs", "cids", "muls",
+                 "adds")
 
     def __init__(self, h: HopfSpec, p: Presentation):
         self.h, self.p = h, p
-        self.words, self.ids = [()], {(): 0}
-        self.joins, self.co = {}, {}
+        self.words, self.ids, self.joins = [()], {(): 0}, [{}]
+        self.nfs, self.co = {}, {}
+        self.coefs, self.cids = list(_SEED_COEFS), dict(_SEED_CIDS)
+        self.muls, self.adds = {}, {}
 
     def id(self, word) -> int:
         i = self.ids.get(word)
         if i is None:
             i = self.ids[word] = len(self.words)
             self.words.append(word)
+            self.joins.append({})
         return i
 
-    def join(self, i: int, j: int) -> tuple:
-        """nf(u v) for the normal words u and v numbered i and j, as (id,
-        multiplier) pairs, stored in joins.  A word is normal exactly when
-        it holds no piece letter and no adjacent pair with a rule, so u v
-        is normal unless its junction has a rule, and only then is it
+    def cid(self, c: Scalar) -> int:
+        """The id of c.  Its key is its Gaussian-rational triple when it is
+        a constant, else its numerator's items in monomial order, followed
+        by its denominator's unless that is 1, so two coefficients share an
+        id exactly when they are written alike.  A key refers to the
+        monomials and triples of c and copies none of them."""
+        if c is ONE:
+            return 1
+        key = c._c
+        if key is None:
+            key = (tuple(chain.from_iterable(sorted(c._num.items()))),)
+            if c._den != _P_ONE:
+                key += (tuple(chain.from_iterable(sorted(c._den.items()))),)
+        i = self.cids.get(key)
+        if i is None:
+            i = self.cids[key] = len(self.coefs)
+            self.coefs.append(c)
+        return i
+
+    def mul(self, a: int, b: int) -> int:
+        """The id of the product of the coefficients numbered a and b."""
+        if a == 1:
+            return b
+        if b == 1:
+            return a
+        r = self.muls.get((a, b))
+        if r is None:
+            r = self.muls[a, b] = self.cid(self.coefs[a] * self.coefs[b])
+        return r
+
+    def add(self, a: int, b: int) -> int:
+        """The id of the sum of the coefficients numbered a and b."""
+        r = self.adds.get((a, b))
+        if r is None:
+            r = self.adds[a, b] = self.cid(self.coefs[a] + self.coefs[b])
+        return r
+
+    def acc(self, out: dict, key, c: int) -> None:
+        """Add the coefficient numbered c at key of out, dropping the key
+        when the sum cancels."""
+        a = out.get(key)
+        if a is None:
+            out[key] = c
+        else:
+            s = self.add(a, c)
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+
+    def nf(self, word) -> tuple:
+        """The normal form of a word whose letters the caller has checked
+        against p, as (word id, coefficient id) pairs, stored in nfs."""
+        out = self.nfs.get(word)
+        if out is None:
+            out = self.nfs[word] = tuple([(self.id(w), self.cid(m))
+                                          for w, m in _reduce_word(word, self.p).items()])
+        return out
+
+    def join(self, i: int, j: int):
+        """nf(u v) for the normal words u and v numbered i and j, stored in
+        joins[i]: the id of u v unless its junction has a rule, and then
+        its normal form as nf gives it.  A word is normal exactly when it
+        holds no piece letter and no adjacent pair with a rule, so u v is
+        normal unless its junction has a rule, and only then is it
         reduced."""
         u, v = self.words[i], self.words[j]
-        if not u:
-            out = ((j, ONE),)
-        elif not v:
-            out = ((i, ONE),)
-        elif not _pair_rule(u[-1], v[0], self.p):
-            out = ((self.id(u + v), ONE),)
+        if u and v and _pair_rule(u[-1], v[0], self.p):
+            out = self.nf(u + v)
         else:
-            out = tuple((self.id(w), m) for w, m in _reduce_word(u + v, self.p).items())
-        self.joins[i, j] = out
+            out = self.id(u + v)
+        self.joins[i][j] = out
         return out
 
     def product(self, a: dict, b: dict) -> dict:
         """The slot-wise normal form of a * b for reduced order-2 tensors a
         and b, term by term: each slot of each pair of terms is joined, so
-        a slot whose junction has no rule is reduced nowhere."""
-        joins = self.joins
-        out = {}
+        a slot whose junction has no rule is reduced nowhere.  A coefficient
+        product or sum is looked up in muls and adds and made once."""
+        joins, adds, coefs, cid = self.joins, self.adds, self.coefs, self.cid
+        out, cancelled = {}, False
         for (u0, u1), c1 in a.items():
+            row0, row1 = joins[u0], joins[u1]
             for (v0, v1), c2 in b.items():
-                c = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
-                j0 = joins.get((u0, v0))
+                c = c2 if c1 == 1 else c1 if c2 == 1 else self.mul(c1, c2)
+                j0 = row0.get(v0)
                 if j0 is None:
                     j0 = self.join(u0, v0)
-                j1 = joins.get((u1, v1))
+                j1 = row1.get(v1)
                 if j1 is None:
                     j1 = self.join(u1, v1)
-                for w0, m0 in j0:
-                    for w1, m1 in j1:
-                        # most coefficients and multipliers are ONE: skip those products
-                        cm = c if m1 is ONE else m1 if c is ONE else c * m1
-                        cm = cm if m0 is ONE else m0 if cm is ONE else m0 * cm
-                        k = (w0, w1)
-                        acc = out.get(k)
-                        out[k] = cm if acc is None else acc + cm
+                if j0.__class__ is int and j1.__class__ is int:
+                    # most pairs: neither junction has a rule, one word pair
+                    k = (j0, j1)
+                    s = out.get(k)
+                    if s is None:
+                        out[k] = c
+                    else:
+                        r = adds.get((s, c))
+                        if r is None:
+                            r = adds[s, c] = cid(coefs[s] + coefs[c])
+                        out[k] = r
+                        if not r:
+                            cancelled = True
+                    continue
+                for w0, m0 in ((j0, 1),) if j0.__class__ is int else j0:
+                    cm0 = c if m0 == 1 else self.mul(m0, c)
+                    for w1, m1 in ((j1, 1),) if j1.__class__ is int else j1:
+                        k, cm = (w0, w1), cm0 if m1 == 1 else self.mul(cm0, m1)
+                        s = out.get(k)
+                        if s is None:
+                            out[k] = cm
+                        else:
+                            out[k] = s = self.add(s, cm)
+                            if not s:
+                                cancelled = True
         # sums that cancel are dropped once, at the end
-        return {k: c for k, c in out.items() if not c.is_zero()}
+        return {k: c for k, c in out.items() if c} if cancelled else out
 
     def reduce(self, terms: dict) -> dict:
         """The slot-wise normal form of a dict from k-tuples of words to
-        coefficients, of any order k, keyed by k-tuples of ids.  Each slot
-        word goes through the memoized word reducer, whose letters the
-        caller has checked against p."""
-        p, out = self.p, {}
+        coefficient ids, of any order k, keyed by k-tuples of word ids.
+        Each slot word goes through nf."""
+        out, nf, mul, acc = {}, self.nf, self.mul, self.acc
         for k, c in terms.items():
-            for combo in product(*(_reduce_word(w, p).items() for w in k)):
-                # most multipliers are ONE: skip those products
-                m = ONE
+            for combo in product(*map(nf, k)):
+                m = c
                 for _, cw in combo:
-                    if cw is not ONE:
-                        m = cw if m is ONE else m * cw
-                _acc(out, tuple(self.id(w) for w, _ in combo),
-                     c if m is ONE else m if c is ONE else c * m)
+                    if cw != 1:
+                        m = mul(m, cw)
+                acc(out, tuple([w for w, _ in combo]), m)
         return out
 
     def words_of(self, terms: dict, order: int):
         """The Expr (order 1) or TensorExpr (order 2 or 3) whose slot words
-        the id tuples of terms name."""
-        words = self.words
+        and coefficients the ids of terms name."""
+        words, coefs = self.words, self.coefs
         if order == 1:
-            return Expr.zero()._like({words[i]: c for (i,), c in terms.items()})
+            return Expr.zero()._like({words[i]: coefs[c] for (i,), c in terms.items()})
         return TensorExpr(order)._like(
-            {tuple(map(words.__getitem__, k)): c for k, c in terms.items()})
+            {tuple(map(words.__getitem__, k)): coefs[c] for k, c in terms.items()})
+
+
+# the coefficients every _SlotTable numbers first: 0 is zero, 1 is one and
+# _MINUS_ONE is -1, so a zero test or a factor of one is an int compare
+_SEED_COEFS = (ZERO, ONE, -ONE)
+_SEED_CIDS = {c._c: i for i, c in enumerate(_SEED_COEFS)}
+_MINUS_ONE = 2
 
 
 def _co_nf(word, t: _SlotTable) -> dict:
@@ -372,18 +464,32 @@ def _co_nf(word, t: _SlotTable) -> dict:
     redex and takes the same letter steps either way.
     The words still to build wait on an explicit stack, so no word is too
     long for the recursion limit."""
-    memo, p = t.co, t.p
-    stack = [word]
+    memo = t.co
+    out = memo.get(word)
+    if out is not None:
+        return out
+    if len(word) <= 1:
+        out = memo[word] = t.reduce({k: t.cid(c)
+                                     for k, c in t.h.delta_gen(word[0]).items()}
+                                    if word else {((), ()): 1})
+        return out
+    # redex[w] is w's last redex, -1 for none: a word's run after its last
+    # redex has none, and neither has a redex-free word's head, so no word
+    # is scanned twice
+    stack, redex, p = [word], {}, t.p
     while stack:
         w = stack[-1]
         if w in memo:
             stack.pop()
         elif len(w) <= 1:
-            memo[w] = t.reduce(t.h.delta_gen(w[0]) if w else {((), ()): ONE})
-            stack.pop()
+            _co_nf(w, t)
         else:
-            cut = _rightmost_redex(w, p) + 1 or len(w) - 1
+            i = redex.get(w)
+            if i is None:
+                i = redex[w] = _rightmost_redex(w, p)
+            cut = i + 1 or len(w) - 1
             head, run = w[:cut], w[cut:]
+            redex[run if i >= 0 else head] = -1
             missing = [u for u in (head, run) if u not in memo]
             if missing:
                 stack += missing
@@ -396,10 +502,14 @@ def _co_nf(word, t: _SlotTable) -> dict:
 def _co_expr(e: Expr, t: _SlotTable) -> dict:
     """_co_nf extended linearly; every letter of e must be legal in t.p and
     covered by t.h (_check_input, or letters from _covered_letters)."""
-    out = {}
+    out, mul, acc = {}, t.mul, t.acc
     for w, c in e.terms.items():
-        for k, c2 in _co_nf(w, t).items():
-            _acc(out, k, c2 if c is ONE else c if c2 is ONE else c * c2)
+        c, co = t.cid(c), _co_nf(w, t)
+        if c == 1 and not out:
+            out = dict(co)
+            continue
+        for k, c2 in co.items():
+            acc(out, k, c2 if c == 1 else mul(c, c2))
     return out
 
 
@@ -459,6 +569,16 @@ def _s_free(e: Expr, h: HopfSpec) -> Expr:
     return e._like(out)
 
 
+def _s_side(e: Expr, t: _SlotTable) -> dict:
+    """_s_free as an order-1 side of t, reduced."""
+    out = {}
+    for w, c in e.terms.items():
+        letters, negated = _s_letters(w, t.h)
+        c = t.cid(c)
+        t.acc(out, (letters,), t.mul(_MINUS_ONE, c) if negated else c)
+    return t.reduce(out)
+
+
 # ---------------------------------------------------------------------------
 # Axiom checks
 
@@ -486,24 +606,27 @@ class AxiomReport:
         return "pass" if self.passed else "fail"
 
 
-def _scalar_side(v: Scalar) -> dict:
-    """v times the empty word, id 0 in every _SlotTable, as an order-1 side."""
-    return {} if v.is_zero() else {(0,): v}
+def _scalar_side(v: Scalar, t: _SlotTable) -> dict:
+    """v times the empty word, word id 0 in every _SlotTable, as an order-1
+    side of t."""
+    return {} if v.is_zero() else {(0,): t.cid(v)}
 
 
 def _record(failures: list, witness, lhs: dict, rhs: dict, t: _SlotTable):
     """Record lhs - rhs as a failure unless the two sides are equal.  Both
-    sides are reduced and keyed by k-tuples of ids in t: k = 1 for an
-    element, 2 or 3 for a tensor.  Normal forms are canonical and
-    coefficients compare by value, so reduced sides agree exactly when
-    they are equal, and their difference is reduced already; it is never
-    empty, so its first key gives the residual's order.  witness()
-    returns the failure's witness text; it is called only for a
-    failure."""
+    sides are reduced and keyed by k-tuples of word ids in t: k = 1 for an
+    element, 2 or 3 for a tensor, with coefficient ids of t as values.
+    Normal forms are canonical, and so is every key of a coefficient a
+    check meets: a constant's triple, or a Laurent polynomial over
+    denominator 1.  So equal coefficients share one id, reduced sides
+    agree exactly when they are equal, and their difference is reduced
+    already; it is never empty, so its first key gives the residual's
+    order.  witness() returns the failure's witness text; it is called
+    only for a failure."""
     if lhs != rhs:
         diff = dict(lhs)
         for k, c in rhs.items():
-            _acc(diff, k, -c)
+            t.acc(diff, k, t.mul(_MINUS_ONE, c))
         residual = t.words_of(diff, len(next(iter(diff))))
         failures.append(Failure(witness(), str(residual), residual))
 
@@ -624,8 +747,8 @@ def check_respects_relations(h: HopfSpec, p: Presentation, modes: int = 2) -> Ax
     checked where the presentation has them."""
     t = _SlotTable(h, p)  # the relations' coproducts, owned by this check
     maps = (("Delta", lambda e: _co_expr(e, t)),
-            ("eps", lambda e: _scalar_side(_eps_free(e, h))),
-            ("S", lambda e: t.reduce({(w,): c for w, c in _s_free(e, h).terms.items()})))
+            ("eps", lambda e: _scalar_side(_eps_free(e, h), t)),
+            ("S", lambda e: _s_side(e, t)))
     failures = []
     for label, L, R in relations(p, _covered_letters(h, p, modes, 2)):  # two-letter words
         for name, reduced_map in maps:
@@ -644,36 +767,36 @@ def check_coassociativity(
 ) -> AxiomReport:
     def sides(w, delta, table):
         # (Delta (x) id) and (id (x) Delta) of Delta(w), keyed (a, b, i1) and (i0, a, b)
-        left, right = {}, {}
+        left, right, mul, acc = {}, {}, table.mul, table.acc
         for (i0, i1), c in delta.items():
             for (a, b), c2 in _co_nf(table.words[i0], table).items():
-                _acc(left, (a, b, i1), c2 if c is ONE else c if c2 is ONE else c * c2)
+                acc(left, (a, b, i1), c2 if c == 1 else mul(c, c2))
             for (a, b), c2 in _co_nf(table.words[i1], table).items():
-                _acc(right, (i0, a, b), c2 if c is ONE else c if c2 is ONE else c * c2)
+                acc(right, (i0, a, b), c2 if c == 1 else mul(c, c2))
         yield "", left, right
 
     return _sweep("coassociativity", h, p, degree, modes, sides)
 
 
 def check_counit(h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2) -> AxiomReport:
-    eps_memo = {}  # eps of each slot word by id, owned by this sweep
+    eps_memo = {}  # the coefficient id of eps of each slot word by id, owned by this sweep
 
     def sides(w, delta, table):
         def eps(i):
             v = eps_memo.get(i)
             if v is None:
-                v = eps_memo[i] = _eps_word(table.words[i], h)
+                v = eps_memo[i] = table.cid(_eps_word(table.words[i], h))
             return v
 
-        left, right = {}, {}
+        left, right, mul, acc = {}, {}, table.mul, table.acc
         for (i0, i1), c in delta.items():
             e = eps(i0)
-            if not e.is_zero():
-                _acc(left, (i1,), c * e)
+            if e:
+                acc(left, (i1,), c if e == 1 else mul(c, e))
             e = eps(i1)
-            if not e.is_zero():
-                _acc(right, (i0,), c * e)
-        target = {(table.id(w),): ONE}
+            if e:
+                acc(right, (i0,), c if e == 1 else mul(c, e))
+        target = {(table.id(w),): 1}
         yield "(eps x id) on ", left, target
         yield "(id x eps) on ", right, target
 
@@ -683,14 +806,14 @@ def check_counit(h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2) 
 def check_antipode(h: HopfSpec, p: Presentation, degree: int = 3, modes: int = 2) -> AxiomReport:
     def sides(w, delta, table):
         # S(u0) u1 and u0 S(u1) are one word each, times +-1; the sums are reduced
-        words = table.words
+        words, mul, acc = table.words, table.mul, table.acc
         left, right = {}, {}
         for (i0, i1), c in delta.items():
             letters, negated = _s_letters(words[i0], h)
-            _acc(left, (letters + words[i1],), -c if negated else c)
+            acc(left, (letters + words[i1],), mul(_MINUS_ONE, c) if negated else c)
             letters, negated = _s_letters(words[i1], h)
-            _acc(right, (words[i0] + letters,), -c if negated else c)
-        target = _scalar_side(_eps_word(w, h))
+            acc(right, (words[i0] + letters,), mul(_MINUS_ONE, c) if negated else c)
+        target = _scalar_side(_eps_word(w, h), table)
         yield "m(S x id)Delta on ", table.reduce(left), target
         yield "m(id x S)Delta on ", table.reduce(right), target
 

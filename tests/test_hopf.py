@@ -4,6 +4,7 @@ part of the contract (their residuals are pinned exactly)."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from functools import partial
 from itertools import product
 
@@ -742,9 +743,16 @@ def test_coproduct_memo_is_per_call():
 # Side comparison and reduce-as-you-multiply against the plain reductions
 
 
+def _cids(t, terms):
+    """terms with each coefficient replaced by its id in table t: the
+    values every side of a _SlotTable holds."""
+    return {k: t.cid(c) for k, c in terms.items()}
+
+
 def _ids(t, x):
-    """The reduced order-2 tensor x keyed by the ids of table t."""
-    return {tuple(map(t.id, k)): c for k, c in x.terms.items()}
+    """The reduced order-2 tensor x as a side of table t: keyed by word id
+    pairs, with coefficient ids as values."""
+    return _cids(t, {tuple(map(t.id, k)): c for k, c in x.terms.items()})
 
 
 def _reduced_product(a, b, p, t=None):
@@ -793,7 +801,7 @@ def test_table_reduce_matches_the_reference_at_every_order(h, variant, gram, ide
             else:
                 terms = tensor_of(*slots).terms
                 want = tensor_normal_form(TensorExpr(order, terms), p)
-            got = t.words_of(t.reduce(terms), order)
+            got = t.words_of(t.reduce(_cids(t, terms)), order)
             assert got.terms == want.terms
             assert str(got) == str(want)
 
@@ -1045,8 +1053,8 @@ def test_record_equal_sides_need_no_reduction(monkeypatch):
     def side(x):
         # the terms of x, keyed by id tuples of t, with no reduction
         if isinstance(x, Expr):
-            return {(t.id(w),): c for w, c in x.terms.items()}
-        return {tuple(map(t.id, k)): c for k, c in x.terms.items()}
+            return _cids(t, {(t.id(w),): c for w, c in x.terms.items()})
+        return _ids(t, x)
 
     monkeypatch.setattr(_SlotTable, "reduce", refuse)
     monkeypatch.setattr(_SlotTable, "words_of", refuse)
@@ -1057,7 +1065,7 @@ def test_record_equal_sides_need_no_reduction(monkeypatch):
     e = pi(0) * phi(0) + 2 * phi(1)
     _record(failures, no_witness, side(e), side(pi(0) * phi(0) + 2 * phi(1)), t)
     _record(failures, no_witness, side(tensor_of(e, e)), side(tensor_of(e, e)), t)
-    _record(failures, no_witness, _scalar_side(KAPPA + ONE), _scalar_side(ONE + KAPPA), t)
+    _record(failures, no_witness, _scalar_side(KAPPA + ONE, t), _scalar_side(ONE + KAPPA, t), t)
     assert failures == []
 
 
@@ -1112,20 +1120,123 @@ def test_record_unequal_sides_record_the_reduced_difference():
     lhs, rhs = pi(0) * phi(0) * pi(1), phi(0) * pi(0) * pi(1)
     t = _SlotTable(DF, P_DEF)
     failures = []
-    _record(failures, lambda: "expr", t.reduce({(w,): c for w, c in lhs.terms.items()}),
-            t.reduce({(w,): c for w, c in rhs.terms.items()}), t)
+    _record(failures, lambda: "expr", t.reduce(_cids(t, {(w,): c for w, c in lhs.terms.items()})),
+            t.reduce(_cids(t, {(w,): c for w, c in rhs.terms.items()})), t)
     want = normal_form(lhs - rhs, P_DEF)
     assert failures == [Failure("expr", str(want), want)]
     assert failures[0].residual == want == -IMAG * KAPPA * gen_I() * pi(1)
     t_l, t_r = tensor_of(lhs, phi(1)), tensor_of(rhs, phi(1))
-    _record(failures, lambda: "tensor", t.reduce(t_l.terms), t.reduce(t_r.terms), t)
+    _record(failures, lambda: "tensor", t.reduce(_cids(t, t_l.terms)),
+            t.reduce(_cids(t, t_r.terms)), t)
     want = tensor_normal_form(t_l - t_r, P_DEF)
     assert failures[1] == Failure("tensor", str(want), want)
     assert failures[1].residual == want
-    _record(failures, lambda: "scalar", _scalar_side(KAPPA), _scalar_side(ONE), t)
+    _record(failures, lambda: "scalar", _scalar_side(KAPPA, t), _scalar_side(ONE, t), t)
     want = (KAPPA - ONE) * unit()
     assert failures[2] == Failure("scalar", str(want), want)
     assert failures[2].residual == want
+
+
+def test_equal_coefficients_share_one_id():
+    # a table keys a constant by its canonical triple and any other
+    # coefficient by its numerator's and denominator's items, so equal
+    # values built in different ways meet one id, and its products and sums
+    # come back as ids of the same table
+    t = _SlotTable(CL, P_UND)
+    assert [t.cid(c) for c in (ZERO, ONE, -ONE)] == [0, 1, 2]
+    half, two = Scalar.rational(Fraction(1, 2)), Scalar.rational(2)
+    assert t.cid(Scalar.rational(0)) == 0 and t.cid(IMAG * IMAG) == 2
+    assert t.cid(ONE + ONE) == t.cid(Scalar.rational(Fraction(4, 2))) == t.cid(two) == 3
+    assert t.cid(half + half) == 1 and t.cid(Scalar.rational(Fraction(-2, 4))) == t.cid(-half)
+    assert t.cid(KAPPA + ONE) == t.cid(ONE + KAPPA) != t.cid(KAPPA)
+    assert t.add(1, 1) == t.cid(two) and t.add(1, 2) == 0
+    assert t.mul(t.cid(two), t.cid(half)) == 1 and t.mul(2, 2) == 1
+    assert t.mul(t.cid(IMAG), t.cid(KAPPA)) == t.cid(KAPPA * IMAG)
+    for i, c in enumerate(t.coefs):
+        assert t.cid(c) == i
+    assert len(t.coefs) == len(t.cids)
+
+
+class _Forgetful(dict):
+    """A memo that keeps nothing, so every lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class _ForgetfulTable(_SlotTable):
+    """A _SlotTable whose coefficient memos always miss: each product and
+    sum of coefficient ids is made anew from the coefficients."""
+
+    __slots__ = ()
+
+    def __init__(self, h, p):
+        super().__init__(h, p)
+        self.muls, self.adds = _Forgetful(), _Forgetful()
+
+
+def _sides_of_every_check(h, p, monkeypatch, table):
+    """Each check's reports, every (witness, lhs, rhs) it hands _record and
+    the coproduct of a sum, with table as the _SlotTable of each call."""
+    monkeypatch.setattr(hopf, "_SlotTable", table)
+    record, seen = hopf._record, []
+
+    def spy(failures, witness, lhs, rhs, t):
+        seen.append((witness(), lhs, rhs))
+        record(failures, witness, lhs, rhs, t)
+
+    monkeypatch.setattr(hopf, "_record", spy)
+    reports = [check(h, p, 3, 2) for check in (
+        check_coassociativity, check_counit, check_antipode, cocommutativity_probe,
+        check_multiplicativity)]
+    reports.append(check_respects_relations(h, p, 2))
+    co = coproduct(3 * pi(0) * phi(0) * pi(1) - IMAG * phi(1) * pi(0) * phi(1) + phi(0), h, p)
+    monkeypatch.undo()
+    return reports, seen, co
+
+
+@pytest.mark.parametrize("h, variant, gram, idempotent, q, c", _STEP_CASES)
+def test_memos_that_always_miss_give_the_same_sides(h, variant, gram, idempotent, q, c,
+                                                    monkeypatch):
+    # the coefficient memos only save work: a table whose memos never keep
+    # an entry numbers every coefficient alike and hands _record the same
+    # sides, key for key and id for id, and the checks the same reports
+    p = Presentation(variant=variant, gram=gram, idempotent_identity=idempotent, q=q, c=c)
+    want_reports, want, want_co = _sides_of_every_check(h, p, monkeypatch, _SlotTable)
+    got_reports, got, got_co = _sides_of_every_check(h, p, monkeypatch, _ForgetfulTable)
+    assert len(got) == len(want) > 50
+    for (w1, lhs1, rhs1), (w2, lhs2, rhs2) in zip(got, want):
+        assert w1 == w2
+        assert list(lhs1.items()) == list(lhs2.items()), w1
+        assert list(rhs1.items()) == list(rhs2.items()), w1
+    assert got_reports == want_reports
+    assert [f.residual for r in got_reports for f in r.failures] == [
+        f.residual for r in want_reports for f in r.failures]
+    assert got_co == want_co and str(got_co) == str(want_co)
+
+
+@pytest.mark.parametrize("h, variant, gram, idempotent, q, c", _STEP_CASES)
+def test_every_coefficient_a_check_meets_has_denominator_one(h, variant, gram, idempotent, q, c,
+                                                             monkeypatch):
+    # _record compares coefficient ids, which is sound only where equal
+    # coefficients share one key: a constant's triple is canonical, and so
+    # are the items of a Laurent polynomial in kappa, s and r2 over
+    # denominator 1.  Every coefficient any check's table holds is one
+    tables = []
+
+    class Kept(_SlotTable):
+        __slots__ = ()
+
+        def __init__(self, h, p):
+            super().__init__(h, p)
+            tables.append(self)
+
+    p = Presentation(variant=variant, gram=gram, idempotent_identity=idempotent, q=q, c=c)
+    _sides_of_every_check(h, p, monkeypatch, Kept)
+    assert len(tables) == 7  # six checks and one coproduct
+    for t in tables:
+        assert len(t.coefs) > 3
+        assert all(c.denominator() == ONE for c in t.coefs), [str(c) for c in t.coefs]
 
 
 def _count_word_texts(monkeypatch) -> list:
@@ -1220,12 +1331,13 @@ def test_counit_agrees_on_every_relation_and_passes_its_sweep(h, variant, gram, 
     # an eps check: an eps side of check_respects_relations, a multiple of
     # the empty word, never reaches a residual, and the counit sweep passes
     p = Presentation(variant=variant, gram=gram, idempotent_identity=idempotent, q=q, c=c)
+    t = _SlotTable(h, p)
     for modes in (1, 2):
         rels = relations(p, _covered_letters(h, p, modes, 2))
         assert rels
         for label, L, R in rels:
             assert _eps_free(L, h) == _eps_free(R, h), label
-            assert _scalar_side(_eps_free(L, h)) == _scalar_side(_eps_free(R, h)), label
+            assert _scalar_side(_eps_free(L, h), t) == _scalar_side(_eps_free(R, h), t), label
         rep = check_respects_relations(h, p, modes)
         assert not any(f.witness.startswith("eps") for f in rep.failures)
     rep = check_counit(h, p, 3, 2)

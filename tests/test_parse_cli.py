@@ -1168,7 +1168,8 @@ def test_cli_fock_matrices_refuses_its_dense_output_before_any_build(monkeypatch
     assert _assert_contract(["fock", "matrices"] + argv) == 2
 
 
-@pytest.mark.parametrize("sub, argv", [("spectrum", []), ("genfun", ["--v", "1"]), ("transfer", [])])
+@pytest.mark.parametrize("sub, argv", [("spectrum", []), ("genfun", ["--v", ",".join(["1"] * 19999)]),
+                                       ("transfer", [])])
 def test_cli_fock_refuses_a_table_over_budget_before_any_array(monkeypatch, sub, argv):
     # 20000 states over 19999 modes pass the state budget, yet their (dim, d)
     # occupation table would take 3.2 GB: the space's admission refuses the
@@ -1184,6 +1185,24 @@ def test_cli_fock_refuses_a_table_over_budget_before_any_array(monkeypatch, sub,
         monkeypatch.setattr(np, name, built)
     monkeypatch.setattr(fock, "_tail_counts", built)
     assert _assert_contract(["fock", sub, "--d", "19999", "--nmax", "1"] + argv) == 2
+
+
+@pytest.mark.parametrize("sub, flags", [("genfun", ["--v", "1"]), ("transfer", ["--v", "1"]),
+                                        ("transfer", ["--w", "1,2"])])
+def test_cli_fock_reads_a_given_vector_before_it_builds_the_space(monkeypatch, capsys, sub, flags):
+    # a vector whose length is not d is refused before the d-mode space is
+    # built: at d = 19999 the space alone took 1.9 s and 49 MB
+    from ccr_hopf import fock
+
+    def built(*args, **kwargs):
+        raise AssertionError("the space was built")
+
+    monkeypatch.setattr(fock, "ModeSpace", built)
+    code, doc, err = run_cli(capsys, ["fock", sub, "--d", "19999", "--nmax", "0"] + flags)
+    assert code == 2 and doc is None
+    text = flags[1]
+    assert err == (f"ccr-hopf: vector {text!r} has {len(text.split(','))} entries, "
+                   "expected 19999\n")
 
 
 # Positional expressions built by structure, not by text: a sum of two or
