@@ -39,11 +39,12 @@ into a suffix kept in normal form, starting left of the longest suffix
 that is memoized or normal already.  A piece letter is inserted as each
 word of its piece, weighted by that word's multiplier, so the suffix
 never holds more than the normal words it reduces to.  The normal form
-of each word, and of each suffix passed, is computed once per
-presentation.  The ``rightmost`` schedule is the reference stack walker:
-it first expands every piece letter into the free algebra, then rewrites
-the rightmost redex of every word and walks every rewrite path.
-Confluence is exercised by comparing the two.
+of each word, and of each suffix passed, is computed once per memo:
+normal_form's is the presentation's, each Hopf call's its table's.  The
+``rightmost`` schedule is the reference stack walker: it first expands
+every piece letter into the free algebra, then rewrites the rightmost
+redex of every word and walks every rewrite path.  Confluence is
+exercised by comparing the two.
 """
 
 from __future__ import annotations
@@ -614,13 +615,13 @@ def _fold_letter(h, partial: dict, p: Presentation) -> dict:
     return out
 
 
-def _reduce_word(word, p: Presentation) -> dict:
-    """Normal form of a legal word, memoized in ``p._nf_cache``.  The
+def _reduce_word(word, p: Presentation, cache: dict) -> dict:
+    """Normal form of a legal word, memoized in the caller's cache
+    (normal_form's ``p._nf_cache``, a Hopf call's _SlotTable memo).  The
     letters left of the longest suffix that is memoized or normal already
     are folded in right to left, and the normal form of every suffix they
     pass is memoized too; the normal suffix starts right of the last piece
     letter and of the rightmost redex."""
-    cache = p._nf_cache
     hit = cache.get(word)
     if hit is not None:
         return hit
@@ -717,7 +718,7 @@ def normal_form(e: Expr, p: Presentation, schedule: str = "leftmost") -> Expr:
         raise AlgebraError(f"unknown schedule {schedule!r}")
     p.validate_expr(e)
     if schedule == "leftmost":
-        return e._linear(lambda w: _reduce_word(w, p))
+        return e._linear(lambda w: _reduce_word(w, p, p._nf_cache))
     if any(_letter_piece(g, p) is not None for w in e.terms for g in w):
         e = e._linear(lambda w: _expand_word(w, p).terms)
     steps = [0]

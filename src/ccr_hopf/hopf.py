@@ -43,25 +43,27 @@ scalar eps is a multiple of the empty word, {(0,): the id of eps}.
 Words and scalars come back only in a public result and a failure's
 residual (_SlotTable.words_of).  Both sides of a comparison come from one
 table, and two equal coefficients share one id (see _record), so the
-sides are equal exactly when their word forms are.  The table dies with
-its call, and the presentation never holds it, so a caller that keeps a
-presentation alive keeps no coproducts.
+sides are equal exactly when their word forms are.  The table, the word
+reducer's memo included, dies with its call and the presentation never
+holds it, so a caller that keeps a presentation alive keeps no
+coproducts and no reduced words.
 
 Reduced coproducts are built from prefixes.  Slot-wise normal form is
 the quotient map from the free tensor square onto A (x) A, an algebra
 homomorphism, so nf(Delta(u v)) = nf(nf(Delta(u)) nf(Delta(v))) for any
 Delta on free words, whether or not Delta respects the relations.
-_co_nf cuts a word where an adjacent pair has a rule: a redex-free run
-grows letter by letter from its reduced prefix, and the head and the
-last run are joined and reduced once.  Every such product, and
+_co_nf cuts a word inside every adjacent pair that has a rule and folds
+the redex-free segments left to right, each grown letter by letter from
+its longest reduced prefix.  Every such product, and
 check_multiplicativity's right side, multiplies two reduced tensors
 term by term (_SlotTable.product), joining the words of each slot
 (_SlotTable.join), and only a junction that has a rule is reduced.  So
 the Delta of a normal undeformed word grows without reducing any word,
 the unreduced product is never built, and a sum that cancels is dropped
 once, at the end.  S of a word is one word times +-1 (_s_letters), so
-the antipode sweep writes S(u0) u1 and u0 S(u1) straight into dicts
-keyed by 1-tuples of words, which _SlotTable.reduce reduces.
+S(e) (_s_side), and the antipode sweep's S(u0) u1 and u0 S(u1), are
+written straight into dicts keyed by 1-tuples of words, which
+_SlotTable.reduce reduces.
 """
 
 from __future__ import annotations
@@ -86,16 +88,13 @@ from .algebra import (
     UNDEFORMED,
     Expr,
     Presentation,
-    _acc,
     _letter_piece,
     _pair_rule,
     _reduce_word,
-    _rightmost_redex,
     _SparseSum,
     gen_text,
     legal_letter_count,
     legal_letters,
-    normal_form,
     relations,
     word_text,
 )
@@ -277,17 +276,18 @@ class _SlotTable:
     dict from k-tuples of word ids to coefficient ids, and an element a
     dict from 1-tuples.  joins[i] maps each word id j to the join of words
     i and j, nfs each word reduced so far to its normal form as (word id,
-    coefficient id) pairs, co each word _co_nf has met to its reduced
+    coefficient id) pairs, reduced is the word reducer's memo behind nfs
+    (algebra._reduce_word), co each word _co_nf has met to its reduced
     Delta, and muls and adds each pair of coefficient ids met so far to
     the id of their product and of their sum."""
 
-    __slots__ = ("h", "p", "words", "ids", "joins", "nfs", "co", "coefs", "cids", "muls",
-                 "adds")
+    __slots__ = ("h", "p", "words", "ids", "joins", "nfs", "reduced", "co", "coefs", "cids",
+                 "muls", "adds")
 
     def __init__(self, h: HopfSpec, p: Presentation):
         self.h, self.p = h, p
         self.words, self.ids, self.joins = [()], {(): 0}, [{}]
-        self.nfs, self.co = {}, {}
+        self.nfs, self.reduced, self.co = {}, {}, {}
         self.coefs, self.cids = list(_SEED_COEFS), dict(_SEED_CIDS)
         self.muls, self.adds = {}, {}
 
@@ -355,7 +355,8 @@ class _SlotTable:
         out = self.nfs.get(word)
         if out is None:
             out = self.nfs[word] = tuple([(self.id(w), self.cid(m))
-                                          for w, m in _reduce_word(word, self.p).items()])
+                                          for w, m in _reduce_word(word, self.p,
+                                                                   self.reduced).items()])
         return out
 
     def join(self, i: int, j: int):
@@ -450,20 +451,21 @@ _MINUS_ONE = 2
 
 
 def _co_nf(word, t: _SlotTable) -> dict:
-    """The reduced Delta of word, id-keyed, memoized in t.co.  A word is
-    cut at its last pair that has a rule, and a redex-free word before its
-    last letter; the two parts' forms are reduced as they are multiplied
-    (_SlotTable.product), so a run grows letter by letter,
-    nf(Delta(u g)) = nf(nf(Delta(u)) nf(Delta(g))), and runs join once.
-    The cut stays because letter steps alone are much slower on a word
-    that is not normal: each letter past a redex is then joined to every
-    term of a head form the contractions have grown.  Without the cut,
-    coproduct of pi(0)^30*phi(0)^30 took 9.8 s against 0.64 s, and the
-    deformed-strict pi(0)^4*phi(0)^4 4.0 ms against 1.7 ms (medians of 3
-    and 21 in-process runs, 2-vCPU x86 Linux VM).  A normal word has no
-    redex and takes the same letter steps either way.
-    The words still to build wait on an explicit stack, so no word is too
-    long for the recursion limit."""
+    """The reduced Delta of word, id-keyed, memoized in t.co.  The word is
+    cut after the first letter of every adjacent pair that has a rule, so
+    each segment between cuts is redex-free.  The segments are folded left
+    to right, nf(Delta(u v)) = nf(nf(Delta(u)) nf(Delta(v))), from the
+    longest memoized prefix that ends at a cut, and each segment grows
+    letter by letter from its own longest memoized prefix; every product
+    reduces as it multiplies (_SlotTable.product).  The cuts stay because
+    letter steps alone are much slower on a word that is not normal: each
+    letter past a redex is then joined to every term of a head form the
+    contractions have grown.  Without them, coproduct of
+    pi(0)^30*phi(0)^30 took 9.8 s against 0.64 s, and the deformed-strict
+    pi(0)^4*phi(0)^4 4.0 ms against 1.7 ms (medians of 3 and 21 in-process
+    runs, 2-vCPU x86 Linux VM).  A normal word has no cut and takes the
+    same letter steps either way.  Nothing recurses past one letter, so no
+    word is too long for the recursion limit."""
     memo = t.co
     out = memo.get(word)
     if out is not None:
@@ -473,30 +475,27 @@ def _co_nf(word, t: _SlotTable) -> dict:
                                      for k, c in t.h.delta_gen(word[0]).items()}
                                     if word else {((), ()): 1})
         return out
-    # redex[w] is w's last redex, -1 for none: a word's run after its last
-    # redex has none, and neither has a redex-free word's head, so no word
-    # is scanned twice
-    stack, redex, p = [word], {}, t.p
-    while stack:
-        w = stack[-1]
-        if w in memo:
-            stack.pop()
-        elif len(w) <= 1:
-            _co_nf(w, t)
-        else:
-            i = redex.get(w)
-            if i is None:
-                i = redex[w] = _rightmost_redex(w, p)
-            cut = i + 1 or len(w) - 1
-            head, run = w[:cut], w[cut:]
-            redex[run if i >= 0 else head] = -1
-            missing = [u for u in (head, run) if u not in memo]
-            if missing:
-                stack += missing
-            else:
-                memo[w] = t.product(memo[head], memo[run])
-                stack.pop()
-    return memo[word]
+    p = t.p
+    ends = [i for i in range(1, len(word)) if _pair_rule(word[i - 1], word[i], p)]
+    ends.append(len(word))
+    # resume after the last cut whose prefix is memoized
+    k = len(ends) - 1
+    while k and word[:ends[k - 1]] not in memo:
+        k -= 1
+    start = ends[k - 1] if k else 0
+    out = memo[word[:start]] if k else None
+    for end in ends[k:]:
+        # the segment is redex-free: grow it from its longest memoized prefix
+        n = end
+        while n - start > 1 and word[start:n] not in memo:
+            n -= 1
+        form = _co_nf(word[start:n], t)
+        for j in range(n, end):
+            form = memo[word[start:j + 1]] = t.product(form, _co_nf(word[j:j + 1], t))
+        out = form if out is None else t.product(out, form)
+        memo[word[:end]] = out
+        start = end
+    return out
 
 
 def _co_expr(e: Expr, t: _SlotTable) -> dict:
@@ -555,22 +554,15 @@ def _s_letters(word, h: HopfSpec) -> tuple:
 
 def antipode(e: Expr, h: HopfSpec, p: Presentation) -> Expr:
     """Anti-multiplicative extension of the generator antipode, then
-    normal form."""
+    normal form, in a table of its own (_s_side)."""
     _check_input(e, h, p)
-    return normal_form(_s_free(e, h), p)
-
-
-def _s_free(e: Expr, h: HopfSpec) -> Expr:
-    """S on the free algebra: _s_letters extended linearly, unreduced."""
-    out = {}
-    for w, c in e.terms.items():
-        letters, negated = _s_letters(w, h)
-        _acc(out, letters, -c if negated else c)
-    return e._like(out)
+    t = _SlotTable(h, p)
+    return t.words_of(_s_side(e, t), 1)
 
 
 def _s_side(e: Expr, t: _SlotTable) -> dict:
-    """_s_free as an order-1 side of t, reduced."""
+    """S(e) as an order-1 side of t, reduced: _s_letters extended linearly.
+    antipode and check_respects_relations both build S here."""
     out = {}
     for w, c in e.terms.items():
         letters, negated = _s_letters(w, t.h)
@@ -689,12 +681,20 @@ def _covered_letters(h: HopfSpec, p: Presentation, modes: int, degree: int) -> l
         raise HopfError(f"the degree must be non-negative, got {degree}")
     _check_flavor_variant(h, p)
     count, depth = legal_letter_count(p, modes), max(degree, 1)
-    words = math.comb(count + depth, depth)
+    limit, k = sys.get_int_max_str_digits(), min(count, depth)
+    # comb(count + depth, k) >= ((count + depth) / k)^k >= 2^k, and a count
+    # these bounds put past the interpreter's digits stands as 10^limit:
+    # math.comb refuses a k past 2^63 and took 1.9 s at k = 4300 over 10^400
+    # letters
+    if limit and (k > 4 * limit or k * (math.log10(count + depth) - math.log10(k)) > limit):
+        words = 10 ** limit
+    else:
+        words = math.comb(count + depth, depth)
     if words > MAX_CHECK_WORDS:
         try:
             shown = str(words)
         except ValueError:
-            shown = f"10^{sys.get_int_max_str_digits()} or more"
+            shown = f"10^{limit} or more"
         raise HopfError(
             f"{shown} candidate words up to degree {depth} over {count} letters "
             f"exceed the budget of {MAX_CHECK_WORDS}; lower --degree or --modes"

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ccr_hopf import algebra
+from ccr_hopf import algebra, hopf
 from ccr_hopf.algebra import (
     FAM_AM,
     FAM_AP,
@@ -361,7 +361,7 @@ def _expand_then_reduce(e, p):
     out = {}
     for w, c in e.terms.items():
         for w2, c2 in _expand_word(w, p).terms.items():
-            for v, c3 in _reduce_word(w2, p).items():
+            for v, c3 in _reduce_word(w2, p, p._nf_cache).items():
                 out[v] = out.get(v, ZERO) + c * c2 * c3
     return Expr(out)
 
@@ -675,19 +675,29 @@ def test_letter_pieces():
 
 
 @pytest.mark.parametrize("variant", ["undeformed", "deformed-strict", "deformed-collapsed"])
-def test_rule_tables_stay_within_the_letters(variant):
+def test_rule_tables_stay_within_the_letters(variant, monkeypatch):
     # the tables are keyed by letter pairs and letters, so a sweep over
     # n letters leaves at most n^2 rules and n pieces however many words
     # it reduces.  A passing undeformed sweep grows its coproducts without
     # reducing a normal word, so the multiplicativity trials' words, most
-    # of them not normal, reduce enough words to test that
+    # of them not normal, reduce enough words to test that.  Each call
+    # reduces in its own table, so the words reduced are counted in the
+    # memos the calls hand the word reducer
+    memos = {}
+    reduce_word = hopf._reduce_word
+
+    def reducing(word, p, cache):
+        memos[id(cache)] = cache
+        return reduce_word(word, p, cache)
+
+    monkeypatch.setattr(hopf, "_reduce_word", reducing)
     p = Presentation(variant=variant, gram=[[1, ["1/2", "1/3"]], [["1/2", "-1/3"], 2]])
     h = HopfSpec.classical() if variant == "undeformed" else HopfSpec.deformed()
     check_coassociativity(h, p, degree=3, modes=2)
     check_antipode(h, p, degree=3, modes=2)
     check_multiplicativity(h, p, degree=3, modes=2)
     n = legal_letter_count(p, 2)
-    assert len(p._nf_cache) > n * n
+    assert sum(map(len, memos.values())) > n * n
     assert 0 < len(p._rules) <= n * n
     assert 0 < len(p._pieces) <= n
 

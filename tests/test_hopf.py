@@ -3,6 +3,7 @@ part of the contract (their residuals are pinned exactly)."""
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from functools import partial
@@ -37,6 +38,7 @@ from ccr_hopf.algebra import (
     word_text,
     _acc,
     _expand_word,
+    _pair_rule,
     _reduce_word,
 )
 from ccr_hopf.hopf import (
@@ -64,10 +66,10 @@ from ccr_hopf.hopf import (
     _covered_letters,
     _eps_free,
     _record,
-    _s_free,
     _scalar_side,
     _SlotTable,
 )
+from ccr_hopf.reports import expr_json
 from ccr_hopf.scalars import IMAG, KAPPA, ONE, S_PARAM, Scalar, ZERO
 
 CL = HopfSpec.classical()
@@ -89,7 +91,7 @@ def tensor_normal_form(t: TensorExpr, p: Presentation) -> TensorExpr:
     p.validate_expr(Expr.from_word(letters))
     out = {}
     for k, c in t.terms.items():
-        for combo in product(*(_reduce_word(w, p).items() for w in k)):
+        for combo in product(*(_reduce_word(w, p, p._nf_cache).items() for w in k)):
             # most multipliers are ONE: skip those products
             m = ONE
             for _, cw in combo:
@@ -117,6 +119,16 @@ def _co_word(word, h):
     for g in word:
         t = _tensor_mul(t, TensorExpr(2, h.delta_gen(g)))
     return t
+
+
+def _s_free(e, h):
+    """S on the free algebra: hopf._s_letters extended linearly, unreduced;
+    the reference that antipode is checked against."""
+    out = {}
+    for w, c in e.terms.items():
+        letters, negated = hopf._s_letters(w, h)
+        _acc(out, letters, -c if negated else c)
+    return e._like(out)
 
 
 def _co_free(e, h):
@@ -704,7 +716,7 @@ def _slotwise_expanded(t, p):
         for w in words:
             slot = Expr.zero()
             for w2, c2 in _expand_word(w, p).terms.items():
-                slot = slot + c2 * Expr(_reduce_word(w2, p))
+                slot = slot + c2 * Expr(_reduce_word(w2, p, p._nf_cache))
             slots.append(slot)
         out = out + c * tensor_of(*slots)
     return out
@@ -726,17 +738,51 @@ def test_memoized_coproduct_collapsed_k_input():
 
 
 def test_coproduct_memo_is_per_call():
-    # The memo of reduced coproducts belongs to one top-level call and is
-    # never stored on the presentation: a memo held on Presentation raised
-    # the hopf benchmark's peak RSS from 24.0 to 32.3 MB, because the
-    # benchmark keeps each request's presentation until its cycle is judged.
+    # The memos of one top-level call, its reduced coproducts and the word
+    # reducer's normal forms, belong to the call's table and are never
+    # stored on the presentation: a memo held on Presentation raised the
+    # hopf benchmark's peak RSS from 24.0 to 32.3 MB, because the
+    # benchmark keeps each request's presentation until its cycle is
+    # judged.  So no structure map and no check adds a word to
+    # normal_form's memo, p._nf_cache, or changes one it holds.
+    e = pi(0) * phi(0) * pi(1) + 2 * phi(1) * pi(0) * phi(0)
     for h, p in ((CL, Presentation()), (DF, Presentation(variant="deformed-strict")),
                  (DF, Presentation(variant="deformed-collapsed"))):
-        before = set(vars(p))
+        normal_form(e * e, p)
+        before, memo = set(vars(p)), dict(p._nf_cache)
+        coproduct(e, h, p)
+        antipode(e, h, p)
+        counit(e, h, p)
+        check_respects_relations(h, p, 2)
+        for check in (check_coassociativity, check_counit, check_antipode, cocommutativity_probe):
+            check(h, p, 2, 2)
         check_multiplicativity(h, p, degree=3, modes=2, seed=1)
-        check_coassociativity(h, p, 2, 2)
-        coproduct(pi(0) * phi(0) * pi(1), h, p)
         assert set(vars(p)) == before
+        assert p._nf_cache == memo
+
+
+@pytest.mark.parametrize("h, p", [(CL, P_UND), (CL, P_FREE), (DF, P_DEF), (DF, P_COL)])
+def test_coproduct_memo_holds_the_cut_and_segment_prefixes(h, p):
+    # _co_nf cuts a word after the first letter of every adjacent pair
+    # that has a rule and grows each segment letter by letter, so a fresh
+    # table's memo holds Delta of exactly the prefixes that end at a cut
+    # (the word itself included), every prefix of every segment and every
+    # letter, each one reduced
+    rng = random.Random(f"cuts/{h.flavor}/{p.variant}/{p.idempotent_identity}")
+    letters = [g for g in legal_letters(p, 2) if h.covers(g)]
+    for _ in range(40):
+        w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 7)))
+        cuts = [i for i in range(1, len(w)) if _pair_rule(w[i - 1], w[i], p)]
+        ends = cuts + [len(w)]
+        want = {w[:end] for end in ends} | {(g,) for g in w}
+        for start, end in zip([0] + cuts, ends):
+            want |= {w[start:j] for j in range(start + 1, end + 1)}
+        t = _SlotTable(h, p)
+        _co_nf(w, t)
+        assert set(t.co) == want, word_text(w)
+        for u in want:
+            got = t.words_of(t.co[u], 2)
+            assert got == tensor_normal_form(_co_free(Expr.from_word(u), h), p), word_text(u)
 
 
 # ---------------------------------------------------------------------------
@@ -997,7 +1043,8 @@ def test_passing_undeformed_sweep_reduces_no_normal_concatenation(monkeypatch):
     # its coproduct, so the step reduces nothing: the only words reduced
     # are the slot words of Delta(g), in _SlotTable.reduce
     reduced = []
-    monkeypatch.setattr(hopf, "_reduce_word", lambda w, p: reduced.append(w) or _reduce_word(w, p))
+    monkeypatch.setattr(hopf, "_reduce_word",
+                        lambda w, p, cache: reduced.append(w) or _reduce_word(w, p, cache))
     for check in (check_coassociativity, check_counit, check_antipode, cocommutativity_probe):
         p = Presentation(gram=[[1, ["1/2", "1/3"]], [["1/2", "-1/3"], 2]])
         assert check(CL, p, 3, 2).passed
@@ -1059,7 +1106,6 @@ def test_record_equal_sides_need_no_reduction(monkeypatch):
     monkeypatch.setattr(_SlotTable, "reduce", refuse)
     monkeypatch.setattr(_SlotTable, "words_of", refuse)
     monkeypatch.setattr(hopf, "_reduce_word", refuse)
-    monkeypatch.setattr(hopf, "normal_form", refuse)
     failures = []
     # the same value built twice, neither side in normal form
     e = pi(0) * phi(0) + 2 * phi(1)
@@ -1111,6 +1157,31 @@ def test_every_check_hands_record_reduced_sides(h, variant, gram, idempotent, q,
         witnesses.clear()
         run()
         assert witnesses
+
+
+# symbolic coefficients, with denominators of one term and of two, and
+# constants; the slot table keys a coefficient by numerator and denominator
+_S_COEFFS = (ONE, -IMAG, Scalar.rational(3, 7), KAPPA, S_PARAM ** -1, ONE / (ONE + S_PARAM),
+             (Scalar.rational(2) + KAPPA) / (ONE + S_PARAM))
+
+
+@pytest.mark.parametrize("h, variant, gram, idempotent, q, c", _REDUCED_SIDE_CASES)
+def test_antipode_is_the_free_antipode_reduced(h, variant, gram, idempotent, q, c):
+    # antipode builds S in a slot table of its own (_s_side), the path
+    # check_respects_relations takes; the free antipode reduced by
+    # normal_form is its reference, term for term, in the same order and
+    # in the same report bytes
+    p = Presentation(variant=variant, gram=gram, idempotent_identity=idempotent, q=q, c=c)
+    rng = random.Random(f"S/{h.flavor}/{variant}/{gram is None}/{idempotent}/{q}")
+    letters = [g for g in legal_letters(p, 2) if h.covers(g)]
+    for _ in range(12):
+        e = Expr.zero()
+        for _ in range(rng.randint(1, 4)):
+            w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 6)))
+            e = e + Expr.from_word(w, rng.choice(_S_COEFFS))
+        got, want = antipode(e, h, p), normal_form(_s_free(e, h), p)
+        assert list(got.terms.items()) == list(want.terms.items()), str(e)
+        assert json.dumps(expr_json(got)) == json.dumps(expr_json(want)), str(e)
 
 
 def test_record_unequal_sides_record_the_reduced_difference():

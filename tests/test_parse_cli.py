@@ -385,16 +385,32 @@ _ROOT = Path(__file__).resolve().parent.parent
 
 
 def _contract_rows():
-    """(exit code, timeout in s, argv) of every row of the contract table
-    that needs no shell expansion ($(...)), split as
-    tools/producer_trace.py splits them."""
+    """(exit code, timeout in s, argv, label) of every row of the contract
+    table, split as tools/producer_trace.py splits them: with shlex, and a
+    row that needs the shell's expansion ($(...)) by bash, once, as the
+    table's eval "argv=($args)" expands it.  label is shlex.join(argv), or
+    an expanded row's own text, since its argv runs to thousands of
+    characters."""
     table = (_ROOT / ".github" / "cli-contract.sh").read_text(encoding="utf-8")
     rows = []
     for line in table.split("<<'ROWS'\n", 1)[1].split("\nROWS\n", 1)[0].splitlines():
         parts = line.split(None, 2)
-        if len(parts) == 3 and not line.startswith("#") and "$(" not in line:
-            rows.append((int(parts[0]), int(parts[1]), shlex.split(parts[2])))
+        if len(parts) < 3 or line.startswith("#"):
+            continue
+        if "$(" in parts[2]:
+            argv, label = _shell_words(parts[2]), parts[2]
+        else:
+            argv = shlex.split(parts[2])
+            label = shlex.join(argv)
+        rows.append((int(parts[0]), int(parts[1]), argv, label))
     return rows
+
+
+def _shell_words(args):
+    """The words bash expands args to, command substitutions included."""
+    out = subprocess.run(["bash", "-c", f'printf "%s\\0" {args}'], capture_output=True,
+                         check=True).stdout
+    return out.decode().split("\0")[:-1]
 
 
 def _recorded_spectrum_argvs():
@@ -402,7 +418,7 @@ def _recorded_spectrum_argvs():
     contract table that expect a report (exit 0 or 1), help text aside."""
     cases = json.loads((_ROOT / "tests" / "golden" / "cli.json").read_text(encoding="utf-8"))
     argvs = [c["argv"] for c in cases if c["exit"] != 2]
-    argvs += [argv for want, _, argv in _contract_rows() if want in (0, 1)]
+    argvs += [argv for want, _, argv, _ in _contract_rows() if want in (0, 1)]
     return [a for a in argvs if a[:2] == ["fock", "spectrum"] and "--help" not in a]
 
 
@@ -1078,7 +1094,7 @@ _HUGE = _EDGE_VALUES[2]
 
 # (argv, index of a flag's value) over every contract row within the
 # 60 s timeout
-_FLAG_VALUES = [(argv, i) for _, limit, argv in _contract_rows() if limit <= 60
+_FLAG_VALUES = [(argv, i) for _, limit, argv, _ in _contract_rows() if limit <= 60
                 for i in range(1, len(argv))
                 if argv[i - 1].startswith("--") and not argv[i].startswith("--")]
 
@@ -1121,7 +1137,8 @@ def _assert_contract(argv):
 def test_cli_contract_rows_with_one_edge_flag_value(row, value):
     # one contract row with one flag's value replaced by an edge value
     # keeps the exit-code contract.  2000 examples, derandomized, draw
-    # all 1704 (row, flag, value) choices, in about 12 s
+    # all 1824 (row, flag, value) choices, the rows built with printf
+    # included, in about 12 s
     argv, i = row
     _assert_contract(argv[:i] + [value] + argv[i + 1:])
 
@@ -1135,6 +1152,9 @@ def test_cli_contract_rows_with_one_edge_flag_value(row, value):
     # the word-budget refusal names comb(letters + 12, 12), past 4300
     # digits, by its order of magnitude
     ["hopf-check", "--modes", _HUGE, "--degree", "12"],
+    # and comb(letters + degree, degree) with both past 2^63, which
+    # math.comb refuses with OverflowError, by its bound, uncomputed
+    ["hopf-check", "--modes", _HUGE, "--degree", _HUGE],
 ])
 def test_cli_contract_breaches_found_by_the_argv_fuzz(argv):
     assert _assert_contract(argv) == 2
@@ -1298,13 +1318,14 @@ def test_cli_structured_expressions_keep_the_contract(sub, basis, text, other):
     assert time.perf_counter() - started < _STRUCT_TIMEOUT, argv
 
 
-_CONTRACT_ROWS = [(want, argv) for want, limit, argv in _contract_rows() if limit <= 60]
+_CONTRACT_ROWS = [(want, argv, label) for want, limit, argv, label in _contract_rows()
+                  if limit <= 60]
 
 
-@pytest.mark.parametrize("want, argv", _CONTRACT_ROWS,
-                         ids=[shlex.join(argv) for _, argv in _CONTRACT_ROWS])
+@pytest.mark.parametrize("want, argv", [row[:2] for row in _CONTRACT_ROWS],
+                         ids=[label for _, _, label in _CONTRACT_ROWS])
 def test_cli_contract_rows_exit_as_the_table_says(want, argv):
-    # every row of .github/cli-contract.sh within 60 s, run in process,
-    # keeps the contract and exits with its row's code; the 120 s row and
-    # the rows built with printf have tests of their own
+    # every row of .github/cli-contract.sh within 60 s, the rows built
+    # with printf included, run in process, keeps the contract and exits
+    # with its row's code; the 120 s row has a test of its own
     assert _assert_contract(argv) == want
