@@ -221,6 +221,9 @@ done <<'ROWS'
 0  60 measure weyl --d 1 --count 20000
 2  20 hopf-check --modes 1 --degree 12
 2  20 hopf-check --checks multiplicativity --modes 1 --degree 16
+# letters and degree each within the word budget: their candidate words,
+# comb(21 + 7, 7) = 1184040, are counted exactly and named
+2  20 hopf-check --modes 10 --degree 7
 # a degree-0 sweep builds no word, yet its mode window past the gram is refused
 2  20 hopf-check --checks counit,antipode,coassociativity,cocommutativity --degree 0 --modes 3 --gram tests/golden/gram2.json
 # a check named twice would run and report twice
@@ -238,10 +241,18 @@ done <<'ROWS'
 # the argv fuzz's breaches: a 400-digit mode count is refused by the mode
 # budgets before any array is built (numpy refused np.eye(d) with a
 # traceback, and at nmax = 0 the tables were built d entries long), and a
-# word budget past 4300 digits is named by its order of magnitude
+# word budget that the letters alone pass names only the degree and modes
 2  20 measure weyl --d "$(printf '9%.0s' {1..400})" --count 1
 2  20 fock spectrum --d "$(printf '9%.0s' {1..400})" --nmax 0
 2  20 hopf-check --modes "$(printf '9%.0s' {1..400})" --degree 12
+# sizes at the interpreter's 4300-digit limit: each budget compares the
+# given size, and no refusal prints 2*modes + 3, 2*degree or samples*d,
+# which have 4301 digits and raised ValueError when formatted
+2  20 hopf-check --modes "$(printf '9%.0s' {1..4300})" --degree 2
+2  20 hopf-check --checks respects-relations --modes "$(printf '9%.0s' {1..4300})"
+2  20 hopf-check --checks multiplicativity --modes "$(printf '9%.0s' {1..4300})"
+2  20 hopf-check --checks multiplicativity --degree "$(printf '9%.0s' {1..4300})"
+2  20 measure bochner --samples "$(printf '9%.0s' {1..4300})"
 # a scale whose reciprocal overflows is refused before K = I/c warns
 2  20 measure cocycle --scale 1e-320
 # a covariance factor read from a file, and the deformation constant's

@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from dataclasses import dataclass, field
 from itertools import chain, product
 
@@ -275,19 +274,19 @@ class _SlotTable:
     coefficient's key (see cid) to its id.  A reduced order-k tensor is a
     dict from k-tuples of word ids to coefficient ids, and an element a
     dict from 1-tuples.  joins[i] maps each word id j to the join of words
-    i and j, nfs each word reduced so far to its normal form as (word id,
-    coefficient id) pairs, reduced is the word reducer's memo behind nfs
-    (algebra._reduce_word), co each word _co_nf has met to its reduced
-    Delta, and muls and adds each pair of coefficient ids met so far to
-    the id of their product and of their sum."""
+    i and j, reduced is the word reducer's memo (algebra._reduce_word),
+    each word reduced so far and its suffixes to their normal forms, co
+    each word _co_nf has met to its reduced Delta, and muls and adds each
+    pair of coefficient ids met so far to the id of their product and of
+    their sum."""
 
-    __slots__ = ("h", "p", "words", "ids", "joins", "nfs", "reduced", "co", "coefs", "cids",
+    __slots__ = ("h", "p", "words", "ids", "joins", "reduced", "co", "coefs", "cids",
                  "muls", "adds")
 
     def __init__(self, h: HopfSpec, p: Presentation):
         self.h, self.p = h, p
         self.words, self.ids, self.joins = [()], {(): 0}, [{}]
-        self.nfs, self.reduced, self.co = {}, {}, {}
+        self.reduced, self.co = {}, {}
         self.coefs, self.cids = list(_SEED_COEFS), dict(_SEED_CIDS)
         self.muls, self.adds = {}, {}
 
@@ -351,13 +350,11 @@ class _SlotTable:
 
     def nf(self, word) -> tuple:
         """The normal form of a word whose letters the caller has checked
-        against p, as (word id, coefficient id) pairs, stored in nfs."""
-        out = self.nfs.get(word)
-        if out is None:
-            out = self.nfs[word] = tuple([(self.id(w), self.cid(m))
-                                          for w, m in _reduce_word(word, self.p,
-                                                                   self.reduced).items()])
-        return out
+        against p, as (word id, coefficient id) pairs.  The form is
+        memoized in reduced and numbered afresh on each call; join stores
+        the pairs for each junction it reduces."""
+        return tuple([(self.id(w), self.cid(m))
+                      for w, m in _reduce_word(word, self.p, self.reduced).items()])
 
     def join(self, i: int, j: int):
         """nf(u v) for the normal words u and v numbered i and j, stored in
@@ -671,9 +668,11 @@ def _sweep(axiom: str, h: HopfSpec, p: Presentation, degree: int, modes: int, si
 def _covered_letters(h: HopfSpec, p: Presentation, modes: int, degree: int) -> list:
     """Every check's admission: a negative degree, then _check_flavor_variant,
     then comb(letters + depth, depth) candidate words over the legal letters
-    past MAX_CHECK_WORDS, depth = max(degree, 1), are refused in turn, the
-    last with a count past the interpreter's digits (sys.get_int_max_str_digits)
-    named by its order of magnitude.  It returns the sorted letters of modes
+    past MAX_CHECK_WORDS, depth = max(degree, 1), are refused in turn.  The
+    count exceeds both the letters and the depth (there is at least one
+    letter, I), so when either alone is past the budget the refusal names
+    only the depth and modes; otherwise the count, at most comb(2000, 1000),
+    is formed exactly and named.  It returns the sorted letters of modes
     0..modes-1 that h covers and p does not expand (algebra._letter_piece); at
     least one must be a field, and all must be legal in p, so every check
     refuses a mode window past the gram at every degree."""
@@ -681,22 +680,15 @@ def _covered_letters(h: HopfSpec, p: Presentation, modes: int, degree: int) -> l
         raise HopfError(f"the degree must be non-negative, got {degree}")
     _check_flavor_variant(h, p)
     count, depth = legal_letter_count(p, modes), max(degree, 1)
-    limit, k = sys.get_int_max_str_digits(), min(count, depth)
-    # comb(count + depth, k) >= ((count + depth) / k)^k >= 2^k, and a count
-    # these bounds put past the interpreter's digits stands as 10^limit:
-    # math.comb refuses a k past 2^63 and took 1.9 s at k = 4300 over 10^400
-    # letters
-    if limit and (k > 4 * limit or k * (math.log10(count + depth) - math.log10(k)) > limit):
-        words = 10 ** limit
-    else:
-        words = math.comb(count + depth, depth)
-    if words > MAX_CHECK_WORDS:
-        try:
-            shown = str(words)
-        except ValueError:
-            shown = f"10^{limit} or more"
+    if count > MAX_CHECK_WORDS or depth > MAX_CHECK_WORDS:
         raise HopfError(
-            f"{shown} candidate words up to degree {depth} over {count} letters "
+            f"the candidate words up to degree {depth} over {modes} modes exceed the "
+            f"budget of {MAX_CHECK_WORDS}; lower --degree or --modes"
+        )
+    words = math.comb(count + depth, depth)
+    if words > MAX_CHECK_WORDS:
+        raise HopfError(
+            f"{words} candidate words up to degree {depth} over {count} letters "
             f"exceed the budget of {MAX_CHECK_WORDS}; lower --degree or --modes"
         )
     letters = [g for g in legal_letters(p, modes) if h.covers(g) and _letter_piece(g, p) is None]
@@ -843,13 +835,15 @@ def check_multiplicativity(
     the right multiplies the reduced coproducts of x and y
     (_SlotTable.product), and slot-wise normal form is an algebra map.  So
     this check tests the engine, not Delta; whether Delta is well defined
-    on the algebra is what check_respects_relations tests.  A degree whose
-    products may hold more than MAX_TRIAL_LETTERS letters is refused before
-    _covered_letters admits the rest."""
-    if 2 * degree > MAX_TRIAL_LETTERS:
+    on the algebra is what check_respects_relations tests.  A degree past
+    MAX_TRIAL_LETTERS // 2, whose products may hold more than
+    MAX_TRIAL_LETTERS letters, is refused before _covered_letters admits
+    the rest; the refusal names the degree, not its double."""
+    if degree > MAX_TRIAL_LETTERS // 2:
         raise HopfError(
-            f"degree-{degree} multiplicativity trials multiply words of up to {2 * degree} "
-            f"letters, over the budget of {MAX_TRIAL_LETTERS}; lower --degree"
+            f"degree-{degree} multiplicativity trials multiply words of up to 2 x {degree} "
+            f"letters, over the budget of {MAX_TRIAL_LETTERS}; lower --degree to "
+            f"{MAX_TRIAL_LETTERS // 2} or less"
         )
     letters = _covered_letters(h, p, modes, degree)
     rng = random.Random(seed)

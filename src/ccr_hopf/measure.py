@@ -310,7 +310,7 @@ class MCEstimate:
 
 def bochner_mc(model: GaussianModel, v, samples: int = 100000, seed: int = 42) -> MCEstimate:
     """Monte-Carlo estimate of the Fourier transform of the measure at v;
-    deterministic for a fixed seed.
+    deterministic for a fixed seed, and refused past MAX_MC_DRAWS // d samples.
 
     The draws go through model.sample MC_CHUNK_ROWS rows at a time, and
     the estimate is taken in one pass over the blocks: each block's
@@ -323,9 +323,9 @@ def bochner_mc(model: GaussianModel, v, samples: int = 100000, seed: int = 42) -
     over every draw as the oracle."""
     if samples < 2:
         raise MeasureError("need at least two samples")
-    if samples * model.d > MAX_MC_DRAWS:
-        raise MeasureError(f"{samples} samples in d={model.d} need {samples * model.d} normal "
-                           f"draws, over the budget of {MAX_MC_DRAWS}; lower the samples")
+    if samples > MAX_MC_DRAWS // model.d:
+        raise MeasureError(f"{samples} samples in d={model.d} need more normal draws than "
+                           f"the budget of {MAX_MC_DRAWS}; lower them to {MAX_MC_DRAWS // model.d}")
     rng = np.random.default_rng(seed)
     v = np.asarray(v, dtype=float)
     count, mean, m2 = 0, np.zeros(2), np.zeros(2)  # of (cos, sin)

@@ -1447,13 +1447,16 @@ def test_sweep_budget_is_checked_before_the_first_coproduct(monkeypatch):
 
 def test_multiplicativity_budget_is_checked_before_the_first_trial(monkeypatch):
     # the CI tripwire (--modes 1 --degree 8) and the benchmark's degrees
-    # (at most 4) fit the budget
-    assert 2 * 8 <= MAX_TRIAL_LETTERS
+    # (at most 4) fit the budget: degree MAX_TRIAL_LETTERS // 2 runs and
+    # one more is refused
+    assert MAX_TRIAL_LETTERS // 2 == 8
     calls = []
     co_expr = hopf._co_expr
     monkeypatch.setattr(hopf, "_co_expr", lambda *a: calls.append(a) or co_expr(*a))
     for h, p in ((CL, P_UND), (DF, P_DEF)):
-        with pytest.raises(HopfError, match="up to 18 letters, over the budget of 16"):
+        with pytest.raises(HopfError, match=r"^degree-9 multiplicativity trials multiply words "
+                                            r"of up to 2 x 9 letters, over the budget of 16; "
+                                            r"lower --degree to 8 or less$"):
             check_multiplicativity(h, p, degree=9, modes=1)
     assert calls == []
     assert check_multiplicativity(CL, P_UND, degree=8, modes=1).passed and calls
@@ -1468,18 +1471,33 @@ def test_word_budget_is_checked_before_the_letters_are_built(monkeypatch):
         (lambda: check_counit(CL, P_UND, degree=7, modes=10),
          "1184040 candidate words up to degree 7 over 21 letters"),
         (lambda: check_coassociativity(DF, P_DEF, degree=0, modes=600),
-         "1204 candidate words up to degree 1 over 1203 letters"),
+         "the candidate words up to degree 1 over 600 modes"),
         (lambda: check_multiplicativity(CL, P_UND, degree=7, modes=10),
          "1184040 candidate words up to degree 7"),
         (lambda: check_respects_relations(CL, P_UND, modes=50),
          "5253 candidate words up to degree 2 over 101 letters"),
+        # at the edges: 500 modes give 1001 letters, and over the one
+        # letter I degree 1000 gives 1001 words and degree 1001 is refused
+        # by itself
+        (lambda: _covered_letters(CL, P_UND, 500, 1),
+         "^the candidate words up to degree 1 over 500 modes"),
+        (lambda: _covered_letters(CL, P_UND, 0, 1000),
+         "^1001 candidate words up to degree 1000 over 1 letters"),
+        (lambda: _covered_letters(CL, P_UND, 0, 1001),
+         "^the candidate words up to degree 1001 over 0 modes"),
     )
     for check, needle in refused:
         with pytest.raises(HopfError, match=f"{needle}.*exceed the budget of {MAX_CHECK_WORDS}"):
             check()
-    # a count with more digits than the interpreter prints is named by its
-    # order of magnitude: comb(letters + 12, 12) over 400-digit letters
-    with pytest.raises(HopfError, match=r"^10\^4300 or more candidate words up to degree 12"):
+    # and 999 letters at degree 1 make comb(1000, 1) words, within it
+    with pytest.raises(pytest.fail.Exception, match="letters built"):
+        _covered_letters(CL, P_UND, 499, 1)
+    # letters or a depth past the budget alone are refused before the count
+    # is formed, and the refusal names only the depth and the modes given:
+    # comb(letters + 12, 12) over 400-digit modes has more digits than the
+    # interpreter prints
+    with pytest.raises(HopfError, match=f"^the candidate words up to degree 12 over {10 ** 400} "
+                                        f"modes exceed the budget of {MAX_CHECK_WORDS};"):
         check_counit(CL, P_UND, degree=12, modes=10 ** 400)
 
 
@@ -1515,7 +1533,8 @@ def test_every_check_admits_in_one_order(monkeypatch):
         with pytest.raises(HopfError, match=needle):
             check_respects_relations(h, p, modes=50)
     for h, p in ((DF, P_UND), (CL, ladder)):
-        with pytest.raises(HopfError, match="up to 18 letters, over the budget of 16"):
+        with pytest.raises(HopfError, match="^degree-9 multiplicativity trials multiply words "
+                                            "of up to 2 x 9 letters, over the budget of 16;"):
             check_multiplicativity(h, p, degree=9, modes=10 ** 400)
     with pytest.raises(HopfError, match="^the degree must be non-negative, got -2$"):
         _covered_letters(DF, P_UND, 10 ** 400, -2)

@@ -745,12 +745,28 @@ def test_checks_refuse_values_that_overflow_a_float():
     assert all(math.isfinite(fields[k]) for k in ("estimate_re", "estimate_im", "gap", "stderr"))
 
 
-def test_bochner_budget():
-    # the selftest and the benchmark draw at most 1e6 x 3
+def test_bochner_budget(monkeypatch):
+    # the selftest and the benchmark draw at most 1e6 x 3.  MAX_MC_DRAWS //
+    # d samples reach the first draw and one more is refused, also where d
+    # does not divide the budget; the refusal names samples and d, not
+    # their product
     assert 10 ** 6 * 3 <= MAX_MC_DRAWS
-    for d in (1, 3):
-        with pytest.raises(MeasureError, match="budget"):
-            bochner_mc(GaussianModel.fock(d), np.ones(d), samples=MAX_MC_DRAWS // d + 1)
+
+    class Drawn(Exception):
+        pass
+
+    def drawn(*args):
+        raise Drawn
+
+    monkeypatch.setattr(GaussianModel, "sample", drawn)
+    for d in (1, 3, 7):
+        model, edge = GaussianModel.fock(d), MAX_MC_DRAWS // d
+        with pytest.raises(Drawn):
+            bochner_mc(model, np.ones(d), samples=edge)
+        with pytest.raises(MeasureError, match=f"^{edge + 1} samples in d={d} need more normal "
+                                               f"draws than the budget of {MAX_MC_DRAWS}; "
+                                               f"lower them to {edge}$"):
+            bochner_mc(model, np.ones(d), samples=edge + 1)
 
 
 def test_cocycle_sweep_budget_is_checked_before_drawing():

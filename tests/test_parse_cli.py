@@ -1086,11 +1086,12 @@ def test_cli_hopf_check_fuzzed_check_lists(drawn):
 
 
 # the values the argv fuzz puts in place of one flag's value: zero, a
-# negative, an integer past every budget (400 digits, within the
-# interpreter's 4300-digit limit), a subnormal, the non-finite floats and
-# the empty string
-_EDGE_VALUES = ["0", "-1", "9" * 400, "1e-320", "nan", "inf", "-inf", ""]
-_HUGE = _EDGE_VALUES[2]
+# negative, integers past every budget (400 digits, and 4300, the most the
+# interpreter converts, so twice it or a product with it has more digits
+# than a refusal may print), a subnormal, the non-finite floats and the
+# empty string
+_EDGE_VALUES = ["0", "-1", "9" * 400, "9" * 4300, "1e-320", "nan", "inf", "-inf", ""]
+_HUGE, _LIMIT = _EDGE_VALUES[2], _EDGE_VALUES[3]
 
 # (argv, index of a flag's value) over every contract row within the
 # 60 s timeout
@@ -1132,13 +1133,13 @@ def _assert_contract(argv):
     return code
 
 
-@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@settings(max_examples=2600, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(_FLAG_VALUES), st.sampled_from(_EDGE_VALUES))
 def test_cli_contract_rows_with_one_edge_flag_value(row, value):
     # one contract row with one flag's value replaced by an edge value
-    # keeps the exit-code contract.  2000 examples, derandomized, draw
-    # all 1824 (row, flag, value) choices, the rows built with printf
-    # included, in about 12 s
+    # keeps the exit-code contract.  2600 examples, derandomized, draw
+    # the argv of every one of the 2151 (row, flag, value) choices, the
+    # rows built with printf included, in about 15 s
     argv, i = row
     _assert_contract(argv[:i] + [value] + argv[i + 1:])
 
@@ -1149,12 +1150,18 @@ def test_cli_contract_rows_with_one_edge_flag_value(row, value):
     ["measure", "weyl", "--d", _HUGE, "--count", "1"],
     # I/c would overflow to inf, and numpy warn on stderr, before K is refused
     ["measure", "cocycle", "--scale", "1e-320"],
-    # the word-budget refusal names comb(letters + 12, 12), past 4300
-    # digits, by its order of magnitude
+    # the word budget refuses letters or a degree past it before it forms
+    # comb(letters + degree, degree), which has more than 4300 digits here
+    # and which math.comb refuses with OverflowError past 2^63
     ["hopf-check", "--modes", _HUGE, "--degree", "12"],
-    # and comb(letters + degree, degree) with both past 2^63, which
-    # math.comb refuses with OverflowError, by its bound, uncomputed
     ["hopf-check", "--modes", _HUGE, "--degree", _HUGE],
+    # at the 4300-digit limit, 2*modes + 3, 2*degree and samples*d have
+    # 4301 digits: each budget compares the given size and prints only it
+    ["hopf-check", "--modes", _LIMIT, "--degree", "2"],
+    ["hopf-check", "--checks", "respects-relations", "--modes", _LIMIT],
+    ["hopf-check", "--checks", "multiplicativity", "--modes", _LIMIT],
+    ["hopf-check", "--checks", "multiplicativity", "--degree", _LIMIT],
+    ["measure", "bochner", "--samples", _LIMIT],
 ])
 def test_cli_contract_breaches_found_by_the_argv_fuzz(argv):
     assert _assert_contract(argv) == 2
