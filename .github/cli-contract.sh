@@ -157,12 +157,21 @@ done <<'ROWS'
 0  60 fock spectrum --d 3 --nmax 12 --family summable
 # a cutoff of zero quanta: the vacuum alone, whose reported occupancy is 0.0
 0  60 fock spectrum --d 2 --nmax 0 --family uniform
+# v = 0: the Krylov run stops at beta = 0 and the coherent state's Poisson
+# tail has mean 0; and a spectrum asked for no eigenvalue
+0  60 fock genfun --v 0
+0  60 fock spectrum --k 0
 0  60 fock genfun --d 2 --v 0.3,0.4 --gram tests/golden/gram2.json
 0  60 fock transfer --gram tests/golden/gram2.json
 # a gram whose mirrored entries differ by 1e-6 relative is not Hermitian
 # to the stated 1e-12, and both numeric layers refuse it as bad input
 2  20 fock transfer --gram tests/golden/gram_asymmetric.json
 2  20 measure eta --gram tests/golden/gram_asymmetric.json
+# under a gram P(v) shifts by u_v = G v and is weighted by the cocycle of
+# that same shift, so the cocycle, the density ratio and eta's limit agree
+# to rounding (weighted by C v, the cocycle row exited 1 with residual 0.99)
+0  60 measure cocycle --gram tests/golden/gram2.json
+0  60 measure eta --gram tests/golden/gram2.json
 0  60 measure eta
 0  60 measure weyl --d 2 --seed 5 --count 80
 # commands that read their tolerance, verdict or Gaussian model from fock
@@ -194,6 +203,10 @@ done <<'ROWS'
 # counts times worst-case monomials, the Hopf sweep and trial budgets
 2  20 normalize "phi(0)^99999999999"
 2  20 fock genfun --v 1e5
+# a coherent state past the cutoff names the least cutoff that holds it,
+# found by bisection; the dense budget leaves d < 1 to the space to refuse
+2  20 fock genfun --v 6 --nmax 10
+2  20 fock matrices --d 0
 # the vacuum's Krylov space of nmax + 1 states over the dense eigen-solver budget
 2  20 fock genfun --v 1 --nmax 2000
 # the trend is the closed form sum_j sinh^2(r_j) and builds no Fock

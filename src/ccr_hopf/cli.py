@@ -4,9 +4,8 @@ Every subcommand prints one JSON document to stdout (UTF-8, sorted keys)
 and a short human-readable status line to stderr, so scripts can pipe
 the data while a person watches the progress.  Exit codes: 0 when every
 check in the invocation passed, 1 when a check failed, 2 for usage or
-configuration errors.  CCR_HOPF_SEED in the environment overrides the
---seed flag of the seeded commands; all randomness flows from that one
-seed, which must be a non-negative integer.
+configuration errors.  All randomness of a seeded command flows from its
+--seed, which must be a non-negative integer.
 
 The parser is built from one table, ``COMMANDS``, with one row per
 subcommand: its path, help text, function, whether it is seeded, and
@@ -27,7 +26,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import random
 import sys
 from typing import Callable, NamedTuple
@@ -316,7 +314,7 @@ def _cmd_fock_transfer(args):
     rng = random.Random(f"{args.seed}:transfer-cli")
     v = gauss_vector(rng, args.d) if v is None else v
     w = gauss_vector(rng, args.d) if w is None else w
-    rep = transfer_rep(m, 1.5 if args.q is None else args.q, 0.8 if args.c is None else args.c)
+    rep = transfer_rep(m, args.q, args.c)
     fields, passed = transfer_check(rep, v, w)
     results = {**fields, "c_qc": rep.constant, "scale": rep.scale,
                "v": list(map(float, v)), "w": list(map(float, w))}
@@ -456,7 +454,7 @@ class Command(NamedTuple):
     path: str  # "normalize", or "<group> <name>" for a fock/measure command
     help: str
     run: Callable  # args -> (results, passed, summary)
-    seeded: bool  # CCR_HOPF_SEED overrides --seed
+    seeded: bool  # refuses a negative --seed
     flags: tuple  # argument adders, in --help order
 
 
@@ -499,8 +497,8 @@ COMMANDS = (
             + _squeezing() + _COMMON),
     Command("fock transfer", "deformed commutator residual", _cmd_fock_transfer, True,
             _mode_space_flags(2) + (
-                _arg("--q", type=float, default=None),
-                _arg("--c", type=float, default=None),
+                _arg("--q", type=float, default=1.5),
+                _arg("--c", type=float, default=0.8),
                 _arg("--v", default=None),
                 _arg("--w", default=None),
             ) + _COMMON),
@@ -547,12 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(cmd: Command, args) -> int:
     """Run one command and write its report; the exit code is 0 or 1."""
-    env = os.environ.get("CCR_HOPF_SEED")
-    if cmd.seeded and env is not None:
-        try:
-            args.seed = int(env)
-        except ValueError:
-            raise CliError(f"CCR_HOPF_SEED must be an integer, got {env!r}")
     if cmd.seeded and args.seed < 0:
         raise CliError(f"the seed must be a non-negative integer, got {args.seed}")
     results, passed, summary = cmd.run(args)

@@ -709,21 +709,20 @@ def _word_matrix(words: dict, word: tuple, d: int):
 
 def expr_matrix(e: Expr, m: ModeSpace, p: Presentation, q=None, c=None):
     """Numeric matrix of a symbolic element under the transfer
-    representation.  A numeric presentation supplies (q, c) itself and
-    refuses them passed again; a symbolic deformed presentation needs them
-    passed; the undeformed variant uses constant 1 and ignores them.
+    representation at the deformation point (q, c).  The point comes in
+    only as q and c: a deformed variant needs them, the undeformed one uses
+    constant 1 and ignores them, and a presentation that carries its own
+    numeric q and c is refused.
 
     Each word's matrix is formed once per space and (q, c).  The entries of
     every word times its coefficient are gathered in sorted word order and
     coalesced once, into a fresh matrix, never a cached one."""
     if p.q is not None:
-        if q is not None or c is not None:
-            raise FockError("this presentation carries its own numeric q and c; pass neither")
-        q, c = p.q, p.c
+        raise FockError("pass the deformation point as q and c, not on the presentation")
     if p.variant == UNDEFORMED:
         constant, scale = 1.0, 1.0
     elif q is None or c is None:
-        raise FockError("numeric q and c are required for a symbolic presentation")
+        raise FockError("numeric q and c are required for a deformed variant")
     else:
         constant, scale = deformation_pair(q, c)
     words = _word_matrices(m, constant, scale)

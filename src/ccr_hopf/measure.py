@@ -95,7 +95,9 @@ class GaussianModel:
     The covariance form is M_K(v) = <K^-1 v|K^-1 v>, the generating
     function Z(v) = exp(-M_K(v)/2), and the density of the measure is
     proportional to exp(-u.C.u/2) with C = K K^T.  The embedding of test
-    vectors into the sample space is u_v = gram.v (identity by default).
+    vectors into the sample space is u_v = gram.v (identity by default),
+    and embed is the only map that forms it: P(v) shifts by u_v and is
+    weighted by the cocycle of that same shift.
     """
 
     def __init__(self, K, gram=None):
@@ -179,11 +181,10 @@ def gauss_vector(rng, d: int) -> np.ndarray:
 # Cocycle, eta limit, Bochner
 
 def cocycle(model: GaussianModel, v, u) -> float:
-    """a_K(v,u) = exp(-M_K(Cv)/4 - <Cv,u>/2), the square root of the
-    Radon-Nikodym derivative of the shift by u_v."""
-    v = np.asarray(v, dtype=float)
-    cv = model.C @ v
-    return math.exp(-0.25 * model.M(cv) - 0.5 * float(cv @ np.asarray(u, float)))
+    """a_K(v,u) = exp(-M_K(C u_v)/4 - <C u_v,u>/2), the square root of
+    the Radon-Nikodym derivative of the shift by u_v."""
+    cu = model.C @ model.embed(v)
+    return math.exp(-0.25 * model.M(cu) - 0.5 * float(cu @ np.asarray(u, float)))
 
 
 def _cocycle_sides(model: GaussianModel, v, vp, u, a_vu: float) -> tuple:
@@ -230,20 +231,22 @@ def cocycle_sweep(model: GaussianModel, rng, count: int) -> tuple:
         raise MeasureError(f"{count} cocycle samples are over the budget of "
                            f"{MAX_COCYCLE_SAMPLES}; lower the samples")
     worst_c = worst_r = 0.0
-    for _ in range(count):
-        v, vp, u = (gauss_vector(rng, model.d) for _ in range(3))
-        try:
-            a_vu = cocycle(model, v, u)  # a(v, u), a factor of both identities
-            res_c = scaled_residual(*_cocycle_sides(model, v, vp, u, a_vu))
-            res_r = scaled_residual(*_density_ratio_sides(model, v, u, a_vu))
-        # math.exp of a cocycle past the float range, or a density that rounds to 0
-        except (OverflowError, ZeroDivisionError):
-            res_c = res_r = math.nan
-        # max() would drop the NaN that an infinite density leaves
-        if not (math.isfinite(res_c) and math.isfinite(res_r)):
-            raise MeasureError("a cocycle or density ratio at a sample point is not finite: "
-                               "it leaves the float range")
-        worst_c, worst_r = max(worst_c, res_c), max(worst_r, res_r)
+    # numpy warns of no overflow: a residual it leaves non-finite is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(count):
+            v, vp, u = (gauss_vector(rng, model.d) for _ in range(3))
+            try:
+                a_vu = cocycle(model, v, u)  # a(v, u), a factor of both identities
+                res_c = scaled_residual(*_cocycle_sides(model, v, vp, u, a_vu))
+                res_r = scaled_residual(*_density_ratio_sides(model, v, u, a_vu))
+            # math.exp of a cocycle past the float range, or a density that rounds to 0
+            except (OverflowError, ZeroDivisionError):
+                res_c = res_r = math.nan
+            # max() would drop the NaN that an infinite density leaves
+            if not (math.isfinite(res_c) and math.isfinite(res_r)):
+                raise MeasureError("a cocycle or density ratio at a sample point is not finite: "
+                                   "it leaves the float range")
+            worst_c, worst_r = max(worst_c, res_c), max(worst_r, res_r)
     fields = {"cocycle_max_residual": worst_c, "density_ratio_max_residual": worst_r,
               "tolerance": COCYCLE_TOLERANCE}
     return fields, worst_c < COCYCLE_TOLERANCE and worst_r < COCYCLE_TOLERANCE
@@ -252,7 +255,7 @@ def cocycle_sweep(model: GaussianModel, rng, count: int) -> tuple:
 def eta(model: GaussianModel, v, u) -> float:
     """Richardson-extrapolated limit of (a(alpha v, u) - 1)/alpha as
     alpha -> 0 over six halvings from alpha = 1e-2; converges to
-    -<Cv,u>/2."""
+    -<C u_v,u>/2."""
     v = np.asarray(v, dtype=float)
     table = []
     for i in range(6):
@@ -266,10 +269,10 @@ def eta(model: GaussianModel, v, u) -> float:
 
 
 def eta_error(model: GaussianModel, v, u) -> tuple:
-    """(error, estimate, exact) of eta against its limit -<Cv,u>/2; an
-    error that overflows a float raises MeasureError."""
+    """(error, estimate, exact) of eta against its limit -<C u_v,u>/2;
+    an error that overflows a float raises MeasureError."""
     with np.errstate(over="ignore", invalid="ignore"):
-        exact = -0.5 * float((model.C @ v) @ u)
+        exact = -0.5 * float((model.C @ model.embed(v)) @ u)
         try:
             estimate = eta(model, v, u)
         except OverflowError:  # math.exp of a cocycle past the float range
@@ -508,10 +511,10 @@ def random_test_function(rng, d: int) -> TestFunction:
 
 def p_op(model: GaussianModel, v):
     """P(v) as a map on test functions, (P(v)f)(u) = a(v,u) f(u + u_v);
-    Cv, u_v and M_K(Cv) are formed once for every f it is applied to."""
-    v = np.asarray(v, dtype=float)
-    cv = model.C @ v
-    shift, dlin, dconst = model.embed(v), -0.5 * cv, -0.25 * model.M(cv)
+    u_v, C u_v and M_K(C u_v) are formed once for every f it is applied to."""
+    shift = model.embed(v)
+    cu = model.C @ shift
+    dlin, dconst = -0.5 * cu, -0.25 * model.M(cu)
     return lambda f: f.translate(shift).with_exponent(dlin, dconst)
 
 

@@ -880,6 +880,12 @@ def test_transfer_residual_stays_sparse():
     assert peak < 32e6
 
 
+def _matrix_of(e, m, p):
+    # expr_matrix of e at p's numeric point, passed as q and c beside a
+    # presentation of p's variant that carries none
+    return expr_matrix(e, m, Presentation(variant=p.variant), q=p.q, c=p.c)
+
+
 def test_expr_matrix_functor_property():
     # the transfer representation factors through the rewrite relations
     m = ModeSpace(2, 8)
@@ -893,8 +899,8 @@ def test_expr_matrix_functor_property():
     for p in cases:
         for _ in range(8):
             e = random_expr(rng, p, 3, 2)
-            lhs = expr_matrix(normal_form(e, p), m, p)
-            rhs = expr_matrix(e, m, p)
+            lhs = _matrix_of(normal_form(e, p), m, p)
+            rhs = _matrix_of(e, m, p)
             assert restricted_norm(m, lhs - rhs, 3) < 1e-10
 
 
@@ -907,8 +913,8 @@ def test_expr_matrix_functor_with_gram():
     rng = random.Random(5)
     for _ in range(6):
         e = random_expr(rng, p, 3, 2)
-        lhs = expr_matrix(normal_form(e, p), m, p)
-        rhs = expr_matrix(e, m, p)
+        lhs = _matrix_of(normal_form(e, p), m, p)
+        rhs = _matrix_of(e, m, p)
         assert restricted_norm(m, lhs - rhs, 3) < 1e-10
 
 
@@ -918,8 +924,8 @@ def test_expr_matrix_adjoint_consistency():
     rng = random.Random(17)
     for _ in range(10):
         e = random_expr(rng, p, 3, 2)
-        lhs = expr_matrix(adjoint(e, p), m, p)
-        rhs = expr_matrix(e, m, p).conj().T
+        lhs = _matrix_of(adjoint(e, p), m, p)
+        rhs = _matrix_of(e, m, p).conj().T
         assert _max_abs(lhs - rhs) < 1e-12
 
 
@@ -935,15 +941,15 @@ def test_expr_matrix_requirements():
 
 
 def test_expr_matrix_takes_the_point_from_one_place():
+    # the point comes in as q and c alone: a presentation that carries one
+    # is refused, with or without a point passed beside it
     m = ModeSpace(2, 4)
-    numeric = Presentation(variant="deformed-strict", q=1.5, c=0.8)
-    symbolic = Presentation(variant="deformed-strict")
     e = pi(0) * phi(1) + phi(0)
-    want = expr_matrix(e, m, symbolic, q=1.5, c=0.8)
-    assert np.array_equal(expr_matrix(e, m, numeric).toarray(), want.toarray())
-    for q, c in ((3.0, 2.0), (1.5, 0.8), (None, 2.0)):
-        with pytest.raises(FockError, match="its own numeric q and c"):
-            expr_matrix(e, m, numeric, q=q, c=c)
+    for p in (Presentation(variant="deformed-strict", q=1.5, c=0.8),
+              Presentation(variant="deformed-collapsed", q=1.3, c=0.7)):
+        for q, c in ((None, None), (3.0, 2.0), (1.5, 0.8), (None, 2.0)):
+            with pytest.raises(FockError, match="pass the deformation point as q and c"):
+                expr_matrix(e, m, p, q=q, c=c)
     # the undeformed variant has kappa = 1 and ignores a point passed to it
     plain = Presentation()
     assert np.array_equal(expr_matrix(e, m, plain, q=3.0, c=2.0).toarray(),
@@ -1422,7 +1428,7 @@ def _ladder_functor_residuals(p, seed):
     rng = random.Random(seed)
     exprs = [am(0) * ap(1), am(1) * ap(0), am(1) * am(0) * ap(0) * ap(1)]
     exprs += [random_expr(rng, p, 3, 2) for _ in range(10)]
-    return [restricted_norm(m, expr_matrix(normal_form(e, p), m, p) - expr_matrix(e, m, p), 4)
+    return [restricted_norm(m, _matrix_of(normal_form(e, p), m, p) - _matrix_of(e, m, p), 4)
             for e in exprs]
 
 

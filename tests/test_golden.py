@@ -43,7 +43,6 @@ def _replay(argv):
 def test_golden_cli(case, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("CCR_HOPF_SEED", raising=False)
     code, out, err = _replay(case["argv"])
     assert out == case["stdout"]
     assert err == case["stderr"]

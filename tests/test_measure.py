@@ -42,6 +42,7 @@ from ccr_hopf.measure import (
     density_ratio_check,
     eta,
     eta_error,
+    eta_sweep,
     gauss_vector,
     p_op,
     pd_sweep,
@@ -127,10 +128,9 @@ def apply_phi(model, v, f):
 
 
 def apply_pi(model, v, f):
-    """pi(v)f = -i (d_v f - <Cv,u> f / 2), the derivative taken along u_v."""
+    """pi(v)f = -i (d_v f - <C u_v,u> f / 2), the derivative taken along u_v."""
     uv = model.embed(v)
-    cv = model.C @ np.asarray(v, dtype=float)
-    return _scale(_add(_dderiv(f, uv), _scale(_mul_affine(f, cv), -0.5)), -1j)
+    return _scale(_add(_dderiv(f, uv), _scale(_mul_affine(f, model.C @ uv), -0.5)), -1j)
 
 
 def lowering(model, v, f):
@@ -291,7 +291,7 @@ def test_shared_sweeps_follow_the_explicit_loops():
     assert rng.random() == ref.random()  # both streams consumed alike
     v, u = gauss_vector(rng, 2), gauss_vector(rng, 2)
     err, estimate, exact = eta_error(model, v, u)
-    assert exact == -0.5 * float((model.C @ v) @ u)
+    assert exact == -0.5 * float((model.C @ model.embed(v)) @ u)
     assert estimate == eta(model, v, u) and err == abs(estimate - exact) < 1e-8
     for count in (0, -1):
         with pytest.raises(MeasureError):
@@ -634,9 +634,9 @@ def _numpy_evaluate(f, u):
 
 
 def _numpy_p_op(model, v, f):
-    v = np.asarray(v, dtype=float)
-    cv = model.C @ v
-    return _numpy_translate(f, model.embed(v)).with_exponent(-0.5 * cv, -0.25 * model.M(cv))
+    uv = model.embed(v)
+    cu = model.C @ uv
+    return _numpy_translate(f, uv).with_exponent(-0.5 * cu, -0.25 * model.M(cu))
 
 
 def _numpy_weyl_sides(model, v, vp, f, u):
@@ -886,6 +886,26 @@ def test_fock_point_model_takes_a_gram():
     assert np.array_equal(model.K, math.sqrt(2.0) * np.eye(2))
     assert np.array_equal(model.gram, gram)
     assert np.array_equal(GaussianModel.fock(2).gram, np.eye(2))
+
+
+def test_p_shifts_and_weights_by_the_embedded_vector():
+    # P(v) shifts by u_v = G v, so the cocycle weights by C u_v: under a
+    # non-identity real gram the cocycle and density-ratio identities hold
+    # to rounding, where weighting by C v left residuals near 1
+    gram = np.array([[1.0, 0.5], [0.5, 2.0]])
+    k = np.array([[1.0, 0.3], [0.0, 2.0]])
+    for model in (GaussianModel.fock(2, gram=gram), GaussianModel(k, gram=gram)):
+        fields, passed = cocycle_sweep(model, random.Random(42), 100)
+        assert passed
+        assert max(fields["cocycle_max_residual"], fields["density_ratio_max_residual"]) < 1e-13
+        assert weyl_sweep(model, random.Random(42), 20)[1]
+        v, u = gauss_vector(random.Random(3), 2), gauss_vector(random.Random(4), 2)
+        err, _, exact = eta_error(model, v, u)
+        assert exact == -0.5 * float((model.C @ (gram @ v)) @ u) and err < 1e-8
+    # the identity gram gives the floats of no gram, bit for bit
+    plain, eye = GaussianModel(k), GaussianModel(k, gram=np.eye(2))
+    for sweep, count in ((cocycle_sweep, 50), (weyl_sweep, 20), (eta_sweep, 5)):
+        assert sweep(plain, random.Random(9), count) == sweep(eye, random.Random(9), count)
 
 
 def test_delta_pairing_and_vacuum():

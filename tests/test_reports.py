@@ -127,7 +127,6 @@ def test_real_report_documents_are_the_stdlib_encoding(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "dump_json", checked)
     monkeypatch.setattr(selftest, "dump_json", checked)
-    monkeypatch.delenv("CCR_HOPF_SEED", raising=False)
     for argv in (["fock", "spectrum", "--nmax", "6"], ["measure", "bochner", "--samples", "2000"],
                  ["selftest", "--seed", "42"]):
         assert cli.main(argv) == 0

@@ -47,12 +47,10 @@ def test_reused_parser_forgets_flags(capsys, monkeypatch):
     assert (code, out, err) == _fresh_main(capsys, monkeypatch, ["normalize", "pi(0)*phi(0)"])
 
 
-def test_reused_parser_forgets_env_seed(capsys, monkeypatch):
+def test_reused_parser_forgets_the_seed(capsys, monkeypatch):
     argv = ["hopf-check", "--checks", "multiplicativity", "--degree", "1", "--modes", "1"]
-    monkeypatch.setenv("CCR_HOPF_SEED", "7")
-    code, out, _ = _main(capsys, argv)
+    code, out, _ = _main(capsys, argv + ["--seed", "7"])
     assert code == 0 and json.loads(out)["config"]["seed"] == 7
-    monkeypatch.delenv("CCR_HOPF_SEED")
     code, out, err = _main(capsys, argv)
     assert code == 0 and json.loads(out)["config"]["seed"] == 42
     assert (code, out, err) == _fresh_main(capsys, monkeypatch, argv)
